@@ -13,7 +13,8 @@ On top of that construction this module provides:
   wandering intervals whose leading margin, gaps, and trailing margin are
   all below a tolerance; decision procedure, witness extraction, and the
   exact feasibility threshold by minimax dynamic programming over all
-  subsequences;
+  subsequences, O(n log n) in the number n of wandering intervals (a
+  right-to-left sweep with one monotone staircase per orientation);
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual;
 * fixed-point explosions (planting a canonical generator inside an
@@ -23,6 +24,7 @@ On top of that construction this module provides:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,17 +203,48 @@ def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     Minimax dynamic programming over all alternating continuations; with it
     the scan below is complete: it finds a witness whenever any subsequence
     of the wandering intervals is one.
+
+    ``ivs`` must be sorted and pairwise disjoint, as ``wandering_intervals``
+    returns them; then every j >= i + 2 lies strictly right of i, and only
+    j = i + 1 can touch it.  The sweep runs right to left in O(n log n).
+    Per orientation it keeps a staircase of candidates j, nearest last,
+    with a_j increasing and fwd[j] strictly decreasing in j (a candidate
+    farther right with no smaller fwd never wins again).  Along it
+    max(a_j - b_i, fwd[j]) first falls with fwd[j], then rises with
+    a_j - b_i, so one bisection on a_j - fwd[j] finds the crossing and its
+    two neighbours hold the minimum.  The staircase is queried while it
+    holds only j >= i + 2; j = i + 1 is tested directly and pushed after
+    fwd[i] is known, because a touching i + 1 must not evict a candidate
+    that is valid for i.
     """
+    for prev, nxt in zip(ivs, ivs[1:]):
+        if prev.b > nxt.a:
+            raise ValueError("wandering intervals must be sorted and pairwise disjoint")
     n = len(ivs)
     fwd = [Fraction(0)] * n
+    # per orientation: candidate indices, and fwd[j] - a_j, which increases
+    # along the list
+    stairs = {Orientation.R: ([], []), Orientation.L: ([], [])}
     for i in range(n - 1, -1, -1):
-        best = hi - ivs[i].b
+        if i + 2 < n:
+            j = i + 2
+            js, keys = stairs[ivs[j].orientation]
+            while js and fwd[js[-1]] >= fwd[j]:
+                js.pop()
+                keys.pop()
+            js.append(j)
+            keys.append(fwd[j] - ivs[j].a)
+        b = ivs[i].b
         want = ivs[i].orientation.flipped()
-        for j in range(i + 1, n):
-            if ivs[j].orientation is want and ivs[j].a > ivs[i].b:
-                cand = max(ivs[j].a - ivs[i].b, fwd[j])
-                if cand < best:
-                    best = cand
+        best = hi - b
+        js, keys = stairs[want]
+        p = bisect_right(keys, -b)
+        if p > 0:
+            best = min(best, ivs[js[p - 1]].a - b)
+        if p < len(js):
+            best = min(best, fwd[js[p]])
+        if i + 1 < n and ivs[i + 1].orientation is want and ivs[i + 1].a > b:
+            best = min(best, max(ivs[i + 1].a - b, fwd[i + 1]))
         fwd[i] = best
     return fwd
 

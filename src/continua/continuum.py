@@ -159,15 +159,6 @@ class YModel:
                 out.append((a, 1))
         return out
 
-    def vertex_point(self, vertex_id: str) -> YPoint:
-        """Canonical YPoint for a vertex (on its first incident arc)."""
-        for a in self.arcs:
-            if a.p == vertex_id:
-                return YPoint(a.id, Fraction(0))
-            if a.q == vertex_id:
-                return YPoint(a.id, Fraction(1))
-        raise KeyError(f"vertex {vertex_id!r} not on any arc")
-
     def embed(self, p: YPoint) -> Point:
         return self.arc(p.arc).embed(p.t)
 
@@ -258,10 +249,6 @@ def y_distance_sq(model: YModel, p: YPoint, q: YPoint) -> Fraction:
 def y_distance(model: YModel, p: YPoint, q: YPoint) -> Fraction:
     """Ambient distance: exact when rational, else within 10^-6."""
     return sqrt_approx(y_distance_sq(model, p, q))
-
-
-def dist2_point_to_arc(model: YModel, point: Point, arc_id: str) -> Fraction:
-    return model.arc(arc_id).nearest(point)[1]
 
 
 # ---------------------------------------------------------------------------

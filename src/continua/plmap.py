@@ -18,6 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 
 from .rational import rational_from_json, rational_to_json
 
@@ -128,9 +129,6 @@ class PLHomeo:
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 
-    def is_identity(self) -> bool:
-        return len(self.breakpoints) == 2 and self.values == self.breakpoints
-
     def segment_slopes(self) -> list[Fraction]:
         xs, ys = self.breakpoints, self.values
         return [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
@@ -188,20 +186,54 @@ def invert(f: PLHomeo) -> PLHomeo:
     return PLHomeo(f.values, f.breakpoints)
 
 
+def _merge_walk(ax, ay, bx, by):
+    """(a(t), b(t)) for two PL graphs at every t of ax ∪ bx, in order.
+
+    Both abscissa lists are strictly increasing with common ends.  At one
+    of its own abscissae a graph gives its stored value; elsewhere it
+    interpolates the piece the walk is in, whose slope is computed on first
+    use and dropped when the walk leaves the piece.  O(len(ax) + len(bx))
+    exact operations.
+    """
+    i = j = 0
+    a_slope = b_slope = None
+    last = len(ax) - 1
+    while True:
+        s, t = ax[i], bx[j]
+        if s == t:
+            yield ay[i], by[j]
+            if i == last:
+                return
+            i += 1
+            j += 1
+            a_slope = b_slope = None
+        elif s < t:
+            if b_slope is None:
+                b_slope = (by[j] - by[j - 1]) / (t - bx[j - 1])
+            yield ay[i], by[j - 1] + (s - bx[j - 1]) * b_slope
+            i += 1
+            a_slope = None
+        else:
+            if a_slope is None:
+                a_slope = (ay[i] - ay[i - 1]) / (s - ax[i - 1])
+            yield ay[i - 1] + (t - ax[i - 1]) * a_slope, by[j]
+            j += 1
+            b_slope = None
+
+
 def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """Exact composition f∘g (first g, then f).
 
-    Breakpoints are g's breakpoints merged with g-preimages of f's
-    breakpoints, so every piece of the result is genuinely affine.
+    One merge walk in g's value space, of g⁻¹ (g's lists swapped) against
+    f: each value u of g or breakpoint of f yields the breakpoint g⁻¹(u)
+    with value f(u).  So the result has exactly g's breakpoints and the
+    g-preimages of f's breakpoints, and every piece is genuinely affine.
+    O(len(f) + len(g)) exact operations; no inverse is built.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: {f.domain} vs {g.domain}")
-    g_inv = invert(g)
-    xs = set(g.breakpoints)
-    xs.update(evaluate(g_inv, b) for b in f.breakpoints)
-    xs = sorted(xs)
-    ys = [evaluate(f, evaluate(g, x)) for x in xs]
-    return PLHomeo(tuple(xs), tuple(ys))
+    xs, ys = zip(*_merge_walk(g.values, g.breakpoints, f.breakpoints, f.values))
+    return PLHomeo(xs, ys)
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -217,16 +249,17 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     """sup |f-g| and |f⁻¹-g⁻¹|, exact.
 
     The difference of two PL maps is PL, so each sup is attained on the
-    merged breakpoint set.
+    merged breakpoint lists: one merge walk of f against g, and one of the
+    swapped (values, breakpoints) lists, so neither inverse is built.
+    O(len(f) + len(g)) exact operations.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: {f.domain} vs {g.domain}")
-
-    def branch(u: PLHomeo, v: PLHomeo) -> Fraction:
-        grid = sorted(set(u.breakpoints) | set(v.breakpoints))
-        return max(abs(evaluate(u, x) - evaluate(v, x)) for x in grid)
-
-    return max(branch(f, g), branch(invert(f), invert(g)))
+    walks = chain(
+        _merge_walk(f.breakpoints, f.values, g.breakpoints, g.values),
+        _merge_walk(f.values, f.breakpoints, g.values, g.breakpoints),
+    )
+    return max(abs(p - q) for p, q in walks)
 
 
 def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:

@@ -15,20 +15,6 @@ from fractions import Fraction
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def rat(value, den=None) -> Fraction:
-    """Build a Fraction from ints, strings like "3/4", or another Fraction."""
-    if den is not None:
-        return Fraction(value, den)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError(f"cannot build a rational from {value!r}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -58,7 +44,10 @@ def rational_to_json(x: Fraction) -> list[str]:
 def rational_from_json(pair) -> Fraction:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [num, den] pair, got {pair!r}")
-    return Fraction(int(pair[0]), int(pair[1]))
+    den = int(pair[1])
+    if den == 0:
+        raise ValueError(f"zero denominator in rational pair {pair!r}")
+    return Fraction(int(pair[0]), den)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -108,15 +97,3 @@ def sqrt_approx(x: Fraction, width: Fraction = Fraction(1, 10**6)) -> Fraction:
     if lo == hi:
         return lo
     return (lo + hi) / 2
-
-
-def round_to_denominator(x: Fraction, den: int) -> Fraction:
-    """Nearest fraction with denominator dividing ``den``; error <= 1/(2 den)."""
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    num = x.numerator * den
-    q, r = divmod(num, x.denominator)
-    # round half up; exactness of the tie direction is irrelevant to callers
-    if 2 * r >= x.denominator:
-        q += 1
-    return Fraction(q, den)

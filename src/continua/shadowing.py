@@ -317,11 +317,14 @@ def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
 
 def orbit_from_csv(stream, delta: Fraction) -> PseudoOrbit:
     rows = list(csv.reader(stream))
-    if not rows or rows[0][0] != "index":
+    if not rows or rows[0][:1] != ["index"]:
         raise ValueError("missing CSV header")
     header, body = rows[0], rows[1:]
     if not body:
         raise ValueError("empty orbit CSV")
+    for n, row in enumerate(body, start=2):
+        if len(row) < len(header):
+            raise ValueError(f"orbit CSV row {n} has {len(row)} fields, header has {len(header)}")
     indices = [int(r[0]) for r in body]
     if indices != list(range(indices[0], indices[0] + len(indices))):
         raise ValueError("orbit indices must be consecutive")

@@ -13,6 +13,7 @@ from continua.plmap import (
     PLHomeo,
     canonical_generator,
     evaluate,
+    invert,
 )
 from continua.shadowing import PseudoOrbit
 
@@ -48,6 +49,33 @@ def random_fat_map(rng: random.Random, max_plants: int = 3) -> PLHomeo:
         b = Fraction(cuts[2 * i + 1], grid)
         orient = Orientation.R if rng.randrange(2) == 0 else Orientation.L
         gen = canonical_generator(a, b, orient)
+        for x, y in zip(gen.breakpoints, gen.values):
+            if x > xs[-1]:
+                xs.append(x)
+                ys.append(y)
+    if xs[-1] != 1:
+        xs.append(Fraction(1))
+        ys.append(Fraction(1))
+    return PLHomeo(tuple(xs), tuple(ys))
+
+
+def random_touching_map(rng: random.Random, max_intervals: int = 8) -> PLHomeo:
+    """Canonical generators planted on consecutive grid slots.
+
+    Neighbouring planted slots share an endpoint, which is then an isolated
+    fixed point where two wandering intervals touch (b_i == a_{i+1}); an
+    unplanted slot stays a stretch of fixed points.  ``random_fat_map``
+    never produces touching intervals.
+    """
+    grid = 32
+    cuts = sorted(rng.sample(range(grid + 1), rng.randrange(2, max_intervals + 2)))
+    xs: list[Fraction] = [Fraction(0)]
+    ys: list[Fraction] = [Fraction(0)]
+    for a, b in zip(cuts, cuts[1:]):
+        if rng.randrange(4) == 0:
+            continue
+        orient = Orientation.R if rng.randrange(2) == 0 else Orientation.L
+        gen = canonical_generator(Fraction(a, grid), Fraction(b, grid), orient)
         for x, y in zip(gen.breakpoints, gen.values):
             if x > xs[-1]:
                 xs.append(x)
@@ -124,6 +152,42 @@ def literal_chain_quality(
             if best is None or q < best:
                 best = q
     return best
+
+
+def quadratic_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
+    """fwd[i] of the chain DP by trying every later interval: O(n^2)."""
+    n = len(ivs)
+    fwd = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        best = hi - ivs[i].b
+        want = ivs[i].orientation.flipped()
+        for j in range(i + 1, n):
+            if ivs[j].orientation is want and ivs[j].a > ivs[i].b:
+                cand = max(ivs[j].a - ivs[i].b, fwd[j])
+                if cand < best:
+                    best = cand
+        fwd[i] = best
+    return fwd
+
+
+def grid_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
+    """f∘g evaluated pointwise on g's breakpoints and g⁻¹(f's breakpoints)."""
+    g_inv = invert(g)
+    xs = set(g.breakpoints)
+    xs.update(evaluate(g_inv, b) for b in f.breakpoints)
+    xs = sorted(xs)
+    ys = [evaluate(f, evaluate(g, x)) for x in xs]
+    return PLHomeo(tuple(xs), tuple(ys))
+
+
+def grid_c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
+    """max(sup|f-g|, sup|f⁻¹-g⁻¹|) by evaluating on the merged breakpoints."""
+
+    def branch(u: PLHomeo, v: PLHomeo) -> Fraction:
+        grid = sorted(set(u.breakpoints) | set(v.breakpoints))
+        return max(abs(evaluate(u, x) - evaluate(v, x)) for x in grid)
+
+    return max(branch(f, g), branch(invert(f), invert(g)))
 
 
 def orbit_membership_oracle(

@@ -300,10 +300,11 @@ def test_criterion_7_arc_certificates_at_pinned_parameters(pinned_model_and_map)
     if failed:
         pytest.fail(
             "certificates do not exist for all arcs at depth 3, tolerance 1/10: "
-            "the projection margin is capped at epsilon/4 = 1/40 before the "
+            "the projection margin is capped at epsilon/12 = 1/120 before the "
             "Lipschitz correction, while the nearest inward-flowing interval of "
-            "a depth-3 arc map sits at parameter depth 1/27 from the endpoint "
-            "(ambient 1/27 on unit-length arcs, worse through the circle's "
+            "a depth-3 arc map sits at parameter depth 1/81 from a t = 0 vertex "
+            "and 1/27 from a t = 1 vertex "
+            "(ambient 1/81 and 1/27 on unit-length arcs, worse through the circle's "
             "stretch), so no inward neighborhood fits inside the margin. "
             "Deterministic refusals: "
             + "; ".join(f"{aid}: {msg}" for aid, msg in sorted(failed.items()))

@@ -7,6 +7,7 @@ import pytest
 
 from continua.cantor import (
     ChainWitness,
+    _suffix_best,
     ExplosionSiteError,
     InsufficientIntervals,
     TernaryIndex,
@@ -33,7 +34,13 @@ from continua.plmap import (
     rescale,
     wandering_intervals,
 )
-from conftest import literal_chain_quality, random_coordinate_change, random_fat_map
+from conftest import (
+    literal_chain_quality,
+    quadratic_suffix_best,
+    random_coordinate_change,
+    random_fat_map,
+    random_touching_map,
+)
 
 
 class TestTernaryIndex:
@@ -188,8 +195,17 @@ class TestChainProperty:
 
     def test_scan_complete_against_literal_oracle(self):
         rng = random.Random(12)
-        for _ in range(60):
-            f = random_fat_map(rng, max_plants=5)
+        maps = [random_fat_map(rng, max_plants=5) for _ in range(60)]
+        # Isolated fixed points make neighbours touch (b_i == a_{i+1}), and
+        # such a pair can never be consecutive in a chain; random_fat_map
+        # never yields them.
+        rng = random.Random(15)
+        touching = [random_touching_map(rng, max_intervals=12) for _ in range(60)]
+        assert sum(
+            any(p.b == q.a for p, q in zip(ivs, ivs[1:]))
+            for ivs in map(wandering_intervals, touching)
+        ) >= 30
+        for f in maps + touching:
             ivs = wandering_intervals(f)
             truth = literal_chain_quality(ivs)
             got = best_chain_quality(ivs)
@@ -201,6 +217,35 @@ class TestChainProperty:
                     assert found.quality() < eps
                 else:
                     assert found is None
+
+    def test_suffix_best_matches_quadratic_oracle(self):
+        rng = random.Random(14)
+        families = [wandering_intervals(random_fat_map(rng, max_plants=5)) for _ in range(40)]
+        families += [wandering_intervals(random_touching_map(rng, 12)) for _ in range(80)]
+        for n in range(7):
+            A = random_coordinate_change(rng)
+            g = compose(A, compose(build_ternary_map(n), invert(A)))
+            families.append(wandering_intervals(g))
+        for ivs in families:
+            assert _suffix_best(ivs, F(1)) == quadratic_suffix_best(ivs, F(1))
+
+    def test_unsorted_intervals_rejected(self):
+        ivs = wandering_intervals(build_ternary_map(1))
+        with pytest.raises(ValueError):
+            best_chain_quality(ivs[::-1])
+
+    def test_deep_thresholds(self):
+        for n in range(5, 11):
+            ivs = wandering_intervals(build_ternary_map(n))
+            assert best_chain_quality(ivs) == F(1, 3**n)
+
+    def test_boundary_at_depth_nine(self):
+        f = build_ternary_map(9)
+        q = F(1, 3**9)
+        assert check_chain_property(f, q) is None
+        witness = check_chain_property(f, q + q / 1000)
+        assert witness is not None
+        assert q <= witness.quality() < q + q / 1000
 
     def test_monotone_in_epsilon(self):
         rng = random.Random(13)

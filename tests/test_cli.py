@@ -1,10 +1,15 @@
 """Front-end behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import continua
 from continua.cantor import build_ternary_map
 from continua.cli import dump_json, main
 from continua.continuum import YModel, build_arc_model, identity_homeo
@@ -13,6 +18,19 @@ from continua.plmap import PLHomeo, canonical_r, wandering_intervals
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_process(argv):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(continua.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "continua.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    return proc.returncode, proc.stderr
 
 
 @pytest.fixture()
@@ -72,6 +90,15 @@ class TestCheckPeps:
         path = map_file(build_ternary_map(1))
         assert run(["check-peps", path, "--epsilon", "1/0"]) == 2
 
+    def test_zero_denominator_in_map_is_input_error(self, tmp_path):
+        obj = canonical_r(0, 1).to_json()
+        obj["values"][1] = ["1", "0"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, err = run_process(["check-peps", bad, "--epsilon", "1/8"])
+        assert code == 2
+        assert "Traceback" not in err
+
 
 class TestShadow:
     def test_worked_example(self, tmp_path, map_file):
@@ -101,6 +128,14 @@ class TestShadow:
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,point\n0,1/10\n1,9/10\n")
         assert run(["shadow", "--map", path, "--orbit", orbit, "--epsilon", "1/100"]) == 1
+
+    def test_short_row_is_input_error(self, tmp_path, map_file):
+        path = map_file(canonical_r(0, 1))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,point\n0\n")
+        code, err = run_process(["shadow", "--map", path, "--orbit", orbit, "--epsilon", "1/20"])
+        assert code == 2
+        assert "Traceback" not in err
 
     def test_space_mismatch_is_input_error(self, tmp_path, map_file):
         path = map_file(canonical_r(0, 1))

@@ -23,7 +23,15 @@ from continua.plmap import (
     rescale,
     wandering_intervals,
 )
-from conftest import random_fat_map, random_plhomeo
+from continua.cantor import build_ternary_map
+from conftest import (
+    grid_c0_distance,
+    grid_compose,
+    random_coordinate_change,
+    random_fat_map,
+    random_plhomeo,
+    random_touching_map,
+)
 
 
 class TestRepresentation:
@@ -135,6 +143,39 @@ class TestC0Distance:
             assert dfg == c0_distance(g, f)
             assert (dfg == 0) == (f == g)
             assert dfg <= c0_distance(f, h) + c0_distance(h, g)
+
+
+class TestMergeWalkAgainstGridOracles:
+    """compose and c0_distance equal pointwise evaluation on the same grids."""
+
+    def test_random_maps(self):
+        rng = random.Random(108)
+        for _ in range(30):
+            maps = [
+                identity(),
+                random_plhomeo(rng, 6),
+                random_fat_map(rng, 5),
+                random_touching_map(rng),
+            ]
+            for f in maps:
+                for g in maps:
+                    assert compose(f, g) == grid_compose(f, g)
+                    assert c0_distance(f, g) == grid_c0_distance(f, g)
+
+    def test_ternary_conjugates(self):
+        rng = random.Random(109)
+        for n in range(7):
+            f = build_ternary_map(n)
+            for _ in range(2):
+                A = random_coordinate_change(rng)
+                A_inv = invert(A)
+                inner = compose(f, A_inv)
+                assert inner == grid_compose(f, A_inv)
+                g = compose(A, inner)
+                assert g == grid_compose(A, inner)
+                assert compose(g, invert(g)) == grid_compose(g, invert(g))
+                assert c0_distance(g, f) == grid_c0_distance(g, f)
+                assert c0_distance(A, g) == grid_c0_distance(A, g)
 
 
 class TestFixedSets:
