@@ -36,7 +36,6 @@ from .shadowing import (
     estimate_shadowing_modulus,
     global_shadowing_delta,
     orbit_from_csv,
-    quasi_attractor_certificate,
     sample_certificate_soundness,
     sample_global_soundness,
     shadow_on_model,
@@ -215,7 +214,7 @@ def cmd_certify(args) -> int:
     config = ExperimentConfig(args.seed, args.trials, epsilon, args.depth, model.M)
 
     try:
-        delta, cover = global_shadowing_delta(model, g, epsilon, args.trials, args.seed)
+        delta, certs = global_shadowing_delta(model, g, epsilon, args.trials, args.seed)
     except CoverFailure as exc:
         bundle = {
             "config": config.to_json(),
@@ -226,18 +225,13 @@ def cmd_certify(args) -> int:
         _write(dump_json(bundle), args.out)
         return EXIT_CERT
 
-    certs = []
     per_arc_failures = {}
-    for i, arc in enumerate(model.arcs):
-        cert = quasi_attractor_certificate(
-            model, g, arc.id, epsilon, args.trials, args.seed * 1009 + i
-        )
-        certs.append(cert.to_json())
+    for i, cert in enumerate(certs):
         fails = sample_certificate_soundness(
             model, g, cert, args.trials, args.seed * 31 + i
         )
         if fails:
-            per_arc_failures[arc.id] = fails
+            per_arc_failures[cert.arc] = fails
     global_failures = sample_global_soundness(
         model, g, delta, epsilon, args.trials, args.seed * 17
     )
@@ -245,9 +239,9 @@ def cmd_certify(args) -> int:
     bundle = {
         "config": config.to_json(),
         "status": "ok" if not (per_arc_failures or global_failures) else "refuted",
-        "certificates": certs,
+        "certificates": [c.to_json() for c in certs],
         "global_delta": rational_to_json(delta),
-        "cover": [[aid, rational_to_json(d)] for aid, d in cover],
+        "cover": [[c.arc, rational_to_json(c.delta)] for c in certs],
         "sampling": {
             "per_arc_failures": per_arc_failures,
             "global_failures": global_failures,
@@ -259,7 +253,7 @@ def cmd_certify(args) -> int:
 
 def cmd_render(args) -> int:
     obj = _load_json(args.input)
-    if "breakpoints" in obj:
+    if isinstance(obj, dict) and "breakpoints" in obj:
         _write(render_phase_diagram(PLHomeo.from_json(obj)), args.out)
         return EXIT_OK
     model = YModel.from_json(obj)

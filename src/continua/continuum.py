@@ -190,7 +190,13 @@ class YModel:
 
     @staticmethod
     def from_json(obj: dict) -> "YModel":
-        model = build_arc_model(int(obj["M"]))
+        if not isinstance(obj, dict):
+            raise ModelError("model JSON must be an object")
+        try:
+            M = int(obj["M"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"model JSON needs an integer field M: {exc!r}") from exc
+        model = build_arc_model(M)
         if model.to_json() != obj:
             raise ModelError("model JSON does not describe a standard truncated model")
         return model
@@ -274,7 +280,10 @@ class YHomeo:
 
     @staticmethod
     def from_json(obj: dict) -> "YHomeo":
-        return YHomeo({aid: PLHomeo.from_json(fo) for aid, fo in obj["arc_maps"].items()})
+        maps = obj.get("arc_maps") if isinstance(obj, dict) else None
+        if not isinstance(maps, dict):
+            raise ModelError("homeomorphism JSON must be an object with an arc_maps object")
+        return YHomeo({aid: PLHomeo.from_json(fo) for aid, fo in maps.items()})
 
 
 def validate_homeo(model: YModel, g: YHomeo) -> None:

@@ -6,6 +6,15 @@ representation is canonical: breakpoints collinear with their neighbors are
 pruned, so structural equality is semantic equality and identity laws hold
 bit-exactly.
 
+The validating constructor ``PLHomeo(breakpoints, values)`` is the only
+public way to build a map; ``from_json`` and every other module go through
+it.  Inside this module, results that are canonical by construction (an
+inverse, a pruned composition) are wrapped by ``_trusted`` without being
+checked again.  Each map caches, on first use, its per-piece slopes (read
+by ``evaluate`` and ``max_slope``) and its inverse (returned by
+``invert``).  The inverse holds no reference back to its map, so the cache
+forms no reference cycle.
+
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
 wandering-interval analysis, the one-breakpoint canonical generators used
@@ -18,6 +27,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .rational import rational_from_json, rational_to_json
@@ -129,9 +139,16 @@ class PLHomeo:
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
 
-    def segment_slopes(self) -> list[Fraction]:
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
         xs, ys = self.breakpoints, self.values
-        return [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        return tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
+
+    @cached_property
+    def _inverse(self) -> "PLHomeo":
+        # Swapping the lists keeps them canonical: the collinearity test is
+        # symmetric in x and y.  The inverse does not point back at self.
+        return _trusted(self.values, self.breakpoints)
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x},{y})" for x, y in zip(self.breakpoints, self.values))
@@ -155,9 +172,17 @@ class PLHomeo:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed PL map object: {exc}") from exc
         f = PLHomeo(tuple(xs), tuple(ys))
-        if (f.lo, f.hi) != (dom[0], dom[1]):
+        if dom != [f.lo, f.hi]:
             raise ValueError("domain field disagrees with breakpoint endpoints")
         return f
+
+
+def _trusted(breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> PLHomeo:
+    """Wrap canonical tuples of Fractions as a map, skipping validation."""
+    f = object.__new__(PLHomeo)
+    object.__setattr__(f, "breakpoints", breakpoints)
+    object.__setattr__(f, "values", values)
+    return f
 
 
 def identity(lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> PLHomeo:
@@ -172,18 +197,17 @@ def evaluate(f: PLHomeo, x: Fraction) -> Fraction:
     x = Fraction(x)
     if x < f.lo or x > f.hi:
         raise DomainError(f"{x} outside domain [{f.lo}, {f.hi}]")
-    xs, ys = f.breakpoints, f.values
+    xs = f.breakpoints
     i = bisect_right(xs, x) - 1
     if i >= len(xs) - 1:
-        return ys[-1]
-    x0, x1 = xs[i], xs[i + 1]
-    y0, y1 = ys[i], ys[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        return f.values[-1]
+    return f.values[i] + (x - xs[i]) * f._slopes[i]
 
 
 def invert(f: PLHomeo) -> PLHomeo:
-    """The inverse homeomorphism: swap breakpoint and value lists."""
-    return PLHomeo(f.values, f.breakpoints)
+    """The inverse homeomorphism (breakpoint and value lists swapped),
+    built once per map."""
+    return f._inverse
 
 
 def _merge_walk(ax, ay, bx, by):
@@ -228,12 +252,14 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     f: each value u of g or breakpoint of f yields the breakpoint g⁻¹(u)
     with value f(u).  So the result has exactly g's breakpoints and the
     g-preimages of f's breakpoints, and every piece is genuinely affine.
+    Both lists come out strictly increasing with the shared endpoints
+    fixed, so pruning is the only canonicalization they need.
     O(len(f) + len(g)) exact operations; no inverse is built.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: {f.domain} vs {g.domain}")
     xs, ys = zip(*_merge_walk(g.values, g.breakpoints, f.breakpoints, f.values))
-    return PLHomeo(xs, ys)
+    return _trusted(*_prune_collinear(xs, ys))
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -298,15 +324,18 @@ def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
 def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     """Complement components of the fixed set, tagged R (f > id) or L (f < id).
 
-    The displacement sign is constant on each component; the midpoint
-    decides it exactly.
+    The displacement sign is constant on each component (b, a').  Some
+    breakpoint lies strictly inside it: were [b, a'] inside one affine
+    piece, the displacement would vanish at both ends and so on the whole
+    piece.  The first breakpoint after b is therefore in the component,
+    and the sign of its stored displacement is the orientation.
     """
+    xs, ys = f.breakpoints, f.values
     fixed = fixed_set(f)
     out: list[OrientedInterval] = []
     for (_, b_prev), (a_next, _) in zip(fixed, fixed[1:]):
-        mid = (b_prev + a_next) / 2
-        disp = evaluate(f, mid) - mid
-        tag = Orientation.R if disp > 0 else Orientation.L
+        k = bisect_right(xs, b_prev)
+        tag = Orientation.R if ys[k] > xs[k] else Orientation.L
         out.append(OrientedInterval(b_prev, a_next, tag))
     return out
 
@@ -348,7 +377,7 @@ def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:
 
 def max_slope(f: PLHomeo) -> Fraction:
     """Largest segment slope: an exact Lipschitz constant for f."""
-    return max(f.segment_slopes())
+    return max(f._slopes)
 
 
 def modulus_of_continuity(f: PLHomeo, alpha: Fraction) -> Fraction:

@@ -148,16 +148,17 @@ def generate_pseudo_orbit(
 
     rng = random.Random(seed)
     fwd_bound = delta / 2
-    bwd_bound = delta / (2 * max(Fraction(1), max_slope(f)))
     grid = config.noise_grid
 
     fwd = [x0]
     for _ in range(n):
         fwd.append(_clamp(evaluate(f, fwd[-1]) + _noise(rng, fwd_bound, grid), lo, hi))
-    f_inv = invert(f)
     bwd = [x0]
-    for _ in range(m):
-        bwd.append(_clamp(evaluate(f_inv, bwd[-1]) + _noise(rng, bwd_bound, grid), lo, hi))
+    if m:
+        bwd_bound = delta / (2 * max(Fraction(1), max_slope(f)))
+        f_inv = invert(f)
+        for _ in range(m):
+            bwd.append(_clamp(evaluate(f_inv, bwd[-1]) + _noise(rng, bwd_bound, grid), lo, hi))
     points = tuple(reversed(bwd[1:])) + tuple(fwd)
     return PseudoOrbit(points, m, delta)
 
@@ -170,10 +171,11 @@ def true_orbit(
     fwd = [Fraction(x0)]
     for _ in range(n):
         fwd.append(evaluate(f, fwd[-1]))
-    f_inv = invert(f)
     bwd = [Fraction(x0)]
-    for _ in range(m):
-        bwd.append(evaluate(f_inv, bwd[-1]))
+    if m:
+        f_inv = invert(f)
+        for _ in range(m):
+            bwd.append(evaluate(f_inv, bwd[-1]))
     return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m, Fraction(delta))
 
 
@@ -229,6 +231,25 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    cur = _forward_fold(f, orbit, epsilon)
+    if cur is None:
+        return ShadowingSet((), epsilon)
+    f_inv = invert(f)
+    a, b = cur
+    for _ in range(orbit.window[1]):
+        a, b = evaluate(f_inv, a), evaluate(f_inv, b)
+    return ShadowingSet(((a, b),), epsilon)
+
+
+def _forward_fold(
+    f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction
+) -> tuple[Fraction, Fraction] | None:
+    """Image at the window's last index of the orbit's shadowing set, or
+    None when that set is empty.
+
+    f is a bijection, so the image is empty exactly when the set is: the
+    fold alone decides emptiness, with no pull-back.
+    """
     lo, hi = f.domain
 
     def tube(x: Fraction) -> tuple[Fraction, Fraction] | None:
@@ -237,22 +258,17 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
 
     cur = tube(orbit.points[0])
     if cur is None:
-        return ShadowingSet((), epsilon)
+        return None
     for x in orbit.points[1:]:
         img = (evaluate(f, cur[0]), evaluate(f, cur[1]))
         t = tube(x)
         if t is None:
-            return ShadowingSet((), epsilon)
+            return None
         nxt = (max(img[0], t[0]), min(img[1], t[1]))
         if nxt[0] > nxt[1]:
-            return ShadowingSet((), epsilon)
+            return None
         cur = nxt
-    f_inv = invert(f)
-    steps_back = orbit.window[1]
-    a, b = cur
-    for _ in range(steps_back):
-        a, b = evaluate(f_inv, a), evaluate(f_inv, b)
-    return ShadowingSet(((a, b),), epsilon)
+    return cur
 
 
 def estimate_shadowing_modulus(
@@ -288,7 +304,7 @@ def estimate_shadowing_modulus(
             orbit = generate_pseudo_orbit(
                 f, delta, (0, config.orbit_length), x0, seed * 1_000_003 + 2 * t + 1, config
             )
-            if shadowing_set(f, orbit, epsilon).is_empty:
+            if _forward_fold(f, orbit, epsilon) is None:
                 ok = False
                 break
         if ok:
@@ -658,12 +674,13 @@ def global_shadowing_delta(
     trials: int = 200,
     seed: int = 0,
     config: ShadowingConfig = DEFAULT_CONFIG,
-) -> tuple[Fraction, list[tuple[str, Fraction]]]:
+) -> tuple[Fraction, list[QuasiAttractorCertificate]]:
     """Per-arc certificates, the exact cover check, and the global delta.
 
     The certified arcs are themselves the cover (every model point lies on
     one); raises CoverFailure listing sample points of arcs that could not
-    be certified.  Returns (min of the per-arc deltas, the per-arc list).
+    be certified.  Returns (min of the per-arc deltas, the certificates in
+    arc order); arc i's certificate is seeded with ``seed * 1009 + i``.
     """
     certs: list[QuasiAttractorCertificate] = []
     failures: dict[str, str] = {}
@@ -680,8 +697,7 @@ def global_shadowing_delta(
         uncovered = [YPoint(aid, Fraction(1, 2)) for aid in sorted(failures)]
         detail = "; ".join(f"{aid}: {msg}" for aid, msg in sorted(failures.items()))
         raise CoverFailure(f"cover failure: {detail}", uncovered)
-    cover = [(c.arc, c.delta) for c in certs]
-    return min(c.delta for c in certs), cover
+    return min(c.delta for c in certs), certs
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from continua.cantor import minimal_indices
@@ -13,7 +14,7 @@ from continua.plmap import (
     PLHomeo,
     canonical_generator,
     evaluate,
-    invert,
+    fixed_set,
 )
 from continua.shadowing import PseudoOrbit
 
@@ -170,13 +171,41 @@ def quadratic_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fra
     return fwd
 
 
+def interpolate(f: PLHomeo, x: Fraction) -> Fraction:
+    """f(x) by the two-point interpolation formula, with no cached slope."""
+    xs, ys = f.breakpoints, f.values
+    i = bisect_right(xs, x) - 1
+    if i >= len(xs) - 1:
+        return ys[-1]
+    x0, x1 = xs[i], xs[i + 1]
+    y0, y1 = ys[i], ys[i + 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def midpoint_wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
+    """Fixed-set gaps oriented by the displacement at each gap's midpoint."""
+    fixed = fixed_set(f)
+    out: list[OrientedInterval] = []
+    for (_, b_prev), (a_next, _) in zip(fixed, fixed[1:]):
+        mid = (b_prev + a_next) / 2
+        disp = interpolate(f, mid) - mid
+        tag = Orientation.R if disp > 0 else Orientation.L
+        out.append(OrientedInterval(b_prev, a_next, tag))
+    return out
+
+
+def validated_inverse(f: PLHomeo) -> PLHomeo:
+    """f⁻¹ built and checked by the public constructor, never cached."""
+    return PLHomeo(f.values, f.breakpoints)
+
+
 def grid_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """f∘g evaluated pointwise on g's breakpoints and g⁻¹(f's breakpoints)."""
-    g_inv = invert(g)
+    g_inv = validated_inverse(g)
     xs = set(g.breakpoints)
-    xs.update(evaluate(g_inv, b) for b in f.breakpoints)
+    xs.update(interpolate(g_inv, b) for b in f.breakpoints)
     xs = sorted(xs)
-    ys = [evaluate(f, evaluate(g, x)) for x in xs]
+    ys = [interpolate(f, interpolate(g, x)) for x in xs]
     return PLHomeo(tuple(xs), tuple(ys))
 
 
@@ -185,9 +214,22 @@ def grid_c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
 
     def branch(u: PLHomeo, v: PLHomeo) -> Fraction:
         grid = sorted(set(u.breakpoints) | set(v.breakpoints))
-        return max(abs(evaluate(u, x) - evaluate(v, x)) for x in grid)
+        return max(abs(interpolate(u, x) - interpolate(v, x)) for x in grid)
 
-    return max(branch(f, g), branch(invert(f), invert(g)))
+    return max(branch(f, g), branch(validated_inverse(f), validated_inverse(g)))
+
+
+def steady_drift_orbit(
+    f: PLHomeo, x0: Fraction, step: Fraction, length: int, down: bool
+) -> PseudoOrbit:
+    """x_{i+1} = f(x_i) - step (or + step), clamped to the domain: every
+    jump is at most ``step``, all in one direction."""
+    lo, hi = f.domain
+    pts = [x0]
+    for _ in range(length):
+        y = evaluate(f, pts[-1])
+        pts.append(max(lo, y - step) if down else min(hi, y + step))
+    return PseudoOrbit(tuple(pts), 0, step)
 
 
 def orbit_membership_oracle(

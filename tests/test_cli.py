@@ -99,6 +99,15 @@ class TestCheckPeps:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_short_domain_field_is_input_error(self, tmp_path):
+        obj = canonical_r(0, 1).to_json()
+        obj["domain"] = obj["domain"][:1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code, err = run_process(["check-peps", bad, "--epsilon", "1/8"])
+        assert code == 2
+        assert "Traceback" not in err
+
 
 class TestShadow:
     def test_worked_example(self, tmp_path, map_file):
@@ -303,3 +312,50 @@ class TestCertify:
         bundle = json.loads(outs[0])
         assert bundle["status"] == "ok"
         assert bundle["sampling"]["global_failures"] == []
+
+
+class TestMalformedModelInput:
+    """Model and homeomorphism files of the wrong JSON shape exit 2."""
+
+    @pytest.mark.parametrize(
+        "model, homeo",
+        [
+            (None, {"arc_maps": []}),
+            (None, []),
+            (None, {"arc_maps": {"h1": []}}),
+            ([], None),
+            ({"M": [2]}, None),
+            ({"M": float("inf")}, None),
+            ({"vertices": {}}, None),
+        ],
+    )
+    def test_certify(self, tmp_path, model, homeo):
+        argv = ["certify", "--segments", 2, "--epsilon", "1/10", "--trials", 2]
+        for flag, obj in (("--model", model), ("--homeo", homeo)):
+            if obj is not None:
+                path = tmp_path / f"{flag[2:]}.json"
+                path.write_text(json.dumps(obj))
+                argv += [flag, path]
+        code, err = run_process(argv)
+        assert code == 2
+        assert "Traceback" not in err and "input error" in err
+
+    def test_shadow_on_model(self, tmp_path):
+        y = tmp_path / "y.json"
+        run(["build-y", "--segments", 2, "--out", y])
+        h = tmp_path / "h.json"
+        h.write_text('{"arc_maps": []}')
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+        code, err = run_process(
+            ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
+        )
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_render_scalar(self, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text("3")
+        code, err = run_process(["render", path])
+        assert code == 2
+        assert "Traceback" not in err

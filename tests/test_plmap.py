@@ -1,6 +1,8 @@
 """Exact algebra of PL interval homeomorphisms."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -27,11 +29,27 @@ from continua.cantor import build_ternary_map
 from conftest import (
     grid_c0_distance,
     grid_compose,
+    interpolate,
+    midpoint_wandering_intervals,
     random_coordinate_change,
     random_fat_map,
     random_plhomeo,
     random_touching_map,
+    validated_inverse,
 )
+
+
+def oracle_maps(seed: int) -> list[PLHomeo]:
+    """Random, fat, touching and ternary maps, and conjugates of the latter."""
+    rng = random.Random(seed)
+    maps = [identity(), canonical_r(F(1, 3), F(2, 3)), canonical_l(0, 1)]
+    for _ in range(15):
+        maps += [random_plhomeo(rng, 6), random_fat_map(rng, 5), random_touching_map(rng)]
+    for n in range(7):
+        f = build_ternary_map(n)
+        A = random_coordinate_change(rng)
+        maps += [f, compose(A, compose(f, invert(A)))]
+    return maps
 
 
 class TestRepresentation:
@@ -316,3 +334,62 @@ class TestSlopes:
             y = min(x + F(rng.randrange(1, 16 * int(1 / alpha) + 1), 64), F(1))
             if abs(x - y) < alpha:
                 assert abs(evaluate(f, x) - evaluate(f, y)) <= bound
+
+
+class TestCachedPathsAgainstOracles:
+    """invert, evaluate and wandering_intervals read per-map caches; each
+    must equal its uncached formula structurally."""
+
+    def test_invert_equals_validated_inverse(self):
+        for f in oracle_maps(112):
+            inv = invert(f)
+            ref = validated_inverse(f)
+            assert (inv.breakpoints, inv.values) == (ref.breakpoints, ref.values)
+            back = invert(inv)
+            assert (back.breakpoints, back.values) == (f.breakpoints, f.values)
+
+    def test_inverse_built_once_without_back_reference(self):
+        f = build_ternary_map(3)
+        inv = invert(f)
+        assert invert(f) is inv
+        assert invert(inv) is not f
+        evaluate(f, F(1, 2))
+        evaluate(inv, F(1, 2))
+        # no reference cycle: dropping the map frees it and its inverse
+        # at once, without the cycle collector
+        refs = [weakref.ref(f), weakref.ref(inv)]
+        gc.disable()
+        try:
+            del f, inv
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_evaluate_equals_interpolation(self):
+        for f in oracle_maps(113):
+            xs = f.breakpoints
+            points = list(xs)
+            for x0, x1 in zip(xs, xs[1:]):
+                points += [(x0 + x1) / 2, x0 + (x1 - x0) / 7, x1 - (x1 - x0) / 1000]
+            for x in points:
+                assert evaluate(f, x) == interpolate(f, x)
+            assert evaluate(f, f.lo) == f.lo and evaluate(f, f.hi) == f.hi
+
+    def test_max_slope_equals_uncached_slopes(self):
+        for f in oracle_maps(114):
+            xs, ys = f.breakpoints, f.values
+            slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+            assert max_slope(f) == max(slopes)
+            assert max_slope(invert(f)) == max(1 / s for s in slopes)
+
+    def test_wandering_intervals_equal_midpoint_oracle(self):
+        for f in oracle_maps(115):
+            assert wandering_intervals(f) == midpoint_wandering_intervals(f)
+
+    def test_compose_result_is_canonical(self):
+        unit = [f for f in oracle_maps(116) if f.domain == (0, 1)]
+        for f in unit[::3]:
+            for g in unit[1::3]:
+                h = compose(f, g)
+                ref = PLHomeo(h.breakpoints, h.values)
+                assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)

@@ -16,12 +16,21 @@ from continua.continuum import (
     build_arcwise_map,
     identity_homeo,
 )
-from continua.plmap import Orientation, canonical_r, identity, invert, evaluate, max_slope
+from continua.plmap import (
+    Orientation,
+    canonical_r,
+    evaluate,
+    identity,
+    invert,
+    iterate,
+    max_slope,
+)
 from continua.shadowing import (
     CertificateError,
     CoverFailure,
     NoInwardStub,
     PseudoOrbit,
+    _forward_fold,
     estimate_shadowing_modulus,
     find_inward_neighborhood,
     generate_pseudo_orbit,
@@ -39,7 +48,13 @@ from continua.shadowing import (
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
 )
-from conftest import orbit_membership_oracle, random_plhomeo
+from conftest import (
+    orbit_membership_oracle,
+    random_fat_map,
+    random_plhomeo,
+    random_touching_map,
+    steady_drift_orbit,
+)
 
 
 def edge_enriched_map(levels: int, eta: F) -> "PLHomeo":
@@ -185,6 +200,51 @@ class TestModulus:
         b = estimate_shadowing_modulus(f, F(1, 10), trials=60, seed=1)
         assert a == b
 
+    def test_pinned_ternary_values(self):
+        assert estimate_shadowing_modulus(build_ternary_map(2), F(1, 20), 300, 9) == F(1, 80)
+        assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 100, 5) == F(1, 80)
+
+
+class TestForwardFold:
+    """The sampler decides emptiness by the forward fold alone."""
+
+    def check(self, f, orbit, eps):
+        cur = _forward_fold(f, orbit, eps)
+        s = shadowing_set(f, orbit, eps)
+        assert (cur is None) == s.is_empty
+        if cur is not None:
+            # the fold's interval is the image of the set at the last index
+            (a, b), k = s.intervals[0], orbit.window[1]
+            assert cur == (iterate(f, a, k), iterate(f, b, k))
+
+    def test_agrees_with_shadowing_set_on_random_orbits(self):
+        rng = random.Random(27)
+        for _ in range(60):
+            f = rng.choice(
+                [random_plhomeo(rng), random_fat_map(rng), random_touching_map(rng),
+                 build_ternary_map(rng.randrange(4))]
+            )
+            window = (-rng.randrange(3), rng.randrange(1, 12))
+            delta = F(1, 2 ** rng.randrange(2, 9))
+            x0 = F(rng.randrange(0, 65), 64)
+            o = generate_pseudo_orbit(f, delta, window, x0, seed=rng.randrange(10**6))
+            for eps in (delta / 4, delta, 4 * delta):
+                self.check(f, o, eps)
+
+    def test_agrees_with_shadowing_set_on_steady_drift(self):
+        rng = random.Random(28)
+        seen = set()
+        for n in range(4):
+            f = build_ternary_map(n)
+            for _ in range(15):
+                eps = F(1, 2 ** rng.randrange(3, 7))
+                step = eps / rng.randrange(2, 9)
+                x0 = F(rng.randrange(0, 65), 64)
+                o = steady_drift_orbit(f, x0, step, 24, down=rng.randrange(2) == 0)
+                self.check(f, o, eps)
+                seen.add(_forward_fold(f, o, eps) is None)
+        assert seen == {True, False}
+
 
 class TestModelOrbits:
     def test_certified_defect(self):
@@ -273,9 +333,26 @@ class TestCertificates:
     def test_global_delta_is_min(self):
         m = build_arc_model(2)
         g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
-        delta, cover = global_shadowing_delta(m, g, F(1, 10), trials=40, seed=11)
-        assert delta == min(d for _, d in cover)
-        assert {aid for aid, _ in cover} == set(m.arc_ids())
+        delta, certs = global_shadowing_delta(m, g, F(1, 10), trials=40, seed=11)
+        assert delta == min(c.delta for c in certs)
+        assert [c.arc for c in certs] == m.arc_ids()
+
+    def test_global_delta_returns_the_per_arc_certificates(self):
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
+        _, certs = global_shadowing_delta(m, g, F(1, 10), trials=10, seed=2)
+        assert certs == [
+            quasi_attractor_certificate(m, g, a.id, F(1, 10), 10, 2 * 1009 + i)
+            for i, a in enumerate(m.arcs)
+        ]
+
+    def test_pinned_certificate_values(self):
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
+        c = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
+        assert (c.delta1, c.alpha, c.delta, c.separation_sq) == (
+            F(1, 80), F(1, 960), F(1, 491520), F(1, 154618822656)
+        )
 
     def test_cover_failure_lists_points(self):
         m = build_arc_model(2)
@@ -293,9 +370,9 @@ class TestCertificates:
         # arcwise map, no edge enrichment
         m = build_arc_model(2)
         g = build_arcwise_map(m, 9)
-        delta, cover = global_shadowing_delta(m, g, F(1, 10), trials=20, seed=3)
+        delta, certs = global_shadowing_delta(m, g, F(1, 10), trials=20, seed=3)
         assert delta > 0
-        assert {aid for aid, _ in cover} == set(m.arc_ids())
+        assert [c.arc for c in certs] == m.arc_ids()
         fails = sample_global_soundness(m, g, delta, F(1, 10), trials=30, seed=9)
         assert fails == []
 
@@ -313,8 +390,8 @@ class TestCertificates:
         model = YModel(1, {"a": (F(0), F(0)), "b": (F(1), F(0))}, (arc,))
         g = YHomeo({"seg": edge_enriched_map(1, F(1, 1024))})
         cert = quasi_attractor_certificate(model, g, "seg", F(1, 10), trials=30, seed=4)
-        delta, cover = global_shadowing_delta(model, g, F(1, 10), trials=30, seed=4 * 1009)
-        assert cover == [("seg", cert.delta)] or delta == cert.delta
+        delta, certs = global_shadowing_delta(model, g, F(1, 10), trials=30, seed=4 * 1009)
+        assert [(c.arc, c.delta) for c in certs] == [("seg", cert.delta)] or delta == cert.delta
 
 
 class TestShadowSearch:
