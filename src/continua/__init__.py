@@ -54,7 +54,6 @@ from .continuum import (
     build_arc_model,
     build_arcwise_map,
     check_arc_decomposition,
-    embed,
     identity_homeo,
     y_distance,
     y_distance_sq,
@@ -62,12 +61,10 @@ from .continuum import (
 from .shadowing import (
     CertificateError,
     CoverFailure,
-    DEFAULT_CONFIG,
     InwardNeighborhood,
     NoInwardStub,
     PseudoOrbit,
     QuasiAttractorCertificate,
-    ShadowingConfig,
     ShadowingSet,
     Stub,
     estimate_shadowing_modulus,
@@ -85,10 +82,9 @@ from .shadowing import (
     shadowing_set,
     true_orbit,
     verify_pseudo_orbit,
-    verify_pseudo_orbit_y,
     verify_pseudo_orbit_y_sq,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -36,8 +36,8 @@ from .plmap import (
     c0_distance,
     canonical_generator,
     compose,
-    evaluate,
     fixed_set,
+    identity,
     wandering_intervals,
 )
 from .rational import rational_from_json, rational_to_json
@@ -129,20 +129,36 @@ def build_ternary_map(levels: int) -> PLHomeo:
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    plan = sorted(
-        (idx.interval(), idx.orientation) for idx in minimal_indices(levels)
+    return _plant(
+        identity(), sorted((*idx.interval(), idx.orientation) for idx in minimal_indices(levels))
     )
-    xs: list[Fraction] = [Fraction(0)]
-    ys: list[Fraction] = [Fraction(0)]
-    for (a, b), orient in plan:
+
+
+def _plant(f: PLHomeo, slots: list[tuple[Fraction, Fraction, Orientation]]) -> PLHomeo:
+    """f with the canonical generator of each slot (a, b, orientation)
+    planted on [a, b].
+
+    The windows must be sorted, pairwise disjoint and fixed pointwise by f.
+    Then the result's breakpoints are f's breakpoints outside the windows
+    merged with the generators' breakpoints, each with the value already
+    stored for it, so no point is evaluated.
+    """
+    fx, fy = f.breakpoints, f.values
+    xs: list[Fraction] = []
+    ys: list[Fraction] = []
+    i = 0
+    for a, b, orient in slots:
+        while fx[i] < a:
+            xs.append(fx[i])
+            ys.append(fy[i])
+            i += 1
+        while i < len(fx) and fx[i] <= b:
+            i += 1
         gen = canonical_generator(a, b, orient)
-        for x, y in zip(gen.breakpoints, gen.values):
-            if x > xs[-1]:
-                xs.append(x)
-                ys.append(y)
-    if xs[-1] != 1:
-        xs.append(Fraction(1))
-        ys.append(Fraction(1))
+        xs.extend(gen.breakpoints)
+        ys.extend(gen.values)
+    xs.extend(fx[i:])
+    ys.extend(fy[i:])
     return PLHomeo(tuple(xs), tuple(ys))
 
 
@@ -312,15 +328,17 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
 DEFAULT_THRESHOLD_LEVEL_BOUND = 6
 
 
-def chain_property_threshold(levels: int, max_levels: int = DEFAULT_THRESHOLD_LEVEL_BOUND) -> Fraction:
+def chain_property_threshold(levels: int) -> Fraction:
     """Infimum tolerance above which the depth-``levels`` map has a witness.
 
     Computed by the exact minimax search over all alternating subsequences
     of its wandering intervals; the infimum is attained, so the property
     holds exactly for tolerances strictly above the returned value.
     """
-    if levels > max_levels:
-        raise ValueError(f"levels={levels} exceeds the exhaustive-search bound {max_levels}")
+    if levels > DEFAULT_THRESHOLD_LEVEL_BOUND:
+        raise ValueError(
+            f"levels={levels} exceeds the level bound {DEFAULT_THRESHOLD_LEVEL_BOUND}"
+        )
     f = build_ternary_map(levels)
     best = best_chain_quality(wandering_intervals(f))
     assert best is not None
@@ -445,10 +463,7 @@ def explode_fixed_point(
     lov, hiv = p - delta, p + delta
     if not any(a <= lov and hiv <= b for a, b in fixed_set(f)):
         raise ExplosionSiteError(f"[{lov}, {hiv}] not inside fixed set")
-    gen = canonical_generator(lov, hiv, orient)
-    xs = sorted(set(x for x in f.breakpoints if not lov < x < hiv) | set(gen.breakpoints))
-    ys = [evaluate(gen, x) if lov <= x <= hiv else evaluate(f, x) for x in xs]
-    return PLHomeo(tuple(xs), tuple(ys))
+    return _plant(f, [(lov, hiv, orient)])
 
 
 def densify_chain_property(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
@@ -482,22 +497,9 @@ def densify_chain_property(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
             slots.append((s + 3 * w / 2, s + 5 * w / 2, Orientation.R))
             s += 4 * w
 
-    # all windows are disjoint and inside fixed stretches, so one merged
-    # rebuild equals the sequence of individual explosions
-    windows = [(a, b) for a, b, _ in slots]
-    xs = sorted(
-        set(x for x in f.breakpoints if not any(a < x < b for a, b in windows))
-        | {p for a, b, o in slots for p in canonical_generator(a, b, o).breakpoints}
-    )
-    gens = {(a, b): canonical_generator(a, b, o) for a, b, o in slots}
-
-    def value(x: Fraction) -> Fraction:
-        for (a, b), gen in gens.items():
-            if a <= x <= b:
-                return evaluate(gen, x)
-        return evaluate(f, x)
-
-    result = PLHomeo(tuple(xs), tuple(value(x) for x in xs))
+    # the windows are sorted, disjoint and inside fixed stretches, so one
+    # planting equals the sequence of individual explosions
+    result = _plant(f, slots)
 
     if check_chain_property(result, epsilon) is None:
         raise ValueError(

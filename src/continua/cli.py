@@ -16,8 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .cantor import (
@@ -28,7 +26,14 @@ from .cantor import (
     check_chain_property,
     explode_fixed_point,
 )
-from .continuum import YHomeo, YModel, YPoint, build_arc_model, build_arcwise_map
+from .continuum import (
+    YHomeo,
+    YModel,
+    YPoint,
+    build_arc_model,
+    build_arcwise_map,
+    validate_homeo,
+)
 from .plmap import Orientation, PLHomeo
 from .rational import parse_rational, rational_to_json
 from .shadowing import (
@@ -51,26 +56,6 @@ EXIT_INPUT = 2
 EXIT_CERT = 3
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything that determines a certification run; reruns are bit-identical."""
-
-    seed: int
-    trials: int
-    epsilon: Fraction
-    depth: int | None
-    segments: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "epsilon": rational_to_json(self.epsilon),
-            "depth": self.depth,
-            "segments": self.segments,
-        }
-
-
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -89,6 +74,17 @@ def _load_json(path: str) -> dict:
 
 def _load_map(path: str) -> PLHomeo:
     return PLHomeo.from_json(_load_json(path))
+
+
+def _load_homeo(args, model: YModel) -> YHomeo:
+    """The --homeo map, or the depth-``args.depth`` arcwise map when the
+    flag is absent; either way checked against the model."""
+    if args.homeo:
+        g = YHomeo.from_json(_load_json(args.homeo))
+    else:
+        g = build_arcwise_map(model, args.depth)
+    validate_homeo(model, g)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +125,9 @@ def cmd_conjugate(args) -> int:
 
 def cmd_explode(args) -> int:
     f = _load_map(args.map)
-    try:
-        g = explode_fixed_point(
-            f,
-            parse_rational(args.point),
-            parse_rational(args.radius),
-            Orientation(args.orient),
-        )
-    except ExplosionSiteError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_UNSAT
+    g = explode_fixed_point(
+        f, parse_rational(args.point), parse_rational(args.radius), Orientation(args.orient)
+    )
     _write(dump_json(g.to_json()), args.out)
     return EXIT_OK
 
@@ -153,11 +142,7 @@ def cmd_shadow(args) -> int:
         if not on_model:
             raise ValueError("orbit file holds interval points, not model points")
         model = YModel.from_json(_load_json(args.model))
-        if args.homeo:
-            g = YHomeo.from_json(_load_json(args.homeo))
-        else:
-            g = build_arcwise_map(model, args.depth)
-        witness = shadow_on_model(model, g, orbit, epsilon)
+        witness = shadow_on_model(model, _load_homeo(args, model), orbit, epsilon)
         if witness is None:
             _write("null\n", args.out)
             return EXIT_UNSAT
@@ -206,18 +191,21 @@ def cmd_certify(args) -> int:
         model = YModel.from_json(_load_json(args.model))
     else:
         model = build_arc_model(args.segments)
-    if args.homeo:
-        g = YHomeo.from_json(_load_json(args.homeo))
-    else:
-        g = build_arcwise_map(model, args.depth)
+    g = _load_homeo(args, model)
     epsilon = parse_rational(args.epsilon)
-    config = ExperimentConfig(args.seed, args.trials, epsilon, args.depth, model.M)
+    config = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "epsilon": rational_to_json(epsilon),
+        "depth": args.depth,
+        "segments": model.M,
+    }
 
     try:
         delta, certs = global_shadowing_delta(model, g, epsilon, args.trials, args.seed)
     except CoverFailure as exc:
         bundle = {
-            "config": config.to_json(),
+            "config": config,
             "status": "cover failure",
             "detail": str(exc),
             "uncovered": [p.to_json() for p in exc.uncovered],
@@ -237,7 +225,7 @@ def cmd_certify(args) -> int:
     )
 
     bundle = {
-        "config": config.to_json(),
+        "config": config,
         "status": "ok" if not (per_arc_failures or global_failures) else "refuted",
         "certificates": [c.to_json() for c in certs],
         "global_delta": rational_to_json(delta),
@@ -257,7 +245,7 @@ def cmd_render(args) -> int:
         _write(render_phase_diagram(PLHomeo.from_json(obj)), args.out)
         return EXIT_OK
     model = YModel.from_json(obj)
-    g = YHomeo.from_json(_load_json(args.homeo)) if args.homeo else None
+    g = _load_homeo(args, model) if args.homeo else None
     _write(render_model(model, g), args.out)
     return EXIT_OK
 

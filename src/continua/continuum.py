@@ -20,14 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cantor import build_ternary_map
 from .geometry import (
     Point,
+    _on_segment,
     dist2_pp,
     lerp,
     project_point_segment,
     segments_intersect,
 )
-from .plmap import PLHomeo, evaluate, invert
+from .plmap import PLHomeo, evaluate, identity, invert
 from .rational import (
     rational_from_json,
     rational_to_json,
@@ -242,11 +244,6 @@ def build_arc_model(M: int) -> YModel:
     return YModel(M, vertices, tuple(arcs))
 
 
-def embed(model: YModel, p: YPoint) -> Point:
-    """Exact plane coordinates of a model point (polyline geometry)."""
-    return model.embed(p)
-
-
 def y_distance_sq(model: YModel, p: YPoint, q: YPoint) -> Fraction:
     """Exact squared ambient Euclidean distance between embedded points."""
     return dist2_pp(model.embed(p), model.embed(q))
@@ -296,16 +293,12 @@ def validate_homeo(model: YModel, g: YHomeo) -> None:
 
 
 def identity_homeo(model: YModel) -> YHomeo:
-    from .plmap import identity
-
     return YHomeo({a.id: identity() for a in model.arcs})
 
 
 def build_arcwise_map(model: YModel, levels: int) -> YHomeo:
     """The model self-map acting on every arc as the depth-``levels``
     alternating ternary map in that arc's own parameter."""
-    from .cantor import build_ternary_map
-
     f = build_ternary_map(levels)
     return YHomeo({a.id: f for a in model.arcs})
 
@@ -332,19 +325,13 @@ def _arcs_share_only_vertices(model: YModel, a: Arc, b: Arc) -> bool:
             if not segments_intersect(sa, sb, ua, ub):
                 continue
             # Any contact must be an endpoint equal to a shared vertex.
-            touches = [p for p in (sa, sb) if p in (ua, ub) or _between(ua, ub, p)]
-            touches += [p for p in (ua, ub) if _between(sa, sb, p)]
+            touches = [p for p in (sa, sb) if p in (ua, ub) or _on_segment(ua, ub, p)]
+            touches += [p for p in (ua, ub) if _on_segment(sa, sb, p)]
             if not touches:
                 return False  # proper crossing
             if any(p not in shared for p in touches):
                 return False
     return True
-
-
-def _between(a: Point, b: Point, p: Point) -> bool:
-    from .geometry import _on_segment
-
-    return _on_segment(a, b, p)
 
 
 def _cascade_order(model: YModel) -> list[str]:

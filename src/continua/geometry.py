@@ -21,21 +21,6 @@ def lerp(a: Point, b: Point, t: Fraction) -> Point:
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
 
 
-def dist2_point_segment(p: Point, a: Point, b: Point) -> Fraction:
-    """Squared distance from p to the closed segment [a, b]."""
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
-        return dist2_pp(p, a)
-    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
-    if t <= 0:
-        return dist2_pp(p, a)
-    if t >= 1:
-        return dist2_pp(p, b)
-    return dist2_pp(p, lerp(a, b, t))
-
-
 def project_point_segment(p: Point, a: Point, b: Point) -> tuple[Fraction, Fraction]:
     """(clamped parameter t in [0,1], squared distance) of the nearest point."""
     ab = (b[0] - a[0], b[1] - a[1])
@@ -44,8 +29,16 @@ def project_point_segment(p: Point, a: Point, b: Point) -> tuple[Fraction, Fract
     if denom == 0:
         return Fraction(0), dist2_pp(p, a)
     t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
-    t = min(max(t, Fraction(0)), Fraction(1))
+    if t <= 0:
+        return Fraction(0), dist2_pp(p, a)
+    if t >= 1:
+        return Fraction(1), dist2_pp(p, b)
     return t, dist2_pp(p, lerp(a, b, t))
+
+
+def dist2_point_segment(p: Point, a: Point, b: Point) -> Fraction:
+    """Squared distance from p to the closed segment [a, b]."""
+    return project_point_segment(p, a, b)[1]
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:

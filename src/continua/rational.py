@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 ZERO = Fraction(0)
+
+# Width of the certified square-root brackets.
+SQRT_WIDTH = Fraction(1, 10**6)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -66,8 +67,8 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def sqrt_enclosure(x: Fraction, width: Fraction = Fraction(1, 10**6)) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket [lo, hi] around sqrt(x) with hi - lo < width.
+def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified rational bracket [lo, hi] around sqrt(x) with hi - lo < SQRT_WIDTH.
 
     Bisection from an integer bracket; exact comparisons only.
     """
@@ -82,7 +83,7 @@ def sqrt_enclosure(x: Fraction, width: Fraction = Fraction(1, 10**6)) -> tuple[F
     hi = lo + 1
     while hi * hi < x:
         hi += 1
-    while hi - lo >= width:
+    while hi - lo >= SQRT_WIDTH:
         mid = (lo + hi) / 2
         if mid * mid <= x:
             lo = mid
@@ -91,9 +92,9 @@ def sqrt_enclosure(x: Fraction, width: Fraction = Fraction(1, 10**6)) -> tuple[F
     return lo, hi
 
 
-def sqrt_approx(x: Fraction, width: Fraction = Fraction(1, 10**6)) -> Fraction:
-    """A rational within ``width`` of sqrt(x); exact when the root is rational."""
-    lo, hi = sqrt_enclosure(x, width)
+def sqrt_approx(x: Fraction) -> Fraction:
+    """A rational within SQRT_WIDTH of sqrt(x); exact when the root is rational."""
+    lo, hi = sqrt_enclosure(x)
     if lo == hi:
         return lo
     return (lo + hi) / 2

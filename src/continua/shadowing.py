@@ -36,7 +36,6 @@ from .rational import (
     format_rational,
     parse_rational,
     rational_to_json,
-    sqrt_approx,
     sqrt_enclosure,
 )
 
@@ -57,22 +56,14 @@ class CoverFailure(RuntimeError):
         self.uncovered = uncovered
 
 
-@dataclass(frozen=True)
-class ShadowingConfig:
-    """Knobs shared by all sampling routines (defaults are regression-pinned).
-
-    grid_levels drives the modulus bisection; the containment delta search
-    gets its own deeper grid (delta_grid_levels) because stub attraction
-    gaps shrink with the truncation depth while staying exactly decidable.
-    """
-
-    orbit_length: int = 24
-    noise_grid: int = 512
-    grid_levels: int = 12
-    delta_grid_levels: int = 24
-
-
-DEFAULT_CONFIG = ShadowingConfig()
+# Sampling constants, pinned by regression tests.  The modulus bisection
+# runs GRID_LEVELS levels; the containment delta search gets its own
+# deeper grid, because stub attraction gaps shrink with the truncation depth
+# while staying exactly decidable.
+ORBIT_LENGTH = 24
+NOISE_GRID = 512
+GRID_LEVELS = 12
+DELTA_GRID_LEVELS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -103,37 +94,33 @@ class PseudoOrbit:
     def window(self) -> tuple[int, int]:
         return (-self.offset, len(self.points) - 1 - self.offset)
 
-    @property
-    def forward_points(self) -> tuple:
-        return self.points[self.offset :]
-
     def point(self, i: int):
         return self.points[i + self.offset]
 
 
-def _noise(rng: random.Random, bound: Fraction, grid: int) -> Fraction:
-    return Fraction(rng.randrange(-(grid - 1), grid), grid) * bound
+def _noise(rng: random.Random, bound: Fraction) -> Fraction:
+    return Fraction(rng.randrange(-(NOISE_GRID - 1), NOISE_GRID), NOISE_GRID) * bound
 
 
 def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(x, lo), hi)
 
 
-def generate_pseudo_orbit(
+def _two_sided_orbit(
     f: PLHomeo,
     delta: Fraction,
     window: tuple[int, int],
     x0: Fraction,
-    seed: int,
-    config: ShadowingConfig = DEFAULT_CONFIG,
+    rng: random.Random | None,
 ) -> PseudoOrbit:
-    """Seeded noisy orbit with every jump certified below ``delta``.
+    """The orbit of x0 over ``window``, exact when ``rng`` is None.
 
-    Forward steps add uniform rational noise below delta/2 to the exact
-    image; backward steps perturb the exact preimage, scaled down by the
-    slope bound so the defining inequality still holds.  Points are clamped
-    to the domain (the exact image is in the domain, so clamping never
-    increases a jump).
+    Otherwise forward steps add uniform rational noise below delta/2 to the
+    exact image, and backward steps perturb the exact preimage by noise
+    scaled down by the slope bound, so the defining inequality still holds.
+    Points are clamped to the domain (the exact image is in the domain, so
+    clamping never increases a jump).  All forward draws come before the
+    backward ones.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -146,37 +133,36 @@ def generate_pseudo_orbit(
     if not lo <= x0 <= hi:
         raise ValueError("x0 outside the domain")
 
-    rng = random.Random(seed)
-    fwd_bound = delta / 2
-    grid = config.noise_grid
+    def run(g: PLHomeo, steps: int, bound: Fraction) -> list[Fraction]:
+        pts = [x0]
+        for _ in range(steps):
+            y = evaluate(g, pts[-1])
+            if rng is not None:
+                y = _clamp(y + _noise(rng, bound), lo, hi)
+            pts.append(y)
+        return pts
 
-    fwd = [x0]
-    for _ in range(n):
-        fwd.append(_clamp(evaluate(f, fwd[-1]) + _noise(rng, fwd_bound, grid), lo, hi))
-    bwd = [x0]
-    if m:
-        bwd_bound = delta / (2 * max(Fraction(1), max_slope(f)))
-        f_inv = invert(f)
-        for _ in range(m):
-            bwd.append(_clamp(evaluate(f_inv, bwd[-1]) + _noise(rng, bwd_bound, grid), lo, hi))
-    points = tuple(reversed(bwd[1:])) + tuple(fwd)
-    return PseudoOrbit(points, m, delta)
+    fwd = run(f, n, delta / 2)
+    bwd = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
+    return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m, delta)
+
+
+def generate_pseudo_orbit(
+    f: PLHomeo,
+    delta: Fraction,
+    window: tuple[int, int],
+    x0: Fraction,
+    seed: int,
+) -> PseudoOrbit:
+    """Seeded noisy orbit with every jump certified below ``delta``."""
+    return _two_sided_orbit(f, delta, window, x0, random.Random(seed))
 
 
 def true_orbit(
     f: PLHomeo, window: tuple[int, int], x0: Fraction, delta: Fraction = Fraction(1, 10**6)
 ) -> PseudoOrbit:
     """The exact orbit as a PseudoOrbit (zero noise; defect exactly 0)."""
-    m, n = -window[0], window[1]
-    fwd = [Fraction(x0)]
-    for _ in range(n):
-        fwd.append(evaluate(f, fwd[-1]))
-    bwd = [Fraction(x0)]
-    if m:
-        f_inv = invert(f)
-        for _ in range(m):
-            bwd.append(evaluate(f_inv, bwd[-1]))
-    return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m, Fraction(delta))
+    return _two_sided_orbit(f, delta, window, x0, None)
 
 
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
@@ -272,16 +258,12 @@ def _forward_fold(
 
 
 def estimate_shadowing_modulus(
-    f: PLHomeo,
-    epsilon: Fraction,
-    trials: int,
-    seed: int,
-    config: ShadowingConfig = DEFAULT_CONFIG,
+    f: PLHomeo, epsilon: Fraction, trials: int, seed: int
 ) -> Fraction:
     """Largest grid delta whose sampled pseudo-orbits are all shadowed.
 
-    The grid is epsilon times powers of 1/2 (``config.grid_levels``
-    levels).  A lower-confidence empirical stand-in for the true modulus:
+    The grid is epsilon times powers of 1/2 (``GRID_LEVELS`` levels).  A
+    lower-confidence empirical stand-in for the true modulus:
     deterministic for a fixed seed, with per-trial seeds derived by
     counter and orbits depending only on (map, delta, start, seed) so the
     estimate is monotone in epsilon.  Returns 0 when even the smallest
@@ -293,16 +275,15 @@ def estimate_shadowing_modulus(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     lo, hi = f.domain
-    grid = config.noise_grid
 
-    for j in range(config.grid_levels):
+    for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
         ok = True
         for t in range(trials):
             start_rng = random.Random(seed * 1_000_003 + 2 * t)
-            x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, grid + 1), grid)
+            x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
             orbit = generate_pseudo_orbit(
-                f, delta, (0, config.orbit_length), x0, seed * 1_000_003 + 2 * t + 1, config
+                f, delta, (0, ORBIT_LENGTH), x0, seed * 1_000_003 + 2 * t + 1
             )
             if _forward_fold(f, orbit, epsilon) is None:
                 ok = False
@@ -366,7 +347,6 @@ def generate_pseudo_orbit_y(
     length: int,
     x0: YPoint,
     seed: int,
-    config: ShadowingConfig = DEFAULT_CONFIG,
 ) -> PseudoOrbit:
     """Forward noisy orbit on the model with certified ambient jumps.
 
@@ -379,7 +359,6 @@ def generate_pseudo_orbit_y(
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = random.Random(seed)
-    grid = config.noise_grid
     bound = delta / 2
 
     pts = [x0]
@@ -401,7 +380,7 @@ def generate_pseudo_orbit_y(
                             bound
                             / 2
                             / other.stretch_hi
-                            * Fraction(rng.randrange(0, grid), grid)
+                            * Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
                         )
                         depth = min(depth, Fraction(1))
                         t_new = depth if oend == 0 else 1 - depth
@@ -409,7 +388,7 @@ def generate_pseudo_orbit_y(
                         hopped = True
                     break
         if not hopped:
-            jitter = _noise(rng, bound / arc.stretch_hi, grid)
+            jitter = _noise(rng, bound / arc.stretch_hi)
             pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
     return PseudoOrbit(tuple(pts), 0, delta)
 
@@ -424,11 +403,6 @@ def verify_pseudo_orbit_y_sq(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fr
         img = apply_map(model, g, a)
         worst = max(worst, dist2_pp(model.embed(img), model.embed(b)))
     return worst
-
-
-def verify_pseudo_orbit_y(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fraction:
-    """Max ambient jump, reported through the certified sqrt enclosure."""
-    return sqrt_approx(verify_pseudo_orbit_y_sq(model, g, orbit))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +587,6 @@ def quasi_attractor_certificate(
     epsilon: Fraction,
     trials: int = 200,
     seed: int = 0,
-    config: ShadowingConfig = DEFAULT_CONFIG,
 ) -> QuasiAttractorCertificate:
     """Execute the one-arc shadowing-transfer chain and return its constants.
 
@@ -632,7 +605,7 @@ def quasi_attractor_certificate(
     fa = g.map_for(arc_id)
 
     eps_half_param = (epsilon / 2) / arc.stretch_hi
-    delta1_param = estimate_shadowing_modulus(fa, eps_half_param, trials, seed, config)
+    delta1_param = estimate_shadowing_modulus(fa, eps_half_param, trials, seed)
     if delta1_param == 0:
         raise CertificateError(f"arc {arc_id!r}: empirical shadowing modulus is zero")
     delta1 = delta1_param * arc.stretch_lo
@@ -653,7 +626,7 @@ def quasi_attractor_certificate(
     sep_sq = _min_separation_sq(image_pieces, complement_pieces)
 
     delta = None
-    for j in range(1, config.delta_grid_levels + 1):
+    for j in range(1, DELTA_GRID_LEVELS + 1):
         cand = delta1 / 3 / 2**j
         if sep_sq is None or cand * cand < sep_sq:
             delta = cand
@@ -673,7 +646,6 @@ def global_shadowing_delta(
     epsilon: Fraction,
     trials: int = 200,
     seed: int = 0,
-    config: ShadowingConfig = DEFAULT_CONFIG,
 ) -> tuple[Fraction, list[QuasiAttractorCertificate]]:
     """Per-arc certificates, the exact cover check, and the global delta.
 
@@ -687,9 +659,7 @@ def global_shadowing_delta(
     for i, arc in enumerate(model.arcs):
         try:
             certs.append(
-                quasi_attractor_certificate(
-                    model, g, arc.id, epsilon, trials, seed * 1009 + i, config
-                )
+                quasi_attractor_certificate(model, g, arc.id, epsilon, trials, seed * 1009 + i)
             )
         except CertificateError as exc:
             failures[arc.id] = str(exc)
@@ -794,20 +764,20 @@ def shadow_on_model(
 
 
 def sample_near_arc(
-    model: YModel, arc_id: str, radius: Fraction, rng: random.Random, grid: int
+    model: YModel, arc_id: str, radius: Fraction, rng: random.Random
 ) -> YPoint:
     """A random model point within ``radius`` (ambient) of the given arc."""
     arc = model.arc(arc_id)
     if rng.randrange(2) == 0:
-        return YPoint(arc_id, Fraction(rng.randrange(0, grid + 1), grid))
+        return YPoint(arc_id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
     end = rng.randrange(2)
     vertex = model.vertex_of(arc, 0 if end == 0 else 1)
     neighbors = [(a, e) for a, e in model.arcs_at(vertex) if a.id != arc_id]
     if not neighbors:
-        return YPoint(arc_id, Fraction(rng.randrange(0, grid + 1), grid))
+        return YPoint(arc_id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
     other, oend = neighbors[rng.randrange(len(neighbors))]
     depth = min(radius / other.stretch_hi, Fraction(1)) * Fraction(
-        rng.randrange(0, grid), grid
+        rng.randrange(0, NOISE_GRID), NOISE_GRID
     )
     return YPoint(other.id, depth if oend == 0 else 1 - depth)
 
@@ -818,7 +788,6 @@ def sample_certificate_soundness(
     cert: QuasiAttractorCertificate,
     trials: int,
     seed: int,
-    config: ShadowingConfig = DEFAULT_CONFIG,
 ) -> list[int]:
     """Indices of sampled orbits near the arc that fail to be shadowed on it.
 
@@ -829,9 +798,9 @@ def sample_certificate_soundness(
     failures: list[int] = []
     for t in range(trials):
         rng = random.Random(seed * 7_368_787 + t)
-        x0 = sample_near_arc(model, cert.arc, cert.delta, rng, config.noise_grid)
+        x0 = sample_near_arc(model, cert.arc, cert.delta, rng)
         orbit = generate_pseudo_orbit_y(
-            model, g, cert.delta, config.orbit_length, x0, seed * 7_368_787 + t + 1, config
+            model, g, cert.delta, ORBIT_LENGTH, x0, seed * 7_368_787 + t + 1
         )
         if shadow_on_arc(model, g, cert.arc, orbit, cert.epsilon) is None:
             failures.append(t)
@@ -845,7 +814,6 @@ def sample_global_soundness(
     epsilon: Fraction,
     trials: int,
     seed: int,
-    config: ShadowingConfig = DEFAULT_CONFIG,
 ) -> list[int]:
     """Indices of arbitrary-start delta-pseudo-orbits with no verified witness."""
     failures: list[int] = []
@@ -853,9 +821,9 @@ def sample_global_soundness(
     for t in range(trials):
         rng = random.Random(seed * 9_999_991 + t)
         aid = arc_ids[rng.randrange(len(arc_ids))]
-        x0 = YPoint(aid, Fraction(rng.randrange(0, config.noise_grid + 1), config.noise_grid))
+        x0 = YPoint(aid, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
         orbit = generate_pseudo_orbit_y(
-            model, g, delta, config.orbit_length, x0, seed * 9_999_991 + t + 1, config
+            model, g, delta, ORBIT_LENGTH, x0, seed * 9_999_991 + t + 1
         )
         if shadow_on_model(model, g, orbit, epsilon) is None:
             failures.append(t)

@@ -7,7 +7,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from continua.cantor import minimal_indices
+from continua.cantor import ExplosionSiteError, check_chain_property, minimal_indices
 from continua.plmap import (
     Orientation,
     OrientedInterval,
@@ -249,3 +249,76 @@ def orbit_membership_oracle(
         if abs(z - orbit.point(-i)) > epsilon:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Planting oracles: each builds its map point by point, with no merge
+# ---------------------------------------------------------------------------
+
+
+def appended_ternary_map(levels: int) -> PLHomeo:
+    """The depth-``levels`` alternating map, appending each generator's
+    breakpoints to the identity's in interval order."""
+    plan = sorted((idx.interval(), idx.orientation) for idx in minimal_indices(levels))
+    xs: list[Fraction] = [Fraction(0)]
+    ys: list[Fraction] = [Fraction(0)]
+    for (a, b), orient in plan:
+        gen = canonical_generator(a, b, orient)
+        for x, y in zip(gen.breakpoints, gen.values):
+            if x > xs[-1]:
+                xs.append(x)
+                ys.append(y)
+    if xs[-1] != 1:
+        xs.append(Fraction(1))
+        ys.append(Fraction(1))
+    return PLHomeo(tuple(xs), tuple(ys))
+
+
+def interpolated_explosion(
+    f: PLHomeo, p: Fraction, delta: Fraction, orient: Orientation
+) -> PLHomeo:
+    """``explode_fixed_point`` by interpolating f or the generator at every
+    breakpoint of the result."""
+    lov, hiv = p - delta, p + delta
+    if not any(a <= lov and hiv <= b for a, b in fixed_set(f)):
+        raise ExplosionSiteError(f"[{lov}, {hiv}] not inside fixed set")
+    gen = canonical_generator(lov, hiv, orient)
+    xs = sorted(set(x for x in f.breakpoints if not lov < x < hiv) | set(gen.breakpoints))
+    ys = [interpolate(gen, x) if lov <= x <= hiv else interpolate(f, x) for x in xs]
+    return PLHomeo(tuple(xs), tuple(ys))
+
+
+def interpolated_densify(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
+    """``densify_chain_property`` by looking up, for every breakpoint of
+    the result, the generator or the input map it lies on."""
+    if check_chain_property(f, epsilon) is not None:
+        return f
+    slots: list[tuple[Fraction, Fraction, Orientation]] = []
+    for u, v in fixed_set(f):
+        if u == v:
+            continue
+        w = min(epsilon / 8, (v - u) / 8)
+        s = u + w / 2
+        while s + 3 * w <= v:
+            slots.append((s, s + w, Orientation.L))
+            slots.append((s + 3 * w / 2, s + 5 * w / 2, Orientation.R))
+            s += 4 * w
+    windows = [(a, b) for a, b, _ in slots]
+    xs = sorted(
+        set(x for x in f.breakpoints if not any(a < x < b for a, b in windows))
+        | {p for a, b, o in slots for p in canonical_generator(a, b, o).breakpoints}
+    )
+    gens = {(a, b): canonical_generator(a, b, o) for a, b, o in slots}
+
+    def value(x: Fraction) -> Fraction:
+        for (a, b), gen in gens.items():
+            if a <= x <= b:
+                return interpolate(gen, x)
+        return interpolate(f, x)
+
+    result = PLHomeo(tuple(xs), tuple(value(x) for x in xs))
+    if check_chain_property(result, epsilon) is None:
+        raise ValueError(
+            "cannot densify: isolated fixed points leave no room to restore alternation"
+        )
+    return result

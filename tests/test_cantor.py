@@ -1,6 +1,7 @@
 """Ternary combinatorics, chain property, conjugacies, explosions."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -29,16 +30,21 @@ from continua.plmap import (
     canonical_r,
     compose,
     evaluate,
+    fixed_set,
     identity,
     invert,
     rescale,
     wandering_intervals,
 )
 from conftest import (
+    appended_ternary_map,
+    interpolated_densify,
+    interpolated_explosion,
     literal_chain_quality,
     quadratic_suffix_best,
     random_coordinate_change,
     random_fat_map,
+    random_plhomeo,
     random_touching_map,
 )
 
@@ -185,7 +191,7 @@ class TestChainProperty:
         assert chain_property_threshold(4) == F(1, 81)
 
     def test_threshold_level_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="level bound 6"):
             chain_property_threshold(9)
 
     def test_thresholds_match_literal_enumeration(self):
@@ -419,3 +425,65 @@ class TestDensify:
         )
         with pytest.raises(ValueError):
             densify_chain_property(f, F(1, 8))
+
+
+def tuples(f):
+    return f.breakpoints, f.values
+
+
+class TestPlantingAgainstOracles:
+    """build_ternary_map, explode_fixed_point and densify_chain_property
+    share one planting merge; each must equal its point-by-point oracle."""
+
+    def test_ternary_maps(self):
+        for n in range(11):
+            assert tuples(build_ternary_map(n)) == tuples(appended_ternary_map(n))
+
+    def test_explosions_on_fat_maps(self):
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(60):
+            f = random_fat_map(rng, max_plants=4)
+            for u, v in fixed_set(f):
+                if u == v:
+                    continue
+                # the whole stretch, each end, and a random inner window
+                a = u + (v - u) * F(rng.randrange(0, 8), 16)
+                b = v - (v - u) * F(rng.randrange(0, 8), 16)
+                for lov, hiv in ((u, v), (u, a + (v - u) / 2), (b - (v - u) / 2, v), (a, b)):
+                    orient = (Orientation.R, Orientation.L)[rng.randrange(2)]
+                    p, delta = (lov + hiv) / 2, (hiv - lov) / 2
+                    got = explode_fixed_point(f, p, delta, orient)
+                    assert tuples(got) == tuples(interpolated_explosion(f, p, delta, orient))
+                    checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("k", [12, 15, 17])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_edge_explosions(self, k, depth):
+        eta = F(1, 2**k)
+        f = build_ternary_map(depth)
+        for p, orient in ((F(3, 2) * eta, Orientation.L), (1 - F(3, 2) * eta, Orientation.R)):
+            want = interpolated_explosion(f, p, eta / 2, orient)
+            f = explode_fixed_point(f, p, eta / 2, orient)
+            assert tuples(f) == tuples(want)
+
+    def test_densify(self):
+        rng = random.Random(43)
+        maps = [identity(), build_ternary_map(1), build_ternary_map(2)]
+        maps += [random_fat_map(rng, max_plants=4) for _ in range(40)]
+        maps += [random_touching_map(rng) for _ in range(40)]
+        maps += [random_plhomeo(rng) for _ in range(20)]
+        outcomes = set()
+        for f in maps:
+            eps = (F(1, 4), F(1, 8), F(1, 16), F(1, 40))[rng.randrange(4)]
+            try:
+                want = tuples(interpolated_densify(f, eps))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    densify_chain_property(f, eps)
+                outcomes.add("raised")
+                continue
+            assert tuples(densify_chain_property(f, eps)) == want
+            outcomes.add("planted" if want != tuples(f) else "unchanged")
+        assert outcomes == {"raised", "planted", "unchanged"}

@@ -12,8 +12,8 @@ import pytest
 import continua
 from continua.cantor import build_ternary_map
 from continua.cli import dump_json, main
-from continua.continuum import YModel, build_arc_model, identity_homeo
-from continua.plmap import PLHomeo, canonical_r, wandering_intervals
+from continua.continuum import YHomeo, YModel, build_arc_model, identity_homeo
+from continua.plmap import PLHomeo, canonical_r, identity, wandering_intervals
 
 
 def run(argv):
@@ -352,6 +352,29 @@ class TestMalformedModelInput:
         )
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["shadow", "render", "certify"])
+    @pytest.mark.parametrize("defect", ["half domain", "missing v2"])
+    def test_homeo_rejected_by_validation(self, tmp_path, command, defect):
+        model = build_arc_model(2)
+        y = tmp_path / "y.json"
+        y.write_text(dump_json(model.to_json()))
+        if defect == "half domain":
+            maps = {a.id: identity(F(0), F(1, 2)) for a in model.arcs}
+        else:
+            maps = {a.id: build_ternary_map(1) for a in model.arcs if a.id != "v2"}
+        h = tmp_path / "h.json"
+        h.write_text(dump_json(YHomeo(maps).to_json()))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+        argv = {
+            "shadow": ["shadow", "--model", y, "--orbit", orbit, "--epsilon", "1/10"],
+            "render": ["render", y],
+            "certify": ["certify", "--model", y, "--epsilon", "1/10", "--trials", 2],
+        }[command]
+        code, err = run_process([*argv, "--homeo", h])
+        assert code == 2
+        assert "Traceback" not in err and "input error" in err
 
     def test_render_scalar(self, tmp_path):
         path = tmp_path / "three.json"
