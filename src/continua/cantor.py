@@ -325,9 +325,6 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     return witness
 
 
-DEFAULT_THRESHOLD_LEVEL_BOUND = 6
-
-
 def chain_property_threshold(levels: int) -> Fraction:
     """Infimum tolerance above which the depth-``levels`` map has a witness.
 
@@ -335,10 +332,6 @@ def chain_property_threshold(levels: int) -> Fraction:
     of its wandering intervals; the infimum is attained, so the property
     holds exactly for tolerances strictly above the returned value.
     """
-    if levels > DEFAULT_THRESHOLD_LEVEL_BOUND:
-        raise ValueError(
-            f"levels={levels} exceeds the level bound {DEFAULT_THRESHOLD_LEVEL_BOUND}"
-        )
     f = build_ternary_map(levels)
     best = best_chain_quality(wandering_intervals(f))
     assert best is not None
@@ -392,31 +385,17 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     if g.domain != (Fraction(0), Fraction(1)):
         raise DomainError(f"conjugacy building expects maps on [0, 1], got {g.domain}")
     ivs = wandering_intervals(g)
-    by_level = {n: [idx for idx in minimal_indices(depth - 1) if idx.n == n] for n in range(depth)}
 
     matched: list[tuple[OrientedInterval, TernaryIndex]] = []
+    # (source gap, template gap) pairs, left to right; a level-n template
+    # gap has length 3^-n and starts at a multiple of it, so its middle
+    # third is the level-n interval T(n, ⌊tlo·3^n⌋)
+    gaps = [((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))]
     for rnd in range(1, depth + 1):
         level = rnd - 1
         want = Orientation.R if level % 2 == 0 else Orientation.L
-        bounds = [Fraction(0)]
-        for iv, _ in matched:
-            bounds.extend((iv.a, iv.b))
-        bounds.append(Fraction(1))
-        gaps = [(bounds[i], bounds[i + 1]) for i in range(0, len(bounds), 2)]
-
-        t_bounds = [Fraction(0)]
-        for _, idx in matched:
-            a, b = idx.interval()
-            t_bounds.extend((a, b))
-        t_bounds.append(Fraction(1))
-        t_gaps = [(t_bounds[i], t_bounds[i + 1]) for i in range(0, len(t_bounds), 2)]
-
-        new_pairs: list[tuple[OrientedInterval, TernaryIndex]] = []
-        for (glo, ghi), (tlo, thi) in zip(gaps, t_gaps):
-            targets = [
-                idx for idx in by_level[level] if tlo < idx.interval()[0] and idx.interval()[1] < thi
-            ]
-            assert len(targets) == 1, "template gap must contain exactly one interval of its level"
+        new_gaps = []
+        for (glo, ghi), (tlo, thi) in gaps:
             cands = [
                 iv for iv in ivs if iv.orientation is want and glo < iv.a and iv.b < ghi
             ]
@@ -425,9 +404,12 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
                     f"round {rnd}: no {want.value} interval inside gap ({glo}, {ghi})"
                 )
             pick = max(cands, key=lambda iv: (iv.width, -iv.a))
-            new_pairs.append((pick, targets[0]))
-        matched.extend(new_pairs)
-        matched.sort(key=lambda pair: pair[0].a)
+            target = TernaryIndex(level, int(tlo * 3**level))
+            ta, tb = target.interval()
+            matched.append((pick, target))
+            new_gaps += [((glo, pick.a), (tlo, ta)), ((pick.b, ghi), (tb, thi))]
+        gaps = new_gaps
+    matched.sort(key=lambda pair: pair[0].a)
 
     xs: list[Fraction] = [Fraction(0)]
     ys: list[Fraction] = [Fraction(0)]

@@ -5,16 +5,13 @@ JSON/CSV/SVG artifacts.  Runs are fully determined by their flags: the
 same seed and parameters give byte-identical output files.
 
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
-is negative), 2 input error, 3 certification failure.  Set CONTINUA_LOG to
-a level name for diagnostics on stderr.
+is negative), 2 input error, 3 certification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -47,8 +44,6 @@ from .shadowing import (
     shadowing_set,
 )
 from .svg import render_model, render_phase_diagram
-
-log = logging.getLogger("continua")
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -116,7 +111,6 @@ def cmd_conjugate(args) -> int:
     try:
         report = build_conjugacy(g, args.depth)
     except InsufficientIntervals as exc:
-        log.error("%s", exc)
         sys.stderr.write(f"insufficient intervals: {exc}\n")
         return EXIT_UNSAT
     _write(dump_json(report.to_json()), args.out)
@@ -335,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("CONTINUA_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

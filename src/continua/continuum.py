@@ -284,6 +284,10 @@ class YHomeo:
 
 
 def validate_homeo(model: YModel, g: YHomeo) -> None:
+    ids = model.arc_ids()
+    for arc_id in g.arc_maps:
+        if arc_id not in ids:
+            raise ModelError(f"arc map for {arc_id!r}, which is not an arc of the model")
     for a in model.arcs:
         if a.id not in g.arc_maps:
             raise ModelError(f"missing arc map for {a.id!r}")

@@ -11,9 +11,11 @@ public way to build a map; ``from_json`` and every other module go through
 it.  Inside this module, results that are canonical by construction (an
 inverse, a pruned composition) are wrapped by ``_trusted`` without being
 checked again.  Each map caches, on first use, its per-piece slopes (read
-by ``evaluate`` and ``max_slope``) and its inverse (returned by
-``invert``).  The inverse holds no reference back to its map, so the cache
-forms no reference cycle.
+by ``evaluate`` and ``max_slope``), its inverse (returned by ``invert``),
+and its fixed set and wandering intervals, found together in one walk over
+the breakpoints (copied out by ``fixed_set`` and ``wandering_intervals``).
+The inverse holds no reference back to its map, so the cache forms no
+reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
@@ -149,6 +151,12 @@ class PLHomeo:
         # Swapping the lists keeps them canonical: the collinearity test is
         # symmetric in x and y.  The inverse does not point back at self.
         return _trusted(self.values, self.breakpoints)
+
+    @cached_property
+    def _structure(
+        self,
+    ) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...]]:
+        return _fixed_and_wandering(self)
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x},{y})" for x, y in zip(self.breakpoints, self.values))
@@ -288,56 +296,56 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     return max(abs(p - q) for p, q in walks)
 
 
+def _fixed_and_wandering(
+    f: PLHomeo,
+) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...]]:
+    """f's fixed set and wandering intervals, in one walk over its pieces.
+
+    On each affine piece the displacement d = f(x) - x is affine, so its
+    zero set is empty, a point, or the whole piece; exact arithmetic
+    decides which.  A piece with d = 0 at both ends extends the current
+    fixed component.  Otherwise a root at the piece's right end, or
+    strictly inside it where d changes sign, closes the wandering interval
+    from the current component to the root and opens a new component
+    there.  d keeps one sign between consecutive roots, so the piece's
+    left end lies in that interval and its d gives the orientation.
+    """
+    xs, ys = f.breakpoints, f.values
+    fixed = [(xs[0], xs[0])]
+    wandering: list[OrientedInterval] = []
+    d1 = ys[0] - xs[0]
+    for i in range(1, len(xs)):
+        d0, d1 = d1, ys[i] - xs[i]
+        if d1 == 0:
+            if d0 == 0:
+                fixed[-1] = (fixed[-1][0], xs[i])
+                continue
+            root = xs[i]
+        elif d0 != 0 and (d0 < 0) != (d1 < 0):
+            root = xs[i - 1] + d0 / (d0 - d1) * (xs[i] - xs[i - 1])
+        else:
+            continue
+        tag = Orientation.R if d0 > 0 else Orientation.L
+        wandering.append(OrientedInterval(fixed[-1][1], root, tag))
+        fixed.append((root, root))
+    return tuple(fixed), tuple(wandering)
+
+
 def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
     """Maximal closed intervals (possibly degenerate) where f = id, sorted.
 
-    Always contains the two domain endpoints.  On each affine piece the
-    displacement f(x) - x is affine, so its zero set is empty, a point, or
-    the whole piece; exact arithmetic decides which.
+    Always contains the two domain endpoints.  A fresh list, read from the
+    walk cached on f.
     """
-    xs, ys = f.breakpoints, f.values
-    pieces: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(xs) - 1):
-        d0 = ys[i] - xs[i]
-        d1 = ys[i + 1] - xs[i + 1]
-        if d0 == 0 and d1 == 0:
-            pieces.append((xs[i], xs[i + 1]))
-        elif d0 == 0:
-            pieces.append((xs[i], xs[i]))
-        elif d1 == 0:
-            pieces.append((xs[i + 1], xs[i + 1]))
-        elif (d0 < 0) != (d1 < 0):
-            # transversal crossing strictly inside the piece
-            t = d0 / (d0 - d1)
-            root = xs[i] + t * (xs[i + 1] - xs[i])
-            pieces.append((root, root))
-    merged: list[tuple[Fraction, Fraction]] = []
-    for a, b in sorted(pieces):
-        if merged and a <= merged[-1][1]:
-            la, lb = merged[-1]
-            merged[-1] = (la, max(lb, b))
-        else:
-            merged.append((a, b))
-    return merged
+    return list(f._structure[0])
 
 
 def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     """Complement components of the fixed set, tagged R (f > id) or L (f < id).
 
-    The displacement sign is constant on each component (b, a').  Some
-    breakpoint lies strictly inside it: were [b, a'] inside one affine
-    piece, the displacement would vanish at both ends and so on the whole
-    piece.  The first breakpoint after b is therefore in the component,
-    and the sign of its stored displacement is the orientation.
+    A fresh list, read from the walk cached on f.
     """
-    xs, ys = f.breakpoints, f.values
-    fixed = fixed_set(f)
-    out: list[OrientedInterval] = []
-    for (_, b_prev), (a_next, _) in zip(fixed, fixed[1:]):
-        k = bisect_right(xs, b_prev)
-        tag = Orientation.R if ys[k] > xs[k] else Orientation.L
-        out.append(OrientedInterval(b_prev, a_next, tag))
-    return out
+    return list(f._structure[1])
 
 
 def canonical_r(a: Fraction, b: Fraction) -> PLHomeo:

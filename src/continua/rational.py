@@ -14,9 +14,6 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 
-# Width of the certified square-root brackets.
-SQRT_WIDTH = Fraction(1, 10**6)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal: "num/den" or a plain integer string."""
@@ -68,9 +65,11 @@ def exact_sqrt(x: Fraction) -> Fraction | None:
 
 
 def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket [lo, hi] around sqrt(x) with hi - lo < SQRT_WIDTH.
+    """Certified rational bracket [lo, hi] around sqrt(x), of width 2^-20
+    unless the root is rational (then lo = hi = sqrt(x)).
 
-    Bisection from an integer bracket; exact comparisons only.
+    lo is the largest multiple of 2^-20 whose square is at most x, from one
+    integer square root: isqrt(⌊x·2^40⌋) = ⌊sqrt(x)·2^20⌋.
     """
     if x < 0:
         raise ValueError("square root of a negative rational")
@@ -79,21 +78,12 @@ def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
     r = exact_sqrt(x)
     if r is not None:
         return r, r
-    lo = Fraction(math.isqrt(x.numerator // x.denominator) if x >= 1 else 0)
-    hi = lo + 1
-    while hi * hi < x:
-        hi += 1
-    while hi - lo >= SQRT_WIDTH:
-        mid = (lo + hi) / 2
-        if mid * mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    lo = Fraction(math.isqrt((x.numerator << 40) // x.denominator), 1 << 20)
+    return lo, lo + Fraction(1, 1 << 20)
 
 
 def sqrt_approx(x: Fraction) -> Fraction:
-    """A rational within SQRT_WIDTH of sqrt(x); exact when the root is rational."""
+    """A rational within 2^-21 of sqrt(x); exact when the root is rational."""
     lo, hi = sqrt_enclosure(x)
     if lo == hi:
         return lo

@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from continua.cantor import ExplosionSiteError, check_chain_property, minimal_indices
+from continua.cantor import (
+    ConjugacyReport,
+    ExplosionSiteError,
+    InsufficientIntervals,
+    TernaryIndex,
+    build_ternary_map,
+    check_chain_property,
+    minimal_indices,
+)
 from continua.plmap import (
+    DomainError,
     Orientation,
     OrientedInterval,
     PLHomeo,
+    c0_distance,
     canonical_generator,
+    compose,
     evaluate,
-    fixed_set,
 )
+from continua.rational import exact_sqrt
 from continua.shadowing import PseudoOrbit
 
 
@@ -182,9 +194,38 @@ def interpolate(f: PLHomeo, x: Fraction) -> Fraction:
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
 
+def merged_fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
+    """The fixed set from one zero-set piece per affine piece, sorted and
+    merged where pieces overlap or touch."""
+    xs, ys = f.breakpoints, f.values
+    pieces: list[tuple[Fraction, Fraction]] = []
+    for i in range(len(xs) - 1):
+        d0 = ys[i] - xs[i]
+        d1 = ys[i + 1] - xs[i + 1]
+        if d0 == 0 and d1 == 0:
+            pieces.append((xs[i], xs[i + 1]))
+        elif d0 == 0:
+            pieces.append((xs[i], xs[i]))
+        elif d1 == 0:
+            pieces.append((xs[i + 1], xs[i + 1]))
+        elif (d0 < 0) != (d1 < 0):
+            # transversal crossing strictly inside the piece
+            t = d0 / (d0 - d1)
+            root = xs[i] + t * (xs[i + 1] - xs[i])
+            pieces.append((root, root))
+    merged: list[tuple[Fraction, Fraction]] = []
+    for a, b in sorted(pieces):
+        if merged and a <= merged[-1][1]:
+            la, lb = merged[-1]
+            merged[-1] = (la, max(lb, b))
+        else:
+            merged.append((a, b))
+    return merged
+
+
 def midpoint_wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     """Fixed-set gaps oriented by the displacement at each gap's midpoint."""
-    fixed = fixed_set(f)
+    fixed = merged_fixed_set(f)
     out: list[OrientedInterval] = []
     for (_, b_prev), (a_next, _) in zip(fixed, fixed[1:]):
         mid = (b_prev + a_next) / 2
@@ -192,6 +233,27 @@ def midpoint_wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
         tag = Orientation.R if disp > 0 else Orientation.L
         out.append(OrientedInterval(b_prev, a_next, tag))
     return out
+
+
+def bisected_sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
+    """[lo, hi] around sqrt(x) by halving an integer bracket until it is
+    narrower than 10^-6; (r, r) when the root r is rational."""
+    if x == 0:
+        return Fraction(0), Fraction(0)
+    r = exact_sqrt(x)
+    if r is not None:
+        return r, r
+    lo = Fraction(math.isqrt(x.numerator // x.denominator) if x >= 1 else 0)
+    hi = lo + 1
+    while hi * hi < x:
+        hi += 1
+    while hi - lo >= Fraction(1, 10**6):
+        mid = (lo + hi) / 2
+        if mid * mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def validated_inverse(f: PLHomeo) -> PLHomeo:
@@ -280,7 +342,7 @@ def interpolated_explosion(
     """``explode_fixed_point`` by interpolating f or the generator at every
     breakpoint of the result."""
     lov, hiv = p - delta, p + delta
-    if not any(a <= lov and hiv <= b for a, b in fixed_set(f)):
+    if not any(a <= lov and hiv <= b for a, b in merged_fixed_set(f)):
         raise ExplosionSiteError(f"[{lov}, {hiv}] not inside fixed set")
     gen = canonical_generator(lov, hiv, orient)
     xs = sorted(set(x for x in f.breakpoints if not lov < x < hiv) | set(gen.breakpoints))
@@ -294,7 +356,7 @@ def interpolated_densify(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
     if check_chain_property(f, epsilon) is not None:
         return f
     slots: list[tuple[Fraction, Fraction, Orientation]] = []
-    for u, v in fixed_set(f):
+    for u, v in merged_fixed_set(f):
         if u == v:
             continue
         w = min(epsilon / 8, (v - u) / 8)
@@ -322,3 +384,64 @@ def interpolated_densify(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
             "cannot densify: isolated fixed points leave no room to restore alternation"
         )
     return result
+
+
+def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
+    """``build_conjugacy`` rebuilding both gap lists every round and looking
+    each template interval up among the level's minimal indices; the
+    wandering intervals come from ``midpoint_wandering_intervals``."""
+    if depth < 1:
+        raise ValueError("depth must be positive")
+    if g.domain != (Fraction(0), Fraction(1)):
+        raise DomainError(f"conjugacy building expects maps on [0, 1], got {g.domain}")
+    ivs = midpoint_wandering_intervals(g)
+    by_level = {n: [idx for idx in minimal_indices(depth - 1) if idx.n == n] for n in range(depth)}
+
+    matched: list[tuple[OrientedInterval, TernaryIndex]] = []
+    for rnd in range(1, depth + 1):
+        level = rnd - 1
+        want = Orientation.R if level % 2 == 0 else Orientation.L
+        bounds = [Fraction(0)]
+        for iv, _ in matched:
+            bounds.extend((iv.a, iv.b))
+        bounds.append(Fraction(1))
+        gaps = [(bounds[i], bounds[i + 1]) for i in range(0, len(bounds), 2)]
+
+        t_bounds = [Fraction(0)]
+        for _, idx in matched:
+            a, b = idx.interval()
+            t_bounds.extend((a, b))
+        t_bounds.append(Fraction(1))
+        t_gaps = [(t_bounds[i], t_bounds[i + 1]) for i in range(0, len(t_bounds), 2)]
+
+        new_pairs: list[tuple[OrientedInterval, TernaryIndex]] = []
+        for (glo, ghi), (tlo, thi) in zip(gaps, t_gaps):
+            targets = [
+                idx for idx in by_level[level] if tlo < idx.interval()[0] and idx.interval()[1] < thi
+            ]
+            assert len(targets) == 1, "template gap must contain exactly one interval of its level"
+            cands = [
+                iv for iv in ivs if iv.orientation is want and glo < iv.a and iv.b < ghi
+            ]
+            if not cands:
+                raise InsufficientIntervals(
+                    f"round {rnd}: no {want.value} interval inside gap ({glo}, {ghi})"
+                )
+            pick = max(cands, key=lambda iv: (iv.width, -iv.a))
+            new_pairs.append((pick, targets[0]))
+        matched.extend(new_pairs)
+        matched.sort(key=lambda pair: pair[0].a)
+
+    xs: list[Fraction] = [Fraction(0)]
+    ys: list[Fraction] = [Fraction(0)]
+    for iv, idx in matched:
+        a, b = idx.interval()
+        xs.extend((iv.a, iv.b))
+        ys.extend((a, b))
+    xs.append(Fraction(1))
+    ys.append(Fraction(1))
+    h = PLHomeo(tuple(xs), tuple(ys))
+
+    template = build_ternary_map(depth - 1)
+    residual = c0_distance(compose(h, g), compose(template, h))
+    return ConjugacyReport(h, depth, tuple(matched), residual)

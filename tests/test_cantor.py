@@ -8,6 +8,7 @@ import pytest
 
 from continua.cantor import (
     ChainWitness,
+    ConjugacyReport,
     _suffix_best,
     ExplosionSiteError,
     InsufficientIntervals,
@@ -46,6 +47,7 @@ from conftest import (
     random_fat_map,
     random_plhomeo,
     random_touching_map,
+    template_lookup_conjugacy,
 )
 
 
@@ -190,9 +192,8 @@ class TestChainProperty:
         assert chain_property_threshold(3) == F(1, 27)
         assert chain_property_threshold(4) == F(1, 81)
 
-    def test_threshold_level_bound(self):
-        with pytest.raises(ValueError, match="level bound 6"):
-            chain_property_threshold(9)
+    def test_threshold_at_depth_ten(self):
+        assert chain_property_threshold(10) == F(1, 3**10)
 
     def test_thresholds_match_literal_enumeration(self):
         for n in (0, 1, 2, 3):
@@ -362,6 +363,31 @@ class TestBuildConjugacy:
         g = compose(A, compose(build_ternary_map(1), invert(A)))
         report = build_conjugacy(g, 2)
         assert report.residual == 0
+
+    def test_equals_template_lookup_oracle(self):
+        """Same report, or the same InsufficientIntervals message, as the
+        oracle that rebuilds the gap lists and looks each target up."""
+
+        def outcome(build, g, depth):
+            try:
+                return build(g, depth)
+            except InsufficientIntervals as exc:
+                return str(exc)
+
+        rng = random.Random(16)
+        maps = [identity()]
+        for _ in range(40):
+            maps += [random_plhomeo(rng, 6), random_fat_map(rng, 5), random_touching_map(rng, 12)]
+        for n in range(6):
+            A = random_coordinate_change(rng)
+            maps += [build_ternary_map(n), compose(A, compose(build_ternary_map(n), invert(A)))]
+        kinds = set()
+        for g in maps:
+            for depth in (1, 2, 3, 4):
+                got = outcome(build_conjugacy, g, depth)
+                assert got == outcome(template_lookup_conjugacy, g, depth)
+                kinds.add(type(got))
+        assert kinds == {str, ConjugacyReport}
 
 
 class TestExplosions:

@@ -210,10 +210,13 @@ class TestExplodeConjugate:
         assert report["residual"] == ["1", "108"]
 
     def test_conjugate_identity_unsatisfied(self, tmp_path, map_file):
-        from continua.plmap import identity
-
         path = map_file(identity())
         assert run(["conjugate", path, "--depth", 1]) == 1
+        code, err = run_process(["conjugate", path, "--depth", 1])
+        assert code == 1
+        assert err.splitlines() == [
+            "insufficient intervals: round 1: no R interval inside gap (0, 1)"
+        ]
 
 
 class TestModulus:
@@ -354,15 +357,17 @@ class TestMalformedModelInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["shadow", "render", "certify"])
-    @pytest.mark.parametrize("defect", ["half domain", "missing v2"])
+    @pytest.mark.parametrize("defect", ["half domain", "missing v2", "extra zz"])
     def test_homeo_rejected_by_validation(self, tmp_path, command, defect):
         model = build_arc_model(2)
         y = tmp_path / "y.json"
         y.write_text(dump_json(model.to_json()))
         if defect == "half domain":
             maps = {a.id: identity(F(0), F(1, 2)) for a in model.arcs}
-        else:
+        elif defect == "missing v2":
             maps = {a.id: build_ternary_map(1) for a in model.arcs if a.id != "v2"}
+        else:
+            maps = {arc_id: build_ternary_map(1) for arc_id in [*model.arc_ids(), "zz"]}
         h = tmp_path / "h.json"
         h.write_text(dump_json(YHomeo(maps).to_json()))
         orbit = tmp_path / "orbit.csv"

@@ -6,7 +6,9 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from continua import plmap
 from continua.plmap import (
     DomainError,
     Orientation,
@@ -25,11 +27,12 @@ from continua.plmap import (
     rescale,
     wandering_intervals,
 )
-from continua.cantor import build_ternary_map
+from continua.cantor import build_conjugacy, build_ternary_map, check_chain_property
 from conftest import (
     grid_c0_distance,
     grid_compose,
     interpolate,
+    merged_fixed_set,
     midpoint_wandering_intervals,
     random_coordinate_change,
     random_fat_map,
@@ -386,6 +389,44 @@ class TestCachedPathsAgainstOracles:
         for f in oracle_maps(115):
             assert wandering_intervals(f) == midpoint_wandering_intervals(f)
 
+    def test_walk_equals_merged_and_midpoint_oracles_on_deep_maps(self):
+        rng = random.Random(117)
+        maps = oracle_maps(117)
+        for n in range(7, 11):
+            f = build_ternary_map(n)
+            A = random_coordinate_change(rng)
+            maps += [f, compose(A, compose(f, invert(A)))]
+        for f in maps:
+            assert fixed_set(f) == merged_fixed_set(f)
+            assert wandering_intervals(f) == midpoint_wandering_intervals(f)
+
+    def test_returned_lists_do_not_alias_the_cache(self):
+        f = build_ternary_map(2)
+        blocks, ivs = fixed_set(f), wandering_intervals(f)
+        expected = (list(blocks), list(ivs))
+        blocks.clear()
+        ivs.reverse()
+        ivs.pop()
+        assert (fixed_set(f), wandering_intervals(f)) == expected
+
+    def test_walk_runs_once_per_map(self, monkeypatch):
+        walked = []
+        walk = plmap._fixed_and_wandering
+
+        def counting(f):
+            walked.append(f)
+            return walk(f)
+
+        monkeypatch.setattr(plmap, "_fixed_and_wandering", counting)
+        A = random_coordinate_change(random.Random(118))
+        g = compose(A, compose(build_ternary_map(4), invert(A)))
+        fixed_set(g)
+        wandering_intervals(g)
+        check_chain_property(g, F(1, 10))
+        check_chain_property(g, F(1, 100))
+        build_conjugacy(g, 3)
+        assert sum(f is g for f in walked) == 1
+
     def test_compose_result_is_canonical(self):
         unit = [f for f in oracle_maps(116) if f.domain == (0, 1)]
         for f in unit[::3]:
@@ -393,3 +434,41 @@ class TestCachedPathsAgainstOracles:
                 h = compose(f, g)
                 ref = PLHomeo(h.breakpoints, h.values)
                 assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+
+
+@st.composite
+def walk_maps(draw) -> PLHomeo:
+    """Random, fat or touching maps, some conjugated by a coordinate change."""
+    make = draw(st.sampled_from([random_plhomeo, random_fat_map, random_touching_map]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = make(rng)
+    if draw(st.booleans()):
+        A = random_coordinate_change(rng)
+        f = compose(A, compose(f, invert(A)))
+    return f
+
+
+walk_settings = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+class TestWalkProperties:
+    @walk_settings
+    @given(walk_maps())
+    def test_walk_equals_oracles(self, f):
+        assert fixed_set(f) == merged_fixed_set(f)
+        assert wandering_intervals(f) == midpoint_wandering_intervals(f)
+
+    @walk_settings
+    @given(walk_maps())
+    def test_inverse_flips_orientations(self, f):
+        flipped = [(iv.a, iv.b, iv.orientation.flipped()) for iv in wandering_intervals(f)]
+        assert [(iv.a, iv.b, iv.orientation) for iv in wandering_intervals(invert(f))] == flipped
+
+    @walk_settings
+    @given(walk_maps())
+    def test_wandering_intervals_are_the_fixed_set_gaps(self, f):
+        blocks = fixed_set(f)
+        gaps = [(b, a) for (_, b), (a, _) in zip(blocks, blocks[1:])]
+        assert [(iv.a, iv.b) for iv in wandering_intervals(f)] == gaps
+        assert blocks[0][0] == f.lo and blocks[-1][1] == f.hi
+        assert all(a <= b for a, b in blocks)
