@@ -5,7 +5,8 @@ JSON/CSV/SVG artifacts.  Runs are fully determined by their flags: the
 same seed and parameters give byte-identical output files.
 
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
-is negative), 2 input error, 3 certification failure.
+is negative), 2 input error, 3 certification failure.  A --depth,
+--segments or --trials above its MAX_* bound is an input error.
 """
 
 from __future__ import annotations
@@ -49,6 +50,28 @@ EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_CERT = 3
+
+# Largest accepted --depth, --segments and --trials.  Depth N allocates
+# 2^(N+1) intervals and the other two set loop counts, so larger values are
+# refused as input errors before anything is built.
+MAX_DEPTH = 16
+MAX_SEGMENTS = 256
+MAX_TRIALS = 10_000
+
+
+def _at_most(bound: int):
+    """argparse type: an int no larger than ``bound``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > bound:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the maximum {bound}")
+        return value
+
+    return parse
 
 
 def dump_json(obj) -> str:
@@ -257,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build-fstar", help="build the depth-truncated alternating map")
-    b.add_argument("--depth", type=int, required=True)
+    b.add_argument("--depth", type=_at_most(MAX_DEPTH), required=True)
     b.add_argument("--out", default=None)
     b.add_argument("--format", choices=("json", "svg"), default="json")
     b.set_defaults(func=cmd_build_fstar)
@@ -270,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     j = sub.add_parser("conjugate", help="match a map against the ternary template")
     j.add_argument("map")
-    j.add_argument("--depth", type=int, required=True)
+    j.add_argument("--depth", type=_at_most(MAX_DEPTH), required=True)
     j.add_argument("--out", default=None)
     j.set_defaults(func=cmd_conjugate)
 
@@ -286,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--map", default=None)
     s.add_argument("--model", default=None)
     s.add_argument("--homeo", default=None)
-    s.add_argument("--depth", type=int, default=3)
+    s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
     s.add_argument("--orbit", required=True)
     s.add_argument("--epsilon", required=True)
     s.add_argument("--delta", default="1")
@@ -296,25 +319,25 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("modulus", help="empirical shadowing modulus estimate")
     m.add_argument("map")
     m.add_argument("--epsilon", required=True)
-    m.add_argument("--trials", type=int, default=200)
+    m.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_modulus)
 
     y = sub.add_parser("build-y", help="build the truncated arc model")
-    y.add_argument("--segments", type=int, required=True)
-    y.add_argument("--depth", type=int, default=None)
+    y.add_argument("--segments", type=_at_most(MAX_SEGMENTS), required=True)
+    y.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     y.add_argument("--out", default=None)
     y.add_argument("--format", choices=("json", "svg"), default="json")
     y.set_defaults(func=cmd_build_y)
 
     z = sub.add_parser("certify", help="full quasi-attractor certification pipeline")
     z.add_argument("--model", default=None)
-    z.add_argument("--segments", type=int, default=8)
+    z.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=8)
     z.add_argument("--homeo", default=None)
-    z.add_argument("--depth", type=int, default=3)
+    z.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
     z.add_argument("--epsilon", required=True)
-    z.add_argument("--trials", type=int, default=200)
+    z.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
     z.add_argument("--seed", type=int, default=0)
     z.add_argument("--out", default=None)
     z.set_defaults(func=cmd_certify)

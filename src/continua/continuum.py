@@ -17,8 +17,10 @@ per arc.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cantor import build_ternary_map
 from .geometry import (
@@ -63,6 +65,8 @@ class Arc:
     The parameter t in [0, 1] is uniform across the polyline's segments
     (affine arc length for straight arcs).  stretch_lo/stretch_hi bound the
     ratio of ambient distance to parameter distance from below and above.
+    Vertex x-coordinates never decrease along the polyline (every model arc
+    is a graph over x or a vertical segment), which ``nearest`` relies on.
     """
 
     id: str
@@ -73,9 +77,17 @@ class Arc:
     stretch_lo: Fraction
     stretch_hi: Fraction
 
+    def __post_init__(self):
+        if any(a[0] > b[0] for a, b in zip(self.polyline, self.polyline[1:])):
+            raise ModelError(f"arc {self.id!r}: polyline x-coordinates decrease")
+
     @property
     def segments(self) -> int:
         return len(self.polyline) - 1
+
+    @cached_property
+    def _xs(self) -> tuple[Fraction, ...]:
+        return tuple(v[0] for v in self.polyline)
 
     def embed(self, t: Fraction) -> Point:
         if not 0 <= t <= 1:
@@ -87,14 +99,36 @@ class Arc:
         return lerp(self.polyline[k], self.polyline[k + 1], frac)
 
     def nearest(self, point: Point) -> tuple[Fraction, Fraction]:
-        """(parameter, squared distance) of an exact nearest polyline point."""
-        n = self.segments
-        best_t, best_d2 = Fraction(0), dist2_pp(point, self.polyline[0])
-        for k in range(n):
-            t_seg, d2 = project_point_segment(point, self.polyline[k], self.polyline[k + 1])
+        """(parameter, squared distance) of an exact nearest polyline point.
+
+        Among nearest points the one on the lowest-index segment wins.  The
+        search starts at the segment spanning the point's x and walks out
+        both ways; the squared x-gap to a segment bounds its distance from
+        below and grows along each walk, so a side stops once its gap
+        cannot beat the best (on the lower side: cannot tie it either).
+        """
+        n, poly, xs = self.segments, self.polyline, self._xs
+        px = point[0]
+        # xs[start] <= px < xs[start + 1] unless px lies beyond an end, so
+        # the gaps below are nonnegative
+        start = min(max(bisect_right(xs, px) - 1, 0), n - 1)
+        best_k = start
+        best_t, best_d2 = project_point_segment(point, poly[start], poly[start + 1])
+        for k in range(start + 1, n):
+            gap = xs[k] - px
+            if gap * gap >= best_d2:
+                break
+            t, d2 = project_point_segment(point, poly[k], poly[k + 1])
             if d2 < best_d2:
-                best_t, best_d2 = (k + t_seg) / n, d2
-        return best_t, best_d2
+                best_k, best_t, best_d2 = k, t, d2
+        for k in range(start - 1, -1, -1):
+            gap = px - xs[k + 1]
+            if gap * gap > best_d2:
+                break
+            t, d2 = project_point_segment(point, poly[k], poly[k + 1])
+            if d2 <= best_d2:
+                best_k, best_t, best_d2 = k, t, d2
+        return (best_k + best_t) / n, best_d2
 
     def sub_polyline(self, t0: Fraction, t1: Fraction) -> tuple[Point, ...]:
         """Embedded polyline of the parameter range [t0, t1]."""
@@ -139,11 +173,15 @@ class YModel:
     vertices: dict[str, Point]
     arcs: tuple[Arc, ...]
 
+    @cached_property
+    def _arcs_by_id(self) -> dict[str, Arc]:
+        return {a.id: a for a in self.arcs}
+
     def arc(self, arc_id: str) -> Arc:
-        for a in self.arcs:
-            if a.id == arc_id:
-                return a
-        raise KeyError(f"no arc {arc_id!r}")
+        try:
+            return self._arcs_by_id[arc_id]
+        except KeyError:
+            raise KeyError(f"no arc {arc_id!r}") from None
 
     def arc_ids(self) -> list[str]:
         return [a.id for a in self.arcs]

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 Point = tuple[Fraction, Fraction]
+Box = tuple[Fraction, Fraction, Fraction, Fraction]  # x_lo, x_hi, y_lo, y_hi
 
 
 def dist2_pp(p: Point, q: Point) -> Fraction:
@@ -65,6 +66,19 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
         or (o3 == 0 and _on_segment(c, d, a))
         or (o4 == 0 and _on_segment(c, d, b))
     )
+
+
+def _box(a: Point, b: Point) -> Box:
+    """Bounding box of the segment [a, b]."""
+    return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+
+
+def _box_gap_sq(p: Box, q: Box) -> Fraction:
+    """Squared distance between two boxes: a lower bound on the squared
+    distance between anything inside them."""
+    gx = max(q[0] - p[1], p[0] - q[1], 0)
+    gy = max(q[2] - p[3], p[2] - q[3], 0)
+    return gx * gx + gy * gy
 
 
 def dist2_segment_segment(a: Point, b: Point, c: Point, d: Point) -> Fraction:

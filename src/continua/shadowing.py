@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .continuum import YHomeo, YModel, YPoint, apply_map, validate_homeo
-from .geometry import dist2_pp, dist2_segment_segment
+from .continuum import Arc, YHomeo, YModel, YPoint, apply_map, validate_homeo
+from .geometry import Point, _box, _box_gap_sq, dist2_pp, dist2_segment_segment
 from .plmap import (
     Orientation,
     PLHomeo,
@@ -567,16 +567,25 @@ def _min_separation_sq(
     image_pieces: list[tuple], complement_pieces: list[tuple]
 ) -> Fraction | None:
     """Exact min squared distance between the piece families; None if the
-    complement is empty (single-arc models: every fattening stays inside)."""
+    complement is empty (single-arc models: every fattening stays inside).
+
+    The squared gap between two segments' bounding boxes bounds their
+    distance from below, so a pair whose gap cannot beat the best so far
+    is skipped.
+    """
     best: Fraction | None = None
-    for poly_a in image_pieces:
-        for i in range(len(poly_a) - 1):
-            sa, sb = poly_a[i], poly_a[i + 1]
-            for poly_b in complement_pieces:
-                for j in range(len(poly_b) - 1):
-                    d2 = dist2_segment_segment(sa, sb, poly_b[j], poly_b[j + 1])
-                    if best is None or d2 < best:
-                        best = d2
+    others = [
+        (c, d, _box(c, d)) for poly in complement_pieces for c, d in zip(poly, poly[1:])
+    ]
+    for poly in image_pieces:
+        for a, b in zip(poly, poly[1:]):
+            box = _box(a, b)
+            for c, d, other in others:
+                if best is not None and _box_gap_sq(box, other) >= best:
+                    continue
+                d2 = dist2_segment_segment(a, b, c, d)
+                if best is None or d2 < best:
+                    best = d2
     return best
 
 
@@ -676,23 +685,45 @@ def global_shadowing_delta(
 
 
 def _verified_arc_shadow(
-    model: YModel,
-    g: YHomeo,
-    arc_id: str,
-    y: Fraction,
-    targets: list,
-    epsilon: Fraction,
+    arc: Arc, fa: PLHomeo, y: Fraction, targets: list[Point], epsilon: Fraction
 ) -> bool:
-    """Exact check that the forward orbit of (arc, y) epsilon-tracks targets."""
-    arc = model.arc(arc_id)
-    fa = g.map_for(arc_id)
+    """Exact check that the forward orbit of (arc, y) epsilon-tracks the
+    embedded targets."""
     eps_sq = epsilon * epsilon
     z = y
     for p in targets:
-        if dist2_pp(arc.embed(z), model.embed(p)) > eps_sq:
+        if dist2_pp(arc.embed(z), p) > eps_sq:
             return False
         z = evaluate(fa, z)
     return True
+
+
+def _shadow_embedded(
+    arc: Arc, fa: PLHomeo, targets: list[Point], epsilon: Fraction
+) -> YPoint | None:
+    """``shadow_on_arc`` for an orbit already embedded in the plane."""
+    proj: list[Fraction] = []
+    worst_d2 = Fraction(0)
+    for p in targets:
+        t, d2 = arc.nearest(p)
+        proj.append(t)
+        worst_d2 = max(worst_d2, d2)
+    if worst_d2 >= epsilon * epsilon:
+        return None
+    margin_hi = sqrt_enclosure(worst_d2)[1]
+    eps_rem = epsilon - margin_hi
+    candidates: list[Fraction] = []
+    if eps_rem > 0:
+        s = shadowing_set(
+            fa, PseudoOrbit(tuple(proj), 0, Fraction(1)), eps_rem / arc.stretch_hi
+        )
+        for lo, hi in s.intervals:
+            candidates.extend(((lo + hi) / 2, lo, hi))
+    candidates.extend(proj[:1])  # the projected start is a cheap extra candidate
+    for y in candidates:
+        if _verified_arc_shadow(arc, fa, y, targets, epsilon):
+            return YPoint(arc.id, y)
+    return None
 
 
 def shadow_on_arc(
@@ -711,32 +742,8 @@ def shadow_on_arc(
     """
     if orbit.offset != 0:
         raise ValueError("arc search expects a forward pseudo-orbit")
-    arc = model.arc(arc_id)
-    fa = g.map_for(arc_id)
-    targets = list(orbit.points)
-
-    proj: list[Fraction] = []
-    worst_d2 = Fraction(0)
-    for p in targets:
-        t, d2 = arc.nearest(model.embed(p))
-        proj.append(t)
-        worst_d2 = max(worst_d2, d2)
-    if worst_d2 >= epsilon * epsilon:
-        return None
-    margin_hi = sqrt_enclosure(worst_d2)[1]
-    eps_rem = epsilon - margin_hi
-    candidates: list[Fraction] = []
-    if eps_rem > 0:
-        s = shadowing_set(
-            fa, PseudoOrbit(tuple(proj), 0, Fraction(1)), eps_rem / arc.stretch_hi
-        )
-        for lo, hi in s.intervals:
-            candidates.extend(((lo + hi) / 2, lo, hi))
-    candidates.extend(proj[:1])  # the projected start is a cheap extra candidate
-    for y in candidates:
-        if _verified_arc_shadow(model, g, arc_id, y, targets, epsilon):
-            return YPoint(arc_id, y)
-    return None
+    targets = [model.embed(p) for p in orbit.points]
+    return _shadow_embedded(model.arc(arc_id), g.map_for(arc_id), targets, epsilon)
 
 
 def shadow_on_model(
@@ -745,14 +752,15 @@ def shadow_on_model(
     """Locate a verified epsilon-shadowing point anywhere on the model.
 
     Tries arcs in order of exact distance from the orbit's start; the
-    first arc whose search verifies a witness wins.
+    first arc whose search verifies a witness wins.  The orbit is embedded
+    once for all arcs.
     """
     if orbit.offset != 0:
         raise ValueError("model search expects a forward pseudo-orbit")
-    start = model.embed(orbit.points[0])
-    ranked = sorted(model.arcs, key=lambda a: (a.nearest(start)[1], a.id))
+    targets = [model.embed(p) for p in orbit.points]
+    ranked = sorted(model.arcs, key=lambda a: (a.nearest(targets[0])[1], a.id))
     for arc in ranked:
-        w = shadow_on_arc(model, g, arc.id, orbit, epsilon)
+        w = _shadow_embedded(arc, g.map_for(arc.id), targets, epsilon)
         if w is not None:
             return w
     return None

@@ -8,6 +8,9 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
+import pytest
+
+from continua import shadowing
 from continua.cantor import (
     ConjugacyReport,
     ExplosionSiteError,
@@ -17,6 +20,8 @@ from continua.cantor import (
     check_chain_property,
     minimal_indices,
 )
+from continua.continuum import Arc
+from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
 from continua.plmap import (
     DomainError,
     Orientation,
@@ -445,3 +450,46 @@ def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     template = build_ternary_map(depth - 1)
     residual = c0_distance(compose(h, g), compose(template, h))
     return ConjugacyReport(h, depth, tuple(matched), residual)
+
+
+def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
+    """Arc.nearest by projecting onto every segment; the first strict
+    improvement over the start vertex wins."""
+    n = arc.segments
+    best_t, best_d2 = Fraction(0), dist2_pp(point, arc.polyline[0])
+    for k in range(n):
+        t_seg, d2 = project_point_segment(point, arc.polyline[k], arc.polyline[k + 1])
+        if d2 < best_d2:
+            best_t, best_d2 = (k + t_seg) / n, d2
+    return best_t, best_d2
+
+
+def scan_min_separation_sq(
+    image_pieces: list[tuple], complement_pieces: list[tuple]
+) -> Fraction | None:
+    """Min squared distance over every pair of segments of the two piece
+    families; None when the complement is empty."""
+    best: Fraction | None = None
+    for poly_a in image_pieces:
+        for i in range(len(poly_a) - 1):
+            sa, sb = poly_a[i], poly_a[i + 1]
+            for poly_b in complement_pieces:
+                for j in range(len(poly_b) - 1):
+                    d2 = dist2_segment_segment(sa, sb, poly_b[j], poly_b[j + 1])
+                    if best is None or d2 < best:
+                        best = d2
+    return best
+
+
+@pytest.fixture(autouse=True)
+def separation_checked_against_scan(monkeypatch):
+    """Every neighbourhood separation a test computes, in any certificate it
+    builds in-process, must equal the full pairwise scan."""
+    pruned = shadowing._min_separation_sq
+
+    def checked(image_pieces, complement_pieces):
+        best = pruned(image_pieces, complement_pieces)
+        assert best == scan_min_separation_sq(image_pieces, complement_pieces)
+        return best
+
+    monkeypatch.setattr(shadowing, "_min_separation_sq", checked)

@@ -11,7 +11,7 @@ import pytest
 
 import continua
 from continua.cantor import build_ternary_map
-from continua.cli import dump_json, main
+from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
 from continua.continuum import YHomeo, YModel, build_arc_model, identity_homeo
 from continua.plmap import PLHomeo, canonical_r, identity, wandering_intervals
 
@@ -315,6 +315,43 @@ class TestCertify:
         bundle = json.loads(outs[0])
         assert bundle["status"] == "ok"
         assert bundle["sampling"]["global_failures"] == []
+
+
+class TestFlagBounds:
+    """--depth, --segments and --trials above their bounds exit 2 before
+    anything is built.  Only the refusal runs; no oversized value does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--depth", MAX_DEPTH + 1, "--epsilon", "1/10"],
+            ["certify", "--segments", MAX_SEGMENTS + 1, "--epsilon", "1/10"],
+            ["certify", "--trials", MAX_TRIALS + 1, "--epsilon", "1/10"],
+            ["build-fstar", "--depth", MAX_DEPTH + 1],
+            ["build-y", "--segments", MAX_SEGMENTS + 1],
+            ["build-y", "--segments", 2, "--depth", MAX_DEPTH + 1, "--format", "svg"],
+            ["conjugate", "map.json", "--depth", MAX_DEPTH + 1],
+            ["modulus", "map.json", "--epsilon", "1/10", "--trials", MAX_TRIALS + 1],
+            ["shadow", "--model", "y.json", "--orbit", "o.csv", "--epsilon", "1/10",
+             "--depth", MAX_DEPTH + 1],
+        ],
+    )
+    def test_refused_above_bound(self, argv):
+        code, err = run_process(argv)
+        assert code == 2
+        assert "exceeds the maximum" in err and "Traceback" not in err
+
+    def test_bounds_themselves_parse(self):
+        args = build_parser().parse_args(
+            ["certify", "--depth", str(MAX_DEPTH), "--segments", str(MAX_SEGMENTS),
+             "--trials", str(MAX_TRIALS), "--epsilon", "1/10"]
+        )
+        assert (args.depth, args.segments, args.trials) == (MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS)
+
+    def test_non_integer_still_refused(self):
+        code, err = run_process(["build-fstar", "--depth", "two"])
+        assert code == 2
+        assert "invalid int value: 'two'" in err
 
 
 class TestMalformedModelInput:

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import continua.continuum as continuum
 from continua.cantor import chain_property_threshold, check_chain_property
 from continua.continuum import (
     Arc,
@@ -26,6 +28,8 @@ from continua.continuum import (
 from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
+
+from conftest import scan_nearest
 
 
 class TestBuild:
@@ -172,6 +176,106 @@ class TestDistances:
                 p = tooth.embed(F(k, 8))
                 d2 = dist2_point_segment(p, (F(-1), F(0)), (F(1), F(0)))
                 assert d2 <= F(1, (M + 1) ** 2)
+
+
+def _offsets(rng: random.Random, radius: F) -> tuple[F, F]:
+    return tuple(radius * F(rng.randrange(-512, 513), 512) for _ in range(2))
+
+
+def _query_points(arc: Arc, rng: random.Random) -> list:
+    """Vertices, chord midpoints, random points at several distances from
+    the arc, points beyond x = +-1, and the mirror-tie points (0, y)."""
+    pts = list(arc.polyline)
+    pts += [
+        ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2) for a, b in zip(arc.polyline, arc.polyline[1:])
+    ]
+    for radius in (F(1, 1000), F(1, 100), F(1, 10), F(1, 2), F(2)):
+        for _ in range(40):
+            x, y = arc.embed(F(rng.randrange(0, 4097), 4096))
+            dx, dy = _offsets(rng, radius)
+            pts.append((x + dx, y + dy))
+    pts += [(F(x, 4), F(y, 4)) for x in (-9, -5, 5, 9) for y in (-5, -1, 0, 3)]
+    pts += [(F(0), F(y, 8)) for y in range(-12, 9)]
+    return pts
+
+
+class TestNearestAgainstScan:
+    """The pruned walk returns the full scan's (t, d2) exactly."""
+
+    @pytest.mark.parametrize("arc_id", ["circle", "h1", "h3", "v1", "v3"])
+    def test_query_points(self, arc_id):
+        arc = build_arc_model(3).arc(arc_id)
+        for p in _query_points(arc, random.Random(arc_id)):
+            assert arc.nearest(p) == scan_nearest(arc, p), p
+
+    def test_mirror_ties_go_to_the_lower_segment(self):
+        # (0, 0) is equidistant from chords 31 and 32, the widest ones
+        arc = build_arc_model(1).arc("circle")
+        t, d2 = arc.nearest((F(0), F(0)))
+        assert F(31, 64) < t < F(1, 2)
+        assert (t, d2) == scan_nearest(arc, (F(0), F(0)))
+        # above the chord ends the two endpoints tie; t = 0 wins
+        assert arc.nearest((F(0), F(3))) == (F(0), F(10))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(["circle", "h1", "h2", "v1", "v2"]),
+        st.fractions(min_value=0, max_value=1, max_denominator=256),
+        st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+        st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+    )
+    def test_property(self, arc_id, t, dx, dy):
+        arc = build_arc_model(2).arc(arc_id)
+        x, y = arc.embed(t)
+        p = (x + dx, y + dy)
+        assert arc.nearest(p) == scan_nearest(arc, p)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=6),
+        st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+        st.integers(-2, 12),
+        st.integers(-4, 4),
+    )
+    def test_property_on_monotone_polylines(self, steps, heights, px, py):
+        # small integer grids make exact ties between segments common
+        xs = [0]
+        for step in steps:
+            xs.append(xs[-1] + step)
+        poly = tuple((F(x), F(y)) for x, y in zip(xs, heights))
+        arc = Arc("a", "p", "q", "segment", poly, F(1), F(1))
+        p = (F(px), F(py))
+        assert arc.nearest(p) == scan_nearest(arc, p)
+
+    def test_projection_count_near_the_circle(self, monkeypatch):
+        calls = []
+        project = continuum.project_point_segment
+
+        def counted(*args):
+            calls.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(continuum, "project_point_segment", counted)
+        arc = build_arc_model(2).arc("circle")
+        rng = random.Random(7)
+        worst = 0
+        for _ in range(400):
+            x, y = arc.embed(F(rng.randrange(0, 4097), 4096))
+            dx, dy = _offsets(rng, F(1, 100))
+            calls.clear()
+            arc.nearest((x + dx, y + dy))
+            worst = max(worst, len(calls))
+        assert 1 <= worst <= 16
+
+    def test_decreasing_polyline_rejected(self):
+        with pytest.raises(ModelError):
+            Arc("a", "p", "q", "segment", ((F(1), F(0)), (F(0), F(0))), F(1), F(1))
+
+    def test_unknown_arc_id(self):
+        m = build_arc_model(2)
+        assert m.arc("v2") is m.arcs[-1]
+        with pytest.raises(KeyError, match="no arc 'zz'"):
+            m.arc("zz")
 
 
 class TestSelfMaps:

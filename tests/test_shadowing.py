@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.continuum import (
@@ -31,6 +32,8 @@ from continua.shadowing import (
     NoInwardStub,
     PseudoOrbit,
     _forward_fold,
+    _min_separation_sq,
+    _neighborhood_pieces,
     estimate_shadowing_modulus,
     find_inward_neighborhood,
     generate_pseudo_orbit,
@@ -48,11 +51,13 @@ from continua.shadowing import (
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
 )
+
 from conftest import (
     orbit_membership_oracle,
     random_fat_map,
     random_plhomeo,
     random_touching_map,
+    scan_min_separation_sq,
     steady_drift_orbit,
 )
 
@@ -392,6 +397,58 @@ class TestCertificates:
         cert = quasi_attractor_certificate(model, g, "seg", F(1, 10), trials=30, seed=4)
         delta, certs = global_shadowing_delta(model, g, F(1, 10), trials=30, seed=4 * 1009)
         assert [(c.arc, c.delta) for c in certs] == [("seg", cert.delta)] or delta == cert.delta
+
+
+def _random_pieces(rng: random.Random, spread: int, min_count: int) -> list[tuple]:
+    """Up to three random polylines with vertices on the 1/8 grid in
+    [-spread, spread]^2."""
+
+    def coord() -> F:
+        return F(rng.randrange(-8 * spread, 8 * spread + 1), 8)
+
+    return [
+        tuple((coord(), coord()) for _ in range(rng.randrange(2, 6)))
+        for _ in range(rng.randrange(min_count, 4))
+    ]
+
+
+class TestSeparationAgainstScan:
+    """The box-pruned separation equals the full pairwise scan.  (The
+    autouse fixture in conftest also checks every certificate built
+    in-process by the suite.)"""
+
+    @pytest.mark.parametrize("levels", [3, 9])
+    def test_neighborhood_pieces(self, levels):
+        # stubs at a ladder of alphas on every arc: the pieces the
+        # certificate chain separates, with no modulus sampling
+        checked = 0
+        for M in (1, 3):
+            m = build_arc_model(M)
+            g = build_arcwise_map(m, levels)
+            for arc in m.arcs:
+                for j in (1, 4, 7, 10):
+                    try:
+                        nb = find_inward_neighborhood(m, g, arc.id, F(1, 2**j))
+                    except CertificateError:
+                        continue
+                    image, complement = _neighborhood_pieces(m, g, nb)
+                    assert _min_separation_sq(image, complement) == scan_min_separation_sq(
+                        image, complement
+                    )
+                    checked += 1
+        assert checked >= 10
+
+    def test_empty_complement(self):
+        assert _min_separation_sq([((F(0), F(0)), (F(1), F(0)))], []) is None
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_pieces(self, rng):
+        image = _random_pieces(rng, 2, 1)
+        complement = _random_pieces(rng, 5, 1)
+        assert _min_separation_sq(image, complement) == scan_min_separation_sq(
+            image, complement
+        )
 
 
 class TestShadowSearch:
