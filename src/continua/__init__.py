@@ -41,7 +41,6 @@ from .cantor import (
     densify_chain_property,
     explode_fixed_point,
     minimal_indices,
-    ternary_interval,
 )
 from .continuum import (
     Arc,

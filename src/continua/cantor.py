@@ -72,6 +72,7 @@ class TernaryIndex:
         return Orientation.R if self.n % 2 == 0 else Orientation.L
 
     def interval(self) -> tuple[Fraction, Fraction]:
+        """Exact endpoints of the middle-third interval this index addresses."""
         d = 3 ** (self.n + 1)
         return Fraction(3 * self.k + 1, d), Fraction(3 * self.k + 2, d)
 
@@ -93,11 +94,6 @@ class TernaryIndex:
     @staticmethod
     def from_json(obj: dict) -> "TernaryIndex":
         return TernaryIndex(int(obj["n"]), int(obj["k"]))
-
-
-def ternary_interval(idx: TernaryIndex) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of the middle-third interval addressed by ``idx``."""
-    return idx.interval()
 
 
 def all_indices(max_level: int) -> list[TernaryIndex]:

@@ -151,9 +151,8 @@ def cmd_explode(args) -> int:
 
 def cmd_shadow(args) -> int:
     epsilon = parse_rational(args.epsilon)
-    delta = parse_rational(args.delta)
     with open(args.orbit) as fh:
-        orbit = orbit_from_csv(fh, delta)
+        orbit = orbit_from_csv(fh)
     on_model = isinstance(orbit.points[0], YPoint)
     if args.model:
         if not on_model:
@@ -312,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
     s.add_argument("--orbit", required=True)
     s.add_argument("--epsilon", required=True)
-    s.add_argument("--delta", default="1")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_shadow)
 
@@ -356,9 +354,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CoverFailure as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CERT
     except ExplosionSiteError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_UNSAT

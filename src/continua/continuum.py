@@ -189,15 +189,21 @@ class YModel:
     def vertex_of(self, arc: Arc, end: int) -> str:
         return arc.p if end == 0 else arc.q
 
+    @cached_property
+    def _incident(self) -> dict[str, list[tuple[Arc, int]]]:
+        out: dict[str, list[tuple[Arc, int]]] = {}
+        for a in self.arcs:
+            out.setdefault(a.p, []).append((a, 0))
+            out.setdefault(a.q, []).append((a, 1))
+        return out
+
     def arcs_at(self, vertex_id: str) -> list[tuple[Arc, int]]:
         """Arcs incident to a vertex, with the end (0 or 1) that touches it."""
-        out = []
-        for a in self.arcs:
-            if a.p == vertex_id:
-                out.append((a, 0))
-            if a.q == vertex_id:
-                out.append((a, 1))
-        return out
+        return list(self._incident.get(vertex_id, ()))
+
+    def across(self, arc: Arc, end: int) -> list[tuple[Arc, int]]:
+        """The other arcs at ``arc``'s given end, in ``arcs_at`` order."""
+        return [(a, e) for a, e in self._incident[self.vertex_of(arc, end)] if a.id != arc.id]
 
     def embed(self, p: YPoint) -> Point:
         return self.arc(p.arc).embed(p.t)
@@ -345,11 +351,11 @@ def build_arcwise_map(model: YModel, levels: int) -> YHomeo:
     return YHomeo({a.id: f for a in model.arcs})
 
 
-def apply_map(model: YModel, g: YHomeo, p: YPoint) -> YPoint:
+def apply_map(g: YHomeo, p: YPoint) -> YPoint:
     return YPoint(p.arc, evaluate(g.map_for(p.arc), p.t))
 
 
-def apply_map_inverse(model: YModel, g: YHomeo, p: YPoint) -> YPoint:
+def apply_map_inverse(g: YHomeo, p: YPoint) -> YPoint:
     return YPoint(p.arc, evaluate(invert(g.map_for(p.arc)), p.t))
 
 

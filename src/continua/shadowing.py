@@ -3,7 +3,7 @@
 Interval side: seeded pseudo-orbit generation with certified jump bounds,
 exact finite-window shadowing sets for monotone PL maps (preimages of
 tubes are intervals with rational endpoints, so the intersection is exact),
-and an empirical bisection estimate of the shadowing modulus.
+and an empirical estimate of the shadowing modulus by a top-down grid scan.
 
 Continuum side: pseudo-orbits on the arc model, the constructive
 delta-chain for one invariant arc (empirical inner modulus, projection
@@ -21,6 +21,7 @@ import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .continuum import Arc, YHomeo, YModel, YPoint, apply_map, validate_homeo
 from .geometry import Point, _box, _box_gap_sq, dist2_pp, dist2_segment_segment
@@ -56,8 +57,8 @@ class CoverFailure(RuntimeError):
         self.uncovered = uncovered
 
 
-# Sampling constants, pinned by regression tests.  The modulus bisection
-# runs GRID_LEVELS levels; the containment delta search gets its own
+# Sampling constants, pinned by regression tests.  The modulus scan tries
+# GRID_LEVELS levels; the containment delta search gets its own
 # deeper grid, because stub attraction gaps shrink with the truncation depth
 # while staying exactly decidable.
 ORBIT_LENGTH = 24
@@ -73,16 +74,15 @@ DELTA_GRID_LEVELS = 24
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite two-sided point sequence with a certified jump bound.
+    """A finite two-sided point sequence; ``verify_pseudo_orbit`` measures
+    its jumps exactly.
 
     ``points[i]`` is the state at index i - offset, so the window is
-    [-offset, len(points) - 1 - offset].  Consecutive states satisfy
-    distance(f(x_i), x_{i+1}) < delta for the producing map f.
+    [-offset, len(points) - 1 - offset].
     """
 
     points: tuple
     offset: int
-    delta: Fraction
 
     def __post_init__(self):
         if not self.points:
@@ -117,14 +117,11 @@ def _two_sided_orbit(
 
     Otherwise forward steps add uniform rational noise below delta/2 to the
     exact image, and backward steps perturb the exact preimage by noise
-    scaled down by the slope bound, so the defining inequality still holds.
+    scaled down by the slope bound, so every jump stays below delta.
     Points are clamped to the domain (the exact image is in the domain, so
     clamping never increases a jump).  All forward draws come before the
     backward ones.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     m, n = -window[0], window[1]
     if m < 0 or n < 0:
         raise ValueError("window must contain index 0")
@@ -144,7 +141,7 @@ def _two_sided_orbit(
 
     fwd = run(f, n, delta / 2)
     bwd = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
-    return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m, delta)
+    return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m)
 
 
 def generate_pseudo_orbit(
@@ -155,14 +152,15 @@ def generate_pseudo_orbit(
     seed: int,
 ) -> PseudoOrbit:
     """Seeded noisy orbit with every jump certified below ``delta``."""
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     return _two_sided_orbit(f, delta, window, x0, random.Random(seed))
 
 
-def true_orbit(
-    f: PLHomeo, window: tuple[int, int], x0: Fraction, delta: Fraction = Fraction(1, 10**6)
-) -> PseudoOrbit:
+def true_orbit(f: PLHomeo, window: tuple[int, int], x0: Fraction) -> PseudoOrbit:
     """The exact orbit as a PseudoOrbit (zero noise; defect exactly 0)."""
-    return _two_sided_orbit(f, delta, window, x0, None)
+    return _two_sided_orbit(f, Fraction(0), window, x0, None)
 
 
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
@@ -184,26 +182,25 @@ class ShadowingSet:
 
     y belongs iff |f^i(y) - x_i| <= epsilon for every window index i
     (closed tolerance: endpoints stay exactly representable).  For a
-    monotone interval map this is a single closed interval, carried as a
-    list for forward compatibility.
+    monotone interval map this is one closed interval, or None when empty;
+    the JSON form lists it as zero or one intervals.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    interval: tuple[Fraction, Fraction] | None
     epsilon: Fraction
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return self.interval is None
 
     def contains(self, y: Fraction) -> bool:
-        return any(lo <= y <= hi for lo, hi in self.intervals)
+        return self.interval is not None and self.interval[0] <= y <= self.interval[1]
 
     def to_json(self) -> dict:
+        ivs = [] if self.interval is None else [self.interval]
         return {
             "epsilon": rational_to_json(self.epsilon),
-            "intervals": [
-                [rational_to_json(lo), rational_to_json(hi)] for lo, hi in self.intervals
-            ],
+            "intervals": [[rational_to_json(lo), rational_to_json(hi)] for lo, hi in ivs],
         }
 
 
@@ -219,12 +216,12 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
         raise ValueError("epsilon must be positive")
     cur = _forward_fold(f, orbit, epsilon)
     if cur is None:
-        return ShadowingSet((), epsilon)
+        return ShadowingSet(None, epsilon)
     f_inv = invert(f)
     a, b = cur
     for _ in range(orbit.window[1]):
         a, b = evaluate(f_inv, a), evaluate(f_inv, b)
-    return ShadowingSet(((a, b),), epsilon)
+    return ShadowingSet((a, b), epsilon)
 
 
 def _forward_fold(
@@ -262,12 +259,14 @@ def estimate_shadowing_modulus(
 ) -> Fraction:
     """Largest grid delta whose sampled pseudo-orbits are all shadowed.
 
-    The grid is epsilon times powers of 1/2 (``GRID_LEVELS`` levels).  A
-    lower-confidence empirical stand-in for the true modulus:
-    deterministic for a fixed seed, with per-trial seeds derived by
-    counter and orbits depending only on (map, delta, start, seed) so the
-    estimate is monotone in epsilon.  Returns 0 when even the smallest
-    grid value fails.
+    Scans the grid epsilon / 2^j (``GRID_LEVELS`` levels) from the top
+    down and returns 0 when even the smallest value fails.  A
+    lower-confidence empirical stand-in for the true modulus.  Orbits
+    depend only on (map, delta, start, seed), so for epsilons 2^k apart
+    the grids line up and the larger epsilon's estimate is at least the
+    smaller's (when that value is on both grids).  Other ratios have no
+    such order: depth-2 ternary map, 20 trials, seed 2 gives 1/58 at
+    epsilon 1/29 and 1/112 at epsilon 1/28.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -312,7 +311,7 @@ def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
             w.writerow([i - orbit.offset, format_rational(p)])
 
 
-def orbit_from_csv(stream, delta: Fraction) -> PseudoOrbit:
+def orbit_from_csv(stream) -> PseudoOrbit:
     rows = list(csv.reader(stream))
     if not rows or rows[0][:1] != ["index"]:
         raise ValueError("missing CSV header")
@@ -332,7 +331,7 @@ def orbit_from_csv(stream, delta: Fraction) -> PseudoOrbit:
         pts = tuple(parse_rational(r[1]) for r in body)
     else:
         raise ValueError(f"unrecognized orbit CSV header {header!r}")
-    return PseudoOrbit(pts, offset, Fraction(delta))
+    return PseudoOrbit(pts, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -363,46 +362,34 @@ def generate_pseudo_orbit_y(
 
     pts = [x0]
     for _ in range(length):
-        img = apply_map(model, g, pts[-1])
+        img = apply_map(g, pts[-1])
         arc = model.arc(img.arc)
         hopped = False
         if rng.randrange(4) == 0:
             # hop across a vertex when the image is within bound/2 of it
             for end, t_end in ((0, Fraction(0)), (1, Fraction(1))):
                 if arc.stretch_hi * abs(img.t - t_end) < bound / 2:
-                    vertex = model.vertex_of(arc, end)
-                    neighbors = [
-                        (a, e) for a, e in model.arcs_at(vertex) if a.id != arc.id
-                    ]
+                    neighbors = model.across(arc, end)
                     if neighbors:
                         other, oend = neighbors[rng.randrange(len(neighbors))]
-                        depth = (
-                            bound
-                            / 2
-                            / other.stretch_hi
-                            * Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
-                        )
-                        depth = min(depth, Fraction(1))
-                        t_new = depth if oend == 0 else 1 - depth
-                        pts.append(YPoint(other.id, t_new))
+                        u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
+                        depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
+                        pts.append(YPoint(other.id, depth if oend == 0 else 1 - depth))
                         hopped = True
                     break
         if not hopped:
             jitter = _noise(rng, bound / arc.stretch_hi)
             pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
-    return PseudoOrbit(tuple(pts), 0, delta)
+    return PseudoOrbit(tuple(pts), 0)
 
 
 def verify_pseudo_orbit_y_sq(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fraction:
     """Exact max squared ambient distance d(g(x_i), x_{i+1})^2."""
     pts = orbit.points
-    if len(pts) < 2:
-        return Fraction(0)
-    worst = Fraction(0)
-    for a, b in zip(pts, pts[1:]):
-        img = apply_map(model, g, a)
-        worst = max(worst, dist2_pp(model.embed(img), model.embed(b)))
-    return worst
+    return max(
+        (dist2_pp(model.embed(apply_map(g, a)), model.embed(b)) for a, b in zip(pts, pts[1:])),
+        default=Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +420,16 @@ class InwardNeighborhood:
 
     arc: str
     stubs: tuple[Stub, ...]
+
+    @cached_property
+    def kept(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """Parameter range [lo, hi] of each stubbed arc left outside the
+        neighborhood: lo is its end-0 cut (else 0), hi its end-1 cut (else 1)."""
+        out: dict[str, tuple[Fraction, Fraction]] = {}
+        for s in self.stubs:
+            lo, hi = out.get(s.arc, (Fraction(0), Fraction(1)))
+            out[s.arc] = (s.cut, hi) if s.end == 0 else (lo, s.cut)
+        return out
 
     def to_json(self) -> dict:
         return {"arc": self.arc, "stubs": [s.to_json() for s in self.stubs]}
@@ -487,10 +484,7 @@ def find_inward_neighborhood(
     arc = model.arc(arc_id)
     stubs: list[Stub] = []
     for end in (0, 1):
-        vertex = model.vertex_of(arc, end)
-        for other, oend in model.arcs_at(vertex):
-            if other.id == arc_id:
-                continue
+        for other, oend in model.across(arc, end):
             fb = g.map_for(other.id)
             depth_bound = min(alpha / other.stretch_hi, Fraction(1))
             ivs = wandering_intervals(fb)
@@ -515,50 +509,33 @@ def find_inward_neighborhood(
                 raise NoInwardStub(
                     f"no inward stub: arc {other.id!r} has no "
                     f"{'L' if oend == 0 else 'R'}-flowing interval within {alpha} "
-                    f"of vertex {vertex!r}"
+                    f"of vertex {model.vertex_of(arc, end)!r}"
                 )
             stubs.append(Stub(other.id, oend, cut))
 
-    by_arc: dict[str, list[Stub]] = {}
-    for s in stubs:
-        by_arc.setdefault(s.arc, []).append(s)
-    for aid, ss in by_arc.items():
-        if len(ss) == 2:
-            c0 = next(s.cut for s in ss if s.end == 0)
-            c1 = next(s.cut for s in ss if s.end == 1)
-            if not c0 < c1:
-                raise CertificateError(f"stubs on arc {aid!r} overlap")
-    return InwardNeighborhood(arc_id, tuple(stubs))
+    nb = InwardNeighborhood(arc_id, tuple(stubs))
+    for aid, (lo, hi) in nb.kept.items():
+        if not lo < hi:
+            raise CertificateError(f"stubs on arc {aid!r} overlap")
+    return nb
 
 
 def _neighborhood_pieces(
     model: YModel, g: YHomeo, nb: InwardNeighborhood
 ) -> tuple[list[tuple], list[tuple]]:
-    """Polyline pieces of closure(g(V)) and of the complement of V."""
+    """Polyline pieces of closure(g(V)) and of the complement of V; raises
+    CertificateError when a stub cut is not strictly attracted."""
     image_pieces = [model.arc(nb.arc).sub_polyline(Fraction(0), Fraction(1))]
-    complement_ranges: dict[str, list[tuple[Fraction, Fraction]]] = {
-        a.id: [(Fraction(0), Fraction(1))] for a in model.arcs if a.id != nb.arc
-    }
-    stubs_by_arc: dict[str, dict[int, Stub]] = {}
     for s in nb.stubs:
-        stubs_by_arc.setdefault(s.arc, {})[s.end] = s
-    for aid, ends in stubs_by_arc.items():
-        arc = model.arc(aid)
-        fb = g.map_for(aid)
-        lo_keep, hi_keep = Fraction(0), Fraction(1)
-        if 0 in ends:
-            cut = ends[0].cut
-            image_pieces.append(arc.sub_polyline(Fraction(0), evaluate(fb, cut)))
-            lo_keep = cut
-        if 1 in ends:
-            cut = ends[1].cut
-            image_pieces.append(arc.sub_polyline(evaluate(fb, cut), Fraction(1)))
-            hi_keep = cut
-        complement_ranges[aid] = [(lo_keep, hi_keep)]
+        img = evaluate(g.map_for(s.arc), s.cut)
+        if not (img < s.cut if s.end == 0 else img > s.cut):
+            raise CertificateError(f"stub on {s.arc!r} is not strictly attracted")
+        lo, hi = (Fraction(0), img) if s.end == 0 else (img, Fraction(1))
+        image_pieces.append(model.arc(s.arc).sub_polyline(lo, hi))
     complement_pieces = [
-        model.arc(aid).sub_polyline(lo, hi)
-        for aid, ranges in complement_ranges.items()
-        for lo, hi in ranges
+        a.sub_polyline(*nb.kept.get(a.id, (Fraction(0), Fraction(1))))
+        for a in model.arcs
+        if a.id != nb.arc
     ]
     return image_pieces, complement_pieces
 
@@ -623,14 +600,6 @@ def quasi_attractor_certificate(
     alpha = min(epsilon / 2, delta1 / 3, delta1 / (3 * lip_ambient)) / 2
 
     nb = find_inward_neighborhood(model, g, arc_id, alpha)
-    for s in nb.stubs:
-        fb = g.map_for(s.arc)
-        img = evaluate(fb, s.cut)
-        if s.end == 0 and not img < s.cut:
-            raise CertificateError(f"stub on {s.arc!r} is not strictly attracted")
-        if s.end == 1 and not img > s.cut:
-            raise CertificateError(f"stub on {s.arc!r} is not strictly attracted")
-
     image_pieces, complement_pieces = _neighborhood_pieces(model, g, nb)
     sep_sq = _min_separation_sq(image_pieces, complement_pieces)
 
@@ -714,10 +683,9 @@ def _shadow_embedded(
     eps_rem = epsilon - margin_hi
     candidates: list[Fraction] = []
     if eps_rem > 0:
-        s = shadowing_set(
-            fa, PseudoOrbit(tuple(proj), 0, Fraction(1)), eps_rem / arc.stretch_hi
-        )
-        for lo, hi in s.intervals:
+        s = shadowing_set(fa, PseudoOrbit(tuple(proj), 0), eps_rem / arc.stretch_hi)
+        if s.interval is not None:
+            lo, hi = s.interval
             candidates.extend(((lo + hi) / 2, lo, hi))
     candidates.extend(proj[:1])  # the projected start is a cheap extra candidate
     for y in candidates:
@@ -776,12 +744,8 @@ def sample_near_arc(
 ) -> YPoint:
     """A random model point within ``radius`` (ambient) of the given arc."""
     arc = model.arc(arc_id)
-    if rng.randrange(2) == 0:
-        return YPoint(arc_id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
-    end = rng.randrange(2)
-    vertex = model.vertex_of(arc, 0 if end == 0 else 1)
-    neighbors = [(a, e) for a, e in model.arcs_at(vertex) if a.id != arc_id]
-    if not neighbors:
+    # the arc itself half the time, and when the chosen end has no other arc
+    if rng.randrange(2) == 0 or not (neighbors := model.across(arc, rng.randrange(2))):
         return YPoint(arc_id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
     other, oend = neighbors[rng.randrange(len(neighbors))]
     depth = min(radius / other.stretch_hi, Fraction(1)) * Fraction(

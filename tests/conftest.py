@@ -20,7 +20,7 @@ from continua.cantor import (
     check_chain_property,
     minimal_indices,
 )
-from continua.continuum import Arc
+from continua.continuum import Arc, YModel
 from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
 from continua.plmap import (
     DomainError,
@@ -296,7 +296,7 @@ def steady_drift_orbit(
     for _ in range(length):
         y = evaluate(f, pts[-1])
         pts.append(max(lo, y - step) if down else min(hi, y + step))
-    return PseudoOrbit(tuple(pts), 0, step)
+    return PseudoOrbit(tuple(pts), 0)
 
 
 def orbit_membership_oracle(
@@ -462,6 +462,17 @@ def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
         if d2 < best_d2:
             best_t, best_d2 = (k + t_seg) / n, d2
     return best_t, best_d2
+
+
+def scan_arcs_at(model: YModel, vertex_id: str) -> list[tuple[Arc, int]]:
+    """YModel.arcs_at by a linear scan of the arcs (end 0 before end 1)."""
+    out = []
+    for a in model.arcs:
+        if a.p == vertex_id:
+            out.append((a, 0))
+        if a.q == vertex_id:
+            out.append((a, 1))
+    return out
 
 
 def scan_min_separation_sq(

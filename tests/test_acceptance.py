@@ -247,8 +247,8 @@ def test_criterion_6_exact_shadowing_sets():
     instances = 0
     # the worked instance first
     f = canonical_r(0, 1)
-    o = PseudoOrbit((F(1, 10), F(1, 5)), 0, F(1))
-    assert shadowing_set(f, o, F(1, 20)).intervals == ((F(1, 10), F(3, 20)),)
+    o = PseudoOrbit((F(1, 10), F(1, 5)), 0)
+    assert shadowing_set(f, o, F(1, 20)).interval == (F(1, 10), F(3, 20))
     while instances < 100:
         f = random_plhomeo(rng) if instances % 2 == 0 else random_fat_map(rng)
         f_inv = invert(f)

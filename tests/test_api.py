@@ -1,5 +1,6 @@
-"""The package exports no dead names."""
+"""The package exports no dead names and its functions read every parameter."""
 
+import ast
 import io
 import tokenize
 import types
@@ -39,3 +40,28 @@ def test_every_export_is_used():
         if not isinstance(getattr(continua, name), types.ModuleType) and name not in used
     ]
     assert dead == [], f"exported but used nowhere in src/ or tests/: {dead}"
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """``function.parameter`` for each parameter of a function in ``path``
+    (``self`` and ``cls`` aside) that its body never names."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        named = {
+            n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)
+        }
+        out += [
+            f"{node.name}.{p.arg}"
+            for p in params
+            if p.arg not in {"self", "cls"} and p.arg not in named
+        ]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [name for p in sorted(SRC.glob("*.py")) for name in _unread_parameters(p)]
+    assert unread == [], f"parameters that change no result: {unread}"

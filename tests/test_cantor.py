@@ -22,7 +22,6 @@ from continua.cantor import (
     densify_chain_property,
     explode_fixed_point,
     minimal_indices,
-    ternary_interval,
 )
 from continua.plmap import (
     Orientation,
@@ -53,13 +52,13 @@ from conftest import (
 
 class TestTernaryIndex:
     def test_level_zero(self):
-        assert ternary_interval(TernaryIndex(0, 0)) == (F(1, 3), F(2, 3))
+        assert TernaryIndex(0, 0).interval() == (F(1, 3), F(2, 3))
 
     def test_level_one_right(self):
-        assert ternary_interval(TernaryIndex(1, 2)) == (F(7, 9), F(8, 9))
+        assert TernaryIndex(1, 2).interval() == (F(7, 9), F(8, 9))
 
     def test_level_two_left(self):
-        assert ternary_interval(TernaryIndex(2, 0)) == (F(1, 27), F(2, 27))
+        assert TernaryIndex(2, 0).interval() == (F(1, 27), F(2, 27))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -146,6 +146,17 @@ class TestShadow:
         assert code == 2
         assert "Traceback" not in err
 
+    def test_delta_flag_refused(self, tmp_path, map_file):
+        # shadowing sets depend only on the orbit and epsilon: there is no --delta
+        path = map_file(canonical_r(0, 1))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,point\n0,1/10\n1,1/5\n")
+        code, err = run_process(
+            ["shadow", "--map", path, "--orbit", orbit, "--epsilon", "1/20", "--delta", "1/3"]
+        )
+        assert code == 2
+        assert "unrecognized arguments: --delta" in err and "Traceback" not in err
+
     def test_space_mismatch_is_input_error(self, tmp_path, map_file):
         path = map_file(canonical_r(0, 1))
         y_orbit = tmp_path / "y_orbit.csv"

@@ -29,7 +29,7 @@ from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
-from conftest import scan_nearest
+from conftest import scan_arcs_at, scan_nearest
 
 
 class TestBuild:
@@ -64,6 +64,17 @@ class TestBuild:
             assert degree[f"b{n}"] == 3
             assert degree[f"t{n}"] == 1
         assert degree["p~"] == 2
+
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_adjacency_index_equals_scan(self, M):
+        m = build_arc_model(M)
+        for vid in m.vertices:
+            assert m.arcs_at(vid) == scan_arcs_at(m, vid)
+        for arc in m.arcs:
+            for end in (0, 1):
+                scan = scan_arcs_at(m, m.vertex_of(arc, end))
+                assert m.across(arc, end) == [(a, e) for a, e in scan if a.id != arc.id]
+        assert m.arcs_at("no such vertex") == []
 
     def test_json_round_trip(self):
         m = build_arc_model(4)
@@ -285,19 +296,19 @@ class TestSelfMaps:
         rng = random.Random(42)
         for _ in range(20):
             p = YPoint(m.arc_ids()[rng.randrange(len(m.arcs))], F(rng.randrange(0, 65), 64))
-            assert apply_map(m, g, p) == p
+            assert apply_map(g, p) == p
 
     def test_arcwise_map_on_circle_midpoint(self):
         m = build_arc_model(2)
         g = build_arcwise_map(m, 1)
-        assert apply_map(m, g, YPoint("circle", F(1, 2))) == YPoint("circle", F(7, 12))
+        assert apply_map(g, YPoint("circle", F(1, 2))) == YPoint("circle", F(7, 12))
 
     def test_vertices_fixed(self):
         m = build_arc_model(3)
         g = build_arcwise_map(m, 2)
         for a in m.arcs:
-            assert apply_map(m, g, YPoint(a.id, F(0))) == YPoint(a.id, F(0))
-            assert apply_map(m, g, YPoint(a.id, F(1))) == YPoint(a.id, F(1))
+            assert apply_map(g, YPoint(a.id, F(0))) == YPoint(a.id, F(0))
+            assert apply_map(g, YPoint(a.id, F(1))) == YPoint(a.id, F(1))
 
     def test_inverse_round_trip(self):
         m = build_arc_model(3)
@@ -305,7 +316,7 @@ class TestSelfMaps:
         rng = random.Random(43)
         for _ in range(30):
             p = YPoint(m.arc_ids()[rng.randrange(len(m.arcs))], F(rng.randrange(0, 65), 64))
-            assert apply_map_inverse(m, g, apply_map(m, g, p)) == p
+            assert apply_map_inverse(g, apply_map(g, p)) == p
 
     def test_arc_maps_satisfy_chain_property_above_threshold(self):
         m = build_arc_model(2)
