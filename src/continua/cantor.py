@@ -40,7 +40,7 @@ from .plmap import (
     identity,
     wandering_intervals,
 )
-from .rational import rational_from_json, rational_to_json
+from .rational import positive, rational_to_json
 
 
 class InsufficientIntervals(RuntimeError):
@@ -90,10 +90,6 @@ class TernaryIndex:
 
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k}
-
-    @staticmethod
-    def from_json(obj: dict) -> "TernaryIndex":
-        return TernaryIndex(int(obj["n"]), int(obj["k"]))
 
 
 def all_indices(max_level: int) -> list[TernaryIndex]:
@@ -201,13 +197,6 @@ class ChainWitness:
             "intervals": [iv.to_json() for iv in self.intervals],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "ChainWitness":
-        return ChainWitness(
-            tuple(OrientedInterval.from_json(o) for o in obj["intervals"]),
-            rational_from_json(obj["epsilon"]),
-        )
-
 
 def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     """fwd[i]: minimal achievable max(later gaps, trailing margin) from i.
@@ -286,9 +275,7 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     such interval at each step; the chain is extended while any feasible
     extension remains.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = positive(epsilon, "epsilon")
     lo, hi = f.domain
     ivs = wandering_intervals(f)
     if not ivs:
@@ -435,9 +422,7 @@ def explode_fixed_point(
     Requires the whole window to lie inside one maximal interval of fixed
     points; outside the window the result is bit-identical to ``f``.
     """
-    p, delta = Fraction(p), Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    p, delta = Fraction(p), positive(delta, "delta")
     lov, hiv = p - delta, p + delta
     if not any(a <= lov and hiv <= b for a, b in fixed_set(f)):
         raise ExplosionSiteError(f"[{lov}, {hiv}] not inside fixed set")
@@ -458,9 +443,7 @@ def densify_chain_property(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
     (isolated fixed points wedged between fat same-oriented intervals admit
     no planting site).
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = positive(epsilon, "epsilon")
     if check_chain_property(f, epsilon) is not None:
         return f
 

@@ -32,11 +32,7 @@ from .geometry import (
     segments_intersect,
 )
 from .plmap import PLHomeo, evaluate, identity, invert
-from .rational import (
-    rational_from_json,
-    rational_to_json,
-    sqrt_approx,
-)
+from .rational import rational_to_json, sqrt_approx
 
 CIRCLE_SEGMENTS = 64
 
@@ -159,10 +155,6 @@ class YPoint:
 
     def to_json(self) -> dict:
         return {"arc": self.arc, "t": rational_to_json(self.t)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "YPoint":
-        return YPoint(obj["arc"], rational_from_json(obj["t"]))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from .rational import rational_from_json, rational_to_json
+from .rational import positive, rational_from_json, rational_to_json
 
 
 class DomainError(ValueError):
@@ -73,14 +73,6 @@ class OrientedInterval:
             "b": rational_to_json(self.b),
             "orientation": self.orientation.value,
         }
-
-    @staticmethod
-    def from_json(obj: dict) -> "OrientedInterval":
-        return OrientedInterval(
-            rational_from_json(obj["a"]),
-            rational_from_json(obj["b"]),
-            Orientation(obj["orientation"]),
-        )
 
 
 def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -390,7 +382,5 @@ def max_slope(f: PLHomeo) -> Fraction:
 
 def modulus_of_continuity(f: PLHomeo, alpha: Fraction) -> Fraction:
     """Certified oscillation bound of f over any alpha-ball: max_slope * alpha."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = positive(alpha, "alpha")
     return max_slope(f) * alpha

@@ -10,9 +10,18 @@ exact numeric helpers (integer square roots, certified sqrt enclosures).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 ZERO = Fraction(0)
+
+
+def positive(x, name: str) -> Fraction:
+    """``x`` as a Fraction, checked to be above 0 (else ValueError)."""
+    x = Fraction(x)
+    if x <= 0:
+        raise ValueError(f"{name} must be positive")
+    return x
 
 
 def parse_rational(text: str) -> Fraction:
@@ -39,13 +48,22 @@ def rational_to_json(x: Fraction) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
+def _json_integer(v) -> int:
+    """A pair component: a string of decimal digits, optionally signed "-",
+    or a JSON integer (not a boolean)."""
+    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"rational pair component {v!r} is not a decimal integer")
+
+
 def rational_from_json(pair) -> Fraction:
+    """Inverse of ``rational_to_json``, which also reads JSON integers."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [num, den] pair, got {pair!r}")
-    den = int(pair[1])
+    den = _json_integer(pair[1])
     if den == 0:
         raise ValueError(f"zero denominator in rational pair {pair!r}")
-    return Fraction(int(pair[0]), den)
+    return Fraction(_json_integer(pair[0]), den)
 
 
 def is_perfect_square(n: int) -> bool:

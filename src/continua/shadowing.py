@@ -30,12 +30,14 @@ from .plmap import (
     PLHomeo,
     evaluate,
     invert,
+    iterate,
     max_slope,
     wandering_intervals,
 )
 from .rational import (
     format_rational,
     parse_rational,
+    positive,
     rational_to_json,
     sqrt_enclosure,
 )
@@ -98,6 +100,11 @@ class PseudoOrbit:
         return self.points[i + self.offset]
 
 
+def _from_end(end: int, x: Fraction) -> Fraction:
+    """The arc parameter at depth x from end ``end`` (0 or 1); its own inverse."""
+    return 1 - x if end else x
+
+
 def _noise(rng: random.Random, bound: Fraction) -> Fraction:
     return Fraction(rng.randrange(-(NOISE_GRID - 1), NOISE_GRID), NOISE_GRID) * bound
 
@@ -152,9 +159,7 @@ def generate_pseudo_orbit(
     seed: int,
 ) -> PseudoOrbit:
     """Seeded noisy orbit with every jump certified below ``delta``."""
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = positive(delta, "delta")
     return _two_sided_orbit(f, delta, window, x0, random.Random(seed))
 
 
@@ -166,9 +171,7 @@ def true_orbit(f: PLHomeo, window: tuple[int, int], x0: Fraction) -> PseudoOrbit
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
     """Exact max over consecutive pairs of |f(x_i) - x_{i+1}|."""
     pts = orbit.points
-    if len(pts) < 2:
-        return Fraction(0)
-    return max(abs(evaluate(f, a) - b) for a, b in zip(pts, pts[1:]))
+    return max((abs(evaluate(f, a) - b) for a, b in zip(pts, pts[1:])), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +214,12 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
     under a monotone PL map are intervals with rational endpoints), then
     pulls the surviving interval back to index 0.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = positive(epsilon, "epsilon")
     cur = _forward_fold(f, orbit, epsilon)
     if cur is None:
         return ShadowingSet(None, epsilon)
-    f_inv = invert(f)
-    a, b = cur
-    for _ in range(orbit.window[1]):
-        a, b = evaluate(f_inv, a), evaluate(f_inv, b)
-    return ShadowingSet((a, b), epsilon)
+    n = orbit.window[1]
+    return ShadowingSet((iterate(f, cur[0], -n), iterate(f, cur[1], -n)), epsilon)
 
 
 def _forward_fold(
@@ -268,9 +266,7 @@ def estimate_shadowing_modulus(
     such order: depth-2 ternary map, 20 trials, seed 2 gives 1/58 at
     epsilon 1/29 and 1/112 at epsilon 1/28.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = positive(epsilon, "epsilon")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     lo, hi = f.domain
@@ -354,9 +350,7 @@ def generate_pseudo_orbit_y(
     vertex onto an adjacent arc when the image lies close enough; both
     moves keep the ambient jump strictly below delta.
     """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = positive(delta, "delta")
     rng = random.Random(seed)
     bound = delta / 2
 
@@ -367,14 +361,14 @@ def generate_pseudo_orbit_y(
         hopped = False
         if rng.randrange(4) == 0:
             # hop across a vertex when the image is within bound/2 of it
-            for end, t_end in ((0, Fraction(0)), (1, Fraction(1))):
-                if arc.stretch_hi * abs(img.t - t_end) < bound / 2:
+            for end in (0, 1):
+                if arc.stretch_hi * _from_end(end, img.t) < bound / 2:
                     neighbors = model.across(arc, end)
                     if neighbors:
                         other, oend = neighbors[rng.randrange(len(neighbors))]
                         u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
                         depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
-                        pts.append(YPoint(other.id, depth if oend == 0 else 1 - depth))
+                        pts.append(YPoint(other.id, _from_end(oend, depth)))
                         hopped = True
                     break
         if not hopped:
@@ -467,6 +461,10 @@ class QuasiAttractorCertificate:
         }
 
 
+# The orientation of a wandering interval that flows toward arc end 0 or 1.
+_INWARD = (Orientation.L, Orientation.R)
+
+
 def find_inward_neighborhood(
     model: YModel, g: YHomeo, arc_id: str, alpha: Fraction
 ) -> InwardNeighborhood:
@@ -478,40 +476,30 @@ def find_inward_neighborhood(
     exceeds its length).  Raises NoInwardStub when an adjacent arc has no
     such interval within reach.
     """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = positive(alpha, "alpha")
     arc = model.arc(arc_id)
     stubs: list[Stub] = []
     for end in (0, 1):
         for other, oend in model.across(arc, end):
-            fb = g.map_for(other.id)
             depth_bound = min(alpha / other.stretch_hi, Fraction(1))
-            ivs = wandering_intervals(fb)
-            cut = None
-            if oend == 0:
-                cands = [
-                    iv for iv in ivs if iv.orientation is Orientation.L and iv.a < depth_bound
-                ]
-                if cands:
-                    iv = cands[0]
-                    cut = (iv.a + min(iv.b, depth_bound)) / 2
-            else:
-                cands = [
-                    iv
-                    for iv in ivs
-                    if iv.orientation is Orientation.R and iv.b > 1 - depth_bound
-                ]
-                if cands:
-                    iv = cands[-1]
-                    cut = (max(iv.a, 1 - depth_bound) + iv.b) / 2
-            if cut is None:
+            # (near, far) depths from the shared vertex of the interval
+            # flowing toward it that comes closest
+            nearest = min(
+                (
+                    sorted((_from_end(oend, iv.a), _from_end(oend, iv.b)))
+                    for iv in wandering_intervals(g.map_for(other.id))
+                    if iv.orientation is _INWARD[oend]
+                ),
+                default=None,
+            )
+            if nearest is None or nearest[0] >= depth_bound:
                 raise NoInwardStub(
                     f"no inward stub: arc {other.id!r} has no "
-                    f"{'L' if oend == 0 else 'R'}-flowing interval within {alpha} "
+                    f"{_INWARD[oend].value}-flowing interval within {alpha} "
                     f"of vertex {model.vertex_of(arc, end)!r}"
                 )
-            stubs.append(Stub(other.id, oend, cut))
+            near, far = nearest
+            stubs.append(Stub(other.id, oend, _from_end(oend, (near + min(far, depth_bound)) / 2)))
 
     nb = InwardNeighborhood(arc_id, tuple(stubs))
     for aid, (lo, hi) in nb.kept.items():
@@ -528,10 +516,9 @@ def _neighborhood_pieces(
     image_pieces = [model.arc(nb.arc).sub_polyline(Fraction(0), Fraction(1))]
     for s in nb.stubs:
         img = evaluate(g.map_for(s.arc), s.cut)
-        if not (img < s.cut if s.end == 0 else img > s.cut):
+        if not _from_end(s.end, img) < _from_end(s.end, s.cut):
             raise CertificateError(f"stub on {s.arc!r} is not strictly attracted")
-        lo, hi = (Fraction(0), img) if s.end == 0 else (img, Fraction(1))
-        image_pieces.append(model.arc(s.arc).sub_polyline(lo, hi))
+        image_pieces.append(model.arc(s.arc).sub_polyline(*sorted((Fraction(s.end), img))))
     complement_pieces = [
         a.sub_polyline(*nb.kept.get(a.id, (Fraction(0), Fraction(1))))
         for a in model.arcs
@@ -584,9 +571,7 @@ def quasi_attractor_certificate(
     stays inside V, certified by the exact squared separation.
     """
     validate_homeo(model, g)
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = positive(epsilon, "epsilon")
     arc = model.arc(arc_id)
     fa = g.map_for(arc_id)
 
@@ -751,7 +736,7 @@ def sample_near_arc(
     depth = min(radius / other.stretch_hi, Fraction(1)) * Fraction(
         rng.randrange(0, NOISE_GRID), NOISE_GRID
     )
-    return YPoint(other.id, depth if oend == 0 else 1 - depth)
+    return YPoint(other.id, _from_end(oend, depth))
 
 
 def sample_certificate_soundness(

@@ -1,4 +1,5 @@
-"""The package exports no dead names and its functions read every parameter."""
+"""The package exports no dead names, its functions read every parameter,
+and its core computes without floating point."""
 
 import ast
 import io
@@ -65,3 +66,28 @@ def _unread_parameters(path: Path) -> list[str]:
 def test_every_parameter_is_read():
     unread = [name for p in sorted(SRC.glob("*.py")) for name in _unread_parameters(p)]
     assert unread == [], f"parameters that change no result: {unread}"
+
+
+def _float_uses(path: Path) -> list[str]:
+    """``line: what`` for each float constant, call to ``float`` and use of
+    ``math`` other than ``isqrt`` in ``path``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            out.append(f"{node.lineno}: float constant {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                out.append(f"{node.lineno}: float()")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr != "isqrt":
+                out.append(f"{node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [f"{node.lineno}: from math import {a.name}" for a in node.names]
+    return out
+
+
+def test_core_has_no_floats():
+    # svg.py only formats coordinates for drawing; every other module is exact
+    core = [p for p in sorted(SRC.glob("*.py")) if p.name != "svg.py"]
+    found = [f"{p.name}:{use}" for p in core for use in _float_uses(p)]
+    assert found == [], f"floating point in the exact core: {found}"

@@ -166,11 +166,6 @@ class TestChainProperty:
         with pytest.raises(ValueError):
             check_chain_property(identity(), F(0))
 
-    def test_witness_json_round_trip(self):
-        w = check_chain_property(build_ternary_map(2), F(1, 8))
-        assert w is not None
-        assert ChainWitness.from_json(w.to_json()) == w
-
     def test_witness_conditions_validated(self):
         from continua.plmap import OrientedInterval
 

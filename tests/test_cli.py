@@ -12,7 +12,13 @@ import pytest
 import continua
 from continua.cantor import build_ternary_map
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
-from continua.continuum import YHomeo, YModel, build_arc_model, identity_homeo
+from continua.continuum import (
+    YHomeo,
+    YModel,
+    build_arc_model,
+    build_arcwise_map,
+    identity_homeo,
+)
 from continua.plmap import PLHomeo, canonical_r, identity, wandering_intervals
 
 
@@ -98,6 +104,17 @@ class TestCheckPeps:
         code, err = run_process(["check-peps", bad, "--epsilon", "1/8"])
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [float("inf"), 1.5, True])
+    def test_non_integer_pair_component_is_input_error(self, tmp_path, bad):
+        # [1.5, 4] and [true, 4] used to be read as 1/4, answering for another map
+        obj = canonical_r(0, 1).to_json()
+        obj["values"][1] = [bad, "4"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, err = run_process(["check-peps", path, "--epsilon", "1/8"])
+        assert code == 2
+        assert "is not a decimal integer" in err and "Traceback" not in err
 
     def test_short_domain_field_is_input_error(self, tmp_path):
         obj = canonical_r(0, 1).to_json()
@@ -196,6 +213,16 @@ class TestShadow:
         w = json.loads(out.read_text())
         assert w["arc"] in {"h1", "h2", "circle", "v1", "v2"}
 
+    def test_model_orbit_without_witness(self, tmp_path):
+        model_path = tmp_path / "y.json"
+        run(["build-y", "--segments", 2, "--out", model_path])
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h1,1/2\n1,v2,1\n")
+        out = tmp_path / "w.json"
+        argv = ["shadow", "--model", model_path, "--depth", 2, "--orbit", orbit]
+        assert run([*argv, "--epsilon", "1/100", "--out", out]) == 1
+        assert out.read_text() == "null\n"
+
 
 class TestExplodeConjugate:
     def test_explode_writes_map(self, tmp_path, map_file):
@@ -254,13 +281,26 @@ class TestBuildYAndRender:
         y = tmp_path / "y.json"
         run(["build-y", "--segments", 2, "--out", y])
         g = tmp_path / "g.json"
-        from continua.continuum import build_arcwise_map
-
         g.write_text(dump_json(build_arcwise_map(build_arc_model(2), 1).to_json()))
         out = tmp_path / "y.svg"
         assert run(["render", y, "--homeo", g, "--out", out]) == 0
         svg = out.read_text()
         assert svg.startswith("<svg") and "#c0392b" in svg
+
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_build_y_svg_equals_render(self, tmp_path, depth):
+        y = tmp_path / "y.json"
+        run(["build-y", "--segments", 2, "--out", y])
+        built, rendered = tmp_path / "built.svg", tmp_path / "rendered.svg"
+        argv = ["build-y", "--segments", 2, "--format", "svg", "--out", built]
+        render = ["render", y, "--out", rendered]
+        if depth is not None:
+            argv += ["--depth", depth]
+            g = tmp_path / "g.json"
+            g.write_text(dump_json(build_arcwise_map(build_arc_model(2), depth).to_json()))
+            render += ["--homeo", g]
+        assert run(argv) == 0 and run(render) == 0
+        assert built.read_bytes() == rendered.read_bytes()
 
     def test_render_map(self, tmp_path):
         f = tmp_path / "f.json"
@@ -403,6 +443,23 @@ class TestMalformedModelInput:
         )
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [float("inf"), 1.5, True])
+    def test_shadow_non_integer_pair_component(self, tmp_path, bad):
+        model = build_arc_model(2)
+        y = tmp_path / "y.json"
+        y.write_text(dump_json(model.to_json()))
+        obj = build_arcwise_map(model, 1).to_json()
+        obj["arc_maps"]["h1"]["values"][1][1] = bad
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps(obj))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+        code, err = run_process(
+            ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
+        )
+        assert code == 2
+        assert "is not a decimal integer" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["shadow", "render", "certify"])
     @pytest.mark.parametrize("defect", ["half domain", "missing v2", "extra zz"])

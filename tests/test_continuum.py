@@ -348,10 +348,6 @@ class TestSelfMaps:
         g = build_arcwise_map(m, 2)
         assert YHomeo.from_json(g.to_json()).arc_maps == g.arc_maps
 
-    def test_point_json_round_trip(self):
-        p = YPoint("v2", F(3, 7))
-        assert YPoint.from_json(p.to_json()) == p
-
 
 class TestStructureReport:
     def test_standard_models_pass(self):

@@ -92,10 +92,11 @@ class TestEvaluate:
 class TestComposeInvert:
     def test_inverse_law_exact(self):
         rng = random.Random(101)
-        for _ in range(60):
-            f = random_plhomeo(rng)
-            assert compose(f, invert(f)) == identity()
-            assert compose(invert(f), f) == identity()
+        for make in (random_plhomeo, random_fat_map, random_touching_map):
+            for _ in range(60):
+                f = make(rng)
+                assert compose(f, invert(f)) == identity()
+                assert compose(invert(f), f) == identity()
 
     def test_identity_neutral(self):
         rng = random.Random(102)
@@ -158,12 +159,13 @@ class TestC0Distance:
 
     def test_metric_axioms(self):
         rng = random.Random(107)
-        for _ in range(40):
-            f, g, h = (random_plhomeo(rng) for _ in range(3))
-            dfg = c0_distance(f, g)
-            assert dfg == c0_distance(g, f)
-            assert (dfg == 0) == (f == g)
-            assert dfg <= c0_distance(f, h) + c0_distance(h, g)
+        for make in (random_plhomeo, random_fat_map, random_touching_map):
+            for _ in range(40):
+                f, g, h = (make(rng) for _ in range(3))
+                dfg = c0_distance(f, g)
+                assert dfg == c0_distance(g, f)
+                assert (dfg == 0) == (f == g)
+                assert dfg <= c0_distance(f, h) + c0_distance(h, g)
 
 
 class TestMergeWalkAgainstGridOracles:
@@ -472,3 +474,26 @@ class TestWalkProperties:
         assert [(iv.a, iv.b) for iv in wandering_intervals(f)] == gaps
         assert blocks[0][0] == f.lo and blocks[-1][1] == f.hi
         assert all(a <= b for a, b in blocks)
+
+
+algebra_settings = settings(walk_settings, max_examples=300)
+
+
+class TestAlgebraProperties:
+    """Group laws of composition on random, fat, touching and conjugated maps."""
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps(), walk_maps())
+    def test_compose_is_associative(self, f, g, h):
+        assert compose(f, compose(g, h)) == compose(compose(f, g), h)
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_inverse_of_composition(self, f, g):
+        assert invert(compose(f, g)) == compose(invert(g), invert(f))
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_compose_stays_canonical(self, f, g):
+        h = compose(f, g)
+        assert PLHomeo(h.breakpoints, h.values) == h

@@ -3,8 +3,40 @@
 import random
 from fractions import Fraction as F
 
-from continua.rational import sqrt_approx, sqrt_enclosure
+import pytest
+
+from continua.rational import positive, rational_from_json, sqrt_approx, sqrt_enclosure
 from conftest import bisected_sqrt_enclosure
+
+
+class TestJsonReader:
+    @pytest.mark.parametrize(
+        "pair, value",
+        [(["3", "4"], F(3, 4)), (["-6", "4"], F(-3, 2)), ([3, 4], F(3, 4)), (["0", "-2"], F(0))],
+    )
+    def test_decimal_strings_and_integers(self, pair, value):
+        assert rational_from_json(pair) == value
+
+    @pytest.mark.parametrize(
+        "component",
+        [1.5, 4.0, True, False, None, float("inf"), float("nan"), [1], "1.5", "+3", " 3", "3\n",
+         "0x10", "1e3", "\uff13", ""],
+    )
+    def test_other_components_refused(self, component):
+        for pair in ([component, "4"], ["3", component]):
+            with pytest.raises(ValueError, match="is not a decimal integer"):
+                rational_from_json(pair)
+
+    def test_zero_denominator_refused(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rational_from_json(["1", 0])
+
+
+def test_positive():
+    assert positive(F(1, 3), "epsilon") == F(1, 3) and type(positive(2, "x")) is F
+    for bad in (0, F(-1, 3)):
+        with pytest.raises(ValueError, match="^alpha must be positive$"):
+            positive(bad, "alpha")
 
 
 class TestSqrtEnclosure:

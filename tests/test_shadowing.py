@@ -76,6 +76,23 @@ def edge_enriched_map(levels: int, eta: F) -> "PLHomeo":
     return f
 
 
+@st.composite
+def orbits(draw, points) -> PseudoOrbit:
+    """Up to 12 drawn points, with index 0 anywhere among them."""
+    pts = draw(st.lists(points, min_size=1, max_size=12))
+    return PseudoOrbit(tuple(pts), draw(st.integers(0, len(pts) - 1)))
+
+
+def csv_round_trip(orbit: PseudoOrbit) -> PseudoOrbit:
+    buf = io.StringIO()
+    orbit_to_csv(orbit, buf)
+    buf.seek(0)
+    return orbit_from_csv(buf)
+
+
+orbit_settings = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
 class TestPseudoOrbits:
     def test_true_orbit_has_zero_defect(self):
         o = true_orbit(canonical_r(0, 1), (-4, 6), F(1, 10))
@@ -109,21 +126,23 @@ class TestPseudoOrbits:
 
     def test_csv_round_trip_interval(self):
         o = generate_pseudo_orbit(canonical_r(0, 1), F(1, 100), (-3, 5), F(1, 10), seed=3)
-        buf = io.StringIO()
-        orbit_to_csv(o, buf)
-        buf.seek(0)
-        back = orbit_from_csv(buf)
-        assert back == o
+        assert csv_round_trip(o) == o
 
     def test_csv_round_trip_model(self):
         m = build_arc_model(2)
         g = build_arcwise_map(m, 1)
         o = generate_pseudo_orbit_y(m, g, F(1, 50), 8, YPoint("h1", F(1, 3)), seed=5)
-        buf = io.StringIO()
-        orbit_to_csv(o, buf)
-        buf.seek(0)
-        back = orbit_from_csv(buf)
-        assert back == o
+        assert csv_round_trip(o) == o
+
+    @orbit_settings
+    @given(orbits(st.fractions()))
+    def test_csv_round_trip_any_interval_orbit(self, o):
+        assert csv_round_trip(o) == o
+
+    @orbit_settings
+    @given(orbits(st.builds(YPoint, st.sampled_from(["circle", "h1", "v3"]), st.fractions(0, 1))))
+    def test_csv_round_trip_any_model_orbit(self, o):
+        assert csv_round_trip(o) == o
 
 
 class TestShadowingSet:
