@@ -230,10 +230,9 @@ class YModel:
     def from_json(obj: dict) -> "YModel":
         if not isinstance(obj, dict):
             raise ModelError("model JSON must be an object")
-        try:
-            M = int(obj["M"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"model JSON needs an integer field M: {exc!r}") from exc
+        M = obj.get("M")
+        if type(M) is not int:
+            raise ModelError(f"model JSON needs an integer field M, got {M!r}")
         model = build_arc_model(M)
         if model.to_json() != obj:
             raise ModelError("model JSON does not describe a standard truncated model")

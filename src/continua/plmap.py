@@ -11,11 +11,15 @@ public way to build a map; ``from_json`` and every other module go through
 it.  Inside this module, results that are canonical by construction (an
 inverse, a pruned composition) are wrapped by ``_trusted`` without being
 checked again.  Each map caches, on first use, its per-piece slopes (read
-by ``evaluate`` and ``max_slope``), its inverse (returned by ``invert``),
-and its fixed set and wandering intervals, found together in one walk over
-the breakpoints (copied out by ``fixed_set`` and ``wandering_intervals``).
-The inverse holds no reference back to its map, so the cache forms no
-reference cycle.
+by ``max_slope``), its integer evaluation kernel (read by ``evaluate``),
+its inverse (returned by ``invert``), and its fixed set and wandering
+intervals, found together in one walk over the breakpoints (copied out by
+``fixed_set`` and ``wandering_intervals``).  The kernel scales the
+breakpoints by d, the lcm of their denominators, to integer keys, and
+writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so
+one evaluation locates its piece by integer comparisons and builds one
+Fraction.  The inverse holds no reference back to its map, so the cache
+forms no reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
@@ -139,6 +143,24 @@ class PLHomeo:
         return tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
 
     @cached_property
+    def _kernel(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        # (d, keys, pieces): keys[i] = breakpoints[i]·d, and on piece i,
+        # f(x) = s·x + c = (α·p + β·q)/(γ·q) at x = p/q, with γ = lcm of the
+        # denominators of s and c.
+        xs, ys = self.breakpoints, self.values
+        d = 1
+        for x in xs:
+            d = _lcm(d, x.denominator)
+        pieces = []
+        for x, y, s in zip(xs, ys, self._slopes):
+            c = y - s * x
+            g = _lcm(s.denominator, c.denominator)
+            pieces.append(
+                (s.numerator * (g // s.denominator), c.numerator * (g // c.denominator), g)
+            )
+        return d, tuple(x.numerator * (d // x.denominator) for x in xs), tuple(pieces)
+
+    @cached_property
     def _inverse(self) -> "PLHomeo":
         # Swapping the lists keeps them canonical: the collinearity test is
         # symmetric in x and y.  The inverse does not point back at self.
@@ -177,6 +199,12 @@ class PLHomeo:
         return f
 
 
+def _lcm(a: int, b: int) -> int:
+    """Least common multiple of two positive integers: Fraction(a, b) is in
+    lowest terms, so its numerator is a / gcd(a, b)."""
+    return b * Fraction(a, b).numerator
+
+
 def _trusted(breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> PLHomeo:
     """Wrap canonical tuples of Fractions as a map, skipping validation."""
     f = object.__new__(PLHomeo)
@@ -193,15 +221,24 @@ def identity(lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> PLHomeo:
 
 
 def evaluate(f: PLHomeo, x: Fraction) -> Fraction:
-    """Exact value of f at x by linear interpolation."""
-    x = Fraction(x)
-    if x < f.lo or x > f.hi:
+    """Exact value of f at x by linear interpolation.
+
+    Runs on f's integer kernel, built on first call: with x = p/q in lowest
+    terms, x lies in the domain iff keys[0]·q <= p·d <= keys[-1]·q, and
+    because the keys are integers, bisecting them for floor(p·d/q) finds
+    the same piece as bisecting the breakpoints for x.  The value is then
+    one Fraction (α·p + β·q)/(γ·q).  The right end is read on the last
+    piece, where the formula gives f(hi) = hi.
+    """
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    d, keys, pieces = f._kernel
+    p, q = x.numerator, x.denominator
+    pd = p * d
+    if pd < keys[0] * q or pd > keys[-1] * q:
         raise DomainError(f"{x} outside domain [{f.lo}, {f.hi}]")
-    xs = f.breakpoints
-    i = bisect_right(xs, x) - 1
-    if i >= len(xs) - 1:
-        return f.values[-1]
-    return f.values[i] + (x - xs[i]) * f._slopes[i]
+    a, b, c = pieces[bisect_right(keys, pd // q, 0, len(pieces)) - 1]
+    return Fraction(a * p + b * q, c * q)
 
 
 def invert(f: PLHomeo) -> PLHomeo:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -113,22 +114,26 @@ def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(x, lo), hi)
 
 
-def _two_sided_orbit(
+def _orbit_steps(
     f: PLHomeo,
     delta: Fraction,
     window: tuple[int, int],
     x0: Fraction,
     rng: random.Random | None,
-) -> PseudoOrbit:
-    """The orbit of x0 over ``window``, exact when ``rng`` is None.
+) -> Iterator[Fraction]:
+    """The orbit of x0 over ``window``, one point per step, exact when
+    ``rng`` is None: x0, the forward points x1..xn, then the backward
+    points x-1..x-m.
 
     Otherwise forward steps add uniform rational noise below delta/2 to the
     exact image, and backward steps perturb the exact preimage by noise
     scaled down by the slope bound, so every jump stays below delta.
     Points are clamped to the domain (the exact image is in the domain, so
     clamping never increases a jump).  All forward draws come before the
-    backward ones.
+    backward ones.  The inputs are checked when the first point is drawn.
     """
+    if rng is not None:
+        delta = positive(delta, "delta")
     m, n = -window[0], window[1]
     if m < 0 or n < 0:
         raise ValueError("window must contain index 0")
@@ -136,19 +141,30 @@ def _two_sided_orbit(
     x0 = Fraction(x0)
     if not lo <= x0 <= hi:
         raise ValueError("x0 outside the domain")
-
-    def run(g: PLHomeo, steps: int, bound: Fraction) -> list[Fraction]:
-        pts = [x0]
+    yield x0
+    runs = [(f, n, delta / 2)]
+    if m:
+        runs.append((invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))))
+    for g, steps, bound in runs:
+        y = x0
         for _ in range(steps):
-            y = evaluate(g, pts[-1])
+            y = evaluate(g, y)
             if rng is not None:
                 y = _clamp(y + _noise(rng, bound), lo, hi)
-            pts.append(y)
-        return pts
+            yield y
 
-    fwd = run(f, n, delta / 2)
-    bwd = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
-    return PseudoOrbit(tuple(reversed(bwd[1:])) + tuple(fwd), m)
+
+def _two_sided_orbit(
+    f: PLHomeo,
+    delta: Fraction,
+    window: tuple[int, int],
+    x0: Fraction,
+    rng: random.Random | None,
+) -> PseudoOrbit:
+    """``_orbit_steps`` materialised as a PseudoOrbit in index order."""
+    pts = tuple(_orbit_steps(f, delta, window, x0, rng))
+    n = window[1]
+    return PseudoOrbit(pts[:n:-1] + pts[: n + 1], -window[0])
 
 
 def generate_pseudo_orbit(
@@ -159,7 +175,6 @@ def generate_pseudo_orbit(
     seed: int,
 ) -> PseudoOrbit:
     """Seeded noisy orbit with every jump certified below ``delta``."""
-    delta = positive(delta, "delta")
     return _two_sided_orbit(f, delta, window, x0, random.Random(seed))
 
 
@@ -215,7 +230,7 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
     pulls the surviving interval back to index 0.
     """
     epsilon = positive(epsilon, "epsilon")
-    cur = _forward_fold(f, orbit, epsilon)
+    cur = _forward_fold(f, orbit.points, epsilon)
     if cur is None:
         return ShadowingSet(None, epsilon)
     n = orbit.window[1]
@@ -223,13 +238,17 @@ def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> Shadowin
 
 
 def _forward_fold(
-    f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction
+    f: PLHomeo, points: Iterable[Fraction], epsilon: Fraction
 ) -> tuple[Fraction, Fraction] | None:
-    """Image at the window's last index of the orbit's shadowing set, or
-    None when that set is empty.
+    """Image at the last point of the shadowing set of ``points`` (an
+    orbit in index order, from its first index), or None when that set is
+    empty.
 
     f is a bijection, so the image is empty exactly when the set is: the
-    fold alone decides emptiness, with no pull-back.
+    fold alone decides emptiness, with no pull-back.  The fold draws one
+    point per step and returns at the first empty step, so a lazy orbit
+    (``_orbit_steps`` over a window (0, n), whose points come in index
+    order) is never generated past the point that empties it.
     """
     lo, hi = f.domain
 
@@ -237,10 +256,11 @@ def _forward_fold(
         a, b = max(lo, x - epsilon), min(hi, x + epsilon)
         return (a, b) if a <= b else None
 
-    cur = tube(orbit.points[0])
+    points = iter(points)
+    cur = tube(next(points))
     if cur is None:
         return None
-    for x in orbit.points[1:]:
+    for x in points:
         img = (evaluate(f, cur[0]), evaluate(f, cur[1]))
         t = tube(x)
         if t is None:
@@ -277,10 +297,9 @@ def estimate_shadowing_modulus(
         for t in range(trials):
             start_rng = random.Random(seed * 1_000_003 + 2 * t)
             x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
-            orbit = generate_pseudo_orbit(
-                f, delta, (0, ORBIT_LENGTH), x0, seed * 1_000_003 + 2 * t + 1
-            )
-            if _forward_fold(f, orbit, epsilon) is None:
+            rng = random.Random(seed * 1_000_003 + 2 * t + 1)
+            steps = _orbit_steps(f, delta, (0, ORBIT_LENGTH), x0, rng)
+            if _forward_fold(f, steps, epsilon) is None:
                 ok = False
                 break
         if ok:

@@ -18,6 +18,7 @@ from continua.cantor import (
     TernaryIndex,
     build_ternary_map,
     check_chain_property,
+    explode_fixed_point,
     minimal_indices,
 )
 from continua.continuum import Arc, YModel
@@ -33,7 +34,14 @@ from continua.plmap import (
     evaluate,
 )
 from continua.rational import exact_sqrt
-from continua.shadowing import PseudoOrbit
+from continua.shadowing import (
+    GRID_LEVELS,
+    NOISE_GRID,
+    ORBIT_LENGTH,
+    PseudoOrbit,
+    generate_pseudo_orbit,
+    shadowing_set,
+)
 
 
 def frac(rng: random.Random, den: int = 64) -> Fraction:
@@ -299,6 +307,26 @@ def steady_drift_orbit(
     return PseudoOrbit(tuple(pts), 0)
 
 
+def materialized_modulus(f: PLHomeo, epsilon: Fraction, trials: int, seed: int) -> Fraction:
+    """The sampled modulus with every orbit built in full before its
+    shadowing set is decided: the same grid, starts and seeds as
+    ``estimate_shadowing_modulus``."""
+    lo, hi = f.domain
+    for j in range(GRID_LEVELS):
+        delta = epsilon / 2**j
+        for t in range(trials):
+            start_rng = random.Random(seed * 1_000_003 + 2 * t)
+            x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
+            orbit = generate_pseudo_orbit(
+                f, delta, (0, ORBIT_LENGTH), x0, seed * 1_000_003 + 2 * t + 1
+            )
+            if shadowing_set(f, orbit, epsilon).is_empty:
+                break
+        else:
+            return delta
+    return Fraction(0)
+
+
 def orbit_membership_oracle(
     f: PLHomeo, f_inv: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction, y: Fraction
 ) -> bool:
@@ -321,6 +349,19 @@ def orbit_membership_oracle(
 # ---------------------------------------------------------------------------
 # Planting oracles: each builds its map point by point, with no merge
 # ---------------------------------------------------------------------------
+
+
+def edge_enriched_map(levels: int, eta: Fraction) -> PLHomeo:
+    """Ternary map with extra generators hugging both endpoints.
+
+    Plants an L interval at [eta, 2 eta] and an R interval at
+    [1 - 2 eta, 1 - eta], giving inward-flowing intervals arbitrarily close
+    to the boundary, which the truncated map lacks below its last level.
+    """
+    f = build_ternary_map(levels)
+    f = explode_fixed_point(f, Fraction(3, 2) * eta, eta / 2, Orientation.L)
+    f = explode_fixed_point(f, 1 - Fraction(3, 2) * eta, eta / 2, Orientation.R)
+    return f
 
 
 def appended_ternary_map(levels: int) -> PLHomeo:

@@ -486,6 +486,26 @@ class TestMalformedModelInput:
         assert code == 2
         assert "Traceback" not in err and "input error" in err
 
+    @pytest.mark.parametrize("command", ["render", "certify", "shadow"])
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_non_integer_M(self, tmp_path, command, bad):
+        obj = build_arc_model(2).to_json()
+        obj["M"] = bad
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps(obj))
+        h = tmp_path / "h.json"
+        h.write_text(dump_json(build_arcwise_map(build_arc_model(2), 1).to_json()))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+        argv = {
+            "render": ["render", y],
+            "certify": ["certify", "--model", y, "--epsilon", "1/10", "--trials", 2],
+            "shadow": ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"],
+        }[command]
+        code, err = run_process(argv)
+        assert code == 2
+        assert "integer field M" in err and "Traceback" not in err
+
     def test_render_scalar(self, tmp_path):
         path = tmp_path / "three.json"
         path.write_text("3")

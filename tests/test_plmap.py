@@ -27,8 +27,14 @@ from continua.plmap import (
     rescale,
     wandering_intervals,
 )
-from continua.cantor import build_conjugacy, build_ternary_map, check_chain_property
+from continua.cantor import (
+    best_chain_quality,
+    build_conjugacy,
+    build_ternary_map,
+    check_chain_property,
+)
 from conftest import (
+    edge_enriched_map,
     grid_c0_distance,
     grid_compose,
     interpolate,
@@ -85,8 +91,10 @@ class TestEvaluate:
         assert evaluate(canonical_r(F(1, 3), F(2, 3)), F(1, 2)) == F(7, 12)
 
     def test_outside_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^2 outside domain \[0, 1\]$"):
             evaluate(identity(), F(2))
+        with pytest.raises(DomainError, match=r"^-1/3 outside domain \[0, 1\]$"):
+            evaluate(canonical_r(0, 1), F(-1, 3))
 
 
 class TestComposeInvert:
@@ -360,6 +368,7 @@ class TestCachedPathsAgainstOracles:
         assert invert(inv) is not f
         evaluate(f, F(1, 2))
         evaluate(inv, F(1, 2))
+        assert "_kernel" in f.__dict__ and "_kernel" in inv.__dict__
         # no reference cycle: dropping the map frees it and its inverse
         # at once, without the cycle collector
         refs = [weakref.ref(f), weakref.ref(inv)]
@@ -497,3 +506,53 @@ class TestAlgebraProperties:
     def test_compose_stays_canonical(self, f, g):
         h = compose(f, g)
         assert PLHomeo(h.breakpoints, h.values) == h
+
+
+def check_kernel(f: PLHomeo) -> None:
+    """evaluate on f and its inverse equals the cache-free interpolation at
+    every breakpoint, inside every piece and near both ends, and raises
+    the domain message just outside."""
+    for g in (f, invert(f)):
+        lo, hi = g.domain
+        xs = g.breakpoints
+        points = list(xs)
+        for x0, x1 in zip(xs, xs[1:]):
+            points += [(x0 + x1) / 2, x0 + (x1 - x0) / 7]
+        for k in range(1, 7):
+            points += [lo + (hi - lo) / 10**k, hi - (hi - lo) / 10**k]
+        for x in points:
+            assert evaluate(g, x) == interpolate(g, x)
+        for x in (lo - (hi - lo) / 10**12, hi + (hi - lo) / 10**12):
+            with pytest.raises(DomainError) as exc:
+                evaluate(g, x)
+            assert str(exc.value) == f"{x} outside domain [{lo}, {hi}]"
+
+
+class TestEvaluateKernel:
+    """evaluate's integer kernel against the cache-free oracle."""
+
+    @algebra_settings
+    @given(walk_maps())
+    def test_random_maps(self, f):
+        check_kernel(f)
+
+    @pytest.mark.parametrize("levels", range(11))
+    def test_ternary_maps(self, levels):
+        check_kernel(build_ternary_map(levels))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_edge_enriched_maps(self, levels):
+        check_kernel(edge_enriched_map(levels, F(1, 2**17)))
+
+    def test_deep_calls_build_no_kernel(self):
+        f9 = build_ternary_map(9)
+        A = random_coordinate_change(random.Random(9))
+        g = compose(A, compose(f9, invert(A)))
+        compose(g, invert(g))
+        c0_distance(g, f9)
+        q = best_chain_quality(wandering_intervals(g))
+        check_chain_property(g, q)
+        check_chain_property(g, q + q / 1000)
+        build_conjugacy(g, 4)
+        for h in (f9, A, invert(A), g, invert(g)):
+            assert "_kernel" not in h.__dict__

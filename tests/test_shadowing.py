@@ -54,6 +54,8 @@ from continua.shadowing import (
 )
 
 from conftest import (
+    edge_enriched_map,
+    materialized_modulus,
     orbit_membership_oracle,
     random_fat_map,
     random_plhomeo,
@@ -61,19 +63,6 @@ from conftest import (
     scan_min_separation_sq,
     steady_drift_orbit,
 )
-
-
-def edge_enriched_map(levels: int, eta: F) -> "PLHomeo":
-    """Ternary map with extra generators hugging both endpoints.
-
-    Plants an L interval at [eta, 2 eta] and an R interval at
-    [1 - 2 eta, 1 - eta], giving inward-flowing intervals arbitrarily close
-    to the boundary, which the truncated map lacks below its last level.
-    """
-    f = build_ternary_map(levels)
-    f = explode_fixed_point(f, F(3, 2) * eta, eta / 2, Orientation.L)
-    f = explode_fixed_point(f, 1 - F(3, 2) * eta, eta / 2, Orientation.R)
-    return f
 
 
 @st.composite
@@ -238,11 +227,45 @@ class TestModulus:
         assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 100, 5) == F(1, 80)
 
 
+class TestLazyModulus:
+    """The sampler folds each orbit as it is generated."""
+
+    @pytest.mark.parametrize("depth", range(2, 7))
+    def test_equals_materialized_modulus(self, depth):
+        f = build_ternary_map(depth)
+        for eps in (F(1, 20), F(1, 40), F(1, 29)):
+            for trials in (5, 25):
+                for seed in (1, 4, 9):
+                    expected = materialized_modulus(f, eps, trials, seed)
+                    assert estimate_shadowing_modulus(f, eps, trials, seed) == expected, (
+                        eps, trials, seed
+                    )
+
+    def test_fold_stops_at_the_first_empty_step(self):
+        eps = F(1, 20)
+        for f in (identity(), build_ternary_map(3)):
+            orbit = steady_drift_orbit(f, F(0), F(1, 80), 24, down=False)
+            # k: the first index whose prefix has an empty shadowing set
+            k = next(
+                n for n in range(25)
+                if shadowing_set(f, PseudoOrbit(orbit.points[: n + 1], 0), eps).is_empty
+            )
+            drawn = []
+
+            def points():
+                for x in orbit.points:
+                    drawn.append(x)
+                    yield x
+
+            assert _forward_fold(f, points(), eps) is None
+            assert len(drawn) == k + 1
+
+
 class TestForwardFold:
     """The sampler decides emptiness by the forward fold alone."""
 
     def check(self, f, orbit, eps):
-        cur = _forward_fold(f, orbit, eps)
+        cur = _forward_fold(f, orbit.points, eps)
         s = shadowing_set(f, orbit, eps)
         assert (cur is None) == s.is_empty
         if cur is not None:
@@ -275,7 +298,7 @@ class TestForwardFold:
                 x0 = F(rng.randrange(0, 65), 64)
                 o = steady_drift_orbit(f, x0, step, 24, down=rng.randrange(2) == 0)
                 self.check(f, o, eps)
-                seen.add(_forward_fold(f, o, eps) is None)
+                seen.add(_forward_fold(f, o.points, eps) is None)
         assert seen == {True, False}
 
 
