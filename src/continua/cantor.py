@@ -24,7 +24,7 @@ On top of that construction this module provides:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -366,8 +366,13 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.domain != (Fraction(0), Fraction(1)):
-        raise DomainError(f"conjugacy building expects maps on [0, 1], got {g.domain}")
+        raise DomainError(f"conjugacy building expects maps on [0, 1], got [{g.lo}, {g.hi}]")
+    # sorted and disjoint, so the intervals inside a gap form one index
+    # range of both endpoint lists
     ivs = wandering_intervals(g)
+    starts = [iv.a for iv in ivs]
+    ends = [iv.b for iv in ivs]
+    widths = [iv.width for iv in ivs]
 
     matched: list[tuple[OrientedInterval, TernaryIndex]] = []
     # (source gap, template gap) pairs, left to right; a level-n template
@@ -379,14 +384,16 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
         want = Orientation.R if level % 2 == 0 else Orientation.L
         new_gaps = []
         for (glo, ghi), (tlo, thi) in gaps:
-            cands = [
-                iv for iv in ivs if iv.orientation is want and glo < iv.a and iv.b < ghi
-            ]
-            if not cands:
+            # the widest, and the leftmost of equally wide
+            best = None
+            for k in range(bisect_right(starts, glo), bisect_left(ends, ghi)):
+                if ivs[k].orientation is want and (best is None or widths[k] > widths[best]):
+                    best = k
+            if best is None:
                 raise InsufficientIntervals(
                     f"round {rnd}: no {want.value} interval inside gap ({glo}, {ghi})"
                 )
-            pick = max(cands, key=lambda iv: (iv.width, -iv.a))
+            pick = ivs[best]
             target = TernaryIndex(level, int(tlo * 3**level))
             ta, tb = target.interval()
             matched.append((pick, target))

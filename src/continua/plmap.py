@@ -2,24 +2,29 @@
 
 A ``PLHomeo`` is stored as matched breakpoint/value lists over exact
 rationals, with both endpoints fixed (orientation preserving).  The
-representation is canonical: breakpoints collinear with their neighbors are
-pruned, so structural equality is semantic equality and identity laws hold
-bit-exactly.
+representation is canonical: a breakpoint whose two adjacent slopes are
+equal is pruned, so structural equality is semantic equality and identity
+laws hold bit-exactly.
 
 The validating constructor ``PLHomeo(breakpoints, values)`` is the only
 public way to build a map; ``from_json`` and every other module go through
 it.  Inside this module, results that are canonical by construction (an
 inverse, a pruned composition) are wrapped by ``_trusted`` without being
-checked again.  Each map caches, on first use, its per-piece slopes (read
-by ``max_slope``), its integer evaluation kernel (read by ``evaluate``),
-its inverse (returned by ``invert``), and its fixed set and wandering
-intervals, found together in one walk over the breakpoints (copied out by
-``fixed_set`` and ``wandering_intervals``).  The kernel scales the
-breakpoints by d, the lcm of their denominators, to integer keys, and
-writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so
-one evaluation locates its piece by integer comparisons and builds one
-Fraction.  The inverse holds no reference back to its map, so the cache
-forms no reference cycle.
+checked again.  Every map carries its per-piece slopes (read by
+``max_slope``, ``compose``, ``c0_distance`` and the kernel): the
+constructor computes them, ``compose`` gets them from its walk, and
+``invert`` takes the reciprocals.  Slopes built from the same integer
+pair share one Fraction, so a map's few distinct slopes take little
+memory.  Each map also caches, on first use, its integer evaluation
+kernel (read by ``evaluate``), its inverse (returned by ``invert``), and
+its fixed set and wandering intervals, found together in one walk over
+the breakpoints (copied out by ``fixed_set`` and
+``wandering_intervals``).  The kernel
+scales the breakpoints by d, the lcm of their denominators, to integer
+keys, and writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers
+α, β, γ, so one evaluation locates its piece by integer comparisons and
+builds one Fraction.  The inverse holds no reference back to its map, so
+the cache forms no reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
@@ -34,7 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 from .rational import positive, rational_from_json, rational_to_json
 
@@ -79,22 +83,6 @@ class OrientedInterval:
         }
 
 
-def _prune_collinear(xs: list[Fraction], ys: list[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    keep_x = [xs[0]]
-    keep_y = [ys[0]]
-    for i in range(1, len(xs) - 1):
-        x0, y0 = keep_x[-1], keep_y[-1]
-        x1, y1 = xs[i], ys[i]
-        x2, y2 = xs[i + 1], ys[i + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        keep_x.append(x1)
-        keep_y.append(y1)
-    keep_x.append(xs[-1])
-    keep_y.append(ys[-1])
-    return tuple(keep_x), tuple(keep_y)
-
-
 @dataclass(frozen=True)
 class PLHomeo:
     """Increasing PL bijection of [lo, hi] fixing both endpoints.
@@ -119,9 +107,21 @@ class PLHomeo:
                 raise ValueError("values must be strictly increasing")
         if ys[0] != xs[0] or ys[-1] != xs[-1]:
             raise ValueError("endpoints must be fixed: values[0]=lo, values[-1]=hi")
-        xs2, ys2 = _prune_collinear(xs, ys)
-        object.__setattr__(self, "breakpoints", xs2)
-        object.__setattr__(self, "values", ys2)
+        # a breakpoint whose two adjacent slopes are equal is dropped; the
+        # piece it splits keeps that slope
+        keep_x, keep_y, slopes = [], [], []
+        made: dict[tuple[int, int], Fraction] = {}
+        for i in range(len(xs) - 1):
+            s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+            if not slopes or s != slopes[-1]:
+                keep_x.append(xs[i])
+                keep_y.append(ys[i])
+                slopes.append(made.setdefault((s.numerator, s.denominator), s))
+        keep_x.append(xs[-1])
+        keep_y.append(ys[-1])
+        object.__setattr__(self, "breakpoints", tuple(keep_x))
+        object.__setattr__(self, "values", tuple(keep_y))
+        object.__setattr__(self, "_slopes", tuple(slopes))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -136,11 +136,6 @@ class PLHomeo:
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
-
-    @cached_property
-    def _slopes(self) -> tuple[Fraction, ...]:
-        xs, ys = self.breakpoints, self.values
-        return tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
 
     @cached_property
     def _kernel(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -162,9 +157,12 @@ class PLHomeo:
 
     @cached_property
     def _inverse(self) -> "PLHomeo":
-        # Swapping the lists keeps them canonical: the collinearity test is
-        # symmetric in x and y.  The inverse does not point back at self.
-        return _trusted(self.values, self.breakpoints)
+        # Swapping the lists keeps them canonical: two adjacent slopes are
+        # equal exactly where their reciprocals are.  The inverse does not
+        # point back at self.
+        made: dict[tuple[int, int], Fraction] = {}
+        slopes = tuple(_shared(made, s.denominator, s.numerator) for s in self._slopes)
+        return _trusted(self.values, self.breakpoints, slopes)
 
     @cached_property
     def _structure(
@@ -205,11 +203,26 @@ def _lcm(a: int, b: int) -> int:
     return b * Fraction(a, b).numerator
 
 
-def _trusted(breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]) -> PLHomeo:
-    """Wrap canonical tuples of Fractions as a map, skipping validation."""
+def _shared(made: dict[tuple[int, int], Fraction], n: int, d: int) -> Fraction:
+    """n/d, built once per distinct pair recorded in ``made``: a map's
+    slopes take few distinct values, so its pieces share the objects."""
+    s = made.get((n, d))
+    if s is None:
+        s = made[n, d] = Fraction(n, d)
+    return s
+
+
+def _trusted(
+    breakpoints: tuple[Fraction, ...],
+    values: tuple[Fraction, ...],
+    slopes: tuple[Fraction, ...],
+) -> PLHomeo:
+    """Wrap canonical tuples of Fractions and the per-piece slopes as a
+    map, skipping validation."""
     f = object.__new__(PLHomeo)
     object.__setattr__(f, "breakpoints", breakpoints)
     object.__setattr__(f, "values", values)
+    object.__setattr__(f, "_slopes", slopes)
     return f
 
 
@@ -247,39 +260,49 @@ def invert(f: PLHomeo) -> PLHomeo:
     return f._inverse
 
 
-def _merge_walk(ax, ay, bx, by):
-    """(a(t), b(t)) for two PL graphs at every t of ax ∪ bx, in order.
+def _walk(ax, bx):
+    """(i, j, side) for each t of ax ∪ bx, in increasing order.
 
-    Both abscissa lists are strictly increasing with common ends.  At one
-    of its own abscissae a graph gives its stored value; elsewhere it
-    interpolates the piece the walk is in, whose slope is computed on first
-    use and dropped when the walk leaves the piece.  O(len(ax) + len(bx))
-    exact operations.
+    Both abscissa lists hold Fractions, strictly increasing with common
+    ends.  side 0: t = ax[i] = bx[j].  side 1: t = ax[i] lies strictly
+    inside b's piece j - 1.  side 2: t = bx[j] lies strictly inside a's
+    piece i - 1.  So the piece left of t is (i - 1, j - 1) in both lists.
+    Abscissae are ordered by cross-multiplying their integer numerators
+    and denominators; no Fraction is built.
     """
     i = j = 0
-    a_slope = b_slope = None
     last = len(ax) - 1
+    an, ad = ax[0].numerator, ax[0].denominator
+    bn, bd = bx[0].numerator, bx[0].denominator
     while True:
-        s, t = ax[i], bx[j]
-        if s == t:
-            yield ay[i], by[j]
+        left, right = an * bd, bn * ad
+        if left == right:
+            yield i, j, 0
             if i == last:
                 return
             i += 1
             j += 1
-            a_slope = b_slope = None
-        elif s < t:
-            if b_slope is None:
-                b_slope = (by[j] - by[j - 1]) / (t - bx[j - 1])
-            yield ay[i], by[j - 1] + (s - bx[j - 1]) * b_slope
+            an, ad = ax[i].numerator, ax[i].denominator
+            bn, bd = bx[j].numerator, bx[j].denominator
+        elif left < right:
+            yield i, j, 1
             i += 1
-            a_slope = None
+            an, ad = ax[i].numerator, ax[i].denominator
         else:
-            if a_slope is None:
-                a_slope = (ay[i] - ay[i - 1]) / (s - ax[i - 1])
-            yield ay[i - 1] + (t - ax[i - 1]) * a_slope, by[j]
+            yield i, j, 2
             j += 1
-            b_slope = None
+            bn, bd = bx[j].numerator, bx[j].denominator
+
+
+def _lerp(x0: Fraction, y0: Fraction, s: Fraction, t: Fraction, flip: bool) -> tuple[int, int]:
+    """y0 + (t − x0)·s, or y0 + (t − x0)/s when flip, as an integer
+    numerator and positive denominator, not reduced."""
+    sn, sd = (s.denominator, s.numerator) if flip else (s.numerator, s.denominator)
+    xn, xd = x0.numerator, x0.denominator
+    yn, yd = y0.numerator, y0.denominator
+    tn, td = t.numerator, t.denominator
+    m = xd * td * sd
+    return yn * m + yd * (tn * xd - xn * td) * sn, yd * m
 
 
 def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
@@ -287,16 +310,52 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
 
     One merge walk in g's value space, of g⁻¹ (g's lists swapped) against
     f: each value u of g or breakpoint of f yields the breakpoint g⁻¹(u)
-    with value f(u).  So the result has exactly g's breakpoints and the
-    g-preimages of f's breakpoints, and every piece is genuinely affine.
-    Both lists come out strictly increasing with the shared endpoints
-    fixed, so pruning is the only canonicalization they need.
-    O(len(f) + len(g)) exact operations; no inverse is built.
+    with value f(u).  So the result has g's breakpoints and the
+    g-preimages of f's breakpoints, and every merged piece is affine with
+    slope f'·g', the product of two cached slopes.  A point is dropped
+    when the products on its two sides are equal, compared as integers
+    before any coordinate is interpolated.  A kept point's interpolated
+    coordinate is one integer numerator over one integer denominator, so
+    the walk builds one Fraction per interpolated coordinate and at most
+    one per output slope; it leaves the slopes cached on the result.
+    O(len(f) + len(g)) operations; no inverse is built.
     """
     if f.domain != g.domain:
-        raise DomainError(f"domain mismatch: {f.domain} vs {g.domain}")
-    xs, ys = zip(*_merge_walk(g.values, g.breakpoints, f.breakpoints, f.values))
-    return _trusted(*_prune_collinear(xs, ys))
+        raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
+    gx, gu, gs = g.breakpoints, g.values, g._slopes
+    fu, fy, fs = f.breakpoints, f.values, f._slopes
+    xs, ys, slopes = [gx[0]], [fy[0]], []
+    made: dict[tuple[int, int], Fraction] = {}
+    last = len(gu) - 1
+    steps = _walk(gu, fu)
+    next(steps)
+    # slope of the output piece that ends at the next kept point
+    cn = fs[0].numerator * gs[0].numerator
+    cd = fs[0].denominator * gs[0].denominator
+    for i, j, side in steps:
+        if i == last and side == 0:
+            break
+        # the piece right of this point, in g's and in f's lists
+        gi = i - 1 if side == 2 else i
+        fj = j - 1 if side == 1 else j
+        sf, sg = fs[fj], gs[gi]
+        rn, rd = sf.numerator * sg.numerator, sf.denominator * sg.denominator
+        if rn * cd == cn * rd:
+            continue
+        if side == 2:
+            xs.append(Fraction(*_lerp(gu[i - 1], gx[i - 1], gs[i - 1], fu[j], True)))
+        else:
+            xs.append(gx[i])
+        if side == 1:
+            ys.append(Fraction(*_lerp(fu[j - 1], fy[j - 1], fs[j - 1], gu[i], False)))
+        else:
+            ys.append(fy[j])
+        slopes.append(_shared(made, cn, cd))
+        cn, cd = rn, rd
+    xs.append(gx[-1])
+    ys.append(fy[-1])
+    slopes.append(_shared(made, cn, cd))
+    return _trusted(tuple(xs), tuple(ys), tuple(slopes))
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -313,16 +372,33 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
 
     The difference of two PL maps is PL, so each sup is attained on the
     merged breakpoint lists: one merge walk of f against g, and one of the
-    swapped (values, breakpoints) lists, so neither inverse is built.
-    O(len(f) + len(g)) exact operations.
+    swapped (values, breakpoints) lists with reciprocal slopes, so neither
+    inverse is built.  At each merged point one map gives a stored value
+    and the other a stored or interpolated one; their difference and the
+    running maximum are kept as integer numerator/denominator pairs, and
+    the one Fraction is built at the end.  O(len(f) + len(g)) operations.
     """
     if f.domain != g.domain:
-        raise DomainError(f"domain mismatch: {f.domain} vs {g.domain}")
-    walks = chain(
-        _merge_walk(f.breakpoints, f.values, g.breakpoints, g.values),
-        _merge_walk(f.values, f.breakpoints, g.values, g.breakpoints),
-    )
-    return max(abs(p - q) for p, q in walks)
+        raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
+    fs, gs = f._slopes, g._slopes
+    top_n, top_d = 0, 1
+    for ax, ay, bx, by, flip in (
+        (f.breakpoints, f.values, g.breakpoints, g.values, False),
+        (f.values, f.breakpoints, g.values, g.breakpoints, True),
+    ):
+        for i, j, side in _walk(ax, bx):
+            if side == 2:
+                pn, pd = _lerp(ax[i - 1], ay[i - 1], fs[i - 1], bx[j], flip)
+            else:
+                pn, pd = ay[i].numerator, ay[i].denominator
+            if side == 1:
+                qn, qd = _lerp(bx[j - 1], by[j - 1], gs[j - 1], ax[i], flip)
+            else:
+                qn, qd = by[j].numerator, by[j].denominator
+            n, d = abs(pn * qd - qn * pd), pd * qd
+            if n * top_d > top_n * d:
+                top_n, top_d = n, d
+    return Fraction(top_n, top_d)
 
 
 def _fixed_and_wandering(

@@ -28,9 +28,7 @@ from continua.plmap import (
     Orientation,
     OrientedInterval,
     PLHomeo,
-    c0_distance,
     canonical_generator,
-    compose,
     evaluate,
 )
 from continua.rational import exact_sqrt
@@ -294,6 +292,70 @@ def grid_c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     return max(branch(f, g), branch(validated_inverse(f), validated_inverse(g)))
 
 
+def _fraction_merge_walk(ax, ay, bx, by):
+    """(a(t), b(t)) for two PL graphs at every t of ax ∪ bx, in order, in
+    Fraction arithmetic: a stored value at a graph's own abscissa, else
+    interpolation on a slope computed from the piece's ends."""
+    i = j = 0
+    a_slope = b_slope = None
+    last = len(ax) - 1
+    while True:
+        s, t = ax[i], bx[j]
+        if s == t:
+            yield ay[i], by[j]
+            if i == last:
+                return
+            i += 1
+            j += 1
+            a_slope = b_slope = None
+        elif s < t:
+            if b_slope is None:
+                b_slope = (by[j] - by[j - 1]) / (t - bx[j - 1])
+            yield ay[i], by[j - 1] + (s - bx[j - 1]) * b_slope
+            i += 1
+            a_slope = None
+        else:
+            if a_slope is None:
+                a_slope = (ay[i] - ay[i - 1]) / (s - ax[i - 1])
+            yield ay[i - 1] + (t - ax[i - 1]) * a_slope, by[j]
+            j += 1
+            b_slope = None
+
+
+def fraction_prune_collinear(xs, ys) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Drop every point collinear with the last kept point and the next."""
+    keep_x = [xs[0]]
+    keep_y = [ys[0]]
+    for i in range(1, len(xs) - 1):
+        x0, y0 = keep_x[-1], keep_y[-1]
+        x1, y1 = xs[i], ys[i]
+        x2, y2 = xs[i + 1], ys[i + 1]
+        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+            continue
+        keep_x.append(x1)
+        keep_y.append(y1)
+    keep_x.append(xs[-1])
+    keep_y.append(ys[-1])
+    return tuple(keep_x), tuple(keep_y)
+
+
+def fraction_walk_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
+    """f∘g by a Fraction merge walk of g⁻¹ against f, pruned collinearly;
+    validated by the public constructor."""
+    xs, ys = zip(*_fraction_merge_walk(g.values, g.breakpoints, f.breakpoints, f.values))
+    return PLHomeo(*fraction_prune_collinear(xs, ys))
+
+
+def fraction_walk_c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
+    """max(sup|f-g|, sup|f⁻¹-g⁻¹|) by Fraction merge walks of the lists and
+    of the swapped lists."""
+    walks = itertools.chain(
+        _fraction_merge_walk(f.breakpoints, f.values, g.breakpoints, g.values),
+        _fraction_merge_walk(f.values, f.breakpoints, g.values, g.breakpoints),
+    )
+    return max(abs(p - q) for p, q in walks)
+
+
 def steady_drift_orbit(
     f: PLHomeo, x0: Fraction, step: Fraction, length: int, down: bool
 ) -> PseudoOrbit:
@@ -435,11 +497,12 @@ def interpolated_densify(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
 def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     """``build_conjugacy`` rebuilding both gap lists every round and looking
     each template interval up among the level's minimal indices; the
-    wandering intervals come from ``midpoint_wandering_intervals``."""
+    wandering intervals come from ``midpoint_wandering_intervals``, and the
+    residual from ``grid_compose`` and ``grid_c0_distance``."""
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.domain != (Fraction(0), Fraction(1)):
-        raise DomainError(f"conjugacy building expects maps on [0, 1], got {g.domain}")
+        raise DomainError(f"conjugacy building expects maps on [0, 1], got [{g.lo}, {g.hi}]")
     ivs = midpoint_wandering_intervals(g)
     by_level = {n: [idx for idx in minimal_indices(depth - 1) if idx.n == n] for n in range(depth)}
 
@@ -489,7 +552,7 @@ def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     h = PLHomeo(tuple(xs), tuple(ys))
 
     template = build_ternary_map(depth - 1)
-    residual = c0_distance(compose(h, g), compose(template, h))
+    residual = grid_c0_distance(grid_compose(h, g), grid_compose(template, h))
     return ConjugacyReport(h, depth, tuple(matched), residual)
 
 

@@ -24,6 +24,7 @@ from continua.cantor import (
     minimal_indices,
 )
 from continua.plmap import (
+    DomainError,
     Orientation,
     PLHomeo,
     c0_distance,
@@ -328,6 +329,26 @@ class TestBuildConjugacy:
     def test_identity_insufficient(self):
         with pytest.raises(InsufficientIntervals):
             build_conjugacy(identity(), 1)
+
+    def test_domain_message(self):
+        g = canonical_r(0, 2)
+        for build in (build_conjugacy, template_lookup_conjugacy):
+            with pytest.raises(
+                DomainError, match=r"^conjugacy building expects maps on \[0, 1\], got \[0, 2\]$"
+            ):
+                build(g, 1)
+
+    def test_equal_widths_pick_leftmost(self):
+        # R intervals of width 1/4 at both ends of a gap, a narrower one between
+        xs, ys = [F(0)], [F(0)]
+        for a, b in ((F(1, 16), F(5, 16)), (F(3, 8), F(1, 2)), (F(5, 8), F(7, 8))):
+            gen = canonical_r(a, b)
+            xs += gen.breakpoints
+            ys += gen.values
+        g = PLHomeo(tuple(xs + [F(1)]), tuple(ys + [F(1)]))
+        report = build_conjugacy(g, 1)
+        assert [(iv.a, iv.b) for iv, _ in report.matched] == [(F(1, 16), F(5, 16))]
+        assert report == template_lookup_conjugacy(g, 1)
 
     def test_matched_lists_template_isomorphic(self):
         rng = random.Random(14)

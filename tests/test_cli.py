@@ -256,6 +256,13 @@ class TestExplodeConjugate:
             "insufficient intervals: round 1: no R interval inside gap (0, 1)"
         ]
 
+    def test_conjugate_off_the_unit_interval(self, map_file):
+        path = map_file(canonical_r(0, 2))
+        code, err = run_process(["conjugate", path, "--depth", 1])
+        assert code == 2
+        assert "got [0, 2]" in err
+        assert "Fraction(" not in err
+
 
 class TestModulus:
     def test_output_and_determinism(self, tmp_path, map_file):

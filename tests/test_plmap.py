@@ -35,6 +35,9 @@ from continua.cantor import (
 )
 from conftest import (
     edge_enriched_map,
+    fraction_prune_collinear,
+    fraction_walk_c0_distance,
+    fraction_walk_compose,
     grid_c0_distance,
     grid_compose,
     interpolate,
@@ -118,7 +121,7 @@ class TestComposeInvert:
         assert evaluate(compose(r, r), F(1, 2)) == F(7, 8)
 
     def test_domain_mismatch(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^domain mismatch: \[0, 1\] vs \[0, 2\]$"):
             compose(identity(), identity(F(0), F(2)))
 
     def test_invert_identity(self):
@@ -164,6 +167,10 @@ class TestC0Distance:
 
     def test_identity_to_canonical(self):
         assert c0_distance(identity(), canonical_r(0, 1)) == F(1, 4)
+
+    def test_domain_mismatch(self):
+        with pytest.raises(DomainError, match=r"^domain mismatch: \[1/2, 2\] vs \[0, 1\]$"):
+            c0_distance(identity(F(1, 2), F(2)), identity())
 
     def test_metric_axioms(self):
         rng = random.Random(107)
@@ -391,8 +398,7 @@ class TestCachedPathsAgainstOracles:
 
     def test_max_slope_equals_uncached_slopes(self):
         for f in oracle_maps(114):
-            xs, ys = f.breakpoints, f.values
-            slopes = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+            slopes = uncached_slopes(f)
             assert max_slope(f) == max(slopes)
             assert max_slope(invert(f)) == max(1 / s for s in slopes)
 
@@ -506,6 +512,155 @@ class TestAlgebraProperties:
     def test_compose_stays_canonical(self, f, g):
         h = compose(f, g)
         assert PLHomeo(h.breakpoints, h.values) == h
+
+
+def uncached_slopes(f: PLHomeo) -> tuple[F, ...]:
+    xs, ys = f.breakpoints, f.values
+    return tuple((ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1))
+
+
+def check_walks(f: PLHomeo, g: PLHomeo) -> None:
+    """compose and c0_distance on (f, g) equal the Fraction merge walks, and
+    the slopes left on the composite equal its uncached slopes."""
+    h = compose(f, g)
+    ref = fraction_walk_compose(f, g)
+    assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+    assert h._slopes == uncached_slopes(h)
+    assert c0_distance(f, g) == fraction_walk_c0_distance(f, g)
+
+
+@st.composite
+def sharing_pairs(draw) -> tuple[PLHomeo, PLHomeo]:
+    """f and the map through f's breakpoints with values r(f(x)): the
+    second keeps every breakpoint of f that stays a corner, so the two
+    maps share breakpoints."""
+    f, r = draw(walk_maps()), draw(walk_maps())
+    return f, PLHomeo(f.breakpoints, tuple(evaluate(r, y) for y in f.values))
+
+
+class TestIntegerWalk:
+    """compose and c0_distance against the Fraction merge walks."""
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_random_pairs(self, f, g):
+        check_walks(f, g)
+        check_walks(g, f)
+
+    @algebra_settings
+    @given(walk_maps())
+    def test_inverse_identity_and_self(self, f):
+        for g in (invert(f), identity(), f):
+            check_walks(f, g)
+            check_walks(g, f)
+        assert compose(f, invert(f)) == identity()
+
+    @algebra_settings
+    @given(sharing_pairs())
+    def test_shared_breakpoints(self, pair):
+        f, g = pair
+        check_walks(f, g)
+        check_walks(g, invert(f))
+        check_walks(invert(g), invert(f))
+
+    @walk_settings
+    @given(st.integers(0, 2**32))
+    def test_touching_maps(self, seed):
+        rng = random.Random(seed)
+        f, g = random_touching_map(rng, 12), random_touching_map(rng, 12)
+        check_walks(f, g)
+        check_walks(f, invert(g))
+
+    @pytest.mark.parametrize("levels", [7, 8, 9, 10])
+    def test_deep_conjugates(self, levels):
+        f = build_ternary_map(levels)
+        A = random_coordinate_change(random.Random(levels))
+        inner = compose(f, invert(A))
+        assert inner == fraction_walk_compose(f, invert(A))
+        g = compose(A, inner)
+        assert g == fraction_walk_compose(A, inner)
+        check_walks(g, invert(g))
+        check_walks(g, f)
+        check_walks(f, g)
+
+    def test_shared_domain_off_the_unit_interval(self):
+        f = rescale(canonical_r(0, 1), (F(-3, 2), F(5, 7)))
+        g = rescale(build_ternary_map(2), (F(-3, 2), F(5, 7)))
+        for a, b in ((f, g), (g, f), (f, invert(g)), (g, identity(F(-3, 2), F(5, 7)))):
+            check_walks(a, b)
+
+
+class TestSlopeCaches:
+    """The slopes the constructor, compose and invert leave on a map equal
+    its uncached slopes."""
+
+    @algebra_settings
+    @given(walk_maps())
+    def test_constructor_and_inverse(self, f):
+        g = PLHomeo(f.breakpoints, f.values)
+        assert g._slopes == uncached_slopes(g)
+        inv = invert(g)
+        assert inv._slopes == uncached_slopes(inv)
+
+    @algebra_settings
+    @given(walk_maps(), st.integers(0, 2**32))
+    def test_constructor_prunes_like_collinearity(self, f, seed):
+        """Points inserted on the pieces of f are pruned as the
+        three-point collinearity test prunes them."""
+        rng = random.Random(seed)
+        xs, ys = list(f.breakpoints), list(f.values)
+        for _ in range(rng.randrange(1, 6)):
+            k = rng.randrange(len(xs) - 1)
+            t = F(rng.randrange(1, 8), 8)
+            xs.insert(k + 1, xs[k] + t * (xs[k + 1] - xs[k]))
+            ys.insert(k + 1, ys[k] + t * (ys[k + 1] - ys[k]))
+        h = PLHomeo(tuple(xs), tuple(ys))
+        assert (h.breakpoints, h.values) == fraction_prune_collinear(xs, ys)
+        assert (h.breakpoints, h.values) == (f.breakpoints, f.values)
+
+
+def count_fractions(fn, *args):
+    """fn(*args) and the number of Fractions it constructed."""
+    made = [0]
+    original = vars(F)["__new__"]
+
+    def counting(cls, *a, **k):
+        made[0] += 1
+        return original.__func__(cls, *a, **k)
+
+    F.__new__ = staticmethod(counting)
+    try:
+        result = fn(*args)
+    finally:
+        F.__new__ = original
+    return result, made[0]
+
+
+class TestFractionBudget:
+    """The integer walk builds one Fraction per interpolated output
+    coordinate and per distinct output slope in compose, and one in all of
+    c0_distance."""
+
+    def setup_method(self):
+        self.f9 = build_ternary_map(9)
+        self.A = random_coordinate_change(random.Random(11))
+        self.A_inv = invert(self.A)
+
+    def test_compose(self):
+        inner, made = count_fractions(compose, self.f9, self.A_inv)
+        assert made <= len(inner.breakpoints) + len(inner._slopes)
+        g, made = count_fractions(compose, self.A, inner)
+        assert made <= len(g.breakpoints) + len(g._slopes)
+        assert len(g.breakpoints) > 3000
+        g_inv = invert(g)
+        identity_map, made = count_fractions(compose, g, g_inv)
+        assert identity_map == identity() and made <= 1
+
+    def test_c0_distance(self):
+        g = compose(self.A, compose(self.f9, self.A_inv))
+        distance, made = count_fractions(c0_distance, g, self.f9)
+        assert distance == fraction_walk_c0_distance(g, self.f9)
+        assert made == 1
 
 
 def check_kernel(f: PLHomeo) -> None:
