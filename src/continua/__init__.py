@@ -83,7 +83,7 @@ from .shadowing import (
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_integer, parse_rational
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

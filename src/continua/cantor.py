@@ -202,8 +202,8 @@ def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     """fwd[i]: minimal achievable max(later gaps, trailing margin) from i.
 
     Minimax dynamic programming over all alternating continuations; with it
-    the scan below is complete: it finds a witness whenever any subsequence
-    of the wandering intervals is one.
+    the scan in ``check_chain_property`` is complete: it finds a witness
+    whenever any subsequence of the wandering intervals is one.
 
     ``ivs`` must be sorted and pairwise disjoint, as ``wandering_intervals``
     returns them; then every j >= i + 2 lies strictly right of i, and only
@@ -218,9 +218,6 @@ def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.
     """
-    for prev, nxt in zip(ivs, ivs[1:]):
-        if prev.b > nxt.a:
-            raise ValueError("wandering intervals must be sorted and pairwise disjoint")
     n = len(ivs)
     fwd = [Fraction(0)] * n
     # per orientation: candidate indices, and fwd[j] - a_j, which increases
@@ -255,55 +252,41 @@ def best_chain_quality(
 ) -> Fraction | None:
     """Exact optimum of ChainWitness.quality over all alternating chains.
 
-    None when there is no R interval to start a chain.
+    ``ivs`` must be sorted and pairwise disjoint (else ValueError).  None
+    when there is no R interval to start a chain.
     """
-    fwd = _suffix_best(ivs, hi)
-    best: Fraction | None = None
-    for i, iv in enumerate(ivs):
-        if iv.orientation is Orientation.R:
-            q = max(iv.a - lo, fwd[i])
-            if best is None or q < best:
-                best = q
-    return best
+    for prev, nxt in zip(ivs, ivs[1:]):
+        if prev.b > nxt.a:
+            raise ValueError("wandering intervals must be sorted and pairwise disjoint")
+    starts = zip(ivs, _suffix_best(ivs, hi))
+    return min(
+        (max(iv.a - lo, rest) for iv, rest in starts if iv.orientation is Orientation.R),
+        default=None,
+    )
 
 
 def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     """Witness for the fine-chain property at ``epsilon``, or None.
 
-    Left-to-right scan over the wandering intervals, keeping only steps that
-    preserve feasibility (the suffix minimax above), taking the earliest
-    such interval at each step; the chain is extended while any feasible
-    extension remains.
+    One left-to-right scan over the wandering intervals and their suffix
+    minimax: an interval joins the chain when it has the wanted orientation
+    (R first, then alternating), lies strictly right of the chain's end b
+    (``lo`` before the first link), and its gap from b and best continuation
+    both stay below ``epsilon``.  So each link is the earliest one that
+    keeps the chain completable, and the chain grows while one remains.
     """
     epsilon = positive(epsilon, "epsilon")
     lo, hi = f.domain
     ivs = wandering_intervals(f)
-    if not ivs:
+    chain: list[OrientedInterval] = []
+    b, want = lo, Orientation.R
+    for iv, rest in zip(ivs, _suffix_best(ivs, hi)):
+        if iv.orientation is want and (not chain or iv.a > b) and max(iv.a - b, rest) < epsilon:
+            chain.append(iv)
+            b, want = iv.b, want.flipped()
+    if not chain:
         return None
-    fwd = _suffix_best(ivs, hi)
-
-    start = None
-    for i, iv in enumerate(ivs):
-        if iv.orientation is Orientation.R and max(iv.a - lo, fwd[i]) < epsilon:
-            start = i
-            break
-    if start is None:
-        return None
-
-    chain = [start]
-    while True:
-        cur = ivs[chain[-1]]
-        want = cur.orientation.flipped()
-        step = None
-        for j in range(chain[-1] + 1, len(ivs)):
-            iv = ivs[j]
-            if iv.orientation is want and iv.a > cur.b and max(iv.a - cur.b, fwd[j]) < epsilon:
-                step = j
-                break
-        if step is None:
-            break
-        chain.append(step)
-    witness = ChainWitness(tuple(ivs[i] for i in chain), epsilon)
+    witness = ChainWitness(tuple(chain), epsilon)
     assert witness.quality(lo, hi) < epsilon
     return witness
 

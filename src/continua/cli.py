@@ -33,7 +33,7 @@ from .continuum import (
     validate_homeo,
 )
 from .plmap import Orientation, PLHomeo
-from .rational import parse_rational, rational_to_json
+from .rational import parse_integer, parse_rational, rational_to_json
 from .shadowing import (
     CoverFailure,
     estimate_shadowing_modulus,
@@ -59,14 +59,19 @@ MAX_SEGMENTS = 256
 MAX_TRIALS = 10_000
 
 
+def _integer(text: str) -> int:
+    """argparse type: an integer literal (``rational.parse_integer``)."""
+    try:
+        return parse_integer(text.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _at_most(bound: int):
-    """argparse type: an int no larger than ``bound``."""
+    """argparse type: an integer literal no larger than ``bound``."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        value = _integer(text)
         if value > bound:
             raise argparse.ArgumentTypeError(f"{value} exceeds the maximum {bound}")
         return value
@@ -87,7 +92,10 @@ def _write(text: str, out: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_map(path: str) -> PLHomeo:
@@ -318,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("map")
     m.add_argument("--epsilon", required=True)
     m.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_integer, default=0)
     m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_modulus)
 
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
     z.add_argument("--epsilon", required=True)
     z.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
-    z.add_argument("--seed", type=int, default=0)
+    z.add_argument("--seed", type=_integer, default=0)
     z.add_argument("--out", default=None)
     z.set_defaults(func=cmd_certify)
 

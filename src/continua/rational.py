@@ -24,16 +24,28 @@ def positive(x, name: str) -> Fraction:
     return x
 
 
+def parse_integer(text: str) -> int:
+    """An integer literal: ASCII decimal digits after an optional "-".
+
+    The one integer rule of every wire format (flags, CSV fields, JSON pair
+    parts); ``int()`` alone would also read "1_0", "+1" and non-ASCII
+    digits.  Text readers strip surrounding whitespace before calling it.
+    """
+    if isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text):
+        return int(text)
+    raise ValueError(f"{text!r} is not a decimal integer")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational literal: "num/den" or a plain integer string."""
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
-        d = int(den)
+        d = parse_integer(den)
         if d == 0:
             raise ValueError(f"zero denominator in rational literal {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(s))
+        return Fraction(parse_integer(num), d)
+    return Fraction(parse_integer(s))
 
 
 def format_rational(x: Fraction) -> str:
@@ -49,11 +61,9 @@ def rational_to_json(x: Fraction) -> list[str]:
 
 
 def _json_integer(v) -> int:
-    """A pair component: a string of decimal digits, optionally signed "-",
-    or a JSON integer (not a boolean)."""
-    if type(v) is int or isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
-        return int(v)
-    raise ValueError(f"rational pair component {v!r} is not a decimal integer")
+    """A pair component: an integer literal or a JSON integer (not a
+    boolean)."""
+    return v if type(v) is int else parse_integer(v)
 
 
 def rational_from_json(pair) -> Fraction:

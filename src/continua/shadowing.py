@@ -37,6 +37,7 @@ from .plmap import (
 )
 from .rational import (
     format_rational,
+    parse_integer,
     parse_rational,
     positive,
     rational_to_json,
@@ -327,7 +328,10 @@ def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
 
 
 def orbit_from_csv(stream) -> PseudoOrbit:
-    rows = list(csv.reader(stream))
+    try:
+        rows = list(csv.reader(stream))
+    except csv.Error as exc:
+        raise ValueError(f"unreadable orbit CSV: {exc}") from None
     if not rows or rows[0][:1] != ["index"]:
         raise ValueError("missing CSV header")
     header, body = rows[0], rows[1:]
@@ -336,7 +340,7 @@ def orbit_from_csv(stream) -> PseudoOrbit:
     for n, row in enumerate(body, start=2):
         if len(row) < len(header):
             raise ValueError(f"orbit CSV row {n} has {len(row)} fields, header has {len(header)}")
-    indices = [int(r[0]) for r in body]
+    indices = [parse_integer(r[0].strip()) for r in body]
     if indices != list(range(indices[0], indices[0] + len(indices))):
         raise ValueError("orbit indices must be consecutive")
     offset = -indices[0]

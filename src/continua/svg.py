@@ -10,6 +10,8 @@ byte-identical files.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .continuum import YHomeo, YModel
 from .plmap import Orientation, PLHomeo, wandering_intervals
 
@@ -32,15 +34,15 @@ def _polyline(points: list[tuple[float, float]], stroke: str, width: float = 1.5
 
 
 def render_phase_diagram(f: PLHomeo) -> str:
-    lo, hi = float(f.lo), float(f.hi)
-    span = hi - lo
-    scale = (SIZE - 2 * PAD) / span
+    lo, hi = f.lo, f.hi
 
-    def tx(x: float) -> float:
-        return PAD + (x - lo) * scale
+    # each point is placed by its exact ratio (x - lo)/(hi - lo), and only
+    # that ratio is floated, so a domain of any size or width draws
+    def tx(x: Fraction) -> float:
+        return PAD + float((x - lo) / (hi - lo)) * (SIZE - 2 * PAD)
 
-    def ty(y: float) -> float:
-        return SIZE - PAD - (y - lo) * scale
+    def ty(y: Fraction) -> float:
+        return SIZE - PAD - float((y - lo) / (hi - lo)) * (SIZE - 2 * PAD)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
@@ -49,14 +51,14 @@ def render_phase_diagram(f: PLHomeo) -> str:
         f'fill="white" stroke="{GRID_COLOR}"/>',
         _polyline([(tx(lo), ty(lo)), (tx(hi), ty(hi))], GRID_COLOR, 1.0),
         _polyline(
-            [(tx(float(x)), ty(float(y))) for x, y in zip(f.breakpoints, f.values)],
+            [(tx(x), ty(y)) for x, y in zip(f.breakpoints, f.values)],
             GRAPH_COLOR,
             2.0,
         ),
     ]
     axis_y = ty(lo)
     for iv in wandering_intervals(f):
-        a, b = tx(float(iv.a)), tx(float(iv.b))
+        a, b = tx(iv.a), tx(iv.b)
         color = R_COLOR if iv.orientation is Orientation.R else L_COLOR
         parts.append(_polyline([(a, axis_y), (b, axis_y)], color, 3.0))
         head = max(2.0, min(6.0, (b - a) / 3))

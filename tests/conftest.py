@@ -12,10 +12,12 @@ import pytest
 
 from continua import shadowing
 from continua.cantor import (
+    ChainWitness,
     ConjugacyReport,
     ExplosionSiteError,
     InsufficientIntervals,
     TernaryIndex,
+    _suffix_best,
     build_ternary_map,
     check_chain_property,
     explode_fixed_point,
@@ -30,6 +32,7 @@ from continua.plmap import (
     PLHomeo,
     canonical_generator,
     evaluate,
+    wandering_intervals,
 )
 from continua.rational import exact_sqrt
 from continua.shadowing import (
@@ -192,6 +195,41 @@ def quadratic_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fra
                     best = cand
         fwd[i] = best
     return fwd
+
+
+def two_loop_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
+    """The fine-chain witness by a start loop, then index-by-index
+    extension: the earliest feasible R interval from ``lo``, then, while
+    one exists, the earliest feasible interval of the other orientation
+    strictly right of the chain's last link."""
+    lo, hi = f.domain
+    ivs = wandering_intervals(f)
+    if not ivs:
+        return None
+    fwd = _suffix_best(ivs, hi)
+
+    start = None
+    for i, iv in enumerate(ivs):
+        if iv.orientation is Orientation.R and max(iv.a - lo, fwd[i]) < epsilon:
+            start = i
+            break
+    if start is None:
+        return None
+
+    chain = [start]
+    while True:
+        cur = ivs[chain[-1]]
+        want = cur.orientation.flipped()
+        step = None
+        for j in range(chain[-1] + 1, len(ivs)):
+            iv = ivs[j]
+            if iv.orientation is want and iv.a > cur.b and max(iv.a - cur.b, fwd[j]) < epsilon:
+                step = j
+                break
+        if step is None:
+            break
+        chain.append(step)
+    return ChainWitness(tuple(ivs[i] for i in chain), epsilon)
 
 
 def interpolate(f: PLHomeo, x: Fraction) -> Fraction:

@@ -1,6 +1,7 @@
 """The package exports no dead names, its functions read every parameter,
-and its core computes without floating point."""
+its core computes without floating point, and no flag reads with int()."""
 
+import argparse
 import ast
 import io
 import tokenize
@@ -8,6 +9,7 @@ import types
 from pathlib import Path
 
 import continua
+from continua.cli import build_parser
 
 SRC = Path(continua.__file__).parent
 TESTS = Path(__file__).parent
@@ -91,3 +93,22 @@ def test_core_has_no_floats():
     core = [p for p in sorted(SRC.glob("*.py")) if p.name != "svg.py"]
     found = [f"{p.name}:{use}" for p in core for use in _float_uses(p)]
     assert found == [], f"floating point in the exact core: {found}"
+
+
+def _options(parser: argparse.ArgumentParser):
+    """(subcommand path, option) for every option of ``parser`` and its
+    subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _options(sub)
+        else:
+            yield parser.prog, action
+
+
+def test_no_option_reads_with_int():
+    # int() also reads "1_0", "+1" and non-ASCII digits; flags use the one
+    # integer rule of rational.parse_integer instead
+    found = [f"{prog} {'/'.join(a.option_strings) or a.dest}"
+             for prog, a in _options(build_parser()) if a.type is int]
+    assert found == [], f"options parsed with the builtin int: {found}"

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from continua.cantor import (
     ChainWitness,
@@ -48,6 +49,7 @@ from conftest import (
     random_plhomeo,
     random_touching_map,
     template_lookup_conjugacy,
+    two_loop_chain_property,
 )
 
 
@@ -301,6 +303,54 @@ class TestChainProperty:
         touching = any(u.b == v.a for u, v in zip(ivs, ivs[1:]))
         assert touching
         assert check_chain_property(g, F(1, 2)) is None
+
+
+def oracle_epsilons(f: PLHomeo) -> list[F]:
+    """A dyadic grid, and the exact threshold q with q + q/1000 and 2q."""
+    eps = [F(1, 2**k) for k in range(1, 12)]
+    q = best_chain_quality(wandering_intervals(f), *f.domain)
+    if q:
+        eps += [q, q + q / 1000, 2 * q]
+    return eps
+
+
+def assert_same_witnesses(f: PLHomeo) -> None:
+    for eps in oracle_epsilons(f):
+        assert check_chain_property(f, eps) == two_loop_chain_property(f, eps)
+
+
+@st.composite
+def chain_maps(draw) -> PLHomeo:
+    make = draw(st.sampled_from([random_plhomeo, random_fat_map, random_touching_map]))
+    return make(random.Random(draw(st.integers(0, 2**32))))
+
+
+class TestOneScanAgainstTwoLoops:
+    """check_chain_property's single scan gives the same witness, or the
+    same None, as the start loop and extension loop it replaced."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(chain_maps())
+    def test_random_fat_and_touching_maps(self, f):
+        assert_same_witnesses(f)
+
+    @pytest.mark.parametrize("domain", [(F(0), F(1)), (F(-3, 2), F(5, 7))])
+    def test_canonical_maps(self, domain):
+        for f in (
+            canonical_r(*domain),
+            invert(canonical_r(*domain)),
+            rescale(build_ternary_map(3), domain),
+        ):
+            assert_same_witnesses(f)
+
+    @pytest.mark.parametrize("levels", range(11))
+    def test_ternary_maps(self, levels):
+        assert_same_witnesses(build_ternary_map(levels))
+
+    @pytest.mark.parametrize("levels", [7, 8, 9, 10])
+    def test_conjugates(self, levels):
+        A = random_coordinate_change(random.Random(levels))
+        assert_same_witnesses(compose(A, compose(build_ternary_map(levels), invert(A))))
 
 
 class TestBuildConjugacy:

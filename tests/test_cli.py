@@ -317,6 +317,18 @@ class TestBuildYAndRender:
         assert out.read_text().startswith("<svg")
 
 
+    @pytest.mark.parametrize(
+        "domain",
+        [(0, 10**400), (0, F(1, 10**400)), (1, 1 + F(1, 10**20))],
+        ids=["huge", "tiny", "narrow"],
+    )
+    def test_render_map_on_any_domain(self, tmp_path, map_file, domain):
+        # a float span used to overflow or vanish on these domains
+        out = tmp_path / "f.svg"
+        code, err = run_process(["render", map_file(canonical_r(*domain)), "--out", out])
+        assert code == 0, err
+        assert out.read_text().count('<polygon fill="#c0392b"') == 1
+
 class TestCertify:
     def test_identity_dynamics_cover_failure(self, tmp_path):
         y = tmp_path / "y.json"
@@ -519,3 +531,109 @@ class TestMalformedModelInput:
         code, err = run_process(["render", path])
         assert code == 2
         assert "Traceback" not in err
+
+
+READERS = {
+    "check-peps": lambda d: ["check-peps", d["bad"], "--epsilon", "1/8"],
+    "conjugate": lambda d: ["conjugate", d["bad"], "--depth", 2],
+    "explode": lambda d: ["explode", d["bad"], "--point", "1/2", "--radius", "1/9",
+                          "--orient", "R"],
+    "modulus": lambda d: ["modulus", d["bad"], "--epsilon", "1/8", "--trials", 1],
+    "shadow --map": lambda d: ["shadow", "--map", d["bad"], "--orbit", d["interval_orbit"],
+                               "--epsilon", "1/20"],
+    "shadow --model": lambda d: ["shadow", "--model", d["bad"], "--orbit", d["model_orbit"],
+                                 "--epsilon", "1/10"],
+    "shadow --homeo": lambda d: ["shadow", "--model", d["y"], "--homeo", d["bad"], "--orbit",
+                                 d["model_orbit"], "--epsilon", "1/10"],
+    "certify --model": lambda d: ["certify", "--model", d["bad"], "--epsilon", "1/10",
+                                  "--trials", 1],
+    "certify --homeo": lambda d: ["certify", "--segments", 2, "--homeo", d["bad"],
+                                  "--epsilon", "1/10", "--trials", 1],
+    "render": lambda d: ["render", d["bad"]],
+}
+
+
+@pytest.fixture()
+def reader_files(tmp_path):
+    y = tmp_path / "y.json"
+    y.write_text(dump_json(build_arc_model(2).to_json()))
+    interval_orbit = tmp_path / "interval.csv"
+    interval_orbit.write_text("index,point\n0,1/10\n1,3/20\n")
+    model_orbit = tmp_path / "model.csv"
+    model_orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+    return {"y": y, "interval_orbit": interval_orbit, "model_orbit": model_orbit,
+            "bad": tmp_path / "bad.json", "dir": tmp_path}
+
+
+class TestUnreadableInput:
+    """Inputs the parsers themselves refuse exit 2, not with a traceback."""
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_deeply_nested_json(self, reader_files, reader):
+        reader_files["bad"].write_text("[" * 100_000 + "]" * 100_000)
+        code, err = run_process(READERS[reader](reader_files))
+        assert code == 2
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_over_long_csv_field(self, reader_files, map_file):
+        orbit = reader_files["dir"] / "long.csv"
+        orbit.write_text("index,point\n0," + "1" * 200_000 + "\n")
+        code, err = run_process(
+            ["shadow", "--map", map_file(build_ternary_map(1)), "--orbit", orbit,
+             "--epsilon", "1/20"]
+        )
+        assert code == 2
+        assert "input error: unreadable orbit CSV" in err and "Traceback" not in err
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, argparse's refusals (SystemExit) included."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestIntegerLiterals:
+    """Every flag and CSV field reads integers by one rule: ASCII digits
+    after an optional "-".  ``int()`` would read these spellings as 10, 1
+    and 1."""
+
+    SITES = {
+        "--depth": lambda d, v: ["build-fstar", "--depth", v],
+        "--segments": lambda d, v: ["build-y", "--segments", v],
+        "--trials": lambda d, v: ["modulus", d["map"], "--epsilon", "1/8", "--trials", v],
+        "modulus --seed": lambda d, v: ["modulus", d["map"], "--epsilon", "1/8", "--trials", 1,
+                                        "--seed", v],
+        "certify --seed": lambda d, v: ["certify", "--segments", 2, "--epsilon", "1/10",
+                                        "--trials", 1, "--seed", v],
+        "--epsilon": lambda d, v: ["check-peps", d["map"], "--epsilon", f"{v}/8"],
+        "--point": lambda d, v: ["explode", d["map"], "--point", f"{v}/18", "--radius", "1/54",
+                                 "--orient", "R"],
+        "--radius": lambda d, v: ["explode", d["map"], "--point", "1/18", "--radius", f"{v}",
+                                  "--orient", "R"],
+        "orbit point": lambda d, v: ["shadow", "--map", d["map"], "--orbit",
+                                     d["orbit"](f"0,{v}/10\n"), "--epsilon", "1/20"],
+        "orbit index": lambda d, v: ["shadow", "--map", d["map"], "--orbit",
+                                     d["orbit"](f"{v},1/10\n"), "--epsilon", "1/20"],
+    }
+
+    @pytest.mark.parametrize("site", list(SITES))
+    @pytest.mark.parametrize("spelling", ["1_0", "+1", "\u0661"])
+    def test_refused(self, tmp_path, map_file, capsys, site, spelling):
+        def orbit(rows):
+            path = tmp_path / "orbit.csv"
+            path.write_text("index,point\n" + rows)
+            return path
+
+        files = {"map": map_file(build_ternary_map(1)), "orbit": orbit}
+        assert exit_code(self.SITES[site](files, spelling)) == 2
+        err = capsys.readouterr().err
+        assert repr(spelling) in err and "Traceback" not in err
+
+    def test_surrounding_whitespace_still_stripped(self, tmp_path, map_file):
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,point\n 0 , 1/10 \n")
+        assert run(["build-fstar", "--depth", " 1 ", "--out", tmp_path / "f.json"]) == 0
+        assert run(["shadow", "--map", map_file(build_ternary_map(1)), "--orbit", orbit,
+                    "--epsilon", " 1/20 ", "--out", tmp_path / "s.json"]) == 0

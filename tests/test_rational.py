@@ -5,7 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from continua.rational import positive, rational_from_json, sqrt_approx, sqrt_enclosure
+from continua.rational import (
+    parse_integer,
+    parse_rational,
+    positive,
+    rational_from_json,
+    sqrt_approx,
+    sqrt_enclosure,
+)
 from conftest import bisected_sqrt_enclosure
 
 
@@ -30,6 +37,20 @@ class TestJsonReader:
     def test_zero_denominator_refused(self):
         with pytest.raises(ValueError, match="zero denominator"):
             rational_from_json(["1", 0])
+
+
+class TestTextReader:
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661", "1_0/3", "+1/2", "\u0661/3", "1/+2",
+                                      "1/\u0663", "1 / 2", "1/", "/2", "1/2/3", "0x10", "1e3", ""])
+    def test_one_integer_rule(self, text):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            parse_rational(text)
+
+    def test_parse_integer_takes_only_ascii_digits(self):
+        assert parse_integer("-120") == -120
+        for text in ("1_0", "+1", "\u0661", " 1", "1\n", "", "-"):
+            with pytest.raises(ValueError, match="is not a decimal integer"):
+                parse_integer(text)
 
 
 def test_positive():
