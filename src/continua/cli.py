@@ -4,6 +4,9 @@ Subcommands build the library's objects, run the experiments, and emit
 JSON/CSV/SVG artifacts.  Runs are fully determined by their flags: the
 same seed and parameters give byte-identical output files.
 
+Each subcommand returns its artifact text and exit code, and ``main``
+writes the text to --out or stdout.  ``render`` is the only SVG writer.
+
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
 is negative), 2 input error, 3 certification failure.  A --depth,
 --segments or --trials above its MAX_* bound is an input error.
@@ -113,51 +116,46 @@ def _load_homeo(args, model: YModel) -> YHomeo:
     return g
 
 
+def _witness(witness) -> tuple[str, int]:
+    """A witness's JSON and EXIT_OK, or ``null`` and EXIT_UNSAT if there is none."""
+    if witness is None:
+        return "null\n", EXIT_UNSAT
+    return dump_json(witness.to_json()), EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_fstar(args) -> int:
-    f = build_ternary_map(args.depth)
-    if args.format == "svg":
-        _write(render_phase_diagram(f), args.out)
-    else:
-        _write(dump_json(f.to_json()), args.out)
-    return EXIT_OK
+def cmd_build_fstar(args) -> tuple[str | None, int]:
+    return dump_json(build_ternary_map(args.depth).to_json()), EXIT_OK
 
 
-def cmd_check_peps(args) -> int:
+def cmd_check_peps(args) -> tuple[str | None, int]:
     f = _load_map(args.map)
-    witness = check_chain_property(f, parse_rational(args.epsilon))
-    if witness is None:
-        _write("null\n", args.out)
-        return EXIT_UNSAT
-    _write(dump_json(witness.to_json()), args.out)
-    return EXIT_OK
+    return _witness(check_chain_property(f, parse_rational(args.epsilon)))
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args) -> tuple[str | None, int]:
     g = _load_map(args.map)
     try:
         report = build_conjugacy(g, args.depth)
     except InsufficientIntervals as exc:
         sys.stderr.write(f"insufficient intervals: {exc}\n")
-        return EXIT_UNSAT
-    _write(dump_json(report.to_json()), args.out)
-    return EXIT_OK
+        return None, EXIT_UNSAT
+    return dump_json(report.to_json()), EXIT_OK
 
 
-def cmd_explode(args) -> int:
+def cmd_explode(args) -> tuple[str | None, int]:
     f = _load_map(args.map)
     g = explode_fixed_point(
         f, parse_rational(args.point), parse_rational(args.radius), Orientation(args.orient)
     )
-    _write(dump_json(g.to_json()), args.out)
-    return EXIT_OK
+    return dump_json(g.to_json()), EXIT_OK
 
 
-def cmd_shadow(args) -> int:
+def cmd_shadow(args) -> tuple[str | None, int]:
     epsilon = parse_rational(args.epsilon)
     with open(args.orbit) as fh:
         orbit = orbit_from_csv(fh)
@@ -166,51 +164,34 @@ def cmd_shadow(args) -> int:
         if not on_model:
             raise ValueError("orbit file holds interval points, not model points")
         model = YModel.from_json(_load_json(args.model))
-        witness = shadow_on_model(model, _load_homeo(args, model), orbit, epsilon)
-        if witness is None:
-            _write("null\n", args.out)
-            return EXIT_UNSAT
-        _write(dump_json(witness.to_json()), args.out)
-        return EXIT_OK
+        return _witness(shadow_on_model(model, _load_homeo(args, model), orbit, epsilon))
     if not args.map:
         raise ValueError("need --map or --model")
     if on_model:
         raise ValueError("orbit file holds model points, not interval points")
     f = _load_map(args.map)
     s = shadowing_set(f, orbit, epsilon)
-    _write(dump_json(s.to_json()), args.out)
-    return EXIT_UNSAT if s.is_empty else EXIT_OK
+    return dump_json(s.to_json()), EXIT_UNSAT if s.is_empty else EXIT_OK
 
 
-def cmd_modulus(args) -> int:
+def cmd_modulus(args) -> tuple[str | None, int]:
     f = _load_map(args.map)
     epsilon = parse_rational(args.epsilon)
     delta = estimate_shadowing_modulus(f, epsilon, args.trials, args.seed)
-    _write(
-        dump_json(
-            {
-                "epsilon": rational_to_json(epsilon),
-                "trials": args.trials,
-                "seed": args.seed,
-                "delta": rational_to_json(delta),
-            }
-        ),
-        args.out,
-    )
-    return EXIT_OK if delta > 0 else EXIT_UNSAT
+    report = {
+        "epsilon": rational_to_json(epsilon),
+        "trials": args.trials,
+        "seed": args.seed,
+        "delta": rational_to_json(delta),
+    }
+    return dump_json(report), EXIT_OK if delta > 0 else EXIT_UNSAT
 
 
-def cmd_build_y(args) -> int:
-    model = build_arc_model(args.segments)
-    if args.format == "svg":
-        g = build_arcwise_map(model, args.depth) if args.depth is not None else None
-        _write(render_model(model, g), args.out)
-    else:
-        _write(dump_json(model.to_json()), args.out)
-    return EXIT_OK
+def cmd_build_y(args) -> tuple[str | None, int]:
+    return dump_json(build_arc_model(args.segments).to_json()), EXIT_OK
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[str | None, int]:
     if args.model:
         model = YModel.from_json(_load_json(args.model))
     else:
@@ -234,8 +215,7 @@ def cmd_certify(args) -> int:
             "detail": str(exc),
             "uncovered": [p.to_json() for p in exc.uncovered],
         }
-        _write(dump_json(bundle), args.out)
-        return EXIT_CERT
+        return dump_json(bundle), EXIT_CERT
 
     per_arc_failures = {}
     for i, cert in enumerate(certs):
@@ -259,19 +239,16 @@ def cmd_certify(args) -> int:
             "global_failures": global_failures,
         },
     }
-    _write(dump_json(bundle), args.out)
-    return EXIT_OK if bundle["status"] == "ok" else EXIT_UNSAT
+    return dump_json(bundle), EXIT_OK if bundle["status"] == "ok" else EXIT_UNSAT
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> tuple[str | None, int]:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "breakpoints" in obj:
-        _write(render_phase_diagram(PLHomeo.from_json(obj)), args.out)
-        return EXIT_OK
+        return render_phase_diagram(PLHomeo.from_json(obj)), EXIT_OK
     model = YModel.from_json(obj)
-    g = _load_homeo(args, model) if args.homeo else None
-    _write(render_model(model, g), args.out)
-    return EXIT_OK
+    g = _load_homeo(args, model) if args.homeo or args.depth is not None else None
+    return render_model(model, g), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build-fstar", help="build the depth-truncated alternating map")
     b.add_argument("--depth", type=_at_most(MAX_DEPTH), required=True)
-    b.add_argument("--out", default=None)
-    b.add_argument("--format", choices=("json", "svg"), default="json")
     b.set_defaults(func=cmd_build_fstar)
 
     c = sub.add_parser("check-peps", help="decide the fine alternating-chain property")
     c.add_argument("map")
     c.add_argument("--epsilon", required=True)
-    c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_check_peps)
 
     j = sub.add_parser("conjugate", help="match a map against the ternary template")
     j.add_argument("map")
     j.add_argument("--depth", type=_at_most(MAX_DEPTH), required=True)
-    j.add_argument("--out", default=None)
     j.set_defaults(func=cmd_conjugate)
 
     e = sub.add_parser("explode", help="explode a fixed stretch into a wandering interval")
@@ -309,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--point", required=True)
     e.add_argument("--radius", required=True)
     e.add_argument("--orient", choices=("R", "L"), required=True)
-    e.add_argument("--out", default=None)
     e.set_defaults(func=cmd_explode)
 
     s = sub.add_parser("shadow", help="exact shadowing set / witness for an orbit file")
@@ -319,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
     s.add_argument("--orbit", required=True)
     s.add_argument("--epsilon", required=True)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_shadow)
 
     m = sub.add_parser("modulus", help="empirical shadowing modulus estimate")
@@ -327,14 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--epsilon", required=True)
     m.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
     m.add_argument("--seed", type=_integer, default=0)
-    m.add_argument("--out", default=None)
     m.set_defaults(func=cmd_modulus)
 
     y = sub.add_parser("build-y", help="build the truncated arc model")
     y.add_argument("--segments", type=_at_most(MAX_SEGMENTS), required=True)
-    y.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
-    y.add_argument("--out", default=None)
-    y.add_argument("--format", choices=("json", "svg"), default="json")
     y.set_defaults(func=cmd_build_y)
 
     z = sub.add_parser("certify", help="full quasi-attractor certification pipeline")
@@ -345,23 +312,31 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--epsilon", required=True)
     z.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
     z.add_argument("--seed", type=_integer, default=0)
-    z.add_argument("--out", default=None)
     z.set_defaults(func=cmd_certify)
 
     r = sub.add_parser("render", help="SVG drawing of a map or model JSON")
     r.add_argument("input")
     r.add_argument("--homeo", default=None)
-    r.add_argument("--out", default=None)
+    r.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     r.set_defaults(func=cmd_render)
+
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)
 
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
+    # artifacts carry integers of any length (the limit is absent before 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if text is not None:
+            _write(text, args.out)
+        return code
     except ExplosionSiteError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_UNSAT

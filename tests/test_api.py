@@ -112,3 +112,44 @@ def test_no_option_reads_with_int():
     found = [f"{prog} {'/'.join(a.option_strings) or a.dest}"
              for prog, a in _options(build_parser()) if a.type is int]
     assert found == [], f"options parsed with the builtin int: {found}"
+
+
+def _writers(path: Path) -> list[str]:
+    """``function: call`` for each call of ``_write`` or ``sys.stdout.write``
+    in ``path``, by the innermost function that makes it."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                call = ast.unparse(child.func)
+                if call in {"_write", "sys.stdout.write"}:
+                    out.append(f"{owner}: {call}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return out
+
+
+def test_cli_writes_artifacts_in_one_place():
+    # subcommands return their artifact; main alone writes it, through _write
+    assert sorted(_writers(SRC / "cli.py")) == ["_write: sys.stdout.write", "main: _write"]
+    per_command = {}
+    for prog, action in _options(build_parser()):
+        for flag in action.option_strings:
+            per_command.setdefault(prog, []).append(flag)
+    commands = [prog for prog in per_command if prog != "continua"]
+    assert [c for c in commands if "--format" in per_command[c]] == []
+    assert [c for c in commands if per_command[c].count("--out") != 1] == []
+    # --out is declared by one add_argument call for all subcommands
+    declared = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).endswith("add_argument")
+        and any(isinstance(a, ast.Constant) and a.value == "--out" for a in node.args)
+    ]
+    assert len(declared) == 1, f"--out declared on lines {declared}"

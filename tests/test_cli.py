@@ -1,5 +1,6 @@
 """Front-end behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import continua
-from continua.cantor import build_ternary_map
+from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
 from continua.continuum import (
     YHomeo,
@@ -19,7 +20,7 @@ from continua.continuum import (
     build_arcwise_map,
     identity_homeo,
 )
-from continua.plmap import PLHomeo, canonical_r, identity, wandering_intervals
+from continua.plmap import Orientation, PLHomeo, canonical_r, identity, wandering_intervals
 
 
 def run(argv):
@@ -68,8 +69,9 @@ class TestBuildFstar:
         ]
 
     def test_depth_zero_svg_single_right_mark(self, tmp_path):
-        out = tmp_path / "f.svg"
-        assert run(["build-fstar", "--depth", 0, "--out", out, "--format", "svg"]) == 0
+        f, out = tmp_path / "f.json", tmp_path / "f.svg"
+        assert run(["build-fstar", "--depth", 0, "--out", f]) == 0
+        assert run(["render", f, "--out", out]) == 0
         svg = out.read_text()
         assert svg.count('fill="#c0392b"') == 1
         assert svg.count('fill="#2e6da4"') == 0
@@ -294,20 +296,45 @@ class TestBuildYAndRender:
         svg = out.read_text()
         assert svg.startswith("<svg") and "#c0392b" in svg
 
-    @pytest.mark.parametrize("depth", [2, None])
-    def test_build_y_svg_equals_render(self, tmp_path, depth):
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_render_depth_equals_homeo_file(self, tmp_path, depth):
         y = tmp_path / "y.json"
         run(["build-y", "--segments", 2, "--out", y])
-        built, rendered = tmp_path / "built.svg", tmp_path / "rendered.svg"
-        argv = ["build-y", "--segments", 2, "--format", "svg", "--out", built]
-        render = ["render", y, "--out", rendered]
-        if depth is not None:
-            argv += ["--depth", depth]
-            g = tmp_path / "g.json"
-            g.write_text(dump_json(build_arcwise_map(build_arc_model(2), depth).to_json()))
-            render += ["--homeo", g]
-        assert run(argv) == 0 and run(render) == 0
-        assert built.read_bytes() == rendered.read_bytes()
+        g = tmp_path / "g.json"
+        g.write_text(dump_json(build_arcwise_map(build_arc_model(2), depth).to_json()))
+        built, loaded = tmp_path / "built.svg", tmp_path / "loaded.svg"
+        assert run(["render", y, "--depth", depth, "--out", built]) == 0
+        assert run(["render", y, "--homeo", g, "--out", loaded]) == 0
+        assert built.read_bytes() == loaded.read_bytes()
+
+    # sha256 of the drawings that `build-fstar --format svg` and `build-y
+    # --format svg [--depth 2]` wrote before `render` became the only SVG
+    # writer: (build argv, render flags, digest); render draws the same
+    # bytes from the built JSON
+    PINNED_SVG = {
+        "fstar-0": (["build-fstar", "--depth", 0], [],
+                    "b6f45780823e090036c3f112297637f86dc639894f2404168f4a41c15f6e027f"),
+        "fstar-1": (["build-fstar", "--depth", 1], [],
+                    "ed7f9041338b52495ec1667b0c20fa3020521a93c2f04a68fe1feeda4688d8e2"),
+        "fstar-3": (["build-fstar", "--depth", 3], [],
+                    "4987c0eea5404af0fc403369f1d75957518a49cb7e5eb55fbb09b7e5ce271b26"),
+        "y-2": (["build-y", "--segments", 2], [],
+                "3302b156d41cc091298ea86f9c3bfc6f89103e3ba2d5571abfdaee6865853895"),
+        "y-2-depth-2": (["build-y", "--segments", 2], ["--depth", 2],
+                        "fd7ac23ec57022fcdae96945facea1d4604431324e451834ff431d476dc79db9"),
+        "y-3": (["build-y", "--segments", 3], [],
+                "4db786a2dbd3f45009871c4999b508efce51387eee06d9f27caecf735b9b69fc"),
+        "y-3-depth-2": (["build-y", "--segments", 3], ["--depth", 2],
+                        "3990c3727f4489787f5f282ed677e126742479627f96bce4822be0045eb26eaa"),
+    }
+
+    @pytest.mark.parametrize("drawing", list(PINNED_SVG))
+    def test_render_reproduces_pinned_svg(self, tmp_path, drawing):
+        build, flags, digest = self.PINNED_SVG[drawing]
+        built, out = tmp_path / "built.json", tmp_path / "out.svg"
+        assert run([*build, "--out", built]) == 0
+        assert run(["render", built, *flags, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_render_map(self, tmp_path):
         f = tmp_path / "f.json"
@@ -399,7 +426,7 @@ class TestFlagBounds:
             ["certify", "--trials", MAX_TRIALS + 1, "--epsilon", "1/10"],
             ["build-fstar", "--depth", MAX_DEPTH + 1],
             ["build-y", "--segments", MAX_SEGMENTS + 1],
-            ["build-y", "--segments", 2, "--depth", MAX_DEPTH + 1, "--format", "svg"],
+            ["render", "y.json", "--depth", MAX_DEPTH + 1],
             ["conjugate", "map.json", "--depth", MAX_DEPTH + 1],
             ["modulus", "map.json", "--epsilon", "1/10", "--trials", MAX_TRIALS + 1],
             ["shadow", "--model", "y.json", "--orbit", "o.csv", "--epsilon", "1/10",
@@ -417,6 +444,22 @@ class TestFlagBounds:
              "--trials", str(MAX_TRIALS), "--epsilon", "1/10"]
         )
         assert (args.depth, args.segments, args.trials) == (MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-fstar", "--depth", 1, "--format", "svg"],
+            ["build-fstar", "--depth", 1, "--format", "json"],
+            ["build-y", "--segments", 2, "--format", "svg"],
+            ["build-y", "--segments", 2, "--depth", 2],
+        ],
+        ids=["fstar-svg", "fstar-json", "y-svg", "y-depth"],
+    )
+    def test_removed_drawing_flags_refused(self, argv):
+        # render is the only SVG writer; build-y --depth changed nothing else
+        code, err = run_process(argv)
+        assert code == 2
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_non_integer_still_refused(self):
         code, err = run_process(["build-fstar", "--depth", "two"])
@@ -637,3 +680,86 @@ class TestIntegerLiterals:
         assert run(["build-fstar", "--depth", " 1 ", "--out", tmp_path / "f.json"]) == 0
         assert run(["shadow", "--map", map_file(build_ternary_map(1)), "--orbit", orbit,
                     "--epsilon", " 1/20 ", "--out", tmp_path / "s.json"]) == 0
+
+
+# One small run of every subcommand, each of which writes an artifact
+ARTIFACT_RUNS = {
+    "build-fstar": lambda d: ["build-fstar", "--depth", 1],
+    "check-peps": lambda d: ["check-peps", d["map"], "--epsilon", "1/8"],
+    "conjugate": lambda d: ["conjugate", d["map"], "--depth", 1],
+    "explode": lambda d: ["explode", d["map"], "--point", "1/18", "--radius", "1/54",
+                          "--orient", "L"],
+    "shadow": lambda d: ["shadow", "--map", d["map"], "--orbit", d["interval_orbit"],
+                         "--epsilon", "1/20"],
+    "modulus": lambda d: ["modulus", d["map"], "--epsilon", "1/10", "--trials", 2,
+                          "--seed", 1],
+    "build-y": lambda d: ["build-y", "--segments", 2],
+    "certify": lambda d: ["certify", "--segments", 1, "--depth", 0, "--epsilon", "1/10",
+                          "--trials", 1],
+    "render": lambda d: ["render", d["y"], "--depth", 1],
+}
+
+
+class TestArtifactOutput:
+    """main writes every artifact: to stdout, or to --out with the same bytes."""
+
+    @pytest.fixture()
+    def files(self, reader_files, map_file):
+        return {**reader_files, "map": map_file(build_ternary_map(1))}
+
+    @pytest.mark.parametrize("command", list(ARTIFACT_RUNS))
+    def test_stdout_matches_out(self, files, capsys, command):
+        argv = ARTIFACT_RUNS[command](files)
+        out = files["dir"] / "artifact"
+        code = run([*argv, "--out", out])
+        assert capsys.readouterr().out == ""
+        assert run(argv) == code
+        assert capsys.readouterr().out.encode() == out.read_bytes() != b""
+
+    @pytest.mark.parametrize("command", list(ARTIFACT_RUNS))
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_out_is_input_error(self, files, capsys, command, target):
+        d = files["dir"]
+        out = d if target == "directory" else d / "missing" / "artifact"
+        assert run([*ARTIFACT_RUNS[command](files), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
+
+class TestBigIntegers:
+    """Integers past Python's 4300-digit str/int conversion limit read and
+    write like any other."""
+
+    @pytest.fixture()
+    def unlimited_digits(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            yield
+            return
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def test_explode_writes_4401_digit_denominators(self, tmp_path, unlimited_digits):
+        f, out = tmp_path / "d0.json", tmp_path / "big.json"
+        point = F(1, 10**2200 + 1)
+        radius = F(1, 10**2200 + 3)
+        assert run_process(["build-fstar", "--depth", 0, "--out", f])[0] == 0
+        code, err = run_process(["explode", f, "--point", f"1/{10**2200 + 1}",
+                                 "--radius", f"1/{10**2200 + 3}", "--orient", "R",
+                                 "--out", out])
+        assert code == 0, err
+        g = PLHomeo.from_json(json.loads(out.read_text()))
+        assert g == explode_fixed_point(build_ternary_map(0), point, radius, Orientation.R)
+        assert max(len(str(x.denominator)) for x in g.breakpoints) > 4300
+
+    def test_check_peps_reads_5000_digit_pair_parts(self, tmp_path):
+        # every pair [a, b] scaled to [a·10^4999, b·10^4999]: the same map
+        pad = "0" * 4999
+        obj = build_ternary_map(1).to_json()
+        for key in ("domain", "breakpoints", "values"):
+            obj[key] = [[a + pad, b + pad] for a, b in obj[key]]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(obj))
+        code, err = run_process(["check-peps", path, "--epsilon", "1/2"])
+        assert code in (0, 1), err
