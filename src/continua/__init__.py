@@ -22,7 +22,6 @@ from .plmap import (
     invert,
     iterate,
     max_slope,
-    modulus_of_continuity,
     rescale,
     wandering_intervals,
 )
@@ -49,13 +48,10 @@ from .continuum import (
     YModel,
     YPoint,
     apply_map,
-    apply_map_inverse,
     build_arc_model,
     build_arcwise_map,
     check_arc_decomposition,
     identity_homeo,
-    y_distance,
-    y_distance_sq,
 )
 from .shadowing import (
     CertificateError,

@@ -76,18 +76,6 @@ class TernaryIndex:
         d = 3 ** (self.n + 1)
         return Fraction(3 * self.k + 1, d), Fraction(3 * self.k + 2, d)
 
-    def is_minimal(self) -> bool:
-        """True when not nested inside a shallower middle third.
-
-        Holds exactly when every base-3 digit of k (n digits) is 0 or 2.
-        """
-        k = self.k
-        for _ in range(self.n):
-            if k % 3 == 1:
-                return False
-            k //= 3
-        return True
-
     def to_json(self) -> dict:
         return {"n": self.n, "k": self.k}
 

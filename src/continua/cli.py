@@ -116,6 +116,13 @@ def _load_homeo(args, model: YModel) -> YHomeo:
     return g
 
 
+def _refuse_flags(args, flags: tuple[str, ...], reason: str) -> None:
+    """Input error naming the first of ``flags`` that was given."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{flag} {reason}")
+
+
 def _witness(witness) -> tuple[str, int]:
     """A witness's JSON and EXIT_OK, or ``null`` and EXIT_UNSAT if there is none."""
     if witness is None:
@@ -156,6 +163,8 @@ def cmd_explode(args) -> tuple[str | None, int]:
 
 
 def cmd_shadow(args) -> tuple[str | None, int]:
+    if args.map is not None:
+        _refuse_flags(args, ("--model", "--homeo"), "cannot be combined with --map")
     epsilon = parse_rational(args.epsilon)
     with open(args.orbit) as fh:
         orbit = orbit_from_csv(fh)
@@ -245,6 +254,7 @@ def cmd_certify(args) -> tuple[str | None, int]:
 def cmd_render(args) -> tuple[str | None, int]:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "breakpoints" in obj:
+        _refuse_flags(args, ("--homeo", "--depth"), "applies only to a model, not to a map")
         return render_phase_diagram(PLHomeo.from_json(obj)), EXIT_OK
     model = YModel.from_json(obj)
     g = _load_homeo(args, model) if args.homeo or args.depth is not None else None

@@ -26,13 +26,12 @@ from .cantor import build_ternary_map
 from .geometry import (
     Point,
     _on_segment,
-    dist2_pp,
     lerp,
     project_point_segment,
     segments_intersect,
 )
-from .plmap import PLHomeo, evaluate, identity, invert
-from .rational import rational_to_json, sqrt_approx
+from .plmap import PLHomeo, evaluate, identity
+from .rational import rational_to_json
 
 CIRCLE_SEGMENTS = 64
 
@@ -200,20 +199,6 @@ class YModel:
     def embed(self, p: YPoint) -> Point:
         return self.arc(p.arc).embed(p.t)
 
-    def resolve_vertex(self, p: YPoint) -> str | None:
-        """Vertex id when p sits at an arc endpoint, else None."""
-        if p.t == 0:
-            return self.arc(p.arc).p
-        if p.t == 1:
-            return self.arc(p.arc).q
-        return None
-
-    def same_point(self, p: YPoint, q: YPoint) -> bool:
-        if p.arc == q.arc and p.t == q.t:
-            return True
-        vp, vq = self.resolve_vertex(p), self.resolve_vertex(q)
-        return vp is not None and vp == vq
-
     def to_json(self) -> dict:
         return {
             "M": self.M,
@@ -279,16 +264,6 @@ def build_arc_model(M: int) -> YModel:
     return YModel(M, vertices, tuple(arcs))
 
 
-def y_distance_sq(model: YModel, p: YPoint, q: YPoint) -> Fraction:
-    """Exact squared ambient Euclidean distance between embedded points."""
-    return dist2_pp(model.embed(p), model.embed(q))
-
-
-def y_distance(model: YModel, p: YPoint, q: YPoint) -> Fraction:
-    """Ambient distance: exact when rational, else within 10^-6."""
-    return sqrt_approx(y_distance_sq(model, p, q))
-
-
 # ---------------------------------------------------------------------------
 # Self-maps
 # ---------------------------------------------------------------------------
@@ -344,10 +319,6 @@ def build_arcwise_map(model: YModel, levels: int) -> YHomeo:
 
 def apply_map(g: YHomeo, p: YPoint) -> YPoint:
     return YPoint(p.arc, evaluate(g.map_for(p.arc), p.t))
-
-
-def apply_map_inverse(g: YHomeo, p: YPoint) -> YPoint:
-    return YPoint(p.arc, evaluate(invert(g.map_for(p.arc)), p.t))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ the cache forms no reference cycle.
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
 wandering-interval analysis, the one-breakpoint canonical generators used
-everywhere else in the package, affine rescaling, and Lipschitz moduli.
+everywhere else in the package, affine rescaling, and an exact Lipschitz
+constant (``max_slope``).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .rational import positive, rational_from_json, rational_to_json
+from .rational import rational_from_json, rational_to_json
 
 
 class DomainError(ValueError):
@@ -491,9 +492,3 @@ def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:
 def max_slope(f: PLHomeo) -> Fraction:
     """Largest segment slope: an exact Lipschitz constant for f."""
     return max(f._slopes)
-
-
-def modulus_of_continuity(f: PLHomeo, alpha: Fraction) -> Fraction:
-    """Certified oscillation bound of f over any alpha-ball: max_slope * alpha."""
-    alpha = positive(alpha, "alpha")
-    return max_slope(f) * alpha

@@ -108,11 +108,3 @@ def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
         return r, r
     lo = Fraction(math.isqrt((x.numerator << 40) // x.denominator), 1 << 20)
     return lo, lo + Fraction(1, 1 << 20)
-
-
-def sqrt_approx(x: Fraction) -> Fraction:
-    """A rational within 2^-21 of sqrt(x); exact when the root is rational."""
-    lo, hi = sqrt_enclosure(x)
-    if lo == hi:
-        return lo
-    return (lo + hi) / 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -115,23 +115,21 @@ def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(x, lo), hi)
 
 
-def _orbit_steps(
+def _two_sided_orbit(
     f: PLHomeo,
     delta: Fraction,
     window: tuple[int, int],
     x0: Fraction,
     rng: random.Random | None,
-) -> Iterator[Fraction]:
-    """The orbit of x0 over ``window``, one point per step, exact when
-    ``rng`` is None: x0, the forward points x1..xn, then the backward
-    points x-1..x-m.
+) -> PseudoOrbit:
+    """The orbit of x0 over ``window``, exact when ``rng`` is None.
 
     Otherwise forward steps add uniform rational noise below delta/2 to the
     exact image, and backward steps perturb the exact preimage by noise
     scaled down by the slope bound, so every jump stays below delta.
     Points are clamped to the domain (the exact image is in the domain, so
-    clamping never increases a jump).  All forward draws come before the
-    backward ones.  The inputs are checked when the first point is drawn.
+    clamping never increases a jump).  The forward run x1..xn draws its
+    noise before the backward run x-1..x-m.
     """
     if rng is not None:
         delta = positive(delta, "delta")
@@ -142,30 +140,19 @@ def _orbit_steps(
     x0 = Fraction(x0)
     if not lo <= x0 <= hi:
         raise ValueError("x0 outside the domain")
-    yield x0
-    runs = [(f, n, delta / 2)]
-    if m:
-        runs.append((invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))))
-    for g, steps, bound in runs:
-        y = x0
+
+    def run(g: PLHomeo, steps: int, bound: Fraction) -> list[Fraction]:
+        ys = [x0]
         for _ in range(steps):
-            y = evaluate(g, y)
+            y = evaluate(g, ys[-1])
             if rng is not None:
                 y = _clamp(y + _noise(rng, bound), lo, hi)
-            yield y
+            ys.append(y)
+        return ys
 
-
-def _two_sided_orbit(
-    f: PLHomeo,
-    delta: Fraction,
-    window: tuple[int, int],
-    x0: Fraction,
-    rng: random.Random | None,
-) -> PseudoOrbit:
-    """``_orbit_steps`` materialised as a PseudoOrbit in index order."""
-    pts = tuple(_orbit_steps(f, delta, window, x0, rng))
-    n = window[1]
-    return PseudoOrbit(pts[:n:-1] + pts[: n + 1], -window[0])
+    forward = run(f, n, delta / 2)
+    backward = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
+    return PseudoOrbit(tuple(backward[:0:-1] + forward), m)
 
 
 def generate_pseudo_orbit(
@@ -246,10 +233,8 @@ def _forward_fold(
     empty.
 
     f is a bijection, so the image is empty exactly when the set is: the
-    fold alone decides emptiness, with no pull-back.  The fold draws one
-    point per step and returns at the first empty step, so a lazy orbit
-    (``_orbit_steps`` over a window (0, n), whose points come in index
-    order) is never generated past the point that empties it.
+    fold alone decides emptiness, with no pull-back.  The fold reads one
+    point per step and returns at the first empty step.
     """
     lo, hi = f.domain
 
@@ -299,8 +284,8 @@ def estimate_shadowing_modulus(
             start_rng = random.Random(seed * 1_000_003 + 2 * t)
             x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
             rng = random.Random(seed * 1_000_003 + 2 * t + 1)
-            steps = _orbit_steps(f, delta, (0, ORBIT_LENGTH), x0, rng)
-            if _forward_fold(f, steps, epsilon) is None:
+            orbit = _two_sided_orbit(f, delta, (0, ORBIT_LENGTH), x0, rng)
+            if _forward_fold(f, orbit.points, epsilon) is None:
                 ok = False
                 break
         if ok:
@@ -581,8 +566,8 @@ def quasi_attractor_certificate(
     g: YHomeo,
     arc_id: str,
     epsilon: Fraction,
-    trials: int = 200,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> QuasiAttractorCertificate:
     """Execute the one-arc shadowing-transfer chain and return its constants.
 
@@ -630,8 +615,8 @@ def global_shadowing_delta(
     model: YModel,
     g: YHomeo,
     epsilon: Fraction,
-    trials: int = 200,
-    seed: int = 0,
+    trials: int,
+    seed: int,
 ) -> tuple[Fraction, list[QuasiAttractorCertificate]]:
     """Per-arc certificates, the exact cover check, and the global delta.
 

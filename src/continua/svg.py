@@ -28,7 +28,7 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _polyline(points: list[tuple[float, float]], stroke: str, width: float = 1.5) -> str:
+def _polyline(points: list[tuple[float, float]], stroke: str, width: float) -> str:
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
     return f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}" points="{pts}"/>'
 
@@ -74,7 +74,7 @@ def render_phase_diagram(f: PLHomeo) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_model(model: YModel, g: YHomeo | None = None) -> str:
+def render_model(model: YModel, g: YHomeo | None) -> str:
     xs: list[float] = []
     ys: list[float] = []
     for a in model.arcs:

@@ -1,5 +1,6 @@
-"""The package exports no dead names, its functions read every parameter,
-its core computes without floating point, and no flag reads with int()."""
+"""The package exports no dead names, its functions read every parameter
+and have no default that every call site overrides, its core computes
+without floating point, and no flag reads with int()."""
 
 import argparse
 import ast
@@ -153,3 +154,59 @@ def test_cli_writes_artifacts_in_one_place():
         and any(isinstance(a, ast.Constant) and a.value == "--out" for a in node.args)
     ]
     assert len(declared) == 1, f"--out declared on lines {declared}"
+
+
+
+def _defaults(path: Path) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position in a call or None) for each parameter
+    of a function in ``path`` that has a default.  A method's position
+    leaves out ``self``, as in a call ``obj.method(...)``."""
+    out = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                static = "staticmethod" in map(ast.unparse, child.decorator_list)
+                skip = int(in_class and not static)
+                out.extend((child.name, p.arg, i - skip)
+                           for i, p in enumerate(positional) if i >= first)
+                out.extend((child.name, p.arg, None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(ast.parse(path.read_text()), False)
+    return out
+
+
+def _omits(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` may leave ``param`` to its default; one that spreads
+    ``*args`` or ``**kwargs`` may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None for k in call.keywords):
+        return True
+    if any(k.arg == param for k in call.keywords):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def test_no_default_every_caller_overrides():
+    # a default that no call site relies on is a second value nothing runs
+    code = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    code += sorted((TESTS.parent / "perfbench").glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in code:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    overridden = [
+        f"{path.stem}.{fn}.{param}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn, param, position in _defaults(path)
+        if not any(_omits(c, param, position) for c in calls.get(fn, ()))
+    ]
+    assert overridden == [], f"defaults that every call site overrides: {overridden}"

@@ -83,6 +83,7 @@ class TestTernaryIndex:
     def test_minimality_matches_geometric_nesting(self):
         # ground truth: an index is minimal iff its open interval meets no
         # shallower index's open interval
+        minimal = set(minimal_indices(4))
         for idx in all_indices(4):
             a, b = idx.interval()
             nested = any(
@@ -90,7 +91,7 @@ class TestTernaryIndex:
                 for m in range(idx.n)
                 for c, d in (j.interval() for j in all_indices(m) if j.n == m)
             )
-            assert idx.is_minimal() == (not nested)
+            assert (idx in minimal) == (not nested)
 
     def test_minimal_intervals_pairwise_disjoint(self):
         ivs = [idx.interval() for idx in minimal_indices(5)]

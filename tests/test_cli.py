@@ -190,6 +190,22 @@ class TestShadow:
             == 2
         )
 
+    @pytest.mark.parametrize("flag", ["--model", "--homeo"])
+    def test_map_refuses_model_flags(self, tmp_path, map_file, flag):
+        # a model file next to --map, existing or not, is a conflict, not
+        # something to ignore or to let win
+        path = map_file(canonical_r(0, 1))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,point\n0,1/10\n1,1/5\n")
+        model_path = tmp_path / "y.json"
+        run(["build-y", "--segments", 2, "--out", model_path])
+        for other in (model_path, tmp_path / "missing.json"):
+            argv = ["shadow", "--map", path, flag, other, "--orbit", orbit, "--epsilon", "1/20"]
+            code, err = run_process(argv)
+            assert code == 2
+            assert f"input error: {flag} cannot be combined with --map" in err
+            assert "Traceback" not in err
+
     def test_model_witness(self, tmp_path):
         model_path = tmp_path / "y.json"
         run(["build-y", "--segments", 2, "--out", model_path])
@@ -335,6 +351,15 @@ class TestBuildYAndRender:
         assert run([*build, "--out", built]) == 0
         assert run(["render", built, *flags, "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [["--homeo", "missing.json"], ["--depth", 3]])
+    def test_render_map_refuses_model_flags(self, tmp_path, flags):
+        f = tmp_path / "f.json"
+        run(["build-fstar", "--depth", 1, "--out", f])
+        code, err = run_process(["render", f, *flags])
+        assert code == 2
+        assert f"input error: {flags[0]} applies only to a model" in err
+        assert "Traceback" not in err
 
     def test_render_map(self, tmp_path):
         f = tmp_path / "f.json"

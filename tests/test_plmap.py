@@ -23,7 +23,6 @@ from continua.plmap import (
     invert,
     iterate,
     max_slope,
-    modulus_of_continuity,
     rescale,
     wandering_intervals,
 )
@@ -335,21 +334,16 @@ class TestRescale:
 class TestSlopes:
     def test_identity_slope(self):
         assert max_slope(identity()) == 1
-        assert modulus_of_continuity(identity(), F(1, 10)) == F(1, 10)
 
     def test_canonical_slope(self):
         assert max_slope(canonical_r(0, 1)) == F(3, 2)
-
-    def test_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            modulus_of_continuity(identity(), F(0))
 
     def test_lipschitz_bound(self):
         rng = random.Random(111)
         for _ in range(100):
             f = random_plhomeo(rng)
             alpha = F(rng.randrange(1, 8), 16)
-            bound = modulus_of_continuity(f, alpha)
+            bound = max_slope(f) * alpha
             x = F(rng.randrange(0, 33), 32)
             y = min(x + F(rng.randrange(1, 16 * int(1 / alpha) + 1), 64), F(1))
             if abs(x - y) < alpha:

@@ -10,7 +10,6 @@ from continua.rational import (
     parse_rational,
     positive,
     rational_from_json,
-    sqrt_approx,
     sqrt_enclosure,
 )
 from conftest import bisected_sqrt_enclosure
@@ -84,4 +83,3 @@ class TestSqrtEnclosure:
             else:
                 assert hi - lo == F(1, 2**20)
                 assert lo * lo <= x < hi * hi
-                assert abs(sqrt_approx(x) ** 2 - x) < 2 * hi * F(1, 2**21)

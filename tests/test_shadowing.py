@@ -1,5 +1,6 @@
 """Pseudo-orbits, exact shadowing sets, moduli, certificates."""
 
+import hashlib
 import io
 import random
 from fractions import Fraction as F
@@ -112,6 +113,25 @@ class TestPseudoOrbits:
         o = generate_pseudo_orbit(f, F(1, 100), (0, 10), F(1, 10), seed=7)
         assert verify_pseudo_orbit(f, o) < F(1, 100)
         assert all(0 <= p <= 1 for p in o.points)
+
+    @pytest.mark.parametrize(
+        "orbit, digest",
+        [
+            (lambda: generate_pseudo_orbit(
+                build_ternary_map(2), F(1, 100), (-4, 20), F(1, 7), seed=99),
+             "efdaccca81b9c6f387bc7d9f15bbc9cd7bc8835234a6510c6f3afbeb09642c39"),
+            (lambda: generate_pseudo_orbit(canonical_r(0, 1), F(1, 100), (-3, 5), F(1, 10), seed=3),
+             "69df62e53b7290f9ca1b02f40f6503a96e4b2f93736ddaf7211a74b0a1e3982b"),
+            (lambda: true_orbit(canonical_r(0, 1), (-4, 6), F(1, 10)),
+             "78bd50e773a12cd5ac3ec84cdea65bc3efcdc2b76fd9e2c7485602d784149068"),
+        ],
+        ids=["ternary-2-seed-99", "canonical-r-seed-3", "true-orbit"],
+    )
+    def test_pinned_orbit_digests(self, orbit, digest):
+        # backward runs included: the benchmark digests pin forward orbits only
+        buf = io.StringIO()
+        orbit_to_csv(orbit(), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_csv_round_trip_interval(self):
         o = generate_pseudo_orbit(canonical_r(0, 1), F(1, 100), (-3, 5), F(1, 10), seed=3)
@@ -228,7 +248,9 @@ class TestModulus:
 
 
 class TestLazyModulus:
-    """The sampler folds each orbit as it is generated."""
+    """The sampled modulus equals the one that decides every orbit by its
+    full shadowing set, and the fold reads no point past its first empty
+    step."""
 
     @pytest.mark.parametrize("depth", range(2, 7))
     def test_equals_materialized_modulus(self, depth):
