@@ -106,12 +106,12 @@ def _load_map(path: str) -> PLHomeo:
 
 
 def _load_homeo(args, model: YModel) -> YHomeo:
-    """The --homeo map, or the depth-``args.depth`` arcwise map when the
-    flag is absent; either way checked against the model."""
+    """The --homeo map, or else the arcwise map of depth --depth (3 when
+    absent); either way checked against the model."""
     if args.homeo:
         g = YHomeo.from_json(_load_json(args.homeo))
     else:
-        g = build_arcwise_map(model, args.depth)
+        g = build_arcwise_map(model, 3 if args.depth is None else args.depth)
     validate_homeo(model, g)
     return g
 
@@ -164,7 +164,7 @@ def cmd_explode(args) -> tuple[str | None, int]:
 
 def cmd_shadow(args) -> tuple[str | None, int]:
     if args.map is not None:
-        _refuse_flags(args, ("--model", "--homeo"), "cannot be combined with --map")
+        _refuse_flags(args, ("--model", "--homeo", "--depth"), "cannot be combined with --map")
     epsilon = parse_rational(args.epsilon)
     with open(args.orbit) as fh:
         orbit = orbit_from_csv(fh)
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--map", default=None)
     s.add_argument("--model", default=None)
     s.add_argument("--homeo", default=None)
-    s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
+    s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     s.add_argument("--orbit", required=True)
     s.add_argument("--epsilon", required=True)
     s.set_defaults(func=cmd_shadow)

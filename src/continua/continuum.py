@@ -129,12 +129,9 @@ class Arc:
         """Embedded polyline of the parameter range [t0, t1]."""
         if not 0 <= t0 <= t1 <= 1:
             raise ValueError("need 0 <= t0 <= t1 <= 1")
+        # the inner vertices k/n with t0 < k/n < t1
         n = self.segments
-        pts = [self.embed(t0)]
-        for k in range(1, n):
-            t = Fraction(k, n)
-            if t0 < t < t1:
-                pts.append(self.polyline[k])
+        pts = [self.embed(t0), *self.polyline[int(t0 * n) + 1 : -(-t1 * n // 1)]]
         if t1 > t0:
             pts.append(self.embed(t1))
         return tuple(pts)

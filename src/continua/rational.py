@@ -13,8 +13,6 @@ import math
 import re
 from fractions import Fraction
 
-ZERO = Fraction(0)
-
 
 def positive(x, name: str) -> Fraction:
     """``x`` as a Fraction, checked to be above 0 (else ValueError)."""
@@ -99,10 +97,6 @@ def sqrt_enclosure(x: Fraction) -> tuple[Fraction, Fraction]:
     lo is the largest multiple of 2^-20 whose square is at most x, from one
     integer square root: isqrt(⌊x·2^40⌋) = ⌊sqrt(x)·2^20⌋.
     """
-    if x < 0:
-        raise ValueError("square root of a negative rational")
-    if x == 0:
-        return ZERO, ZERO
     r = exact_sqrt(x)
     if r is not None:
         return r, r

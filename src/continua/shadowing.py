@@ -213,49 +213,34 @@ class ShadowingSet:
 def shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowingSet:
     """Exact intersection of pulled-back epsilon-tubes around the orbit.
 
-    Folds tube constraints forward through the window (images of intervals
-    under a monotone PL map are intervals with rational endpoints), then
-    pulls the surviving interval back to index 0.
+    Folds the tubes under f's inverse from the window's last index to its
+    first, then pushes the surviving interval forward ``orbit.offset``
+    steps to index 0, so a forward orbit needs no push.
     """
     epsilon = positive(epsilon, "epsilon")
-    cur = _forward_fold(f, orbit.points, epsilon)
+    cur = _forward_fold(invert(f), reversed(orbit.points), epsilon)
     if cur is None:
         return ShadowingSet(None, epsilon)
-    n = orbit.window[1]
-    return ShadowingSet((iterate(f, cur[0], -n), iterate(f, cur[1], -n)), epsilon)
+    k = orbit.offset
+    return ShadowingSet((iterate(f, cur[0], k), iterate(f, cur[1], k)), epsilon)
 
 
 def _forward_fold(
-    f: PLHomeo, points: Iterable[Fraction], epsilon: Fraction
+    g: PLHomeo, points: Iterable[Fraction], epsilon: Fraction
 ) -> tuple[Fraction, Fraction] | None:
-    """Image at the last point of the shadowing set of ``points`` (an
-    orbit in index order, from its first index), or None when that set is
-    empty.
+    """Fold the epsilon-tubes around ``points`` forward under g: the image
+    at the last point of their shadowing set under g, or None when empty.
 
-    f is a bijection, so the image is empty exactly when the set is: the
-    fold alone decides emptiness, with no pull-back.  The fold reads one
-    point per step and returns at the first empty step.
+    The fold starts from the whole domain, which g maps onto itself, reads
+    one point per step and returns at the first empty step.  g is a
+    bijection, so the image is empty exactly when the set is.
     """
-    lo, hi = f.domain
-
-    def tube(x: Fraction) -> tuple[Fraction, Fraction] | None:
-        a, b = max(lo, x - epsilon), min(hi, x + epsilon)
-        return (a, b) if a <= b else None
-
-    points = iter(points)
-    cur = tube(next(points))
-    if cur is None:
-        return None
+    a, b = g.domain
     for x in points:
-        img = (evaluate(f, cur[0]), evaluate(f, cur[1]))
-        t = tube(x)
-        if t is None:
+        a, b = max(evaluate(g, a), x - epsilon), min(evaluate(g, b), x + epsilon)
+        if a > b:
             return None
-        nxt = (max(img[0], t[0]), min(img[1], t[1]))
-        if nxt[0] > nxt[1]:
-            return None
-        cur = nxt
-    return cur
+    return a, b
 
 
 def estimate_shadowing_modulus(
@@ -279,16 +264,14 @@ def estimate_shadowing_modulus(
 
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
-        ok = True
         for t in range(trials):
             start_rng = random.Random(seed * 1_000_003 + 2 * t)
             x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
             rng = random.Random(seed * 1_000_003 + 2 * t + 1)
             orbit = _two_sided_orbit(f, delta, (0, ORBIT_LENGTH), x0, rng)
             if _forward_fold(f, orbit.points, epsilon) is None:
-                ok = False
                 break
-        if ok:
+        else:
             return delta
     return Fraction(0)
 
@@ -366,20 +349,22 @@ def generate_pseudo_orbit_y(
     for _ in range(length):
         img = apply_map(g, pts[-1])
         arc = model.arc(img.arc)
-        hopped = False
-        if rng.randrange(4) == 0:
-            # hop across a vertex when the image is within bound/2 of it
-            for end in (0, 1):
-                if arc.stretch_hi * _from_end(end, img.t) < bound / 2:
-                    neighbors = model.across(arc, end)
-                    if neighbors:
-                        other, oend = neighbors[rng.randrange(len(neighbors))]
-                        u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
-                        depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
-                        pts.append(YPoint(other.id, _from_end(oend, depth)))
-                        hopped = True
-                    break
-        if not hopped:
+        # hop across the first vertex within bound/2 of the image, if any
+        # other arc meets there
+        neighbors = rng.randrange(4) == 0 and next(
+            (
+                model.across(arc, end)
+                for end in (0, 1)
+                if arc.stretch_hi * _from_end(end, img.t) < bound / 2
+            ),
+            [],
+        )
+        if neighbors:
+            other, oend = neighbors[rng.randrange(len(neighbors))]
+            u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
+            depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
+            pts.append(YPoint(other.id, _from_end(oend, depth)))
+        else:
             jitter = _noise(rng, bound / arc.stretch_hi)
             pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
     return PseudoOrbit(tuple(pts), 0)
@@ -596,13 +581,11 @@ def quasi_attractor_certificate(
     image_pieces, complement_pieces = _neighborhood_pieces(model, g, nb)
     sep_sq = _min_separation_sq(image_pieces, complement_pieces)
 
-    delta = None
     for j in range(1, DELTA_GRID_LEVELS + 1):
-        cand = delta1 / 3 / 2**j
-        if sep_sq is None or cand * cand < sep_sq:
-            delta = cand
+        delta = delta1 / 3 / 2**j
+        if sep_sq is None or delta * delta < sep_sq:
             break
-    if delta is None:
+    else:
         raise CertificateError(
             f"arc {arc_id!r}: no grid delta below the exact separation distance"
         )

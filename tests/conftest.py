@@ -32,6 +32,7 @@ from continua.plmap import (
     PLHomeo,
     canonical_generator,
     evaluate,
+    iterate,
     wandering_intervals,
 )
 from continua.rational import exact_sqrt
@@ -40,6 +41,7 @@ from continua.shadowing import (
     NOISE_GRID,
     ORBIT_LENGTH,
     PseudoOrbit,
+    ShadowingSet,
     generate_pseudo_orbit,
     shadowing_set,
 )
@@ -427,6 +429,37 @@ def materialized_modulus(f: PLHomeo, epsilon: Fraction, trials: int, seed: int) 
     return Fraction(0)
 
 
+def pullback_shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowingSet:
+    """``shadowing_set`` by folding the domain-clamped tubes forward to the
+    window's last index, then pulling both endpoints back to index 0."""
+    lo, hi = f.domain
+
+    def tube(x: Fraction) -> tuple[Fraction, Fraction] | None:
+        a, b = max(lo, x - epsilon), min(hi, x + epsilon)
+        return (a, b) if a <= b else None
+
+    def fold() -> tuple[Fraction, Fraction] | None:
+        cur = tube(orbit.points[0])
+        if cur is None:
+            return None
+        for x in orbit.points[1:]:
+            img = (evaluate(f, cur[0]), evaluate(f, cur[1]))
+            t = tube(x)
+            if t is None:
+                return None
+            nxt = (max(img[0], t[0]), min(img[1], t[1]))
+            if nxt[0] > nxt[1]:
+                return None
+            cur = nxt
+        return cur
+
+    cur = fold()
+    if cur is None:
+        return ShadowingSet(None, epsilon)
+    n = orbit.window[1]
+    return ShadowingSet((iterate(f, cur[0], -n), iterate(f, cur[1], -n)), epsilon)
+
+
 def orbit_membership_oracle(
     f: PLHomeo, f_inv: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction, y: Fraction
 ) -> bool:
@@ -604,6 +637,18 @@ def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
         if d2 < best_d2:
             best_t, best_d2 = (k + t_seg) / n, d2
     return best_t, best_d2
+
+
+def scan_sub_polyline(arc: Arc, t0: Fraction, t1: Fraction) -> tuple[Point, ...]:
+    """Arc.sub_polyline by testing t0 < k/n < t1 for every inner vertex k."""
+    n = arc.segments
+    pts = [arc.embed(t0)]
+    for k in range(1, n):
+        if t0 < Fraction(k, n) < t1:
+            pts.append(arc.polyline[k])
+    if t1 > t0:
+        pts.append(arc.embed(t1))
+    return tuple(pts)
 
 
 def scan_arcs_at(model: YModel, vertex_id: str) -> list[tuple[Arc, int]]:

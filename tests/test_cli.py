@@ -16,11 +16,15 @@ from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump
 from continua.continuum import (
     YHomeo,
     YModel,
+    YPoint,
     build_arc_model,
     build_arcwise_map,
     identity_homeo,
 )
 from continua.plmap import Orientation, PLHomeo, canonical_r, identity, wandering_intervals
+from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y, orbit_to_csv
+
+from conftest import edge_enriched_map
 
 
 def run(argv):
@@ -205,6 +209,29 @@ class TestShadow:
             assert code == 2
             assert f"input error: {flag} cannot be combined with --map" in err
             assert "Traceback" not in err
+
+    def test_map_refuses_depth(self, tmp_path, map_file):
+        # --depth picks the arcwise map of a model; a map file has no use for it
+        path = map_file(canonical_r(0, 1))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,point\n0,1/10\n1,1/5\n")
+        argv = ["shadow", "--map", path, "--depth", 5, "--orbit", orbit, "--epsilon", "1/20"]
+        code, err = run_process(argv)
+        assert code == 2
+        assert "input error: --depth cannot be combined with --map" in err
+        assert "Traceback" not in err
+
+    def test_model_depth_defaults_to_three(self, tmp_path, capsys):
+        model_path = tmp_path / "y.json"
+        model_path.write_text(dump_json(build_arc_model(2).to_json()))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n2,h2,2/3\n")
+        argv = ["shadow", "--model", model_path, "--orbit", orbit, "--epsilon", "1/10"]
+        outputs = []
+        for extra in ([], ["--depth", 3]):
+            outputs.append((run([*argv, *extra]), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1] != "null\n"
 
     def test_model_witness(self, tmp_path):
         model_path = tmp_path / "y.json"
@@ -437,6 +464,59 @@ class TestCertify:
         bundle = json.loads(outs[0])
         assert bundle["status"] == "ok"
         assert bundle["sampling"]["global_failures"] == []
+
+
+@pytest.fixture()
+def pinned_inputs(tmp_path):
+    m2 = build_arc_model(2)
+    g = YHomeo({a.id: edge_enriched_map(2, F(1, 2**16)) for a in m2.arcs})
+    files = {"G": g.to_json(), "f2": build_ternary_map(2).to_json(), "y2": m2.to_json()}
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(obj))
+    orbits = {
+        "interval": generate_pseudo_orbit(build_ternary_map(2), F(1, 100), (-4, 20), F(1, 7), 99),
+        "model": generate_pseudo_orbit_y(
+            m2, build_arcwise_map(m2, 2), F(1, 20), 12, YPoint("h1", F(1, 3)), 3
+        ),
+    }
+    for name, orbit in orbits.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        with open(paths[name], "w", newline="") as fh:
+            orbit_to_csv(orbit, fh)
+    return paths
+
+
+# (argv, exit code, sha256 of stdout): whole artifacts of the certify,
+# shadow and modulus paths, so a rewrite of the exact core keeps every byte
+PINNED_RUNS = {
+    "certify-enriched": (
+        lambda d: ["certify", "--segments", 2, "--homeo", d["G"], "--epsilon", "1/10",
+                   "--trials", 3, "--seed", 5],
+        0, "9da7dfc27f82874db7ce63b873bb3eee11f4955b67559bfbd041316b9ebb3e75"),
+    "certify-refused": (
+        lambda d: ["certify", "--segments", 8, "--depth", 3, "--epsilon", "1/10",
+                   "--trials", 2, "--seed", 1],
+        3, "5e94ac4383b33591e7c55b93644e0539ab500b6d0d4b5c8a3e8ba24f4f4a94f7"),
+    "shadow-map-two-sided": (
+        lambda d: ["shadow", "--map", d["f2"], "--orbit", d["interval"], "--epsilon", "1/50"],
+        0, "289e703182421b9da3e30d8403104da86daf3732251e90d493737f0be23b6a19"),
+    "shadow-model": (
+        lambda d: ["shadow", "--model", d["y2"], "--depth", 2, "--orbit", d["model"],
+                   "--epsilon", "1/10"],
+        0, "210292ee22e1d59ca9e70df35bd68e35a04d0a98f8d586d7c2b881259af96750"),
+    "modulus": (
+        lambda d: ["modulus", d["f2"], "--epsilon", "1/20", "--trials", 20, "--seed", 1],
+        0, "dcda7164941c506813be204e5f1de63e2b9704781d91a383b7c4790ae76dc52b"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_pinned_artifact_bytes(pinned_inputs, capsys, name):
+    argv, code, digest = PINNED_RUNS[name]
+    assert run(argv(pinned_inputs)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestFlagBounds:

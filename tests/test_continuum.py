@@ -26,7 +26,7 @@ from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
-from conftest import scan_arcs_at, scan_nearest
+from conftest import scan_arcs_at, scan_nearest, scan_sub_polyline
 
 
 class TestBuild:
@@ -140,6 +140,23 @@ class TestEmbedding:
     def test_parameter_out_of_range(self):
         with pytest.raises(ValueError):
             YPoint("h1", F(3, 2))
+
+
+class TestSubPolylineAgainstScan:
+    def test_every_arc_and_parameter_pair(self):
+        # every model shares one circle polyline: each distinct arc once
+        arcs = {a.polyline: a for M in (1, 2, 3, 8) for a in build_arc_model(M).arcs}
+        for arc in arcs.values():
+            n = arc.segments
+            ts = {F(0), F(1), F(1, 3), F(2, 3)}
+            for k in range(n + 1):
+                ts.update((F(k, n), F(k, n) - F(1, 7 * n), F(k, n) + F(1, 7 * n)))
+            ts = sorted(t for t in ts if 0 <= t <= 1)
+            for i, t0 in enumerate(ts):
+                for t1 in ts[i:]:
+                    assert arc.sub_polyline(t0, t1) == scan_sub_polyline(arc, t0, t1), (
+                        arc.id, t0, t1
+                    )
 
 
 class TestDistances:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from continua import shadowing
+from continua import plmap, shadowing
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.continuum import (
     Arc,
@@ -58,6 +58,7 @@ from conftest import (
     edge_enriched_map,
     materialized_modulus,
     orbit_membership_oracle,
+    pullback_shadowing_set,
     random_fat_map,
     random_plhomeo,
     random_touching_map,
@@ -324,6 +325,56 @@ class TestForwardFold:
         assert seen == {True, False}
 
 
+@st.composite
+def fold_cases(draw):
+    """(map, orbit, epsilon): a random, fat or ternary map of [0, 1]; a
+    seeded pseudo-orbit over (-m, n) with m <= 3 and n <= 8, some of its
+    points moved anywhere in [-1, 2]; epsilon from 10^-6 to 2."""
+    kind = draw(st.sampled_from(["random", "fat", "ternary"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "ternary":
+        f = build_ternary_map(seed % 4)
+    else:
+        f = (random_plhomeo if kind == "random" else random_fat_map)(random.Random(seed))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 8))
+    delta = F(1, 2 ** draw(st.integers(1, 10)))
+    x0 = draw(st.fractions(0, 1, max_denominator=64))
+    pts = list(generate_pseudo_orbit(f, delta, (-m, n), x0, seed).points)
+    for i in draw(st.lists(st.integers(0, m + n), max_size=3)):
+        pts[i] = draw(st.fractions(-1, 2, max_denominator=64))
+    eps = max(F(1, 10**6), F(draw(st.integers(1, 64)), 32 * 2 ** draw(st.integers(0, 20))))
+    return f, PseudoOrbit(tuple(pts), m), eps
+
+
+class TestFoldToIndexZero:
+    """shadowing_set folds from the whole domain straight to index 0."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fold_cases())
+    def test_equals_forward_fold_and_pull_back(self, case):
+        f, orbit, eps = case
+        expected = pullback_shadowing_set(f, orbit, eps).interval
+        assert shadowing_set(f, orbit, eps).interval == expected
+
+    def test_forward_orbit_costs_two_evaluations_per_point(self, monkeypatch):
+        calls = []
+        kernel = plmap.evaluate
+
+        def counted(f, x):
+            calls.append(x)
+            return kernel(f, x)
+
+        monkeypatch.setattr(plmap, "evaluate", counted)
+        monkeypatch.setattr(shadowing, "evaluate", counted)
+        rng = random.Random(29)
+        for f in (identity(), build_ternary_map(3), random_plhomeo(rng), random_fat_map(rng)):
+            for k in range(1, 26):
+                orbit = true_orbit(f, (0, k - 1), F(rng.randrange(0, 65), 64))
+                calls.clear()
+                assert not shadowing_set(f, orbit, F(1, 100)).is_empty
+                assert len(calls) <= 2 * k, (f, k, len(calls))
+
+
 class TestModelOrbits:
     def test_certified_defect(self):
         m = build_arc_model(3)
@@ -335,6 +386,27 @@ class TestModelOrbits:
             o = generate_pseudo_orbit_y(m, g, delta, 16, YPoint(aid, F(1, 3)), seed=100 + t)
             assert verify_pseudo_orbit_y_sq(m, g, o) < delta * delta
             assert len(o.points) == 17
+
+    @pytest.mark.parametrize(
+        "start, seed, digest",
+        [
+            (YPoint("h1", F(1, 1000)), 1,
+             "9959bb10883abf833b4d821258a9705f6f7eeb8b4ec7f6bbecba8a8e8cdbca70"),
+            (YPoint("h1", F(1, 1000)), 7,
+             "b825d2c80f8311cd3d75222ee3ef50c212d5d763d40e4ac5241db9cec3a01e1c"),
+            (YPoint("v2", F(999, 1000)), 1,
+             "791e0fa1bc35de4c81e67d2bbac3c96c55f63ea0de79f83160686cc99ee89c30"),
+        ],
+        ids=["h1-seed-1", "h1-seed-7", "v2-tip-seed-1"],
+    )
+    def test_pinned_hop_digests(self, start, seed, digest):
+        # h1 starts at the anchor, where the circle meets it, and these two
+        # seeds change arcs 4 and 7 times; no other arc meets v2's tip
+        m = build_arc_model(3)
+        o = generate_pseudo_orbit_y(m, build_arcwise_map(m, 2), F(1, 10), 24, start, seed)
+        buf = io.StringIO()
+        orbit_to_csv(o, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_orbit_changes_arcs_sometimes(self):
         m = build_arc_model(3)
