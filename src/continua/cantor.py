@@ -362,7 +362,8 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
                     best = k
             if best is None:
                 raise InsufficientIntervals(
-                    f"round {rnd}: no {want.value} interval inside gap ({glo}, {ghi})"
+                    f"insufficient intervals: round {rnd}: "
+                    f"no {want.value} interval inside gap ({glo}, {ghi})"
                 )
             pick = ivs[best]
             target = TernaryIndex(level, int(tlo * 3**level))

@@ -4,8 +4,10 @@ Subcommands build the library's objects, run the experiments, and emit
 JSON/CSV/SVG artifacts.  Runs are fully determined by their flags: the
 same seed and parameters give byte-identical output files.
 
-Each subcommand returns its artifact text and exit code, and ``main``
-writes the text to --out or stdout.  ``render`` is the only SVG writer.
+Each subcommand returns its artifact text and exit code, or raises; ``main``
+alone writes the text to --out or stdout and maps errors to exit codes.
+``render`` is the only SVG writer.  One choice given by two flags (--depth
+with --homeo, --segments with --model) is an input error.
 
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
 is negative), 2 input error, 3 certification failure.  A --depth,
@@ -106,9 +108,10 @@ def _load_map(path: str) -> PLHomeo:
 
 
 def _load_homeo(args, model: YModel) -> YHomeo:
-    """The --homeo map, or else the arcwise map of depth --depth (3 when
-    absent); either way checked against the model."""
+    """The --homeo map, refusing --depth next to it, or else the arcwise
+    map of depth --depth (3 when absent); either way checked against the model."""
     if args.homeo:
+        _refuse_flags(args, ("--depth",), "cannot be combined with --homeo")
         g = YHomeo.from_json(_load_json(args.homeo))
     else:
         g = build_arcwise_map(model, 3 if args.depth is None else args.depth)
@@ -135,26 +138,21 @@ def _witness(witness) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build_fstar(args) -> tuple[str | None, int]:
+def cmd_build_fstar(args) -> tuple[str, int]:
     return dump_json(build_ternary_map(args.depth).to_json()), EXIT_OK
 
 
-def cmd_check_peps(args) -> tuple[str | None, int]:
+def cmd_check_peps(args) -> tuple[str, int]:
     f = _load_map(args.map)
     return _witness(check_chain_property(f, parse_rational(args.epsilon)))
 
 
-def cmd_conjugate(args) -> tuple[str | None, int]:
+def cmd_conjugate(args) -> tuple[str, int]:
     g = _load_map(args.map)
-    try:
-        report = build_conjugacy(g, args.depth)
-    except InsufficientIntervals as exc:
-        sys.stderr.write(f"insufficient intervals: {exc}\n")
-        return None, EXIT_UNSAT
-    return dump_json(report.to_json()), EXIT_OK
+    return dump_json(build_conjugacy(g, args.depth).to_json()), EXIT_OK
 
 
-def cmd_explode(args) -> tuple[str | None, int]:
+def cmd_explode(args) -> tuple[str, int]:
     f = _load_map(args.map)
     g = explode_fixed_point(
         f, parse_rational(args.point), parse_rational(args.radius), Orientation(args.orient)
@@ -162,7 +160,7 @@ def cmd_explode(args) -> tuple[str | None, int]:
     return dump_json(g.to_json()), EXIT_OK
 
 
-def cmd_shadow(args) -> tuple[str | None, int]:
+def cmd_shadow(args) -> tuple[str, int]:
     if args.map is not None:
         _refuse_flags(args, ("--model", "--homeo", "--depth"), "cannot be combined with --map")
     epsilon = parse_rational(args.epsilon)
@@ -183,7 +181,7 @@ def cmd_shadow(args) -> tuple[str | None, int]:
     return dump_json(s.to_json()), EXIT_UNSAT if s.is_empty else EXIT_OK
 
 
-def cmd_modulus(args) -> tuple[str | None, int]:
+def cmd_modulus(args) -> tuple[str, int]:
     f = _load_map(args.map)
     epsilon = parse_rational(args.epsilon)
     delta = estimate_shadowing_modulus(f, epsilon, args.trials, args.seed)
@@ -196,22 +194,23 @@ def cmd_modulus(args) -> tuple[str | None, int]:
     return dump_json(report), EXIT_OK if delta > 0 else EXIT_UNSAT
 
 
-def cmd_build_y(args) -> tuple[str | None, int]:
+def cmd_build_y(args) -> tuple[str, int]:
     return dump_json(build_arc_model(args.segments).to_json()), EXIT_OK
 
 
-def cmd_certify(args) -> tuple[str | None, int]:
+def cmd_certify(args) -> tuple[str, int]:
     if args.model:
+        _refuse_flags(args, ("--segments",), "cannot be combined with --model")
         model = YModel.from_json(_load_json(args.model))
     else:
-        model = build_arc_model(args.segments)
+        model = build_arc_model(8 if args.segments is None else args.segments)
     g = _load_homeo(args, model)
     epsilon = parse_rational(args.epsilon)
     config = {
         "seed": args.seed,
         "trials": args.trials,
         "epsilon": rational_to_json(epsilon),
-        "depth": args.depth,
+        "depth": 3 if args.depth is None else args.depth,
         "segments": model.M,
     }
 
@@ -228,9 +227,7 @@ def cmd_certify(args) -> tuple[str | None, int]:
 
     per_arc_failures = {}
     for i, cert in enumerate(certs):
-        fails = sample_certificate_soundness(
-            model, g, cert, args.trials, args.seed * 31 + i
-        )
+        fails = sample_certificate_soundness(model, g, cert, args.trials, args.seed * 31 + i)
         if fails:
             per_arc_failures[cert.arc] = fails
     global_failures = sample_global_soundness(
@@ -251,7 +248,7 @@ def cmd_certify(args) -> tuple[str | None, int]:
     return dump_json(bundle), EXIT_OK if bundle["status"] == "ok" else EXIT_UNSAT
 
 
-def cmd_render(args) -> tuple[str | None, int]:
+def cmd_render(args) -> tuple[str, int]:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "breakpoints" in obj:
         _refuse_flags(args, ("--homeo", "--depth"), "applies only to a model, not to a map")
@@ -316,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     z = sub.add_parser("certify", help="full quasi-attractor certification pipeline")
     z.add_argument("--model", default=None)
-    z.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=8)
+    z.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=None)
     z.add_argument("--homeo", default=None)
-    z.add_argument("--depth", type=_at_most(MAX_DEPTH), default=3)
+    z.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     z.add_argument("--epsilon", required=True)
     z.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200)
     z.add_argument("--seed", type=_integer, default=0)
@@ -337,22 +334,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # artifacts carry integers of any length (the limit is absent before 3.10.7)
-    if hasattr(sys, "set_int_max_str_digits"):
+    # artifacts carry integers of any length: lift the digit limit (none before 3.10.7) per run
+    lifted = hasattr(sys, "set_int_max_str_digits")
+    if lifted:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text, code = args.func(args)
-        if text is not None:
-            _write(text, args.out)
+        _write(text, args.out)
         return code
-    except ExplosionSiteError as exc:
+    except (ExplosionSiteError, InsufficientIntervals) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_UNSAT
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    finally:
+        if lifted:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -73,6 +73,9 @@ class Arc:
     stretch_hi: Fraction
 
     def __post_init__(self):
+        lo, hi = self.stretch_lo, self.stretch_hi
+        if not 0 < lo <= hi:
+            raise ModelError(f"arc {self.id!r}: need 0 < stretch_lo <= stretch_hi, got {lo}, {hi}")
         if any(a[0] > b[0] for a, b in zip(self.polyline, self.polyline[1:])):
             raise ModelError(f"arc {self.id!r}: polyline x-coordinates decrease")
 

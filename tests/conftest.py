@@ -605,7 +605,8 @@ def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
             ]
             if not cands:
                 raise InsufficientIntervals(
-                    f"round {rnd}: no {want.value} interval inside gap ({glo}, {ghi})"
+                    f"insufficient intervals: round {rnd}: "
+                    f"no {want.value} interval inside gap ({glo}, {ghi})"
                 )
             pick = max(cands, key=lambda iv: (iv.width, -iv.a))
             new_pairs.append((pick, targets[0]))

@@ -868,3 +868,188 @@ class TestBigIntegers:
         path.write_text(json.dumps(obj))
         code, err = run_process(["check-peps", path, "--epsilon", "1/2"])
         assert code in (0, 1), err
+
+    @pytest.fixture()
+    def caller_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no integer digit limit")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        yield 5000
+        sys.set_int_max_str_digits(old)
+
+    def test_main_lifts_the_limit_for_its_own_run_only(self, tmp_path, caller_limit):
+        f, out = tmp_path / "d0.json", tmp_path / "big.json"
+        assert run(["build-fstar", "--depth", 0, "--out", f]) == 0
+        assert sys.get_int_max_str_digits() == caller_limit
+        # 5001-digit denominators: written only because main lifts the limit
+        code = run(["explode", f, "--point", f"1/{10**2500 + 1}",
+                    "--radius", f"1/{10**2500 + 3}", "--orient", "R", "--out", out])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == caller_limit
+        with pytest.raises(SystemExit):
+            run(["build-fstar", "--depth", "two"])
+        assert sys.get_int_max_str_digits() == caller_limit
+
+
+@pytest.fixture()
+def choice_files(tmp_path):
+    """Models with one and two teeth, maps for them, and a model orbit on
+    which the identity, the depth-0 and the deeper arcwise maps differ."""
+    m1, m2 = build_arc_model(1), build_arc_model(2)
+    objs = {
+        "y1": m1.to_json(),
+        "y2": m2.to_json(),
+        "h1": build_arcwise_map(m1, 1).to_json(),
+        "h2": build_arcwise_map(m2, 2).to_json(),
+        "id2": identity_homeo(m2).to_json(),
+        "G": YHomeo({a.id: edge_enriched_map(2, F(1, 2**16)) for a in m2.arcs}).to_json(),
+        "f1": build_ternary_map(1).to_json(),
+    }
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dump_json(obj))
+    # the depth-1 map's orbit of 1/6 on h2, inside the level-1 L interval
+    paths["orbit"] = tmp_path / "orbit.csv"
+    paths["orbit"].write_text("index,arc,t\n0,h2,1/6\n1,h2,4/27\n2,h2,11/81\n")
+    paths["interval_orbit"] = tmp_path / "interval.csv"
+    paths["interval_orbit"].write_text("index,point\n0,1/10\n1,3/20\n")
+    return paths
+
+
+# (base argv, extra flags): each extra flag changes the artifact on its own,
+# so a run that accepts it next to the base and prints the same bytes with
+# the same exit code has dropped it
+FLAG_CASES = {
+    "render --homeo, --depth": (lambda d: ["render", d["y2"], "--homeo", d["h2"]],
+                                lambda d: ["--depth", 1]),
+    "render --depth": (lambda d: ["render", d["y2"]], lambda d: ["--depth", 1]),
+    "render --homeo": (lambda d: ["render", d["y2"]], lambda d: ["--homeo", d["h2"]]),
+    "render map --depth": (lambda d: ["render", d["f1"]], lambda d: ["--depth", 1]),
+    "render map --homeo": (lambda d: ["render", d["f1"]], lambda d: ["--homeo", d["h2"]]),
+    "shadow --homeo, --depth": (
+        lambda d: ["shadow", "--model", d["y2"], "--homeo", d["id2"], "--orbit", d["orbit"],
+                   "--epsilon", "1/100"],
+        lambda d: ["--depth", 2]),
+    "shadow --model --depth": (
+        lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon", "1/100"],
+        lambda d: ["--depth", 0]),
+    "shadow --model --homeo": (
+        lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon", "1/100"],
+        lambda d: ["--homeo", d["id2"]]),
+    "shadow --map --depth": (
+        lambda d: ["shadow", "--map", d["f1"], "--orbit", d["interval_orbit"],
+                   "--epsilon", "1/20"],
+        lambda d: ["--depth", 0]),
+    "modulus --trials": (lambda d: ["modulus", d["f1"], "--epsilon", "1/10", "--trials", 2],
+                         lambda d: ["--trials", 3]),
+    "modulus --seed": (lambda d: ["modulus", d["f1"], "--epsilon", "1/10", "--trials", 2],
+                       lambda d: ["--seed", 1]),
+    "certify --homeo, --depth": (
+        lambda d: ["certify", "--segments", 1, "--homeo", d["h1"], "--epsilon", 10,
+                   "--trials", 1],
+        lambda d: ["--depth", 3]),
+    "certify --model, --segments": (
+        lambda d: ["certify", "--model", d["y1"], "--depth", 0, "--epsilon", "1/10",
+                   "--trials", 1],
+        lambda d: ["--segments", 2]),
+    "certify --segments": (lambda d: ["certify", "--depth", 0, "--epsilon", "1/10",
+                                      "--trials", 1],
+                           lambda d: ["--segments", 1]),
+    "certify --model": (lambda d: ["certify", "--depth", 0, "--epsilon", "1/10", "--trials", 1],
+                        lambda d: ["--model", d["y1"]]),
+    "certify --depth": (lambda d: ["certify", "--segments", 1, "--epsilon", 10, "--trials", 1],
+                        lambda d: ["--depth", 0]),
+    "certify --homeo": (lambda d: ["certify", "--segments", 1, "--epsilon", 10, "--trials", 1],
+                        lambda d: ["--homeo", d["h1"]]),
+    "certify --trials": (lambda d: ["certify", "--segments", 1, "--depth", 0, "--epsilon", 10,
+                                    "--trials", 1],
+                         lambda d: ["--trials", 2]),
+    "certify --seed": (lambda d: ["certify", "--segments", 1, "--depth", 0, "--epsilon", 10,
+                                  "--trials", 1],
+                       lambda d: ["--seed", 1]),
+}
+
+
+class TestOneFlagPerChoice:
+    """Each choice is read from one flag: a flag is refused, or it changes
+    the run.  --out is left out, since it writes the same bytes by design."""
+
+    @pytest.mark.parametrize("case", list(FLAG_CASES))
+    def test_no_flag_is_silently_dropped(self, choice_files, capsys, case):
+        base, extra = (make(choice_files) for make in FLAG_CASES[case])
+        before = exit_code(base), capsys.readouterr().out
+        code = exit_code([*base, *extra])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert any(str(flag) in err for flag in extra if str(flag).startswith("--"))
+        else:
+            assert (code, out) != before, f"{extra} changed nothing"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (lambda d: ["render", d["y2"], "--homeo", d["h2"], "--depth", 2],
+             "--depth cannot be combined with --homeo"),
+            (lambda d: ["shadow", "--model", d["y2"], "--homeo", d["h2"], "--depth", 2,
+                        "--orbit", d["orbit"], "--epsilon", "1/10"],
+             "--depth cannot be combined with --homeo"),
+            (lambda d: ["certify", "--segments", 2, "--homeo", d["G"], "--depth", 7,
+                        "--epsilon", "1/10", "--trials", 3, "--seed", 5],
+             "--depth cannot be combined with --homeo"),
+            (lambda d: ["certify", "--model", d["y2"], "--segments", 5, "--homeo", d["G"],
+                        "--epsilon", "1/10", "--trials", 3, "--seed", 5],
+             "--segments cannot be combined with --model"),
+        ],
+        ids=["render", "shadow", "certify --homeo", "certify --model"],
+    )
+    def test_second_flag_for_one_choice_refused(self, choice_files, argv, message):
+        code, err = run_process(argv(choice_files))
+        assert code == 2
+        assert f"input error: {message}" in err and "Traceback" not in err
+
+
+class TestInputErrorsInFreshInterpreter:
+    """Inputs that a library check refuses exit 2 with the check's message."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (lambda d: ["build-fstar", "--depth", -1], "levels must be nonnegative"),
+            (lambda d: ["conjugate", d["f1"], "--depth", 0], "depth must be positive"),
+            (lambda d: ["modulus", d["f1"], "--epsilon", "1/10", "--trials", 0],
+             "trials must be >= 1"),
+            (lambda d: ["certify", "--segments", 1, "--epsilon", "1/10", "--trials", 0],
+             "trials must be >= 1"),
+            (lambda d: ["shadow", "--map", d["f1"], "--orbit", d["header_only"],
+                        "--epsilon", "1/10"], "empty orbit CSV"),
+            (lambda d: ["shadow", "--map", d["f1"], "--orbit", d["skipping"],
+                        "--epsilon", "1/10"], "orbit indices must be consecutive"),
+            (lambda d: ["shadow", "--orbit", d["interval_orbit"], "--epsilon", "1/10"],
+             "need --map or --model"),
+            (lambda d: ["check-peps", d["shifted"], "--epsilon", "1/8"],
+             "domain field disagrees with breakpoint endpoints"),
+            (lambda d: ["render", d["list"]], "model JSON must be an object"),
+            (lambda d: ["shadow", "--model", d["y2"], "--homeo", d["list"],
+                        "--orbit", d["orbit"], "--epsilon", "1/10"],
+             "homeomorphism JSON must be an object"),
+        ],
+        ids=["build-fstar depth", "conjugate depth", "modulus trials", "certify trials",
+             "header-only CSV", "skipped index", "no map or model", "shifted domain",
+             "list model", "list homeo"],
+    )
+    def test_refused(self, choice_files, argv, message):
+        d = dict(choice_files)
+        for name, text in (("header_only", "index,point\n"),
+                           ("skipping", "index,point\n0,1/10\n2,3/20\n"),
+                           ("list", "[]")):
+            d[name] = d["orbit"].parent / name
+            d[name].write_text(text)
+        shifted = canonical_r(0, 1).to_json()
+        shifted["domain"] = [["0", "1"], ["2", "1"]]
+        d["shifted"] = d["orbit"].parent / "shifted.json"
+        d["shifted"].write_text(json.dumps(shifted))
+        code, err = run_process(argv(d))
+        assert code == 2
+        assert f"input error: {message}" in err and "Traceback" not in err

@@ -28,6 +28,7 @@ from continua.plmap import (
     iterate,
     max_slope,
 )
+from continua.rational import sqrt_enclosure
 from continua.shadowing import (
     CertificateError,
     CoverFailure,
@@ -36,6 +37,7 @@ from continua.shadowing import (
     _forward_fold,
     _min_separation_sq,
     _neighborhood_pieces,
+    _verified_arc_shadow,
     estimate_shadowing_modulus,
     find_inward_neighborhood,
     generate_pseudo_orbit,
@@ -672,3 +674,45 @@ class TestShadowSearch:
         o = PseudoOrbit((YPoint("h1", F(1, 2)), YPoint("h1", F(1, 2))), 1)
         with pytest.raises(ValueError):
             shadow_on_model(m, g, o, F(1, 10))
+
+
+@st.composite
+def arc_orbits(draw):
+    """An arc of a model with M <= 3 teeth, a ternary or random map on it,
+    and a forward orbit of that map embedded and then moved in the plane
+    by at most a quarter of epsilon per coordinate."""
+    arc = draw(st.sampled_from(build_arc_model(draw(st.integers(1, 3))).arcs))
+    if draw(st.booleans()):
+        fa = build_ternary_map(draw(st.integers(0, 3)))
+    else:
+        fa = random_plhomeo(random.Random(draw(st.integers(0, 2**32))))
+    eps = F(1, draw(st.integers(4, 256)))
+    moves = st.fractions(-eps / 4, eps / 4, max_denominator=4096)
+    x = draw(st.fractions(0, 1, max_denominator=256))
+    targets = []
+    for _ in range(draw(st.integers(1, 12))):
+        px, py = arc.embed(x)
+        targets.append((px + draw(moves), py + draw(moves)))
+        x = evaluate(fa, x)
+    return arc, fa, targets, eps, draw(st.fractions(0, 1, max_denominator=997))
+
+
+class TestReducedSetWitnesses:
+    """Every point of the reduced shadowing set that the arc search solves
+    is a witness: stretch_hi bounds the ambient distance per unit of
+    parameter, so |embed(f^i y) - p_i| <= eps_rem + margin_hi = epsilon."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(arc_orbits())
+    def test_every_point_verifies(self, case):
+        arc, fa, targets, eps, u = case
+        nearest = [arc.nearest(p) for p in targets]
+        eps_rem = eps - sqrt_enclosure(max(d2 for _, d2 in nearest))[1]
+        assert eps_rem > 0
+        orbit = PseudoOrbit(tuple(t for t, _ in nearest), 0)
+        s = shadowing_set(fa, orbit, eps_rem / arc.stretch_hi)
+        if s.is_empty:
+            return
+        lo, hi = s.interval
+        for y in (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * u):
+            assert _verified_arc_shadow(arc, fa, y, targets, eps), (arc.id, y)
