@@ -218,8 +218,13 @@ class YModel:
         M = obj.get("M")
         if type(M) is not int:
             raise ModelError(f"model JSON needs an integer field M, got {M!r}")
-        model = build_arc_model(M)
-        if model.to_json() != obj:
+        vertices, arcs = obj.get("vertices"), obj.get("arcs")
+        # refuse wrong counts before building, so the work follows the file's
+        # size and not its M; M < 1 is left to build_arc_model's own message
+        sized = isinstance(vertices, dict) and isinstance(arcs, list) and (
+            len(vertices) == len(arcs) == 2 * M + 1
+        )
+        if (M >= 1 and not sized) or (model := build_arc_model(M)).to_json() != obj:
             raise ModelError("model JSON does not describe a standard truncated model")
         return model
 

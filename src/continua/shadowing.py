@@ -646,28 +646,25 @@ def _verified_arc_shadow(
 def _shadow_embedded(
     arc: Arc, fa: PLHomeo, targets: list[Point], epsilon: Fraction
 ) -> YPoint | None:
-    """``shadow_on_arc`` for an orbit already embedded in the plane."""
+    """``shadow_on_arc`` for an orbit already embedded in the plane.  Every
+    point of a non-empty reduced set tracks when ``stretch_hi`` bounds the
+    arc's stretch, so its midpoint stands for the whole set."""
+    eps_sq = epsilon * epsilon
     proj: list[Fraction] = []
     worst_d2 = Fraction(0)
     for p in targets:
         t, d2 = arc.nearest(p)
+        if d2 >= eps_sq:
+            return None
         proj.append(t)
         worst_d2 = max(worst_d2, d2)
-    if worst_d2 >= epsilon * epsilon:
-        return None
-    margin_hi = sqrt_enclosure(worst_d2)[1]
-    eps_rem = epsilon - margin_hi
-    candidates: list[Fraction] = []
+    y = proj[0]
+    eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
     if eps_rem > 0:
         s = shadowing_set(fa, PseudoOrbit(tuple(proj), 0), eps_rem / arc.stretch_hi)
         if s.interval is not None:
-            lo, hi = s.interval
-            candidates.extend(((lo + hi) / 2, lo, hi))
-    candidates.extend(proj[:1])  # the projected start is a cheap extra candidate
-    for y in candidates:
-        if _verified_arc_shadow(arc, fa, y, targets, epsilon):
-            return YPoint(arc.id, y)
-    return None
+            y = (s.interval[0] + s.interval[1]) / 2
+    return YPoint(arc.id, y) if _verified_arc_shadow(arc, fa, y, targets, epsilon) else None
 
 
 def shadow_on_arc(
@@ -681,8 +678,10 @@ def shadow_on_arc(
 
     Projects the orbit to nearest points of the arc, solves the exact
     arc-level shadowing set at the tolerance left after the projection
-    margin, and verifies each candidate directly in ambient distance (so
-    the returned witness is sound regardless of the conversion bounds).
+    margin, and checks its midpoint, else the projected start, exactly in
+    ambient distance, so a returned witness is sound regardless of the
+    conversion bounds.  None means that candidate failed, not that no
+    witness exists.
     """
     if orbit.offset != 0:
         raise ValueError("arc search expects a forward pseudo-orbit")
@@ -696,8 +695,8 @@ def shadow_on_model(
     """Locate a verified epsilon-shadowing point anywhere on the model.
 
     Tries arcs in order of exact distance from the orbit's start; the
-    first arc whose search verifies a witness wins.  The orbit is embedded
-    once for all arcs.
+    first arc whose one candidate verifies wins, and None is a search miss,
+    not a proof.  The orbit is embedded once for all arcs.
     """
     if orbit.offset != 0:
         raise ValueError("model search expects a forward pseudo-orbit")

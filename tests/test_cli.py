@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import continua
+from continua import cli, continuum
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
 from continua.continuum import (
@@ -465,12 +466,31 @@ class TestCertify:
         assert bundle["status"] == "ok"
         assert bundle["sampling"]["global_failures"] == []
 
+    def test_sampled_failures_refute(self, tmp_path, monkeypatch):
+        # no small pinned setup refutes, so the samplers report misses here
+        monkeypatch.setattr(
+            cli, "sample_certificate_soundness",
+            lambda model, g, cert, trials, seed: [0, 2] if cert.arc == "h2" else [],
+        )
+        monkeypatch.setattr(cli, "sample_global_soundness", lambda *args: [1])
+        out = tmp_path / "bundle.json"
+        argv = ["certify", "--segments", 2, "--depth", 3, "--epsilon", "10", "--trials", 2]
+        assert run([*argv, "--out", out]) == 1
+        bundle = json.loads(out.read_text())
+        assert bundle["status"] == "refuted"
+        assert bundle["sampling"] == {"per_arc_failures": {"h2": [0, 2]}, "global_failures": [1]}
+
 
 @pytest.fixture()
 def pinned_inputs(tmp_path):
-    m2 = build_arc_model(2)
+    m2, m3 = build_arc_model(2), build_arc_model(3)
     g = YHomeo({a.id: edge_enriched_map(2, F(1, 2**16)) for a in m2.arcs})
-    files = {"G": g.to_json(), "f2": build_ternary_map(2).to_json(), "y2": m2.to_json()}
+    files = {
+        "G": g.to_json(),
+        "f2": build_ternary_map(2).to_json(),
+        "y2": m2.to_json(),
+        "y3": m3.to_json(),
+    }
     paths = {}
     for name, obj in files.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -479,6 +499,10 @@ def pinned_inputs(tmp_path):
         "interval": generate_pseudo_orbit(build_ternary_map(2), F(1, 100), (-4, 20), F(1, 7), 99),
         "model": generate_pseudo_orbit_y(
             m2, build_arcwise_map(m2, 2), F(1, 20), 12, YPoint("h1", F(1, 3)), 3
+        ),
+        # no candidate verifies at epsilon 1/16, though ("v2", 25/256) is a witness
+        "missed": generate_pseudo_orbit_y(
+            m3, build_arcwise_map(m3, 2), F(1, 10), 12, YPoint("v2", F(57, 256)), 42
         ),
     }
     for name, orbit in orbits.items():
@@ -506,6 +530,10 @@ PINNED_RUNS = {
         lambda d: ["shadow", "--model", d["y2"], "--depth", 2, "--orbit", d["model"],
                    "--epsilon", "1/10"],
         0, "210292ee22e1d59ca9e70df35bd68e35a04d0a98f8d586d7c2b881259af96750"),
+    "shadow-model-unsatisfied": (
+        lambda d: ["shadow", "--model", d["y3"], "--depth", 2, "--orbit", d["missed"],
+                   "--epsilon", "1/16"],
+        1, "38e0b9de817f645c4bec37c0d4a3e58baecccb040f5718dc069a72c7385a0bed"),
     "modulus": (
         lambda d: ["modulus", d["f2"], "--epsilon", "1/20", "--trials", 20, "--seed", 1],
         0, "dcda7164941c506813be204e5f1de63e2b9704781d91a383b7c4790ae76dc52b"),
@@ -597,6 +625,26 @@ class TestMalformedModelInput:
         code, err = run_process(argv)
         assert code == 2
         assert "Traceback" not in err and "input error" in err
+
+    @pytest.mark.parametrize("command", ["render", "shadow", "certify"])
+    def test_counts_refused_before_building(self, tmp_path, monkeypatch, capsys, command):
+        # a 42-byte file must not cost what a model with a billion teeth costs
+        def refuse_to_build(M):
+            raise AssertionError(f"built a model with M = {M}")
+
+        monkeypatch.setattr(continuum, "build_arc_model", refuse_to_build)
+        y = tmp_path / "y.json"
+        y.write_text(json.dumps({"M": 10**9, "vertices": {}, "arcs": []}))
+        orbit = tmp_path / "orbit.csv"
+        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
+        argv = {
+            "render": ["render", y],
+            "shadow": ["shadow", "--model", y, "--depth", 1, "--orbit", orbit, "--epsilon", "1/10"],
+            "certify": ["certify", "--model", y, "--depth", 1, "--epsilon", "1/10"],
+        }[command]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: model JSON does not describe a standard truncated model\n"
 
     def test_shadow_on_model(self, tmp_path):
         y = tmp_path / "y.json"

@@ -1,6 +1,7 @@
 """Seeded fuzzing of the CLI's wire inputs: every single-field mutation of a
 valid map, homeomorphism or orbit file gives an exit code of the protocol
-(0, 1 or 2, and 3 for ``certify``), never an exception out of ``cli.main``."""
+(0, 1 or 2, and 3 for ``certify``), never an exception out of ``cli.main``,
+and every mutated model file is an input error."""
 
 import copy
 import json
@@ -86,6 +87,22 @@ def mutate_json(obj, rng: random.Random) -> str:
     return json.dumps(_replace(obj, path, rng.choice(BAD_JSON)))
 
 
+def mutate_model(obj, rng: random.Random) -> str:
+    """The JSON text of a model with one field mutated as by ``mutate_json``,
+    its M changed, or one vertex or arc dropped."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return mutate_json(obj, rng)
+    out = copy.deepcopy(obj)
+    if kind == 1:
+        out["M"] = rng.choice([-1, 0, 1, 3, 40])
+    else:
+        entries = out[rng.choice(["vertices", "arcs"])]
+        key = rng.choice(list(entries) if isinstance(entries, dict) else range(len(entries)))
+        del entries[key]
+    return json.dumps(out)
+
+
 def mutate_csv(rows: list[list[str]], rng: random.Random) -> str:
     """The CSV of ``rows`` with one field dropped, one index made
     non-integer, one extra column, or one bad rational."""
@@ -127,6 +144,28 @@ def _run(argv, capsys) -> int:
     code = main([str(a) for a in argv])
     capsys.readouterr()
     return code
+
+
+def test_mutated_model_files_refused(files, capsys):
+    # its own stream, so test_mutated_inputs_exit_cleanly keeps its draws
+    rng = random.Random(2025)
+    d = files["dir"]
+    model = json.loads(files["model"].read_text())
+    homeo = _write(d / "good_homeo.json", json.dumps(files["homeo"]))
+    orbit = _write(d / "good_model.csv", _csv_text(MODEL_ORBIT))
+    for _ in range(60):
+        bad_model = _write(d / "y_bad.json", mutate_model(model, rng))
+        for argv in (
+            ["render", bad_model, "--homeo", homeo],
+            ["shadow", "--model", bad_model, "--homeo", homeo, "--orbit", orbit,
+             "--epsilon", "1/10"],
+            ["certify", "--model", bad_model, "--homeo", homeo, "--epsilon", "1/10",
+             "--trials", 1],
+        ):
+            code = main([str(a) for a in [*argv, "--out", d / "out"]])
+            err = capsys.readouterr().err
+            assert code == 2 and err.startswith("input error: "), (argv, err)
+            assert "Traceback" not in err
 
 
 def test_mutated_inputs_exit_cleanly(files, capsys):

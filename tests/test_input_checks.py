@@ -171,6 +171,17 @@ DECOMPOSITION_PROBLEMS = {
         ),
         "arc 'a' polyline is not simple",
     ),
+    "T-junction": (
+        # b's end r lies inside a: the arcs touch without crossing
+        lambda: _model(
+            [
+                _straight("a", "p", "q", [(0, 0), (2, 0)]),
+                _straight("b", "r", "s", [(1, 0), (1, 1)]),
+            ],
+            {"p": (0, 0), "q": (2, 0), "r": (1, 0), "s": (1, 1)},
+        ),
+        "arcs 'a' and 'b' meet off shared vertices",
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Pseudo-orbits, exact shadowing sets, moduli, certificates."""
 
+import dataclasses
 import hashlib
 import io
 import random
@@ -668,6 +669,21 @@ class TestShadowSearch:
         fails = sample_global_soundness(m, g, delta, F(1, 10), trials=80, seed=6)
         assert fails == []
 
+    def test_sampled_failures_pinned(self):
+        # search misses on real orbits: a certificate whose delta is widened
+        # to 1/20, and a global delta of 1/10 at epsilon 1/16
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
+        cert = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
+        wide = dataclasses.replace(cert, delta=F(1, 20))
+        assert sample_certificate_soundness(m, g, wide, trials=40, seed=1) == [1, 14, 33]
+        m = build_arc_model(3)
+        g = build_arcwise_map(m, 2)
+        assert sample_global_soundness(m, g, F(1, 10), F(1, 16), trials=30, seed=1) == [
+            0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 23, 24, 25, 26,
+            28, 29,
+        ]
+
     def test_rejects_two_sided_orbit(self):
         m = build_arc_model(1)
         g = build_arcwise_map(m, 1)
@@ -716,3 +732,39 @@ class TestReducedSetWitnesses:
         lo, hi = s.interval
         for y in (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * u):
             assert _verified_arc_shadow(arc, fa, y, targets, eps), (arc.id, y)
+
+
+class TestOneCandidate:
+    """The arc search stops projecting at the first target epsilon or more
+    from the arc, and otherwise checks exactly one candidate."""
+
+    def test_counted_calls(self, monkeypatch):
+        m = build_arc_model(3)
+        g = build_arcwise_map(m, 2)
+        eps = F(1, 16)
+        calls = []
+        nearest, verify = Arc.nearest, shadowing._verified_arc_shadow
+        monkeypatch.setattr(Arc, "nearest", lambda arc, p: calls.append("n") or nearest(arc, p))
+        monkeypatch.setattr(
+            shadowing, "_verified_arc_shadow", lambda *a: calls.append("v") or verify(*a)
+        )
+        orbits = [
+            generate_pseudo_orbit_y(m, g, F(1, 10), 12, YPoint("v2", F(57, 256)), seed)
+            for seed in range(40, 45)
+        ]
+        # up the shortest tooth from its base: far from h1 and h2 from index 2 on
+        orbits.append(PseudoOrbit(tuple(YPoint("v3", F(k, 10)) for k in range(10)), 0))
+        firsts_far = set()
+        for orbit in orbits:
+            targets = [m.embed(p) for p in orbit.points]
+            for arc in m.arcs:
+                d2s = [nearest(arc, p)[1] for p in targets]
+                far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
+                firsts_far.add(far)
+                calls.clear()
+                shadowing._shadow_embedded(arc, g.map_for(arc.id), targets, eps)
+                if far is None:
+                    assert calls == ["n"] * len(targets) + ["v"], arc.id
+                else:
+                    assert calls == ["n"] * (far + 1), arc.id
+        assert {None, 0, 2} <= firsts_far
