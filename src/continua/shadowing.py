@@ -643,28 +643,46 @@ def _verified_arc_shadow(
     return True
 
 
-def _shadow_embedded(
-    arc: Arc, fa: PLHomeo, targets: list[Point], epsilon: Fraction
+def _search(
+    model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction, arcs: Iterable[Arc]
 ) -> YPoint | None:
-    """``shadow_on_arc`` for an orbit already embedded in the plane.  Every
-    point of a non-empty reduced set tracks when ``stretch_hi`` bounds the
-    arc's stretch, so its midpoint stands for the whole set."""
+    """The first of ``arcs``, nearest to the orbit's start first, whose one
+    candidate verifies; None is a search miss, not a proof.
+
+    The orbit is embedded once, and each arc projects each target at most
+    once: the start's projection ranks the arcs and is index 0.  An arc
+    stops at the first target epsilon or more away.  Otherwise it checks
+    the midpoint of the exact shadowing set at the tolerance left after
+    the projection margin, else the projected start, exactly in ambient
+    distance.  Every point of a non-empty reduced set tracks when
+    ``stretch_hi`` bounds the arc's stretch, so the midpoint stands for it.
+    """
+    if orbit.offset != 0:
+        raise ValueError("arc search expects a forward pseudo-orbit")
+    epsilon = positive(epsilon, "epsilon")
     eps_sq = epsilon * epsilon
-    proj: list[Fraction] = []
-    worst_d2 = Fraction(0)
-    for p in targets:
-        t, d2 = arc.nearest(p)
-        if d2 >= eps_sq:
-            return None
-        proj.append(t)
-        worst_d2 = max(worst_d2, d2)
-    y = proj[0]
-    eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
-    if eps_rem > 0:
-        s = shadowing_set(fa, PseudoOrbit(tuple(proj), 0), eps_rem / arc.stretch_hi)
-        if s.interval is not None:
-            y = (s.interval[0] + s.interval[1]) / 2
-    return YPoint(arc.id, y) if _verified_arc_shadow(arc, fa, y, targets, epsilon) else None
+    targets = [model.embed(p) for p in orbit.points]
+    ranked = sorted(((a.nearest(targets[0]), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
+    for first, arc in ranked:
+        fa = g.map_for(arc.id)
+        proj: list[Fraction] = []
+        worst_d2 = Fraction(0)
+        for i, p in enumerate(targets):
+            t, d2 = arc.nearest(p) if i else first
+            if d2 >= eps_sq:
+                break
+            proj.append(t)
+            worst_d2 = max(worst_d2, d2)
+        else:
+            y = proj[0]
+            eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
+            if eps_rem > 0:
+                s = shadowing_set(fa, PseudoOrbit(tuple(proj), 0), eps_rem / arc.stretch_hi)
+                if s.interval is not None:
+                    y = (s.interval[0] + s.interval[1]) / 2
+            if _verified_arc_shadow(arc, fa, y, targets, epsilon):
+                return YPoint(arc.id, y)
+    return None
 
 
 def shadow_on_arc(
@@ -674,39 +692,17 @@ def shadow_on_arc(
     orbit: PseudoOrbit,
     epsilon: Fraction,
 ) -> YPoint | None:
-    """Search one arc for a verified epsilon-shadowing point.
-
-    Projects the orbit to nearest points of the arc, solves the exact
-    arc-level shadowing set at the tolerance left after the projection
-    margin, and checks its midpoint, else the projected start, exactly in
-    ambient distance, so a returned witness is sound regardless of the
-    conversion bounds.  None means that candidate failed, not that no
-    witness exists.
-    """
-    if orbit.offset != 0:
-        raise ValueError("arc search expects a forward pseudo-orbit")
-    targets = [model.embed(p) for p in orbit.points]
-    return _shadow_embedded(model.arc(arc_id), g.map_for(arc_id), targets, epsilon)
+    """A verified epsilon-shadowing point on one arc, or None when its one
+    candidate fails (see ``_search``)."""
+    return _search(model, g, orbit, epsilon, [model.arc(arc_id)])
 
 
 def shadow_on_model(
     model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction
 ) -> YPoint | None:
-    """Locate a verified epsilon-shadowing point anywhere on the model.
-
-    Tries arcs in order of exact distance from the orbit's start; the
-    first arc whose one candidate verifies wins, and None is a search miss,
-    not a proof.  The orbit is embedded once for all arcs.
-    """
-    if orbit.offset != 0:
-        raise ValueError("model search expects a forward pseudo-orbit")
-    targets = [model.embed(p) for p in orbit.points]
-    ranked = sorted(model.arcs, key=lambda a: (a.nearest(targets[0])[1], a.id))
-    for arc in ranked:
-        w = _shadow_embedded(arc, g.map_for(arc.id), targets, epsilon)
-        if w is not None:
-            return w
-    return None
+    """A verified epsilon-shadowing point anywhere on the model: the arcs
+    are tried nearest to the orbit's start first (see ``_search``)."""
+    return _search(model, g, orbit, epsilon, model.arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from fractions import Fraction
 from .continuum import YHomeo, YModel
 from .plmap import Orientation, PLHomeo, wandering_intervals
 
-R_COLOR = "#c0392b"
-L_COLOR = "#2e6da4"
+COLORS = {Orientation.R: "#c0392b", Orientation.L: "#2e6da4"}
 GRAPH_COLOR = "#111111"
 GRID_COLOR = "#bbbbbb"
 
@@ -33,6 +32,14 @@ def _polyline(points: list[tuple[float, float]], stroke: str, width: float) -> s
     return f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}" points="{pts}"/>'
 
 
+def _frame(parts: list[str]) -> str:
+    header = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">'
+    )
+    return "\n".join([header, *parts, "</svg>"]) + "\n"
+
+
 def render_phase_diagram(f: PLHomeo) -> str:
     lo, hi = f.lo, f.hi
 
@@ -45,8 +52,6 @@ def render_phase_diagram(f: PLHomeo) -> str:
         return SIZE - PAD - float((y - lo) / (hi - lo)) * (SIZE - 2 * PAD)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">',
         f'<rect x="{PAD}" y="{PAD}" width="{SIZE - 2 * PAD}" height="{SIZE - 2 * PAD}" '
         f'fill="white" stroke="{GRID_COLOR}"/>',
         _polyline([(tx(lo), ty(lo)), (tx(hi), ty(hi))], GRID_COLOR, 1.0),
@@ -59,7 +64,7 @@ def render_phase_diagram(f: PLHomeo) -> str:
     axis_y = ty(lo)
     for iv in wandering_intervals(f):
         a, b = tx(iv.a), tx(iv.b)
-        color = R_COLOR if iv.orientation is Orientation.R else L_COLOR
+        color = COLORS[iv.orientation]
         parts.append(_polyline([(a, axis_y), (b, axis_y)], color, 3.0))
         head = max(2.0, min(6.0, (b - a) / 3))
         if iv.orientation is Orientation.R:
@@ -70,8 +75,7 @@ def render_phase_diagram(f: PLHomeo) -> str:
             f'<polygon fill="{color}" points="{_fmt(tip)},{_fmt(axis_y)} '
             f'{_fmt(base)},{_fmt(axis_y - head)} {_fmt(base)},{_fmt(axis_y + head)}"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(parts)
 
 
 def render_model(model: YModel, g: YHomeo | None) -> str:
@@ -94,21 +98,16 @@ def render_model(model: YModel, g: YHomeo | None) -> str:
     def draw(points, stroke, width) -> str:
         return _polyline([(tx(float(px)), ty(float(py))) for px, py in points], stroke, width)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
-        f'viewBox="0 0 {SIZE} {SIZE}">'
-    ]
+    parts = []
     for a in model.arcs:
         parts.append(draw(a.polyline, GRID_COLOR, 1.5))
         if g is not None:
             for iv in wandering_intervals(g.map_for(a.id)):
-                color = R_COLOR if iv.orientation is Orientation.R else L_COLOR
-                parts.append(draw(a.sub_polyline(iv.a, iv.b), color, 3.0))
+                parts.append(draw(a.sub_polyline(iv.a, iv.b), COLORS[iv.orientation], 3.0))
     for vid in sorted(model.vertices):
         px, py = model.vertices[vid]
         parts.append(
             f'<circle cx="{_fmt(tx(float(px)))}" cy="{_fmt(ty(float(py)))}" r="2.5" '
             f'fill="{GRAPH_COLOR}"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame(parts)

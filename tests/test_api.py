@@ -1,9 +1,11 @@
-"""The package exports no dead names, its functions read every parameter
-and have no default that every call site overrides, its core computes
-without floating point, and no flag reads with int()."""
+"""The package exports no dead names and defines no uncalled private ones,
+its functions read every parameter and have no default that every call
+site overrides, its core computes without floating point, and no flag
+reads with int()."""
 
 import argparse
 import ast
+import collections
 import io
 import tokenize
 import types
@@ -210,3 +212,32 @@ def test_no_default_every_caller_overrides():
         if not any(_omits(c, param, position) for c in calls.get(fn, ()))
     ]
     assert overridden == [], f"defaults that every call site overrides: {overridden}"
+
+
+def test_every_private_function_is_called():
+    # a module-level _name def or class must be named in src/ outside its
+    # own definition; names inside f-strings are AST names and count
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+    def named(node) -> list[str]:
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.append(n.attr)
+            elif isinstance(n, ast.alias):
+                out.append(n.name)
+        return out
+
+    uses = collections.Counter(name for tree in trees.values() for name in named(tree))
+    unused = [
+        f"{file}:{node.name}"
+        for file, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] == named(node).count(node.name)
+    ]
+    assert unused == [], f"private definitions named nowhere else in src/: {unused}"

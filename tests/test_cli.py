@@ -1082,10 +1082,14 @@ class TestInputErrorsInFreshInterpreter:
             (lambda d: ["shadow", "--model", d["y2"], "--homeo", d["list"],
                         "--orbit", d["orbit"], "--epsilon", "1/10"],
              "homeomorphism JSON must be an object"),
+            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon=0"],
+             "epsilon must be positive"),
+            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"],
+                        "--epsilon=-1/10"], "epsilon must be positive"),
         ],
         ids=["build-fstar depth", "conjugate depth", "modulus trials", "certify trials",
              "header-only CSV", "skipped index", "no map or model", "shifted domain",
-             "list model", "list homeo"],
+             "list model", "list homeo", "model epsilon zero", "model epsilon negative"],
     )
     def test_refused(self, choice_files, argv, message):
         d = dict(choice_files)

@@ -28,6 +28,7 @@ from continua.shadowing import (
     generate_pseudo_orbit,
     orbit_from_csv,
     shadow_on_arc,
+    shadow_on_model,
     true_orbit,
 )
 
@@ -127,6 +128,20 @@ CHECKS = {
         ),
         ValueError,
         "arc search expects a forward pseudo-orbit",
+    ),
+    "epsilon zero on one arc": (
+        lambda: shadow_on_arc(
+            M1, build_arcwise_map(M1, 1), "h1", PseudoOrbit((YPoint("h1", F(1, 2)),), 0), F(0)
+        ),
+        ValueError,
+        "epsilon must be positive",
+    ),
+    "epsilon negative on the model": (
+        lambda: shadow_on_model(
+            M1, build_arcwise_map(M1, 1), PseudoOrbit((YPoint("h1", F(1, 2)),), 0), F(-1, 10)
+        ),
+        ValueError,
+        "epsilon must be positive",
     ),
     "shadow without map or model": (
         _shadow_without_map_or_model, ValueError, "need --map or --model"

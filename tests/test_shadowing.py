@@ -1,5 +1,6 @@
 """Pseudo-orbits, exact shadowing sets, moduli, certificates."""
 
+import collections
 import dataclasses
 import hashlib
 import io
@@ -762,9 +763,25 @@ class TestOneCandidate:
                 far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
                 firsts_far.add(far)
                 calls.clear()
-                shadowing._shadow_embedded(arc, g.map_for(arc.id), targets, eps)
+                shadow_on_arc(m, g, arc.id, orbit, eps)
                 if far is None:
                     assert calls == ["n"] * len(targets) + ["v"], arc.id
                 else:
                     assert calls == ["n"] * (far + 1), arc.id
         assert {None, 0, 2} <= firsts_far
+
+    def test_each_point_projected_once_per_arc(self, monkeypatch):
+        # ROADMAP item 9's reproduction: every arc is searched and none verifies
+        m = build_arc_model(3)
+        g = build_arcwise_map(m, 2)
+        orbit = generate_pseudo_orbit_y(m, g, F(1, 10), 12, YPoint("v2", F(57, 256)), 42)
+        counts = collections.Counter()
+        nearest = Arc.nearest
+        monkeypatch.setattr(
+            Arc, "nearest", lambda arc, p: counts.update([(arc.id, p)]) or nearest(arc, p)
+        )
+        assert shadow_on_model(m, g, orbit, F(1, 16)) is None
+        assert {aid for aid, _ in counts} == set(m.arc_ids())
+        # the orbit visits the origin four times; each visit is one target
+        occurs = collections.Counter(m.embed(p) for p in orbit.points)
+        assert [key for key, n in counts.items() if n > occurs[key[1]]] == []
