@@ -74,19 +74,13 @@ def rational_from_json(pair) -> Fraction:
     return Fraction(_json_integer(pair[0]), den)
 
 
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def exact_sqrt(x: Fraction) -> Fraction | None:
     """The exact square root of ``x`` when it is rational, else None."""
     if x < 0:
         raise ValueError("square root of a negative rational")
-    if is_perfect_square(x.numerator) and is_perfect_square(x.denominator):
-        return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
     return None
 
 

@@ -1,4 +1,4 @@
-"""The package exports no dead names and defines no uncalled private ones,
+"""The package defines no public name used nowhere and no uncalled private one,
 its functions read every parameter and have no default that every call
 site overrides, its core computes without floating point, and no flag
 reads with int()."""
@@ -6,9 +6,9 @@ reads with int()."""
 import argparse
 import ast
 import collections
-import io
-import tokenize
-import types
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import continua
@@ -16,36 +16,63 @@ from continua.cli import build_parser
 
 SRC = Path(continua.__file__).parent
 TESTS = Path(__file__).parent
+MODULES = {p.stem for p in SRC.glob("*.py")}
 
 
-def _names(path: Path) -> set[str]:
-    """Names the code of ``path`` uses or imports: comments, strings,
-    attribute accesses, definitions and module-level assignment targets
-    do not count."""
-    toks = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
-    out = set()
-    for i, tok in enumerate(toks):
-        if tok.type != tokenize.NAME:
-            continue
-        prev = toks[i - 1].string if i else ""
-        if prev in {".", "def", "class"}:
-            continue
-        if tok.start[1] == 0 and toks[i + 1].string == "=":
-            continue
-        out.add(tok.string)
+def _named(tree) -> list[str]:
+    """Each name ``tree`` uses bare, imports, or reads as ``module.name``
+    off a module of the package."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute) and ast.unparse(n.value).split(".")[-1] in MODULES:
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name)
     return out
 
 
-def test_every_export_is_used():
-    files = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    files += [p for p in TESTS.glob("*.py") if p.name != Path(__file__).name]
-    used = set().union(*(_names(p) for p in files))
-    dead = [
-        name
-        for name in continua.__all__
-        if not isinstance(getattr(continua, name), types.ModuleType) and name not in used
+def _named_only_in_own_definition(code: list[Path], public: bool) -> list[str]:
+    """``file:name`` for each module-level def or class of the package, public
+    or private as ``public`` says, that ``code`` names nowhere outside its own
+    definition."""
+    uses = collections.Counter(name for p in code for name in _named(ast.parse(p.read_text())))
+    return [
+        f"{p.name}:{node.name}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.parse(p.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") != public
+        and not node.name.startswith("__")
+        and uses[node.name] == _named(node).count(node.name)
     ]
-    assert dead == [], f"exported but used nowhere in src/ or tests/: {dead}"
+
+
+def test_every_public_definition_is_used():
+    # every module, not only a re-exported list: a public def or class must
+    # be named in src/ or tests/, bare or as module.name
+    code = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = _named_only_in_own_definition(code, public=True)
+    assert unused == [], f"public definitions named nowhere in src/ or tests/: {unused}"
+
+
+def test_cli_import_loads_every_module():
+    # perfbench/spans.py reads the layer modules as attributes of the package
+    # once `import continua.cli` has run; the package root imports none
+    modules = ["rational", "geometry", "plmap", "cantor", "continuum", "shadowing", "svg", "cli"]
+    probe = (
+        f"import continua; print([n for n in {modules} if hasattr(continua, n)]); "
+        f"import continua.cli; print([n for n in {modules} if not hasattr(continua, n)])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=60,
+    )
+    assert proc.stdout.split("\n") == ["[]", "[]", ""], proc.stderr
 
 
 def _unread_parameters(path: Path) -> list[str]:
@@ -217,27 +244,5 @@ def test_no_default_every_caller_overrides():
 def test_every_private_function_is_called():
     # a module-level _name def or class must be named in src/ outside its
     # own definition; names inside f-strings are AST names and count
-    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-
-    def named(node) -> list[str]:
-        out = []
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                out.append(n.id)
-            elif isinstance(n, ast.Attribute):
-                out.append(n.attr)
-            elif isinstance(n, ast.alias):
-                out.append(n.name)
-        return out
-
-    uses = collections.Counter(name for tree in trees.values() for name in named(tree))
-    unused = [
-        f"{file}:{node.name}"
-        for file, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and uses[node.name] == named(node).count(node.name)
-    ]
+    unused = _named_only_in_own_definition(sorted(SRC.glob("*.py")), public=False)
     assert unused == [], f"private definitions named nowhere else in src/: {unused}"
