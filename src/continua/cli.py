@@ -347,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ExplosionSiteError, InsufficientIntervals) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_UNSAT
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     finally:

@@ -172,7 +172,7 @@ class YModel:
         try:
             return self._arcs_by_id[arc_id]
         except KeyError:
-            raise KeyError(f"no arc {arc_id!r}") from None
+            raise ModelError(f"no arc {arc_id!r}") from None
 
     def arc_ids(self) -> list[str]:
         return [a.id for a in self.arcs]

@@ -115,24 +115,24 @@ def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(x, lo), hi)
 
 
-def _two_sided_orbit(
+def generate_pseudo_orbit(
     f: PLHomeo,
     delta: Fraction,
     window: tuple[int, int],
     x0: Fraction,
-    rng: random.Random | None,
+    seed: int,
 ) -> PseudoOrbit:
-    """The orbit of x0 over ``window``, exact when ``rng`` is None.
+    """Seeded noisy orbit of x0 over ``window``, each jump below ``delta``.
 
-    Otherwise forward steps add uniform rational noise below delta/2 to the
-    exact image, and backward steps perturb the exact preimage by noise
-    scaled down by the slope bound, so every jump stays below delta.
-    Points are clamped to the domain (the exact image is in the domain, so
-    clamping never increases a jump).  The forward run x1..xn draws its
-    noise before the backward run x-1..x-m.
+    Forward steps add uniform rational noise below delta/2 to the exact
+    image, and backward steps perturb the exact preimage by noise scaled
+    down by the slope bound, so every jump stays below delta.  Points are
+    clamped to the domain (the exact image is in the domain, so clamping
+    never increases a jump).  The forward run x1..xn draws its noise
+    before the backward run x-1..x-m.
     """
-    if rng is not None:
-        delta = positive(delta, "delta")
+    rng = random.Random(seed)
+    delta = positive(delta, "delta")
     m, n = -window[0], window[1]
     if m < 0 or n < 0:
         raise ValueError("window must contain index 0")
@@ -144,31 +144,12 @@ def _two_sided_orbit(
     def run(g: PLHomeo, steps: int, bound: Fraction) -> list[Fraction]:
         ys = [x0]
         for _ in range(steps):
-            y = evaluate(g, ys[-1])
-            if rng is not None:
-                y = _clamp(y + _noise(rng, bound), lo, hi)
-            ys.append(y)
+            ys.append(_clamp(evaluate(g, ys[-1]) + _noise(rng, bound), lo, hi))
         return ys
 
     forward = run(f, n, delta / 2)
     backward = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
     return PseudoOrbit(tuple(backward[:0:-1] + forward), m)
-
-
-def generate_pseudo_orbit(
-    f: PLHomeo,
-    delta: Fraction,
-    window: tuple[int, int],
-    x0: Fraction,
-    seed: int,
-) -> PseudoOrbit:
-    """Seeded noisy orbit with every jump certified below ``delta``."""
-    return _two_sided_orbit(f, delta, window, x0, random.Random(seed))
-
-
-def true_orbit(f: PLHomeo, window: tuple[int, int], x0: Fraction) -> PseudoOrbit:
-    """The exact orbit as a PseudoOrbit (zero noise; defect exactly 0)."""
-    return _two_sided_orbit(f, Fraction(0), window, x0, None)
 
 
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
@@ -267,8 +248,9 @@ def estimate_shadowing_modulus(
         for t in range(trials):
             start_rng = random.Random(seed * 1_000_003 + 2 * t)
             x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
-            rng = random.Random(seed * 1_000_003 + 2 * t + 1)
-            orbit = _two_sided_orbit(f, delta, (0, ORBIT_LENGTH), x0, rng)
+            orbit = generate_pseudo_orbit(
+                f, delta, (0, ORBIT_LENGTH), x0, seed * 1_000_003 + 2 * t + 1
+            )
             if _forward_fold(f, orbit.points, epsilon) is None:
                 break
         else:
@@ -306,7 +288,7 @@ def orbit_from_csv(stream) -> PseudoOrbit:
     if not body:
         raise ValueError("empty orbit CSV")
     for n, row in enumerate(body, start=2):
-        if len(row) < len(header):
+        if len(row) != len(header):
             raise ValueError(f"orbit CSV row {n} has {len(row)} fields, header has {len(header)}")
     indices = [parse_integer(r[0].strip()) for r in body]
     if indices != list(range(indices[0], indices[0] + len(indices))):
@@ -677,9 +659,9 @@ def _search(
             y = proj[0]
             eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
             if eps_rem > 0:
-                s = shadowing_set(fa, PseudoOrbit(tuple(proj), 0), eps_rem / arc.stretch_hi)
-                if s.interval is not None:
-                    y = (s.interval[0] + s.interval[1]) / 2
+                s = _forward_fold(invert(fa), reversed(proj), eps_rem / arc.stretch_hi)
+                if s is not None:
+                    y = (s[0] + s[1]) / 2
             if _verified_arc_shadow(arc, fa, y, targets, epsilon):
                 return YPoint(arc.id, y)
     return None

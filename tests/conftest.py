@@ -396,6 +396,12 @@ def fraction_walk_c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     return max(abs(p - q) for p, q in walks)
 
 
+def exact_orbit(f: PLHomeo, window: tuple[int, int], x0: Fraction) -> PseudoOrbit:
+    """The exact orbit of x0 over ``window``, each point from ``iterate``."""
+    lo, hi = window
+    return PseudoOrbit(tuple(iterate(f, x0, i) for i in range(lo, hi + 1)), -lo)
+
+
 def steady_drift_orbit(
     f: PLHomeo, x0: Fraction, step: Fraction, length: int, down: bool
 ) -> PseudoOrbit:
@@ -495,6 +501,16 @@ def edge_enriched_map(levels: int, eta: Fraction) -> PLHomeo:
     f = explode_fixed_point(f, Fraction(3, 2) * eta, eta / 2, Orientation.L)
     f = explode_fixed_point(f, 1 - Fraction(3, 2) * eta, eta / 2, Orientation.R)
     return f
+
+
+def semi_stable_map() -> PLHomeo:
+    """A map whose fixed point 7/16 attracts from the right and repels to
+    the left: a pseudo-orbit that jumps across it drifts toward 0, away
+    from every true orbit that starts right of 7/16."""
+    return PLHomeo(
+        tuple(map(Fraction, ("0", "9/32", "7/16", "17/32", "1"))),
+        tuple(map(Fraction, ("0", "1/32", "7/16", "15/32", "1"))),
+    )
 
 
 def appended_ternary_map(levels: int) -> PLHomeo:

@@ -25,7 +25,7 @@ from continua.continuum import (
 from continua.plmap import Orientation, PLHomeo, canonical_r, identity, wandering_intervals
 from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y, orbit_to_csv
 
-from conftest import edge_enriched_map
+from conftest import edge_enriched_map, semi_stable_map
 
 
 def run(argv):
@@ -321,6 +321,13 @@ class TestModulus:
         obj = json.loads(out1.read_text())
         assert F(*map(int, obj["delta"])) > 0
 
+    def test_zero_modulus_exits_unsatisfied(self, tmp_path, map_file):
+        out = tmp_path / "m.json"
+        path = map_file(semi_stable_map())
+        argv = ["modulus", path, "--epsilon", "1/10", "--trials", 10, "--seed", 0, "--out", out]
+        assert run(argv) == 1
+        assert json.loads(out.read_text())["delta"] == ["0", "1"]
+
 
 class TestBuildYAndRender:
     def test_model_json_round_trip(self, tmp_path):
@@ -465,6 +472,27 @@ class TestCertify:
         bundle = json.loads(outs[0])
         assert bundle["status"] == "ok"
         assert bundle["sampling"]["global_failures"] == []
+
+    @pytest.mark.parametrize(
+        "segments, arc_map, seed, refused, message",
+        [
+            (1, semi_stable_map(), 0, ["circle", "h1"], "empirical shadowing modulus is zero"),
+            (2, edge_enriched_map(2, F(1, 2**30)), 1, ["circle", "h1", "h2", "v1", "v2"],
+             "no grid delta below the exact separation distance"),
+        ],
+        ids=["zero modulus", "no delta below separation"],
+    )
+    def test_refusal_names_each_arc(self, tmp_path, segments, arc_map, seed, refused, message):
+        g = tmp_path / "g.json"
+        homeo = YHomeo({a.id: arc_map for a in build_arc_model(segments).arcs})
+        g.write_text(dump_json(homeo.to_json()))
+        out = tmp_path / "bundle.json"
+        argv = ["certify", "--segments", segments, "--homeo", g, "--epsilon", "1/10",
+                "--trials", 10, "--seed", seed, "--out", out]
+        assert run(argv) == 3
+        detail = json.loads(out.read_text())["detail"]
+        for aid in refused:
+            assert f"{aid}: arc {aid!r}: {message}" in detail
 
     def test_sampled_failures_refute(self, tmp_path, monkeypatch):
         # no small pinned setup refutes, so the samplers report misses here
@@ -1086,15 +1114,22 @@ class TestInputErrorsInFreshInterpreter:
              "epsilon must be positive"),
             (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"],
                         "--epsilon=-1/10"], "epsilon must be positive"),
+            (lambda d: ["shadow", "--map", d["f1"], "--orbit", d["extra_field"],
+                        "--epsilon", "1/10"], "orbit CSV row 2 has 3 fields, header has 2"),
+            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["unknown_arc"],
+                        "--epsilon", "1/10"], "no arc 'zz'"),
         ],
         ids=["build-fstar depth", "conjugate depth", "modulus trials", "certify trials",
              "header-only CSV", "skipped index", "no map or model", "shifted domain",
-             "list model", "list homeo", "model epsilon zero", "model epsilon negative"],
+             "list model", "list homeo", "model epsilon zero", "model epsilon negative",
+             "extra CSV field", "unknown arc"],
     )
     def test_refused(self, choice_files, argv, message):
         d = dict(choice_files)
         for name, text in (("header_only", "index,point\n"),
                            ("skipping", "index,point\n0,1/10\n2,3/20\n"),
+                           ("extra_field", "index,point\n0,1/10,zzz\n"),
+                           ("unknown_arc", "index,arc,t\n0,zz,1/2\n"),
                            ("list", "[]")):
             d[name] = d["orbit"].parent / name
             d[name].write_text(text)

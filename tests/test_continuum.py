@@ -295,7 +295,7 @@ class TestNearestAgainstScan:
     def test_unknown_arc_id(self):
         m = build_arc_model(2)
         assert m.arc("v2") is m.arcs[-1]
-        with pytest.raises(KeyError, match="no arc 'zz'"):
+        with pytest.raises(ModelError, match="no arc 'zz'"):
             m.arc("zz")
 
 

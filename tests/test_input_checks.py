@@ -29,7 +29,6 @@ from continua.shadowing import (
     orbit_from_csv,
     shadow_on_arc,
     shadow_on_model,
-    true_orbit,
 )
 
 
@@ -103,7 +102,9 @@ CHECKS = {
         "window must contain index 0",
     ),
     "x0 outside the domain": (
-        lambda: true_orbit(identity(), (0, 2), F(2)), ValueError, "x0 outside the domain"
+        lambda: generate_pseudo_orbit(identity(), F(1, 10), (0, 2), F(2), 0),
+        ValueError,
+        "x0 outside the domain",
     ),
     "trials < 1": (
         lambda: estimate_shadowing_modulus(identity(), F(1, 10), 0, 0),
@@ -117,6 +118,11 @@ CHECKS = {
         lambda: orbit_from_csv(io.StringIO("index,point\n0,1/2\n2,1/2\n")),
         ValueError,
         "orbit indices must be consecutive",
+    ),
+    "unknown CSV column": (
+        lambda: orbit_from_csv(io.StringIO("index,x\n0,1/2\n")),
+        ValueError,
+        "unrecognized orbit CSV header",
     ),
     "two-sided arc search": (
         lambda: shadow_on_arc(

@@ -53,13 +53,13 @@ from continua.shadowing import (
     shadow_on_arc,
     shadow_on_model,
     shadowing_set,
-    true_orbit,
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
 )
 
 from conftest import (
     edge_enriched_map,
+    exact_orbit,
     materialized_modulus,
     orbit_membership_oracle,
     pullback_shadowing_set,
@@ -67,6 +67,7 @@ from conftest import (
     random_plhomeo,
     random_touching_map,
     scan_min_separation_sq,
+    semi_stable_map,
     steady_drift_orbit,
 )
 
@@ -90,7 +91,7 @@ orbit_settings = settings(max_examples=200, derandomize=True, database=None, dea
 
 class TestPseudoOrbits:
     def test_true_orbit_has_zero_defect(self):
-        o = true_orbit(canonical_r(0, 1), (-4, 6), F(1, 10))
+        o = exact_orbit(canonical_r(0, 1), (-4, 6), F(1, 10))
         assert verify_pseudo_orbit(canonical_r(0, 1), o) == 0
 
     def test_single_jump_defect(self):
@@ -127,7 +128,7 @@ class TestPseudoOrbits:
              "efdaccca81b9c6f387bc7d9f15bbc9cd7bc8835234a6510c6f3afbeb09642c39"),
             (lambda: generate_pseudo_orbit(canonical_r(0, 1), F(1, 100), (-3, 5), F(1, 10), seed=3),
              "69df62e53b7290f9ca1b02f40f6503a96e4b2f93736ddaf7211a74b0a1e3982b"),
-            (lambda: true_orbit(canonical_r(0, 1), (-4, 6), F(1, 10)),
+            (lambda: exact_orbit(canonical_r(0, 1), (-4, 6), F(1, 10)),
              "78bd50e773a12cd5ac3ec84cdea65bc3efcdc2b76fd9e2c7485602d784149068"),
         ],
         ids=["ternary-2-seed-99", "canonical-r-seed-3", "true-orbit"],
@@ -165,7 +166,7 @@ class TestShadowingSet:
         for _ in range(25):
             f = random_plhomeo(rng)
             x0 = F(rng.randrange(0, 33), 32)
-            o = true_orbit(f, (-3, 6), x0)
+            o = exact_orbit(f, (-3, 6), x0)
             s = shadowing_set(f, o, F(1, 100))
             assert s.contains(x0)
 
@@ -250,6 +251,9 @@ class TestModulus:
     def test_pinned_ternary_values(self):
         assert estimate_shadowing_modulus(build_ternary_map(2), F(1, 20), 300, 9) == F(1, 80)
         assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 100, 5) == F(1, 80)
+
+    def test_zero_when_every_grid_delta_fails(self):
+        assert estimate_shadowing_modulus(semi_stable_map(), F(1, 10), 10, 0) == 0
 
 
 class TestLazyModulus:
@@ -373,7 +377,7 @@ class TestFoldToIndexZero:
         rng = random.Random(29)
         for f in (identity(), build_ternary_map(3), random_plhomeo(rng), random_fat_map(rng)):
             for k in range(1, 26):
-                orbit = true_orbit(f, (0, k - 1), F(rng.randrange(0, 65), 64))
+                orbit = exact_orbit(f, (0, k - 1), F(rng.randrange(0, 65), 64))
                 calls.clear()
                 assert not shadowing_set(f, orbit, F(1, 100)).is_empty
                 assert len(calls) <= 2 * k, (f, k, len(calls))
@@ -513,6 +517,14 @@ class TestCertificates:
         g = build_arcwise_map(m, 3)
         with pytest.raises(CertificateError):
             quasi_attractor_certificate(m, g, "circle", F(1, 10), trials=30, seed=1)
+
+    def test_no_grid_delta_below_separation(self):
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 2**30)) for a in m.arcs})
+        with pytest.raises(
+            CertificateError, match="arc 'h2': no grid delta below the exact separation distance"
+        ):
+            quasi_attractor_certificate(m, g, "h2", F(1, 10), 10, 1)
 
     def test_generous_epsilon_succeeds_on_truncated_map(self):
         m = build_arc_model(2)
