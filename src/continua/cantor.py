@@ -33,8 +33,8 @@ from .plmap import (
     Orientation,
     OrientedInterval,
     PLHomeo,
+    _generator_points,
     c0_distance,
-    canonical_generator,
     compose,
     fixed_set,
     identity,
@@ -120,8 +120,8 @@ def _plant(f: PLHomeo, slots: list[tuple[Fraction, Fraction, Orientation]]) -> P
 
     The windows must be sorted, pairwise disjoint and fixed pointwise by f.
     Then the result's breakpoints are f's breakpoints outside the windows
-    merged with the generators' breakpoints, each with the value already
-    stored for it, so no point is evaluated.
+    merged with each generator's three points, each with the value already
+    stored for it, so no point is evaluated and no map is built per slot.
     """
     fx, fy = f.breakpoints, f.values
     xs: list[Fraction] = []
@@ -134,9 +134,9 @@ def _plant(f: PLHomeo, slots: list[tuple[Fraction, Fraction, Orientation]]) -> P
             i += 1
         while i < len(fx) and fx[i] <= b:
             i += 1
-        gen = canonical_generator(a, b, orient)
-        xs.extend(gen.breakpoints)
-        ys.extend(gen.values)
+        gx, gy = _generator_points(a, b, orient)
+        xs.extend(gx)
+        ys.extend(gy)
     xs.extend(fx[i:])
     ys.extend(fy[i:])
     return PLHomeo(tuple(xs), tuple(ys))

@@ -28,9 +28,9 @@ the cache forms no reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
-wandering-interval analysis, the one-breakpoint canonical generators used
-everywhere else in the package, affine rescaling, and an exact Lipschitz
-constant (``max_slope``).
+wandering-interval analysis, the one-breakpoint canonical generators
+(whose three points ``cantor`` plants without building a map per slot),
+affine rescaling, and an exact Lipschitz constant (``max_slope``).
 """
 
 from __future__ import annotations
@@ -170,10 +170,6 @@ class PLHomeo:
         self,
     ) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...]]:
         return _fixed_and_wandering(self)
-
-    def __repr__(self) -> str:
-        pts = ", ".join(f"({x},{y})" for x, y in zip(self.breakpoints, self.values))
-        return f"PLHomeo[{pts}]"
 
     # -- serialization -----------------------------------------------------
 
@@ -454,25 +450,27 @@ def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     return list(f._structure[1])
 
 
-def canonical_r(a: Fraction, b: Fraction) -> PLHomeo:
-    """The fixed representative with (a, b) an r-interval.
-
-    One interior breakpoint at the midpoint, sent to (a+3b)/4; slopes 3/2
-    then 1/2; fixes exactly {a, b}.
-    """
-    a, b = Fraction(a), Fraction(b)
+def _generator_points(a: Fraction, b: Fraction, orientation: Orientation) -> tuple[tuple, tuple]:
+    """(breakpoints, values) of the canonical generator on [a, b]: for R the
+    midpoint goes to (a+3b)/4, with slopes 3/2 then 1/2, so it fixes
+    exactly {a, b}; L is its inverse, the same lists swapped."""
     if not a < b:
         raise ValueError("need a < b")
-    return PLHomeo((a, (a + b) / 2, b), (a, (a + 3 * b) / 4, b))
-
-
-def canonical_l(a: Fraction, b: Fraction) -> PLHomeo:
-    """The fixed representative with (a, b) an l-interval: invert(canonical_r)."""
-    return invert(canonical_r(a, b))
+    xs, ys = (a, (a + b) / 2, b), (a, (a + 3 * b) / 4, b)
+    return (xs, ys) if orientation is Orientation.R else (ys, xs)
 
 
 def canonical_generator(a: Fraction, b: Fraction, orientation: Orientation) -> PLHomeo:
-    return canonical_r(a, b) if orientation is Orientation.R else canonical_l(a, b)
+    """The fixed representative with (a, b) a wandering interval of that orientation."""
+    return PLHomeo(*_generator_points(Fraction(a), Fraction(b), orientation))
+
+
+def canonical_r(a: Fraction, b: Fraction) -> PLHomeo:
+    return canonical_generator(a, b, Orientation.R)
+
+
+def canonical_l(a: Fraction, b: Fraction) -> PLHomeo:
+    return canonical_generator(a, b, Orientation.L)
 
 
 def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:

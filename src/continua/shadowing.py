@@ -54,7 +54,8 @@ class NoInwardStub(CertificateError):
 
 
 class CoverFailure(RuntimeError):
-    """Some arcs could not be certified; carries uncovered sample points."""
+    """Some arcs could not be certified.  ``uncovered`` holds a placeholder
+    point at parameter 1/2 per failed arc, not evidence (ROADMAP item 2)."""
 
     def __init__(self, message: str, uncovered: list[YPoint]):
         super().__init__(message)
@@ -445,11 +446,11 @@ def find_inward_neighborhood(
 ) -> InwardNeighborhood:
     """The arc plus one inward stub on every adjacent arc.
 
-    Each cut point lies strictly inside a wandering interval of the
-    adjacent arc's map flowing toward the shared vertex, at ambient
-    distance below alpha from it (clamped inside the arc when alpha
-    exceeds its length).  Raises NoInwardStub when an adjacent arc has no
-    such interval within reach.
+    Each cut point lies strictly inside the wandering interval of the
+    adjacent arc's map that flows toward the shared vertex and comes
+    closest (the first read from that end), at ambient distance below
+    alpha from it (clamped inside the arc when alpha exceeds its length).
+    Raises NoInwardStub when there is none within reach.
     """
     alpha = positive(alpha, "alpha")
     arc = model.arc(arc_id)
@@ -457,15 +458,15 @@ def find_inward_neighborhood(
     for end in (0, 1):
         for other, oend in model.across(arc, end):
             depth_bound = min(alpha / other.stretch_hi, Fraction(1))
-            # (near, far) depths from the shared vertex of the interval
-            # flowing toward it that comes closest
-            nearest = min(
+            ivs = wandering_intervals(g.map_for(other.id))
+            # (near, far) depths from the shared vertex of the closest inward interval
+            nearest = next(
                 (
                     sorted((_from_end(oend, iv.a), _from_end(oend, iv.b)))
-                    for iv in wandering_intervals(g.map_for(other.id))
+                    for iv in (reversed(ivs) if oend else ivs)
                     if iv.orientation is _INWARD[oend]
                 ),
-                default=None,
+                None,
             )
             if nearest is None or nearest[0] >= depth_bound:
                 raise NoInwardStub(

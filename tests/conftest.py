@@ -23,7 +23,7 @@ from continua.cantor import (
     explode_fixed_point,
     minimal_indices,
 )
-from continua.continuum import Arc, YModel
+from continua.continuum import Arc, YHomeo, YModel
 from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
 from continua.plmap import (
     DomainError,
@@ -35,13 +35,19 @@ from continua.plmap import (
     iterate,
     wandering_intervals,
 )
-from continua.rational import exact_sqrt
+from continua.rational import exact_sqrt, positive
 from continua.shadowing import (
+    _INWARD,
     GRID_LEVELS,
     NOISE_GRID,
     ORBIT_LENGTH,
+    CertificateError,
+    InwardNeighborhood,
+    NoInwardStub,
     PseudoOrbit,
     ShadowingSet,
+    Stub,
+    _from_end,
     generate_pseudo_orbit,
     shadowing_set,
 )
@@ -677,6 +683,41 @@ def scan_arcs_at(model: YModel, vertex_id: str) -> list[tuple[Arc, int]]:
         if a.q == vertex_id:
             out.append((a, 1))
     return out
+
+
+def scan_inward_neighborhood(
+    model: YModel, g: YHomeo, arc_id: str, alpha: Fraction
+) -> InwardNeighborhood:
+    """find_inward_neighborhood taking, for each stub, the min over every
+    inward interval of the neighbour's map of its sorted (near, far)
+    depths from the shared vertex."""
+    alpha = positive(alpha, "alpha")
+    arc = model.arc(arc_id)
+    stubs: list[Stub] = []
+    for end in (0, 1):
+        for other, oend in model.across(arc, end):
+            depth_bound = min(alpha / other.stretch_hi, Fraction(1))
+            nearest = min(
+                (
+                    sorted((_from_end(oend, iv.a), _from_end(oend, iv.b)))
+                    for iv in wandering_intervals(g.map_for(other.id))
+                    if iv.orientation is _INWARD[oend]
+                ),
+                default=None,
+            )
+            if nearest is None or nearest[0] >= depth_bound:
+                raise NoInwardStub(
+                    f"no inward stub: arc {other.id!r} has no "
+                    f"{_INWARD[oend].value}-flowing interval within {alpha} "
+                    f"of vertex {model.vertex_of(arc, end)!r}"
+                )
+            near, far = nearest
+            stubs.append(Stub(other.id, oend, _from_end(oend, (near + min(far, depth_bound)) / 2)))
+    nb = InwardNeighborhood(arc_id, tuple(stubs))
+    for aid, (lo, hi) in nb.kept.items():
+        if not lo < hi:
+            raise CertificateError(f"stubs on arc {aid!r} overlap")
+    return nb
 
 
 def scan_min_separation_sq(

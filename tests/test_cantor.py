@@ -531,6 +531,19 @@ class TestPlantingAgainstOracles:
         for n in range(11):
             assert tuples(build_ternary_map(n)) == tuples(appended_ternary_map(n))
 
+    @pytest.mark.parametrize("levels", [0, 3, 9])
+    def test_one_validated_map_per_planting(self, monkeypatch, levels):
+        # identity() and the planted result: no generator map is built per slot
+        validated = []
+        check = PLHomeo.__post_init__
+        monkeypatch.setattr(PLHomeo, "__post_init__", lambda f: validated.append(check(f)))
+        f = build_ternary_map(levels)
+        assert len(validated) == 2
+        # a window inside the fixed stretch next to 0
+        p = F(1, 2 * 3 ** (levels + 2))
+        explode_fixed_point(f, p, p / 2, Orientation.R)
+        assert len(validated) == 3
+
     def test_explosions_on_fat_maps(self):
         rng = random.Random(41)
         checked = 0

@@ -1118,11 +1118,14 @@ class TestInputErrorsInFreshInterpreter:
                         "--epsilon", "1/10"], "orbit CSV row 2 has 3 fields, header has 2"),
             (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["unknown_arc"],
                         "--epsilon", "1/10"], "no arc 'zz'"),
+            (lambda d: ["certify", "--segments", 2, "--homeo", d["extra_arc_map"],
+                        "--epsilon", "1/10"],
+             "arc map for 'zz', which is not an arc of the model"),
         ],
         ids=["build-fstar depth", "conjugate depth", "modulus trials", "certify trials",
              "header-only CSV", "skipped index", "no map or model", "shifted domain",
              "list model", "list homeo", "model epsilon zero", "model epsilon negative",
-             "extra CSV field", "unknown arc"],
+             "extra CSV field", "unknown arc", "extra arc map"],
     )
     def test_refused(self, choice_files, argv, message):
         d = dict(choice_files)
@@ -1137,6 +1140,10 @@ class TestInputErrorsInFreshInterpreter:
         shifted["domain"] = [["0", "1"], ["2", "1"]]
         d["shifted"] = d["orbit"].parent / "shifted.json"
         d["shifted"].write_text(json.dumps(shifted))
+        extra = json.loads(d["h2"].read_text())
+        extra["arc_maps"]["zz"] = identity().to_json()
+        d["extra_arc_map"] = d["orbit"].parent / "extra_arc_map.json"
+        d["extra_arc_map"].write_text(json.dumps(extra))
         code, err = run_process(argv(d))
         assert code == 2
         assert f"input error: {message}" in err and "Traceback" not in err

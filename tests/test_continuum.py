@@ -344,6 +344,10 @@ class TestSelfMaps:
         bad = YHomeo({a.id: identity(F(0), F(2)) for a in m.arcs})
         with pytest.raises(ModelError):
             validate_homeo(m, bad)
+        extra = YHomeo({**{a.id: identity() for a in m.arcs}, "zz": identity()})
+        refusal = "^arc map for 'zz', which is not an arc of the model$"
+        with pytest.raises(ModelError, match=refusal):
+            validate_homeo(m, extra)
 
     def test_homeo_json_round_trip(self):
         m = build_arc_model(2)

@@ -92,6 +92,10 @@ class TestEvaluate:
     def test_canonical_r_rescaled_midpoint(self):
         assert evaluate(canonical_r(F(1, 3), F(2, 3)), F(1, 2)) == F(7, 12)
 
+    def test_non_fraction_point(self):
+        y = evaluate(canonical_r(0, 1), 1)
+        assert type(y) is F and y == 1
+
     def test_outside_domain(self):
         with pytest.raises(DomainError, match=r"^2 outside domain \[0, 1\]$"):
             evaluate(identity(), F(2))

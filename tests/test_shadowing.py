@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from continua.continuum import (
 from continua.plmap import (
     Orientation,
     canonical_r,
+    compose,
     evaluate,
     identity,
     invert,
@@ -64,8 +66,10 @@ from conftest import (
     orbit_membership_oracle,
     pullback_shadowing_set,
     random_fat_map,
+    random_coordinate_change,
     random_plhomeo,
     random_touching_map,
+    scan_inward_neighborhood,
     scan_min_separation_sq,
     semi_stable_map,
     steady_drift_orbit,
@@ -475,6 +479,64 @@ class TestInwardNeighborhood:
         nb = find_inward_neighborhood(m, g, "h2", F(50))
         for s in nb.stubs:
             assert 0 < s.cut < 1
+
+    @pytest.mark.parametrize("levels", range(1, 13))
+    def test_end_scan_matches_min_over_every_interval(self, levels):
+        # the ternary map, a conjugate, and the map with an extra interval of
+        # each orientation next to both ends, on every arc, at a ladder of
+        # alphas that both refuses and clamps
+        rng = random.Random(levels)
+        f = build_ternary_map(levels)
+        h = random_coordinate_change(rng)
+        eta = F(1, 4 * 3 ** (levels + 1))
+        m = build_arc_model(1)
+        for fa in (f, compose(h, compose(f, invert(h))), edge_enriched_map(levels, eta)):
+            g = YHomeo({a.id: fa for a in m.arcs})
+            for arc in m.arcs:
+                for alpha in (F(50), F(1, 10), 3 * eta, F(1, 3 ** (levels + 1))):
+                    try:
+                        want = scan_inward_neighborhood(m, g, arc.id, alpha)
+                    except CertificateError as exc:
+                        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                            find_inward_neighborhood(m, g, arc.id, alpha)
+                    else:
+                        assert find_inward_neighborhood(m, g, arc.id, alpha) == want
+
+    def test_end_scan_reads_up_to_first_inward_interval(self, monkeypatch):
+        # each stub reads its neighbour's intervals from the shared vertex's
+        # end and stops at the first one flowing toward it
+        m = build_arc_model(2)
+        g = build_arcwise_map(m, 9)
+        listed = shadowing.wandering_intervals
+        reads: list[set[int]] = []
+
+        class Recorded:
+            def __init__(self, iv, i, log):
+                self.iv, self.i, self.log = iv, i, log
+
+            def __getattr__(self, name):
+                self.log.add(self.i)
+                return getattr(self.iv, name)
+
+        def recording(f):
+            log: set[int] = set()
+            reads.append(log)
+            return [Recorded(iv, i, log) for i, iv in enumerate(listed(f))]
+
+        monkeypatch.setattr(shadowing, "wandering_intervals", recording)
+        stubs = [
+            s for arc in m.arcs for s in find_inward_neighborhood(m, g, arc.id, F(1, 10)).stubs
+        ]
+        assert len(reads) == len(stubs) >= 10
+        for log, s in zip(reads, stubs):
+            ivs = listed(g.map_for(s.arc))
+            if s.end == 0:
+                first = next(i for i, iv in enumerate(ivs) if iv.orientation is Orientation.L)
+                assert log == set(range(first + 1))
+            else:
+                last = max(i for i, iv in enumerate(ivs) if iv.orientation is Orientation.R)
+                assert log == set(range(last, len(ivs)))
+            assert len(log) <= 2 < len(ivs)
 
 
 class TestCertificates:
