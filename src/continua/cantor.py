@@ -14,7 +14,9 @@ On top of that construction this module provides:
   all below a tolerance; decision procedure, witness extraction, and the
   exact feasibility threshold by minimax dynamic programming over all
   subsequences, O(n log n) in the number n of wandering intervals (a
-  right-to-left sweep with one monotone staircase per orientation);
+  right-to-left sweep with one monotone staircase per orientation, run on
+  integer keys: every endpoint scaled by the lcm of the endpoint
+  denominators);
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual;
 * fixed-point explosions (planting a canonical generator inside an
@@ -27,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .plmap import (
     DomainError,
@@ -186,12 +189,19 @@ class ChainWitness:
         }
 
 
-def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
-    """fwd[i]: minimal achievable max(later gaps, trailing margin) from i.
+def _chain_table(
+    ivs: list[OrientedInterval], lo: Fraction, hi: Fraction
+) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
+    """The chain DP on integer keys: (d, lo·d, [a_i·d], [b_i·d],
+    orientations, fwd), where d is the lcm of the denominators of lo, hi
+    and every endpoint, and fwd[i]·d is the minimal achievable max(later
+    gaps, trailing margin) from i.
 
     Minimax dynamic programming over all alternating continuations; with it
     the scan in ``check_chain_property`` is complete: it finds a witness
-    whenever any subsequence of the wandering intervals is one.
+    whenever any subsequence of the wandering intervals is one.  Scaling by
+    d keeps every difference and comparison exact, so the sweep makes no
+    ``Fraction``.
 
     ``ivs`` must be sorted and pairwise disjoint, as ``wandering_intervals``
     returns them; then every j >= i + 2 lies strictly right of i, and only
@@ -206,33 +216,40 @@ def _suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.
     """
+    dens = {iv.a.denominator for iv in ivs} | {iv.b.denominator for iv in ivs}
+    d = lcm(lo.denominator, hi.denominator, *dens)
+    scale = {q: d // q for q in dens}
+    a = [iv.a.numerator * scale[iv.a.denominator] for iv in ivs]
+    b = [iv.b.numerator * scale[iv.b.denominator] for iv in ivs]
+    orient = [iv.orientation for iv in ivs]
+    top = hi.numerator * (d // hi.denominator)
     n = len(ivs)
-    fwd = [Fraction(0)] * n
+    fwd = [0] * n
     # per orientation: candidate indices, and fwd[j] - a_j, which increases
     # along the list
     stairs = {Orientation.R: ([], []), Orientation.L: ([], [])}
     for i in range(n - 1, -1, -1):
         if i + 2 < n:
             j = i + 2
-            js, keys = stairs[ivs[j].orientation]
+            js, keys = stairs[orient[j]]
             while js and fwd[js[-1]] >= fwd[j]:
                 js.pop()
                 keys.pop()
             js.append(j)
-            keys.append(fwd[j] - ivs[j].a)
-        b = ivs[i].b
-        want = ivs[i].orientation.flipped()
-        best = hi - b
+            keys.append(fwd[j] - a[j])
+        bi = b[i]
+        want = orient[i].flipped()
+        best = top - bi
         js, keys = stairs[want]
-        p = bisect_right(keys, -b)
+        p = bisect_right(keys, -bi)
         if p > 0:
-            best = min(best, ivs[js[p - 1]].a - b)
+            best = min(best, a[js[p - 1]] - bi)
         if p < len(js):
             best = min(best, fwd[js[p]])
-        if i + 1 < n and ivs[i + 1].orientation is want and ivs[i + 1].a > b:
-            best = min(best, max(ivs[i + 1].a - b, fwd[i + 1]))
+        if i + 1 < n and orient[i + 1] is want and a[i + 1] > bi:
+            best = min(best, max(a[i + 1] - bi, fwd[i + 1]))
         fwd[i] = best
-    return fwd
+    return d, lo.numerator * (d // lo.denominator), a, b, orient, fwd
 
 
 def best_chain_quality(
@@ -241,16 +258,17 @@ def best_chain_quality(
     """Exact optimum of ChainWitness.quality over all alternating chains.
 
     ``ivs`` must be sorted and pairwise disjoint (else ValueError).  None
-    when there is no R interval to start a chain.
+    when there is no R interval to start a chain.  The minimum is taken over
+    the integer table; only the result is a ``Fraction``.
     """
-    for prev, nxt in zip(ivs, ivs[1:]):
-        if prev.b > nxt.a:
-            raise ValueError("wandering intervals must be sorted and pairwise disjoint")
-    starts = zip(ivs, _suffix_best(ivs, hi))
-    return min(
-        (max(iv.a - lo, rest) for iv, rest in starts if iv.orientation is Orientation.R),
+    d, start, a, b, orient, fwd = _chain_table(ivs, lo, hi)
+    if any(bi > ai for bi, ai in zip(b, a[1:])):
+        raise ValueError("wandering intervals must be sorted and pairwise disjoint")
+    best = min(
+        (max(ai - start, rest) for ai, o, rest in zip(a, orient, fwd) if o is Orientation.R),
         default=None,
     )
+    return None if best is None else Fraction(best, d)
 
 
 def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
@@ -262,16 +280,19 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     (``lo`` before the first link), and its gap from b and best continuation
     both stay below ``epsilon``.  So each link is the earliest one that
     keeps the chain completable, and the chain grows while one remains.
+    The scan reads the integer table: x/d < p/q exactly when x·q < p·d.
     """
     epsilon = positive(epsilon, "epsilon")
     lo, hi = f.domain
     ivs = wandering_intervals(f)
+    d, end, a, b, orient, fwd = _chain_table(ivs, lo, hi)
+    q, bound = epsilon.denominator, epsilon.numerator * d
     chain: list[OrientedInterval] = []
-    b, want = lo, Orientation.R
-    for iv, rest in zip(ivs, _suffix_best(ivs, hi)):
-        if iv.orientation is want and (not chain or iv.a > b) and max(iv.a - b, rest) < epsilon:
+    want = Orientation.R
+    for iv, o, ak, bk, rest in zip(ivs, orient, a, b, fwd):
+        if o is want and (not chain or ak > end) and max(ak - end, rest) * q < bound:
             chain.append(iv)
-            b, want = iv.b, want.flipped()
+            end, want = bk, want.flipped()
     if not chain:
         return None
     witness = ChainWitness(tuple(chain), epsilon)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .rational import rational_from_json, rational_to_json
 
@@ -144,13 +145,11 @@ class PLHomeo:
         # f(x) = s·x + c = (α·p + β·q)/(γ·q) at x = p/q, with γ = lcm of the
         # denominators of s and c.
         xs, ys = self.breakpoints, self.values
-        d = 1
-        for x in xs:
-            d = _lcm(d, x.denominator)
+        d = lcm(*(x.denominator for x in xs))
         pieces = []
         for x, y, s in zip(xs, ys, self._slopes):
             c = y - s * x
-            g = _lcm(s.denominator, c.denominator)
+            g = lcm(s.denominator, c.denominator)
             pieces.append(
                 (s.numerator * (g // s.denominator), c.numerator * (g // c.denominator), g)
             )
@@ -192,12 +191,6 @@ class PLHomeo:
         if dom != [f.lo, f.hi]:
             raise ValueError("domain field disagrees with breakpoint endpoints")
         return f
-
-
-def _lcm(a: int, b: int) -> int:
-    """Least common multiple of two positive integers: Fraction(a, b) is in
-    lowest terms, so its numerator is a / gcd(a, b)."""
-    return b * Fraction(a, b).numerator
 
 
 def _shared(made: dict[tuple[int, int], Fraction], n: int, d: int) -> Fraction:

@@ -17,7 +17,6 @@ from continua.cantor import (
     ExplosionSiteError,
     InsufficientIntervals,
     TernaryIndex,
-    _suffix_best,
     build_ternary_map,
     check_chain_property,
     explode_fixed_point,
@@ -189,6 +188,46 @@ def literal_chain_quality(
     return best
 
 
+def fraction_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
+    """fwd[i] of the chain DP by the staircase sweep on ``Fraction``
+    endpoints: the same right-to-left sweep as ``cantor._chain_table``,
+    without the integer scaling.
+
+    ``ivs`` must be sorted and pairwise disjoint.  Per orientation it keeps
+    a staircase of candidates j, nearest last, with a_j increasing and
+    fwd[j] strictly decreasing in j; one bisection on a_j - fwd[j] finds the
+    crossing of max(a_j - b_i, fwd[j]), and its two neighbours hold the
+    minimum.  j = i + 1 is tested directly and pushed after fwd[i] is known.
+    """
+    n = len(ivs)
+    fwd = [Fraction(0)] * n
+    # per orientation: candidate indices, and fwd[j] - a_j, which increases
+    # along the list
+    stairs = {Orientation.R: ([], []), Orientation.L: ([], [])}
+    for i in range(n - 1, -1, -1):
+        if i + 2 < n:
+            j = i + 2
+            js, keys = stairs[ivs[j].orientation]
+            while js and fwd[js[-1]] >= fwd[j]:
+                js.pop()
+                keys.pop()
+            js.append(j)
+            keys.append(fwd[j] - ivs[j].a)
+        b = ivs[i].b
+        want = ivs[i].orientation.flipped()
+        best = hi - b
+        js, keys = stairs[want]
+        p = bisect_right(keys, -b)
+        if p > 0:
+            best = min(best, ivs[js[p - 1]].a - b)
+        if p < len(js):
+            best = min(best, fwd[js[p]])
+        if i + 1 < n and ivs[i + 1].orientation is want and ivs[i + 1].a > b:
+            best = min(best, max(ivs[i + 1].a - b, fwd[i + 1]))
+        fwd[i] = best
+    return fwd
+
+
 def quadratic_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     """fwd[i] of the chain DP by trying every later interval: O(n^2)."""
     n = len(ivs)
@@ -214,7 +253,7 @@ def two_loop_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | Non
     ivs = wandering_intervals(f)
     if not ivs:
         return None
-    fwd = _suffix_best(ivs, hi)
+    fwd = fraction_suffix_best(ivs, hi)
 
     start = None
     for i, iv in enumerate(ivs):

@@ -100,9 +100,13 @@ def test_every_parameter_is_read():
     assert unread == [], f"parameters that change no result: {unread}"
 
 
+# the math functions that take and return only integers (TypeError on a float)
+INTEGER_MATH = {"isqrt", "lcm"}
+
+
 def _float_uses(path: Path) -> list[str]:
     """``line: what`` for each float constant, call to ``float`` and use of
-    ``math`` other than ``isqrt`` in ``path``."""
+    ``math`` outside ``INTEGER_MATH`` in ``path``."""
     out = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -111,10 +115,14 @@ def _float_uses(path: Path) -> list[str]:
             if node.func.id == "float":
                 out.append(f"{node.lineno}: float()")
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id == "math" and node.attr != "isqrt":
+            if node.value.id == "math" and node.attr not in INTEGER_MATH:
                 out.append(f"{node.lineno}: math.{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            out += [f"{node.lineno}: from math import {a.name}" for a in node.names]
+            out += [
+                f"{node.lineno}: from math import {a.name}"
+                for a in node.names
+                if a.name not in INTEGER_MATH
+            ]
     return out
 
 
@@ -123,6 +131,12 @@ def test_core_has_no_floats():
     core = [p for p in sorted(SRC.glob("*.py")) if p.name != "svg.py"]
     found = [f"{p.name}:{use}" for p in core for use in _float_uses(p)]
     assert found == [], f"floating point in the exact core: {found}"
+
+
+def test_float_scan_admits_only_integer_math(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("import math\nfrom math import floor, lcm\nmath.sqrt(2)\nmath.isqrt(2)\n")
+    assert _float_uses(src) == ["2: from math import floor", "3: math.sqrt"]
 
 
 def _options(parser: argparse.ArgumentParser):

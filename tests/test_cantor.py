@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from continua.cantor import (
     ChainWitness,
     ConjugacyReport,
-    _suffix_best,
     ExplosionSiteError,
     InsufficientIntervals,
     TernaryIndex,
+    _chain_table,
     all_indices,
     best_chain_quality,
     build_conjugacy,
@@ -40,6 +40,7 @@ from continua.plmap import (
 )
 from conftest import (
     appended_ternary_map,
+    fraction_suffix_best,
     interpolated_densify,
     interpolated_explosion,
     literal_chain_quality,
@@ -225,14 +226,30 @@ class TestChainProperty:
 
     def test_suffix_best_matches_quadratic_oracle(self):
         rng = random.Random(14)
-        families = [wandering_intervals(random_fat_map(rng, max_plants=5)) for _ in range(40)]
-        families += [wandering_intervals(random_touching_map(rng, 12)) for _ in range(80)]
+        maps = [random_fat_map(rng, max_plants=5) for _ in range(40)]
+        maps += [random_touching_map(rng, 12) for _ in range(80)]
         for n in range(7):
             A = random_coordinate_change(rng)
-            g = compose(A, compose(build_ternary_map(n), invert(A)))
-            families.append(wandering_intervals(g))
-        for ivs in families:
-            assert _suffix_best(ivs, F(1)) == quadratic_suffix_best(ivs, F(1))
+            maps.append(compose(A, compose(build_ternary_map(n), invert(A))))
+        # and the maps of TestOneScanAgainstTwoLoops
+        rng = random.Random(16)
+        for make in (random_plhomeo, random_fat_map, random_touching_map):
+            maps += [make(rng) for _ in range(20)]
+        maps += [f for domain in DOMAINS for f in canonical_maps(domain)]
+        maps += [build_ternary_map(n) for n in range(11)]
+        maps += [ternary_conjugate(n) for n in (7, 8, 9, 10)]
+        for f in maps:
+            lo, hi = f.domain
+            ivs = wandering_intervals(f)
+            d, _, _, _, _, fwd = _chain_table(ivs, lo, hi)
+            table = [F(x, d) for x in fwd]
+            assert table == fraction_suffix_best(ivs, hi)
+            # the O(n^2) oracle stops at depth 8: 511 intervals
+            if len(ivs) < 1000:
+                assert table == quadratic_suffix_best(ivs, hi)
+        for f in canonical_maps(DOMAINS[1]):
+            ivs = wandering_intervals(f)
+            assert best_chain_quality(ivs, *f.domain) == literal_chain_quality(ivs, *f.domain)
 
     def test_unsorted_intervals_rejected(self):
         ivs = wandering_intervals(build_ternary_map(1))
@@ -251,6 +268,28 @@ class TestChainProperty:
         witness = check_chain_property(f, q + q / 1000)
         assert witness is not None
         assert q <= witness.quality() < q + q / 1000
+
+    def test_scan_subtracts_no_fraction_per_interval(self, monkeypatch):
+        f = build_ternary_map(9)
+        q = F(1, 3**9)
+        eps = q + q / 1000
+        ivs = wandering_intervals(f)  # cached on f: its walk is not counted
+        count = 0
+        sub = F.__sub__
+
+        def counted(x, y):
+            nonlocal count
+            count += 1
+            return sub(x, y)
+
+        monkeypatch.setattr(F, "__sub__", counted)
+        witness = check_chain_property(f, eps)
+        monkeypatch.undo()
+        # the final quality check alone: two margins and the gaps
+        assert len(witness.intervals) == 682
+        assert count <= len(witness.intervals) + 1
+        d, start, a, b, _, fwd = _chain_table(ivs, *f.domain)
+        assert all(type(x) is int for x in (d, start, *a, *b, *fwd))
 
     def test_monotone_in_epsilon(self):
         rng = random.Random(13)
@@ -306,6 +345,22 @@ class TestChainProperty:
         assert check_chain_property(g, F(1, 2)) is None
 
 
+DOMAINS = [(F(0), F(1)), (F(-3, 2), F(5, 7))]
+
+
+def canonical_maps(domain: tuple[F, F]) -> tuple[PLHomeo, ...]:
+    return (
+        canonical_r(*domain),
+        invert(canonical_r(*domain)),
+        rescale(build_ternary_map(3), domain),
+    )
+
+
+def ternary_conjugate(levels: int) -> PLHomeo:
+    A = random_coordinate_change(random.Random(levels))
+    return compose(A, compose(build_ternary_map(levels), invert(A)))
+
+
 def oracle_epsilons(f: PLHomeo) -> list[F]:
     """A dyadic grid, and the exact threshold q with q + q/1000 and 2q."""
     eps = [F(1, 2**k) for k in range(1, 12)]
@@ -335,13 +390,9 @@ class TestOneScanAgainstTwoLoops:
     def test_random_fat_and_touching_maps(self, f):
         assert_same_witnesses(f)
 
-    @pytest.mark.parametrize("domain", [(F(0), F(1)), (F(-3, 2), F(5, 7))])
+    @pytest.mark.parametrize("domain", DOMAINS)
     def test_canonical_maps(self, domain):
-        for f in (
-            canonical_r(*domain),
-            invert(canonical_r(*domain)),
-            rescale(build_ternary_map(3), domain),
-        ):
+        for f in canonical_maps(domain):
             assert_same_witnesses(f)
 
     @pytest.mark.parametrize("levels", range(11))
@@ -350,8 +401,7 @@ class TestOneScanAgainstTwoLoops:
 
     @pytest.mark.parametrize("levels", [7, 8, 9, 10])
     def test_conjugates(self, levels):
-        A = random_coordinate_change(random.Random(levels))
-        assert_same_witnesses(compose(A, compose(build_ternary_map(levels), invert(A))))
+        assert_same_witnesses(ternary_conjugate(levels))
 
 
 class TestBuildConjugacy:

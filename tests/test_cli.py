@@ -599,6 +599,10 @@ class TestFlagBounds:
         assert code == 2
         assert "exceeds the maximum" in err and "Traceback" not in err
 
+    def test_refused_above_bound_in_process(self, capsys):
+        assert exit_code(["build-fstar", "--depth", MAX_DEPTH + 1]) == 2
+        assert f"{MAX_DEPTH + 1} exceeds the maximum {MAX_DEPTH}" in capsys.readouterr().err
+
     def test_bounds_themselves_parse(self):
         args = build_parser().parse_args(
             ["certify", "--depth", str(MAX_DEPTH), "--segments", str(MAX_SEGMENTS),
