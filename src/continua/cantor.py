@@ -367,15 +367,15 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     widths = [iv.width for iv in ivs]
 
     matched: list[tuple[OrientedInterval, TernaryIndex]] = []
-    # (source gap, template gap) pairs, left to right; a level-n template
-    # gap has length 3^-n and starts at a multiple of it, so its middle
-    # third is the level-n interval T(n, ⌊tlo·3^n⌋)
-    gaps = [((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)))]
+    # (source gap, j) pairs, left to right: the template gap matched to the
+    # source gap holds T(level, j), and the gaps on either side of T(n, j)
+    # hold T(n + 1, 3j) and T(n + 1, 3j + 2)
+    gaps = [((Fraction(0), Fraction(1)), 0)]
     for rnd in range(1, depth + 1):
         level = rnd - 1
         want = Orientation.R if level % 2 == 0 else Orientation.L
         new_gaps = []
-        for (glo, ghi), (tlo, thi) in gaps:
+        for (glo, ghi), j in gaps:
             # the widest, and the leftmost of equally wide
             best = None
             for k in range(bisect_right(starts, glo), bisect_left(ends, ghi)):
@@ -387,10 +387,8 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
                     f"no {want.value} interval inside gap ({glo}, {ghi})"
                 )
             pick = ivs[best]
-            target = TernaryIndex(level, int(tlo * 3**level))
-            ta, tb = target.interval()
-            matched.append((pick, target))
-            new_gaps += [((glo, pick.a), (tlo, ta)), ((pick.b, ghi), (tb, thi))]
+            matched.append((pick, TernaryIndex(level, j)))
+            new_gaps += [((glo, pick.a), 3 * j), ((pick.b, ghi), 3 * j + 2)]
         gaps = new_gaps
     matched.sort(key=lambda pair: pair[0].a)
 

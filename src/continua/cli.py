@@ -46,7 +46,7 @@ from .shadowing import (
     orbit_from_csv,
     sample_certificate_soundness,
     sample_global_soundness,
-    shadow_on_model,
+    shadow_on_arcs,
     shadowing_set,
 )
 from .svg import render_model, render_phase_diagram
@@ -171,7 +171,8 @@ def cmd_shadow(args) -> tuple[str, int]:
         if not on_model:
             raise ValueError("orbit file holds interval points, not model points")
         model = YModel.from_json(_load_json(args.model))
-        return _witness(shadow_on_model(model, _load_homeo(args, model), orbit, epsilon))
+        g = _load_homeo(args, model)
+        return _witness(shadow_on_arcs(model, g, orbit, epsilon, model.arcs))
     if not args.map:
         raise ValueError("need --map or --model")
     if on_model:

@@ -11,15 +11,16 @@ margin, inward neighborhood with strictly attracted stubs, exact
 separation of the neighborhood's image from its complement), the covering
 composition over all arcs, and a self-verifying shadowing-point search.
 
-Everything is deterministic for a fixed seed; sampling runs sequentially
-with per-trial seeds derived by counter.
+Everything is deterministic for a fixed seed, and sampling runs
+sequentially.  Both soundness samplers run one trial loop: trial t draws
+its start from ``Random(base + t)`` and its orbit from seed base + t + 1.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -231,30 +232,31 @@ def estimate_shadowing_modulus(
     """Largest grid delta whose sampled pseudo-orbits are all shadowed.
 
     Scans the grid epsilon / 2^j (``GRID_LEVELS`` levels) from the top
-    down and returns 0 when even the smallest value fails.  A
-    lower-confidence empirical stand-in for the true modulus.  Orbits
-    depend only on (map, delta, start, seed), so for epsilons 2^k apart
-    the grids line up and the larger epsilon's estimate is at least the
-    smaller's (when that value is on both grids).  Other ratios have no
-    such order: depth-2 ternary map, 20 trials, seed 2 gives 1/58 at
-    epsilon 1/29 and 1/112 at epsilon 1/28.
+    down and returns 0 when even the smallest value fails.  Trial t draws
+    its start once, from seed * 1_000_003 + 2t, and seeds its orbit one
+    higher at every level.  A lower-confidence empirical stand-in for the
+    true modulus.  Orbits depend only on (map, delta, start, seed), so for
+    epsilons 2^k apart the grids line up and the larger epsilon's estimate
+    is at least the smaller's (when that value is on both grids).  Other
+    ratios have no such order: depth-2 ternary map, 20 trials, seed 2
+    gives 1/58 at epsilon 1/29 and 1/112 at epsilon 1/28.
     """
     epsilon = positive(epsilon, "epsilon")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     lo, hi = f.domain
-
+    base = seed * 1_000_003
+    starts = [
+        lo + (hi - lo) * Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
+        for rng in (random.Random(base + 2 * t) for t in range(trials))
+    ]
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
-        for t in range(trials):
-            start_rng = random.Random(seed * 1_000_003 + 2 * t)
-            x0 = lo + (hi - lo) * Fraction(start_rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
-            orbit = generate_pseudo_orbit(
-                f, delta, (0, ORBIT_LENGTH), x0, seed * 1_000_003 + 2 * t + 1
-            )
-            if _forward_fold(f, orbit.points, epsilon) is None:
-                break
-        else:
+        orbits = (
+            generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), x0, base + 2 * t + 1)
+            for t, x0 in enumerate(starts)
+        )
+        if all(_forward_fold(f, o.points, epsilon) is not None for o in orbits):
             return delta
     return Fraction(0)
 
@@ -324,6 +326,8 @@ def generate_pseudo_orbit_y(
     vertex onto an adjacent arc when the image lies close enough; both
     moves keep the ambient jump strictly below delta.
     """
+    if length < 0:
+        raise ValueError("length must be >= 0")
     delta = positive(delta, "delta")
     rng = random.Random(seed)
     bound = delta / 2
@@ -626,7 +630,7 @@ def _verified_arc_shadow(
     return True
 
 
-def _search(
+def shadow_on_arcs(
     model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction, arcs: Iterable[Arc]
 ) -> YPoint | None:
     """The first of ``arcs``, nearest to the orbit's start first, whose one
@@ -668,44 +672,31 @@ def _search(
     return None
 
 
-def shadow_on_arc(
-    model: YModel,
-    g: YHomeo,
-    arc_id: str,
-    orbit: PseudoOrbit,
-    epsilon: Fraction,
-) -> YPoint | None:
-    """A verified epsilon-shadowing point on one arc, or None when its one
-    candidate fails (see ``_search``)."""
-    return _search(model, g, orbit, epsilon, [model.arc(arc_id)])
-
-
-def shadow_on_model(
-    model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction
-) -> YPoint | None:
-    """A verified epsilon-shadowing point anywhere on the model: the arcs
-    are tried nearest to the orbit's start first (see ``_search``)."""
-    return _search(model, g, orbit, epsilon, model.arcs)
-
-
 # ---------------------------------------------------------------------------
 # Soundness sampling
 # ---------------------------------------------------------------------------
 
 
-def sample_near_arc(
-    model: YModel, arc_id: str, radius: Fraction, rng: random.Random
-) -> YPoint:
-    """A random model point within ``radius`` (ambient) of the given arc."""
-    arc = model.arc(arc_id)
-    # the arc itself half the time, and when the chosen end has no other arc
-    if rng.randrange(2) == 0 or not (neighbors := model.across(arc, rng.randrange(2))):
-        return YPoint(arc_id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
-    other, oend = neighbors[rng.randrange(len(neighbors))]
-    depth = min(radius / other.stretch_hi, Fraction(1)) * Fraction(
-        rng.randrange(0, NOISE_GRID), NOISE_GRID
-    )
-    return YPoint(other.id, _from_end(oend, depth))
+def _sampled_failures(
+    model: YModel,
+    g: YHomeo,
+    delta: Fraction,
+    epsilon: Fraction,
+    trials: int,
+    base: int,
+    start: Callable[[random.Random], YPoint],
+    arcs: Sequence[Arc],
+) -> list[int]:
+    """Indices t of the sampled delta-pseudo-orbits that ``shadow_on_arcs``
+    finds no epsilon-shadow for on ``arcs``.  Trial t starts at
+    ``start(Random(base + t))`` and seeds its orbit with base + t + 1."""
+    failures: list[int] = []
+    for t in range(trials):
+        x0 = start(random.Random(base + t))
+        orbit = generate_pseudo_orbit_y(model, g, delta, ORBIT_LENGTH, x0, base + t + 1)
+        if shadow_on_arcs(model, g, orbit, epsilon, arcs) is None:
+            failures.append(t)
+    return failures
 
 
 def sample_certificate_soundness(
@@ -721,16 +712,21 @@ def sample_certificate_soundness(
     delta-pseudo-orbit forward, and must be epsilon-shadowed by a point of
     the arc itself.
     """
-    failures: list[int] = []
-    for t in range(trials):
-        rng = random.Random(seed * 7_368_787 + t)
-        x0 = sample_near_arc(model, cert.arc, cert.delta, rng)
-        orbit = generate_pseudo_orbit_y(
-            model, g, cert.delta, ORBIT_LENGTH, x0, seed * 7_368_787 + t + 1
+    arc = model.arc(cert.arc)
+
+    def start(rng: random.Random) -> YPoint:
+        # the arc itself half the time, and when the chosen end has no other arc
+        if rng.randrange(2) == 0 or not (neighbors := model.across(arc, rng.randrange(2))):
+            return YPoint(arc.id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
+        other, oend = neighbors[rng.randrange(len(neighbors))]
+        depth = min(cert.delta / other.stretch_hi, Fraction(1)) * Fraction(
+            rng.randrange(0, NOISE_GRID), NOISE_GRID
         )
-        if shadow_on_arc(model, g, cert.arc, orbit, cert.epsilon) is None:
-            failures.append(t)
-    return failures
+        return YPoint(other.id, _from_end(oend, depth))
+
+    return _sampled_failures(
+        model, g, cert.delta, cert.epsilon, trials, seed * 7_368_787, start, [arc]
+    )
 
 
 def sample_global_soundness(
@@ -742,15 +738,9 @@ def sample_global_soundness(
     seed: int,
 ) -> list[int]:
     """Indices of arbitrary-start delta-pseudo-orbits with no verified witness."""
-    failures: list[int] = []
-    arc_ids = model.arc_ids()
-    for t in range(trials):
-        rng = random.Random(seed * 9_999_991 + t)
-        aid = arc_ids[rng.randrange(len(arc_ids))]
-        x0 = YPoint(aid, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
-        orbit = generate_pseudo_orbit_y(
-            model, g, delta, ORBIT_LENGTH, x0, seed * 9_999_991 + t + 1
-        )
-        if shadow_on_model(model, g, orbit, epsilon) is None:
-            failures.append(t)
-    return failures
+
+    def start(rng: random.Random) -> YPoint:
+        arc = model.arcs[rng.randrange(len(model.arcs))]
+        return YPoint(arc.id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
+
+    return _sampled_failures(model, g, delta, epsilon, trials, seed * 9_999_991, start, model.arcs)

@@ -26,9 +26,9 @@ from continua.shadowing import (
     PseudoOrbit,
     estimate_shadowing_modulus,
     generate_pseudo_orbit,
+    generate_pseudo_orbit_y,
     orbit_from_csv,
-    shadow_on_arc,
-    shadow_on_model,
+    shadow_on_arcs,
 )
 
 
@@ -106,6 +106,13 @@ CHECKS = {
         ValueError,
         "x0 outside the domain",
     ),
+    "negative model orbit length": (
+        lambda: generate_pseudo_orbit_y(
+            M1, build_arcwise_map(M1, 1), F(1, 10), -3, YPoint("h1", F(1, 2)), 0
+        ),
+        ValueError,
+        "length must be >= 0",
+    ),
     "trials < 1": (
         lambda: estimate_shadowing_modulus(identity(), F(1, 10), 0, 0),
         ValueError,
@@ -125,26 +132,34 @@ CHECKS = {
         "unrecognized orbit CSV header",
     ),
     "two-sided arc search": (
-        lambda: shadow_on_arc(
+        lambda: shadow_on_arcs(
             M1,
             build_arcwise_map(M1, 1),
-            "h1",
             PseudoOrbit((YPoint("h1", F(1, 2)), YPoint("h1", F(1, 2))), 1),
             F(1, 10),
+            [M1.arc("h1")],
         ),
         ValueError,
         "arc search expects a forward pseudo-orbit",
     ),
     "epsilon zero on one arc": (
-        lambda: shadow_on_arc(
-            M1, build_arcwise_map(M1, 1), "h1", PseudoOrbit((YPoint("h1", F(1, 2)),), 0), F(0)
+        lambda: shadow_on_arcs(
+            M1,
+            build_arcwise_map(M1, 1),
+            PseudoOrbit((YPoint("h1", F(1, 2)),), 0),
+            F(0),
+            [M1.arc("h1")],
         ),
         ValueError,
         "epsilon must be positive",
     ),
     "epsilon negative on the model": (
-        lambda: shadow_on_model(
-            M1, build_arcwise_map(M1, 1), PseudoOrbit((YPoint("h1", F(1, 2)),), 0), F(-1, 10)
+        lambda: shadow_on_arcs(
+            M1,
+            build_arcwise_map(M1, 1),
+            PseudoOrbit((YPoint("h1", F(1, 2)),), 0),
+            F(-1, 10),
+            M1.arcs,
         ),
         ValueError,
         "epsilon must be positive",

@@ -36,8 +36,10 @@ from continua.rational import sqrt_enclosure
 from continua.shadowing import (
     CertificateError,
     CoverFailure,
+    InwardNeighborhood,
     NoInwardStub,
     PseudoOrbit,
+    Stub,
     _forward_fold,
     _min_separation_sq,
     _neighborhood_pieces,
@@ -52,8 +54,7 @@ from continua.shadowing import (
     quasi_attractor_certificate,
     sample_certificate_soundness,
     sample_global_soundness,
-    shadow_on_arc,
-    shadow_on_model,
+    shadow_on_arcs,
     shadowing_set,
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
@@ -259,6 +260,26 @@ class TestModulus:
     def test_zero_when_every_grid_delta_fails(self):
         assert estimate_shadowing_modulus(semi_stable_map(), F(1, 10), 10, 0) == 0
 
+    def test_each_start_drawn_once(self, monkeypatch):
+        # every orbit builds its own generator, so the rest are start
+        # generators: one per trial, however many grid levels the scan reads
+        made, deltas = [], []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed=None):
+                made.append(seed)
+                super().__init__(seed)
+
+        generate = shadowing.generate_pseudo_orbit
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        monkeypatch.setattr(
+            shadowing, "generate_pseudo_orbit", lambda *a: deltas.append(a[1]) or generate(*a)
+        )
+        assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 10, 5) == F(1, 80)
+        assert sorted(set(deltas)) == [F(1, 80), F(1, 40), F(1, 20)]
+        assert len(deltas) == 12
+        assert len(made) - len(deltas) == 10
+
 
 class TestLazyModulus:
     """The sampled modulus equals the one that decides every orbit by its
@@ -446,6 +467,12 @@ class TestInwardNeighborhood:
         m = build_arc_model(2)
         with pytest.raises(NoInwardStub):
             find_inward_neighborhood(m, identity_homeo(m), "h1", F(1, 100))
+
+    def test_unattracted_stub_refused(self):
+        m = build_arc_model(1)
+        nb = InwardNeighborhood("circle", (Stub("h1", 0, F(1, 2)),))
+        with pytest.raises(CertificateError, match="stub on 'h1' is not strictly attracted"):
+            _neighborhood_pieces(m, identity_homeo(m), nb)
 
     def test_stub_cuts_strictly_attracted(self):
         m = build_arc_model(2)
@@ -717,8 +744,8 @@ class TestShadowSearch:
         g = build_arcwise_map(m, 2)
         o = generate_pseudo_orbit_y(m, g, F(1, 200), 12, YPoint("h2", F(1, 2)), seed=31)
         if all(p.arc == "h2" for p in o.points):
-            w_model = shadow_on_model(m, g, o, F(1, 10))
-            w_arc = shadow_on_arc(m, g, "h2", o, F(1, 10))
+            w_model = shadow_on_arcs(m, g, o, F(1, 10), m.arcs)
+            w_arc = shadow_on_arcs(m, g, o, F(1, 10), [m.arc("h2")])
             assert w_model == w_arc
 
     def test_orbit_near_tooth_base_shadowed_from_horizontal(self):
@@ -727,7 +754,7 @@ class TestShadowSearch:
         # constant drift near the base of the shortest retained tooth
         pts = tuple(YPoint("v3", F(k, 400)) for k in range(10))
         o = PseudoOrbit(pts, 0)
-        w = shadow_on_arc(m, g, "h1", o, F(1, 10))
+        w = shadow_on_arcs(m, g, o, F(1, 10), [m.arc("h1")])
         assert w is not None
 
     def test_certificate_soundness_sampled(self):
@@ -764,7 +791,7 @@ class TestShadowSearch:
         g = build_arcwise_map(m, 1)
         o = PseudoOrbit((YPoint("h1", F(1, 2)), YPoint("h1", F(1, 2))), 1)
         with pytest.raises(ValueError):
-            shadow_on_model(m, g, o, F(1, 10))
+            shadow_on_arcs(m, g, o, F(1, 10), m.arcs)
 
 
 @st.composite
@@ -837,7 +864,7 @@ class TestOneCandidate:
                 far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
                 firsts_far.add(far)
                 calls.clear()
-                shadow_on_arc(m, g, arc.id, orbit, eps)
+                shadow_on_arcs(m, g, orbit, eps, [arc])
                 if far is None:
                     assert calls == ["n"] * len(targets) + ["v"], arc.id
                 else:
@@ -854,7 +881,7 @@ class TestOneCandidate:
         monkeypatch.setattr(
             Arc, "nearest", lambda arc, p: counts.update([(arc.id, p)]) or nearest(arc, p)
         )
-        assert shadow_on_model(m, g, orbit, F(1, 16)) is None
+        assert shadow_on_arcs(m, g, orbit, F(1, 16), m.arcs) is None
         assert {aid for aid, _ in counts} == set(m.arc_ids())
         # the orbit visits the origin four times; each visit is one target
         occurs = collections.Counter(m.embed(p) for p in orbit.points)
