@@ -22,6 +22,35 @@ def positive(x, name: str) -> Fraction:
     return x
 
 
+# Python refuses int/str conversions past a process-wide digit limit, which
+# is at least 640 digits when set.  Longer integers are converted in halves
+# of at most _DIRECT_DIGITS digits, so any length reads and writes whatever
+# the limit, and the limit itself is never touched.
+_DIRECT_DIGITS = 600
+_DIRECT_BITS = 1993  # 2^1993 < 10^600
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an integer of any length."""
+    if n.bit_length() <= _DIRECT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _from_decimal(text: str) -> int:
+    """``int(text)`` for an optional "-" and ASCII digits of any length."""
+    if len(text) <= _DIRECT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_from_decimal(text[1:])
+    k = len(text) // 2
+    return _from_decimal(text[:-k]) * 10**k + _from_decimal(text[-k:])
+
+
 def parse_integer(text: str) -> int:
     """An integer literal: ASCII decimal digits after an optional "-".
 
@@ -30,7 +59,7 @@ def parse_integer(text: str) -> int:
     digits.  Text readers strip surrounding whitespace before calling it.
     """
     if isinstance(text, str) and re.fullmatch(r"-?[0-9]+", text):
-        return int(text)
+        return _from_decimal(text)
     raise ValueError(f"{text!r} is not a decimal integer")
 
 
@@ -49,13 +78,13 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Render as "num/den" (or "num" when integral)."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 def rational_to_json(x: Fraction) -> list[str]:
     """JSON encoding: pair of decimal strings, arbitrary precision."""
-    return [str(x.numerator), str(x.denominator)]
+    return [_decimal(x.numerator), _decimal(x.denominator)]
 
 
 def _json_integer(v) -> int:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import csv
 import random
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, apply_map, validate_homeo
 from .geometry import Point, _box, _box_gap_sq, dist2_pp, dist2_segment_segment
@@ -234,31 +236,70 @@ def estimate_shadowing_modulus(
     Scans the grid epsilon / 2^j (``GRID_LEVELS`` levels) from the top
     down and returns 0 when even the smallest value fails.  Trial t draws
     its start once, from seed * 1_000_003 + 2t, and seeds its orbit one
-    higher at every level.  A lower-confidence empirical stand-in for the
-    true modulus.  Orbits depend only on (map, delta, start, seed), so for
-    epsilons 2^k apart the grids line up and the larger epsilon's estimate
-    is at least the smaller's (when that value is on both grids).  Other
-    ratios have no such order: depth-2 ternary map, 20 trials, seed 2
+    higher at every level.  Each trial runs on f's integer kernel
+    (``_shadowed_trial``): the orbit it steps and folds is the one
+    ``generate_pseudo_orbit`` draws from the same start and seed over the
+    window (0, ``ORBIT_LENGTH``), and the verdict is whether its
+    ``shadowing_set`` is non-empty.  A lower-confidence empirical stand-in
+    for the true modulus.  Orbits depend only on (map, delta, start, seed),
+    so for epsilons 2^k apart the grids line up and the larger epsilon's
+    estimate is at least the smaller's (when that value is on both grids).
+    Other ratios have no such order: depth-2 ternary map, 20 trials, seed 2
     gives 1/58 at epsilon 1/29 and 1/112 at epsilon 1/28.
     """
     epsilon = positive(epsilon, "epsilon")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    lo, hi = f.domain
     base = seed * 1_000_003
-    starts = [
-        lo + (hi - lo) * Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID)
-        for rng in (random.Random(base + 2 * t) for t in range(trials))
-    ]
+    starts = [random.Random(base + 2 * t).randrange(0, NOISE_GRID + 1) for t in range(trials)]
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
-        orbits = (
-            generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), x0, base + 2 * t + 1)
-            for t, x0 in enumerate(starts)
-        )
-        if all(_forward_fold(f, o.points, epsilon) is not None for o in orbits):
+        if all(
+            _shadowed_trial(f, epsilon, delta, k, base + 2 * t + 1) for t, k in enumerate(starts)
+        ):
             return delta
     return Fraction(0)
+
+
+def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed: int) -> bool:
+    """Whether the seeded delta-pseudo-orbit from lo + (hi - lo)·k/NOISE_GRID
+    has a non-empty epsilon-shadowing set over (0, ``ORBIT_LENGTH``).
+
+    One pass steps the orbit as ``generate_pseudo_orbit`` does (one noise
+    draw per step, in units of delta/1024, clamped to the domain) and folds
+    the tubes as ``_forward_fold`` does, reading x0 first and returning at
+    the first empty step.  Every value is an integer over one scale D: the
+    point X, the fold ends A and B, epsilon E, the noise unit U and the
+    domain ends.  On f's kernel, a point P/D on piece (α, β, γ) maps to
+    (α·P + β·D)/(γ·D), so each step multiplies D by the lcm of the γ of
+    the at most three pieces it hits, and not at all when each γ is 1.
+    """
+    d, keys, pieces = f._kernel
+    last = len(pieces)
+    lo, hi = f.domain
+    unit = 2 * NOISE_GRID * delta.denominator
+    D = lcm(NOISE_GRID * lo.denominator, NOISE_GRID * hi.denominator, epsilon.denominator, unit)
+    LO, HI = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+    E = epsilon.numerator * (D // epsilon.denominator)
+    U = delta.numerator * (D // unit)
+    X = (LO * (NOISE_GRID - k) + HI * k) // NOISE_GRID
+    A, B = max(LO, X - E), min(HI, X + E)
+    rng = random.Random(seed)
+    for _ in range(ORBIT_LENGTH):
+        ax, bx, gx = pieces[bisect_right(keys, X * d // D, 0, last) - 1]
+        aa, ba, ga = pieces[bisect_right(keys, A * d // D, 0, last) - 1]
+        ab, bb, gb = pieces[bisect_right(keys, B * d // D, 0, last) - 1]
+        L = lcm(gx, ga, gb)
+        X = (ax * X + bx * D) * (L // gx)
+        A = (aa * A + ba * D) * (L // ga)
+        B = (ab * B + bb * D) * (L // gb)
+        if L > 1:
+            D, E, U, LO, HI = D * L, E * L, U * L, LO * L, HI * L
+        X = min(max(X + rng.randrange(-(NOISE_GRID - 1), NOISE_GRID) * U, LO), HI)
+        A, B = max(A, X - E), min(B, X + E)
+        if A > B:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

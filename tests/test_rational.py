@@ -1,15 +1,18 @@
 """Exact rational helpers."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from continua.rational import (
+    format_rational,
     parse_integer,
     parse_rational,
     positive,
     rational_from_json,
+    rational_to_json,
     sqrt_enclosure,
 )
 from conftest import bisected_sqrt_enclosure
@@ -50,6 +53,53 @@ class TestTextReader:
         for text in ("1_0", "+1", "\u0661", " 1", "1\n", "", "-"):
             with pytest.raises(ValueError, match="is not a decimal integer"):
                 parse_integer(text)
+
+
+class TestBigIntegers:
+    """Library readers and writers take integers of any length, under
+    whatever digit limit the caller set, and leave that limit alone."""
+
+    @pytest.fixture(params=[640, 4300])
+    def caller_limit(self, request):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no integer digit limit")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield request.param
+        sys.set_int_max_str_digits(old)
+
+    def values(self) -> list[F]:
+        rng = random.Random(121)
+        xs = [F(1, 10**4400), F(-(10**4400) - 7, 3), F(2**20000 + 1, 3**9000), F(10**600),
+              F(-(10**599)), F(10**600 - 1, 10**601 + 1), F(-5, 7), F(0)]
+        for _ in range(40):
+            xs.append(F(rng.randrange(-(10**rng.randrange(1, 6000)), 10**rng.randrange(1, 6000)),
+                        rng.randrange(1, 10**rng.randrange(1, 6000))))
+        return xs
+
+    def test_round_trips_past_the_limit(self, caller_limit):
+        for x in self.values():
+            pair = rational_to_json(x)
+            assert rational_from_json(pair) == x
+            assert parse_rational(format_rational(x)) == x
+            assert sys.get_int_max_str_digits() == caller_limit
+
+    def test_writes_the_digits_str_writes(self, caller_limit):
+        values = self.values()
+        sys.set_int_max_str_digits(0)
+        expected = [(str(x.numerator), str(x.denominator)) for x in values]
+        sys.set_int_max_str_digits(caller_limit)
+        for x, (num, den) in zip(values, expected):
+            assert rational_to_json(x) == [num, den]
+            assert format_rational(x) == (num if den == "1" else f"{num}/{den}")
+            assert parse_integer(num) == x.numerator
+
+    def test_long_text_keeps_the_integer_rule(self, caller_limit):
+        digits = "9" * 5000
+        for text in (digits + "_0", "+" + digits, digits + "\u0661", "-" + digits + "-"):
+            with pytest.raises(ValueError, match="is not a decimal integer"):
+                parse_integer(text)
+        assert parse_integer("-" + "0" * 4999 + "12") == -12
 
 
 def test_positive():

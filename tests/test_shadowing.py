@@ -7,6 +7,7 @@ import io
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +32,13 @@ from continua.plmap import (
     invert,
     iterate,
     max_slope,
+    rescale,
 )
 from continua.rational import sqrt_enclosure
 from continua.shadowing import (
+    GRID_LEVELS,
+    NOISE_GRID,
+    ORBIT_LENGTH,
     CertificateError,
     CoverFailure,
     InwardNeighborhood,
@@ -270,10 +275,10 @@ class TestModulus:
                 made.append(seed)
                 super().__init__(seed)
 
-        generate = shadowing.generate_pseudo_orbit
+        trial = shadowing._shadowed_trial
         monkeypatch.setattr(random, "Random", CountingRandom)
         monkeypatch.setattr(
-            shadowing, "generate_pseudo_orbit", lambda *a: deltas.append(a[1]) or generate(*a)
+            shadowing, "_shadowed_trial", lambda *a: deltas.append(a[2]) or trial(*a)
         )
         assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 10, 5) == F(1, 80)
         assert sorted(set(deltas)) == [F(1, 80), F(1, 40), F(1, 20)]
@@ -282,20 +287,129 @@ class TestModulus:
 
 
 class TestLazyModulus:
-    """The sampled modulus equals the one that decides every orbit by its
-    full shadowing set, and the fold reads no point past its first empty
-    step."""
+    """The sampled modulus equals the one that builds every orbit with
+    ``generate_pseudo_orbit`` and decides it by its full shadowing set, and
+    neither the fold nor the integer trial reads a point past its first
+    empty step."""
 
-    @pytest.mark.parametrize("depth", range(2, 7))
-    def test_equals_materialized_modulus(self, depth):
-        f = build_ternary_map(depth)
-        for eps in (F(1, 20), F(1, 40), F(1, 29)):
-            for trials in (5, 25):
-                for seed in (1, 4, 9):
+    def check(self, f, epsilons, trial_counts=(5,), seeds=(1, 4, 9)):
+        for eps in epsilons:
+            for trials in trial_counts:
+                for seed in seeds:
                     expected = materialized_modulus(f, eps, trials, seed)
                     assert estimate_shadowing_modulus(f, eps, trials, seed) == expected, (
                         eps, trials, seed
                     )
+
+    @pytest.mark.parametrize("depth", range(2, 7))
+    def test_equals_materialized_modulus(self, depth):
+        self.check(build_ternary_map(depth), (F(1, 20), F(1, 40), F(1, 29)), (5, 25))
+
+    def test_equals_materialized_modulus_where_it_is_zero(self):
+        assert materialized_modulus(semi_stable_map(), F(1, 10), 10, 0) == 0
+        for f in (identity(), semi_stable_map()):
+            self.check(f, (F(1, 10), F(1, 29), F(3, 1000)))
+
+    def test_equals_materialized_modulus_off_the_unit_interval(self):
+        # negative numerators: the trial locates pieces by floor division
+        rng = random.Random(31)
+        for _ in range(12):
+            f = rescale(random_plhomeo(rng), (F(-3, 2), F(5, 7)))
+            self.check(f, (F(1, 20), F(1, 29), F(3, 1000)), seeds=(rng.randrange(100),))
+
+    @pytest.mark.parametrize("k", [15, 16, 17])
+    def test_equals_materialized_modulus_on_edge_enriched_maps(self, k):
+        for levels in (2, 3):
+            self.check(edge_enriched_map(levels, F(1, 2**k)), (F(1, 20), F(3, 1000)), (10,))
+
+    def test_equals_materialized_modulus_at_a_200_digit_radius(self):
+        # the scale grows by about 200 digits on each step through the generator
+        tiny = F(1, 10**200)
+        for f in (
+            explode_fixed_point(identity(), F(1, 2), F(1, 2) - tiny, Orientation.R),
+            explode_fixed_point(build_ternary_map(3), F(1, 162), F(1, 200) + tiny, Orientation.L),
+        ):
+            self.check(f, (F(1, 20), F(1, 29), F(3, 1000)), seeds=(1, 2))
+
+    def test_trial_decides_the_shadowing_set_of_its_orbit(self, monkeypatch):
+        # deltas up to 16·epsilon make orbits that are empty from their
+        # first step; starts 0 and 512 are clamped at lo and at hi
+        scales = []
+        monkeypatch.setattr(shadowing, "lcm", lambda *a: scales.append(lcm(*a)) or lcm(*a))
+        rng = random.Random(32)
+        outcomes, clamped, first_empty = set(), set(), set()
+        for f in (identity(), build_ternary_map(2), semi_stable_map(),
+                  rescale(random_plhomeo(rng), (F(-3, 2), F(5, 7)))):
+            lo, hi = f.domain
+            for _ in range(40):
+                eps = F(1, rng.choice([10, 29, 64]))
+                delta = eps * F(rng.randrange(1, 65), 4)
+                k = rng.choice([0, NOISE_GRID, rng.randrange(NOISE_GRID + 1)])
+                seed = rng.randrange(10**6)
+                x0 = lo + (hi - lo) * F(k, NOISE_GRID)
+                orbit = generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), x0, seed)
+                shadowed = not shadowing_set(f, orbit, eps).is_empty
+                assert shadowing._shadowed_trial(f, eps, delta, k, seed) == shadowed
+                outcomes.add(shadowed)
+                clamped |= {p for p in orbit.points[1:] if p in (lo, hi)}
+                first_empty.add(shadowing_set(f, PseudoOrbit(orbit.points[:2], 0), eps).is_empty)
+        assert outcomes == first_empty == {True, False}
+        assert clamped == {F(0), F(1), F(-3, 2), F(5, 7)}
+        # some steps keep the scale, others grow it
+        assert min(scales) == 1 < max(scales)
+
+    def test_trial_stops_at_the_first_empty_step(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *a):
+                draws.append(a)
+                return super().randrange(*a)
+
+        eps, delta = F(1, 20), F(1, 20)
+        stops = set()
+        for f in (identity(), build_ternary_map(3), semi_stable_map()):
+            for seed in range(20):
+                orbit = generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), F(1, 2), seed)
+                # k: the first index whose prefix has an empty shadowing set
+                k = next(
+                    (n for n in range(ORBIT_LENGTH + 1)
+                     if shadowing_set(f, PseudoOrbit(orbit.points[: n + 1], 0), eps).is_empty),
+                    ORBIT_LENGTH,
+                )
+                draws.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(random, "Random", CountingRandom)
+                    shadowing._shadowed_trial(f, eps, delta, NOISE_GRID // 2, seed)
+                assert len(draws) == k
+                stops.add(k)
+        assert min(stops) < ORBIT_LENGTH == max(stops)
+
+    def test_trials_make_no_fraction_per_step(self, monkeypatch):
+        f = build_ternary_map(3)
+        f._kernel  # cached on f: its build is not counted
+        calls = collections.Counter()
+
+        def counted(name, op):
+            def wrapper(*args):
+                calls[name] += 1
+                return op(*args)
+
+            return wrapper
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+                     "__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            monkeypatch.setattr(F, name, counted(name, getattr(F, name)))
+        for module in (plmap, shadowing):
+            monkeypatch.setattr(module, "evaluate", counted("evaluate", evaluate))
+        trials = 10
+        delta = estimate_shadowing_modulus(f, F(1, 20), trials, 5)
+        monkeypatch.undo()
+        assert delta == F(1, 80)
+        assert calls.pop("evaluate", 0) == 0
+        # the grid values and the epsilon check, not ORBIT_LENGTH steps per trial
+        assert sum(calls.values()) <= trials + GRID_LEVELS, calls
 
     def test_fold_stops_at_the_first_empty_step(self):
         eps = F(1, 20)
@@ -318,7 +432,7 @@ class TestLazyModulus:
 
 
 class TestForwardFold:
-    """The sampler decides emptiness by the forward fold alone."""
+    """The forward fold decides emptiness as the full shadowing set does."""
 
     def check(self, f, orbit, eps):
         cur = _forward_fold(f, orbit.points, eps)
