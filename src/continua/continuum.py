@@ -26,6 +26,7 @@ from .cantor import build_ternary_map
 from .geometry import (
     Point,
     _on_segment,
+    dist2_pp,
     lerp,
     project_point_segment,
     segments_intersect,
@@ -95,6 +96,27 @@ class Arc:
         k = min(int(scaled), n - 1)
         frac = scaled - k
         return lerp(self.polyline[k], self.polyline[k + 1], frac)
+
+    @cached_property
+    def _segment_scales(self) -> tuple[Fraction, ...]:
+        # n² |p[k+1] - p[k]|²: squared ambient distance per squared unit of
+        # parameter along segment k
+        n2 = self.segments**2
+        return tuple(n2 * dist2_pp(a, b) for a, b in zip(self.polyline, self.polyline[1:]))
+
+    def dist2(self, s: Fraction, t: Fraction) -> Fraction:
+        """Squared ambient distance between the points at parameters s and t.
+
+        When both lie on one polyline segment k (always, on a straight
+        arc), it is segment k's scale n² |p[k+1] - p[k]|² times (s - t)²;
+        otherwise the distance between the two embedded points.
+        """
+        n = self.segments
+        k = min(s.numerator * n // s.denominator, n - 1)
+        if k == min(t.numerator * n // t.denominator, n - 1):
+            d = s - t
+            return self._segment_scales[k] * d * d
+        return dist2_pp(self.embed(s), self.embed(t))
 
     def nearest(self, point: Point) -> tuple[Fraction, Fraction]:
         """(parameter, squared distance) of an exact nearest polyline point.

@@ -69,7 +69,8 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 def _box(a: Point, b: Point) -> Box:
-    """Bounding box of the segment [a, b]."""
+    """Bounding box of the segment [a, b].  With ``_box_gap_sq`` it also
+    takes integer coordinates, the points scaled by one common denominator."""
     return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
 
 

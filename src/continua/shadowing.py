@@ -24,7 +24,9 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from heapq import heapify, heappop
+from itertools import product
 from math import lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, apply_map, validate_homeo
@@ -554,23 +556,36 @@ def _min_separation_sq(
     """Exact min squared distance between the piece families; None if the
     complement is empty (single-arc models: every fattening stays inside).
 
-    The squared gap between two segments' bounding boxes bounds their
-    distance from below, so a pair whose gap cannot beat the best so far
-    is skipped.
+    Best-first, as in Hjaltason and Samet's incremental distance join
+    (SIGMOD 1998): the squared gap between two segments' bounding boxes
+    bounds their distance from below, so the segment pairs are taken in
+    order of that gap, and the scan stops at the first gap no smaller than
+    the best exact distance so far.  The gaps are integers: every box is
+    built once, from its coordinates times the lcm D of their denominators,
+    so each gap is D² times the true one.
     """
-    best: Fraction | None = None
-    others = [
-        (c, d, _box(c, d)) for poly in complement_pieces for c, d in zip(poly, poly[1:])
+    segments = [
+        [(a, b) for poly in pieces for a, b in zip(poly, poly[1:])]
+        for pieces in (image_pieces, complement_pieces)
     ]
-    for poly in image_pieces:
-        for a, b in zip(poly, poly[1:]):
-            box = _box(a, b)
-            for c, d, other in others:
-                if best is not None and _box_gap_sq(box, other) >= best:
-                    continue
-                d2 = dist2_segment_segment(a, b, c, d)
-                if best is None or d2 < best:
-                    best = d2
+    D = lcm(*(c.denominator for side in segments for seg in side for p in seg for c in p))
+
+    def scaled(p: Point) -> tuple[int, int]:
+        return p[0].numerator * (D // p[0].denominator), p[1].numerator * (D // p[1].denominator)
+
+    boxed = [[(a, b, _box(scaled(a), scaled(b))) for a, b in side] for side in segments]
+    # the index i keeps equal gaps from comparing segments
+    pairs = [
+        (_box_gap_sq(box, other), i, a, b, c, d)
+        for i, ((a, b, box), (c, d, other)) in enumerate(product(*boxed))
+    ]
+    heapify(pairs)
+    best: Fraction | None = None
+    while pairs and (best is None or pairs[0][0] < best * D * D):
+        _, _, a, b, c, d = heappop(pairs)
+        d2 = dist2_segment_segment(a, b, c, d)
+        if best is None or d2 < best:
+            best = d2
     return best
 
 
@@ -658,14 +673,25 @@ def global_shadowing_delta(
 
 
 def _verified_arc_shadow(
-    arc: Arc, fa: PLHomeo, y: Fraction, targets: list[Point], epsilon: Fraction
+    arc: Arc,
+    fa: PLHomeo,
+    y: Fraction,
+    params: Sequence[Fraction | None],
+    target: Callable[[int], Point],
+    epsilon: Fraction,
 ) -> bool:
     """Exact check that the forward orbit of (arc, y) epsilon-tracks the
-    embedded targets."""
+    targets.
+
+    Target i is the point of ``arc`` at parameter params[i], compared in
+    parameters through ``Arc.dist2``, or the plane point target(i) when
+    params[i] is None.
+    """
     eps_sq = epsilon * epsilon
     z = y
-    for p in targets:
-        if dist2_pp(arc.embed(z), p) > eps_sq:
+    for i, t in enumerate(params):
+        d2 = dist2_pp(arc.embed(z), target(i)) if t is None else arc.dist2(z, t)
+        if d2 > eps_sq:
             return False
         z = evaluate(fa, z)
     return True
@@ -677,26 +703,37 @@ def shadow_on_arcs(
     """The first of ``arcs``, nearest to the orbit's start first, whose one
     candidate verifies; None is a search miss, not a proof.
 
-    The orbit is embedded once, and each arc projects each target at most
-    once: the start's projection ranks the arcs and is index 0.  An arc
-    stops at the first target epsilon or more away.  Otherwise it checks
-    the midpoint of the exact shadowing set at the tolerance left after
-    the projection margin, else the projected start, exactly in ambient
-    distance.  Every point of a non-empty reduced set tracks when
+    An orbit point on the searched arc is its own nearest point, at
+    distance 0, so it keeps its parameter and is never projected or
+    embedded.  Any other point is embedded at most once per search, the
+    first time an arc projects or checks it, and each arc projects it at
+    most once: the start's projection ranks the arcs and is index 0.  An
+    arc stops at the first point epsilon or more away.  Otherwise it
+    checks the midpoint of the exact shadowing set at the tolerance left
+    after the projection margin, else the projected start, exactly in
+    ambient distance.  Every point of a non-empty reduced set tracks when
     ``stretch_hi`` bounds the arc's stretch, so the midpoint stands for it.
     """
     if orbit.offset != 0:
         raise ValueError("arc search expects a forward pseudo-orbit")
     epsilon = positive(epsilon, "epsilon")
     eps_sq = epsilon * epsilon
-    targets = [model.embed(p) for p in orbit.points]
-    ranked = sorted(((a.nearest(targets[0]), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
+    points = orbit.points
+    for p in points:
+        model.arc(p.arc)  # an unknown arc id raises ModelError, reached or not
+    target = cache(lambda i: model.embed(points[i]))
+
+    def project(arc: Arc, i: int) -> tuple[Fraction, Fraction]:
+        p = points[i]
+        return (p.t, Fraction(0)) if p.arc == arc.id else arc.nearest(target(i))
+
+    ranked = sorted(((project(a, 0), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
     for first, arc in ranked:
         fa = g.map_for(arc.id)
         proj: list[Fraction] = []
         worst_d2 = Fraction(0)
-        for i, p in enumerate(targets):
-            t, d2 = arc.nearest(p) if i else first
+        for i in range(len(points)):
+            t, d2 = project(arc, i) if i else first
             if d2 >= eps_sq:
                 break
             proj.append(t)
@@ -708,7 +745,8 @@ def shadow_on_arcs(
                 s = _forward_fold(invert(fa), reversed(proj), eps_rem / arc.stretch_hi)
                 if s is not None:
                     y = (s[0] + s[1]) / 2
-            if _verified_arc_shadow(arc, fa, y, targets, epsilon):
+            params = [p.t if p.arc == arc.id else None for p in points]
+            if _verified_arc_shadow(arc, fa, y, params, target, epsilon):
                 return YPoint(arc.id, y)
     return None
 

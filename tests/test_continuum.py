@@ -299,6 +299,59 @@ class TestNearestAgainstScan:
             m.arc("zz")
 
 
+MODELS = {M: build_arc_model(M) for M in range(1, 5)}
+MODEL_ARCS = [(M, arc.id) for M, m in MODELS.items() for arc in m.arcs]
+
+
+def _vertex_params(arc: Arc) -> list[F]:
+    """t = 0, t = 1 and every vertex k/n of the arc's polyline."""
+    n = arc.segments
+    return [F(k, n) for k in range(n + 1)]
+
+
+class TestOwnPoints:
+    """The premises of the model search's on-arc shortcuts: a point of an
+    arc is its own nearest point, and ``Arc.dist2`` is the ambient squared
+    distance between two of its points."""
+
+    @pytest.mark.parametrize("M, arc_id", MODEL_ARCS)
+    def test_point_is_its_own_nearest_at_vertices(self, M, arc_id):
+        arc = MODELS[M].arc(arc_id)
+        for t in _vertex_params(arc):
+            assert arc.nearest(arc.embed(t)) == (t, 0), t
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(MODEL_ARCS), st.fractions(0, 1, max_denominator=10**6))
+    def test_point_is_its_own_nearest(self, case, t):
+        M, arc_id = case
+        arc = MODELS[M].arc(arc_id)
+        assert arc.nearest(arc.embed(t)) == (t, 0)
+
+    @pytest.mark.parametrize("M, arc_id", MODEL_ARCS)
+    def test_dist2_at_vertices_and_midpoints(self, M, arc_id):
+        # k/n boundaries, where a parameter ends one segment and starts the
+        # next, and segment midpoints: same-segment and cross-segment pairs
+        arc = MODELS[M].arc(arc_id)
+        vs = _vertex_params(arc)
+        ts = sorted(vs + [(a + b) / 2 for a, b in zip(vs, vs[1:])])
+        for i, s in enumerate(ts):
+            for t in ts[max(i - 3, 0) : i + 4] + [ts[0], ts[-1]]:
+                assert arc.dist2(s, t) == dist2_pp(arc.embed(s), arc.embed(t)), (s, t)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.sampled_from(MODEL_ARCS),
+        st.fractions(0, 1, max_denominator=10**6),
+        st.fractions(-F(1, 32), F(1, 32), max_denominator=10**6),
+    )
+    def test_dist2(self, case, s, step):
+        # steps below a circle segment's 1/64 give many same-segment pairs
+        M, arc_id = case
+        arc = MODELS[M].arc(arc_id)
+        t = min(max(s + step, F(0)), F(1))
+        assert arc.dist2(s, t) == dist2_pp(arc.embed(s), arc.embed(t))
+
+
 class TestSelfMaps:
     def test_identity_fixes_everything(self):
         m = build_arc_model(2)

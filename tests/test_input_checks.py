@@ -164,6 +164,18 @@ CHECKS = {
         ValueError,
         "epsilon must be positive",
     ),
+    "unknown arc past every arc's stop": (
+        # v1's tip is far from h1, so the search stops before reaching zz
+        lambda: shadow_on_arcs(
+            M1,
+            build_arcwise_map(M1, 1),
+            PseudoOrbit((YPoint("v1", F(1)), YPoint("zz", F(1, 2))), 0),
+            F(1, 10),
+            [M1.arc("h1")],
+        ),
+        ModelError,
+        "no arc 'zz'",
+    ),
     "shadow without map or model": (
         _shadow_without_map_or_model, ValueError, "need --map or --model"
     ),

@@ -839,6 +839,30 @@ class TestSeparationAgainstScan:
                     checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize(
+        "M, depth, k, seed, counts",
+        [(3, 3, 15, 852268, [3, 1, 1, 1, 1, 1, 1]), (2, 3, 17, 354791, [3, 1, 1, 1, 1])],
+        ids=["7 arcs", "5 arcs"],
+    )
+    def test_segment_distances_per_certificate(self, monkeypatch, M, depth, k, seed, counts):
+        # the first two ops of the certify benchmark at seed 1, one certificate
+        # per arc seeded as global_shadowing_delta seeds it; the box-pruned scan
+        # made 226 and 211 exact segment distances in all (3, 4, 10, 66, 67,
+        # 67, 9 and 3, 6, 68, 67, 67)
+        calls = []
+        dist2 = shadowing.dist2_segment_segment
+        monkeypatch.setattr(
+            shadowing, "dist2_segment_segment", lambda *a: calls.append(a) or dist2(*a)
+        )
+        m = build_arc_model(M)
+        g = YHomeo({a.id: edge_enriched_map(depth, F(1, 2**k)) for a in m.arcs})
+        per_cert = []
+        for i, arc in enumerate(m.arcs):
+            calls.clear()
+            quasi_attractor_certificate(m, g, arc.id, F(1, 10), 10, seed * 1009 + i)
+            per_cert.append(len(calls))
+        assert per_cert == counts
+
     def test_empty_complement(self):
         assert _min_separation_sq([((F(0), F(0)), (F(1), F(0)))], []) is None
 
@@ -946,13 +970,16 @@ class TestReducedSetWitnesses:
         if s.is_empty:
             return
         lo, hi = s.interval
+        # every target is a plane point off the arc: none has a parameter
+        params = [None] * len(targets)
         for y in (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * u):
-            assert _verified_arc_shadow(arc, fa, y, targets, eps), (arc.id, y)
+            assert _verified_arc_shadow(arc, fa, y, params, targets.__getitem__, eps), (arc.id, y)
 
 
 class TestOneCandidate:
     """The arc search stops projecting at the first target epsilon or more
-    from the arc, and otherwise checks exactly one candidate."""
+    from the arc, and otherwise checks exactly one candidate.  A target on
+    the searched arc keeps its parameter and is never projected."""
 
     def test_counted_calls(self, monkeypatch):
         m = build_arc_model(3)
@@ -960,9 +987,11 @@ class TestOneCandidate:
         eps = F(1, 16)
         calls = []
         nearest, verify = Arc.nearest, shadowing._verified_arc_shadow
-        monkeypatch.setattr(Arc, "nearest", lambda arc, p: calls.append("n") or nearest(arc, p))
         monkeypatch.setattr(
-            shadowing, "_verified_arc_shadow", lambda *a: calls.append("v") or verify(*a)
+            Arc, "nearest", lambda arc, p: calls.append(("n", p)) or nearest(arc, p)
+        )
+        monkeypatch.setattr(
+            shadowing, "_verified_arc_shadow", lambda *a: calls.append(("v",)) or verify(*a)
         )
         orbits = [
             generate_pseudo_orbit_y(m, g, F(1, 10), 12, YPoint("v2", F(57, 256)), seed)
@@ -971,19 +1000,37 @@ class TestOneCandidate:
         # up the shortest tooth from its base: far from h1 and h2 from index 2 on
         orbits.append(PseudoOrbit(tuple(YPoint("v3", F(k, 10)) for k in range(10)), 0))
         firsts_far = set()
+        on_arc_before_stop = 0
         for orbit in orbits:
             targets = [m.embed(p) for p in orbit.points]
             for arc in m.arcs:
                 d2s = [nearest(arc, p)[1] for p in targets]
                 far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
                 firsts_far.add(far)
+                stop = len(targets) if far is None else far + 1
+                on_arc = [i for i in range(stop) if orbit.points[i].arc == arc.id]
+                on_arc_before_stop += len(on_arc)
                 calls.clear()
                 shadow_on_arcs(m, g, orbit, eps, [arc])
-                if far is None:
-                    assert calls == ["n"] * len(targets) + ["v"], arc.id
-                else:
-                    assert calls == ["n"] * (far + 1), arc.id
+                # one "n" per off-arc target up to the first far one, in order
+                expected = [("n", targets[i]) for i in range(stop) if i not in on_arc]
+                assert calls == expected + [("v",)] * (far is None), arc.id
+                # and no projection of a target on the arc
+                assert len([c for c in calls if c[0] == "n"]) == stop - len(on_arc), arc.id
         assert {None, 0, 2} <= firsts_far
+        assert on_arc_before_stop > 0
+
+    def test_nearest_calls_in_certificate_sampling(self, monkeypatch):
+        # most points of an orbit sampled near h2 lie on h2 and keep their
+        # parameter; projecting every point made 2000 calls
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
+        cert = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
+        calls = []
+        nearest = Arc.nearest
+        monkeypatch.setattr(Arc, "nearest", lambda arc, p: calls.append(p) or nearest(arc, p))
+        assert sample_certificate_soundness(m, g, cert, trials=80, seed=5) == []
+        assert len(calls) == 819
 
     def test_each_point_projected_once_per_arc(self, monkeypatch):
         # ROADMAP item 9's reproduction: every arc is searched and none verifies
