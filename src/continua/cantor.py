@@ -83,11 +83,6 @@ class TernaryIndex:
         return {"n": self.n, "k": self.k}
 
 
-def all_indices(max_level: int) -> list[TernaryIndex]:
-    """Every (n, k) with n <= max_level, nested ones included."""
-    return [TernaryIndex(n, k) for n in range(max_level + 1) for k in range(3**n)]
-
-
 def minimal_indices(max_level: int) -> list[TernaryIndex]:
     """The non-nested indices with n <= max_level: 2^n per level n.
 

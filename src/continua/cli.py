@@ -6,8 +6,8 @@ same seed and parameters give byte-identical output files.
 
 Each subcommand returns its artifact text and exit code, or raises; ``main``
 alone writes the text to --out or stdout and maps errors to exit codes.
-``render`` is the only SVG writer.  One choice given by two flags (--depth
-with --homeo, --segments with --model) is an input error.
+``render`` is the only SVG writer.  A flag that the run cannot use (--depth
+with --homeo, a model flag with a map) is an input error.
 
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
 is negative), 2 input error, 3 certification failure.  A --depth,
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .cantor import (
     InsufficientIntervals,
@@ -63,6 +62,9 @@ MAX_DEPTH = 16
 MAX_SEGMENTS = 256
 MAX_TRIALS = 10_000
 
+# The flags that name the model and its self-map; a map input takes none of them.
+_MODEL_FLAGS = ("--segments", "--homeo", "--depth")
+
 
 def _integer(text: str) -> int:
     """argparse type: an integer literal (``rational.parse_integer``)."""
@@ -89,10 +91,11 @@ def dump_json(obj) -> str:
 
 
 def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _load_json(path: str) -> dict:
@@ -110,7 +113,7 @@ def _load_map(path: str) -> PLHomeo:
 def _load_homeo(args, model: YModel) -> YHomeo:
     """The --homeo map, refusing --depth next to it, or else the arcwise
     map of depth --depth (3 when absent); either way checked against the model."""
-    if args.homeo:
+    if args.homeo is not None:
         _refuse_flags(args, ("--depth",), "cannot be combined with --homeo")
         g = YHomeo.from_json(_load_json(args.homeo))
     else:
@@ -162,19 +165,19 @@ def cmd_explode(args) -> tuple[str, int]:
 
 def cmd_shadow(args) -> tuple[str, int]:
     if args.map is not None:
-        _refuse_flags(args, ("--model", "--homeo", "--depth"), "cannot be combined with --map")
+        _refuse_flags(args, _MODEL_FLAGS, "cannot be combined with --map")
     epsilon = parse_rational(args.epsilon)
     with open(args.orbit) as fh:
         orbit = orbit_from_csv(fh)
     on_model = isinstance(orbit.points[0], YPoint)
-    if args.model:
+    if args.segments is not None:
         if not on_model:
             raise ValueError("orbit file holds interval points, not model points")
-        model = YModel.from_json(_load_json(args.model))
+        model = build_arc_model(args.segments)
         g = _load_homeo(args, model)
         return _witness(shadow_on_arcs(model, g, orbit, epsilon, model.arcs))
-    if not args.map:
-        raise ValueError("need --map or --model")
+    if args.map is None:
+        raise ValueError("need --map or --segments")
     if on_model:
         raise ValueError("orbit file holds model points, not interval points")
     f = _load_map(args.map)
@@ -200,11 +203,7 @@ def cmd_build_y(args) -> tuple[str, int]:
 
 
 def cmd_certify(args) -> tuple[str, int]:
-    if args.model:
-        _refuse_flags(args, ("--segments",), "cannot be combined with --model")
-        model = YModel.from_json(_load_json(args.model))
-    else:
-        model = build_arc_model(8 if args.segments is None else args.segments)
+    model = build_arc_model(args.segments)
     g = _load_homeo(args, model)
     epsilon = parse_rational(args.epsilon)
     config = {
@@ -250,12 +249,13 @@ def cmd_certify(args) -> tuple[str, int]:
 
 
 def cmd_render(args) -> tuple[str, int]:
-    obj = _load_json(args.input)
-    if isinstance(obj, dict) and "breakpoints" in obj:
-        _refuse_flags(args, ("--homeo", "--depth"), "applies only to a model, not to a map")
-        return render_phase_diagram(PLHomeo.from_json(obj)), EXIT_OK
-    model = YModel.from_json(obj)
-    g = _load_homeo(args, model) if args.homeo or args.depth is not None else None
+    if args.map is not None:
+        _refuse_flags(args, _MODEL_FLAGS, "applies only to a model, not to a map")
+        return render_phase_diagram(_load_map(args.map)), EXIT_OK
+    if args.segments is None:
+        raise ValueError("need a map file or --segments")
+    model = build_arc_model(args.segments)
+    g = _load_homeo(args, model) if args.homeo is not None or args.depth is not None else None
     return render_model(model, g), EXIT_OK
 
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("shadow", help="exact shadowing set / witness for an orbit file")
     s.add_argument("--map", default=None)
-    s.add_argument("--model", default=None)
+    s.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=None)
     s.add_argument("--homeo", default=None)
     s.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     s.add_argument("--orbit", required=True)
@@ -313,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     y.set_defaults(func=cmd_build_y)
 
     z = sub.add_parser("certify", help="full quasi-attractor certification pipeline")
-    z.add_argument("--model", default=None)
-    z.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=None)
+    z.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=8)
     z.add_argument("--homeo", default=None)
     z.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     z.add_argument("--epsilon", required=True)
@@ -322,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--seed", type=_integer, default=0)
     z.set_defaults(func=cmd_certify)
 
-    r = sub.add_parser("render", help="SVG drawing of a map or model JSON")
-    r.add_argument("input")
+    r = sub.add_parser("render", help="SVG drawing of a map file or of the model")
+    r.add_argument("map", nargs="?", default=None)
+    r.add_argument("--segments", type=_at_most(MAX_SEGMENTS), default=None)
     r.add_argument("--homeo", default=None)
     r.add_argument("--depth", type=_at_most(MAX_DEPTH), default=None)
     r.set_defaults(func=cmd_render)

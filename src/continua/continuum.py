@@ -31,7 +31,7 @@ from .geometry import (
     project_point_segment,
     segments_intersect,
 )
-from .plmap import PLHomeo, evaluate, identity
+from .plmap import PLHomeo, evaluate
 from .rational import rational_to_json
 
 CIRCLE_SEGMENTS = 64
@@ -233,23 +233,6 @@ class YModel:
             ],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "YModel":
-        if not isinstance(obj, dict):
-            raise ModelError("model JSON must be an object")
-        M = obj.get("M")
-        if type(M) is not int:
-            raise ModelError(f"model JSON needs an integer field M, got {M!r}")
-        vertices, arcs = obj.get("vertices"), obj.get("arcs")
-        # refuse wrong counts before building, so the work follows the file's
-        # size and not its M; M < 1 is left to build_arc_model's own message
-        sized = isinstance(vertices, dict) and isinstance(arcs, list) and (
-            len(vertices) == len(arcs) == 2 * M + 1
-        )
-        if (M >= 1 and not sized) or (model := build_arc_model(M)).to_json() != obj:
-            raise ModelError("model JSON does not describe a standard truncated model")
-        return model
-
 
 def _segment_arc(arc_id: str, p: str, q: str, a: Point, b: Point, length: Fraction) -> Arc:
     return Arc(arc_id, p, q, "segment", (a, b), length, length)
@@ -331,10 +314,6 @@ def validate_homeo(model: YModel, g: YHomeo) -> None:
         f = g.arc_maps[a.id]
         if f.domain != (Fraction(0), Fraction(1)):
             raise ModelError(f"arc map for {a.id!r} must live on [0, 1]")
-
-
-def identity_homeo(model: YModel) -> YHomeo:
-    return YHomeo({a.id: identity() for a in model.arcs})
 
 
 def build_arcwise_map(model: YModel, levels: int) -> YHomeo:

@@ -463,24 +463,6 @@ def canonical_r(a: Fraction, b: Fraction) -> PLHomeo:
     return canonical_generator(a, b, Orientation.R)
 
 
-def canonical_l(a: Fraction, b: Fraction) -> PLHomeo:
-    return canonical_generator(a, b, Orientation.L)
-
-
-def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:
-    """Affine conjugation A∘f∘A⁻¹ onto [a, b], A the increasing affine map."""
-    a, b = Fraction(target[0]), Fraction(target[1])
-    if not a < b:
-        raise ValueError("need a < b")
-    lo, hi = f.domain
-    s = (b - a) / (hi - lo)
-
-    def aff(x: Fraction) -> Fraction:
-        return a + (x - lo) * s
-
-    return PLHomeo(tuple(aff(x) for x in f.breakpoints), tuple(aff(y) for y in f.values))
-
-
 def max_slope(f: PLHomeo) -> Fraction:
     """Largest segment slope: an exact Lipschitz constant for f."""
     return max(f._slopes)

@@ -84,8 +84,7 @@ DELTA_GRID_LEVELS = 24
 
 @dataclass(frozen=True)
 class PseudoOrbit:
-    """A finite two-sided point sequence; ``verify_pseudo_orbit`` measures
-    its jumps exactly.
+    """A finite two-sided point sequence, of interval points or of model points.
 
     ``points[i]`` is the state at index i - offset, so the window is
     [-offset, len(points) - 1 - offset].
@@ -156,12 +155,6 @@ def generate_pseudo_orbit(
     forward = run(f, n, delta / 2)
     backward = run(invert(f), m, delta / (2 * max(Fraction(1), max_slope(f)))) if m else [x0]
     return PseudoOrbit(tuple(backward[:0:-1] + forward), m)
-
-
-def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
-    """Exact max over consecutive pairs of |f(x_i) - x_{i+1}|."""
-    pts = orbit.points
-    return max((abs(evaluate(f, a) - b) for a, b in zip(pts, pts[1:])), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +391,6 @@ def generate_pseudo_orbit_y(
             jitter = _noise(rng, bound / arc.stretch_hi)
             pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
     return PseudoOrbit(tuple(pts), 0)
-
-
-def verify_pseudo_orbit_y_sq(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fraction:
-    """Exact max squared ambient distance d(g(x_i), x_{i+1})^2."""
-    pts = orbit.points
-    return max(
-        (dist2_pp(model.embed(apply_map(g, a)), model.embed(b)) for a, b in zip(pts, pts[1:])),
-        default=Fraction(0),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from continua.cantor import (
     explode_fixed_point,
     minimal_indices,
 )
-from continua.continuum import Arc, YHomeo, YModel
+from continua.continuum import Arc, YHomeo, YModel, apply_map
 from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
 from continua.plmap import (
     DomainError,
@@ -31,6 +31,7 @@ from continua.plmap import (
     PLHomeo,
     canonical_generator,
     evaluate,
+    identity,
     iterate,
     wandering_intervals,
 )
@@ -50,6 +51,52 @@ from continua.shadowing import (
     generate_pseudo_orbit,
     shadowing_set,
 )
+
+
+# Helpers that only tests call.  src/ holds what a subcommand, the benchmark or
+# an acceptance criterion runs, so these live here.
+
+
+def all_indices(max_level: int) -> list[TernaryIndex]:
+    """Every (n, k) with n <= max_level, nested ones included."""
+    return [TernaryIndex(n, k) for n in range(max_level + 1) for k in range(3**n)]
+
+
+def canonical_l(a: Fraction, b: Fraction) -> PLHomeo:
+    return canonical_generator(a, b, Orientation.L)
+
+
+def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:
+    """Affine conjugation A∘f∘A⁻¹ onto [a, b], A the increasing affine map."""
+    a, b = Fraction(target[0]), Fraction(target[1])
+    if not a < b:
+        raise ValueError("need a < b")
+    lo, hi = f.domain
+    s = (b - a) / (hi - lo)
+
+    def aff(x: Fraction) -> Fraction:
+        return a + (x - lo) * s
+
+    return PLHomeo(tuple(aff(x) for x in f.breakpoints), tuple(aff(y) for y in f.values))
+
+
+def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
+    """Exact max over consecutive pairs of |f(x_i) - x_{i+1}|."""
+    pts = orbit.points
+    return max((abs(evaluate(f, a) - b) for a, b in zip(pts, pts[1:])), default=Fraction(0))
+
+
+def verify_pseudo_orbit_y_sq(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fraction:
+    """Exact max squared ambient distance d(g(x_i), x_{i+1})^2."""
+    pts = orbit.points
+    return max(
+        (dist2_pp(model.embed(apply_map(g, a)), model.embed(b)) for a, b in zip(pts, pts[1:])),
+        default=Fraction(0),
+    )
+
+
+def identity_homeo(model: YModel) -> YHomeo:
+    return YHomeo({a.id: identity() for a in model.arcs})
 
 
 def frac(rng: random.Random, den: int = 64) -> Fraction:

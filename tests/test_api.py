@@ -1,7 +1,7 @@
-"""The package defines no public name used nowhere and no uncalled private one,
-its functions read every parameter and have no default that every call
-site overrides, its core computes without floating point, and no flag
-reads with int()."""
+"""The package defines no public name used nowhere or only by tests and no
+uncalled private one, its functions read every parameter and have no
+default that every call site overrides, its core computes without
+floating point, and no flag reads with int()."""
 
 import argparse
 import ast
@@ -55,6 +55,20 @@ def test_every_public_definition_is_used():
     code = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     unused = _named_only_in_own_definition(code, public=True)
     assert unused == [], f"public definitions named nowhere in src/ or tests/: {unused}"
+
+
+# Public definitions kept in src/ though only tests call them: the paper's
+# arc-decomposition conditions, and the only writer of shadow's orbit format.
+TEST_ONLY_EXCEPTIONS = {"continuum.py:check_arc_decomposition", "shadowing.py:orbit_to_csv"}
+
+
+def test_no_test_only_definition_in_src():
+    # src/ holds what a subcommand, the benchmark or an acceptance criterion
+    # runs; a helper that only tests call belongs in tests/conftest.py
+    code = sorted(SRC.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
+    code.append(TESTS / "test_acceptance.py")
+    unused = set(_named_only_in_own_definition(code, public=True)) - TEST_ONLY_EXCEPTIONS
+    assert unused == set(), f"public definitions that only tests name: {sorted(unused)}"
 
 
 def test_cli_import_loads_every_module():

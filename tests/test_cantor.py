@@ -14,7 +14,6 @@ from continua.cantor import (
     InsufficientIntervals,
     TernaryIndex,
     _chain_table,
-    all_indices,
     best_chain_quality,
     build_conjugacy,
     build_ternary_map,
@@ -35,10 +34,10 @@ from continua.plmap import (
     fixed_set,
     identity,
     invert,
-    rescale,
     wandering_intervals,
 )
 from conftest import (
+    all_indices,
     appended_ternary_map,
     fraction_suffix_best,
     interpolated_densify,
@@ -49,6 +48,7 @@ from conftest import (
     random_fat_map,
     random_plhomeo,
     random_touching_map,
+    rescale,
     template_lookup_conjugacy,
     two_loop_chain_property,
 )

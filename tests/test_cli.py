@@ -11,21 +11,14 @@ from pathlib import Path
 import pytest
 
 import continua
-from continua import cli, continuum
+from continua import cli
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
-from continua.continuum import (
-    YHomeo,
-    YModel,
-    YPoint,
-    build_arc_model,
-    build_arcwise_map,
-    identity_homeo,
-)
+from continua.continuum import YHomeo, YPoint, build_arc_model, build_arcwise_map
 from continua.plmap import Orientation, PLHomeo, canonical_r, identity, wandering_intervals
 from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y, orbit_to_csv
 
-from conftest import edge_enriched_map, semi_stable_map
+from conftest import edge_enriched_map, identity_homeo, semi_stable_map
 
 
 def run(argv):
@@ -186,25 +179,21 @@ class TestShadow:
         y_orbit = tmp_path / "y_orbit.csv"
         y_orbit.write_text("index,arc,t\n0,h1,1/2\n1,h1,1/2\n")
         assert run(["shadow", "--map", path, "--orbit", y_orbit, "--epsilon", "1/10"]) == 2
-        model_path = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", model_path])
         i_orbit = tmp_path / "i_orbit.csv"
         i_orbit.write_text("index,point\n0,1/10\n1,1/5\n")
-        assert (
-            run(["shadow", "--model", model_path, "--orbit", i_orbit, "--epsilon", "1/10"])
-            == 2
-        )
+        assert run(["shadow", "--segments", 2, "--orbit", i_orbit, "--epsilon", "1/10"]) == 2
 
-    @pytest.mark.parametrize("flag", ["--model", "--homeo"])
+    @pytest.mark.parametrize("flag", ["--segments", "--homeo"])
     def test_map_refuses_model_flags(self, tmp_path, map_file, flag):
-        # a model file next to --map, existing or not, is a conflict, not
-        # something to ignore or to let win
+        # a model flag next to --map, naming a file that exists or not, is a
+        # conflict, not something to ignore or to let win
         path = map_file(canonical_r(0, 1))
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,point\n0,1/10\n1,1/5\n")
-        model_path = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", model_path])
-        for other in (model_path, tmp_path / "missing.json"):
+        homeo = tmp_path / "h.json"
+        homeo.write_text(dump_json(build_arcwise_map(build_arc_model(2), 1).to_json()))
+        values = {"--segments": [2], "--homeo": [homeo, tmp_path / "missing.json"]}[flag]
+        for other in values:
             argv = ["shadow", "--map", path, flag, other, "--orbit", orbit, "--epsilon", "1/20"]
             code, err = run_process(argv)
             assert code == 2
@@ -223,11 +212,9 @@ class TestShadow:
         assert "Traceback" not in err
 
     def test_model_depth_defaults_to_three(self, tmp_path, capsys):
-        model_path = tmp_path / "y.json"
-        model_path.write_text(dump_json(build_arc_model(2).to_json()))
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n2,h2,2/3\n")
-        argv = ["shadow", "--model", model_path, "--orbit", orbit, "--epsilon", "1/10"]
+        argv = ["shadow", "--segments", 2, "--orbit", orbit, "--epsilon", "1/10"]
         outputs = []
         for extra in ([], ["--depth", 3]):
             outputs.append((run([*argv, *extra]), capsys.readouterr().out))
@@ -235,37 +222,19 @@ class TestShadow:
         assert outputs[0][1] != "null\n"
 
     def test_model_witness(self, tmp_path):
-        model_path = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", model_path])
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
         out = tmp_path / "w.json"
-        code = run(
-            [
-                "shadow",
-                "--model",
-                model_path,
-                "--depth",
-                1,
-                "--orbit",
-                orbit,
-                "--epsilon",
-                "1/10",
-                "--out",
-                out,
-            ]
-        )
-        assert code == 0
+        argv = ["shadow", "--segments", 2, "--depth", 1, "--orbit", orbit, "--epsilon", "1/10"]
+        assert run([*argv, "--out", out]) == 0
         w = json.loads(out.read_text())
         assert w["arc"] in {"h1", "h2", "circle", "v1", "v2"}
 
     def test_model_orbit_without_witness(self, tmp_path):
-        model_path = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", model_path])
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h1,1/2\n1,v2,1\n")
         out = tmp_path / "w.json"
-        argv = ["shadow", "--model", model_path, "--depth", 2, "--orbit", orbit]
+        argv = ["shadow", "--segments", 2, "--depth", 2, "--orbit", orbit]
         assert run([*argv, "--epsilon", "1/100", "--out", out]) == 1
         assert out.read_text() == "null\n"
 
@@ -333,35 +302,29 @@ class TestBuildYAndRender:
     def test_model_json_round_trip(self, tmp_path):
         out = tmp_path / "y.json"
         assert run(["build-y", "--segments", 3, "--out", out]) == 0
-        model = YModel.from_json(json.loads(out.read_text()))
-        assert model.M == 3
-        assert model.to_json() == build_arc_model(3).to_json()
+        assert json.loads(out.read_text()) == build_arc_model(3).to_json()
 
     def test_render_model_with_dynamics(self, tmp_path):
-        y = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", y])
         g = tmp_path / "g.json"
         g.write_text(dump_json(build_arcwise_map(build_arc_model(2), 1).to_json()))
         out = tmp_path / "y.svg"
-        assert run(["render", y, "--homeo", g, "--out", out]) == 0
+        assert run(["render", "--segments", 2, "--homeo", g, "--out", out]) == 0
         svg = out.read_text()
         assert svg.startswith("<svg") and "#c0392b" in svg
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_render_depth_equals_homeo_file(self, tmp_path, depth):
-        y = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", y])
         g = tmp_path / "g.json"
         g.write_text(dump_json(build_arcwise_map(build_arc_model(2), depth).to_json()))
         built, loaded = tmp_path / "built.svg", tmp_path / "loaded.svg"
-        assert run(["render", y, "--depth", depth, "--out", built]) == 0
-        assert run(["render", y, "--homeo", g, "--out", loaded]) == 0
+        assert run(["render", "--segments", 2, "--depth", depth, "--out", built]) == 0
+        assert run(["render", "--segments", 2, "--homeo", g, "--out", loaded]) == 0
         assert built.read_bytes() == loaded.read_bytes()
 
     # sha256 of the drawings that `build-fstar --format svg` and `build-y
     # --format svg [--depth 2]` wrote before `render` became the only SVG
-    # writer: (build argv, render flags, digest); render draws the same
-    # bytes from the built JSON
+    # writer: (argv that builds the map file to draw, or [] to draw the
+    # model; render flags; digest); render draws the same bytes
     PINNED_SVG = {
         "fstar-0": (["build-fstar", "--depth", 0], [],
                     "b6f45780823e090036c3f112297637f86dc639894f2404168f4a41c15f6e027f"),
@@ -369,13 +332,13 @@ class TestBuildYAndRender:
                     "ed7f9041338b52495ec1667b0c20fa3020521a93c2f04a68fe1feeda4688d8e2"),
         "fstar-3": (["build-fstar", "--depth", 3], [],
                     "4987c0eea5404af0fc403369f1d75957518a49cb7e5eb55fbb09b7e5ce271b26"),
-        "y-2": (["build-y", "--segments", 2], [],
+        "y-2": ([], ["--segments", 2],
                 "3302b156d41cc091298ea86f9c3bfc6f89103e3ba2d5571abfdaee6865853895"),
-        "y-2-depth-2": (["build-y", "--segments", 2], ["--depth", 2],
+        "y-2-depth-2": ([], ["--segments", 2, "--depth", 2],
                         "fd7ac23ec57022fcdae96945facea1d4604431324e451834ff431d476dc79db9"),
-        "y-3": (["build-y", "--segments", 3], [],
+        "y-3": ([], ["--segments", 3],
                 "4db786a2dbd3f45009871c4999b508efce51387eee06d9f27caecf735b9b69fc"),
-        "y-3-depth-2": (["build-y", "--segments", 3], ["--depth", 2],
+        "y-3-depth-2": ([], ["--segments", 3, "--depth", 2],
                         "3990c3727f4489787f5f282ed677e126742479627f96bce4822be0045eb26eaa"),
     }
 
@@ -383,8 +346,10 @@ class TestBuildYAndRender:
     def test_render_reproduces_pinned_svg(self, tmp_path, drawing):
         build, flags, digest = self.PINNED_SVG[drawing]
         built, out = tmp_path / "built.json", tmp_path / "out.svg"
-        assert run([*build, "--out", built]) == 0
-        assert run(["render", built, *flags, "--out", out]) == 0
+        if build:
+            assert run([*build, "--out", built]) == 0
+            flags = [built, *flags]
+        assert run(["render", *flags, "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("flags", [["--homeo", "missing.json"], ["--depth", 3]])
@@ -418,16 +383,14 @@ class TestBuildYAndRender:
 
 class TestCertify:
     def test_identity_dynamics_cover_failure(self, tmp_path):
-        y = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", y])
         g = tmp_path / "id.json"
         g.write_text(dump_json(identity_homeo(build_arc_model(2)).to_json()))
         out = tmp_path / "bundle.json"
         code = run(
             [
                 "certify",
-                "--model",
-                y,
+                "--segments",
+                2,
                 "--homeo",
                 g,
                 "--epsilon",
@@ -516,8 +479,6 @@ def pinned_inputs(tmp_path):
     files = {
         "G": g.to_json(),
         "f2": build_ternary_map(2).to_json(),
-        "y2": m2.to_json(),
-        "y3": m3.to_json(),
     }
     paths = {}
     for name, obj in files.items():
@@ -555,11 +516,11 @@ PINNED_RUNS = {
         lambda d: ["shadow", "--map", d["f2"], "--orbit", d["interval"], "--epsilon", "1/50"],
         0, "289e703182421b9da3e30d8403104da86daf3732251e90d493737f0be23b6a19"),
     "shadow-model": (
-        lambda d: ["shadow", "--model", d["y2"], "--depth", 2, "--orbit", d["model"],
+        lambda d: ["shadow", "--segments", 2, "--depth", 2, "--orbit", d["model"],
                    "--epsilon", "1/10"],
         0, "210292ee22e1d59ca9e70df35bd68e35a04d0a98f8d586d7c2b881259af96750"),
     "shadow-model-unsatisfied": (
-        lambda d: ["shadow", "--model", d["y3"], "--depth", 2, "--orbit", d["missed"],
+        lambda d: ["shadow", "--segments", 3, "--depth", 2, "--orbit", d["missed"],
                    "--epsilon", "1/16"],
         1, "38e0b9de817f645c4bec37c0d4a3e58baecccb040f5718dc069a72c7385a0bed"),
     "modulus": (
@@ -587,11 +548,13 @@ class TestFlagBounds:
             ["certify", "--trials", MAX_TRIALS + 1, "--epsilon", "1/10"],
             ["build-fstar", "--depth", MAX_DEPTH + 1],
             ["build-y", "--segments", MAX_SEGMENTS + 1],
-            ["render", "y.json", "--depth", MAX_DEPTH + 1],
+            ["render", "--segments", 2, "--depth", MAX_DEPTH + 1],
             ["conjugate", "map.json", "--depth", MAX_DEPTH + 1],
             ["modulus", "map.json", "--epsilon", "1/10", "--trials", MAX_TRIALS + 1],
-            ["shadow", "--model", "y.json", "--orbit", "o.csv", "--epsilon", "1/10",
+            ["shadow", "--segments", 2, "--orbit", "o.csv", "--epsilon", "1/10",
              "--depth", MAX_DEPTH + 1],
+            ["shadow", "--segments", MAX_SEGMENTS + 1, "--orbit", "o.csv", "--epsilon", "1/10"],
+            ["render", "--segments", MAX_SEGMENTS + 1],
         ],
     )
     def test_refused_above_bound(self, argv):
@@ -617,11 +580,14 @@ class TestFlagBounds:
             ["build-fstar", "--depth", 1, "--format", "json"],
             ["build-y", "--segments", 2, "--format", "svg"],
             ["build-y", "--segments", 2, "--depth", 2],
+            ["certify", "--model", "y.json", "--epsilon", "1/10"],
+            ["shadow", "--model", "y.json", "--orbit", "o.csv", "--epsilon", "1/10"],
         ],
-        ids=["fstar-svg", "fstar-json", "y-svg", "y-depth"],
+        ids=["fstar-svg", "fstar-json", "y-svg", "y-depth", "certify-model", "shadow-model"],
     )
     def test_removed_drawing_flags_refused(self, argv):
-        # render is the only SVG writer; build-y --depth changed nothing else
+        # render is the only SVG writer; build-y --depth changed nothing else;
+        # a model is named by --segments alone, never read from a file
         code, err = run_process(argv)
         assert code == 2
         assert "unrecognized arguments" in err and "Traceback" not in err
@@ -633,77 +599,39 @@ class TestFlagBounds:
 
 
 class TestMalformedModelInput:
-    """Model and homeomorphism files of the wrong JSON shape exit 2."""
+    """Homeomorphism files of the wrong JSON shape, or that do not fit the
+    model, exit 2."""
 
-    @pytest.mark.parametrize(
-        "model, homeo",
-        [
-            (None, {"arc_maps": []}),
-            (None, []),
-            (None, {"arc_maps": {"h1": []}}),
-            ([], None),
-            ({"M": [2]}, None),
-            ({"M": float("inf")}, None),
-            ({"vertices": {}}, None),
-        ],
-    )
-    def test_certify(self, tmp_path, model, homeo):
-        argv = ["certify", "--segments", 2, "--epsilon", "1/10", "--trials", 2]
-        for flag, obj in (("--model", model), ("--homeo", homeo)):
-            if obj is not None:
-                path = tmp_path / f"{flag[2:]}.json"
-                path.write_text(json.dumps(obj))
-                argv += [flag, path]
+    @pytest.mark.parametrize("homeo", [{"arc_maps": []}, [], {"arc_maps": {"h1": []}}])
+    def test_certify(self, tmp_path, homeo):
+        path = tmp_path / "homeo.json"
+        path.write_text(json.dumps(homeo))
+        argv = ["certify", "--segments", 2, "--epsilon", "1/10", "--trials", 2, "--homeo", path]
         code, err = run_process(argv)
         assert code == 2
         assert "Traceback" not in err and "input error" in err
 
-    @pytest.mark.parametrize("command", ["render", "shadow", "certify"])
-    def test_counts_refused_before_building(self, tmp_path, monkeypatch, capsys, command):
-        # a 42-byte file must not cost what a model with a billion teeth costs
-        def refuse_to_build(M):
-            raise AssertionError(f"built a model with M = {M}")
-
-        monkeypatch.setattr(continuum, "build_arc_model", refuse_to_build)
-        y = tmp_path / "y.json"
-        y.write_text(json.dumps({"M": 10**9, "vertices": {}, "arcs": []}))
-        orbit = tmp_path / "orbit.csv"
-        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
-        argv = {
-            "render": ["render", y],
-            "shadow": ["shadow", "--model", y, "--depth", 1, "--orbit", orbit, "--epsilon", "1/10"],
-            "certify": ["certify", "--model", y, "--depth", 1, "--epsilon", "1/10"],
-        }[command]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err == "input error: model JSON does not describe a standard truncated model\n"
-
     def test_shadow_on_model(self, tmp_path):
-        y = tmp_path / "y.json"
-        run(["build-y", "--segments", 2, "--out", y])
         h = tmp_path / "h.json"
         h.write_text('{"arc_maps": []}')
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
         code, err = run_process(
-            ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
+            ["shadow", "--segments", 2, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
         )
         assert code == 2
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [float("inf"), 1.5, True])
     def test_shadow_non_integer_pair_component(self, tmp_path, bad):
-        model = build_arc_model(2)
-        y = tmp_path / "y.json"
-        y.write_text(dump_json(model.to_json()))
-        obj = build_arcwise_map(model, 1).to_json()
+        obj = build_arcwise_map(build_arc_model(2), 1).to_json()
         obj["arc_maps"]["h1"]["values"][1][1] = bad
         h = tmp_path / "h.json"
         h.write_text(json.dumps(obj))
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
         code, err = run_process(
-            ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
+            ["shadow", "--segments", 2, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"]
         )
         assert code == 2
         assert "is not a decimal integer" in err and "Traceback" not in err
@@ -712,8 +640,6 @@ class TestMalformedModelInput:
     @pytest.mark.parametrize("defect", ["half domain", "missing v2", "extra zz"])
     def test_homeo_rejected_by_validation(self, tmp_path, command, defect):
         model = build_arc_model(2)
-        y = tmp_path / "y.json"
-        y.write_text(dump_json(model.to_json()))
         if defect == "half domain":
             maps = {a.id: identity(F(0), F(1, 2)) for a in model.arcs}
         elif defect == "missing v2":
@@ -725,33 +651,13 @@ class TestMalformedModelInput:
         orbit = tmp_path / "orbit.csv"
         orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
         argv = {
-            "shadow": ["shadow", "--model", y, "--orbit", orbit, "--epsilon", "1/10"],
-            "render": ["render", y],
-            "certify": ["certify", "--model", y, "--epsilon", "1/10", "--trials", 2],
+            "shadow": ["shadow", "--segments", 2, "--orbit", orbit, "--epsilon", "1/10"],
+            "render": ["render", "--segments", 2],
+            "certify": ["certify", "--segments", 2, "--epsilon", "1/10", "--trials", 2],
         }[command]
         code, err = run_process([*argv, "--homeo", h])
         assert code == 2
         assert "Traceback" not in err and "input error" in err
-
-    @pytest.mark.parametrize("command", ["render", "certify", "shadow"])
-    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
-    def test_non_integer_M(self, tmp_path, command, bad):
-        obj = build_arc_model(2).to_json()
-        obj["M"] = bad
-        y = tmp_path / "y.json"
-        y.write_text(json.dumps(obj))
-        h = tmp_path / "h.json"
-        h.write_text(dump_json(build_arcwise_map(build_arc_model(2), 1).to_json()))
-        orbit = tmp_path / "orbit.csv"
-        orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
-        argv = {
-            "render": ["render", y],
-            "certify": ["certify", "--model", y, "--epsilon", "1/10", "--trials", 2],
-            "shadow": ["shadow", "--model", y, "--homeo", h, "--orbit", orbit, "--epsilon", "1/10"],
-        }[command]
-        code, err = run_process(argv)
-        assert code == 2
-        assert "integer field M" in err and "Traceback" not in err
 
     def test_render_scalar(self, tmp_path):
         path = tmp_path / "three.json"
@@ -769,12 +675,8 @@ READERS = {
     "modulus": lambda d: ["modulus", d["bad"], "--epsilon", "1/8", "--trials", 1],
     "shadow --map": lambda d: ["shadow", "--map", d["bad"], "--orbit", d["interval_orbit"],
                                "--epsilon", "1/20"],
-    "shadow --model": lambda d: ["shadow", "--model", d["bad"], "--orbit", d["model_orbit"],
-                                 "--epsilon", "1/10"],
-    "shadow --homeo": lambda d: ["shadow", "--model", d["y"], "--homeo", d["bad"], "--orbit",
+    "shadow --homeo": lambda d: ["shadow", "--segments", 2, "--homeo", d["bad"], "--orbit",
                                  d["model_orbit"], "--epsilon", "1/10"],
-    "certify --model": lambda d: ["certify", "--model", d["bad"], "--epsilon", "1/10",
-                                  "--trials", 1],
     "certify --homeo": lambda d: ["certify", "--segments", 2, "--homeo", d["bad"],
                                   "--epsilon", "1/10", "--trials", 1],
     "render": lambda d: ["render", d["bad"]],
@@ -783,13 +685,11 @@ READERS = {
 
 @pytest.fixture()
 def reader_files(tmp_path):
-    y = tmp_path / "y.json"
-    y.write_text(dump_json(build_arc_model(2).to_json()))
     interval_orbit = tmp_path / "interval.csv"
     interval_orbit.write_text("index,point\n0,1/10\n1,3/20\n")
     model_orbit = tmp_path / "model.csv"
     model_orbit.write_text("index,arc,t\n0,h2,1/2\n1,h2,7/12\n")
-    return {"y": y, "interval_orbit": interval_orbit, "model_orbit": model_orbit,
+    return {"interval_orbit": interval_orbit, "model_orbit": model_orbit,
             "bad": tmp_path / "bad.json", "dir": tmp_path}
 
 
@@ -881,7 +781,7 @@ ARTIFACT_RUNS = {
     "build-y": lambda d: ["build-y", "--segments", 2],
     "certify": lambda d: ["certify", "--segments", 1, "--depth", 0, "--epsilon", "1/10",
                           "--trials", 1],
-    "render": lambda d: ["render", d["y"], "--depth", 1],
+    "render": lambda d: ["render", "--segments", 2, "--depth", 1],
 }
 
 
@@ -974,12 +874,11 @@ class TestBigIntegers:
 
 @pytest.fixture()
 def choice_files(tmp_path):
-    """Models with one and two teeth, maps for them, and a model orbit on
-    which the identity, the depth-0 and the deeper arcwise maps differ."""
+    """Maps of the models with one and two teeth, a map of the interval, and
+    a model orbit on which the identity, the depth-0 and the deeper arcwise
+    maps differ."""
     m1, m2 = build_arc_model(1), build_arc_model(2)
     objs = {
-        "y1": m1.to_json(),
-        "y2": m2.to_json(),
         "h1": build_arcwise_map(m1, 1).to_json(),
         "h2": build_arcwise_map(m2, 2).to_json(),
         "id2": identity_homeo(m2).to_json(),
@@ -1002,26 +901,31 @@ def choice_files(tmp_path):
 # so a run that accepts it next to the base and prints the same bytes with
 # the same exit code has dropped it
 FLAG_CASES = {
-    "render --homeo, --depth": (lambda d: ["render", d["y2"], "--homeo", d["h2"]],
+    "render --homeo, --depth": (lambda d: ["render", "--segments", 2, "--homeo", d["h2"]],
                                 lambda d: ["--depth", 1]),
-    "render --depth": (lambda d: ["render", d["y2"]], lambda d: ["--depth", 1]),
-    "render --homeo": (lambda d: ["render", d["y2"]], lambda d: ["--homeo", d["h2"]]),
+    "render --depth": (lambda d: ["render", "--segments", 2], lambda d: ["--depth", 1]),
+    "render --homeo": (lambda d: ["render", "--segments", 2], lambda d: ["--homeo", d["h2"]]),
     "render map --depth": (lambda d: ["render", d["f1"]], lambda d: ["--depth", 1]),
     "render map --homeo": (lambda d: ["render", d["f1"]], lambda d: ["--homeo", d["h2"]]),
+    "render map --segments": (lambda d: ["render", d["f1"]], lambda d: ["--segments", 2]),
     "shadow --homeo, --depth": (
-        lambda d: ["shadow", "--model", d["y2"], "--homeo", d["id2"], "--orbit", d["orbit"],
+        lambda d: ["shadow", "--segments", 2, "--homeo", d["id2"], "--orbit", d["orbit"],
                    "--epsilon", "1/100"],
         lambda d: ["--depth", 2]),
-    "shadow --model --depth": (
-        lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon", "1/100"],
+    "shadow --segments --depth": (
+        lambda d: ["shadow", "--segments", 2, "--orbit", d["orbit"], "--epsilon", "1/100"],
         lambda d: ["--depth", 0]),
-    "shadow --model --homeo": (
-        lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon", "1/100"],
+    "shadow --segments --homeo": (
+        lambda d: ["shadow", "--segments", 2, "--orbit", d["orbit"], "--epsilon", "1/100"],
         lambda d: ["--homeo", d["id2"]]),
     "shadow --map --depth": (
         lambda d: ["shadow", "--map", d["f1"], "--orbit", d["interval_orbit"],
                    "--epsilon", "1/20"],
         lambda d: ["--depth", 0]),
+    "shadow --map --segments": (
+        lambda d: ["shadow", "--map", d["f1"], "--orbit", d["interval_orbit"],
+                   "--epsilon", "1/20"],
+        lambda d: ["--segments", 2]),
     "modulus --trials": (lambda d: ["modulus", d["f1"], "--epsilon", "1/10", "--trials", 2],
                          lambda d: ["--trials", 3]),
     "modulus --seed": (lambda d: ["modulus", d["f1"], "--epsilon", "1/10", "--trials", 2],
@@ -1030,15 +934,9 @@ FLAG_CASES = {
         lambda d: ["certify", "--segments", 1, "--homeo", d["h1"], "--epsilon", 10,
                    "--trials", 1],
         lambda d: ["--depth", 3]),
-    "certify --model, --segments": (
-        lambda d: ["certify", "--model", d["y1"], "--depth", 0, "--epsilon", "1/10",
-                   "--trials", 1],
-        lambda d: ["--segments", 2]),
     "certify --segments": (lambda d: ["certify", "--depth", 0, "--epsilon", "1/10",
                                       "--trials", 1],
                            lambda d: ["--segments", 1]),
-    "certify --model": (lambda d: ["certify", "--depth", 0, "--epsilon", "1/10", "--trials", 1],
-                        lambda d: ["--model", d["y1"]]),
     "certify --depth": (lambda d: ["certify", "--segments", 1, "--epsilon", 10, "--trials", 1],
                         lambda d: ["--depth", 0]),
     "certify --homeo": (lambda d: ["certify", "--segments", 1, "--epsilon", 10, "--trials", 1],
@@ -1070,24 +968,25 @@ class TestOneFlagPerChoice:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (lambda d: ["render", d["y2"], "--homeo", d["h2"], "--depth", 2],
+            (lambda d: ["render", "--segments", 2, "--homeo", d["h2"], "--depth", 2],
              "--depth cannot be combined with --homeo"),
-            (lambda d: ["shadow", "--model", d["y2"], "--homeo", d["h2"], "--depth", 2,
+            (lambda d: ["shadow", "--segments", 2, "--homeo", d["h2"], "--depth", 2,
                         "--orbit", d["orbit"], "--epsilon", "1/10"],
              "--depth cannot be combined with --homeo"),
             (lambda d: ["certify", "--segments", 2, "--homeo", d["G"], "--depth", 7,
                         "--epsilon", "1/10", "--trials", 3, "--seed", 5],
              "--depth cannot be combined with --homeo"),
-            (lambda d: ["certify", "--model", d["y2"], "--segments", 5, "--homeo", d["G"],
-                        "--epsilon", "1/10", "--trials", 3, "--seed", 5],
-             "--segments cannot be combined with --model"),
         ],
-        ids=["render", "shadow", "certify --homeo", "certify --model"],
+        ids=["render", "shadow", "certify --homeo"],
     )
     def test_second_flag_for_one_choice_refused(self, choice_files, argv, message):
         code, err = run_process(argv(choice_files))
         assert code == 2
         assert f"input error: {message}" in err and "Traceback" not in err
+
+
+# what opening the empty path raises
+NO_FILE = "[Errno 2] No such file or directory: ''"
 
 
 class TestInputErrorsInFreshInterpreter:
@@ -1107,29 +1006,37 @@ class TestInputErrorsInFreshInterpreter:
             (lambda d: ["shadow", "--map", d["f1"], "--orbit", d["skipping"],
                         "--epsilon", "1/10"], "orbit indices must be consecutive"),
             (lambda d: ["shadow", "--orbit", d["interval_orbit"], "--epsilon", "1/10"],
-             "need --map or --model"),
+             "need --map or --segments"),
+            (lambda d: ["render"], "need a map file or --segments"),
             (lambda d: ["check-peps", d["shifted"], "--epsilon", "1/8"],
              "domain field disagrees with breakpoint endpoints"),
-            (lambda d: ["render", d["list"]], "model JSON must be an object"),
-            (lambda d: ["shadow", "--model", d["y2"], "--homeo", d["list"],
+            (lambda d: ["shadow", "--segments", 2, "--homeo", d["list"],
                         "--orbit", d["orbit"], "--epsilon", "1/10"],
              "homeomorphism JSON must be an object"),
-            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"], "--epsilon=0"],
+            (lambda d: ["shadow", "--segments", 2, "--orbit", d["orbit"], "--epsilon=0"],
              "epsilon must be positive"),
-            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["orbit"],
+            (lambda d: ["shadow", "--segments", 2, "--orbit", d["orbit"],
                         "--epsilon=-1/10"], "epsilon must be positive"),
             (lambda d: ["shadow", "--map", d["f1"], "--orbit", d["extra_field"],
                         "--epsilon", "1/10"], "orbit CSV row 2 has 3 fields, header has 2"),
-            (lambda d: ["shadow", "--model", d["y2"], "--orbit", d["unknown_arc"],
+            (lambda d: ["shadow", "--segments", 2, "--orbit", d["unknown_arc"],
                         "--epsilon", "1/10"], "no arc 'zz'"),
             (lambda d: ["certify", "--segments", 2, "--homeo", d["extra_arc_map"],
                         "--epsilon", "1/10"],
              "arc map for 'zz', which is not an arc of the model"),
+            # an empty path names no file: it is not the same as leaving the flag out
+            (lambda d: ["render", "--segments", 2, "--homeo", ""], NO_FILE),
+            (lambda d: ["certify", "--segments", 2, "--homeo", "", "--epsilon", "1/10",
+                        "--trials", 2], NO_FILE),
+            (lambda d: ["shadow", "--segments", 2, "--homeo", "", "--orbit", d["orbit"],
+                        "--epsilon", "1/10"], NO_FILE),
+            (lambda d: ["build-fstar", "--depth", 1, "--out", ""], NO_FILE),
         ],
         ids=["build-fstar depth", "conjugate depth", "modulus trials", "certify trials",
-             "header-only CSV", "skipped index", "no map or model", "shifted domain",
-             "list model", "list homeo", "model epsilon zero", "model epsilon negative",
-             "extra CSV field", "unknown arc", "extra arc map"],
+             "header-only CSV", "skipped index", "no map or model", "render without input",
+             "shifted domain", "list homeo", "model epsilon zero", "model epsilon negative",
+             "extra CSV field", "unknown arc", "extra arc map", "render empty --homeo",
+             "certify empty --homeo", "shadow empty --homeo", "empty --out"],
     )
     def test_refused(self, choice_files, argv, message):
         d = dict(choice_files)

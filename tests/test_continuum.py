@@ -19,14 +19,13 @@ from continua.continuum import (
     build_arc_model,
     build_arcwise_map,
     check_arc_decomposition,
-    identity_homeo,
     validate_homeo,
 )
 from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
-from conftest import scan_arcs_at, scan_nearest, scan_sub_polyline
+from conftest import identity_homeo, scan_arcs_at, scan_nearest, scan_sub_polyline
 
 
 class TestBuild:
@@ -72,17 +71,6 @@ class TestBuild:
                 scan = scan_arcs_at(m, m.vertex_of(arc, end))
                 assert m.across(arc, end) == [(a, e) for a, e in scan if a.id != arc.id]
         assert m.arcs_at("no such vertex") == []
-
-    def test_json_round_trip(self):
-        m = build_arc_model(4)
-        assert YModel.from_json(m.to_json()).to_json() == m.to_json()
-
-    def test_nonstandard_json_rejected(self):
-        m = build_arc_model(2)
-        obj = m.to_json()
-        obj["vertices"]["p~"] = [["0", "1"], ["0", "1"]]
-        with pytest.raises(ModelError):
-            YModel.from_json(obj)
 
 
 class TestEmbedding:

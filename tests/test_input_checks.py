@@ -69,9 +69,6 @@ CHECKS = {
         ValueError,
         "need 0 <= t0 <= t1 <= 1",
     ),
-    "model not an object": (
-        lambda: YModel.from_json([]), ModelError, "model JSON must be an object"
-    ),
     "homeo not an object": (
         lambda: YHomeo.from_json([]), ModelError, "homeomorphism JSON must be an object"
     ),
@@ -177,7 +174,7 @@ CHECKS = {
         "no arc 'zz'",
     ),
     "shadow without map or model": (
-        _shadow_without_map_or_model, ValueError, "need --map or --model"
+        _shadow_without_map_or_model, ValueError, "need --map or --segments"
     ),
 }
 

@@ -14,7 +14,6 @@ from continua.plmap import (
     Orientation,
     PLHomeo,
     c0_distance,
-    canonical_l,
     canonical_r,
     compose,
     evaluate,
@@ -23,7 +22,6 @@ from continua.plmap import (
     invert,
     iterate,
     max_slope,
-    rescale,
     wandering_intervals,
 )
 from continua.cantor import (
@@ -33,6 +31,7 @@ from continua.cantor import (
     check_chain_property,
 )
 from conftest import (
+    canonical_l,
     edge_enriched_map,
     fraction_prune_collinear,
     fraction_walk_c0_distance,
@@ -46,6 +45,7 @@ from conftest import (
     random_fat_map,
     random_plhomeo,
     random_touching_map,
+    rescale,
     validated_inverse,
 )
 

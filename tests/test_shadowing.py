@@ -21,7 +21,6 @@ from continua.continuum import (
     YPoint,
     build_arc_model,
     build_arcwise_map,
-    identity_homeo,
 )
 from continua.plmap import (
     Orientation,
@@ -32,7 +31,6 @@ from continua.plmap import (
     invert,
     iterate,
     max_slope,
-    rescale,
 )
 from continua.rational import sqrt_enclosure
 from continua.shadowing import (
@@ -61,13 +59,12 @@ from continua.shadowing import (
     sample_global_soundness,
     shadow_on_arcs,
     shadowing_set,
-    verify_pseudo_orbit,
-    verify_pseudo_orbit_y_sq,
 )
 
 from conftest import (
     edge_enriched_map,
     exact_orbit,
+    identity_homeo,
     materialized_modulus,
     orbit_membership_oracle,
     pullback_shadowing_set,
@@ -75,10 +72,13 @@ from conftest import (
     random_coordinate_change,
     random_plhomeo,
     random_touching_map,
+    rescale,
     scan_inward_neighborhood,
     scan_min_separation_sq,
     semi_stable_map,
     steady_drift_orbit,
+    verify_pseudo_orbit,
+    verify_pseudo_orbit_y_sq,
 )
 
 
