@@ -21,17 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cantor import build_ternary_map
-from .geometry import (
-    Point,
-    _on_segment,
-    dist2_pp,
-    lerp,
-    project_point_segment,
-    segments_intersect,
-)
-from .plmap import PLHomeo, evaluate
+from .geometry import Point, _on_segment, dist2_pp, segments_intersect
+from .plmap import PLHomeo
 from .rational import rational_to_json
 
 CIRCLE_SEGMENTS = 64
@@ -52,6 +46,23 @@ def _circle_polyline() -> tuple[Point, ...]:
         den = 1 + u * u
         pts.append((2 * u / den, (u * u - 1) / den))
     return tuple(pts)
+
+
+def _project_segment(seg: tuple[int, ...], X: int, Y: int, P: int) -> tuple[int, int, int, int]:
+    """``geometry.project_point_segment`` of the point (X/P, Y/P) on one
+    segment of ``Arc._segment_ints``, as integers (tn, td, dn, dd): the
+    clamped parameter tn/td and the squared distance dn/dd, equal in value."""
+    q, ax, ay, bx, by, abx, aby, ab2 = seg
+    apx, apy = X * q - ax * P, Y * q - ay * P  # p - a, over q·P
+    dot = apx * abx + apy * aby  # the parameter is dot/(P·ab2)
+    if ab2 == 0 or dot <= 0:
+        return 0, 1, apx * apx + apy * apy, (q * P) ** 2
+    if dot >= P * ab2:
+        bpx, bpy = X * q - bx * P, Y * q - by * P
+        return 1, 1, bpx * bpx + bpy * bpy, (q * P) ** 2
+    # the squared distance to the line: cross(b - a, p - a)² / |b - a|²
+    cross = abx * apy - aby * apx
+    return dot, P * ab2, cross * cross, (q * P) ** 2 * ab2
 
 
 @dataclass(frozen=True)
@@ -85,17 +96,34 @@ class Arc:
         return len(self.polyline) - 1
 
     @cached_property
-    def _xs(self) -> tuple[Fraction, ...]:
-        return tuple(v[0] for v in self.polyline)
+    def _vertex_xs(self) -> tuple[int, tuple[int, ...]]:
+        # (L, keys): keys[k] = L times vertex k's x, L the lcm of their denominators
+        xs = [v[0] for v in self.polyline]
+        L = lcm(*(x.denominator for x in xs))
+        return L, tuple(x.numerator * (L // x.denominator) for x in xs)
+
+    @cached_property
+    def _segment_ints(self) -> tuple[tuple[int, ...], ...]:
+        # per segment (a, b): (q, ax, ay, bx, by, abx, aby, ab2), with q the
+        # lcm of its four coordinates' denominators, each coordinate and
+        # ab = b - a times q, and ab2 = |ab|²
+        out = []
+        for a, b in zip(self.polyline, self.polyline[1:]):
+            q = lcm(*(c.denominator for c in (*a, *b)))
+            ax, ay, bx, by = (c.numerator * (q // c.denominator) for c in (*a, *b))
+            abx, aby = bx - ax, by - ay
+            out.append((q, ax, ay, bx, by, abx, aby, abx * abx + aby * aby))
+        return tuple(out)
 
     def embed(self, t: Fraction) -> Point:
         if not 0 <= t <= 1:
             raise ValueError(f"parameter {t} outside [0, 1]")
-        n = self.segments
-        scaled = t * n
-        k = min(int(scaled), n - 1)
-        frac = scaled - k
-        return lerp(self.polyline[k], self.polyline[k + 1], frac)
+        # on segment k, at fraction f/den of the way from a to b
+        n, p, den = self.segments, t.numerator, t.denominator
+        k = min(p * n // den, n - 1)
+        q, ax, ay, _, _, abx, aby, _ = self._segment_ints[k]
+        f = p * n - k * den
+        return Fraction(ax * den + f * abx, q * den), Fraction(ay * den + f * aby, q * den)
 
     @cached_property
     def _segment_scales(self) -> tuple[Fraction, ...]:
@@ -126,29 +154,38 @@ class Arc:
         both ways; the squared x-gap to a segment bounds its distance from
         below and grows along each walk, so a side stops once its gap
         cannot beat the best (on the lower side: cannot tie it either).
+        The point is read as integers X/P, Y/P, and each segment is
+        projected on its integer data (``_project_segment``), so every
+        squared distance is a (numerator, denominator) pair, compared by
+        cross-multiplying; the two Fractions are built once, at the end.
         """
-        n, poly, xs = self.segments, self.polyline, self._xs
-        px = point[0]
-        # xs[start] <= px < xs[start + 1] unless px lies beyond an end, so
-        # the gaps below are nonnegative
-        start = min(max(bisect_right(xs, px) - 1, 0), n - 1)
+        n, segs = self.segments, self._segment_ints
+        px, py = point
+        P = lcm(px.denominator, py.denominator)
+        X, Y = px.numerator * (P // px.denominator), py.numerator * (P // py.denominator)
+        # keys[start] <= L·px < keys[start + 1] unless px lies beyond an end,
+        # so the gaps below are nonnegative
+        L, keys = self._vertex_xs
+        start = min(max(bisect_right(keys, X * L // P) - 1, 0), n - 1)
         best_k = start
-        best_t, best_d2 = project_point_segment(point, poly[start], poly[start + 1])
+        tn, td, dn, dd = _project_segment(segs[start], X, Y, P)
         for k in range(start + 1, n):
-            gap = xs[k] - px
-            if gap * gap >= best_d2:
+            q, ax = segs[k][0], segs[k][1]
+            gap = ax * P - X * q  # over q·P
+            if gap * gap * dd >= dn * (q * P) ** 2:
                 break
-            t, d2 = project_point_segment(point, poly[k], poly[k + 1])
-            if d2 < best_d2:
-                best_k, best_t, best_d2 = k, t, d2
+            cand = _project_segment(segs[k], X, Y, P)
+            if cand[2] * dd < dn * cand[3]:
+                best_k, (tn, td, dn, dd) = k, cand
         for k in range(start - 1, -1, -1):
-            gap = px - xs[k + 1]
-            if gap * gap > best_d2:
+            q, bx = segs[k][0], segs[k][3]
+            gap = X * q - bx * P  # over q·P
+            if gap * gap * dd > dn * (q * P) ** 2:
                 break
-            t, d2 = project_point_segment(point, poly[k], poly[k + 1])
-            if d2 <= best_d2:
-                best_k, best_t, best_d2 = k, t, d2
-        return (best_k + best_t) / n, best_d2
+            cand = _project_segment(segs[k], X, Y, P)
+            if cand[2] * dd <= dn * cand[3]:
+                best_k, (tn, td, dn, dd) = k, cand
+        return Fraction(best_k * td + tn, n * td), Fraction(dn, dd)
 
     def sub_polyline(self, t0: Fraction, t1: Fraction) -> tuple[Point, ...]:
         """Embedded polyline of the parameter range [t0, t1]."""
@@ -300,7 +337,16 @@ class YHomeo:
         maps = obj.get("arc_maps") if isinstance(obj, dict) else None
         if not isinstance(maps, dict):
             raise ModelError("homeomorphism JSON must be an object with an arc_maps object")
-        return YHomeo({aid: PLHomeo.from_json(fo) for aid, fo in maps.items()})
+        # equal map objects (a file may repeat one map on many arcs) share one
+        # PLHomeo; repr tells 1 from 1.0 and true, which compare equal
+        shared: dict[str, PLHomeo] = {}
+        arc_maps = {}
+        for aid, fo in maps.items():
+            key = repr(fo)
+            if key not in shared:
+                shared[key] = PLHomeo.from_json(fo)
+            arc_maps[aid] = shared[key]
+        return YHomeo(arc_maps)
 
 
 def validate_homeo(model: YModel, g: YHomeo) -> None:
@@ -321,10 +367,6 @@ def build_arcwise_map(model: YModel, levels: int) -> YHomeo:
     alternating ternary map in that arc's own parameter."""
     f = build_ternary_map(levels)
     return YHomeo({a.id: f for a in model.arcs})
-
-
-def apply_map(g: YHomeo, p: YPoint) -> YPoint:
-    return YPoint(p.arc, evaluate(g.map_for(p.arc), p.t))
 
 
 # ---------------------------------------------------------------------------

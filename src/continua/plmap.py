@@ -16,8 +16,9 @@ constructor computes them, ``compose`` gets them from its walk, and
 ``invert`` takes the reciprocals.  Slopes built from the same integer
 pair share one Fraction, so a map's few distinct slopes take little
 memory.  Each map also caches, on first use, its integer evaluation
-kernel (read by ``evaluate`` and by the trials of the sampled shadowing
-modulus), its inverse (returned by ``invert``), and
+kernel (read by ``evaluate`` and by the integer passes of ``shadowing``:
+the sampled modulus's trials, the model-orbit stepper, and the search's
+fold and check), its inverse (returned by ``invert``), and
 its fixed set and wandering intervals, found together in one walk over
 the breakpoints (copied out by ``fixed_set`` and
 ``wandering_intervals``).  The kernel

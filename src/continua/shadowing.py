@@ -13,7 +13,9 @@ composition over all arcs, and a self-verifying shadowing-point search.
 
 Everything is deterministic for a fixed seed, and sampling runs
 sequentially.  Both soundness samplers run one trial loop: trial t draws
-its start from ``Random(base + t)`` and its orbit from seed base + t + 1.
+its start from ``Random(base + t)`` and its orbit from seed base + t + 1,
+and steps and searches that orbit in one integer pass on the arc maps'
+kernels.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heapify, heappop
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
-from .continuum import Arc, YHomeo, YModel, YPoint, apply_map, validate_homeo
+from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
 from .geometry import Point, _box, _box_gap_sq, dist2_pp, dist2_segment_segment
 from .plmap import (
     Orientation,
@@ -75,6 +77,10 @@ ORBIT_LENGTH = 24
 NOISE_GRID = 512
 GRID_LEVELS = 12
 DELTA_GRID_LEVELS = 24
+
+# An integer pass divides its carried integers by their gcd after a step
+# whose growth factor has more bits than this.
+_REDUCE_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +216,49 @@ def _forward_fold(
 ) -> tuple[Fraction, Fraction] | None:
     """Fold the epsilon-tubes around ``points`` forward under g: the image
     at the last point of their shadowing set under g, or None when empty.
+    It runs on g's kernel (``_kernel_fold``)."""
+    s = _kernel_fold(g._kernel, ((x.numerator, x.denominator) for x in points), epsilon)
+    return None if s is None else (Fraction(*s[0]), Fraction(*s[1]))
+
+
+def _kernel_step(kernel: tuple, N: int, Q: int) -> tuple[int, int]:
+    """The image of N/Q under a map with this ``PLHomeo._kernel``, as an
+    integer pair: (α·N + β·Q, γ·Q) on the piece (α, β, γ) that N/Q lies on,
+    divided by its gcd when γ has more than ``_REDUCE_BITS`` bits."""
+    d, keys, pieces = kernel
+    a, b, c = pieces[bisect_right(keys, N * d // Q, 0, len(pieces)) - 1]
+    N, Q = a * N + b * Q, c * Q
+    if c.bit_length() > _REDUCE_BITS:
+        r = gcd(N, Q)
+        N, Q = N // r, Q // r
+    return N, Q
+
+
+def _kernel_fold(
+    kernel: tuple, points: Iterable[tuple[int, int]], epsilon: Fraction
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The fold of ``_forward_fold`` on the kernel of g: each point and
+    each fold end is an integer pair (numerator, denominator), and pairs
+    are compared by cross-multiplying.
 
     The fold starts from the whole domain, which g maps onto itself, reads
     one point per step and returns at the first empty step.  g is a
     bijection, so the image is empty exactly when the set is.
     """
-    a, b = g.domain
-    for x in points:
-        a, b = max(evaluate(g, a), x - epsilon), min(evaluate(g, b), x + epsilon)
-        if a > b:
+    d, keys, _ = kernel
+    en, ed = epsilon.numerator, epsilon.denominator
+    (A, P), (B, Q) = (keys[0], d), (keys[-1], d)
+    for X, R in points:
+        A, P = _kernel_step(kernel, A, P)
+        B, Q = _kernel_step(kernel, B, Q)
+        lo, hi, den = X * ed - en * R, X * ed + en * R, R * ed
+        if lo * P > A * den:
+            A, P = lo, den
+        if hi * Q < B * den:
+            B, Q = hi, den
+        if A * Q > B * P:
             return None
-    return a, b
+    return (A, P), (B, Q)
 
 
 def estimate_shadowing_modulus(
@@ -268,6 +306,9 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
     domain ends.  On f's kernel, a point P/D on piece (α, β, γ) maps to
     (α·P + β·D)/(γ·D), so each step multiplies D by the lcm of the γ of
     the at most three pieces it hits, and not at all when each γ is 1.
+    When that lcm has more than ``_REDUCE_BITS`` bits, every carried
+    integer is divided by their gcd, so that pieces with huge γ covering
+    most of the domain do not grow D by γ at every step.
     """
     d, keys, pieces = f._kernel
     last = len(pieces)
@@ -290,6 +331,9 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
         B = (ab * B + bb * D) * (L // gb)
         if L > 1:
             D, E, U, LO, HI = D * L, E * L, U * L, LO * L, HI * L
+            if L.bit_length() > _REDUCE_BITS:
+                r = gcd(X, A, B, D, E, U, LO, HI)
+                X, A, B, D, E, U, LO, HI = (v // r for v in (X, A, B, D, E, U, LO, HI))
         X = min(max(X + rng.randrange(-(NOISE_GRID - 1), NOISE_GRID) * U, LO), HI)
         A, B = max(A, X - E), min(B, X + E)
         if A > B:
@@ -347,6 +391,11 @@ def orbit_from_csv(stream) -> PseudoOrbit:
 # ---------------------------------------------------------------------------
 
 
+# A model-orbit point as the integer pass carries it: arc id, T and D, at
+# parameter T/D.
+_ArcPoint = tuple[str, int, int]
+
+
 def generate_pseudo_orbit_y(
     model: YModel,
     g: YHomeo,
@@ -360,37 +409,79 @@ def generate_pseudo_orbit_y(
     Each step perturbs the exact image along its arc (parameter jitter
     scaled by the arc's stretch bound) and occasionally hops across a
     vertex onto an adjacent arc when the image lies close enough; both
-    moves keep the ambient jump strictly below delta.
+    moves keep the ambient jump strictly below delta.  The steps run in
+    integers (``_orbit_stepper``).
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     delta = positive(delta, "delta")
-    rng = random.Random(seed)
-    bound = delta / 2
+    validate_homeo(model, g)  # the kernels are read with no domain check
+    points = _orbit_stepper(model, g, delta)(x0, length, seed)
+    return PseudoOrbit(tuple(YPoint(aid, Fraction(T, D)) for aid, T, D in points), 0)
 
-    pts = [x0]
-    for _ in range(length):
-        img = apply_map(g, pts[-1])
-        arc = model.arc(img.arc)
-        # hop across the first vertex within bound/2 of the image, if any
-        # other arc meets there
-        neighbors = rng.randrange(4) == 0 and next(
-            (
-                model.across(arc, end)
-                for end in (0, 1)
-                if arc.stretch_hi * _from_end(end, img.t) < bound / 2
-            ),
-            [],
+
+def _orbit_stepper(
+    model: YModel, g: YHomeo, delta: Fraction
+) -> Callable[[YPoint, int, int], list[_ArcPoint]]:
+    """The stepper of ``generate_pseudo_orbit_y`` for (model, g, delta):
+    step(x0, length, seed) gives the orbit's points as ``_ArcPoint``s.
+
+    Each step maps T/D through the arc map's kernel, which multiplies D by
+    the piece's γ.  Per step, it draws randrange(4); on 0, the first arc
+    end whose depth is below delta/(4·stretch_hi), if any, gives the arcs
+    across it, and when there are any (a tooth tip has none), it draws one
+    and a depth of r units delta/(2048·stretch_hi) into it (clamped to the
+    arc).  Otherwise it draws a jitter of r units delta/(1024·stretch_hi),
+    clamped to [0, 1].
+    Each arc's unit is an integer K over C, and D stays a multiple C·S of
+    C, so the unit over D is K·S; after a step whose γ has more than
+    ``_REDUCE_BITS`` bits, T, D and S are divided by the gcd of T and S.
+    """
+    units = {a.id: delta / (4 * NOISE_GRID * a.stretch_hi) for a in model.arcs}
+    C = lcm(*(u.denominator for u in units.values()))
+    # per arc: its map's kernel, its unit K over C, and the arcs across each end
+    table = {
+        a.id: (
+            g.map_for(a.id)._kernel,
+            units[a.id].numerator * (C // units[a.id].denominator),
+            *([(o.id, oend) for o, oend in model.across(a, end)] for end in (0, 1)),
         )
-        if neighbors:
-            other, oend = neighbors[rng.randrange(len(neighbors))]
-            u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
-            depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
-            pts.append(YPoint(other.id, _from_end(oend, depth)))
-        else:
-            jitter = _noise(rng, bound / arc.stretch_hi)
-            pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
-    return PseudoOrbit(tuple(pts), 0)
+        for a in model.arcs
+    }
+
+    def step(x0: YPoint, length: int, seed: int) -> list[_ArcPoint]:
+        rng = random.Random(seed)
+        aid, t = x0.arc, x0.t
+        D = lcm(C, t.denominator)
+        S, T = D // C, t.numerator * (D // t.denominator)
+        points = [(aid, T, D)]
+        for _ in range(length):
+            (d, keys, pieces), K, across0, across1 = table[aid]
+            a, b, c = pieces[bisect_right(keys, T * d // D, 0, len(pieces)) - 1]
+            T = a * T + b * D
+            if c > 1:
+                D, S = D * c, S * c
+                if c.bit_length() > _REDUCE_BITS:
+                    r = gcd(T, S)
+                    T, D, S = T // r, D // r, S // r
+            unit = K * S
+            across: list[tuple[str, int]] = []
+            if rng.randrange(4) == 0:
+                if T < NOISE_GRID * unit:
+                    across = across0
+                elif D - T < NOISE_GRID * unit:
+                    across = across1
+            if across:
+                aid, oend = across[rng.randrange(len(across))]
+                depth = min(table[aid][1] * S * rng.randrange(0, NOISE_GRID), D)
+                T = D - depth if oend else depth
+            else:
+                jitter = rng.randrange(-(NOISE_GRID - 1), NOISE_GRID) * 2 * unit
+                T = min(max(T + jitter, 0), D)
+            points.append((aid, T, D))
+        return points
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -660,24 +751,38 @@ def _verified_arc_shadow(
     arc: Arc,
     fa: PLHomeo,
     y: Fraction,
-    params: Sequence[Fraction | None],
+    params: Sequence[tuple[int, int] | None],
     target: Callable[[int], Point],
     epsilon: Fraction,
 ) -> bool:
     """Exact check that the forward orbit of (arc, y) epsilon-tracks the
     targets.
 
-    Target i is the point of ``arc`` at parameter params[i], compared in
-    parameters through ``Arc.dist2``, or the plane point target(i) when
-    params[i] is None.
+    Target i is the point of ``arc`` at parameter T/D when params[i] is
+    (T, D), or the plane point target(i) when params[i] is None.  The orbit
+    runs on fa's kernel as an integer pair Z/Q.  A target on the orbit
+    point's polyline segment k is compared by cross-multiplying with the
+    segment's scale (see ``Arc.dist2``); any other target, through the
+    exact squared distance of the embedded points.
     """
     eps_sq = epsilon * epsilon
-    z = y
-    for i, t in enumerate(params):
-        d2 = dist2_pp(arc.embed(z), target(i)) if t is None else arc.dist2(z, t)
-        if d2 > eps_sq:
+    en, ed = eps_sq.numerator, eps_sq.denominator
+    kernel, n, scales = fa._kernel, arc.segments, arc._segment_scales
+    Z, Q = y.numerator, y.denominator
+    for i, p in enumerate(params):
+        if p is None:
+            far = dist2_pp(arc.embed(Fraction(Z, Q)), target(i)) > eps_sq
+        else:
+            T, D = p
+            k = min(Z * n // Q, n - 1)
+            if k == min(T * n // D, n - 1):
+                u, s = Z * D - T * Q, scales[k]
+                far = u * u * s.numerator * ed > en * s.denominator * (Q * D) ** 2
+            else:
+                far = arc.dist2(Fraction(Z, Q), Fraction(T, D)) > eps_sq
+        if far:
             return False
-        z = evaluate(fa, z)
+        Z, Q = _kernel_step(kernel, Z, Q)
     return True
 
 
@@ -685,10 +790,29 @@ def shadow_on_arcs(
     model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction, arcs: Iterable[Arc]
 ) -> YPoint | None:
     """The first of ``arcs``, nearest to the orbit's start first, whose one
-    candidate verifies; None is a search miss, not a proof.
+    candidate verifies; None is a search miss, not a proof.  The search
+    runs in integers (``_search_arcs``)."""
+    if orbit.offset != 0:
+        raise ValueError("arc search expects a forward pseudo-orbit")
+    epsilon = positive(epsilon, "epsilon")
+    validate_homeo(model, g)  # the kernels are read with no domain check
+    for p in orbit.points:
+        model.arc(p.arc)  # an unknown arc id raises ModelError, reached or not
+    points = [(p.arc, p.t.numerator, p.t.denominator) for p in orbit.points]
+    return _search_arcs(model, g, points, epsilon, arcs)
+
+
+def _search_arcs(
+    model: YModel,
+    g: YHomeo,
+    points: Sequence[_ArcPoint],
+    epsilon: Fraction,
+    arcs: Iterable[Arc],
+) -> YPoint | None:
+    """``shadow_on_arcs`` on ``_ArcPoint``s.
 
     An orbit point on the searched arc is its own nearest point, at
-    distance 0, so it keeps its parameter and is never projected or
+    distance 0, so it keeps its parameter T/D and is never projected or
     embedded.  Any other point is embedded at most once per search, the
     first time an arc projects or checks it, and each arc projects it at
     most once: the start's projection ranks the arcs and is index 0.  An
@@ -697,39 +821,41 @@ def shadow_on_arcs(
     after the projection margin, else the projected start, exactly in
     ambient distance.  Every point of a non-empty reduced set tracks when
     ``stretch_hi`` bounds the arc's stretch, so the midpoint stands for it.
+    The set is folded on the kernel of the arc map's inverse
+    (``_kernel_fold``), and the candidate is checked on the map's kernel
+    (``_verified_arc_shadow``).
     """
-    if orbit.offset != 0:
-        raise ValueError("arc search expects a forward pseudo-orbit")
-    epsilon = positive(epsilon, "epsilon")
     eps_sq = epsilon * epsilon
-    points = orbit.points
-    for p in points:
-        model.arc(p.arc)  # an unknown arc id raises ModelError, reached or not
-    target = cache(lambda i: model.embed(points[i]))
+    target = cache(lambda i: model.arc(points[i][0]).embed(Fraction(*points[i][1:])))
 
-    def project(arc: Arc, i: int) -> tuple[Fraction, Fraction]:
-        p = points[i]
-        return (p.t, Fraction(0)) if p.arc == arc.id else arc.nearest(target(i))
+    def project(arc: Arc, i: int) -> tuple[tuple[int, int], Fraction | int]:
+        aid, T, D = points[i]
+        if aid == arc.id:
+            return (T, D), 0
+        t, d2 = arc.nearest(target(i))
+        return (t.numerator, t.denominator), d2
 
     ranked = sorted(((project(a, 0), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
     for first, arc in ranked:
         fa = g.map_for(arc.id)
-        proj: list[Fraction] = []
+        proj: list[tuple[int, int]] = []
         worst_d2 = Fraction(0)
         for i in range(len(points)):
             t, d2 = project(arc, i) if i else first
-            if d2 >= eps_sq:
-                break
+            if d2:
+                if d2 >= eps_sq:
+                    break
+                worst_d2 = max(worst_d2, d2)
             proj.append(t)
-            worst_d2 = max(worst_d2, d2)
         else:
-            y = proj[0]
+            y = Fraction(*proj[0])
             eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
             if eps_rem > 0:
-                s = _forward_fold(invert(fa), reversed(proj), eps_rem / arc.stretch_hi)
+                s = _kernel_fold(invert(fa)._kernel, reversed(proj), eps_rem / arc.stretch_hi)
                 if s is not None:
-                    y = (s[0] + s[1]) / 2
-            params = [p.t if p.arc == arc.id else None for p in points]
+                    (A, P), (B, Q) = s
+                    y = Fraction(A * Q + B * P, 2 * P * Q)
+            params = [(T, D) if aid == arc.id else None for aid, T, D in points]
             if _verified_arc_shadow(arc, fa, y, params, target, epsilon):
                 return YPoint(arc.id, y)
     return None
@@ -752,12 +878,14 @@ def _sampled_failures(
 ) -> list[int]:
     """Indices t of the sampled delta-pseudo-orbits that ``shadow_on_arcs``
     finds no epsilon-shadow for on ``arcs``.  Trial t starts at
-    ``start(Random(base + t))`` and seeds its orbit with base + t + 1."""
+    ``start(Random(base + t))`` and seeds its orbit with base + t + 1; its
+    orbit is stepped and searched in integers, as ``generate_pseudo_orbit_y``
+    and ``shadow_on_arcs`` do, with no ``YPoint`` per step."""
+    step = _orbit_stepper(model, g, delta)
     failures: list[int] = []
     for t in range(trials):
-        x0 = start(random.Random(base + t))
-        orbit = generate_pseudo_orbit_y(model, g, delta, ORBIT_LENGTH, x0, base + t + 1)
-        if shadow_on_arcs(model, g, orbit, epsilon, arcs) is None:
+        points = step(start(random.Random(base + t)), ORBIT_LENGTH, base + t + 1)
+        if _search_arcs(model, g, points, epsilon, arcs) is None:
             failures.append(t)
     return failures
 

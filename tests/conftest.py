@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from continua.cantor import (
     explode_fixed_point,
     minimal_indices,
 )
-from continua.continuum import Arc, YHomeo, YModel, apply_map
+from continua.continuum import Arc, YHomeo, YModel, YPoint
 from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
 from continua.plmap import (
     DomainError,
@@ -32,10 +33,11 @@ from continua.plmap import (
     canonical_generator,
     evaluate,
     identity,
+    invert,
     iterate,
     wandering_intervals,
 )
-from continua.rational import exact_sqrt, positive
+from continua.rational import exact_sqrt, positive, sqrt_enclosure
 from continua.shadowing import (
     _INWARD,
     GRID_LEVELS,
@@ -47,7 +49,9 @@ from continua.shadowing import (
     PseudoOrbit,
     ShadowingSet,
     Stub,
+    _clamp,
     _from_end,
+    _noise,
     generate_pseudo_orbit,
     shadowing_set,
 )
@@ -78,6 +82,10 @@ def rescale(f: PLHomeo, target: tuple[Fraction, Fraction]) -> PLHomeo:
         return a + (x - lo) * s
 
     return PLHomeo(tuple(aff(x) for x in f.breakpoints), tuple(aff(y) for y in f.values))
+
+
+def apply_map(g: YHomeo, p: YPoint) -> YPoint:
+    return YPoint(p.arc, evaluate(g.map_for(p.arc), p.t))
 
 
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
@@ -526,6 +534,100 @@ def materialized_modulus(f: PLHomeo, epsilon: Fraction, trials: int, seed: int) 
         else:
             return delta
     return Fraction(0)
+
+
+def fraction_pseudo_orbit_y(
+    model: YModel, g: YHomeo, delta: Fraction, length: int, x0: YPoint, seed: int
+) -> PseudoOrbit:
+    """``generate_pseudo_orbit_y`` on ``Fraction``s: each step maps the point
+    with ``apply_map``, then hops or jitters with the same draws in the same
+    order, so the integer stepper must give the same points."""
+    rng = random.Random(seed)
+    bound = delta / 2
+    pts = [x0]
+    for _ in range(length):
+        img = apply_map(g, pts[-1])
+        arc = model.arc(img.arc)
+        # hop across the first vertex within bound/2 of the image, if any
+        # other arc meets there
+        neighbors = rng.randrange(4) == 0 and next(
+            (
+                model.across(arc, end)
+                for end in (0, 1)
+                if arc.stretch_hi * _from_end(end, img.t) < bound / 2
+            ),
+            [],
+        )
+        if neighbors:
+            other, oend = neighbors[rng.randrange(len(neighbors))]
+            u = Fraction(rng.randrange(0, NOISE_GRID), NOISE_GRID)
+            depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
+            pts.append(YPoint(other.id, _from_end(oend, depth)))
+        else:
+            jitter = _noise(rng, bound / arc.stretch_hi)
+            pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
+    return PseudoOrbit(tuple(pts), 0)
+
+
+def fraction_forward_fold(
+    g: PLHomeo, points, epsilon: Fraction
+) -> tuple[Fraction, Fraction] | None:
+    """``shadowing._forward_fold`` on ``Fraction``s, stepped by ``evaluate``."""
+    a, b = g.domain
+    for x in points:
+        a, b = max(evaluate(g, a), x - epsilon), min(evaluate(g, b), x + epsilon)
+        if a > b:
+            return None
+    return a, b
+
+
+def fraction_shadow_on_arcs(
+    model: YModel, g: YHomeo, orbit: PseudoOrbit, epsilon: Fraction, arcs
+) -> YPoint | None:
+    """``shadow_on_arcs`` on ``Fraction``s: the same ranking, projections,
+    fold and check, with every orbit point, fold end and checked point a
+    ``Fraction`` and the fold and check stepped by ``evaluate``."""
+    eps_sq = epsilon * epsilon
+    points = orbit.points
+    target = functools.cache(lambda i: model.embed(points[i]))
+
+    def project(arc: Arc, i: int) -> tuple[Fraction, Fraction]:
+        p = points[i]
+        return (p.t, Fraction(0)) if p.arc == arc.id else arc.nearest(target(i))
+
+    def verified(arc: Arc, fa: PLHomeo, y: Fraction) -> bool:
+        z = y
+        for i, p in enumerate(points):
+            if p.arc == arc.id:
+                d2 = dist2_pp(arc.embed(z), arc.embed(p.t))
+            else:
+                d2 = dist2_pp(arc.embed(z), target(i))
+            if d2 > eps_sq:
+                return False
+            z = evaluate(fa, z)
+        return True
+
+    ranked = sorted(((project(a, 0), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
+    for first, arc in ranked:
+        fa = g.map_for(arc.id)
+        proj: list[Fraction] = []
+        worst_d2 = Fraction(0)
+        for i in range(len(points)):
+            t, d2 = project(arc, i) if i else first
+            if d2 >= eps_sq:
+                break
+            proj.append(t)
+            worst_d2 = max(worst_d2, d2)
+        else:
+            y = proj[0]
+            eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
+            if eps_rem > 0:
+                s = fraction_forward_fold(invert(fa), reversed(proj), eps_rem / arc.stretch_hi)
+                if s is not None:
+                    y = (s[0] + s[1]) / 2
+            if verified(arc, fa, y):
+                return YPoint(arc.id, y)
+    return None
 
 
 def pullback_shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) -> ShadowingSet:

@@ -115,7 +115,7 @@ def test_every_parameter_is_read():
 
 
 # the math functions that take and return only integers (TypeError on a float)
-INTEGER_MATH = {"isqrt", "lcm"}
+INTEGER_MATH = {"gcd", "isqrt", "lcm"}
 
 
 def _float_uses(path: Path) -> list[str]:

@@ -15,7 +15,6 @@ from continua.continuum import (
     YHomeo,
     YModel,
     YPoint,
-    apply_map,
     build_arc_model,
     build_arcwise_map,
     check_arc_decomposition,
@@ -25,7 +24,7 @@ from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
-from conftest import identity_homeo, scan_arcs_at, scan_nearest, scan_sub_polyline
+from conftest import apply_map, identity_homeo, scan_arcs_at, scan_nearest, scan_sub_polyline
 
 
 class TestBuild:
@@ -258,13 +257,13 @@ class TestNearestAgainstScan:
 
     def test_projection_count_near_the_circle(self, monkeypatch):
         calls = []
-        project = continuum.project_point_segment
+        project = continuum._project_segment
 
         def counted(*args):
             calls.append(args)
             return project(*args)
 
-        monkeypatch.setattr(continuum, "project_point_segment", counted)
+        monkeypatch.setattr(continuum, "_project_segment", counted)
         arc = build_arc_model(2).arc("circle")
         rng = random.Random(7)
         worst = 0
@@ -394,6 +393,23 @@ class TestSelfMaps:
         m = build_arc_model(2)
         g = build_arcwise_map(m, 2)
         assert YHomeo.from_json(g.to_json()).arc_maps == g.arc_maps
+
+    def test_homeo_json_builds_each_distinct_map_once(self):
+        m = build_arc_model(3)
+        obj = build_arcwise_map(m, 2).to_json()
+        obj["arc_maps"]["v3"] = identity().to_json()
+        maps = YHomeo.from_json(obj).arc_maps
+        assert maps["v3"] == identity()
+        assert len({id(f) for f in maps.values()}) == 2
+
+    def test_equal_but_malformed_map_not_shared(self):
+        # JSON 0.0 equals 0 in Python, but a float is no pair component
+        good = {"domain": [[0, 1], [1, 1]], "breakpoints": [[0, 1], [1, 1]],
+                "values": [[0, 1], [1, 1]]}
+        bad = {**good, "domain": [[0.0, 1], [1, 1]]}
+        assert bad == good
+        with pytest.raises(ValueError, match="malformed PL map object"):
+            YHomeo.from_json({"arc_maps": {"circle": good, "h1": bad}})
 
 
 class TestStructureReport:

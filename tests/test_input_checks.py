@@ -110,6 +110,25 @@ CHECKS = {
         ValueError,
         "length must be >= 0",
     ),
+    "model orbit under a map off [0, 1]": (
+        lambda: generate_pseudo_orbit_y(
+            M1, YHomeo({a.id: identity(F(0), F(2)) for a in M1.arcs}), F(1, 10), 3,
+            YPoint("h1", F(1, 2)), 0,
+        ),
+        ModelError,
+        "arc map for 'circle' must live on",
+    ),
+    "arc search under a map off [0, 1]": (
+        lambda: shadow_on_arcs(
+            M1,
+            YHomeo({a.id: identity(F(0), F(2)) for a in M1.arcs}),
+            PseudoOrbit((YPoint("h1", F(1, 2)),), 0),
+            F(1, 10),
+            [M1.arc("h1")],
+        ),
+        ModelError,
+        "arc map for 'circle' must live on",
+    ),
     "trials < 1": (
         lambda: estimate_shadowing_modulus(identity(), F(1, 10), 0, 0),
         ValueError,

@@ -7,7 +7,8 @@ import io
 import random
 import re
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +45,7 @@ from continua.shadowing import (
     PseudoOrbit,
     Stub,
     _forward_fold,
+    _kernel_fold,
     _min_separation_sq,
     _neighborhood_pieces,
     _verified_arc_shadow,
@@ -64,6 +66,9 @@ from continua.shadowing import (
 from conftest import (
     edge_enriched_map,
     exact_orbit,
+    fraction_forward_fold,
+    fraction_pseudo_orbit_y,
+    fraction_shadow_on_arcs,
     identity_homeo,
     materialized_modulus,
     orbit_membership_oracle,
@@ -331,6 +336,19 @@ class TestLazyModulus:
         ):
             self.check(f, (F(1, 20), F(1, 29), F(3, 1000)), seeds=(1, 2))
 
+    def test_scale_stays_small_on_a_200_digit_explosion(self, monkeypatch):
+        # pieces whose γ has about 666 bits cover most of the domain: without
+        # the gcd, the scale would gain that many bits at each of 24 steps
+        f = explode_fixed_point(identity(), F(1, 2), F(1, 2) - F(1, 10**200), Orientation.R)
+        sizes = []
+        monkeypatch.setattr(
+            shadowing, "gcd", lambda *a: sizes.append(max(v.bit_length() for v in a)) or gcd(*a)
+        )
+        modulus = estimate_shadowing_modulus(f, F(1, 20), 10, 1)
+        monkeypatch.undo()
+        assert modulus == materialized_modulus(f, F(1, 20), 10, 1)
+        assert sizes and max(sizes) < 4 * 666
+
     def test_trial_decides_the_shadowing_set_of_its_orbit(self, monkeypatch):
         # deltas up to 16·epsilon make orbits that are empty from their
         # first step; starts 0 and 512 are clamped at lo and at hi
@@ -520,6 +538,34 @@ class TestFoldToIndexZero:
                 calls.clear()
                 assert not shadowing_set(f, orbit, F(1, 100)).is_empty
                 assert len(calls) <= 2 * k, (f, k, len(calls))
+
+
+class TestKernelFold:
+    """The fold on integer pairs gives the interval of the ``Fraction`` fold
+    it replaced, and the fold and the search's check both have closed
+    tolerances."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fold_cases())
+    def test_equals_fraction_fold(self, case):
+        f, orbit, eps = case
+        assert _forward_fold(f, orbit.points, eps) == fraction_forward_fold(f, orbit.points, eps)
+
+    def test_tubes_touching_at_one_point(self):
+        # [0, 1/10] and [1/10, 3/10] under the identity meet only at 1/10
+        eps = F(1, 10)
+        (a, b) = _kernel_fold(identity()._kernel, [(0, 1), (2, 10)], eps)
+        assert (F(*a), F(*b)) == (eps, eps)
+        assert _kernel_fold(identity()._kernel, [(0, 1), (201, 1000)], eps) is None
+
+    def test_check_at_exactly_epsilon(self):
+        # h1 of the one-tooth model runs from (-1, 0) to (1, 0), so
+        # parameters eps/2 apart are eps apart in the plane
+        arc = build_arc_model(1).arc("h1")
+        eps = F(1, 10)
+        for t, ok in ((F(1, 2) + eps / 2, True), (F(1, 2) + eps / 2 + F(1, 10**9), False)):
+            params = [(t.numerator, t.denominator)]
+            assert _verified_arc_shadow(arc, identity(), F(1, 2), params, None, eps) is ok
 
 
 class TestModelOrbits:
@@ -1047,3 +1093,117 @@ class TestOneCandidate:
         # the orbit visits the origin four times; each visit is one target
         occurs = collections.Counter(m.embed(p) for p in orbit.points)
         assert [key for key, n in counts.items() if n > occurs[key[1]]] == []
+
+
+@st.composite
+def sampler_cases(draw):
+    """(model, g, sampler, delta, epsilon, trials, seed): M from 1 to 5, a
+    map drawn per arc (ternary, edge-enriched, exploded at 3/2·2⁻ᵏ as in
+    the benchmark's G.json, or random), and deltas up to three epsilons,
+    so that searches miss as well as verify."""
+    model = build_arc_model(draw(st.integers(1, 5)))
+    maps = {}
+    for a in model.arcs:
+        kind = draw(st.sampled_from(["ternary", "enriched", "exploded", "random"]))
+        k = draw(st.integers(8, 17))
+        if kind == "ternary":
+            maps[a.id] = build_ternary_map(draw(st.integers(0, 3)))
+        elif kind == "enriched":
+            maps[a.id] = edge_enriched_map(draw(st.integers(1, 3)), F(1, 2**k))
+        elif kind == "exploded":
+            f = build_ternary_map(draw(st.integers(1, 3)))
+            maps[a.id] = explode_fixed_point(f, F(3, 2**(k + 1)), F(1, 2**(k + 1)), Orientation.L)
+        else:
+            maps[a.id] = random_plhomeo(random.Random(draw(st.integers(0, 2**32))))
+    eps = F(1, draw(st.integers(4, 40)))
+    delta = eps * F(draw(st.integers(1, 48)), 16)
+    sampler = draw(st.sampled_from(["certificate", "global"]))
+    arc = draw(st.sampled_from(model.arcs)).id
+    return model, YHomeo(maps), sampler, arc, delta, eps, draw(st.integers(0, 10**6))
+
+
+class TestIntegerPassAgainstFractionOracle:
+    """The integer pass gives the orbits and witnesses of the ``Fraction``
+    stepper and search it replaced (``conftest.fraction_pseudo_orbit_y`` and
+    ``fraction_shadow_on_arcs``): through the public functions, and trial by
+    trial inside both samplers, with each sampler's own start function."""
+
+    TRIALS = 4
+
+    def check(self, case) -> set[str]:
+        model, g, sampler, arc_id, delta, eps, seed = case
+        recorded = []
+        sampled = shadowing._sampled_failures
+
+        def recording(*args):
+            recorded.append(args)
+            return sampled(*args)
+
+        with mock.patch.object(shadowing, "_sampled_failures", recording):
+            if sampler == "certificate":
+                nb = InwardNeighborhood(arc_id, ())
+                cert = shadowing.QuasiAttractorCertificate(arc_id, eps, delta, delta, nb, delta, F(0))
+                fails = sample_certificate_soundness(model, g, cert, self.TRIALS, seed)
+            else:
+                fails = sample_global_soundness(model, g, delta, eps, self.TRIALS, seed)
+        [(_, _, delta_, eps_, trials, base, start, arcs)] = recorded
+        assert (delta_, eps_, trials) == (delta, eps, self.TRIALS)
+        seen = set()
+        expected_fails = []
+        for t in range(trials):
+            x0 = start(random.Random(base + t))
+            orbit = fraction_pseudo_orbit_y(model, g, delta, ORBIT_LENGTH, x0, base + t + 1)
+            assert generate_pseudo_orbit_y(model, g, delta, ORBIT_LENGTH, x0, base + t + 1) == orbit
+            witness = fraction_shadow_on_arcs(model, g, orbit, eps, arcs)
+            assert shadow_on_arcs(model, g, orbit, eps, arcs) == witness
+            if witness is None:
+                expected_fails.append(t)
+            seen.add("miss" if witness is None else "witness")
+            if any(p.arc != x0.arc for p in orbit.points):
+                seen.add("hop")
+            seen.add(f"{sampler} sampler")
+        assert fails == expected_fails
+        return seen
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(sampler_cases())
+    def test_same_orbits_and_witnesses(self, case):
+        self.check(case)
+
+    def test_cases_cover_misses_and_hops(self):
+        # edge-enriched maps at eta = 2^-15, as in certify, at a certificate
+        # delta and at a widened one; and a global search with mixed maps
+        m2 = build_arc_model(2)
+        g2 = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m2.arcs})
+        m5 = build_arc_model(5)
+        maps = [build_ternary_map(2), edge_enriched_map(3, F(1, 2**12)), identity()]
+        g5 = YHomeo({a.id: maps[i % 3] for i, a in enumerate(m5.arcs)})
+        # pieces whose γ has about 666 bits cover most of each arc: the gcd
+        # steps of the stepper, the fold and the check
+        m1 = build_arc_model(1)
+        huge = explode_fixed_point(identity(), F(1, 2), F(1, 2) - F(1, 10**200), Orientation.R)
+        g1 = YHomeo({a.id: huge for a in m1.arcs})
+        seen = set()
+        for case in [
+            (m2, g2, "certificate", "h2", F(1, 320), F(1, 10), 5),
+            (m2, g2, "certificate", "h2", F(1, 20), F(1, 10), 1),
+            (m5, g5, "global", "h1", F(1, 10), F(1, 16), 3),
+            (m5, g5, "global", "h1", F(1, 80), F(1, 10), 4),
+            (m1, g1, "global", "h1", F(1, 40), F(1, 10), 2),
+            (m1, g1, "certificate", "v1", F(1, 8), F(1, 10), 7),
+        ]:
+            seen |= self.check(case)
+        assert seen == {"miss", "witness", "hop", "certificate sampler", "global sampler"}
+
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_orbits_from_the_ends_of_every_arc(self, M):
+        # at a tooth tip no other arc meets, so a hop draw there jitters;
+        # jitters past either end are clamped
+        m = build_arc_model(M)
+        g = identity_homeo(m)
+        for a in m.arcs:
+            for t in (F(0), F(1)):
+                for seed in range(8):
+                    x0 = YPoint(a.id, t)
+                    expected = fraction_pseudo_orbit_y(m, g, F(1, 10), 12, x0, seed)
+                    assert generate_pseudo_orbit_y(m, g, F(1, 10), 12, x0, seed) == expected
