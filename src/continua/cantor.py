@@ -16,7 +16,9 @@ On top of that construction this module provides:
   subsequences, O(n log n) in the number n of wandering intervals (a
   right-to-left sweep with one monotone staircase per orientation, run on
   integer keys: every endpoint scaled by the lcm of the endpoint
-  denominators);
+  denominators).  The table of a map is built once and kept on the map
+  next to its cached wandering intervals, so repeated decisions on one
+  map only rescan it;
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual;
 * fixed-point explosions (planting a canonical generator inside an
@@ -247,6 +249,19 @@ def _chain_table(
     return d, lo.numerator * (d // lo.denominator), a, b, orient, fwd
 
 
+def _map_chain_table(
+    f: PLHomeo,
+) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
+    """``_chain_table`` over f's wandering intervals, built on first use
+    and kept on f next to its cached fixed set and wandering intervals.
+    Its readers do not change it."""
+    table = f.__dict__.get("_chain_table")
+    if table is None:
+        table = _chain_table(wandering_intervals(f), f.lo, f.hi)
+        object.__setattr__(f, "_chain_table", table)
+    return table
+
+
 def best_chain_quality(
     ivs: list[OrientedInterval], lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)
 ) -> Fraction | None:
@@ -254,7 +269,8 @@ def best_chain_quality(
 
     ``ivs`` must be sorted and pairwise disjoint (else ValueError).  None
     when there is no R interval to start a chain.  The minimum is taken over
-    the integer table; only the result is a ``Fraction``.
+    the integer table, built afresh for the list; only the result is a
+    ``Fraction``.
     """
     d, start, a, b, orient, fwd = _chain_table(ivs, lo, hi)
     if any(bi > ai for bi, ai in zip(b, a[1:])):
@@ -275,12 +291,12 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     (``lo`` before the first link), and its gap from b and best continuation
     both stay below ``epsilon``.  So each link is the earliest one that
     keeps the chain completable, and the chain grows while one remains.
-    The scan reads the integer table: x/d < p/q exactly when x·q < p·d.
+    The scan reads f's integer table, built on the first call and kept on
+    f: x/d < p/q exactly when x·q < p·d.
     """
     epsilon = positive(epsilon, "epsilon")
-    lo, hi = f.domain
     ivs = wandering_intervals(f)
-    d, end, a, b, orient, fwd = _chain_table(ivs, lo, hi)
+    d, end, a, b, orient, fwd = _map_chain_table(f)
     q, bound = epsilon.denominator, epsilon.numerator * d
     chain: list[OrientedInterval] = []
     want = Orientation.R
@@ -291,7 +307,7 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     if not chain:
         return None
     witness = ChainWitness(tuple(chain), epsilon)
-    assert witness.quality(lo, hi) < epsilon
+    assert witness.quality(*f.domain) < epsilon
     return witness
 
 

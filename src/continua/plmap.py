@@ -11,17 +11,27 @@ public way to build a map; ``from_json`` and every other module go through
 it.  Inside this module, results that are canonical by construction (an
 inverse, a pruned composition) are wrapped by ``_trusted`` without being
 checked again.  Every map carries its per-piece slopes (read by
-``max_slope``, ``compose``, ``c0_distance`` and the kernel): the
-constructor computes them, ``compose`` gets them from its walk, and
-``invert`` takes the reciprocals.  Slopes built from the same integer
-pair share one Fraction, so a map's few distinct slopes take little
-memory.  Each map also caches, on first use, its integer evaluation
-kernel (read by ``evaluate`` and by the integer passes of ``shadowing``:
-the sampled modulus's trials, the model-orbit stepper, and the search's
-fold and check), its inverse (returned by ``invert``), and
-its fixed set and wandering intervals, found together in one walk over
-the breakpoints (copied out by ``fixed_set`` and
-``wandering_intervals``).  The kernel
+``max_slope`` and the kernel): the constructor computes them, ``compose``
+gets them from its walk, and ``invert`` takes the reciprocals.  Slopes
+built from the same integer pair share one Fraction, so a map's few
+distinct slopes take little memory.
+
+Every map also has one integer form, ``_ints``: int tuples of the
+numerators and denominators, in lowest terms, of its breakpoints, values
+and slopes.  ``compose`` fills it for its result from the integers its
+walk holds, ``invert`` swaps the tuples of the map it inverts, and a map
+from the constructor fills it on first use from its Fractions.
+``compose``, ``c0_distance`` (both merge walks) and the fixed-set walk
+read it and no Fraction per point: they order abscissae, interpolate and
+take signs by cross-multiplying pairs.  There is no common scale, so no
+integer they form grows with the number of distinct denominators.
+
+Each map also caches, on first use, its integer evaluation kernel (read
+by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
+modulus's trials, the model-orbit stepper, and the search's fold and
+check), its inverse (returned by ``invert``), and its fixed set and
+wandering intervals, found together in one walk over the breakpoints
+(copied out by ``fixed_set`` and ``wandering_intervals``).  The kernel
 scales the breakpoints by d, the lcm of their denominators, to integer
 keys, and writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers
 α, β, γ, so one evaluation locates its piece by integer comparisons and
@@ -158,13 +168,28 @@ class PLHomeo:
         return d, tuple(x.numerator * (d // x.denominator) for x in xs), tuple(pieces)
 
     @cached_property
+    def _ints(self) -> tuple[tuple[int, ...], ...]:
+        # (xn, xd, yn, yd, sn, sd): the numerators and denominators of the
+        # breakpoints, values and slopes, in lowest terms
+        xs, ys, ss = self.breakpoints, self.values, self._slopes
+        return (
+            tuple(x.numerator for x in xs),
+            tuple(x.denominator for x in xs),
+            tuple(y.numerator for y in ys),
+            tuple(y.denominator for y in ys),
+            tuple(s.numerator for s in ss),
+            tuple(s.denominator for s in ss),
+        )
+
+    @cached_property
     def _inverse(self) -> "PLHomeo":
         # Swapping the lists keeps them canonical: two adjacent slopes are
-        # equal exactly where their reciprocals are.  The inverse does not
-        # point back at self.
-        made: dict[tuple[int, int], Fraction] = {}
-        slopes = tuple(_shared(made, s.denominator, s.numerator) for s in self._slopes)
-        return _trusted(self.values, self.breakpoints, slopes)
+        # equal exactly where their reciprocals are.  The inverse shares
+        # self's integer tuples, swapped, and does not point back at self.
+        xn, xd, yn, yd, sn, sd = self._ints
+        made: dict[tuple[int, int], tuple[Fraction, int, int]] = {}
+        slopes = tuple(_shared(made, d, n)[0] for n, d in zip(sn, sd))
+        return _trusted(self.values, self.breakpoints, slopes, (yn, yd, xn, xd, sd, sn))
 
     @cached_property
     def _structure(
@@ -195,12 +220,16 @@ class PLHomeo:
         return f
 
 
-def _shared(made: dict[tuple[int, int], Fraction], n: int, d: int) -> Fraction:
-    """n/d, built once per distinct pair recorded in ``made``: a map's
-    slopes take few distinct values, so its pieces share the objects."""
+def _shared(
+    made: dict[tuple[int, int], tuple[Fraction, int, int]], n: int, d: int
+) -> tuple[Fraction, int, int]:
+    """n/d with its numerator and denominator in lowest terms, built once
+    per distinct pair recorded in ``made``: a map's slopes take few
+    distinct values, so its pieces share the objects."""
     s = made.get((n, d))
     if s is None:
-        s = made[n, d] = Fraction(n, d)
+        q = Fraction(n, d)
+        s = made[n, d] = (q, q.numerator, q.denominator)
     return s
 
 
@@ -208,13 +237,15 @@ def _trusted(
     breakpoints: tuple[Fraction, ...],
     values: tuple[Fraction, ...],
     slopes: tuple[Fraction, ...],
+    ints: tuple[tuple[int, ...], ...],
 ) -> PLHomeo:
-    """Wrap canonical tuples of Fractions and the per-piece slopes as a
-    map, skipping validation."""
+    """Wrap canonical tuples of Fractions, the per-piece slopes and their
+    integer form as a map, skipping validation."""
     f = object.__new__(PLHomeo)
     object.__setattr__(f, "breakpoints", breakpoints)
     object.__setattr__(f, "values", values)
     object.__setattr__(f, "_slopes", slopes)
+    object.__setattr__(f, "_ints", ints)
     return f
 
 
@@ -252,102 +283,111 @@ def invert(f: PLHomeo) -> PLHomeo:
     return f._inverse
 
 
-def _walk(ax, bx):
-    """(i, j, side) for each t of ax ∪ bx, in increasing order.
+def _merge(an, ad, bn, bd):
+    """(i, j, side) for each t of a ∪ b, in increasing order.
 
-    Both abscissa lists hold Fractions, strictly increasing with common
-    ends.  side 0: t = ax[i] = bx[j].  side 1: t = ax[i] lies strictly
-    inside b's piece j - 1.  side 2: t = bx[j] lies strictly inside a's
-    piece i - 1.  So the piece left of t is (i - 1, j - 1) in both lists.
-    Abscissae are ordered by cross-multiplying their integer numerators
-    and denominators; no Fraction is built.
+    an/ad and bn/bd hold the numerators and denominators of two strictly
+    increasing abscissa lists with common ends.  side 0: t = a[i] = b[j].
+    side 1: t = a[i] lies strictly inside b's piece j - 1.  side 2:
+    t = b[j] lies strictly inside a's piece i - 1.  So the piece left of t
+    is (i - 1, j - 1) in both lists.  Abscissae are ordered by
+    cross-multiplying; no Fraction is built.
     """
     i = j = 0
-    last = len(ax) - 1
-    an, ad = ax[0].numerator, ax[0].denominator
-    bn, bd = bx[0].numerator, bx[0].denominator
+    last = len(an) - 1
     while True:
-        left, right = an * bd, bn * ad
+        left, right = an[i] * bd[j], bn[j] * ad[i]
         if left == right:
             yield i, j, 0
             if i == last:
                 return
             i += 1
             j += 1
-            an, ad = ax[i].numerator, ax[i].denominator
-            bn, bd = bx[j].numerator, bx[j].denominator
         elif left < right:
             yield i, j, 1
             i += 1
-            an, ad = ax[i].numerator, ax[i].denominator
         else:
             yield i, j, 2
             j += 1
-            bn, bd = bx[j].numerator, bx[j].denominator
-
-
-def _lerp(x0: Fraction, y0: Fraction, s: Fraction, t: Fraction, flip: bool) -> tuple[int, int]:
-    """y0 + (t − x0)·s, or y0 + (t − x0)/s when flip, as an integer
-    numerator and positive denominator, not reduced."""
-    sn, sd = (s.denominator, s.numerator) if flip else (s.numerator, s.denominator)
-    xn, xd = x0.numerator, x0.denominator
-    yn, yd = y0.numerator, y0.denominator
-    tn, td = t.numerator, t.denominator
-    m = xd * td * sd
-    return yn * m + yd * (tn * xd - xn * td) * sn, yd * m
 
 
 def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """Exact composition f∘g (first g, then f).
 
-    One merge walk in g's value space, of g⁻¹ (g's lists swapped) against
-    f: each value u of g or breakpoint of f yields the breakpoint g⁻¹(u)
-    with value f(u).  So the result has g's breakpoints and the
-    g-preimages of f's breakpoints, and every merged piece is affine with
-    slope f'·g', the product of two cached slopes.  A point is dropped
-    when the products on its two sides are equal, compared as integers
-    before any coordinate is interpolated.  A kept point's interpolated
-    coordinate is one integer numerator over one integer denominator, so
-    the walk builds one Fraction per interpolated coordinate and at most
-    one per output slope; it leaves the slopes cached on the result.
-    O(len(f) + len(g)) operations; no inverse is built.
+    One merge walk in g's value space, of g⁻¹ (g's integer lists swapped,
+    with reciprocal slopes) against f: each value u of g or breakpoint of
+    f yields the breakpoint g⁻¹(u) with value f(u).  So the result has g's
+    breakpoints and the g-preimages of f's breakpoints, and every merged
+    piece is affine with slope f'·g', the product of two cached slopes.  A
+    point is dropped when the products on its two sides are equal,
+    compared as integers before any coordinate is interpolated.  A kept
+    point's interpolated coordinate y0 + (t − x0)·s is one integer
+    numerator over one integer denominator, so the walk builds one
+    Fraction per interpolated coordinate and at most one per output slope.
+    It leaves the slopes and the integer form on the result, read from the
+    integers it holds.  O(len(f) + len(g)) operations; no inverse is built.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
-    gx, gu, gs = g.breakpoints, g.values, g._slopes
-    fu, fy, fs = f.breakpoints, f.values, f._slopes
-    xs, ys, slopes = [gx[0]], [fy[0]], []
-    made: dict[tuple[int, int], Fraction] = {}
-    last = len(gu) - 1
-    steps = _walk(gu, fu)
+    gx, fy = g.breakpoints, f.values
+    gxn, gxd, gun, gud, gsn, gsd = g._ints
+    fun, fud, fyn, fyd, fsn, fsd = f._ints
+    xs, xn, xd = [gx[0]], [gxn[0]], [gxd[0]]
+    ys, yn, yd = [fy[0]], [fyn[0]], [fyd[0]]
+    # (slope, numerator, denominator) per output piece, one triple per
+    # distinct unreduced product
+    slopes = []
+    made: dict[tuple[int, int], tuple[Fraction, int, int]] = {}
+    last = len(gun) - 1
+    steps = _merge(gun, gud, fun, fud)
     next(steps)
     # slope of the output piece that ends at the next kept point
-    cn = fs[0].numerator * gs[0].numerator
-    cd = fs[0].denominator * gs[0].denominator
+    cn, cd = fsn[0] * gsn[0], fsd[0] * gsd[0]
     for i, j, side in steps:
         if i == last and side == 0:
             break
         # the piece right of this point, in g's and in f's lists
         gi = i - 1 if side == 2 else i
         fj = j - 1 if side == 1 else j
-        sf, sg = fs[fj], gs[gi]
-        rn, rd = sf.numerator * sg.numerator, sf.denominator * sg.denominator
+        rn, rd = fsn[fj] * gsn[gi], fsd[fj] * gsd[gi]
         if rn * cd == cn * rd:
             continue
         if side == 2:
-            xs.append(Fraction(*_lerp(gu[i - 1], gx[i - 1], gs[i - 1], fu[j], True)))
+            # g⁻¹(u) on g⁻¹'s piece k, whose slope is gsd/gsn, at u = f's breakpoint j
+            k, tn, td = i - 1, fun[j], fud[j]
+            m = gud[k] * td * gsn[k]
+            x = Fraction(gxn[k] * m + gxd[k] * (tn * gud[k] - gun[k] * td) * gsd[k], gxd[k] * m)
+            xs.append(x)
+            xn.append(x.numerator)
+            xd.append(x.denominator)
         else:
             xs.append(gx[i])
+            xn.append(gxn[i])
+            xd.append(gxd[i])
         if side == 1:
-            ys.append(Fraction(*_lerp(fu[j - 1], fy[j - 1], fs[j - 1], gu[i], False)))
+            # f(u) on f's piece k, at u = g's value i
+            k, tn, td = j - 1, gun[i], gud[i]
+            m = fud[k] * td * fsd[k]
+            y = Fraction(fyn[k] * m + fyd[k] * (tn * fud[k] - fun[k] * td) * fsn[k], fyd[k] * m)
+            ys.append(y)
+            yn.append(y.numerator)
+            yd.append(y.denominator)
         else:
             ys.append(fy[j])
+            yn.append(fyn[j])
+            yd.append(fyd[j])
         slopes.append(_shared(made, cn, cd))
         cn, cd = rn, rd
     xs.append(gx[-1])
+    xn.append(gxn[-1])
+    xd.append(gxd[-1])
     ys.append(fy[-1])
+    yn.append(fyn[-1])
+    yd.append(fyd[-1])
     slopes.append(_shared(made, cn, cd))
-    return _trusted(tuple(xs), tuple(ys), tuple(slopes))
+    ss, sn, sd = zip(*slopes)
+    ints = tuple(xn), tuple(xd), tuple(yn), tuple(yd), sn, sd
+    return _trusted(tuple(xs), tuple(ys), ss, ints)
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -364,29 +404,41 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
 
     The difference of two PL maps is PL, so each sup is attained on the
     merged breakpoint lists: one merge walk of f against g, and one of the
-    swapped (values, breakpoints) lists with reciprocal slopes, so neither
-    inverse is built.  At each merged point one map gives a stored value
-    and the other a stored or interpolated one; their difference and the
-    running maximum are kept as integer numerator/denominator pairs, and
-    the one Fraction is built at the end.  O(len(f) + len(g)) operations.
+    swapped integer lists with swapped slope numerators and denominators,
+    so neither inverse is built.  At each merged point one map gives a
+    stored value and the other a stored or interpolated one; their
+    difference and the running maximum are kept as integer
+    numerator/denominator pairs, and the one Fraction is built at the end.
+    O(len(f) + len(g)) operations.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
-    fs, gs = f._slopes, g._slopes
+    fxn, fxd, fyn, fyd, fsn, fsd = f._ints
+    gxn, gxd, gyn, gyd, gsn, gsd = g._ints
     top_n, top_d = 0, 1
-    for ax, ay, bx, by, flip in (
-        (f.breakpoints, f.values, g.breakpoints, g.values, False),
-        (f.values, f.breakpoints, g.values, g.breakpoints, True),
+    for a, b in (
+        ((fxn, fxd, fyn, fyd, fsn, fsd), (gxn, gxd, gyn, gyd, gsn, gsd)),
+        ((fyn, fyd, fxn, fxd, fsd, fsn), (gyn, gyd, gxn, gxd, gsd, gsn)),
     ):
-        for i, j, side in _walk(ax, bx):
+        axn, axd, ayn, ayd, asn, asd = a
+        bxn, bxd, byn, byd, bsn, bsd = b
+        for i, j, side in _merge(axn, axd, bxn, bxd):
+            # a and b at t, each as y0 + (t − x0)·s on the piece k holding t
+            # when t is not its own breakpoint
             if side == 2:
-                pn, pd = _lerp(ax[i - 1], ay[i - 1], fs[i - 1], bx[j], flip)
+                k, tn, td = i - 1, bxn[j], bxd[j]
+                m = axd[k] * td * asd[k]
+                pn = ayn[k] * m + ayd[k] * (tn * axd[k] - axn[k] * td) * asn[k]
+                pd = ayd[k] * m
             else:
-                pn, pd = ay[i].numerator, ay[i].denominator
+                pn, pd = ayn[i], ayd[i]
             if side == 1:
-                qn, qd = _lerp(bx[j - 1], by[j - 1], gs[j - 1], ax[i], flip)
+                k, tn, td = j - 1, axn[i], axd[i]
+                m = bxd[k] * td * bsd[k]
+                qn = byn[k] * m + byd[k] * (tn * bxd[k] - bxn[k] * td) * bsn[k]
+                qd = byd[k] * m
             else:
-                qn, qd = by[j].numerator, by[j].denominator
+                qn, qd = byn[j], byd[j]
             n, d = abs(pn * qd - qn * pd), pd * qd
             if n * top_d > top_n * d:
                 top_n, top_d = n, d
@@ -399,27 +451,34 @@ def _fixed_and_wandering(
     """f's fixed set and wandering intervals, in one walk over its pieces.
 
     On each affine piece the displacement d = f(x) - x is affine, so its
-    zero set is empty, a point, or the whole piece; exact arithmetic
-    decides which.  A piece with d = 0 at both ends extends the current
+    zero set is empty, a point, or the whole piece.  The sign of d at a
+    breakpoint x = p/q with value y = r/e is that of r·q − p·e, read from
+    f's integer form.  A piece with d = 0 at both ends extends the current
     fixed component.  Otherwise a root at the piece's right end, or
     strictly inside it where d changes sign, closes the wandering interval
     from the current component to the root and opens a new component
-    there.  d keeps one sign between consecutive roots, so the piece's
-    left end lies in that interval and its d gives the orientation.
+    there.  The inside root of a piece from (x0, y0) with slope s is
+    (x0·s − y0)/(s − 1), one Fraction built from integers.  d keeps one
+    sign between consecutive roots, so the piece's left end lies in that
+    interval and its sign gives the orientation.
     """
-    xs, ys = f.breakpoints, f.values
+    xs = f.breakpoints
+    xn, xd, yn, yd, sn, sd = f._ints
     fixed = [(xs[0], xs[0])]
     wandering: list[OrientedInterval] = []
-    d1 = ys[0] - xs[0]
+    d1 = 0  # lo is fixed
     for i in range(1, len(xs)):
-        d0, d1 = d1, ys[i] - xs[i]
+        d0, d1 = d1, yn[i] * xd[i] - xn[i] * yd[i]
         if d1 == 0:
             if d0 == 0:
                 fixed[-1] = (fixed[-1][0], xs[i])
                 continue
             root = xs[i]
         elif d0 != 0 and (d0 < 0) != (d1 < 0):
-            root = xs[i - 1] + d0 / (d0 - d1) * (xs[i] - xs[i - 1])
+            k = i - 1
+            root = Fraction(
+                xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k], xd[k] * yd[k] * (sn[k] - sd[k])
+            )
         else:
             continue
         tag = Orientation.R if d0 > 0 else Orientation.L

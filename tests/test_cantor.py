@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from continua import cantor
 from continua.cantor import (
     ChainWitness,
     ConjugacyReport,
@@ -402,6 +403,41 @@ class TestOneScanAgainstTwoLoops:
     @pytest.mark.parametrize("levels", [7, 8, 9, 10])
     def test_conjugates(self, levels):
         assert_same_witnesses(ternary_conjugate(levels))
+
+
+class TestChainTableCache:
+    """check_chain_property builds a map's chain table once and keeps it
+    on the map."""
+
+    def test_two_decisions_build_one_table(self, monkeypatch):
+        g = ternary_conjugate(7)
+        q = best_chain_quality(wandering_intervals(g))
+        built = []
+
+        def counting(ivs, lo, hi):
+            built.append(len(ivs))
+            return _chain_table(ivs, lo, hi)
+
+        monkeypatch.setattr(cantor, "_chain_table", counting)
+        assert check_chain_property(g, q) is None
+        witness = check_chain_property(g, q + q / 1000)
+        assert built == [len(wandering_intervals(g))]
+        assert witness == two_loop_chain_property(g, q + q / 1000)
+        assert witness.quality() == q
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_cached_table_equals_a_fresh_one(self, domain):
+        for f in (*canonical_maps(domain), rescale(ternary_conjugate(7), domain)):
+            for eps in oracle_epsilons(f):
+                assert check_chain_property(f, eps) == two_loop_chain_property(f, eps)
+            assert f.__dict__["_chain_table"] == _chain_table(wandering_intervals(f), *f.domain)
+
+    def test_each_map_keeps_its_own_table(self):
+        f, g = build_ternary_map(3), build_ternary_map(4)
+        eps = F(1, 30)
+        assert check_chain_property(f, eps) is None
+        assert check_chain_property(g, eps) is not None
+        assert check_chain_property(f, eps) is None
 
 
 class TestBuildConjugacy:

@@ -1,6 +1,7 @@
 """Exact algebra of PL interval homeomorphisms."""
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
@@ -586,6 +587,205 @@ class TestIntegerWalk:
         g = rescale(build_ternary_map(2), (F(-3, 2), F(5, 7)))
         for a, b in ((f, g), (g, f), (f, invert(g)), (g, identity(F(-3, 2), F(5, 7)))):
             check_walks(a, b)
+
+
+def fraction_ints(f: PLHomeo) -> tuple[tuple[int, ...], ...]:
+    """f's integer form read from its Fractions."""
+    slopes = uncached_slopes(f)
+    return tuple(
+        tuple(getattr(q, part) for q in qs)
+        for qs in (f.breakpoints, f.values, slopes)
+        for part in ("numerator", "denominator")
+    )
+
+
+def check_ints(*maps: PLHomeo) -> None:
+    """Each map, its inverse and the inverse of that carry the integer
+    form of their Fractions; the inverses get it from the swap."""
+    for f in maps:
+        assert f._ints == fraction_ints(f)
+        for g in (invert(f), invert(invert(f))):
+            assert "_ints" in g.__dict__
+            assert g._ints == fraction_ints(g)
+
+
+def off_unit_maps() -> list[PLHomeo]:
+    """Maps on (−3/2, 5/7), where breakpoints have negative numerators."""
+    dom = (F(-3, 2), F(5, 7))
+    rng = random.Random(121)
+    maps = [canonical_r(*dom), canonical_l(*dom), rescale(build_ternary_map(3), dom)]
+    maps += [rescale(random_touching_map(rng, 12), dom) for _ in range(4)]
+    maps += [rescale(random_fat_map(rng, 5), dom) for _ in range(4)]
+    return maps + [compose(f, g) for f in maps[:4] for g in maps[4:]]
+
+
+def ternary_conjugates(levels: int) -> list[PLHomeo]:
+    """The depth-``levels`` ternary map, A⁻¹, f∘A⁻¹, A∘f∘A⁻¹ and the
+    round trip through its inverse."""
+    f = build_ternary_map(levels)
+    A = random_coordinate_change(random.Random(levels))
+    inner = compose(f, invert(A))
+    g = compose(A, inner)
+    return [f, invert(A), inner, g, compose(g, invert(g))]
+
+
+class TestIntegerForm:
+    """The integer form of every map equals the pairs read from its
+    Fractions, whoever filled it."""
+
+    @algebra_settings
+    @given(walk_maps())
+    def test_constructor_fills_on_first_use(self, f):
+        g = PLHomeo(f.breakpoints, f.values)
+        assert "_ints" not in g.__dict__
+        check_ints(g)
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_compose_fills_its_result(self, f, g):
+        for h in (compose(f, g), compose(g, invert(f)), compose(f, invert(f))):
+            assert "_ints" in h.__dict__
+            check_ints(h)
+
+    @algebra_settings
+    @given(sharing_pairs())
+    def test_shared_breakpoints(self, pair):
+        f, g = pair
+        check_ints(f, g, compose(f, g), compose(g, invert(f)), compose(invert(g), invert(f)))
+
+    @walk_settings
+    @given(st.integers(0, 2**32))
+    def test_touching_maps(self, seed):
+        rng = random.Random(seed)
+        f, g = random_touching_map(rng, 12), random_touching_map(rng, 12)
+        check_ints(f, g, compose(f, g), compose(f, invert(g)))
+
+    @pytest.mark.parametrize("levels", [7, 8, 9, 10])
+    def test_deep_conjugates(self, levels):
+        check_ints(*ternary_conjugates(levels))
+
+    def test_negative_numerators(self):
+        maps = off_unit_maps()
+        assert any(x.numerator < 0 for f in maps for x in f.breakpoints[1:-1])
+        check_ints(*maps)
+
+
+def check_fixed_set_walk(*maps: PLHomeo) -> None:
+    """The fixed-set walk on each map and on its inverse equals the
+    merged-zero-set and midpoint oracles."""
+    for f in maps:
+        for g in (f, invert(f)):
+            assert fixed_set(g) == merged_fixed_set(g)
+            assert wandering_intervals(g) == midpoint_wandering_intervals(g)
+
+
+class TestIntegerFixedSetWalk:
+    """The fixed-set walk on the integer form against the Fraction oracles."""
+
+    @algebra_settings
+    @given(sharing_pairs())
+    def test_shared_breakpoints(self, pair):
+        f, g = pair
+        check_fixed_set_walk(f, g, compose(f, g), compose(g, invert(f)))
+
+    def test_touching_maps(self):
+        rng = random.Random(122)
+        maps = [random_touching_map(rng, 12) for _ in range(60)]
+        touching = sum(
+            any(u.b == v.a for u, v in zip(ivs, ivs[1:]))
+            for ivs in map(wandering_intervals, maps)
+        )
+        assert touching >= 20
+        check_fixed_set_walk(*maps, *(compose(f, g) for f, g in zip(maps, maps[1:])))
+
+    @pytest.mark.parametrize("levels", [7, 8, 9, 10])
+    def test_deep_conjugates(self, levels):
+        check_fixed_set_walk(*ternary_conjugates(levels))
+
+    def test_negative_numerators(self):
+        check_fixed_set_walk(*off_unit_maps())
+
+    def test_isolated_touching_fixed_points(self):
+        R, L = Orientation.R, Orientation.L
+        half = F(1, 2)
+        for o1, o2 in ((R, R), (R, L), (L, R), (L, L)):
+            # generators on [0, 1/2] and [1/2, 1], touching at 1/2
+            x1, y1 = plmap._generator_points(F(0), half, o1)
+            x2, y2 = plmap._generator_points(half, F(1), o2)
+            f = PLHomeo(x1 + x2[1:], y1 + y2[1:])
+            assert fixed_set(f) == [(0, 0), (half, half), (1, 1)]
+            assert [(iv.a, iv.b, iv.orientation) for iv in wandering_intervals(f)] == [
+                (0, half, o1), (half, 1, o2)]
+            check_fixed_set_walk(f, rescale(f, (F(-3, 2), F(5, 7))))
+
+    def test_interior_sign_changes(self):
+        # d = f(x) − x is 1/4 at 1/4 and −1/8 at 3/4: the piece between,
+        # of slope 1/4, crosses the diagonal at (1/4·1/4 − 1/2)/(1/4 − 1) = 7/12
+        f = PLHomeo((F(0), F(1, 4), F(3, 4), F(1)), (F(0), F(1, 2), F(5, 8), F(1)))
+        assert fixed_set(f) == [(0, 0), (F(7, 12), F(7, 12)), (1, 1)]
+        assert [(iv.a, iv.b, iv.orientation) for iv in wandering_intervals(f)] == [
+            (0, F(7, 12), Orientation.R), (F(7, 12), 1, Orientation.L)]
+        # upward across the diagonal on a piece of slope 5/2, downward on
+        # one of slope 1/4
+        g = PLHomeo(
+            (F(0), F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1)),
+            (F(0), F(1, 10), F(3, 5), F(13, 20), F(7, 10), F(1)),
+        )
+        assert [(iv.a, iv.b, iv.orientation) for iv in wandering_intervals(g)] == [
+            (0, F(4, 15), Orientation.L),
+            (F(4, 15), F(2, 3), Orientation.R),
+            (F(2, 3), 1, Orientation.L),
+        ]
+        dom = (F(-3, 2), F(5, 7))
+        check_fixed_set_walk(f, g, rescale(f, dom), rescale(g, dom))
+
+
+def seven_digit_primes(count: int) -> list[int]:
+    """The first ``count`` primes above 10^6, by a sieve of that segment."""
+    lo, width = 10**6, 20 * count
+    sieve = bytearray([1]) * width
+    for p in range(2, math.isqrt(lo + width) + 1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            sieve[-lo % p::p] = bytes(len(range(-lo % p, width, p)))
+    primes = [lo + k for k in range(width) if sieve[k]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def prime_denominator_map(xp: list[int], yp: list[int], shift: int) -> PLHomeo:
+    """A map on [0, 1] whose interior breakpoints and values have the
+    distinct prime denominators ``xp`` and ``yp``: x_i just below i/n and
+    y_i just below (i + e_i/3)/n, with e_i in {−1, 0, 1} changing every
+    few points, so f − id changes sign often."""
+    n = len(xp) + 1
+    xs = [F(p * i // n, p) for i, p in enumerate(xp, 1)]
+    ys = [F(q * (3 * i + (i // (7 + shift) + shift) % 3 - 1) // (3 * n), q) for i, q in enumerate(yp, 1)]
+    assert all(x.denominator == p for x, p in zip(xs, xp))
+    assert all(y.denominator == q for y, q in zip(ys, yp))
+    return PLHomeo((F(0), *xs, F(1)), (F(0), *ys, F(1)))
+
+
+class TestNoGlobalScale:
+    """On maps whose 2000 breakpoints and values have distinct 7-digit
+    prime denominators, so that one common scale of either list would have
+    about 12000 digits, the walks equal the Fraction oracles and build no
+    evaluation kernel."""
+
+    def test_prime_denominator_maps(self):
+        primes = seven_digit_primes(4 * 1998)
+        f = prime_denominator_map(primes[0:1998], primes[1998:3996], 0)
+        g = prime_denominator_map(primes[3996:5994], primes[5994:7992], 1)
+        assert len(f.breakpoints) == len(g.breakpoints) == 2000
+        h = compose(f, g)
+        ref = fraction_walk_compose(f, g)
+        assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+        assert h._ints == fraction_ints(h)
+        assert c0_distance(f, g) == fraction_walk_c0_distance(f, g)
+        for m in (f, g):
+            ivs = wandering_intervals(m)
+            assert len(ivs) > 100
+            assert ivs == midpoint_wandering_intervals(m)
+        assert "_kernel" not in f.__dict__ and "_kernel" not in g.__dict__
 
 
 class TestSlopeCaches:
