@@ -18,9 +18,9 @@ On top of that construction this module provides:
   integer keys: every endpoint scaled by the lcm of the endpoint
   denominators).  The table of a map is built once and kept on the map
   next to its cached wandering intervals, so repeated decisions on one
-  map only rescan it;
+  map only rescan it, and the threshold of a ternary map is read from it;
 * greedy inductive conjugacy building against the ternary template, with
-  an exact residual;
+  an exact residual; it compares interval widths on the same table's keys;
 * fixed-point explosions (planting a canonical generator inside an
   interval of fixed points) and the densification routine that plants
   alternating chains until the property holds.
@@ -272,9 +272,19 @@ def best_chain_quality(
     the integer table, built afresh for the list; only the result is a
     ``Fraction``.
     """
-    d, start, a, b, orient, fwd = _chain_table(ivs, lo, hi)
+    table = _chain_table(ivs, lo, hi)
+    a, b = table[2:4]
     if any(bi > ai for bi, ai in zip(b, a[1:])):
         raise ValueError("wandering intervals must be sorted and pairwise disjoint")
+    return _table_optimum(table)
+
+
+def _table_optimum(
+    table: tuple[int, int, list[int], list[int], list[Orientation], list[int]],
+) -> Fraction | None:
+    """The least quality of a chain, read from a chain table, or None when
+    no R interval starts one."""
+    d, start, a, _, orient, fwd = table
     best = min(
         (max(ai - start, rest) for ai, o, rest in zip(a, orient, fwd) if o is Orientation.R),
         default=None,
@@ -292,22 +302,26 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     both stay below ``epsilon``.  So each link is the earliest one that
     keeps the chain completable, and the chain grows while one remains.
     The scan reads f's integer table, built on the first call and kept on
-    f: x/d < p/q exactly when x·q < p·d.
+    f: x/d < p/q exactly when x·q < p·d.  The closing check recomputes the
+    witness's quality from the table's keys of the chosen links.
     """
     epsilon = positive(epsilon, "epsilon")
     ivs = wandering_intervals(f)
-    d, end, a, b, orient, fwd = _map_chain_table(f)
+    d, start, a, b, orient, fwd = _map_chain_table(f)
     q, bound = epsilon.denominator, epsilon.numerator * d
-    chain: list[OrientedInterval] = []
-    want = Orientation.R
-    for iv, o, ak, bk, rest in zip(ivs, orient, a, b, fwd):
-        if o is want and (not chain or ak > end) and max(ak - end, rest) * q < bound:
-            chain.append(iv)
-            end, want = bk, want.flipped()
-    if not chain:
+    links: list[int] = []
+    end, want = start, Orientation.R
+    for k, (o, ak, rest) in enumerate(zip(orient, a, fwd)):
+        if o is want and (not links or ak > end) and max(ak - end, rest) * q < bound:
+            links.append(k)
+            end, want = b[k], want.flipped()
+    if not links:
         return None
-    witness = ChainWitness(tuple(chain), epsilon)
-    assert witness.quality(*f.domain) < epsilon
+    witness = ChainWitness(tuple(ivs[k] for k in links), epsilon)
+    top = f.hi.numerator * (d // f.hi.denominator)
+    margins = [a[links[0]] - start, top - b[links[-1]]]
+    margins += [a[k] - b[j] for j, k in zip(links, links[1:])]
+    assert max(margins) * q < bound
     return witness
 
 
@@ -315,11 +329,11 @@ def chain_property_threshold(levels: int) -> Fraction:
     """Infimum tolerance above which the depth-``levels`` map has a witness.
 
     Computed by the exact minimax search over all alternating subsequences
-    of its wandering intervals; the infimum is attained, so the property
-    holds exactly for tolerances strictly above the returned value.
+    of its wandering intervals, read from the map's kept table; the infimum
+    is attained, so the property holds exactly for tolerances strictly
+    above the returned value.
     """
-    f = build_ternary_map(levels)
-    best = best_chain_quality(wandering_intervals(f))
+    best = _table_optimum(_map_chain_table(build_ternary_map(levels)))
     assert best is not None
     return best
 
@@ -363,52 +377,50 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     round k matches, inside each gap created so far, the widest interval of
     the level-(k-1) orientation (R for even level, L for odd) to the unique
     template interval of that level in the corresponding template gap.
-    Ties break leftmost.  Raises InsufficientIntervals when a gap offers no
-    admissible interval.
+    Ties break leftmost.  Gaps and widths are taken on the integer keys of
+    the chain table kept on g.  Raises InsufficientIntervals when a gap
+    offers no admissible interval.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
     if g.domain != (Fraction(0), Fraction(1)):
         raise DomainError(f"conjugacy building expects maps on [0, 1], got [{g.lo}, {g.hi}]")
     # sorted and disjoint, so the intervals inside a gap form one index
-    # range of both endpoint lists
+    # range of both endpoint key lists of the table kept on g; a width is
+    # b − a over the table's scale d
     ivs = wandering_intervals(g)
-    starts = [iv.a for iv in ivs]
-    ends = [iv.b for iv in ivs]
-    widths = [iv.width for iv in ivs]
+    d, start, a, b, orient, _ = _map_chain_table(g)
 
-    matched: list[tuple[OrientedInterval, TernaryIndex]] = []
-    # (source gap, j) pairs, left to right: the template gap matched to the
-    # source gap holds T(level, j), and the gaps on either side of T(n, j)
-    # hold T(n + 1, 3j) and T(n + 1, 3j + 2)
-    gaps = [((Fraction(0), Fraction(1)), 0)]
+    picks: list[tuple[int, TernaryIndex]] = []
+    # (source gap as two keys, j) pairs, left to right: the template gap
+    # matched to the source gap holds T(level, j), and the gaps on either
+    # side of T(n, j) hold T(n + 1, 3j) and T(n + 1, 3j + 2)
+    gaps = [(start, d, 0)]
     for rnd in range(1, depth + 1):
         level = rnd - 1
         want = Orientation.R if level % 2 == 0 else Orientation.L
         new_gaps = []
-        for (glo, ghi), j in gaps:
+        for glo, ghi, j in gaps:
             # the widest, and the leftmost of equally wide
-            best = None
-            for k in range(bisect_right(starts, glo), bisect_left(ends, ghi)):
-                if ivs[k].orientation is want and (best is None or widths[k] > widths[best]):
-                    best = k
+            best, widest = None, 0
+            for k in range(bisect_right(a, glo), bisect_left(b, ghi)):
+                if orient[k] is want and (best is None or b[k] - a[k] > widest):
+                    best, widest = k, b[k] - a[k]
             if best is None:
                 raise InsufficientIntervals(
-                    f"insufficient intervals: round {rnd}: "
-                    f"no {want.value} interval inside gap ({glo}, {ghi})"
+                    f"insufficient intervals: round {rnd}: no {want.value} interval "
+                    f"inside gap ({Fraction(glo, d)}, {Fraction(ghi, d)})"
                 )
-            pick = ivs[best]
-            matched.append((pick, TernaryIndex(level, j)))
-            new_gaps += [((glo, pick.a), 3 * j), ((pick.b, ghi), 3 * j + 2)]
+            picks.append((best, TernaryIndex(level, j)))
+            new_gaps += [(glo, a[best], 3 * j), (b[best], ghi, 3 * j + 2)]
         gaps = new_gaps
-    matched.sort(key=lambda pair: pair[0].a)
+    matched = [(ivs[k], idx) for k, idx in sorted(picks, key=lambda pick: pick[0])]
 
     xs: list[Fraction] = [Fraction(0)]
     ys: list[Fraction] = [Fraction(0)]
     for iv, idx in matched:
-        a, b = idx.interval()
         xs.extend((iv.a, iv.b))
-        ys.extend((a, b))
+        ys.extend(idx.interval())
     xs.append(Fraction(1))
     ys.append(Fraction(1))
     h = PLHomeo(tuple(xs), tuple(ys))

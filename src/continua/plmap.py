@@ -1,30 +1,30 @@
 """Piecewise-linear increasing self-homeomorphisms of a closed interval.
 
-A ``PLHomeo`` is stored as matched breakpoint/value lists over exact
-rationals, with both endpoints fixed (orientation preserving).  The
-representation is canonical: a breakpoint whose two adjacent slopes are
-equal is pruned, so structural equality is semantic equality and identity
-laws hold bit-exactly.
+A ``PLHomeo`` is an increasing PL map with matched breakpoint/value lists
+over exact rationals, with both endpoints fixed (orientation preserving).
+The representation is canonical: a breakpoint whose two adjacent slopes
+are equal is pruned, so structural equality is semantic equality and
+identity laws hold bit-exactly.
+
+What every map holds is its integer form, ``_ints``: int tuples of the
+numerators and denominators, in lowest terms, of its breakpoints, values
+and per-piece slopes, with its domain.  Equality and hashing compare it.
+The Fraction tuples ``breakpoints`` and ``values`` are built from it when
+first read and then kept; the per-piece slopes (``max_slope`` reads them)
+likewise, with one Fraction per distinct slope shared by its pieces.
 
 The validating constructor ``PLHomeo(breakpoints, values)`` is the only
 public way to build a map; ``from_json`` and every other module go through
-it.  Inside this module, results that are canonical by construction (an
-inverse, a pruned composition) are wrapped by ``_trusted`` without being
-checked again.  Every map carries its per-piece slopes (read by
-``max_slope`` and the kernel): the constructor computes them, ``compose``
-gets them from its walk, and ``invert`` takes the reciprocals.  Slopes
-built from the same integer pair share one Fraction, so a map's few
-distinct slopes take little memory.
-
-Every map also has one integer form, ``_ints``: int tuples of the
-numerators and denominators, in lowest terms, of its breakpoints, values
-and slopes.  ``compose`` fills it for its result from the integers its
-walk holds, ``invert`` swaps the tuples of the map it inverts, and a map
-from the constructor fills it on first use from its Fractions.
-``compose``, ``c0_distance`` (both merge walks) and the fixed-set walk
+it.  It checks and prunes the Fractions it is given, keeps them, and
+fills the integer form from them.  Inside this module, results that are
+canonical by construction (an inverse, a pruned composition) are wrapped
+by ``_trusted`` from their integer form alone, without being checked
+again: ``compose`` fills it from the integers its walk holds, and
+``invert`` swaps the tuples of the map it inverts.  ``compose``,
+``c0_distance`` (both merge walks), the fixed-set walk and the kernel
 read it and no Fraction per point: they order abscissae, interpolate and
 take signs by cross-multiplying pairs.  There is no common scale, so no
-integer they form grows with the number of distinct denominators.
+integer the walks form grows with the number of distinct denominators.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
@@ -48,11 +48,11 @@ affine rescaling, and an exact Lipschitz constant (``max_slope``).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .rational import rational_from_json, rational_to_json
 
@@ -85,10 +85,6 @@ class OrientedInterval:
         if not self.a < self.b:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
 
-    @property
-    def width(self) -> Fraction:
-        return self.b - self.a
-
     def to_json(self) -> dict:
         return {
             "a": rational_to_json(self.a),
@@ -97,17 +93,22 @@ class OrientedInterval:
         }
 
 
-@dataclass(frozen=True)
 class PLHomeo:
     """Increasing PL bijection of [lo, hi] fixing both endpoints.
 
     breakpoints: strictly increasing, first = lo, last = hi.
     values: strictly increasing, values[0] = lo, values[-1] = hi.
     Evaluation linearly interpolates between consecutive breakpoints.
+
+    Immutable: assigning or deleting an attribute raises.  Two maps are
+    equal, and hash alike, when their integer forms are equal, which holds
+    exactly when their breakpoint and value tuples are.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
+    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]):
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         xs = [Fraction(x) for x in self.breakpoints]
@@ -124,72 +125,93 @@ class PLHomeo:
         # a breakpoint whose two adjacent slopes are equal is dropped; the
         # piece it splits keeps that slope
         keep_x, keep_y, slopes = [], [], []
-        made: dict[tuple[int, int], Fraction] = {}
         for i in range(len(xs) - 1):
             s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
             if not slopes or s != slopes[-1]:
                 keep_x.append(xs[i])
                 keep_y.append(ys[i])
-                slopes.append(made.setdefault((s.numerator, s.denominator), s))
+                slopes.append(s)
         keep_x.append(xs[-1])
         keep_y.append(ys[-1])
         object.__setattr__(self, "breakpoints", tuple(keep_x))
         object.__setattr__(self, "values", tuple(keep_y))
-        object.__setattr__(self, "_slopes", tuple(slopes))
+        object.__setattr__(self, "domain", (xs[0], xs[-1]))
+        object.__setattr__(self, "_ints", (*_parts(keep_x), *_parts(keep_y), *_parts(slopes)))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign a {type(value).__name__} to {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self):
+        return hash(self._ints)
+
+    def __repr__(self):
+        return f"PLHomeo({self.breakpoints!r}, {self.values!r})"
 
     # -- basic geometry ----------------------------------------------------
 
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        xn, xd = self._ints[:2]
+        return tuple(map(Fraction, xn, xd))
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        yn, yd = self._ints[2:4]
+        return tuple(map(Fraction, yn, yd))
+
     @property
     def lo(self) -> Fraction:
-        return self.breakpoints[0]
+        return self.domain[0]
 
     @property
     def hi(self) -> Fraction:
-        return self.breakpoints[-1]
+        return self.domain[1]
 
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return (self.lo, self.hi)
+    @cached_property
+    def _slopes(self) -> tuple[Fraction, ...]:
+        # one Fraction per distinct slope, shared by the pieces that have it
+        pairs = tuple(zip(*self._ints[4:]))
+        made = {p: Fraction(*p) for p in set(pairs)}
+        return tuple(made[p] for p in pairs)
 
     @cached_property
     def _kernel(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
         # (d, keys, pieces): keys[i] = breakpoints[i]·d, and on piece i,
         # f(x) = s·x + c = (α·p + β·q)/(γ·q) at x = p/q, with γ = lcm of the
         # denominators of s and c.
-        xs, ys = self.breakpoints, self.values
-        d = lcm(*(x.denominator for x in xs))
+        xn, xd, yn, yd, sn, sd = self._ints
+        d = lcm(*xd)
         pieces = []
-        for x, y, s in zip(xs, ys, self._slopes):
-            c = y - s * x
-            g = lcm(s.denominator, c.denominator)
-            pieces.append(
-                (s.numerator * (g // s.denominator), c.numerator * (g // c.denominator), g)
-            )
-        return d, tuple(x.numerator * (d // x.denominator) for x in xs), tuple(pieces)
-
-    @cached_property
-    def _ints(self) -> tuple[tuple[int, ...], ...]:
-        # (xn, xd, yn, yd, sn, sd): the numerators and denominators of the
-        # breakpoints, values and slopes, in lowest terms
-        xs, ys, ss = self.breakpoints, self.values, self._slopes
-        return (
-            tuple(x.numerator for x in xs),
-            tuple(x.denominator for x in xs),
-            tuple(y.numerator for y in ys),
-            tuple(y.denominator for y in ys),
-            tuple(s.numerator for s in ss),
-            tuple(s.denominator for s in ss),
-        )
+        for p, q, r, e, a, b in zip(xn, xd, yn, yd, sn, sd):
+            # c = r/e − (a/b)·(p/q), in lowest terms
+            cn, cd = r * b * q - a * p * e, e * b * q
+            k = gcd(cn, cd)
+            cn, cd = cn // k, cd // k
+            g = lcm(b, cd)
+            pieces.append((a * (g // b), cn * (g // cd), g))
+        return d, tuple(p * (d // q) for p, q in zip(xn, xd)), tuple(pieces)
 
     @cached_property
     def _inverse(self) -> "PLHomeo":
         # Swapping the lists keeps them canonical: two adjacent slopes are
         # equal exactly where their reciprocals are.  The inverse shares
-        # self's integer tuples, swapped, and does not point back at self.
+        # self's integer tuples, and whichever Fraction tuples self has
+        # built, swapped, and does not point back at self.
         xn, xd, yn, yd, sn, sd = self._ints
-        made: dict[tuple[int, int], tuple[Fraction, int, int]] = {}
-        slopes = tuple(_shared(made, d, n)[0] for n, d in zip(sn, sd))
-        return _trusted(self.values, self.breakpoints, slopes, (yn, yd, xn, xd, sd, sn))
+        inv = _trusted((yn, yd, xn, xd, sd, sn), self.domain)
+        built = self.__dict__
+        for mine, theirs in (("breakpoints", "values"), ("values", "breakpoints")):
+            if mine in built:
+                object.__setattr__(inv, theirs, built[mine])
+        return inv
 
     @cached_property
     def _structure(
@@ -220,31 +242,16 @@ class PLHomeo:
         return f
 
 
-def _shared(
-    made: dict[tuple[int, int], tuple[Fraction, int, int]], n: int, d: int
-) -> tuple[Fraction, int, int]:
-    """n/d with its numerator and denominator in lowest terms, built once
-    per distinct pair recorded in ``made``: a map's slopes take few
-    distinct values, so its pieces share the objects."""
-    s = made.get((n, d))
-    if s is None:
-        q = Fraction(n, d)
-        s = made[n, d] = (q, q.numerator, q.denominator)
-    return s
+def _parts(qs: list[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The numerators and the denominators of ``qs``."""
+    return tuple(q.numerator for q in qs), tuple(q.denominator for q in qs)
 
 
-def _trusted(
-    breakpoints: tuple[Fraction, ...],
-    values: tuple[Fraction, ...],
-    slopes: tuple[Fraction, ...],
-    ints: tuple[tuple[int, ...], ...],
-) -> PLHomeo:
-    """Wrap canonical tuples of Fractions, the per-piece slopes and their
-    integer form as a map, skipping validation."""
+def _trusted(ints: tuple[tuple[int, ...], ...], domain: tuple[Fraction, Fraction]) -> PLHomeo:
+    """Wrap a canonical integer form and its domain as a map, skipping
+    validation.  Its Fraction tuples are built when first read."""
     f = object.__new__(PLHomeo)
-    object.__setattr__(f, "breakpoints", breakpoints)
-    object.__setattr__(f, "values", values)
-    object.__setattr__(f, "_slopes", slopes)
+    object.__setattr__(f, "domain", domain)
     object.__setattr__(f, "_ints", ints)
     return f
 
@@ -318,26 +325,25 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     with reciprocal slopes) against f: each value u of g or breakpoint of
     f yields the breakpoint g⁻¹(u) with value f(u).  So the result has g's
     breakpoints and the g-preimages of f's breakpoints, and every merged
-    piece is affine with slope f'·g', the product of two cached slopes.  A
+    piece is affine with slope f'·g', the product of two stored slopes.  A
     point is dropped when the products on its two sides are equal,
     compared as integers before any coordinate is interpolated.  A kept
     point's interpolated coordinate y0 + (t − x0)·s is one integer
-    numerator over one integer denominator, so the walk builds one
-    Fraction per interpolated coordinate and at most one per output slope.
-    It leaves the slopes and the integer form on the result, read from the
-    integers it holds.  O(len(f) + len(g)) operations; no inverse is built.
+    numerator over one integer denominator, reduced by their gcd, and each
+    distinct slope product is reduced once.  The walk builds no Fraction:
+    the result holds only its integer form, and its Fraction tuples are
+    built when first read.  O(len(f) + len(g)) operations; no inverse is
+    built.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
-    gx, fy = g.breakpoints, f.values
     gxn, gxd, gun, gud, gsn, gsd = g._ints
     fun, fud, fyn, fyd, fsn, fsd = f._ints
-    xs, xn, xd = [gx[0]], [gxn[0]], [gxd[0]]
-    ys, yn, yd = [fy[0]], [fyn[0]], [fyd[0]]
-    # (slope, numerator, denominator) per output piece, one triple per
+    xn, xd, yn, yd = [gxn[0]], [gxd[0]], [fyn[0]], [fyd[0]]
+    # the lowest terms of each output piece's slope, reduced once per
     # distinct unreduced product
     slopes = []
-    made: dict[tuple[int, int], tuple[Fraction, int, int]] = {}
+    reduced: dict[tuple[int, int], tuple[int, int]] = {}
     last = len(gun) - 1
     steps = _merge(gun, gud, fun, fud)
     next(steps)
@@ -356,38 +362,43 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
             # g⁻¹(u) on g⁻¹'s piece k, whose slope is gsd/gsn, at u = f's breakpoint j
             k, tn, td = i - 1, fun[j], fud[j]
             m = gud[k] * td * gsn[k]
-            x = Fraction(gxn[k] * m + gxd[k] * (tn * gud[k] - gun[k] * td) * gsd[k], gxd[k] * m)
-            xs.append(x)
-            xn.append(x.numerator)
-            xd.append(x.denominator)
+            n, d = gxn[k] * m + gxd[k] * (tn * gud[k] - gun[k] * td) * gsd[k], gxd[k] * m
+            c = gcd(n, d)
+            xn.append(n // c)
+            xd.append(d // c)
         else:
-            xs.append(gx[i])
             xn.append(gxn[i])
             xd.append(gxd[i])
         if side == 1:
             # f(u) on f's piece k, at u = g's value i
             k, tn, td = j - 1, gun[i], gud[i]
             m = fud[k] * td * fsd[k]
-            y = Fraction(fyn[k] * m + fyd[k] * (tn * fud[k] - fun[k] * td) * fsn[k], fyd[k] * m)
-            ys.append(y)
-            yn.append(y.numerator)
-            yd.append(y.denominator)
+            n, d = fyn[k] * m + fyd[k] * (tn * fud[k] - fun[k] * td) * fsn[k], fyd[k] * m
+            c = gcd(n, d)
+            yn.append(n // c)
+            yd.append(d // c)
         else:
-            ys.append(fy[j])
             yn.append(fyn[j])
             yd.append(fyd[j])
-        slopes.append(_shared(made, cn, cd))
+        slopes.append(_lowest(reduced, cn, cd))
         cn, cd = rn, rd
-    xs.append(gx[-1])
     xn.append(gxn[-1])
     xd.append(gxd[-1])
-    ys.append(fy[-1])
     yn.append(fyn[-1])
     yd.append(fyd[-1])
-    slopes.append(_shared(made, cn, cd))
-    ss, sn, sd = zip(*slopes)
-    ints = tuple(xn), tuple(xd), tuple(yn), tuple(yd), sn, sd
-    return _trusted(tuple(xs), tuple(ys), ss, ints)
+    slopes.append(_lowest(reduced, cn, cd))
+    sn, sd = zip(*slopes)
+    return _trusted((tuple(xn), tuple(xd), tuple(yn), tuple(yd), sn, sd), g.domain)
+
+
+def _lowest(reduced: dict[tuple[int, int], tuple[int, int]], n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms (d > 0), found once per distinct pair recorded
+    in ``reduced``: a composite's slopes take few distinct values."""
+    s = reduced.get((n, d))
+    if s is None:
+        c = gcd(n, d)
+        s = reduced[n, d] = (n // c, d // c)
+    return s
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -458,22 +469,30 @@ def _fixed_and_wandering(
     strictly inside it where d changes sign, closes the wandering interval
     from the current component to the root and opens a new component
     there.  The inside root of a piece from (x0, y0) with slope s is
-    (x0·s − y0)/(s − 1), one Fraction built from integers.  d keeps one
-    sign between consecutive roots, so the piece's left end lies in that
-    interval and its sign gives the orientation.
+    (x0·s − y0)/(s − 1).  d keeps one sign between consecutive roots, so
+    the piece's left end lies in that interval and its sign gives the
+    orientation.  The walk builds one Fraction per root and per right end
+    of a fixed component of positive length, and reads the domain's ends.
     """
-    xs = f.breakpoints
     xn, xd, yn, yd, sn, sd = f._ints
-    fixed = [(xs[0], xs[0])]
+    last = len(xn) - 1
+
+    def point(i: int) -> Fraction:
+        return f.hi if i == last else Fraction(xn[i], xd[i])
+
+    fixed = []
     wandering: list[OrientedInterval] = []
+    # the current fixed component runs from left to breakpoint `right`, or
+    # is the point left when `right` is None
+    left, right = f.lo, None
     d1 = 0  # lo is fixed
-    for i in range(1, len(xs)):
+    for i in range(1, last + 1):
         d0, d1 = d1, yn[i] * xd[i] - xn[i] * yd[i]
         if d1 == 0:
             if d0 == 0:
-                fixed[-1] = (fixed[-1][0], xs[i])
+                right = i
                 continue
-            root = xs[i]
+            root = point(i)
         elif d0 != 0 and (d0 < 0) != (d1 < 0):
             k = i - 1
             root = Fraction(
@@ -481,9 +500,12 @@ def _fixed_and_wandering(
             )
         else:
             continue
+        end = left if right is None else point(right)
+        fixed.append((left, end))
         tag = Orientation.R if d0 > 0 else Orientation.L
-        wandering.append(OrientedInterval(fixed[-1][1], root, tag))
-        fixed.append((root, root))
+        wandering.append(OrientedInterval(end, root, tag))
+        left, right = root, None
+    fixed.append((left, left if right is None else point(right)))
     return tuple(fixed), tuple(wandering)
 
 

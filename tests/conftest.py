@@ -819,7 +819,7 @@ def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
                     f"insufficient intervals: round {rnd}: "
                     f"no {want.value} interval inside gap ({glo}, {ghi})"
                 )
-            pick = max(cands, key=lambda iv: (iv.width, -iv.a))
+            pick = max(cands, key=lambda iv: (iv.b - iv.a, -iv.a))
             new_pairs.append((pick, targets[0]))
         matched.extend(new_pairs)
         matched.sort(key=lambda pair: pair[0].a)

@@ -252,6 +252,16 @@ class TestChainProperty:
             ivs = wandering_intervals(f)
             assert best_chain_quality(ivs, *f.domain) == literal_chain_quality(ivs, *f.domain)
 
+    def test_optimum_off_the_unit_interval(self):
+        # on (−3/2, 5/7) the table's lo key is negative, and a wide leading
+        # fixed stretch can set the optimum
+        rng = random.Random(17)
+        maps = [rescale(random_fat_map(rng, max_plants=4), DOMAINS[1]) for _ in range(40)]
+        maps += [rescale(random_touching_map(rng, 8), DOMAINS[1]) for _ in range(20)]
+        for f in maps:
+            ivs = wandering_intervals(f)
+            assert best_chain_quality(ivs, *f.domain) == literal_chain_quality(ivs, *f.domain)
+
     def test_unsorted_intervals_rejected(self):
         ivs = wandering_intervals(build_ternary_map(1))
         with pytest.raises(ValueError):

@@ -635,9 +635,9 @@ class TestIntegerForm:
 
     @algebra_settings
     @given(walk_maps())
-    def test_constructor_fills_on_first_use(self, f):
+    def test_constructor_fills_it(self, f):
         g = PLHomeo(f.breakpoints, f.values)
-        assert "_ints" not in g.__dict__
+        assert "_ints" in g.__dict__
         check_ints(g)
 
     @algebra_settings
@@ -668,6 +668,109 @@ class TestIntegerForm:
         maps = off_unit_maps()
         assert any(x.numerator < 0 for f in maps for x in f.breakpoints[1:-1])
         check_ints(*maps)
+
+
+def fraction_kernel(f: PLHomeo) -> tuple:
+    """f's evaluation kernel computed in Fractions: (d, keys, pieces) with
+    d the lcm of the breakpoint denominators, keys the breakpoints times d,
+    and on each piece f(x) = s·x + c written as (α, β, γ) over γ, the lcm
+    of the denominators of s and c."""
+    xs, ys = f.breakpoints, f.values
+    d = math.lcm(*(x.denominator for x in xs))
+    pieces = []
+    for x, y, s in zip(xs, ys, uncached_slopes(f)):
+        c = y - s * x
+        g = math.lcm(s.denominator, c.denominator)
+        pieces.append((s.numerator * (g // s.denominator), c.numerator * (g // c.denominator), g))
+    return d, tuple(int(x * d) for x in xs), tuple(pieces)
+
+
+class TestLazyTuples:
+    """A composite holds only its integer form; its Fraction tuples are
+    built when first read and then equal the Fraction merge walk's."""
+
+    def test_compose_builds_tuples_on_read(self):
+        f, g = build_ternary_map(3), random_coordinate_change(random.Random(131))
+        h = compose(f, invert(g))
+        assert not {"breakpoints", "values", "_slopes"} & h.__dict__.keys()
+        xs = h.breakpoints
+        assert "breakpoints" in h.__dict__ and "values" not in h.__dict__
+        assert h.breakpoints is xs
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_tuples_equal_fraction_walk(self, f, g):
+        for h, ref in ((compose(f, g), fraction_walk_compose(f, g)),
+                       (compose(g, invert(f)), fraction_walk_compose(g, invert(f)))):
+            assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+            assert (h.lo, h.hi) == h.domain == (ref.breakpoints[0], ref.breakpoints[-1])
+
+    @pytest.mark.parametrize("levels", [7, 9])
+    def test_deep_tuples_equal_fraction_walk(self, levels):
+        f = build_ternary_map(levels)
+        A = random_coordinate_change(random.Random(levels))
+        inner = compose(f, invert(A))
+        g = compose(A, inner)
+        for h, ref in ((inner, fraction_walk_compose(f, invert(A))),
+                       (g, fraction_walk_compose(A, inner))):
+            assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_composite_equals_constructed(self, f, g):
+        h = compose(f, g)
+        built = PLHomeo(h.breakpoints, h.values)
+        fresh = compose(f, g)
+        assert fresh == built and built == fresh
+        assert hash(fresh) == hash(built)
+        assert len({fresh, built, h}) == 1
+        other = compose(g, f)
+        assert (fresh == other) == ((h.breakpoints, h.values) == (other.breakpoints, other.values))
+
+    def test_equal_exactly_when_both_tuples_are(self):
+        xs = (F(0), F(1, 2), F(1))
+        maps = [PLHomeo(xs, (F(0), y, F(1))) for y in (F(1, 4), F(3, 4), F(3, 8))]
+        maps += [PLHomeo((F(0), x, F(1)), (F(0), F(1, 4), F(1))) for x in (F(1, 3), F(3, 4))]
+        maps += [compose(m, identity()) for m in maps]
+        for f in maps:
+            for g in maps:
+                same = (f.breakpoints, f.values) == (g.breakpoints, g.values)
+                assert (f == g) is same and (f != g) is not same
+        assert maps[0] != (maps[0].breakpoints, maps[0].values)
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_kernel_is_the_same_from_either_path(self, f, g):
+        h = compose(f, g)
+        built = PLHomeo(h.breakpoints, h.values)
+        assert compose(f, g)._kernel == built._kernel == fraction_kernel(h)
+        assert invert(compose(f, g))._kernel == invert(built)._kernel == fraction_kernel(invert(h))
+
+    def test_inverse_takes_the_built_tuples_swapped(self):
+        f = build_ternary_map(2)
+        inv = invert(f)
+        assert inv.breakpoints is f.values and inv.values is f.breakpoints
+        h = compose(f, f)
+        assert not {"breakpoints", "values"} & invert(h).__dict__.keys()
+        k = compose(h, f)
+        k.values
+        assert invert(k).breakpoints is k.values
+        assert "values" not in invert(k).__dict__
+
+    def test_repr_reads_back(self):
+        h = compose(canonical_r(0, 1), canonical_l(0, 1))
+        assert eval(repr(h), {"PLHomeo": PLHomeo, "Fraction": F}) == h
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        f = canonical_r(0, 1)
+        h = compose(f, f)
+        for m in (f, h, invert(h)):
+            for name in ("breakpoints", "values", "domain", "_ints", "_kernel", "other"):
+                with pytest.raises(AttributeError, match=f"cannot assign a int to '{name}'"):
+                    setattr(m, name, 0)
+                with pytest.raises(AttributeError, match=f"cannot delete '{name}'"):
+                    delattr(m, name)
+        assert f == canonical_r(0, 1) and h == compose(f, f)
 
 
 def check_fixed_set_walk(*maps: PLHomeo) -> None:
@@ -835,9 +938,8 @@ def count_fractions(fn, *args):
 
 
 class TestFractionBudget:
-    """The integer walk builds one Fraction per interpolated output
-    coordinate and per distinct output slope in compose, and one in all of
-    c0_distance."""
+    """compose builds at most one Fraction per distinct output slope (it
+    builds none: its result holds integers), and c0_distance one in all."""
 
     def setup_method(self):
         self.f9 = build_ternary_map(9)
@@ -846,9 +948,9 @@ class TestFractionBudget:
 
     def test_compose(self):
         inner, made = count_fractions(compose, self.f9, self.A_inv)
-        assert made <= len(inner.breakpoints) + len(inner._slopes)
+        assert made <= len(set(inner._slopes))
         g, made = count_fractions(compose, self.A, inner)
-        assert made <= len(g.breakpoints) + len(g._slopes)
+        assert made <= len(set(g._slopes))
         assert len(g.breakpoints) > 3000
         g_inv = invert(g)
         identity_map, made = count_fractions(compose, g, g_inv)
