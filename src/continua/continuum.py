@@ -24,7 +24,7 @@ from functools import cached_property
 from math import lcm
 
 from .cantor import build_ternary_map
-from .geometry import Point, _on_segment, dist2_pp, segments_intersect
+from .geometry import Point, _on_segment, segments_intersect
 from .plmap import PLHomeo
 from .rational import rational_to_json
 
@@ -115,36 +115,22 @@ class Arc:
             out.append((q, ax, ay, bx, by, abx, aby, abx * abx + aby * aby))
         return tuple(out)
 
-    def embed(self, t: Fraction) -> Point:
-        if not 0 <= t <= 1:
-            raise ValueError(f"parameter {t} outside [0, 1]")
-        # on segment k, at fraction f/den of the way from a to b
-        n, p, den = self.segments, t.numerator, t.denominator
+    def _at(self, p: int, den: int) -> tuple[int, int, int]:
+        """The point at parameter p/den (den > 0, p/den in [0, 1]) as
+        integers (x, y, w): the point (x/w, y/w).  On segment k it lies
+        f/den of the way from a to b, with f = p·n − k·den."""
+        n = self.segments
         k = min(p * n // den, n - 1)
         q, ax, ay, _, _, abx, aby, _ = self._segment_ints[k]
         f = p * n - k * den
-        return Fraction(ax * den + f * abx, q * den), Fraction(ay * den + f * aby, q * den)
+        return ax * den + f * abx, ay * den + f * aby, q * den
 
-    @cached_property
-    def _segment_scales(self) -> tuple[Fraction, ...]:
-        # n² |p[k+1] - p[k]|²: squared ambient distance per squared unit of
-        # parameter along segment k
-        n2 = self.segments**2
-        return tuple(n2 * dist2_pp(a, b) for a, b in zip(self.polyline, self.polyline[1:]))
-
-    def dist2(self, s: Fraction, t: Fraction) -> Fraction:
-        """Squared ambient distance between the points at parameters s and t.
-
-        When both lie on one polyline segment k (always, on a straight
-        arc), it is segment k's scale n² |p[k+1] - p[k]|² times (s - t)²;
-        otherwise the distance between the two embedded points.
-        """
-        n = self.segments
-        k = min(s.numerator * n // s.denominator, n - 1)
-        if k == min(t.numerator * n // t.denominator, n - 1):
-            d = s - t
-            return self._segment_scales[k] * d * d
-        return dist2_pp(self.embed(s), self.embed(t))
+    def embed(self, t: Fraction) -> Point:
+        """The point at parameter t, from its integers (``_at``)."""
+        if not 0 <= t <= 1:
+            raise ValueError(f"parameter {t} outside [0, 1]")
+        x, y, w = self._at(t.numerator, t.denominator)
+        return Fraction(x, w), Fraction(y, w)
 
     def nearest(self, point: Point) -> tuple[Fraction, Fraction]:
         """(parameter, squared distance) of an exact nearest polyline point.

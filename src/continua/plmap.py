@@ -12,6 +12,7 @@ and per-piece slopes, with its domain.  Equality and hashing compare it.
 The Fraction tuples ``breakpoints`` and ``values`` are built from it when
 first read and then kept; the per-piece slopes (``max_slope`` reads them)
 likewise, with one Fraction per distinct slope shared by its pieces.
+``to_json`` writes the form, and builds neither tuple.
 
 The validating constructor ``PLHomeo(breakpoints, values)`` is the only
 public way to build a map; ``from_json`` and every other module go through
@@ -35,8 +36,10 @@ wandering intervals, found together in one walk over the breakpoints
 scales the breakpoints by d, the lcm of their denominators, to integer
 keys, and writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers
 α, β, γ, so one evaluation locates its piece by integer comparisons and
-builds one Fraction.  The inverse holds no reference back to its map, so
-the cache forms no reference cycle.
+builds one Fraction.  ``_kernel_step`` is the one step of a single point
+on the kernel, as an integer pair: ``evaluate`` builds its Fraction, and
+``shadowing``'s fold and check step on it without one.  The inverse holds
+no reference back to its map, so the cache forms no reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
@@ -54,7 +57,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .rational import rational_from_json, rational_to_json
+from .rational import pair_to_json, rational_from_json, rational_to_json
+
+
+# An integer pass divides its carried integers by their gcd after a step
+# whose growth factor has more bits than this.
+_REDUCE_BITS = 64
 
 
 class DomainError(ValueError):
@@ -222,10 +230,11 @@ class PLHomeo:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        xn, xd, yn, yd = self._ints[:4]
         return {
-            "domain": [rational_to_json(self.lo), rational_to_json(self.hi)],
-            "breakpoints": [rational_to_json(x) for x in self.breakpoints],
-            "values": [rational_to_json(y) for y in self.values],
+            "domain": [pair_to_json(xn[0], xd[0]), pair_to_json(xn[-1], xd[-1])],
+            "breakpoints": list(map(pair_to_json, xn, xd)),
+            "values": list(map(pair_to_json, yn, yd)),
         }
 
     @staticmethod
@@ -263,25 +272,36 @@ def identity(lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> PLHomeo:
     return PLHomeo((lo, hi), (lo, hi))
 
 
+def _kernel_step(kernel: tuple, N: int, Q: int) -> tuple[int, int]:
+    """The image of N/Q (Q > 0, N/Q in the domain) under a map with this
+    ``PLHomeo._kernel``, as an integer pair: (α·N + β·Q, γ·Q) on the piece
+    (α, β, γ) found by bisecting the keys for floor(N·d/Q) (hi on the last
+    piece), divided by its gcd when γ has more than ``_REDUCE_BITS`` bits."""
+    d, keys, pieces = kernel
+    a, b, c = pieces[bisect_right(keys, N * d // Q, 0, len(pieces)) - 1]
+    N, Q = a * N + b * Q, c * Q
+    if c.bit_length() > _REDUCE_BITS:
+        r = gcd(N, Q)
+        N, Q = N // r, Q // r
+    return N, Q
+
+
 def evaluate(f: PLHomeo, x: Fraction) -> Fraction:
     """Exact value of f at x by linear interpolation.
 
     Runs on f's integer kernel, built on first call: with x = p/q in lowest
-    terms, x lies in the domain iff keys[0]·q <= p·d <= keys[-1]·q, and
-    because the keys are integers, bisecting them for floor(p·d/q) finds
-    the same piece as bisecting the breakpoints for x.  The value is then
-    one Fraction (α·p + β·q)/(γ·q).  The right end is read on the last
-    piece, where the formula gives f(hi) = hi.
+    terms, x lies in the domain iff keys[0]·q <= p·d <= keys[-1]·q, and the
+    value is one Fraction built from ``_kernel_step``.
     """
     if type(x) is not Fraction:
         x = Fraction(x)
-    d, keys, pieces = f._kernel
+    kernel = f._kernel
+    d, keys, _ = kernel
     p, q = x.numerator, x.denominator
     pd = p * d
     if pd < keys[0] * q or pd > keys[-1] * q:
         raise DomainError(f"{x} outside domain [{f.lo}, {f.hi}]")
-    a, b, c = pieces[bisect_right(keys, pd // q, 0, len(pieces)) - 1]
-    return Fraction(a * p + b * q, c * q)
+    return Fraction(*_kernel_step(kernel, p, q))
 
 
 def invert(f: PLHomeo) -> PLHomeo:

@@ -84,7 +84,12 @@ def format_rational(x: Fraction) -> str:
 
 def rational_to_json(x: Fraction) -> list[str]:
     """JSON encoding: pair of decimal strings, arbitrary precision."""
-    return [_decimal(x.numerator), _decimal(x.denominator)]
+    return pair_to_json(x.numerator, x.denominator)
+
+
+def pair_to_json(num: int, den: int) -> list[str]:
+    """``rational_to_json`` of num/den, given in lowest terms with den > 0."""
+    return [_decimal(num), _decimal(den)]
 
 
 def _json_integer(v) -> int:

@@ -32,10 +32,12 @@ from itertools import product
 from math import gcd, lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
-from .geometry import Point, _box, _box_gap_sq, dist2_pp, dist2_segment_segment
+from .geometry import Point, _box, _box_gap_sq, dist2_segment_segment
 from .plmap import (
+    _REDUCE_BITS,
     Orientation,
     PLHomeo,
+    _kernel_step,
     evaluate,
     invert,
     iterate,
@@ -77,10 +79,6 @@ ORBIT_LENGTH = 24
 NOISE_GRID = 512
 GRID_LEVELS = 12
 DELTA_GRID_LEVELS = 24
-
-# An integer pass divides its carried integers by their gcd after a step
-# whose growth factor has more bits than this.
-_REDUCE_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +217,6 @@ def _forward_fold(
     It runs on g's kernel (``_kernel_fold``)."""
     s = _kernel_fold(g._kernel, ((x.numerator, x.denominator) for x in points), epsilon)
     return None if s is None else (Fraction(*s[0]), Fraction(*s[1]))
-
-
-def _kernel_step(kernel: tuple, N: int, Q: int) -> tuple[int, int]:
-    """The image of N/Q under a map with this ``PLHomeo._kernel``, as an
-    integer pair: (α·N + β·Q, γ·Q) on the piece (α, β, γ) that N/Q lies on,
-    divided by its gcd when γ has more than ``_REDUCE_BITS`` bits."""
-    d, keys, pieces = kernel
-    a, b, c = pieces[bisect_right(keys, N * d // Q, 0, len(pieces)) - 1]
-    N, Q = a * N + b * Q, c * Q
-    if c.bit_length() > _REDUCE_BITS:
-        r = gcd(N, Q)
-        N, Q = N // r, Q // r
-    return N, Q
 
 
 def _kernel_fold(
@@ -751,36 +736,26 @@ def _verified_arc_shadow(
     arc: Arc,
     fa: PLHomeo,
     y: Fraction,
-    params: Sequence[tuple[int, int] | None],
-    target: Callable[[int], Point],
+    targets: Sequence[tuple[int, int, int]],
     epsilon: Fraction,
 ) -> bool:
     """Exact check that the forward orbit of (arc, y) epsilon-tracks the
     targets.
 
-    Target i is the point of ``arc`` at parameter T/D when params[i] is
-    (T, D), or the plane point target(i) when params[i] is None.  The orbit
-    runs on fa's kernel as an integer pair Z/Q.  A target on the orbit
-    point's polyline segment k is compared by cross-multiplying with the
-    segment's scale (see ``Arc.dist2``); any other target, through the
-    exact squared distance of the embedded points.
+    Target i is the plane point (x/w, y/w) of its triple targets[i].  The
+    orbit runs on fa's kernel as an integer pair Z/Q (``_kernel_step``),
+    and each orbit point is placed by ``Arc._at`` as a triple too; the
+    squared distance of the two points is compared with epsilon squared
+    by cross-multiplying.
     """
     eps_sq = epsilon * epsilon
     en, ed = eps_sq.numerator, eps_sq.denominator
-    kernel, n, scales = fa._kernel, arc.segments, arc._segment_scales
+    kernel = fa._kernel
     Z, Q = y.numerator, y.denominator
-    for i, p in enumerate(params):
-        if p is None:
-            far = dist2_pp(arc.embed(Fraction(Z, Q)), target(i)) > eps_sq
-        else:
-            T, D = p
-            k = min(Z * n // Q, n - 1)
-            if k == min(T * n // D, n - 1):
-                u, s = Z * D - T * Q, scales[k]
-                far = u * u * s.numerator * ed > en * s.denominator * (Q * D) ** 2
-            else:
-                far = arc.dist2(Fraction(Z, Q), Fraction(T, D)) > eps_sq
-        if far:
+    for tx, ty, tw in targets:
+        px, py, w = arc._at(Z, Q)
+        dx, dy = px * tw - tx * w, py * tw - ty * w  # over w·tw
+        if (dx * dx + dy * dy) * ed > en * (w * tw) ** 2:
             return False
         Z, Q = _kernel_step(kernel, Z, Q)
     return True
@@ -812,21 +787,28 @@ def _search_arcs(
     """``shadow_on_arcs`` on ``_ArcPoint``s.
 
     An orbit point on the searched arc is its own nearest point, at
-    distance 0, so it keeps its parameter T/D and is never projected or
-    embedded.  Any other point is embedded at most once per search, the
-    first time an arc projects or checks it, and each arc projects it at
-    most once: the start's projection ranks the arcs and is index 0.  An
-    arc stops at the first point epsilon or more away.  Otherwise it
-    checks the midpoint of the exact shadowing set at the tolerance left
-    after the projection margin, else the projected start, exactly in
-    ambient distance.  Every point of a non-empty reduced set tracks when
+    distance 0, so it keeps its parameter T/D and is never projected.  Each
+    orbit point is placed at most once per search, as the integer triple
+    ``Arc._at`` gives on its own arc, the first time an arc needs it, and
+    a point off the searched arc is made a Fraction point at most once per
+    search, for ``Arc.nearest``.  Each arc projects a point at most once:
+    the start's projection ranks the arcs and is index 0.  An arc stops at
+    the first point epsilon or more away.  Otherwise it checks the
+    midpoint of the exact shadowing set at the tolerance left after the
+    projection margin, else the projected start, exactly in ambient
+    distance.  Every point of a non-empty reduced set tracks when
     ``stretch_hi`` bounds the arc's stretch, so the midpoint stands for it.
     The set is folded on the kernel of the arc map's inverse
     (``_kernel_fold``), and the candidate is checked on the map's kernel
-    (``_verified_arc_shadow``).
+    against the triples (``_verified_arc_shadow``).
     """
     eps_sq = epsilon * epsilon
-    target = cache(lambda i: model.arc(points[i][0]).embed(Fraction(*points[i][1:])))
+    triple = cache(lambda i: model.arc(points[i][0])._at(*points[i][1:]))
+
+    @cache
+    def target(i: int) -> Point:
+        x, y, w = triple(i)
+        return Fraction(x, w), Fraction(y, w)
 
     def project(arc: Arc, i: int) -> tuple[tuple[int, int], Fraction | int]:
         aid, T, D = points[i]
@@ -855,8 +837,8 @@ def _search_arcs(
                 if s is not None:
                     (A, P), (B, Q) = s
                     y = Fraction(A * Q + B * P, 2 * P * Q)
-            params = [(T, D) if aid == arc.id else None for aid, T, D in points]
-            if _verified_arc_shadow(arc, fa, y, params, target, epsilon):
+            targets = [triple(i) for i in range(len(points))]
+            if _verified_arc_shadow(arc, fa, y, targets, epsilon):
                 return YPoint(arc.id, y)
     return None
 

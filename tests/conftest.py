@@ -851,6 +851,29 @@ def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
     return best_t, best_d2
 
 
+def polyline_point(arc: Arc, t: Fraction) -> Point:
+    """Arc.embed by interpolating in Fractions on the segment
+    k = min(floor(t·n), n - 1)."""
+    n = arc.segments
+    k = min(int(t * n), n - 1)
+    (ax, ay), (bx, by) = arc.polyline[k], arc.polyline[k + 1]
+    f = t * n - k
+    return ax + f * (bx - ax), ay + f * (by - ay)
+
+
+def fraction_arc_check(
+    arc: Arc, fa: PLHomeo, y: Fraction, targets: list[Point], epsilon: Fraction
+) -> bool:
+    """``shadowing._verified_arc_shadow`` on ``Fraction``s: the orbit of y,
+    stepped by ``evaluate``, has its i-th point within epsilon of targets[i]."""
+    z = y
+    for p in targets:
+        if dist2_pp(polyline_point(arc, z), p) > epsilon * epsilon:
+            return False
+        z = evaluate(fa, z)
+    return True
+
+
 def scan_sub_polyline(arc: Arc, t0: Fraction, t1: Fraction) -> tuple[Point, ...]:
     """Arc.sub_polyline by testing t0 < k/n < t1 for every inner vertex k."""
     n = arc.segments

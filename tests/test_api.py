@@ -1,6 +1,6 @@
-"""The package defines no public name used nowhere or only by tests and no
-uncalled private one, its functions read every parameter and have no
-default that every call site overrides, its core computes without
+"""The package defines no public name or method used nowhere or only by
+tests and no uncalled private one, its functions read every parameter and
+have no default that every call site overrides, its core computes without
 floating point, and no flag reads with int()."""
 
 import argparse
@@ -69,6 +69,56 @@ def test_no_test_only_definition_in_src():
     code.append(TESTS / "test_acceptance.py")
     unused = set(_named_only_in_own_definition(code, public=True)) - TEST_ONLY_EXCEPTIONS
     assert unused == set(), f"public definitions that only tests name: {sorted(unused)}"
+
+
+def _attributes(tree) -> list[str]:
+    """Each name ``tree`` uses bare or reads as an attribute of anything."""
+    return [
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Attribute, ast.Name))
+    ]
+
+
+def _methods_named_only_in_own_definition(code: list[Path]) -> list[str]:
+    """``file:Class.method`` for each public method (or property) of a class
+    of the package that ``code`` names nowhere outside its own definition,
+    as ``obj.method`` off any object or bare."""
+    uses = collections.Counter(name for p in code for name in _attributes(ast.parse(p.read_text())))
+    return [
+        f"{p.name}:{cls.name}.{node.name}"
+        for p in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(p.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and uses[node.name] == _attributes(node).count(node.name)
+    ]
+
+
+def test_no_test_only_method_in_src():
+    # as for module-level definitions: a public method that only tests call
+    # belongs in tests/conftest.py.  Methods are matched by name alone, so
+    # any attribute of that name outside tests/ keeps a method
+    code = sorted(SRC.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
+    code.append(TESTS / "test_acceptance.py")
+    unused = _methods_named_only_in_own_definition(code)
+    assert unused == [], f"public methods that only tests name: {unused}"
+
+
+def test_method_scan_sees_a_method_only_tests_call(tmp_path, monkeypatch):
+    mod = tmp_path / "m.py"
+    mod.write_text(
+        "class A:\n"
+        "    def read(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    def _private(self):\n        return 0\n"
+        "A().read()\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _methods_named_only_in_own_definition([mod]) == ["m.py:A.recursive"]
 
 
 def test_cli_import_loads_every_module():

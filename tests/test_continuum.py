@@ -24,7 +24,14 @@ from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
-from conftest import apply_map, identity_homeo, scan_arcs_at, scan_nearest, scan_sub_polyline
+from conftest import (
+    apply_map,
+    identity_homeo,
+    polyline_point,
+    scan_arcs_at,
+    scan_nearest,
+    scan_sub_polyline,
+)
 
 
 class TestBuild:
@@ -296,10 +303,19 @@ def _vertex_params(arc: Arc) -> list[F]:
     return [F(k, n) for k in range(n + 1)]
 
 
+def _triple_dist2(arc: Arc, s: F, t: F) -> F:
+    """The squared distance of the points at s and t from their ``Arc._at``
+    triples, as the model search's check measures it; s is passed with
+    both parts tripled, as an orbit pair need not be in lowest terms."""
+    x1, y1, w1 = arc._at(3 * s.numerator, 3 * s.denominator)
+    x2, y2, w2 = arc._at(t.numerator, t.denominator)
+    return F((x1 * w2 - x2 * w1) ** 2 + (y1 * w2 - y2 * w1) ** 2, (w1 * w2) ** 2)
+
+
 class TestOwnPoints:
-    """The premises of the model search's on-arc shortcuts: a point of an
-    arc is its own nearest point, and ``Arc.dist2`` is the ambient squared
-    distance between two of its points."""
+    """The premises of the model search: a point of an arc is its own
+    nearest point, and the squared distance of two ``Arc._at`` triples is
+    the ambient squared distance between the two polyline points."""
 
     @pytest.mark.parametrize("M, arc_id", MODEL_ARCS)
     def test_point_is_its_own_nearest_at_vertices(self, M, arc_id):
@@ -323,7 +339,8 @@ class TestOwnPoints:
         ts = sorted(vs + [(a + b) / 2 for a, b in zip(vs, vs[1:])])
         for i, s in enumerate(ts):
             for t in ts[max(i - 3, 0) : i + 4] + [ts[0], ts[-1]]:
-                assert arc.dist2(s, t) == dist2_pp(arc.embed(s), arc.embed(t)), (s, t)
+                d2 = dist2_pp(polyline_point(arc, s), polyline_point(arc, t))
+                assert _triple_dist2(arc, s, t) == d2, (s, t)
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -336,7 +353,7 @@ class TestOwnPoints:
         M, arc_id = case
         arc = MODELS[M].arc(arc_id)
         t = min(max(s + step, F(0)), F(1))
-        assert arc.dist2(s, t) == dist2_pp(arc.embed(s), arc.embed(t))
+        assert _triple_dist2(arc, s, t) == dist2_pp(polyline_point(arc, s), polyline_point(arc, t))
 
 
 class TestSelfMaps:

@@ -25,6 +25,7 @@ from continua.plmap import (
     max_slope,
     wandering_intervals,
 )
+from continua.rational import rational_to_json
 from continua.cantor import (
     best_chain_quality,
     build_conjugacy,
@@ -726,6 +727,21 @@ class TestLazyTuples:
         assert len({fresh, built, h}) == 1
         other = compose(g, f)
         assert (fresh == other) == ((h.breakpoints, h.values) == (other.breakpoints, other.values))
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps(), st.sampled_from([(F(0), F(1)), (F(-3, 2), F(5, 7))]))
+    def test_to_json_writes_the_form(self, f, g, dom):
+        # a composite is written without building its tuples, as the tuples
+        # would be written, also on a domain whose ends have denominators
+        h = compose(rescale(f, dom), rescale(g, dom))
+        obj = h.to_json()
+        assert not {"breakpoints", "values"} & h.__dict__.keys()
+        assert obj == {
+            "domain": [rational_to_json(h.lo), rational_to_json(h.hi)],
+            "breakpoints": [rational_to_json(x) for x in h.breakpoints],
+            "values": [rational_to_json(y) for y in h.values],
+        }
+        assert PLHomeo.from_json(obj) == h
 
     def test_equal_exactly_when_both_tuples_are(self):
         xs = (F(0), F(1, 2), F(1))

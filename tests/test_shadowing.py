@@ -67,11 +67,13 @@ from conftest import (
     edge_enriched_map,
     exact_orbit,
     fraction_forward_fold,
+    fraction_arc_check,
     fraction_pseudo_orbit_y,
     fraction_shadow_on_arcs,
     identity_homeo,
     materialized_modulus,
     orbit_membership_oracle,
+    polyline_point,
     pullback_shadowing_set,
     random_fat_map,
     random_coordinate_change,
@@ -564,8 +566,8 @@ class TestKernelFold:
         arc = build_arc_model(1).arc("h1")
         eps = F(1, 10)
         for t, ok in ((F(1, 2) + eps / 2, True), (F(1, 2) + eps / 2 + F(1, 10**9), False)):
-            params = [(t.numerator, t.denominator)]
-            assert _verified_arc_shadow(arc, identity(), F(1, 2), params, None, eps) is ok
+            targets = [arc._at(t.numerator, t.denominator)]
+            assert _verified_arc_shadow(arc, identity(), F(1, 2), targets, eps) is ok
 
 
 class TestModelOrbits:
@@ -1016,10 +1018,73 @@ class TestReducedSetWitnesses:
         if s.is_empty:
             return
         lo, hi = s.interval
-        # every target is a plane point off the arc: none has a parameter
-        params = [None] * len(targets)
+        triples = [_triple(p) for p in targets]
         for y in (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * u):
-            assert _verified_arc_shadow(arc, fa, y, params, targets.__getitem__, eps), (arc.id, y)
+            assert _verified_arc_shadow(arc, fa, y, triples, eps), (arc.id, y)
+
+
+def _triple(point) -> tuple[int, int, int]:
+    """A plane point (x, y) as integers (X, Y, W) with x = X/W, y = Y/W."""
+    x, y = point
+    w = lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+
+
+# rational unit vectors, which place a target exactly epsilon away
+UNIT_VECTORS = [(F(1), F(0)), (F(0), F(-1)), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13))]
+
+
+@st.composite
+def check_cases(draw):
+    """(arc, fa, y, targets, eps, exact): the forward orbit of y under fa on
+    an arc of the M-tooth model, M in 1..3, and one plane target per orbit
+    point.  A target is a point of the orbit point's own polyline segment,
+    of a segment of the circle one or two away, off the arc, or exactly
+    epsilon away, then half the time pushed 10^-9 further.  ``exact`` says
+    that every target is exactly epsilon away."""
+    arc = draw(st.sampled_from(build_arc_model(draw(st.integers(1, 3))).arcs))
+    if draw(st.booleans()):
+        fa = build_ternary_map(draw(st.integers(0, 3)))
+    else:
+        fa = random_plhomeo(random.Random(draw(st.integers(0, 2**32))))
+    eps = F(1, draw(st.integers(8, 128)))
+    moves = st.fractions(-eps, eps, max_denominator=4096)
+    n = arc.segments
+    y = z = draw(st.fractions(0, 1, max_denominator=997))
+    targets, exact = [], True
+    for _ in range(draw(st.integers(1, 10))):
+        k = min(int(z * n), n - 1)
+        kind = draw(st.sampled_from(["segment", "circle", "off", "exact"]))
+        exact &= kind == "exact"
+        px, py = polyline_point(arc, z)
+        if kind == "circle" and n > 1:
+            step = draw(st.sampled_from([-2, -1, 1, 2]))
+            j = k + step if 0 <= k + step < n else k - step
+            targets.append(arc.embed((j + draw(st.fractions(0, 1, max_denominator=4096))) / n))
+        elif kind in ("segment", "circle"):
+            targets.append(arc.embed(min(max(z + draw(moves), F(k, n)), F(k + 1, n))))
+        elif kind == "off":
+            targets.append((px + draw(moves), py + draw(moves)))
+        else:
+            (ux, uy), r = draw(st.sampled_from(UNIT_VECTORS)), eps
+            if draw(st.booleans()):
+                r, exact = r + F(1, 10**9), False
+            targets.append((px + r * ux, py + r * uy))
+        z = evaluate(fa, z)
+    return arc, fa, y, targets, eps, exact
+
+
+class TestOneCheck:
+    """The search's check, one integer distance between two placed points,
+    gives the verdict of the Fraction check on every kind of target."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(check_cases())
+    def test_equals_fraction_check(self, case):
+        arc, fa, y, targets, eps, exact = case
+        ok = _verified_arc_shadow(arc, fa, y, [_triple(p) for p in targets], eps)
+        assert ok == fraction_arc_check(arc, fa, y, targets, eps)
+        assert ok or not exact
 
 
 class TestOneCandidate:
