@@ -4,7 +4,9 @@ Each public name lives in one module and is imported from it, e.g.
 ``from continua.plmap import PLHomeo, compose``:
 
 - ``rational``: exact scalars, their wire formats and square roots;
-- ``geometry``: exact point and segment predicates in the plane;
+- ``geometry``: exact point and segment predicates in the plane, and the
+  integer point–segment projection behind the nearest-point search and
+  the neighbourhood separation;
 - ``plmap``: the PL map algebra;
 - ``cantor``: the alternating ternary construction with its chain
   property, conjugacies and explosions;

@@ -24,7 +24,7 @@ from functools import cached_property
 from math import lcm
 
 from .cantor import build_ternary_map
-from .geometry import Point, _on_segment, segments_intersect
+from .geometry import Point, _on_segment, _project_segment, _segment_record, segments_intersect
 from .plmap import PLHomeo
 from .rational import rational_to_json
 
@@ -46,23 +46,6 @@ def _circle_polyline() -> tuple[Point, ...]:
         den = 1 + u * u
         pts.append((2 * u / den, (u * u - 1) / den))
     return tuple(pts)
-
-
-def _project_segment(seg: tuple[int, ...], X: int, Y: int, P: int) -> tuple[int, int, int, int]:
-    """``geometry.project_point_segment`` of the point (X/P, Y/P) on one
-    segment of ``Arc._segment_ints``, as integers (tn, td, dn, dd): the
-    clamped parameter tn/td and the squared distance dn/dd, equal in value."""
-    q, ax, ay, bx, by, abx, aby, ab2 = seg
-    apx, apy = X * q - ax * P, Y * q - ay * P  # p - a, over q·P
-    dot = apx * abx + apy * aby  # the parameter is dot/(P·ab2)
-    if ab2 == 0 or dot <= 0:
-        return 0, 1, apx * apx + apy * apy, (q * P) ** 2
-    if dot >= P * ab2:
-        bpx, bpy = X * q - bx * P, Y * q - by * P
-        return 1, 1, bpx * bpx + bpy * bpy, (q * P) ** 2
-    # the squared distance to the line: cross(b - a, p - a)² / |b - a|²
-    cross = abx * apy - aby * apx
-    return dot, P * ab2, cross * cross, (q * P) ** 2 * ab2
 
 
 @dataclass(frozen=True)
@@ -104,15 +87,13 @@ class Arc:
 
     @cached_property
     def _segment_ints(self) -> tuple[tuple[int, ...], ...]:
-        # per segment (a, b): (q, ax, ay, bx, by, abx, aby, ab2), with q the
-        # lcm of its four coordinates' denominators, each coordinate and
-        # ab = b - a times q, and ab2 = |ab|²
+        # per segment (a, b): its ``geometry`` record, with q the lcm of its
+        # four coordinates' denominators
         out = []
         for a, b in zip(self.polyline, self.polyline[1:]):
             q = lcm(*(c.denominator for c in (*a, *b)))
             ax, ay, bx, by = (c.numerator * (q // c.denominator) for c in (*a, *b))
-            abx, aby = bx - ax, by - ay
-            out.append((q, ax, ay, bx, by, abx, aby, abx * abx + aby * aby))
+            out.append(_segment_record(q, (ax, ay), (bx, by)))
         return tuple(out)
 
     def _at(self, p: int, den: int) -> tuple[int, int, int]:
@@ -336,7 +317,7 @@ class YHomeo:
 
 
 def validate_homeo(model: YModel, g: YHomeo) -> None:
-    ids = model.arc_ids()
+    ids = set(model.arc_ids())
     for arc_id in g.arc_maps:
         if arc_id not in ids:
             raise ModelError(f"arc map for {arc_id!r}, which is not an arc of the model")
@@ -344,7 +325,7 @@ def validate_homeo(model: YModel, g: YHomeo) -> None:
         if a.id not in g.arc_maps:
             raise ModelError(f"missing arc map for {a.id!r}")
         f = g.arc_maps[a.id]
-        if f.domain != (Fraction(0), Fraction(1)):
+        if f.domain != (0, 1):
             raise ModelError(f"arc map for {a.id!r} must live on [0, 1]")
 
 

@@ -1,45 +1,21 @@
-"""Exact rational predicates for points and segments in the plane.
+"""Exact predicates for points and segments in the plane.
 
-All inputs are pairs of Fractions; every comparison is exact.  Distances
-are returned squared so no square roots are ever needed for decisions.
+Every comparison is exact.  The orientation and intersection tests take
+points with ``Fraction`` or integer coordinates.  The distance kernels take
+integers only: a segment from a/q to b/q, with a and b integer points, is
+the record (q, ax, ay, bx, by, abx, aby, ab2), where ab = b - a and
+ab2 = |ab|², and each squared distance is a (numerator, denominator) pair
+compared by cross-multiplying.  ``continuum.Arc.nearest`` projects points on
+such records; the neighbourhood separation (``shadowing._min_separation_sq``)
+decides each segment distance on its box integers, records with q = 1.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 
-Point = tuple[Fraction, Fraction]
-Box = tuple[Fraction, Fraction, Fraction, Fraction]  # x_lo, x_hi, y_lo, y_hi
-
-
-def dist2_pp(p: Point, q: Point) -> Fraction:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
-def lerp(a: Point, b: Point, t: Fraction) -> Point:
-    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
-
-
-def project_point_segment(p: Point, a: Point, b: Point) -> tuple[Fraction, Fraction]:
-    """(clamped parameter t in [0,1], squared distance) of the nearest point."""
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
-        return Fraction(0), dist2_pp(p, a)
-    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
-    if t <= 0:
-        return Fraction(0), dist2_pp(p, a)
-    if t >= 1:
-        return Fraction(1), dist2_pp(p, b)
-    return t, dist2_pp(p, lerp(a, b, t))
-
-
-def dist2_point_segment(p: Point, a: Point, b: Point) -> Fraction:
-    """Squared distance from p to the closed segment [a, b]."""
-    return project_point_segment(p, a, b)[1]
+Point = tuple[Rational, Rational]  # Fractions, or integers over one scale
+Box = tuple[int, int, int, int]  # x_lo, x_hi, y_lo, y_hi
 
 
 def _orient(a: Point, b: Point, c: Point) -> int:
@@ -68,27 +44,54 @@ def segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def _box(a: Point, b: Point) -> Box:
-    """Bounding box of the segment [a, b].  With ``_box_gap_sq`` it also
-    takes integer coordinates, the points scaled by one common denominator."""
+def _segment_record(q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, ...]:
+    """The record of the segment from a/q to b/q."""
+    (ax, ay), (bx, by) = a, b
+    abx, aby = bx - ax, by - ay
+    return q, ax, ay, bx, by, abx, aby, abx * abx + aby * aby
+
+
+def _project_segment(seg: tuple[int, ...], X: int, Y: int, P: int) -> tuple[int, int, int, int]:
+    """The nearest point of the segment record ``seg`` to (X/P, Y/P), as
+    integers (tn, td, dn, dd): its clamped parameter tn/td along the
+    segment, and the squared distance dn/dd."""
+    q, ax, ay, bx, by, abx, aby, ab2 = seg
+    apx, apy = X * q - ax * P, Y * q - ay * P  # p - a, over q·P
+    dot = apx * abx + apy * aby  # the parameter is dot/(P·ab2)
+    if ab2 == 0 or dot <= 0:
+        return 0, 1, apx * apx + apy * apy, (q * P) ** 2
+    if dot >= P * ab2:
+        bpx, bpy = X * q - bx * P, Y * q - by * P
+        return 1, 1, bpx * bpx + bpy * bpy, (q * P) ** 2
+    # the squared distance to the line: cross(b - a, p - a)² / |b - a|²
+    cross = abx * apy - aby * apx
+    return dot, P * ab2, cross * cross, (q * P) ** 2 * ab2
+
+
+def _segment_dist2(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, int]:
+    """Squared distance (n, d), n/d, between the closed segments of two
+    records with q = 1; (0, 1) when they meet.  Otherwise the nearest pair
+    of points has an endpoint in it, so it is the least of the four
+    endpoint projections."""
+    a, b, c, d = s[1:3], s[3:5], t[1:3], t[3:5]
+    if segments_intersect(a, b, c, d):
+        return 0, 1
+    best = None
+    for seg, (X, Y) in ((t, a), (t, b), (s, c), (s, d)):
+        _, _, n, dd = _project_segment(seg, X, Y, 1)
+        if best is None or n * best[1] < best[0] * dd:
+            best = n, dd
+    return best
+
+
+def _box(a: tuple[int, int], b: tuple[int, int]) -> Box:
+    """Bounding box of the segment [a, b], a and b integer points."""
     return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
 
 
-def _box_gap_sq(p: Box, q: Box) -> Fraction:
+def _box_gap_sq(p: Box, q: Box) -> int:
     """Squared distance between two boxes: a lower bound on the squared
     distance between anything inside them."""
     gx = max(q[0] - p[1], p[0] - q[1], 0)
     gy = max(q[2] - p[3], p[2] - q[3], 0)
     return gx * gx + gy * gy
-
-
-def dist2_segment_segment(a: Point, b: Point, c: Point, d: Point) -> Fraction:
-    """Squared distance between closed segments [a,b] and [c,d]; 0 on overlap."""
-    if segments_intersect(a, b, c, d):
-        return Fraction(0)
-    return min(
-        dist2_point_segment(a, c, d),
-        dist2_point_segment(b, c, d),
-        dist2_point_segment(c, a, b),
-        dist2_point_segment(d, a, b),
-    )

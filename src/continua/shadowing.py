@@ -32,7 +32,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
-from .geometry import Point, _box, _box_gap_sq, dist2_segment_segment
+from .geometry import Box, Point, _box, _box_gap_sq, _segment_dist2, _segment_record
 from .plmap import (
     _REDUCE_BITS,
     Orientation,
@@ -620,9 +620,13 @@ def _min_separation_sq(
     (SIGMOD 1998): the squared gap between two segments' bounding boxes
     bounds their distance from below, so the segment pairs are taken in
     order of that gap, and the scan stops at the first gap no smaller than
-    the best exact distance so far.  The gaps are integers: every box is
-    built once, from its coordinates times the lcm D of their denominators,
-    so each gap is D² times the true one.
+    the best exact distance so far.  Every coordinate is scaled once to an
+    integer, times the lcm D of their denominators, and each segment gets
+    its box and its ``geometry`` record (q = 1) from those integers.  So
+    each gap is an integer and each segment distance a pair n/d
+    (``_segment_dist2``, which projects with ``_project_segment``), both D²
+    times the true value and compared by cross-multiplying.  The one
+    ``Fraction`` is the result, n/(d·D²).
     """
     segments = [
         [(a, b) for poly in pieces for a, b in zip(poly, poly[1:])]
@@ -633,20 +637,24 @@ def _min_separation_sq(
     def scaled(p: Point) -> tuple[int, int]:
         return p[0].numerator * (D // p[0].denominator), p[1].numerator * (D // p[1].denominator)
 
-    boxed = [[(a, b, _box(scaled(a), scaled(b))) for a, b in side] for side in segments]
-    # the index i keeps equal gaps from comparing segments
+    def boxed(a: Point, b: Point) -> tuple[Box, tuple[int, ...]]:
+        a, b = scaled(a), scaled(b)
+        return _box(a, b), _segment_record(1, a, b)
+
+    sides = [[boxed(a, b) for a, b in side] for side in segments]
+    # the index i keeps equal gaps from comparing records
     pairs = [
-        (_box_gap_sq(box, other), i, a, b, c, d)
-        for i, ((a, b, box), (c, d, other)) in enumerate(product(*boxed))
+        (_box_gap_sq(box, other), i, s, t)
+        for i, ((box, s), (other, t)) in enumerate(product(*sides))
     ]
     heapify(pairs)
-    best: Fraction | None = None
-    while pairs and (best is None or pairs[0][0] < best * D * D):
-        _, _, a, b, c, d = heappop(pairs)
-        d2 = dist2_segment_segment(a, b, c, d)
-        if best is None or d2 < best:
-            best = d2
-    return best
+    best: tuple[int, int] | None = None
+    while pairs and (best is None or pairs[0][0] * best[1] < best[0]):
+        _, _, s, t = heappop(pairs)
+        n, d = _segment_dist2(s, t)
+        if best is None or n * best[1] < best[0] * d:
+            best = n, d
+    return None if best is None else Fraction(best[0], best[1] * D * D)
 
 
 def quasi_attractor_certificate(

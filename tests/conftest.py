@@ -24,7 +24,7 @@ from continua.cantor import (
     minimal_indices,
 )
 from continua.continuum import Arc, YHomeo, YModel, YPoint
-from continua.geometry import Point, dist2_pp, dist2_segment_segment, project_point_segment
+from continua.geometry import Point, segments_intersect
 from continua.plmap import (
     DomainError,
     Orientation,
@@ -837,6 +837,69 @@ def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     template = build_ternary_map(depth - 1)
     residual = grid_c0_distance(grid_compose(h, g), grid_compose(template, h))
     return ConjugacyReport(h, depth, tuple(matched), residual)
+
+
+# The plane's Fraction distance chain: the oracle of geometry's integer
+# kernels and of the separation.
+
+
+def dist2_pp(p: Point, q: Point) -> Fraction:
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
+
+
+def lerp(a: Point, b: Point, t: Fraction) -> Point:
+    return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+
+
+def project_point_segment(p: Point, a: Point, b: Point) -> tuple[Fraction, Fraction]:
+    """(clamped parameter t in [0,1], squared distance) of the nearest point."""
+    ab = (b[0] - a[0], b[1] - a[1])
+    ap = (p[0] - a[0], p[1] - a[1])
+    denom = ab[0] * ab[0] + ab[1] * ab[1]
+    if denom == 0:
+        return Fraction(0), dist2_pp(p, a)
+    t = (ap[0] * ab[0] + ap[1] * ab[1]) / denom
+    if t <= 0:
+        return Fraction(0), dist2_pp(p, a)
+    if t >= 1:
+        return Fraction(1), dist2_pp(p, b)
+    return t, dist2_pp(p, lerp(a, b, t))
+
+
+def dist2_point_segment(p: Point, a: Point, b: Point) -> Fraction:
+    """Squared distance from p to the closed segment [a, b]."""
+    return project_point_segment(p, a, b)[1]
+
+
+def dist2_segment_segment(a: Point, b: Point, c: Point, d: Point) -> Fraction:
+    """Squared distance between closed segments [a,b] and [c,d]; 0 on overlap."""
+    if segments_intersect(a, b, c, d):
+        return Fraction(0)
+    return min(
+        dist2_point_segment(a, c, d),
+        dist2_point_segment(b, c, d),
+        dist2_point_segment(c, a, b),
+        dist2_point_segment(d, a, b),
+    )
+
+
+def count_fractions(fn, *args):
+    """fn(*args) and the number of Fractions it constructed."""
+    made = [0]
+    original = vars(Fraction)["__new__"]
+
+    def counting(cls, *a, **k):
+        made[0] += 1
+        return original.__func__(cls, *a, **k)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        result = fn(*args)
+    finally:
+        Fraction.__new__ = original
+    return result, made[0]
 
 
 def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:

@@ -20,12 +20,13 @@ from continua.continuum import (
     check_arc_decomposition,
     validate_homeo,
 )
-from continua.geometry import dist2_pp, dist2_point_segment
 from continua.plmap import identity
 from continua.svg import render_model, render_phase_diagram
 
 from conftest import (
     apply_map,
+    dist2_point_segment,
+    dist2_pp,
     identity_homeo,
     polyline_point,
     scan_arcs_at,

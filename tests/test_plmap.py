@@ -34,6 +34,7 @@ from continua.cantor import (
 )
 from conftest import (
     canonical_l,
+    count_fractions,
     edge_enriched_map,
     fraction_prune_collinear,
     fraction_walk_c0_distance,
@@ -934,23 +935,6 @@ class TestSlopeCaches:
         h = PLHomeo(tuple(xs), tuple(ys))
         assert (h.breakpoints, h.values) == fraction_prune_collinear(xs, ys)
         assert (h.breakpoints, h.values) == (f.breakpoints, f.values)
-
-
-def count_fractions(fn, *args):
-    """fn(*args) and the number of Fractions it constructed."""
-    made = [0]
-    original = vars(F)["__new__"]
-
-    def counting(cls, *a, **k):
-        made[0] += 1
-        return original.__func__(cls, *a, **k)
-
-    F.__new__ = staticmethod(counting)
-    try:
-        result = fn(*args)
-    finally:
-        F.__new__ = original
-    return result, made[0]
 
 
 class TestFractionBudget:

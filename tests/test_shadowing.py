@@ -64,6 +64,7 @@ from continua.shadowing import (
 )
 
 from conftest import (
+    count_fractions,
     edge_enriched_map,
     exact_orbit,
     fraction_forward_fold,
@@ -894,14 +895,16 @@ class TestSeparationAgainstScan:
     )
     def test_segment_distances_per_certificate(self, monkeypatch, M, depth, k, seed, counts):
         # the first two ops of the certify benchmark at seed 1, one certificate
-        # per arc seeded as global_shadowing_delta seeds it; the box-pruned scan
-        # made 226 and 211 exact segment distances in all (3, 4, 10, 66, 67,
-        # 67, 9 and 3, 6, 68, 67, 67)
+        # per arc seeded as global_shadowing_delta seeds it.  Each closest pair
+        # is a stub's image and the kept part of the same straight arc:
+        # collinear and axis-parallel, so its box gap equals its distance and
+        # the scan stops after it.  The circle's certificates first pop the
+        # circle's two end chords against the kept horizontal arcs, whose boxes
+        # nearly touch but whose distance is larger.  The counts follow from the
+        # heap order (gap, index) and the distances' values alone.
         calls = []
-        dist2 = shadowing.dist2_segment_segment
-        monkeypatch.setattr(
-            shadowing, "dist2_segment_segment", lambda *a: calls.append(a) or dist2(*a)
-        )
+        dist2 = shadowing._segment_dist2
+        monkeypatch.setattr(shadowing, "_segment_dist2", lambda *a: calls.append(a) or dist2(*a))
         m = build_arc_model(M)
         g = YHomeo({a.id: edge_enriched_map(depth, F(1, 2**k)) for a in m.arcs})
         per_cert = []
@@ -910,6 +913,23 @@ class TestSeparationAgainstScan:
             quasi_attractor_certificate(m, g, arc.id, F(1, 10), 10, seed * 1009 + i)
             per_cert.append(len(calls))
         assert per_cert == counts
+
+    def test_one_fraction_per_call(self, monkeypatch):
+        # the certificate inputs of the "7 arcs" case above: the distances are
+        # decided on integers, and the result is the one Fraction built
+        inputs = []
+        checked = shadowing._min_separation_sq
+        monkeypatch.setattr(
+            shadowing, "_min_separation_sq", lambda *a: inputs.append(a) or checked(*a)
+        )
+        m = build_arc_model(3)
+        g = YHomeo({a.id: edge_enriched_map(3, F(1, 2**15)) for a in m.arcs})
+        for i, arc in enumerate(m.arcs):
+            quasi_attractor_certificate(m, g, arc.id, F(1, 10), 10, 852268 * 1009 + i)
+        assert len(inputs) == 7
+        for image, complement in inputs:
+            best, made = count_fractions(_min_separation_sq, image, complement)
+            assert (best, made) == (scan_min_separation_sq(image, complement), 1)
 
     def test_empty_complement(self):
         assert _min_separation_sq([((F(0), F(0)), (F(1), F(0)))], []) is None
