@@ -29,7 +29,6 @@ On top of that construction this module provides:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -38,6 +37,7 @@ from .plmap import (
     Orientation,
     OrientedInterval,
     PLHomeo,
+    _Frozen,
     _generator_points,
     c0_distance,
     compose,
@@ -61,12 +61,15 @@ class ExplosionSiteError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TernaryIndex:
+class TernaryIndex(_Frozen):
     """Level/offset address of a middle-third interval."""
 
-    n: int
-    k: int
+    _fields = ("n", "k")
+
+    def __init__(self, n: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 0 or not 0 <= self.k < 3**self.n:
@@ -147,8 +150,7 @@ def _plant(f: PLHomeo, slots: list[tuple[Fraction, Fraction, Orientation]]) -> P
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(_Frozen):
     """An ordered alternating chain witnessing the fine-chain property.
 
     Conditions: interval order is strict, orientations alternate starting
@@ -156,8 +158,12 @@ class ChainWitness:
     strictly below ``epsilon``.
     """
 
-    intervals: tuple[OrientedInterval, ...]
-    epsilon: Fraction
+    _fields = ("intervals", "epsilon")
+
+    def __init__(self, intervals: tuple[OrientedInterval, ...], epsilon: Fraction):
+        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "epsilon", epsilon)
+        self.__post_init__()
 
     def __post_init__(self):
         ivs = self.intervals
@@ -343,8 +349,7 @@ def chain_property_threshold(levels: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(_Frozen):
     """Result of the inductive template matching.
 
     ``h`` identifies matched intervals of the input with the ternary
@@ -353,10 +358,19 @@ class ConjugacyReport:
     (depth-1) ternary map recorded by the producing call.
     """
 
-    h: PLHomeo
-    depth: int
-    matched: tuple[tuple[OrientedInterval, TernaryIndex], ...]
-    residual: Fraction
+    _fields = ("h", "depth", "matched", "residual")
+
+    def __init__(
+        self,
+        h: PLHomeo,
+        depth: int,
+        matched: tuple[tuple[OrientedInterval, TernaryIndex], ...],
+        residual: Fraction,
+    ):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> dict:
         return {

@@ -18,14 +18,13 @@ per arc.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .cantor import build_ternary_map
 from .geometry import Point, _on_segment, _project_segment, _segment_record, segments_intersect
-from .plmap import PLHomeo
+from .plmap import PLHomeo, _Frozen
 from .rational import rational_to_json
 
 CIRCLE_SEGMENTS = 64
@@ -48,8 +47,7 @@ def _circle_polyline() -> tuple[Point, ...]:
     return tuple(pts)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Frozen):
     """One arc of the model with its embedded polyline.
 
     The parameter t in [0, 1] is uniform across the polyline's segments
@@ -59,13 +57,26 @@ class Arc:
     is a graph over x or a vertical segment), which ``nearest`` relies on.
     """
 
-    id: str
-    p: str
-    q: str
-    kind: str  # "segment" | "circle"
-    polyline: tuple[Point, ...]
-    stretch_lo: Fraction
-    stretch_hi: Fraction
+    _fields = ("id", "p", "q", "kind", "polyline", "stretch_lo", "stretch_hi")
+
+    def __init__(
+        self,
+        id: str,
+        p: str,
+        q: str,
+        kind: str,  # "segment" | "circle"
+        polyline: tuple[Point, ...],
+        stretch_lo: Fraction,
+        stretch_hi: Fraction,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "polyline", polyline)
+        object.__setattr__(self, "stretch_lo", stretch_lo)
+        object.__setattr__(self, "stretch_hi", stretch_hi)
+        self.__post_init__()
 
     def __post_init__(self):
         lo, hi = self.stretch_lo, self.stretch_hi
@@ -166,12 +177,15 @@ class Arc:
         return tuple(pts)
 
 
-@dataclass(frozen=True)
-class YPoint:
+class YPoint(_Frozen):
     """A point of the model: arc id plus parameter in [0, 1]."""
 
-    arc: str
-    t: Fraction
+    _fields = ("arc", "t")
+
+    def __init__(self, arc: str, t: Fraction):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "t", Fraction(self.t))
@@ -182,13 +196,15 @@ class YPoint:
         return {"arc": self.arc, "t": rational_to_json(self.t)}
 
 
-@dataclass(frozen=True)
-class YModel:
+class YModel(_Frozen):
     """Arcs, labeled vertices, and adjacency of the truncated continuum."""
 
-    M: int
-    vertices: dict[str, Point]
-    arcs: tuple[Arc, ...]
+    _fields = ("M", "vertices", "arcs")
+
+    def __init__(self, M: int, vertices: dict[str, Point], arcs: tuple[Arc, ...]):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arcs", arcs)
 
     @cached_property
     def _arcs_by_id(self) -> dict[str, Arc]:
@@ -283,15 +299,17 @@ def build_arc_model(M: int) -> YModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class YHomeo:
+class YHomeo(_Frozen):
     """A self-homeomorphism of the model: one PL map of [0, 1] per arc.
 
     Every arc is invariant with both endpoints fixed, which the PLHomeo
     representation enforces; vertices are therefore fixed automatically.
     """
 
-    arc_maps: dict[str, PLHomeo]
+    _fields = ("arc_maps",)
+
+    def __init__(self, arc_maps: dict[str, PLHomeo]):
+        object.__setattr__(self, "arc_maps", arc_maps)
 
     def map_for(self, arc_id: str) -> PLHomeo:
         return self.arc_maps[arc_id]

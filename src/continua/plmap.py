@@ -46,12 +46,17 @@ the uniform metric on maps and their inverses, fixed-set and
 wandering-interval analysis, the one-breakpoint canonical generators
 (whose three points ``cantor`` plants without building a map per slot),
 affine rescaling, and an exact Lipschitz constant (``max_slope``).
+
+``_Frozen`` is the base of the package's value classes: ``PLHomeo`` and
+``OrientedInterval`` here, and the records of ``cantor``, ``continuum`` and
+``shadowing``.  It refuses assignment and deletion and gives the equality,
+hash and ``repr`` of a frozen dataclass, so no CLI process imports
+``dataclasses``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -77,17 +82,55 @@ class Orientation(str, Enum):
         return Orientation.L if self is Orientation.R else Orientation.R
 
 
-@dataclass(frozen=True)
-class OrientedInterval:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    Assigning or deleting an attribute raises AttributeError; ``__init__``
+    stores each field with ``object.__setattr__``.  Equality, hashing and
+    ``repr`` read the field names in ``_fields`` as a frozen dataclass's
+    generated methods do: equal when the class is the same and the field
+    tuples are equal, the hash of the field tuple, and
+    ``Name(field=value!r, ...)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign a {type(value).__name__} to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class OrientedInterval(_Frozen):
     """A wandering interval (a, b) tagged by where its points flow.
 
     R: the map exceeds the identity on (a, b), so forward orbits converge
     to b.  L: the map is below the identity, orbits converge to a.
     """
 
-    a: Fraction
-    b: Fraction
-    orientation: Orientation
+    _fields = ("a", "b", "orientation")
+
+    def __init__(self, a: Fraction, b: Fraction, orientation: Orientation):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "orientation", orientation)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -101,7 +144,7 @@ class OrientedInterval:
         }
 
 
-class PLHomeo:
+class PLHomeo(_Frozen):
     """Increasing PL bijection of [lo, hi] fixing both endpoints.
 
     breakpoints: strictly increasing, first = lo, last = hi.
@@ -145,12 +188,6 @@ class PLHomeo:
         object.__setattr__(self, "values", tuple(keep_y))
         object.__setattr__(self, "domain", (xs[0], xs[-1]))
         object.__setattr__(self, "_ints", (*_parts(keep_x), *_parts(keep_y), *_parts(slopes)))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign a {type(value).__name__} to {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

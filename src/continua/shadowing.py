@@ -20,11 +20,9 @@ kernels.
 
 from __future__ import annotations
 
-import csv
 import random
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from heapq import heapify, heappop
@@ -32,11 +30,12 @@ from itertools import product
 from math import gcd, lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
-from .geometry import Box, Point, _box, _box_gap_sq, _segment_dist2, _segment_record
+from .geometry import _box, _box_gap_sq, _segment_dist2, _segment_record
 from .plmap import (
     _REDUCE_BITS,
     Orientation,
     PLHomeo,
+    _Frozen,
     _kernel_step,
     evaluate,
     invert,
@@ -86,16 +85,19 @@ DELTA_GRID_LEVELS = 24
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PseudoOrbit:
+class PseudoOrbit(_Frozen):
     """A finite two-sided point sequence, of interval points or of model points.
 
     ``points[i]`` is the state at index i - offset, so the window is
     [-offset, len(points) - 1 - offset].
     """
 
-    points: tuple
-    offset: int
+    _fields = ("points", "offset")
+
+    def __init__(self, points: tuple, offset: int):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "offset", offset)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.points:
@@ -166,8 +168,7 @@ def generate_pseudo_orbit(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShadowingSet:
+class ShadowingSet(_Frozen):
     """Closed set of points whose orbit stays within epsilon of the orbit.
 
     y belongs iff |f^i(y) - x_i| <= epsilon for every window index i
@@ -176,8 +177,11 @@ class ShadowingSet:
     the JSON form lists it as zero or one intervals.
     """
 
-    interval: tuple[Fraction, Fraction] | None
-    epsilon: Fraction
+    _fields = ("interval", "epsilon")
+
+    def __init__(self, interval: tuple[Fraction, Fraction] | None, epsilon: Fraction):
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def is_empty(self) -> bool:
@@ -333,6 +337,8 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
 
 def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
     """CSV rows with exact "num/den" coordinates (interval or model points)."""
+    import csv
+
     w = csv.writer(stream)
     first = orbit.points[0]
     if isinstance(first, YPoint):
@@ -346,6 +352,8 @@ def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
 
 
 def orbit_from_csv(stream) -> PseudoOrbit:
+    import csv
+
     try:
         rows = list(csv.reader(stream))
     except csv.Error as exc:
@@ -474,8 +482,7 @@ def _orbit_stepper(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stub:
+class Stub(_Frozen):
     """Half-open sliver of an adjacent arc hanging off a shared vertex.
 
     end 0 keeps parameters [0, cut); end 1 keeps (cut, 1].  The cut point
@@ -483,20 +490,25 @@ class Stub:
     the arc map strictly pulls the closed stub into itself.
     """
 
-    arc: str
-    end: int
-    cut: Fraction
+    _fields = ("arc", "end", "cut")
+
+    def __init__(self, arc: str, end: int, cut: Fraction):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "cut", cut)
 
     def to_json(self) -> dict:
         return {"arc": self.arc, "end": self.end, "cut": rational_to_json(self.cut)}
 
 
-@dataclass(frozen=True)
-class InwardNeighborhood:
+class InwardNeighborhood(_Frozen):
     """An invariant arc together with strictly attracted boundary stubs."""
 
-    arc: str
-    stubs: tuple[Stub, ...]
+    _fields = ("arc", "stubs")
+
+    def __init__(self, arc: str, stubs: tuple[Stub, ...]):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "stubs", stubs)
 
     @cached_property
     def kept(self) -> dict[str, tuple[Fraction, Fraction]]:
@@ -512,8 +524,7 @@ class InwardNeighborhood:
         return {"arc": self.arc, "stubs": [s.to_json() for s in self.stubs]}
 
 
-@dataclass(frozen=True)
-class QuasiAttractorCertificate:
+class QuasiAttractorCertificate(_Frozen):
     """Constants realizing the one-arc shadowing-transfer chain.
 
     delta1: empirical inner shadowing modulus of the arc at epsilon/2
@@ -524,13 +535,25 @@ class QuasiAttractorCertificate:
     closure(g(V)) still inside V, via the exact separation distance.
     """
 
-    arc: str
-    epsilon: Fraction
-    delta1: Fraction
-    alpha: Fraction
-    neighborhood: InwardNeighborhood
-    delta: Fraction
-    separation_sq: Fraction
+    _fields = ("arc", "epsilon", "delta1", "alpha", "neighborhood", "delta", "separation_sq")
+
+    def __init__(
+        self,
+        arc: str,
+        epsilon: Fraction,
+        delta1: Fraction,
+        alpha: Fraction,
+        neighborhood: InwardNeighborhood,
+        delta: Fraction,
+        separation_sq: Fraction,
+    ):
+        object.__setattr__(self, "arc", arc)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta1", delta1)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "neighborhood", neighborhood)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "separation_sq", separation_sq)
 
     def to_json(self) -> dict:
         return {
@@ -620,28 +643,26 @@ def _min_separation_sq(
     (SIGMOD 1998): the squared gap between two segments' bounding boxes
     bounds their distance from below, so the segment pairs are taken in
     order of that gap, and the scan stops at the first gap no smaller than
-    the best exact distance so far.  Every coordinate is scaled once to an
-    integer, times the lcm D of their denominators, and each segment gets
-    its box and its ``geometry`` record (q = 1) from those integers.  So
-    each gap is an integer and each segment distance a pair n/d
+    the best exact distance so far.  Each polyline vertex is scaled once to
+    integers, times the lcm D of all the denominators, and each segment
+    gets its box and its ``geometry`` record (q = 1) from its two scaled
+    ends.  So each gap is an integer and each segment distance a pair n/d
     (``_segment_dist2``, which projects with ``_project_segment``), both D²
     times the true value and compared by cross-multiplying.  The one
     ``Fraction`` is the result, n/(d·D²).
     """
-    segments = [
-        [(a, b) for poly in pieces for a, b in zip(poly, poly[1:])]
-        for pieces in (image_pieces, complement_pieces)
-    ]
-    D = lcm(*(c.denominator for side in segments for seg in side for p in seg for c in p))
-
-    def scaled(p: Point) -> tuple[int, int]:
-        return p[0].numerator * (D // p[0].denominator), p[1].numerator * (D // p[1].denominator)
-
-    def boxed(a: Point, b: Point) -> tuple[Box, tuple[int, ...]]:
-        a, b = scaled(a), scaled(b)
-        return _box(a, b), _segment_record(1, a, b)
-
-    sides = [[boxed(a, b) for a, b in side] for side in segments]
+    families = (image_pieces, complement_pieces)
+    D = lcm(*(c.denominator for pieces in families for poly in pieces for p in poly for c in p))
+    sides = []
+    for pieces in families:
+        side = []
+        for poly in pieces:
+            pts = [
+                (x.numerator * (D // x.denominator), y.numerator * (D // y.denominator))
+                for x, y in poly
+            ]
+            side += [(_box(a, b), _segment_record(1, a, b)) for a, b in zip(pts, pts[1:])]
+        sides.append(side)
     # the index i keeps equal gaps from comparing records
     pairs = [
         (_box_gap_sq(box, other), i, s, t)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -1024,3 +1025,12 @@ def separation_checked_against_scan(monkeypatch):
         return best
 
     monkeypatch.setattr(shadowing, "_min_separation_sq", checked)
+
+
+def dataclass_twin(cls: type) -> type:
+    """A ``@dataclass(frozen=True)`` with ``cls``'s name, its fields
+    (``cls._fields``) in order and its own ``__post_init__``: the oracle for
+    the ``__init__`` checks, ``__eq__``, ``__hash__`` and ``__repr__`` of a
+    value class of the package."""
+    namespace = {k: v for k, v in vars(cls).items() if k == "__post_init__"}
+    return dataclasses.make_dataclass(cls.__name__, cls._fields, namespace=namespace, frozen=True)

@@ -139,6 +139,22 @@ def test_cli_import_loads_every_module():
     assert proc.stdout.split("\n") == ["[]", "[]", ""], proc.stderr
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_csv():
+    # each CLI op runs in a fresh interpreter, so these imports would cost
+    # every op: the value classes are plain classes, and only the orbit CSV
+    # reader and writer import csv
+    heavy = ["dataclasses", "inspect", "csv"]
+    probe = f"import sys, continua.cli; print([n for n in {heavy} if n in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=60,
+    )
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def _unread_parameters(path: Path) -> list[str]:
     """``function.parameter`` for each parameter of a function in ``path``
     (``self`` and ``cls`` aside) that its body never names."""

@@ -1,7 +1,6 @@
 """Pseudo-orbits, exact shadowing sets, moduli, certificates."""
 
 import collections
-import dataclasses
 import hashlib
 import io
 import random
@@ -983,7 +982,10 @@ class TestShadowSearch:
         m = build_arc_model(2)
         g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
         cert = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
-        wide = dataclasses.replace(cert, delta=F(1, 20))
+        wide = shadowing.QuasiAttractorCertificate(
+            cert.arc, cert.epsilon, cert.delta1, cert.alpha, cert.neighborhood, F(1, 20),
+            cert.separation_sq,
+        )
         assert sample_certificate_soundness(m, g, wide, trials=40, seed=1) == [1, 14, 33]
         m = build_arc_model(3)
         g = build_arcwise_map(m, 2)
