@@ -15,7 +15,15 @@ from continua import cli
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
 from continua.continuum import YHomeo, YPoint, build_arc_model, build_arcwise_map
-from continua.plmap import Orientation, PLHomeo, canonical_r, identity, wandering_intervals
+from continua.plmap import (
+    Orientation,
+    PLHomeo,
+    canonical_r,
+    compose,
+    identity,
+    invert,
+    wandering_intervals,
+)
 from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y, orbit_to_csv
 
 from conftest import edge_enriched_map, identity_homeo, semi_stable_map
@@ -476,9 +484,13 @@ class TestCertify:
 def pinned_inputs(tmp_path):
     m2, m3 = build_arc_model(2), build_arc_model(3)
     g = YHomeo({a.id: edge_enriched_map(2, F(1, 2**16)) for a in m2.arcs})
+    # a depth-7 map in other coordinates: its conjugacy residual is a
+    # uniform distance between maps of 767 and 47 breakpoints
+    A = PLHomeo((F(0), F(1, 3), F(7, 9), F(1)), (F(0), F(1, 2), F(13, 16), F(1)))
     files = {
         "G": g.to_json(),
         "f2": build_ternary_map(2).to_json(),
+        "g7": compose(A, compose(build_ternary_map(7), invert(A))).to_json(),
     }
     paths = {}
     for name, obj in files.items():
@@ -502,7 +514,7 @@ def pinned_inputs(tmp_path):
 
 
 # (argv, exit code, sha256 of stdout): whole artifacts of the certify,
-# shadow and modulus paths, so a rewrite of the exact core keeps every byte
+# shadow, modulus and conjugate paths, so a rewrite of the exact core keeps every byte
 PINNED_RUNS = {
     "certify-enriched": (
         lambda d: ["certify", "--segments", 2, "--homeo", d["G"], "--epsilon", "1/10",
@@ -526,6 +538,9 @@ PINNED_RUNS = {
     "modulus": (
         lambda d: ["modulus", d["f2"], "--epsilon", "1/20", "--trials", 20, "--seed", 1],
         0, "dcda7164941c506813be204e5f1de63e2b9704781d91a383b7c4790ae76dc52b"),
+    "conjugate": (
+        lambda d: ["conjugate", d["g7"], "--depth", 4],
+        0, "c88bdca2f75baab380d420b435b260071b60da41342404bfedbb12679fca1426"),
 }
 
 
