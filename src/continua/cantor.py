@@ -16,9 +16,12 @@ On top of that construction this module provides:
   subsequences, O(n log n) in the number n of wandering intervals (a
   right-to-left sweep with one monotone staircase per orientation, run on
   integer keys: every endpoint scaled by the lcm of the endpoint
-  denominators).  The table of a map is built once and kept on the map
+  denominators).  The table of a map is built once, from the integer
+  interval ends that the map's fixed-set walk keeps, and kept on the map
   next to its cached wandering intervals, so repeated decisions on one
-  map only rescan it, and the threshold of a ternary map is read from it;
+  map only rescan it, and the threshold of a ternary map is read from it.
+  A list of intervals (``best_chain_quality``) goes through the same
+  sweep;
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual; it compares interval widths on the same table's keys;
 * fixed-point explosions (planting a canonical generator inside an
@@ -195,10 +198,34 @@ class ChainWitness(_Frozen):
 def _chain_table(
     ivs: list[OrientedInterval], lo: Fraction, hi: Fraction
 ) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
+    """``_chain_sweep`` over a list of wandering intervals on [lo, hi],
+    with each end split into its numerator and denominator."""
+    return _chain_sweep(
+        [iv.a.numerator for iv in ivs],
+        [iv.a.denominator for iv in ivs],
+        [iv.b.numerator for iv in ivs],
+        [iv.b.denominator for iv in ivs],
+        [iv.orientation for iv in ivs],
+        (lo.numerator, lo.denominator),
+        (hi.numerator, hi.denominator),
+    )
+
+
+def _chain_sweep(
+    an: list[int],
+    ad: list[int],
+    bn: list[int],
+    bd: list[int],
+    orient: list[Orientation],
+    lo: tuple[int, int],
+    hi: tuple[int, int],
+) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
     """The chain DP on integer keys: (d, lo·d, [a_i·d], [b_i·d],
     orientations, fwd), where d is the lcm of the denominators of lo, hi
     and every endpoint, and fwd[i]·d is the minimal achievable max(later
-    gaps, trailing margin) from i.
+    gaps, trailing margin) from i.  Interval i is (an[i]/ad[i],
+    bn[i]/bd[i]) with orientation orient[i], and lo and hi are
+    (numerator, denominator) pairs, each in lowest terms.
 
     Minimax dynamic programming over all alternating continuations; with it
     the scan in ``check_chain_property`` is complete: it finds a witness
@@ -206,9 +233,10 @@ def _chain_table(
     d keeps every difference and comparison exact, so the sweep makes no
     ``Fraction``.
 
-    ``ivs`` must be sorted and pairwise disjoint, as ``wandering_intervals``
-    returns them; then every j >= i + 2 lies strictly right of i, and only
-    j = i + 1 can touch it.  The sweep runs right to left in O(n log n).
+    The intervals must be sorted and pairwise disjoint, as
+    ``wandering_intervals`` returns them; then every j >= i + 2 lies
+    strictly right of i, and only j = i + 1 can touch it.  The sweep runs
+    right to left in O(n log n).
     Per orientation it keeps a staircase of candidates j, nearest last,
     with a_j increasing and fwd[j] strictly decreasing in j (a candidate
     farther right with no smaller fwd never wins again).  Along it
@@ -219,14 +247,13 @@ def _chain_table(
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.
     """
-    dens = {iv.a.denominator for iv in ivs} | {iv.b.denominator for iv in ivs}
-    d = lcm(lo.denominator, hi.denominator, *dens)
+    dens = {*ad, *bd}
+    d = lcm(lo[1], hi[1], *dens)
     scale = {q: d // q for q in dens}
-    a = [iv.a.numerator * scale[iv.a.denominator] for iv in ivs]
-    b = [iv.b.numerator * scale[iv.b.denominator] for iv in ivs]
-    orient = [iv.orientation for iv in ivs]
-    top = hi.numerator * (d // hi.denominator)
-    n = len(ivs)
+    a = [p * scale[q] for p, q in zip(an, ad)]
+    b = [p * scale[q] for p, q in zip(bn, bd)]
+    top = hi[0] * (d // hi[1])
+    n = len(a)
     fwd = [0] * n
     # per orientation: candidate indices, and fwd[j] - a_j, which increases
     # along the list
@@ -252,18 +279,20 @@ def _chain_table(
         if i + 1 < n and orient[i + 1] is want and a[i + 1] > bi:
             best = min(best, max(a[i + 1] - bi, fwd[i + 1]))
         fwd[i] = best
-    return d, lo.numerator * (d // lo.denominator), a, b, orient, fwd
+    return d, lo[0] * (d // lo[1]), a, b, orient, fwd
 
 
 def _map_chain_table(
     f: PLHomeo,
 ) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
-    """``_chain_table`` over f's wandering intervals, built on first use
-    and kept on f next to its cached fixed set and wandering intervals.
-    Its readers do not change it."""
+    """``_chain_sweep`` over f's wandering intervals, built on first use
+    from the integer ends that f's fixed-set walk keeps, and kept on f next
+    to its cached fixed set and wandering intervals.  Its readers do not
+    change it."""
     table = f.__dict__.get("_chain_table")
     if table is None:
-        table = _chain_table(wandering_intervals(f), f.lo, f.hi)
+        xn, xd = f._ints[:2]
+        table = _chain_sweep(*f._structure[2], (xn[0], xd[0]), (xn[-1], xd[-1]))
         object.__setattr__(f, "_chain_table", table)
     return table
 

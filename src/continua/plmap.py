@@ -22,21 +22,27 @@ canonical by construction (an inverse, a pruned composition) are wrapped
 by ``_trusted`` from their integer form alone, without being checked
 again: ``compose`` fills it from the integers its walk holds, and
 ``invert`` swaps the tuples of the map it inverts.  ``compose``,
-``c0_distance`` (both merge walks), the fixed-set walk and the kernel
-read it and no Fraction per point: they order abscissae, interpolate and
-take signs by cross-multiplying pairs.  There is no common scale, so no
-integer the walks form grows with the number of distinct denominators.
+``c0_distance``, the fixed-set walk and the kernel read it and no
+Fraction per point: they order abscissae, interpolate and take signs by
+cross-multiplying pairs.  There is no common scale, so no integer the
+walks form grows with the number of distinct denominators.  ``compose``
+and ``c0_distance`` share one merge walk, which can start inside the
+lists.  ``c0_distance`` cuts the longer list into blocks of 16 pieces and
+samples both maps at the block ends; as both maps increase, the gap on a
+block [u, v] is at most max(a(v) − b(u), b(v) − a(u)), so it walks only
+the blocks whose bound exceeds the largest gap found so far.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
 modulus's trials, the model-orbit stepper, and the search's fold and
 check), its inverse (returned by ``invert``), and its fixed set and
 wandering intervals, found together in one walk over the breakpoints
-(copied out by ``fixed_set`` and ``wandering_intervals``).  The kernel
-scales the breakpoints by d, the lcm of their denominators, to integer
-keys, and writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with integers
-α, β, γ, so one evaluation locates its piece by integer comparisons and
-builds one Fraction.  ``_kernel_step`` is the one step of a single point
+(copied out by ``fixed_set`` and ``wandering_intervals``; the walk also
+keeps the intervals' ends as integer pairs, from which ``cantor`` builds
+the map's chain table).  The kernel scales the breakpoints by d, the lcm
+of their denominators, to integer keys, and writes each piece as
+f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so one evaluation
+locates its piece by integer comparisons and builds one Fraction.  ``_kernel_step`` is the one step of a single point
 on the kernel, as an integer pair: ``evaluate`` builds its Fraction, and
 ``shadowing``'s fold and check step on it without one.  The inverse holds
 no reference back to its map, so the cache forms no reference cycle.
@@ -259,9 +265,7 @@ class PLHomeo(_Frozen):
         return inv
 
     @cached_property
-    def _structure(
-        self,
-    ) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...]]:
+    def _structure(self) -> tuple[tuple, tuple[OrientedInterval, ...], tuple[list, ...]]:
         return _fixed_and_wandering(self)
 
     # -- serialization -----------------------------------------------------
@@ -347,17 +351,18 @@ def invert(f: PLHomeo) -> PLHomeo:
     return f._inverse
 
 
-def _merge(an, ad, bn, bd):
-    """(i, j, side) for each t of a ∪ b, in increasing order.
+def _merge(an, ad, bn, bd, i=0, j=0):
+    """(i, j, side) for each t of a ∪ b from min(a[i], b[j]) on, in
+    increasing order.
 
     an/ad and bn/bd hold the numerators and denominators of two strictly
     increasing abscissa lists with common ends.  side 0: t = a[i] = b[j].
     side 1: t = a[i] lies strictly inside b's piece j - 1.  side 2:
     t = b[j] lies strictly inside a's piece i - 1.  So the piece left of t
-    is (i - 1, j - 1) in both lists.  Abscissae are ordered by
+    is (i - 1, j - 1) in both lists.  A walk that starts inside the lists
+    needs a[i - 1] < b[j] and b[j - 1] < a[i].  Abscissae are ordered by
     cross-multiplying; no Fraction is built.
     """
-    i = j = 0
     last = len(an) - 1
     while True:
         left, right = an[i] * bd[j], bn[j] * ad[i]
@@ -467,30 +472,106 @@ def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
     return y
 
 
+# c0_distance cuts the longer list of each pair into blocks of this many
+# pieces; chosen by timing the conjugated depth-9 pairs of the deep workload
+_BLOCK = 16
+
+
 def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     """sup |f-g| and |f⁻¹-g⁻¹|, exact.
 
     The difference of two PL maps is PL, so each sup is attained on the
-    merged breakpoint lists: one merge walk of f against g, and one of the
-    swapped integer lists with swapped slope numerators and denominators,
-    so neither inverse is built.  At each merged point one map gives a
-    stored value and the other a stored or interpolated one; their
-    difference and the running maximum are kept as integer
+    merged breakpoint lists.  The two sups are taken in turn, of the maps
+    and of their swapped integer lists (with swapped slope numerators and
+    denominators, so neither inverse is built), by ``_sup_gap``, which
+    carries one running maximum through both.  It splits the longer list
+    into blocks of ``_BLOCK`` = 16 pieces and takes both maps' exact values
+    at every block end.  Both maps increase, so on a block [u, v] the gap
+    is at most max(a(v) − b(u), b(v) − a(u)), and a block whose bound does
+    not exceed the running maximum is skipped; any other block is merge
+    walked inside.  Values, gaps and the maximum are integer
     numerator/denominator pairs, and the one Fraction is built at the end.
-    O(len(f) + len(g)) operations.
+    In the worst case no block is skipped (f = g, say): every block is
+    walked, O(len(f) + len(g)) operations, plus n/16 located block ends
+    and their bounds for a longer list of n breakpoints.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
-    fxn, fxd, fyn, fyd, fsn, fsd = f._ints
-    gxn, gxd, gyn, gyd, gsn, gsd = g._ints
-    top_n, top_d = 0, 1
-    for a, b in (
-        ((fxn, fxd, fyn, fyd, fsn, fsd), (gxn, gxd, gyn, gyd, gsn, gsd)),
-        ((fyn, fyd, fxn, fxd, fsd, fsn), (gyn, gyd, gxn, gxd, gsd, gsn)),
-    ):
-        axn, axd, ayn, ayd, asn, asd = a
-        bxn, bxd, byn, byd, bsn, bsd = b
-        for i, j, side in _merge(axn, axd, bxn, bxd):
+    top = 0, 1
+    for a, b in ((f._ints, g._ints), (_swapped(f._ints), _swapped(g._ints))):
+        top = _sup_gap(*((b, a) if len(b[0]) > len(a[0]) else (a, b)), *top)
+    return Fraction(*top)
+
+
+def _swapped(ints: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The integer form of the inverse of the map with form ``ints``."""
+    xn, xd, yn, yd, sn, sd = ints
+    return yn, yd, xn, xd, sd, sn
+
+
+def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
+    """max(top_n/top_d, sup |a − b|) as an integer pair, for the integer
+    forms a and b of two maps on one domain, a's list the longer.
+
+    Block ends are a's breakpoints 0, K, 2K, ... and its last.  At each,
+    a's value is stored, and b's is stored or interpolated on b's piece,
+    located by galloping from the previous end and bisecting, comparing
+    abscissae by cross-multiplying; the gaps there seed the maximum.  Then
+    each block whose monotone bound exceeds the maximum is merge walked
+    from its first interior point to its end.
+    """
+    axn, axd, ayn, ayd, asn, asd = a
+    bxn, bxd, byn, byd, bsn, bsd = b
+    last, blast = len(axn) - 1, len(bxn) - 1
+    # (e, j, q) per block end t = a[e]: b(t) = q as a pair, and the least j
+    # with b[j] > t, where the walk of the block that starts at t resumes
+    ends = []
+    j = 0
+    for e in (*range(0, last, _BLOCK), last):
+        tn, td = axn[e], axd[e]
+        if bxn[j] * td < tn * bxd[j]:
+            # b[lo] < t <= b[hi]; the list's last point is the domain's end
+            lo, hi, step = j, j + 1, 1
+            while bxn[hi] * td < tn * bxd[hi]:
+                lo, step = hi, 2 * step
+                hi = min(hi + step, blast)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if bxn[mid] * td < tn * bxd[mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            j = hi
+        if bxn[j] * td == tn * bxd[j]:
+            qn, qd = byn[j], byd[j]
+            j += 1
+        else:
+            k = j - 1
+            m = bxd[k] * td * bsd[k]
+            qn = byn[k] * m + byd[k] * (tn * bxd[k] - bxn[k] * td) * bsn[k]
+            qd = byd[k] * m
+        ends.append((e, j, qn, qd))
+        pn, pd = ayn[e], ayd[e]
+        n, d = abs(pn * qd - qn * pd), pd * qd
+        if n * top_d > top_n * d:
+            top_n, top_d = n, d
+    # the walk stopped at the end of the last block walked, if any
+    walk = None
+    for (e0, j0, un, ud), (e1, _, vn, vd) in zip(ends, ends[1:]):
+        # a and b increase, so on [u, v] = [a[e0], a[e1]] the gap is at most
+        # max(a(v) − b(u), b(v) − a(u))
+        pn, pd, rn, rd = ayn[e1], ayd[e1], ayn[e0], ayd[e0]
+        d = pd * ud
+        if (pn * ud - un * pd) * top_d <= top_n * d:
+            d = vd * rd
+            if (vn * rd - rn * vd) * top_d <= top_n * d:
+                walk = None
+                continue
+        if walk is None:
+            walk = _merge(axn, axd, bxn, bxd, e0 + 1, j0)
+        for i, j, side in walk:
+            if i == e1 and side != 2:
+                break
             # a and b at t, each as y0 + (t − x0)·s on the piece k holding t
             # when t is not its own breakpoint
             if side == 2:
@@ -510,13 +591,16 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
             n, d = abs(pn * qd - qn * pd), pd * qd
             if n * top_d > top_n * d:
                 top_n, top_d = n, d
-    return Fraction(top_n, top_d)
+    return top_n, top_d
 
 
 def _fixed_and_wandering(
     f: PLHomeo,
-) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...]]:
-    """f's fixed set and wandering intervals, in one walk over its pieces.
+) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...], tuple[list, ...]]:
+    """f's fixed set and wandering intervals, in one walk over its pieces,
+    with the intervals' ends as integers: lists an, ad, bn, bd of the
+    numerators and denominators, in lowest terms, of each interval's ends
+    a and b, and the list of orientations, for ``cantor``'s chain table.
 
     On each affine piece the displacement d = f(x) - x is affine, so its
     zero set is empty, a point, or the whole piece.  The sign of d at a
@@ -526,10 +610,11 @@ def _fixed_and_wandering(
     strictly inside it where d changes sign, closes the wandering interval
     from the current component to the root and opens a new component
     there.  The inside root of a piece from (x0, y0) with slope s is
-    (x0·s − y0)/(s − 1).  d keeps one sign between consecutive roots, so
-    the piece's left end lies in that interval and its sign gives the
-    orientation.  The walk builds one Fraction per root and per right end
-    of a fixed component of positive length, and reads the domain's ends.
+    (x0·s − y0)/(s − 1), reduced by one gcd.  d keeps one sign between
+    consecutive roots, so the piece's left end lies in that interval and
+    its sign gives the orientation.  The walk builds one Fraction per root
+    and per right end of a fixed component of positive length, and reads
+    the domain's ends.
     """
     xn, xd, yn, yd, sn, sd = f._ints
     last = len(xn) - 1
@@ -539,9 +624,10 @@ def _fixed_and_wandering(
 
     fixed = []
     wandering: list[OrientedInterval] = []
-    # the current fixed component runs from left to breakpoint `right`, or
-    # is the point left when `right` is None
-    left, right = f.lo, None
+    an, ad, bn, bd, tags = ends = ([], [], [], [], [])
+    # the current fixed component runs from left = ln/ld to breakpoint
+    # `right`, or is the point left when `right` is None
+    left, ln, ld, right = f.lo, xn[0], xd[0], None
     d1 = 0  # lo is fixed
     for i in range(1, last + 1):
         d0, d1 = d1, yn[i] * xd[i] - xn[i] * yd[i]
@@ -549,21 +635,31 @@ def _fixed_and_wandering(
             if d0 == 0:
                 right = i
                 continue
-            root = point(i)
+            root, rn, rd = point(i), xn[i], xd[i]
         elif d0 != 0 and (d0 < 0) != (d1 < 0):
             k = i - 1
-            root = Fraction(
-                xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k], xd[k] * yd[k] * (sn[k] - sd[k])
-            )
+            num = xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k]
+            den = xd[k] * yd[k] * (sn[k] - sd[k])
+            c = gcd(num, den) if den > 0 else -gcd(num, den)
+            rn, rd = num // c, den // c
+            root = Fraction(rn, rd)
         else:
             continue
-        end = left if right is None else point(right)
+        if right is None:
+            end, en, ed = left, ln, ld
+        else:
+            end, en, ed = point(right), xn[right], xd[right]
         fixed.append((left, end))
         tag = Orientation.R if d0 > 0 else Orientation.L
         wandering.append(OrientedInterval(end, root, tag))
-        left, right = root, None
+        an.append(en)
+        ad.append(ed)
+        bn.append(rn)
+        bd.append(rd)
+        tags.append(tag)
+        left, ln, ld, right = root, rn, rd, None
     fixed.append((left, left if right is None else point(right)))
-    return tuple(fixed), tuple(wandering)
+    return tuple(fixed), tuple(wandering), ends
 
 
 def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:

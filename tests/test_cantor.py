@@ -424,11 +424,12 @@ class TestChainTableCache:
         q = best_chain_quality(wandering_intervals(g))
         built = []
 
-        def counting(ivs, lo, hi):
-            built.append(len(ivs))
-            return _chain_table(ivs, lo, hi)
+        def counting(an, *rest):
+            built.append(len(an))
+            return sweep(an, *rest)
 
-        monkeypatch.setattr(cantor, "_chain_table", counting)
+        sweep = cantor._chain_sweep
+        monkeypatch.setattr(cantor, "_chain_sweep", counting)
         assert check_chain_property(g, q) is None
         witness = check_chain_property(g, q + q / 1000)
         assert built == [len(wandering_intervals(g))]
@@ -441,6 +442,33 @@ class TestChainTableCache:
             for eps in oracle_epsilons(f):
                 assert check_chain_property(f, eps) == two_loop_chain_property(f, eps)
             assert f.__dict__["_chain_table"] == _chain_table(wandering_intervals(f), *f.domain)
+
+    def test_map_table_reads_no_fraction_parts(self, monkeypatch):
+        """A map's table is built from the integer interval ends that its
+        fixed-set walk keeps: it equals the table of its interval list,
+        and reads no numerator or denominator.  Generic maps cross the
+        identity inside pieces, upward and downward, so their roots are
+        reduced by the walk."""
+        rng = random.Random(19)
+        maps = [random_plhomeo(rng, max_interior=8) for _ in range(40)]
+        maps += [random_touching_map(rng, 12) for _ in range(10)]
+        maps += [rescale(random_plhomeo(rng), DOMAINS[1]) for _ in range(10)]
+        maps += [ternary_conjugate(7), rescale(ternary_conjugate(5), DOMAINS[1])]
+        for f in maps:
+            ivs = wandering_intervals(f)
+            reads = []
+            for part in ("numerator", "denominator"):
+                fetch = getattr(F, part).fget
+                monkeypatch.setattr(
+                    F, part, property(lambda q, fetch=fetch: reads.append(q) or fetch(q))
+                )
+            table = cantor._map_chain_table(f)
+            monkeypatch.undo()
+            assert reads == []
+            assert table == _chain_table(ivs, *f.domain)
+            parts = [(iv.a.numerator, iv.a.denominator, iv.b.numerator, iv.b.denominator,
+                      iv.orientation) for iv in ivs]
+            assert list(zip(*f._structure[2])) == parts
 
     def test_each_map_keeps_its_own_table(self):
         f, g = build_ternary_map(3), build_ternary_map(4)

@@ -31,6 +31,8 @@ from continua.cantor import (
     build_conjugacy,
     build_ternary_map,
     check_chain_property,
+    densify_chain_property,
+    explode_fixed_point,
 )
 from conftest import (
     canonical_l,
@@ -589,6 +591,152 @@ class TestIntegerWalk:
         g = rescale(build_ternary_map(2), (F(-3, 2), F(5, 7)))
         for a, b in ((f, g), (g, f), (f, invert(g)), (g, identity(F(-3, 2), F(5, 7)))):
             check_walks(a, b)
+
+
+BLOCK = plmap._BLOCK
+
+
+@st.composite
+def sized_maps(draw, n: int) -> PLHomeo:
+    """A map of [0, 1] with exactly n breakpoints: positive integer run
+    lengths, and integer slope factors that differ between neighbouring
+    pieces, so that no breakpoint is pruned."""
+    runs = draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+    factors = draw(st.lists(st.integers(1, 5), min_size=n - 1, max_size=n - 1))
+    for i in range(1, n - 1):
+        if factors[i] == factors[i - 1]:
+            factors[i] = factors[i] % 5 + 1
+    xs, ys = [0], [0]
+    for run, factor in zip(runs, factors):
+        xs.append(xs[-1] + run)
+        ys.append(ys[-1] + run * factor)
+    f = PLHomeo(tuple(F(x, xs[-1]) for x in xs), tuple(F(y, ys[-1]) for y in ys))
+    assert len(f.breakpoints) == n
+    return f
+
+
+def check_distance(f: PLHomeo, g: PLHomeo) -> F:
+    """c0_distance(f, g) after checking it, both ways round, against the
+    Fraction merge walk and pointwise evaluation."""
+    distance = c0_distance(f, g)
+    assert distance == c0_distance(g, f) == fraction_walk_c0_distance(f, g)
+    assert distance == grid_c0_distance(f, g)
+    return distance
+
+
+# around one and two blocks of pieces
+BLOCK_SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2)
+
+
+class TestBlockBounds:
+    """c0_distance skips the blocks whose monotone bound cannot beat the
+    running maximum; it must equal the Fraction merge walk and pointwise
+    evaluation whatever the blocks hold."""
+
+    @algebra_settings
+    @given(st.sampled_from(BLOCK_SIZES), st.sampled_from(BLOCK_SIZES), st.data())
+    def test_sizes_around_the_block(self, n, m, data):
+        f, g = data.draw(sized_maps(n)), data.draw(sized_maps(m))
+        check_distance(f, g)
+        check_distance(f, invert(g))
+
+    @algebra_settings
+    @given(st.sampled_from(BLOCK_SIZES), walk_maps(), st.data())
+    def test_against_short_maps(self, n, g, data):
+        f = data.draw(sized_maps(n))
+        check_distance(f, g)
+        check_distance(invert(f), g)
+
+    def test_far_shorter_list(self):
+        """The residual pair of a depth-9 conjugacy: 3071 breakpoints
+        against 47."""
+        f9 = build_ternary_map(9)
+        A = random_coordinate_change(random.Random(11))
+        g = compose(A, compose(f9, invert(A)))
+        report = build_conjugacy(g, 4)
+        a, b = compose(report.h, g), compose(build_ternary_map(3), report.h)
+        assert (len(a.breakpoints), len(b.breakpoints)) == (3071, 47)
+        assert check_distance(a, b) == report.residual > 0
+
+    @algebra_settings
+    @given(st.sampled_from(BLOCK_SIZES), st.data())
+    def test_identical_maps(self, n, data):
+        f = data.draw(sized_maps(n))
+        assert c0_distance(f, f) == c0_distance(f, PLHomeo(f.breakpoints, f.values)) == 0
+
+    @pytest.mark.parametrize("levels", [6, 9])
+    def test_identical_deep_maps(self, levels):
+        f = build_ternary_map(levels)
+        A = random_coordinate_change(random.Random(levels))
+        g = compose(A, compose(f, invert(A)))
+        for h in (f, g):
+            assert c0_distance(h, h) == c0_distance(h, PLHomeo(h.breakpoints, h.values)) == 0
+
+    @pytest.mark.parametrize("levels", [5, 7])
+    def test_explosion_moves_by_half_its_radius(self, levels):
+        """An explosion of radius delta moves one window, so every block
+        but one or two is skipped; the generator moves its midpoint by
+        delta/2."""
+        f = build_ternary_map(levels)
+        stretches = [(u, v) for u, v in fixed_set(f) if u < v]
+        for u, v in (stretches[0], stretches[len(stretches) // 2], stretches[-1]):
+            delta = (v - u) / 5
+            for orient in Orientation:
+                g = explode_fixed_point(f, (u + v) / 2, delta, orient)
+                assert check_distance(f, g) == delta / 2
+
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 1000)])
+    def test_densified_map(self, eps):
+        f = random_fat_map(random.Random(3), max_plants=3)
+        g = densify_chain_property(f, eps)
+        assert len(g.breakpoints) > 2 * BLOCK
+        assert 0 < check_distance(f, g) <= eps / 32
+
+    @algebra_settings
+    @given(st.sampled_from((2 * BLOCK + 1, 3 * BLOCK + 1)), st.booleans(), st.data())
+    def test_block_ends_on_shared_breakpoints(self, n, same_values, data):
+        """g's breakpoints are f's block ends and one point inside each
+        block; at the ends g takes f's values, or evenly spaced ones."""
+        f = data.draw(sized_maps(n))
+        xs, ys = [f.lo], [f.lo]
+        ends = range(0, n, BLOCK)
+        for e0, e1 in zip(ends, ends[1:]):
+            (x0, x1), (y0, y1) = f.breakpoints[e0 : e1 + 1 : BLOCK], f.values[e0 : e1 + 1 : BLOCK]
+            xs += [x0 + (x1 - x0) * F(data.draw(st.integers(1, 7)), 8), x1]
+            ys += [y0 + (y1 - y0) * F(data.draw(st.integers(1, 7)), 8), y1]
+        if not same_values:
+            ys = [F(k, len(xs) - 1) for k in range(len(xs))]
+        g = PLHomeo(tuple(xs), tuple(ys))
+        check_distance(f, g)
+        check_distance(invert(f), invert(g))
+
+    def test_walks_under_a_third_of_the_merged_points(self, monkeypatch):
+        """On TestFractionBudget's conjugate, c0_distance(g, f9) takes
+        fewer than a third of the merged points from the merge walk; a
+        walk over every point takes them all."""
+        f9 = build_ternary_map(9)
+        A = random_coordinate_change(random.Random(11))
+        g = compose(A, compose(f9, invert(A)))
+        merged = sum(
+            1
+            for a, b in ((g, f9), (invert(g), invert(f9)))
+            for _ in plmap._merge(*a._ints[:2], *b._ints[:2])
+        )
+        taken = 0
+        merge = plmap._merge
+
+        def counting(*args):
+            nonlocal taken
+            for step in merge(*args):
+                taken += 1
+                yield step
+
+        monkeypatch.setattr(plmap, "_merge", counting)
+        distance = c0_distance(g, f9)
+        monkeypatch.undo()
+        assert distance == fraction_walk_c0_distance(g, f9)
+        assert merged > 12000
+        assert 0 < taken < merged / 3
 
 
 def fraction_ints(f: PLHomeo) -> tuple[tuple[int, ...], ...]:
