@@ -514,11 +514,14 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
     forms a and b of two maps on one domain, a's list the longer.
 
     Block ends are a's breakpoints 0, K, 2K, ... and its last.  At each,
-    a's value is stored, and b's is stored or interpolated on b's piece,
-    located by galloping from the previous end and bisecting, comparing
-    abscissae by cross-multiplying; the gaps there seed the maximum.  Then
-    each block whose monotone bound exceeds the maximum is merge walked
-    from its first interior point to its end.
+    a's value is stored, and b's is stored or interpolated on b's piece.
+    The piece is located from the previous end's, by galloping with steps
+    that start at the previous end's stride and then bisecting, comparing
+    abscissae by cross-multiplying; where b's breakpoints are as dense as
+    a's, the first step mostly lands on it.  The gaps at the block ends
+    seed the maximum.  Then each block whose monotone bound exceeds the
+    maximum is merge walked from its first interior point to its end; a
+    run of such blocks shares one walk.
     """
     axn, axd, ayn, ayd, asn, asd = a
     bxn, bxd, byn, byd, bsn, bsd = b
@@ -526,22 +529,25 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
     # (e, j, q) per block end t = a[e]: b(t) = q as a pair, and the least j
     # with b[j] > t, where the walk of the block that starts at t resumes
     ends = []
-    j = 0
+    j, stride = 0, 1
     for e in (*range(0, last, _BLOCK), last):
         tn, td = axn[e], axd[e]
         if bxn[j] * td < tn * bxd[j]:
-            # b[lo] < t <= b[hi]; the list's last point is the domain's end
-            lo, hi, step = j, j + 1, 1
+            # gallop by the last end's stride until b[lo] < t <= b[hi] (b's
+            # last point is the domain's end), check hi - 1, then bisect
+            lo, hi, step = j, min(j + stride, blast), stride
             while bxn[hi] * td < tn * bxd[hi]:
                 lo, step = hi, 2 * step
                 hi = min(hi + step, blast)
+            if hi - lo > 1 and bxn[hi - 1] * td < tn * bxd[hi - 1]:
+                lo = hi - 1
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if bxn[mid] * td < tn * bxd[mid]:
                     lo = mid
                 else:
                     hi = mid
-            j = hi
+            stride, j = hi - j, hi
         if bxn[j] * td == tn * bxd[j]:
             qn, qd = byn[j], byd[j]
             j += 1
@@ -555,7 +561,8 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
         n, d = abs(pn * qd - qn * pd), pd * qd
         if n * top_d > top_n * d:
             top_n, top_d = n, d
-    # the walk stopped at the end of the last block walked, if any
+    # the merge walk, stopped at the previous block's end when that block
+    # was walked; the next block resumes it
     walk = None
     for (e0, j0, un, ud), (e1, _, vn, vd) in zip(ends, ends[1:]):
         # a and b increase, so on [u, v] = [a[e0], a[e1]] the gap is at most
