@@ -236,13 +236,12 @@ def _chain_sweep(
     The intervals must be sorted and pairwise disjoint, as
     ``wandering_intervals`` returns them; then every j >= i + 2 lies
     strictly right of i, and only j = i + 1 can touch it.  The sweep runs
-    right to left in O(n log n).
-    Per orientation it keeps a staircase of candidates j, nearest last,
-    with a_j increasing and fwd[j] strictly decreasing in j (a candidate
-    farther right with no smaller fwd never wins again).  Along it
-    max(a_j - b_i, fwd[j]) first falls with fwd[j], then rises with
-    a_j - b_i, so one bisection on a_j - fwd[j] finds the crossing and its
-    two neighbours hold the minimum.  The staircase is queried while it
+    right to left in O(n log n).  Per orientation it keeps a staircase of
+    candidates j, nearest last, with a_j increasing and fwd[j] strictly
+    decreasing in j (a candidate farther right with no smaller fwd never
+    wins again).  Along it max(a_j - b_i, fwd[j]) first falls with fwd[j],
+    then rises with a_j - b_i, so one bisection on a_j - fwd[j] finds the
+    crossing and its two neighbours hold the minimum.  The staircase is queried while it
     holds only j >= i + 2; j = i + 1 is tested directly and pushed after
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.

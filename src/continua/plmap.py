@@ -42,10 +42,11 @@ keeps the intervals' ends as integer pairs, from which ``cantor`` builds
 the map's chain table).  The kernel scales the breakpoints by d, the lcm
 of their denominators, to integer keys, and writes each piece as
 f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so one evaluation
-locates its piece by integer comparisons and builds one Fraction.  ``_kernel_step`` is the one step of a single point
-on the kernel, as an integer pair: ``evaluate`` builds its Fraction, and
-``shadowing``'s fold and check step on it without one.  The inverse holds
-no reference back to its map, so the cache forms no reference cycle.
+locates its piece by integer comparisons and builds one Fraction.
+``_kernel_step`` is the one step of a single point on the kernel, as an
+integer pair: ``evaluate`` builds its Fraction, and ``shadowing``'s fold
+and check step on it without one.  The inverse holds no reference back
+to its map, so the cache forms no reference cycle.
 
 The module provides the algebra (evaluate, compose, invert, iterate),
 the uniform metric on maps and their inverses, fixed-set and
@@ -499,7 +500,7 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
     top = 0, 1
     for a, b in ((f._ints, g._ints), (_swapped(f._ints), _swapped(g._ints))):
-        top = _sup_gap(*((b, a) if len(b[0]) > len(a[0]) else (a, b)), *top)
+        top = _sup_gap(a, b, *top)
     return Fraction(*top)
 
 
@@ -511,8 +512,9 @@ def _swapped(ints: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
 
 def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
     """max(top_n/top_d, sup |a − b|) as an integer pair, for the integer
-    forms a and b of two maps on one domain, a's list the longer.
+    forms a and b of two maps on one domain.
 
+    a and b are swapped, if need be, so that a's list is the longer.
     Block ends are a's breakpoints 0, K, 2K, ... and its last.  At each,
     a's value is stored, and b's is stored or interpolated on b's piece.
     The piece is located from the previous end's, by galloping with steps
@@ -523,6 +525,8 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
     maximum is merge walked from its first interior point to its end; a
     run of such blocks shares one walk.
     """
+    if len(b[0]) > len(a[0]):
+        a, b = b, a
     axn, axd, ayn, ayd, asn, asd = a
     bxn, bxd, byn, byd, bsn, bsd = b
     last, blast = len(axn) - 1, len(bxn) - 1
@@ -603,7 +607,7 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
 
 def _fixed_and_wandering(
     f: PLHomeo,
-) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...], tuple[list, ...]]:
+) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...], tuple]:
     """f's fixed set and wandering intervals, in one walk over its pieces,
     with the intervals' ends as integers: lists an, ad, bn, bd of the
     numerators and denominators, in lowest terms, of each interval's ends

@@ -633,14 +633,14 @@ class TestBlockBounds:
     running maximum; it must equal the Fraction merge walk and pointwise
     evaluation whatever the blocks hold."""
 
-    @algebra_settings
+    @walk_settings
     @given(st.sampled_from(BLOCK_SIZES), st.sampled_from(BLOCK_SIZES), st.data())
     def test_sizes_around_the_block(self, n, m, data):
         f, g = data.draw(sized_maps(n)), data.draw(sized_maps(m))
         check_distance(f, g)
         check_distance(f, invert(g))
 
-    @algebra_settings
+    @walk_settings
     @given(st.sampled_from(BLOCK_SIZES), walk_maps(), st.data())
     def test_against_short_maps(self, n, g, data):
         f = data.draw(sized_maps(n))
@@ -658,7 +658,7 @@ class TestBlockBounds:
         assert (len(a.breakpoints), len(b.breakpoints)) == (3071, 47)
         assert check_distance(a, b) == report.residual > 0
 
-    @algebra_settings
+    @walk_settings
     @given(st.sampled_from(BLOCK_SIZES), st.data())
     def test_identical_maps(self, n, data):
         f = data.draw(sized_maps(n))
@@ -685,14 +685,14 @@ class TestBlockBounds:
                 g = explode_fixed_point(f, (u + v) / 2, delta, orient)
                 assert check_distance(f, g) == delta / 2
 
-    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 1000)])
+    @pytest.mark.parametrize("eps", [F(1, 10), F(1, 200)])
     def test_densified_map(self, eps):
         f = random_fat_map(random.Random(3), max_plants=3)
         g = densify_chain_property(f, eps)
         assert len(g.breakpoints) > 2 * BLOCK
         assert 0 < check_distance(f, g) <= eps / 32
 
-    @algebra_settings
+    @walk_settings
     @given(st.sampled_from((2 * BLOCK + 1, 3 * BLOCK + 1)), st.booleans(), st.data())
     def test_block_ends_on_shared_breakpoints(self, n, same_values, data):
         """g's breakpoints are f's block ends and one point inside each
