@@ -538,13 +538,11 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
         tn, td = axn[e], axd[e]
         if bxn[j] * td < tn * bxd[j]:
             # gallop by the last end's stride until b[lo] < t <= b[hi] (b's
-            # last point is the domain's end), check hi - 1, then bisect
+            # last point is the domain's end), then bisect
             lo, hi, step = j, min(j + stride, blast), stride
             while bxn[hi] * td < tn * bxd[hi]:
                 lo, step = hi, 2 * step
                 hi = min(hi + step, blast)
-            if hi - lo > 1 and bxn[hi - 1] * td < tn * bxd[hi - 1]:
-                lo = hi - 1
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 if bxn[mid] * td < tn * bxd[mid]:
@@ -621,11 +619,11 @@ def _fixed_and_wandering(
     strictly inside it where d changes sign, closes the wandering interval
     from the current component to the root and opens a new component
     there.  The inside root of a piece from (x0, y0) with slope s is
-    (x0·s − y0)/(s − 1), reduced by one gcd.  d keeps one sign between
-    consecutive roots, so the piece's left end lies in that interval and
-    its sign gives the orientation.  The walk builds one Fraction per root
-    and per right end of a fixed component of positive length, and reads
-    the domain's ends.
+    (x0·s − y0)/(s − 1), built as one Fraction whose parts are the
+    reduced pair.  d keeps one sign between consecutive roots, so the
+    piece's left end lies in that interval and its sign gives the
+    orientation.  The walk builds one Fraction per root and per right end
+    of a fixed component of positive length, and reads the domain's ends.
     """
     xn, xd, yn, yd, sn, sd = f._ints
     last = len(xn) - 1
@@ -651,9 +649,8 @@ def _fixed_and_wandering(
             k = i - 1
             num = xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k]
             den = xd[k] * yd[k] * (sn[k] - sd[k])
-            c = gcd(num, den) if den > 0 else -gcd(num, den)
-            rn, rd = num // c, den // c
-            root = Fraction(rn, rd)
+            root = Fraction(num, den)
+            rn, rd = root.numerator, root.denominator
         else:
             continue
         if right is None:

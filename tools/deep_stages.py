@@ -1,14 +1,11 @@
 """Time each stage of the benchmark's ``deep`` operation, in-process.
 
-Usage, from anywhere::
+Run it from anywhere, with no arguments: ``python tools/deep_stages.py``.
 
-    python tools/deep_stages.py                  # seeds 1-5, 4 ops each, best of 3
-    python tools/deep_stages.py --seeds 2 --ops 2 --repeat 5
-
-The operation list is ``perfbench/run.py``'s ``op_specs("deep", seed, ops)``
-for each seed, imported and not edited.  For each operation the stages of
-``perfbench/worker.py``'s ``deep_op`` run in its order, each timed with
-``time.perf_counter``:
+The operation list is ``perfbench/run.py``'s ``op_specs("deep", seed, OPS)``
+for seeds 1 to SEEDS, imported and not edited.  For each operation the
+stages of ``perfbench/worker.py``'s ``deep_op`` run in its order, each
+timed with ``time.perf_counter``:
 
 - conjugate: g = A∘f₉∘A⁻¹, two compositions;
 - round trip: g∘g⁻¹;
@@ -21,7 +18,7 @@ for each seed, imported and not edited.  For each operation the stages of
 
 Each repeat builds g afresh, so no cache on g carries over; f₉ is built
 once, as the worker builds it once.  An operation's stage time is its best
-over the repeats, and the script prints the median over the operations of
+over REPEAT runs, and the script prints the median over the operations of
 each stage and of their sum, in milliseconds, with each stage's share.
 Before timing, every operation's results are checked against one call of
 ``deep_op``.  Times are wall times of this process on whatever machine runs
@@ -31,7 +28,6 @@ Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -44,6 +40,7 @@ from continua import cantor, plmap  # noqa: E402
 from run import op_specs  # noqa: E402
 from worker import DEEP_LEVELS, deep_op  # noqa: E402
 
+SEEDS, OPS, REPEAT = 5, 4, 3
 STAGES = ("conjugate", "round trip", "c0", "walk", "list table",
           "chain at q", "chain above q", "conjugacy")
 
@@ -73,26 +70,20 @@ def timed_op(f9: plmap.PLHomeo, A: plmap.PLHomeo) -> tuple[list[float], tuple]:
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(prog="deep_stages.py", description=__doc__.splitlines()[0])
-    p.add_argument("--seeds", type=int, default=5, help="seeds 1..N (default 5)")
-    p.add_argument("--ops", type=int, default=4, help="operations per seed (default 4)")
-    p.add_argument("--repeat", type=int, default=3, help="best of N runs per op (default 3)")
-    args = p.parse_args()
-
     f9 = cantor.build_ternary_map(DEEP_LEVELS)
     maps = [plmap.PLHomeo.from_json(spec["A"])
-            for seed in range(1, args.seeds + 1) for spec in op_specs("deep", seed, args.ops)]
+            for seed in range(1, SEEDS + 1) for spec in op_specs("deep", seed, OPS)]
     for A in maps:
         if timed_op(f9, A)[1] != deep_op(f9, A):
             sys.exit("the timed stages disagree with worker.deep_op")
 
     best = []
     for A in maps:
-        runs = [timed_op(f9, A)[0] for _ in range(args.repeat)]
+        runs = [timed_op(f9, A)[0] for _ in range(REPEAT)]
         best.append([min(column) for column in zip(*runs)])
     medians = [statistics.median(column) for column in zip(*best)]
     total = statistics.median(sum(op) for op in best)
-    print(f"{len(maps)} ops, best of {args.repeat}, median ms per op")
+    print(f"{len(maps)} ops, best of {REPEAT}, median ms per op")
     for name, s in zip(STAGES, medians):
         print(f"  {name:<14} {s * 1e3:8.2f}  {s / total:6.1%}")
     print(f"  {'total':<14} {total * 1e3:8.2f}")
