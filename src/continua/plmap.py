@@ -26,11 +26,15 @@ again: ``compose`` fills it from the integers its walk holds, and
 Fraction per point: they order abscissae, interpolate and take signs by
 cross-multiplying pairs.  There is no common scale, so no integer the
 walks form grows with the number of distinct denominators.  ``compose``
-and ``c0_distance`` share one merge walk, which can start inside the
-lists.  ``c0_distance`` cuts the longer list into blocks of 16 pieces and
-samples both maps at the block ends; as both maps increase, the gap on a
-block [u, v] is at most max(a(v) − b(u), b(v) − a(u)), so it walks only
-the blocks whose bound exceeds the largest gap found so far.
+walks the two lists by runs: a run of one list inside one piece of the
+other copies its own coordinate and sends the other through that piece,
+and only a point where the lists meet can be pruned.  ``c0_distance``
+cuts the longer list into blocks of 16 pieces and samples both maps at
+the block ends; as both maps increase, the gap on a block [u, v] is at
+most max(a(v) − b(u), b(v) − a(u)), so its ``_sup_gap`` merge walks only
+the blocks whose bound exceeds the largest gap found so far.  The
+fixed-set walk builds its intervals without the constructor's check,
+which its order guarantees.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
@@ -293,6 +297,16 @@ class PLHomeo(_Frozen):
         return f
 
 
+def _ordered_interval(a: Fraction, b: Fraction, orientation: Orientation) -> OrientedInterval:
+    """The interval (a, b) for a < b known by construction, built without
+    the constructor's check, as ``_trusted`` builds a map."""
+    iv = object.__new__(OrientedInterval)
+    object.__setattr__(iv, "a", a)
+    object.__setattr__(iv, "b", b)
+    object.__setattr__(iv, "orientation", orientation)
+    return iv
+
+
 def _parts(qs: list[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The numerators and the denominators of ``qs``."""
     return tuple(q.numerator for q in qs), tuple(q.denominator for q in qs)
@@ -354,7 +368,7 @@ def invert(f: PLHomeo) -> PLHomeo:
 
 def _merge(an, ad, bn, bd, i=0, j=0):
     """(i, j, side) for each t of a ∪ b from min(a[i], b[j]) on, in
-    increasing order.
+    increasing order: ``_sup_gap``'s walk inside the blocks it cannot skip.
 
     an/ad and bn/bd hold the numerators and denominators of two strictly
     increasing abscissa lists with common ends.  side 0: t = a[i] = b[j].
@@ -384,84 +398,172 @@ def _merge(an, ad, bn, bd, i=0, j=0):
 def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """Exact composition f∘g (first g, then f).
 
-    One merge walk in g's value space, of g⁻¹ (g's integer lists swapped,
-    with reciprocal slopes) against f: each value u of g or breakpoint of
-    f yields the breakpoint g⁻¹(u) with value f(u).  So the result has g's
-    breakpoints and the g-preimages of f's breakpoints, and every merged
-    piece is affine with slope f'·g', the product of two stored slopes.  A
-    point is dropped when the products on its two sides are equal,
-    compared as integers before any coordinate is interpolated.  A kept
-    point's interpolated coordinate y0 + (t − x0)·s is one integer
-    numerator over one integer denominator, reduced by their gcd, and each
-    distinct slope product is reduced once.  The walk builds no Fraction:
-    the result holds only its integer form, and its Fraction tuples are
-    built when first read.  O(len(f) + len(g)) operations; no inverse is
-    built.
+    The walk runs in g's value space, over g's values and f's breakpoints
+    in increasing order: each value u of g or breakpoint of f yields the
+    breakpoint g⁻¹(u) with value f(u).  It goes by runs, not points.  A
+    run of g's values strictly inside one piece of f keeps g's
+    breakpoints, copied as a slice, and sends its values through that
+    piece.  A run of f's breakpoints strictly inside one piece of g keeps
+    f's values, copied, and sends its breakpoints through g⁻¹'s piece (g's
+    lists swapped, with the slope inverted).  On a piece from p/q with
+    value r/s and slope a/b, the image of t = tn/td is
+    (α·tn + β·td)/(γ·td) with α = a·s·q, β = r·q·b − p·a·s and γ = s·q·b,
+    built once per run and reduced by one gcd per point.
+
+    Every merged piece is affine with slope f'·g', the product of two
+    stored slopes, and a point is dropped when the products on its two
+    sides are equal.  Only a point where g's value is f's breakpoint can
+    be: on the two sides of a run's point, one map keeps its piece and the
+    other's slopes differ, because it is canonical.  So the slopes are
+    compared, as integers, only at the coincident points; every run point
+    is kept.  Each distinct slope product is reduced once.
+
+    Both lists are in lowest terms, so a point is coincident when its
+    pairs are equal; other abscissae are ordered by cross-multiplying.  A
+    run's end is found by stepping ``_LINEAR`` points, then by
+    ``_gallop``; a one-point run is sent through its piece without
+    slicing.  The walk builds no Fraction and no inverse: the result holds
+    only its integer form, and its Fraction tuples are built when first
+    read.  O(output + runs · log run length) operations, a coincident
+    point counting as a run.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
     gxn, gxd, gun, gud, gsn, gsd = g._ints
     fun, fud, fyn, fyd, fsn, fsd = f._ints
     xn, xd, yn, yd = [gxn[0]], [gxd[0]], [fyn[0]], [fyd[0]]
-    # the lowest terms of each output piece's slope, reduced once per
-    # distinct unreduced product
+    # the lowest terms of each output piece's slope
     slopes = []
-    reduced: dict[tuple[int, int], tuple[int, int]] = {}
-    last = len(gun) - 1
-    steps = _merge(gun, gud, fun, fud)
-    next(steps)
+    lowest = _Lowest()
+    glast, flast = len(gun) - 1, len(fun) - 1
     # slope of the output piece that ends at the next kept point
     cn, cd = fsn[0] * gsn[0], fsd[0] * gsd[0]
-    for i, j, side in steps:
-        if i == last and side == 0:
-            break
-        # the piece right of this point, in g's and in f's lists
-        gi = i - 1 if side == 2 else i
-        fj = j - 1 if side == 1 else j
-        rn, rd = fsn[fj] * gsn[gi], fsd[fj] * gsd[gi]
-        if rn * cd == cn * rd:
-            continue
-        if side == 2:
-            # g⁻¹(u) on g⁻¹'s piece k, whose slope is gsd/gsn, at u = f's breakpoint j
-            k, tn, td = i - 1, fun[j], fud[j]
-            m = gud[k] * td * gsn[k]
-            n, d = gxn[k] * m + gxd[k] * (tn * gud[k] - gun[k] * td) * gsd[k], gxd[k] * m
-            c = gcd(n, d)
-            xn.append(n // c)
-            xd.append(d // c)
+    # the next value of g and breakpoint of f
+    i = j = 1
+    while True:
+        tn, td = fun[j], fud[j]
+        un, ud = gun[i], gud[i]
+        if un == tn and ud == td:
+            if i == glast:
+                break
+            rn, rd = fsn[j] * gsn[i], fsd[j] * gsd[i]
+            if rn * cd != cn * rd:
+                xn.append(gxn[i])
+                xd.append(gxd[i])
+                yn.append(fyn[j])
+                yd.append(fyd[j])
+                slopes.append(lowest[cn, cd])
+                cn, cd = rn, rd
+            i += 1
+            j += 1
+        elif un * td < tn * ud:
+            # g's values i, ..., e − 1 lie inside f's piece k, before t
+            e = i + 1
+            stop = i + _LINEAR
+            while gun[e] * td < tn * gud[e]:
+                if e == stop:
+                    e = _gallop(gun, gud, e, tn, td, glast, _LINEAR)
+                    break
+                e += 1
+            k = j - 1
+            p, q, r, s, a, b = fun[k], fud[k], fyn[k], fyd[k], fsn[k], fsd[k]
+            al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
+            if e == i + 1:
+                n, d = al * un + be * ud, ga * ud
+                c = gcd(n, d)
+                xn.append(gxn[i])
+                xd.append(gxd[i])
+                yn.append(n // c)
+                yd.append(d // c)
+                slopes.append(lowest[cn, cd])
+                cn, cd = a * gsn[i], b * gsd[i]
+            else:
+                xn += gxn[i:e]
+                xd += gxd[i:e]
+                for m in range(i, e):
+                    slopes.append(lowest[cn, cd])
+                    cn, cd = a * gsn[m], b * gsd[m]
+                    ud = gud[m]
+                    n, d = al * gun[m] + be * ud, ga * ud
+                    c = gcd(n, d)
+                    yn.append(n // c)
+                    yd.append(d // c)
+            i = e
         else:
-            xn.append(gxn[i])
-            xd.append(gxd[i])
-        if side == 1:
-            # f(u) on f's piece k, at u = g's value i
-            k, tn, td = j - 1, gun[i], gud[i]
-            m = fud[k] * td * fsd[k]
-            n, d = fyn[k] * m + fyd[k] * (tn * fud[k] - fun[k] * td) * fsn[k], fyd[k] * m
-            c = gcd(n, d)
-            yn.append(n // c)
-            yd.append(d // c)
-        else:
-            yn.append(fyn[j])
-            yd.append(fyd[j])
-        slopes.append(_lowest(reduced, cn, cd))
-        cn, cd = rn, rd
+            # f's breakpoints j, ..., e − 1 lie inside g's piece k, before u;
+            # g⁻¹'s piece k has the slope b/a
+            e = j + 1
+            stop = j + _LINEAR
+            while fun[e] * ud < un * fud[e]:
+                if e == stop:
+                    e = _gallop(fun, fud, e, un, ud, flast, _LINEAR)
+                    break
+                e += 1
+            k = i - 1
+            p, q, r, s, a, b = gun[k], gud[k], gxn[k], gxd[k], gsd[k], gsn[k]
+            al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
+            if e == j + 1:
+                n, d = al * tn + be * td, ga * td
+                c = gcd(n, d)
+                xn.append(n // c)
+                xd.append(d // c)
+                yn.append(fyn[j])
+                yd.append(fyd[j])
+                slopes.append(lowest[cn, cd])
+                cn, cd = fsn[j] * b, fsd[j] * a
+            else:
+                yn += fyn[j:e]
+                yd += fyd[j:e]
+                for m in range(j, e):
+                    slopes.append(lowest[cn, cd])
+                    cn, cd = fsn[m] * b, fsd[m] * a
+                    td = fud[m]
+                    n, d = al * fun[m] + be * td, ga * td
+                    c = gcd(n, d)
+                    xn.append(n // c)
+                    xd.append(d // c)
+            j = e
     xn.append(gxn[-1])
     xd.append(gxd[-1])
     yn.append(fyn[-1])
     yd.append(fyd[-1])
-    slopes.append(_lowest(reduced, cn, cd))
+    slopes.append(lowest[cn, cd])
     sn, sd = zip(*slopes)
     return _trusted((tuple(xn), tuple(xd), tuple(yn), tuple(yd), sn, sd), g.domain)
 
 
-def _lowest(reduced: dict[tuple[int, int], tuple[int, int]], n: int, d: int) -> tuple[int, int]:
-    """n/d in lowest terms (d > 0), found once per distinct pair recorded
-    in ``reduced``: a composite's slopes take few distinct values."""
-    s = reduced.get((n, d))
-    if s is None:
+class _Lowest(dict):
+    """(n, d) → n/d in lowest terms (d > 0), reduced on first lookup: a
+    composite's slopes take few distinct values."""
+
+    def __missing__(self, pair: tuple[int, int]) -> tuple[int, int]:
+        n, d = pair
         c = gcd(n, d)
-        s = reduced[n, d] = (n // c, d // c)
-    return s
+        s = self[pair] = (n // c, d // c)
+        return s
+
+
+# compose steps this many points along a run before it gallops to the
+# run's end; on the inputs of tools/compose_shapes.py, 2 to 32 steps timed
+# alike within the machine's noise, and none was better than 8
+_LINEAR = 8
+
+
+def _gallop(vn, vd, lo: int, tn: int, td: int, last: int, step: int) -> int:
+    """The least e > lo with v[e] >= t = tn/td, for a strictly increasing
+    list v with v[lo] < t <= v[last]: steps that start at ``step`` and
+    double, then a bisection.  Abscissae are compared by cross-multiplying."""
+    hi = min(lo + step, last)
+    while vn[hi] * td < tn * vd[hi]:
+        lo, step = hi, 2 * step
+        hi = min(lo + step, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if vn[mid] * td < tn * vd[mid]:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def iterate(f: PLHomeo, x: Fraction, n: int) -> Fraction:
@@ -537,18 +639,9 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
     for e in (*range(0, last, _BLOCK), last):
         tn, td = axn[e], axd[e]
         if bxn[j] * td < tn * bxd[j]:
-            # gallop by the last end's stride until b[lo] < t <= b[hi] (b's
-            # last point is the domain's end), then bisect
-            lo, hi, step = j, min(j + stride, blast), stride
-            while bxn[hi] * td < tn * bxd[hi]:
-                lo, step = hi, 2 * step
-                hi = min(hi + step, blast)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if bxn[mid] * td < tn * bxd[mid]:
-                    lo = mid
-                else:
-                    hi = mid
+            # gallop from the last end's stride (b's last point is the
+            # domain's end)
+            hi = _gallop(bxn, bxd, j, tn, td, blast, stride)
             stride, j = hi - j, hi
         if bxn[j] * td == tn * bxd[j]:
             qn, qd = byn[j], byd[j]
@@ -659,7 +752,7 @@ def _fixed_and_wandering(
             end, en, ed = point(right), xn[right], xd[right]
         fixed.append((left, end))
         tag = Orientation.R if d0 > 0 else Orientation.L
-        wandering.append(OrientedInterval(end, root, tag))
+        wandering.append(_ordered_interval(end, root, tag))
         an.append(en)
         ad.append(ed)
         bn.append(rn)

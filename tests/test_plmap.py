@@ -13,6 +13,7 @@ from continua import plmap
 from continua.plmap import (
     DomainError,
     Orientation,
+    OrientedInterval,
     PLHomeo,
     c0_distance,
     canonical_r,
@@ -759,6 +760,167 @@ def check_ints(*maps: PLHomeo) -> None:
             assert g._ints == fraction_ints(g)
 
 
+LINEAR = plmap._LINEAR
+
+
+def check_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
+    """compose(f, g) after checking it against the Fraction merge walk and
+    pointwise evaluation, with the slopes it leaves on the result."""
+    h = compose(f, g)
+    ref = fraction_walk_compose(f, g)
+    assert (h.breakpoints, h.values) == (ref.breakpoints, ref.values)
+    assert h == grid_compose(f, g)
+    assert h._slopes == uncached_slopes(h)
+    return h
+
+
+def walk_runs(f: PLHomeo, g: PLHomeo) -> list[tuple[str, int]]:
+    """The runs of compose(f, g)'s walk over g's values and f's breakpoints
+    strictly inside the domain, in Fractions: ("g", n) for n consecutive
+    values of g inside one piece of f, ("f", n) for n consecutive
+    breakpoints of f inside one piece of g, ("=", 1) for a point in both."""
+    us, ts = set(g.values[1:-1]), set(f.breakpoints[1:-1])
+    runs: list[list] = []
+    for u in sorted(us | ts):
+        kind = "=" if u in us and u in ts else "g" if u in us else "f"
+        if runs and runs[-1][0] == kind != "=":
+            runs[-1][1] += 1
+        else:
+            runs.append([kind, 1])
+    return [(kind, n) for kind, n in runs]
+
+
+def slope_map(rises: list[F], slopes: list[F]) -> PLHomeo:
+    """The map of [0, 1] whose value rises by rises[i] on its piece i, of
+    slope proportional to slopes[i]; the rises sum to 1."""
+    xs, ys = [F(0)], [F(0)]
+    for rise, slope in zip(rises, slopes):
+        xs.append(xs[-1] + rise / slope)
+        ys.append(ys[-1] + rise)
+    return PLHomeo(tuple(x / xs[-1] for x in xs), tuple(ys))
+
+
+def lattice_map(rng: random.Random, n: int, den: int) -> PLHomeo:
+    """A map of [0, 1] through n random points on the lattice of step 1/den."""
+    xs = sorted(rng.sample(range(1, den), n - 2))
+    ys = sorted(rng.sample(range(1, den), n - 2))
+    return PLHomeo(tuple(F(x, den) for x in [0, *xs, den]),
+                   tuple(F(y, den) for y in [0, *ys, den]))
+
+
+# around the linear step count, and past its first gallop step
+RUN_SIZES = (1, 2, LINEAR - 1, LINEAR, LINEAR + 1, LINEAR + 2, 2 * LINEAR + 1, 5 * LINEAR)
+
+
+@st.composite
+def run_pairs(draw) -> tuple[PLHomeo, PLHomeo, list[int]]:
+    """(f, g, sizes): f has the breakpoints k/m and distinct neighbouring
+    slopes, and g has sizes[k]
+    values spread inside f's piece k, then, unless it is the last, one at
+    f's breakpoint; g's slopes alternate 1 and 2, so g keeps every point."""
+    m = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.sampled_from(RUN_SIZES), min_size=m, max_size=m))
+    f_slopes = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    for k in range(1, m):
+        if f_slopes[k] == f_slopes[k - 1]:
+            f_slopes[k] = f_slopes[k] % 5 + 1
+    f = invert(slope_map([F(1, m)] * m, [F(s) for s in f_slopes]))
+    assert f.breakpoints == tuple(F(k, m) for k in range(m + 1))
+    us = [F(0)]
+    for k, n in enumerate(sizes):
+        us += [F(k, m) + F(i, m * (n + 1)) for i in range(1, n + 2)]
+    g = slope_map([b - a for a, b in zip(us, us[1:])], [F(1 + i % 2) for i in range(len(us) - 1)])
+    assert len(g.breakpoints) == len(us)
+    return f, g, sizes
+
+
+def coincident_pair(left: int, right: int) -> tuple[PLHomeo, PLHomeo]:
+    """f with slopes 1/2 then 3/2 about its breakpoint 1/2, and g with
+    2·LINEAR values inside (0, 1/2) before its value 1/2, where g's slope
+    is ``left`` on the left and ``right`` on the right."""
+    f = PLHomeo((F(0), F(1, 2), F(1)), (F(0), F(1, 4), F(1)))
+    n = 2 * LINEAR + 1
+    rises = [F(1, 2 * n)] * n + [F(1, 4), F(1, 4)]
+    slopes = [F(1 + i % 2) for i in range(n - 1)] + [F(left), F(right), F(4)]
+    return f, slope_map(rises, slopes)
+
+
+class TestComposeRuns:
+    """compose walks runs of g's values inside one piece of f, and of f's
+    breakpoints inside one piece of g, and prunes only coincident points;
+    on every run shape it equals the Fraction merge walk and pointwise
+    evaluation, and (f∘g)⁻¹ = g⁻¹∘f⁻¹ walks the same runs with the roles
+    swapped."""
+
+    @pytest.mark.parametrize("levels", [7, 9])
+    def test_long_runs_of_either_list(self, levels):
+        f = build_ternary_map(levels)
+        A = random_coordinate_change(random.Random(levels))
+        # f's breakpoints run inside A⁻¹'s pieces, then inner's values inside A's
+        inner = check_compose(f, invert(A))
+        assert max(n for kind, n in walk_runs(f, invert(A)) if kind == "f") > 100
+        g = check_compose(A, inner)
+        assert max(n for kind, n in walk_runs(A, inner) if kind == "g") > 100
+        assert check_compose(invert(inner), invert(A)) == invert(g)
+
+    def test_one_and_two_point_runs(self):
+        rng = random.Random(35)
+        f, g = lattice_map(rng, 3000, 10**6 + 3), lattice_map(rng, 3000, 2**20)
+        for a, b in ((f, g), (g, f)):
+            runs = walk_runs(a, b)
+            for kind in "fg":
+                assert (kind, 1) in runs and (kind, 2) in runs
+            check_compose(a, b)
+
+    @pytest.mark.parametrize("left, right, pruned", [(3, 1, True), (5, 1, False)])
+    def test_run_ending_on_a_coincident_point(self, left, right, pruned):
+        # left of 1/2 the composite's slope is (1/2)·left, right of it (3/2)·right
+        f, g = coincident_pair(left, right)
+        assert walk_runs(f, g)[:2] == [("g", 2 * LINEAR), ("=", 1)]
+        h = check_compose(f, g)
+        x = g.breakpoints[2 * LINEAR + 1]
+        assert (x not in h.breakpoints) == pruned
+        assert walk_runs(invert(g), invert(f))[:2] == [("f", 2 * LINEAR), ("=", 1)]
+        assert check_compose(invert(g), invert(f)) == invert(h)
+
+    @pytest.mark.parametrize("levels", [2, 7])
+    def test_runs_reaching_the_domain_end(self, levels):
+        short = PLHomeo((F(0), F(1, 100), F(1)), (F(0), F(1, 50), F(1)))
+        long = build_ternary_map(levels)
+        # every value of long past 1/50 lies in short's last piece
+        assert walk_runs(short, long)[-1][0] == "g"
+        assert walk_runs(long, invert(short))[-1][0] == "f"
+        for f, g in ((short, long), (long, short), (long, invert(short)), (invert(long), short)):
+            check_compose(f, g)
+
+    @walk_settings
+    @given(run_pairs())
+    def test_runs_around_the_linear_steps(self, pair):
+        f, g, sizes = pair
+        runs = walk_runs(f, g)
+        assert [n for kind, n in runs if kind == "g"] == sizes
+        assert all(kind == "g" or kind == "=" for kind, _ in runs)
+        h = check_compose(f, g)
+        assert check_compose(invert(g), invert(f)) == invert(h)
+        check_compose(g, f)
+
+    @pytest.mark.parametrize("levels", [0, 5])
+    def test_two_hundred_digit_denominators(self, levels):
+        tiny = F(1, 10**200)
+        e = explode_fixed_point(identity(), F(1, 2), F(1, 2) - tiny, Orientation.R)
+        assert e.breakpoints[1] == tiny
+        f = build_ternary_map(levels)
+        for a, b in ((f, e), (e, f), (e, invert(e)), (invert(f), e), (e, e)):
+            check_compose(a, b)
+
+    @algebra_settings
+    @given(walk_maps(), walk_maps())
+    def test_random_pairs_both_ways(self, f, g):
+        check_compose(f, g)
+        check_compose(g, f)
+        check_compose(invert(g), f)
+
+
 def off_unit_maps() -> list[PLHomeo]:
     """Maps on (−3/2, 5/7), where breakpoints have negative numerators."""
     dom = (F(-3, 2), F(5, 7))
@@ -945,6 +1107,37 @@ def check_fixed_set_walk(*maps: PLHomeo) -> None:
         for g in (f, invert(f)):
             assert fixed_set(g) == merged_fixed_set(g)
             assert wandering_intervals(g) == midpoint_wandering_intervals(g)
+
+
+def check_unchecked_intervals(*maps: PLHomeo) -> None:
+    """The walk builds its intervals without the constructor's check; on
+    each map and its inverse they must equal, field for field and in hash,
+    the midpoint oracle's, which go through the checked constructor, with
+    a < b, and refuse assignment as those do."""
+    for f in maps:
+        for g in (f, invert(f)):
+            ivs, checked = wandering_intervals(g), midpoint_wandering_intervals(g)
+            assert len(ivs) == len(checked)
+            for iv, ref in zip(ivs, checked):
+                assert type(iv) is OrientedInterval and iv.a < iv.b
+                assert vars(iv) == vars(ref) and hash(iv) == hash(ref)
+                with pytest.raises(AttributeError):
+                    iv.a = ref.a
+
+
+class TestUncheckedWalkIntervals:
+    @pytest.mark.parametrize("levels", range(10))
+    def test_ternary_maps(self, levels):
+        check_unchecked_intervals(build_ternary_map(levels))
+
+    @pytest.mark.parametrize("levels", [3, 7, 9])
+    def test_conjugated_maps(self, levels):
+        check_unchecked_intervals(*ternary_conjugates(levels))
+
+    @walk_settings
+    @given(walk_maps())
+    def test_random_maps(self, f):
+        check_unchecked_intervals(f)
 
 
 class TestIntegerFixedSetWalk:
