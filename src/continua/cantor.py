@@ -69,11 +69,6 @@ class TernaryIndex(_Frozen):
 
     _fields = ("n", "k")
 
-    def __init__(self, n: int, k: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.n < 0 or not 0 <= self.k < 3**self.n:
             raise ValueError(f"invalid ternary index ({self.n}, {self.k})")
@@ -162,11 +157,6 @@ class ChainWitness(_Frozen):
     """
 
     _fields = ("intervals", "epsilon")
-
-    def __init__(self, intervals: tuple[OrientedInterval, ...], epsilon: Fraction):
-        object.__setattr__(self, "intervals", intervals)
-        object.__setattr__(self, "epsilon", epsilon)
-        self.__post_init__()
 
     def __post_init__(self):
         ivs = self.intervals
@@ -387,18 +377,6 @@ class ConjugacyReport(_Frozen):
     """
 
     _fields = ("h", "depth", "matched", "residual")
-
-    def __init__(
-        self,
-        h: PLHomeo,
-        depth: int,
-        matched: tuple[tuple[OrientedInterval, TernaryIndex], ...],
-        residual: Fraction,
-    ):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> dict:
         return {

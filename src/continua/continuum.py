@@ -48,7 +48,7 @@ def _circle_polyline() -> tuple[Point, ...]:
 
 
 class Arc(_Frozen):
-    """One arc of the model with its embedded polyline.
+    """One arc of the model, of ``kind`` "segment" or "circle", with its polyline.
 
     The parameter t in [0, 1] is uniform across the polyline's segments
     (affine arc length for straight arcs).  stretch_lo/stretch_hi bound the
@@ -58,25 +58,6 @@ class Arc(_Frozen):
     """
 
     _fields = ("id", "p", "q", "kind", "polyline", "stretch_lo", "stretch_hi")
-
-    def __init__(
-        self,
-        id: str,
-        p: str,
-        q: str,
-        kind: str,  # "segment" | "circle"
-        polyline: tuple[Point, ...],
-        stretch_lo: Fraction,
-        stretch_hi: Fraction,
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "polyline", polyline)
-        object.__setattr__(self, "stretch_lo", stretch_lo)
-        object.__setattr__(self, "stretch_hi", stretch_hi)
-        self.__post_init__()
 
     def __post_init__(self):
         lo, hi = self.stretch_lo, self.stretch_hi
@@ -182,11 +163,6 @@ class YPoint(_Frozen):
 
     _fields = ("arc", "t")
 
-    def __init__(self, arc: str, t: Fraction):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "t", t)
-        self.__post_init__()
-
     def __post_init__(self):
         object.__setattr__(self, "t", Fraction(self.t))
         if not 0 <= self.t <= 1:
@@ -200,11 +176,6 @@ class YModel(_Frozen):
     """Arcs, labeled vertices, and adjacency of the truncated continuum."""
 
     _fields = ("M", "vertices", "arcs")
-
-    def __init__(self, M: int, vertices: dict[str, Point], arcs: tuple[Arc, ...]):
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "arcs", arcs)
 
     @cached_property
     def _arcs_by_id(self) -> dict[str, Arc]:
@@ -307,9 +278,6 @@ class YHomeo(_Frozen):
     """
 
     _fields = ("arc_maps",)
-
-    def __init__(self, arc_maps: dict[str, PLHomeo]):
-        object.__setattr__(self, "arc_maps", arc_maps)
 
     def map_for(self, arc_id: str) -> PLHomeo:
         return self.arc_maps[arc_id]

@@ -31,10 +31,10 @@ other copies its own coordinate and sends the other through that piece,
 and only a point where the lists meet can be pruned.  ``c0_distance``
 cuts the longer list into blocks of 16 pieces and samples both maps at
 the block ends; as both maps increase, the gap on a block [u, v] is at
-most max(a(v) − b(u), b(v) − a(u)), so its ``_sup_gap`` merge walks only
-the blocks whose bound exceeds the largest gap found so far.  The
-fixed-set walk builds its intervals without the constructor's check,
-which its order guarantees.
+most max(a(v) − b(u), b(v) − a(u)), so its ``_sup_gap`` walks, by runs
+as ``compose`` does, only the blocks whose bound exceeds the largest gap
+found so far.  The fixed-set walk builds its intervals without the
+constructor's check, which its order guarantees.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
@@ -60,9 +60,9 @@ affine rescaling, and an exact Lipschitz constant (``max_slope``).
 
 ``_Frozen`` is the base of the package's value classes: ``PLHomeo`` and
 ``OrientedInterval`` here, and the records of ``cantor``, ``continuum`` and
-``shadowing``.  It refuses assignment and deletion and gives the equality,
-hash and ``repr`` of a frozen dataclass, so no CLI process imports
-``dataclasses``.
+``shadowing``.  Its one ``__init__`` stores their fields, and it gives the
+frozen dataclass's refusals, equality, hash and ``repr``, so no CLI
+process imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -96,15 +96,27 @@ class Orientation(str, Enum):
 class _Frozen:
     """Base of the package's immutable value classes.
 
-    Assigning or deleting an attribute raises AttributeError; ``__init__``
-    stores each field with ``object.__setattr__``.  Equality, hashing and
-    ``repr`` read the field names in ``_fields`` as a frozen dataclass's
-    generated methods do: equal when the class is the same and the field
-    tuples are equal, the hash of the field tuple, and
-    ``Name(field=value!r, ...)``.
+    Its ``__init__`` serves every subclass: one positional argument per
+    name in ``_fields``, else TypeError, each stored with
+    ``object.__setattr__``, then ``__post_init__``, which a subclass
+    overrides to check its fields.  Assigning or deleting an attribute
+    raises AttributeError.  Equality, hashing and ``repr`` read ``_fields``
+    as a frozen dataclass's generated methods do: equal when the class is
+    the same and the field tuples are equal, the hash of the field tuple,
+    and ``Name(field=value!r, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args):
+        if len(args) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} arguments")
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign a {type(value).__name__} to {name!r}")
@@ -137,12 +149,6 @@ class OrientedInterval(_Frozen):
 
     _fields = ("a", "b", "orientation")
 
-    def __init__(self, a: Fraction, b: Fraction, orientation: Orientation):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "orientation", orientation)
-        self.__post_init__()
-
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
@@ -167,10 +173,7 @@ class PLHomeo(_Frozen):
     exactly when their breakpoint and value tuples are.
     """
 
-    def __init__(self, breakpoints: tuple[Fraction, ...], values: tuple[Fraction, ...]):
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
+    _fields = ("breakpoints", "values")
 
     def __post_init__(self):
         xs = [Fraction(x) for x in self.breakpoints]
@@ -366,35 +369,6 @@ def invert(f: PLHomeo) -> PLHomeo:
     return f._inverse
 
 
-def _merge(an, ad, bn, bd, i=0, j=0):
-    """(i, j, side) for each t of a ∪ b from min(a[i], b[j]) on, in
-    increasing order: ``_sup_gap``'s walk inside the blocks it cannot skip.
-
-    an/ad and bn/bd hold the numerators and denominators of two strictly
-    increasing abscissa lists with common ends.  side 0: t = a[i] = b[j].
-    side 1: t = a[i] lies strictly inside b's piece j - 1.  side 2:
-    t = b[j] lies strictly inside a's piece i - 1.  So the piece left of t
-    is (i - 1, j - 1) in both lists.  A walk that starts inside the lists
-    needs a[i - 1] < b[j] and b[j - 1] < a[i].  Abscissae are ordered by
-    cross-multiplying; no Fraction is built.
-    """
-    last = len(an) - 1
-    while True:
-        left, right = an[i] * bd[j], bn[j] * ad[i]
-        if left == right:
-            yield i, j, 0
-            if i == last:
-                return
-            i += 1
-            j += 1
-        elif left < right:
-            yield i, j, 1
-            i += 1
-        else:
-            yield i, j, 2
-            j += 1
-
-
 def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     """Exact composition f∘g (first g, then f).
 
@@ -584,19 +558,17 @@ def c0_distance(f: PLHomeo, g: PLHomeo) -> Fraction:
     """sup |f-g| and |f⁻¹-g⁻¹|, exact.
 
     The difference of two PL maps is PL, so each sup is attained on the
-    merged breakpoint lists.  The two sups are taken in turn, of the maps
-    and of their swapped integer lists (with swapped slope numerators and
-    denominators, so neither inverse is built), by ``_sup_gap``, which
-    carries one running maximum through both.  It splits the longer list
-    into blocks of ``_BLOCK`` = 16 pieces and takes both maps' exact values
-    at every block end.  Both maps increase, so on a block [u, v] the gap
-    is at most max(a(v) − b(u), b(v) − a(u)), and a block whose bound does
-    not exceed the running maximum is skipped; any other block is merge
-    walked inside.  Values, gaps and the maximum are integer
-    numerator/denominator pairs, and the one Fraction is built at the end.
-    In the worst case no block is skipped (f = g, say): every block is
-    walked, O(len(f) + len(g)) operations, plus n/16 located block ends
-    and their bounds for a longer list of n breakpoints.
+    merged breakpoint lists.  ``_sup_gap`` takes the two sups in turn, of
+    the maps and of their swapped integer lists (so neither inverse is
+    built), with one running maximum.  It cuts the longer list into blocks
+    of ``_BLOCK`` = 16 pieces and takes both maps' exact values at every
+    block end.  Both maps increase, so on a block [u, v] the gap is at most
+    max(a(v) − b(u), b(v) − a(u)): a block whose bound does not exceed the
+    running maximum is skipped, and any other is walked by runs.  Values,
+    gaps and the maximum are integer pairs; one Fraction is built at the
+    end.  In the worst case (f = g, say) every block is walked:
+    O(len(f) + len(g)) operations, plus n/16 located block ends for a
+    longer list of n breakpoints.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
@@ -618,29 +590,26 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
 
     a and b are swapped, if need be, so that a's list is the longer.
     Block ends are a's breakpoints 0, K, 2K, ... and its last.  At each,
-    a's value is stored, and b's is stored or interpolated on b's piece.
-    The piece is located from the previous end's, by galloping with steps
-    that start at the previous end's stride and then bisecting, comparing
-    abscissae by cross-multiplying; where b's breakpoints are as dense as
-    a's, the first step mostly lands on it.  The gaps at the block ends
-    seed the maximum.  Then each block whose monotone bound exceeds the
-    maximum is merge walked from its first interior point to its end; a
-    run of such blocks shares one walk.
+    a's value is stored, and b's is stored or interpolated on b's piece,
+    located from the previous end's by ``_gallop`` with a first step of
+    the previous end's stride; where b's breakpoints are as dense as a's,
+    that step mostly lands on it.  The gaps at the block ends seed the
+    maximum.  Then ``_walk_block`` walks each block whose monotone bound
+    exceeds the maximum so far.
     """
     if len(b[0]) > len(a[0]):
         a, b = b, a
-    axn, axd, ayn, ayd, asn, asd = a
+    axn, axd, ayn, ayd = a[:4]
     bxn, bxd, byn, byd, bsn, bsd = b
     last, blast = len(axn) - 1, len(bxn) - 1
-    # (e, j, q) per block end t = a[e]: b(t) = q as a pair, and the least j
-    # with b[j] > t, where the walk of the block that starts at t resumes
+    # (e, j, qn, qd) per block end t = a[e]: b(t) = qn/qd, and the least j
+    # with b[j] > t, where the walk of the block that starts at t starts
     ends = []
     j, stride = 0, 1
     for e in (*range(0, last, _BLOCK), last):
         tn, td = axn[e], axd[e]
         if bxn[j] * td < tn * bxd[j]:
-            # gallop from the last end's stride (b's last point is the
-            # domain's end)
+            # b's last point is the domain's end, so the gallop stops there
             hi = _gallop(bxn, bxd, j, tn, td, blast, stride)
             stride, j = hi - j, hi
         if bxn[j] * td == tn * bxd[j]:
@@ -656,44 +625,67 @@ def _sup_gap(a, b, top_n: int, top_d: int) -> tuple[int, int]:
         n, d = abs(pn * qd - qn * pd), pd * qd
         if n * top_d > top_n * d:
             top_n, top_d = n, d
-    # the merge walk, stopped at the previous block's end when that block
-    # was walked; the next block resumes it
-    walk = None
-    for (e0, j0, un, ud), (e1, _, vn, vd) in zip(ends, ends[1:]):
+    for (e0, j0, un, ud), (e1, j1, vn, vd) in zip(ends, ends[1:]):
         # a and b increase, so on [u, v] = [a[e0], a[e1]] the gap is at most
         # max(a(v) − b(u), b(v) − a(u))
         pn, pd, rn, rd = ayn[e1], ayd[e1], ayn[e0], ayd[e0]
-        d = pd * ud
-        if (pn * ud - un * pd) * top_d <= top_n * d:
-            d = vd * rd
-            if (vn * rd - rn * vd) * top_d <= top_n * d:
-                walk = None
-                continue
-        if walk is None:
-            walk = _merge(axn, axd, bxn, bxd, e0 + 1, j0)
-        for i, j, side in walk:
-            if i == e1 and side != 2:
-                break
-            # a and b at t, each as y0 + (t − x0)·s on the piece k holding t
-            # when t is not its own breakpoint
-            if side == 2:
-                k, tn, td = i - 1, bxn[j], bxd[j]
-                m = axd[k] * td * asd[k]
-                pn = ayn[k] * m + ayd[k] * (tn * axd[k] - axn[k] * td) * asn[k]
-                pd = ayd[k] * m
-            else:
-                pn, pd = ayn[i], ayd[i]
-            if side == 1:
-                k, tn, td = j - 1, axn[i], axd[i]
-                m = bxd[k] * td * bsd[k]
-                qn = byn[k] * m + byd[k] * (tn * bxd[k] - bxn[k] * td) * bsn[k]
-                qd = byd[k] * m
-            else:
-                qn, qd = byn[j], byd[j]
+        if ((pn * ud - un * pd) * top_d > top_n * pd * ud
+                or (vn * rd - rn * vd) * top_d > top_n * vd * rd):
+            top_n, top_d = _walk_block(a, b, e0 + 1, j0, e1, j1, top_n, top_d)
+    return top_n, top_d
+
+
+def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int]:
+    """max(top_n/top_d, |a − b| at each abscissa of either list inside the
+    block (a[i − 1], a[end])), for ``_sup_gap``; j and jend are the least
+    indices with b[j] > a[i − 1] and b[jend] > a[end].
+
+    A coincident point compares the stored values.  Else the lower of a[i]
+    and b[j] starts a run of its list inside one piece of the other, which
+    ``_gallop`` ends at the other's next point or, for a run of a, at the
+    block end.  The piece's (α, β, γ) is built once per run, as in
+    ``compose``, and each run point's stored value is compared with
+    (α·tn + β·td)/(γ·td).  As |a − b| is symmetric, a run of either list
+    goes through one body, with the lists swapped.
+    """
+    axn, axd, ayn, ayd = a[:4]
+    bxn, bxd, byn, byd = b[:4]
+    while True:
+        tn, td, un, ud = axn[i], axd[i], bxn[j], bxd[j]
+        if tn == un and td == ud:
+            if i == end:
+                return top_n, top_d
+            pn, pd, qn, qd = ayn[i], ayd[i], byn[j], byd[j]
             n, d = abs(pn * qd - qn * pd), pd * qd
             if n * top_d > top_n * d:
                 top_n, top_d = n, d
-    return top_n, top_d
+            i, j = i + 1, j + 1
+            continue
+        if tn * ud < un * td:
+            if i == end:
+                return top_n, top_d
+            # a's points i, ..., e − 1 lie inside b's piece j − 1
+            e = end if j == jend else i + 1
+            if e < end and axn[e] * ud < un * axd[e]:
+                e = _gallop(axn, axd, e, un, ud, end, 1)
+            run, piece, m0, k, i = a, b, i, j - 1, e
+        else:
+            # b's points j, ..., e − 1 lie inside a's piece i − 1
+            e = j + 1
+            if bxn[e] * td < tn * bxd[e]:
+                e = _gallop(bxn, bxd, e, tn, td, len(bxn) - 1, 1)
+            run, piece, m0, k, j = b, a, j, i - 1, e
+        xn, xd, yn, yd, sn, sd = piece
+        p, q, r, s, g, h = xn[k], xd[k], yn[k], yd[k], sn[k], sd[k]
+        al, be, ga = g * s * q, r * q * h - p * g * s, s * q * h
+        # the run's own abscissae and stored values
+        xn, xd, yn, yd = run[:4]
+        for m in range(m0, e):
+            td, pn, pd = xd[m], yn[m], yd[m]
+            qd = ga * td
+            n, d = abs(pn * qd - (al * xn[m] + be * td) * pd), pd * qd
+            if n * top_d > top_n * d:
+                top_n, top_d = n, d
 
 
 def _fixed_and_wandering(

@@ -94,11 +94,6 @@ class PseudoOrbit(_Frozen):
 
     _fields = ("points", "offset")
 
-    def __init__(self, points: tuple, offset: int):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "offset", offset)
-        self.__post_init__()
-
     def __post_init__(self):
         if not self.points:
             raise ValueError("empty pseudo-orbit")
@@ -178,10 +173,6 @@ class ShadowingSet(_Frozen):
     """
 
     _fields = ("interval", "epsilon")
-
-    def __init__(self, interval: tuple[Fraction, Fraction] | None, epsilon: Fraction):
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def is_empty(self) -> bool:
@@ -492,11 +483,6 @@ class Stub(_Frozen):
 
     _fields = ("arc", "end", "cut")
 
-    def __init__(self, arc: str, end: int, cut: Fraction):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "cut", cut)
-
     def to_json(self) -> dict:
         return {"arc": self.arc, "end": self.end, "cut": rational_to_json(self.cut)}
 
@@ -505,10 +491,6 @@ class InwardNeighborhood(_Frozen):
     """An invariant arc together with strictly attracted boundary stubs."""
 
     _fields = ("arc", "stubs")
-
-    def __init__(self, arc: str, stubs: tuple[Stub, ...]):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "stubs", stubs)
 
     @cached_property
     def kept(self) -> dict[str, tuple[Fraction, Fraction]]:
@@ -536,24 +518,6 @@ class QuasiAttractorCertificate(_Frozen):
     """
 
     _fields = ("arc", "epsilon", "delta1", "alpha", "neighborhood", "delta", "separation_sq")
-
-    def __init__(
-        self,
-        arc: str,
-        epsilon: Fraction,
-        delta1: Fraction,
-        alpha: Fraction,
-        neighborhood: InwardNeighborhood,
-        delta: Fraction,
-        separation_sq: Fraction,
-    ):
-        object.__setattr__(self, "arc", arc)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "delta1", delta1)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "neighborhood", neighborhood)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "separation_sq", separation_sq)
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,8 @@
 """The package defines no public name or method used nowhere or only by
 tests and no uncalled private one, its functions read every parameter and
 have no default that every call site overrides, its core computes without
-floating point, and no flag reads with int()."""
+floating point, no flag reads with int(), and the value classes share one
+``__init__``."""
 
 import argparse
 import ast
@@ -153,6 +154,27 @@ def test_cli_import_loads_no_dataclasses_inspect_or_csv():
         timeout=60,
     )
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_value_classes_share_one_init():
+    # _Frozen.__init__ stores the fields of every value class, so how they
+    # are stored is decided in one place; none is generated with exec,
+    # which compiles its source on every import, so in every CLI op
+    frozen, own_init, execs = [], [], []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.ClassDef) and "_Frozen" in map(ast.unparse, node.bases):
+                frozen.append(node.name)
+                own_init += [
+                    f"{p.name}:{node.name}"
+                    for n in node.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "__init__"
+                ]
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "exec":
+                execs.append(f"{p.name}:{node.lineno}")
+    assert len(frozen) == 14 and "PLHomeo" in frozen
+    assert own_init == [], f"value classes with their own __init__: {own_init}"
+    assert execs == []
 
 
 def _unread_parameters(path: Path) -> list[str]:

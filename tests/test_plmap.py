@@ -712,27 +712,28 @@ class TestBlockBounds:
         check_distance(invert(f), invert(g))
 
     def test_walks_under_a_third_of_the_merged_points(self, monkeypatch):
-        """On TestFractionBudget's conjugate, c0_distance(g, f9) takes
-        fewer than a third of the merged points from the merge walk; a
-        walk over every point takes them all."""
+        """On TestFractionBudget's conjugate, the blocks that c0_distance(g,
+        f9) walks hold fewer than a third of the merged points; a walk of
+        every block would hold them all."""
         f9 = build_ternary_map(9)
         A = random_coordinate_change(random.Random(11))
         g = compose(A, compose(f9, invert(A)))
+        # both lists are in lowest terms, so equal pairs are equal points
         merged = sum(
-            1
+            len(set(zip(*a._ints[:2])) | set(zip(*b._ints[:2])))
             for a, b in ((g, f9), (invert(g), invert(f9)))
-            for _ in plmap._merge(*a._ints[:2], *b._ints[:2])
         )
         taken = 0
-        merge = plmap._merge
+        walk = plmap._walk_block
 
-        def counting(*args):
+        def counting(a, b, i, j, end, jend, *top):
+            # the merged points strictly inside the walked (a[i − 1], a[end])
             nonlocal taken
-            for step in merge(*args):
-                taken += 1
-                yield step
+            inside = set(zip(a[0][i:end], a[1][i:end])) | set(zip(b[0][j:jend], b[1][j:jend]))
+            taken += len(inside - {(a[0][end], a[1][end])})
+            return walk(a, b, i, j, end, jend, *top)
 
-        monkeypatch.setattr(plmap, "_merge", counting)
+        monkeypatch.setattr(plmap, "_walk_block", counting)
         distance = c0_distance(g, f9)
         monkeypatch.undo()
         assert distance == fraction_walk_c0_distance(g, f9)
@@ -850,7 +851,8 @@ class TestComposeRuns:
     breakpoints inside one piece of g, and prunes only coincident points;
     on every run shape it equals the Fraction merge walk and pointwise
     evaluation, and (f∘g)⁻¹ = g⁻¹∘f⁻¹ walks the same runs with the roles
-    swapped."""
+    swapped.  c0_distance, whose blocks are walked by the same runs, equals
+    its oracles on the run shapes."""
 
     @pytest.mark.parametrize("levels", [7, 9])
     def test_long_runs_of_either_list(self, levels):
@@ -903,6 +905,9 @@ class TestComposeRuns:
         h = check_compose(f, g)
         assert check_compose(invert(g), invert(f)) == invert(h)
         check_compose(g, f)
+        # c0_distance walks the same runs, a run of g clamped at a block end
+        check_distance(f, g)
+        check_distance(invert(f), invert(g))
 
     @pytest.mark.parametrize("levels", [0, 5])
     def test_two_hundred_digit_denominators(self, levels):

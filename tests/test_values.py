@@ -1,11 +1,12 @@
 """The package's immutable value classes against frozen dataclass twins.
 
-Each class stores its fields in a hand-written ``__init__`` and takes
-assignment refusal, ``__eq__``, ``__hash__`` and ``__repr__`` from one base
-in ``plmap``.  Its twin (``conftest.dataclass_twin``) is the frozen
-dataclass with the same name, fields and ``__post_init__``, so the two must
-agree on every sample: same ``repr``, same answers to ``==`` and ``!=``,
-same hash (set and dict order rest on it), same refusals.
+Each class takes its ``__init__``, which stores the fields named in its
+``_fields`` and runs its ``__post_init__``, and its assignment refusal,
+``__eq__``, ``__hash__`` and ``__repr__`` from one base in ``plmap``.  Its
+twin (``conftest.dataclass_twin``) is the frozen dataclass with the same
+name, fields and ``__post_init__``, so the two must agree on every sample:
+same ``repr``, same answers to ``==`` and ``!=``, same hash (set and dict
+order rest on it), same refusals.
 """
 
 from __future__ import annotations
@@ -156,6 +157,17 @@ def test_refusals_match_twin(cls):
         with pytest.raises(Exception) as theirs:
             twin(*args)
         assert (type(ours.value), str(ours.value)) == (type(theirs.value), str(theirs.value))
+
+
+def test_argument_count_refusals_match_twin(cls):
+    twin = dataclass_twin(cls)
+    args = CASES[cls][0][0]
+    for wrong in (args[:-1], (*args, args[-1])):
+        with pytest.raises(Exception) as ours:
+            cls(*wrong)
+        with pytest.raises(Exception) as theirs:
+            twin(*wrong)
+        assert type(ours.value) is type(theirs.value) is TypeError
 
 
 def test_immutable(cls):

@@ -1,7 +1,11 @@
-"""Time ``plmap.compose`` on the shapes of the ``deep`` operation and on
-interleaved worst cases, in-process.
+"""Time ``plmap.compose`` and ``plmap.c0_distance`` on the shapes of the
+``deep`` operation and on interleaved worst cases, in-process, in this tree
+or against a second checkout.
 
-Run it from anywhere, with no arguments: ``python tools/compose_shapes.py``.
+Usage, from anywhere::
+
+    python tools/compose_shapes.py                 # this tree alone
+    python tools/compose_shapes.py OTHER_CHECKOUT  # this tree against another
 
 The ``deep`` inputs are built from ``perfbench/run.py``'s
 ``op_specs("deep", seed, OPS)`` for seeds 1 to SEEDS, imported and not
@@ -22,14 +26,28 @@ The interleaved worst cases have one- and two-point runs:
 - two random maps of RANDOM_POINTS breakpoints with denominators
   10⁶ + 3 and 2²⁰, seeded by RANDOM_SEED, composed both ways round.
 
+``c0_distance`` is timed on the ``deep`` operation's pair (g, f₉), on the
+residual pair (h∘g, t∘h) of ``build_conjugacy(g, 4)`` with t the depth-3
+ternary map, on (f₉, f₉), where no block is skipped, and on the random pair
+both ways round.
+
 Each input pair is timed REPEAT times and keeps its best; the script
-prints, per shape, the median over its pairs in milliseconds.  Times are
-wall times of this process on whatever machine runs it; compare two trees
-by running the script in each, alternately.  Standard library only.
+prints, per shape, the median over its pairs in milliseconds.  Given the
+path of a second checkout, it loads that checkout's ``src/continua`` under
+the package name ``continua_other``, hands it the same maps (rebuilt from
+their JSON), and times the two trees alternately on each pair.  It then
+prints both medians and, over the pairs, the median and range of this
+tree's best time divided by the other's.  One process is the point: on a
+shared machine the medians of one tree can move by 2× between processes,
+so a small ratio cannot be read from two separate runs.  Standard library
+only.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
+import importlib.util
 import random
 import statistics
 import sys
@@ -44,7 +62,7 @@ from continua import cantor, plmap  # noqa: E402
 from run import op_specs  # noqa: E402
 from worker import DEEP_LEVELS  # noqa: E402
 
-SEEDS, OPS, REPEAT = 5, 4, 5
+SEEDS, OPS, REPEAT = 5, 4, 15
 RANDOM_POINTS, RANDOM_SEED = 3000, 1
 
 
@@ -56,11 +74,14 @@ def random_map(rng: random.Random, n: int, den: int) -> plmap.PLHomeo:
                          tuple(Fraction(y, den) for y in [0, *ys, den]))
 
 
-def shapes() -> dict[str, list[tuple[plmap.PLHomeo, plmap.PLHomeo]]]:
-    """The (f, g) pairs of each shape, for ``compose(f, g)``."""
+def shapes() -> dict[tuple[str, str], list[tuple[plmap.PLHomeo, plmap.PLHomeo]]]:
+    """The (f, g) pairs of each (function, shape), for ``compose(f, g)`` or
+    ``c0_distance(f, g)``."""
     f9 = cantor.build_ternary_map(DEEP_LEVELS)
-    pairs: dict[str, list] = {name: [] for name in (
+    t = cantor.build_ternary_map(3)
+    pairs: dict[tuple[str, str], list] = {("compose", name): [] for name in (
         "f9∘A⁻¹", "A∘inner", "g∘g⁻¹", "h∘g", "f9∘f9", "f9∘g", "random")}
+    pairs.update({("c0_distance", name): [] for name in ("g, f9", "h∘g, t∘h", "f9, f9", "random")})
     for seed in range(1, SEEDS + 1):
         for spec in op_specs("deep", seed, OPS):
             A = plmap.PLHomeo.from_json(spec["A"])
@@ -68,33 +89,76 @@ def shapes() -> dict[str, list[tuple[plmap.PLHomeo, plmap.PLHomeo]]]:
             inner = plmap.compose(f9, A_inv)
             g = plmap.compose(A, inner)
             h = cantor.build_conjugacy(g, 4).h
-            pairs["f9∘A⁻¹"].append((f9, A_inv))
-            pairs["A∘inner"].append((A, inner))
-            pairs["g∘g⁻¹"].append((g, plmap.invert(g)))
-            pairs["h∘g"].append((h, g))
-            pairs["f9∘g"].append((f9, g))
-    pairs["f9∘f9"].append((f9, f9))
+            pairs["compose", "f9∘A⁻¹"].append((f9, A_inv))
+            pairs["compose", "A∘inner"].append((A, inner))
+            pairs["compose", "g∘g⁻¹"].append((g, plmap.invert(g)))
+            pairs["compose", "h∘g"].append((h, g))
+            pairs["compose", "f9∘g"].append((f9, g))
+            pairs["c0_distance", "g, f9"].append((g, f9))
+            pairs["c0_distance", "h∘g, t∘h"].append((plmap.compose(h, g), plmap.compose(t, h)))
+    pairs["compose", "f9∘f9"].append((f9, f9))
+    pairs["c0_distance", "f9, f9"].append((f9, f9))
     rng = random.Random(RANDOM_SEED)
     a = random_map(rng, RANDOM_POINTS, 10**6 + 3)
     b = random_map(rng, RANDOM_POINTS, 2**20)
-    pairs["random"] += [(a, b), (b, a)]
+    pairs["compose", "random"] += [(a, b), (b, a)]
+    pairs["c0_distance", "random"] += [(a, b), (b, a)]
     return pairs
 
 
-def best_ms(f: plmap.PLHomeo, g: plmap.PLHomeo) -> float:
-    runs = []
+def load_other(checkout: Path):
+    """The ``plmap`` module of ``checkout``'s ``src/continua``, imported as
+    the package ``continua_other``."""
+    package = checkout / "src" / "continua"
+    spec = importlib.util.spec_from_file_location(
+        "continua_other", package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["continua_other"] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("continua_other.plmap")
+
+
+def best_ms(*calls) -> list[float]:
+    """The best of REPEAT times of each (fn, f, g) call ``fn(f, g)``, the
+    calls taking turns."""
+    runs: list[list[float]] = [[] for _ in calls]
     for _ in range(REPEAT):
-        start = time.perf_counter()
-        plmap.compose(f, g)
-        runs.append(time.perf_counter() - start)
-    return min(runs) * 1e3
+        for (fn, f, g), times in zip(calls, runs):
+            start = time.perf_counter()
+            fn(f, g)
+            times.append(time.perf_counter() - start)
+    return [min(times) * 1e3 for times in runs]
 
 
 def main() -> int:
-    print(f"compose, best of {REPEAT} per pair, median ms over the pairs")
-    for name, pairs in shapes().items():
-        times = [best_ms(f, g) for f, g in pairs]
-        print(f"  {name:<8} {statistics.median(times):8.2f}  n = {len(pairs)}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", nargs="?", type=Path,
+                        help="a second checkout, timed against this tree in this process")
+    args = parser.parse_args()
+    pairs = shapes()
+    print(f"best of {REPEAT} per pair, median ms over the pairs")
+    if args.other is None:
+        for (fn, name), shape in pairs.items():
+            times = [best_ms((getattr(plmap, fn), f, g))[0] for f, g in shape]
+            print(f"  {fn:<11} {name:<9} {statistics.median(times):8.2f}  n = {len(shape)}")
+        return 0
+    other = load_other(args.other.resolve())
+    copies: dict[int, object] = {}
+
+    def copy(f: plmap.PLHomeo):
+        if id(f) not in copies:
+            copies[id(f)] = other.PLHomeo.from_json(f.to_json())
+        return copies[id(f)]
+
+    print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
+    print(f"  {'':<21} {'this':>8} {'other':>8}  this/other (range)")
+    for (fn, name), shape in pairs.items():
+        times = [best_ms((getattr(plmap, fn), f, g), (getattr(other, fn), copy(f), copy(g)))
+                 for f, g in shape]
+        ratios = [ours / theirs for ours, theirs in times]
+        print(f"  {fn:<11} {name:<9} {statistics.median(t[0] for t in times):8.2f} "
+              f"{statistics.median(t[1] for t in times):8.2f}  {statistics.median(ratios):.2f} "
+              f"({min(ratios):.2f}–{max(ratios):.2f})  n = {len(shape)}")
     return 0
 
 
