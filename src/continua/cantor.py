@@ -23,7 +23,9 @@ On top of that construction this module provides:
   A list of intervals (``best_chain_quality``) goes through the same
   sweep;
 * greedy inductive conjugacy building against the ternary template, with
-  an exact residual; it compares interval widths on the same table's keys;
+  an exact residual; it compares interval widths on the same table's keys,
+  takes the residual without composing h∘g, and builds the template once
+  per depth;
 * fixed-point explosions (planting a canonical generator inside an
   interval of fixed points) and the densification routine that plants
   alternating chains until the property holds.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .plmap import (
@@ -41,8 +44,8 @@ from .plmap import (
     OrientedInterval,
     PLHomeo,
     _Frozen,
+    _composite_c0_distance,
     _generator_points,
-    c0_distance,
     compose,
     fixed_set,
     identity,
@@ -166,17 +169,20 @@ class ChainWitness(_Frozen):
             want = Orientation.R if i % 2 == 0 else Orientation.L
             if iv.orientation is not want:
                 raise ValueError(f"orientation at position {i + 1} must be {want.value}")
-        for prev, nxt in zip(ivs, ivs[1:]):
-            if not prev.b < nxt.a:
+        # b < a on the intervals' reduced ends, so no Fraction is built
+        ends = [iv._ends for iv in ivs]
+        for (_, _, bn, bd), (an, ad, _, _) in zip(ends, ends[1:]):
+            if not bn * ad < an * bd:
                 raise ValueError("chain intervals must be strictly ordered")
 
     def quality(self, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Fraction:
-        """max of leading margin, gaps, trailing margin; witness iff < epsilon."""
-        ivs = self.intervals
-        worst = max(ivs[0].a - lo, hi - ivs[-1].b)
-        for prev, nxt in zip(ivs, ivs[1:]):
-            worst = max(worst, nxt.a - prev.b)
-        return worst
+        """max of leading margin, gaps, trailing margin; witness iff < epsilon.
+        Read from the intervals' integer ends, so no a or b is built."""
+        ends = [iv._ends for iv in self.intervals]
+        # each margin or gap runs from lo or a link's b to the next link's a or hi
+        froms = [(lo.numerator, lo.denominator), *((bn, bd) for _, _, bn, bd in ends)]
+        tos = [*((an, ad) for an, ad, _, _ in ends), (hi.numerator, hi.denominator)]
+        return max(Fraction(an * bd - bn * ad, bd * ad) for (bn, bd), (an, ad) in zip(froms, tos))
 
     def to_json(self) -> dict:
         return {
@@ -189,16 +195,10 @@ def _chain_table(
     ivs: list[OrientedInterval], lo: Fraction, hi: Fraction
 ) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
     """``_chain_sweep`` over a list of wandering intervals on [lo, hi],
-    with each end split into its numerator and denominator."""
-    return _chain_sweep(
-        [iv.a.numerator for iv in ivs],
-        [iv.a.denominator for iv in ivs],
-        [iv.b.numerator for iv in ivs],
-        [iv.b.denominator for iv in ivs],
-        [iv.orientation for iv in ivs],
-        (lo.numerator, lo.denominator),
-        (hi.numerator, hi.denominator),
-    )
+    read from the reduced integer ends that each interval holds."""
+    ends = zip(*[iv._ends for iv in ivs]) if ivs else ((),) * 4
+    return _chain_sweep(*ends, [iv.orientation for iv in ivs],
+                        (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
 
 
 def _chain_sweep(
@@ -400,6 +400,10 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     Ties break leftmost.  Gaps and widths are taken on the integer keys of
     the chain table kept on g.  Raises InsufficientIntervals when a gap
     offers no admissible interval.
+
+    The residual c0_distance(h∘g, t∘h) is taken piece by piece over h
+    (``plmap._composite_c0_distance``), so the long h∘g is never built;
+    t∘h has at most len(h) + len(t) breakpoints.
     """
     if depth < 1:
         raise ValueError("depth must be positive")
@@ -445,9 +449,15 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     ys.append(Fraction(1))
     h = PLHomeo(tuple(xs), tuple(ys))
 
-    template = build_ternary_map(depth - 1)
-    residual = c0_distance(compose(h, g), compose(template, h))
+    residual = _composite_c0_distance(h, g, compose(_template(depth - 1), h))
     return ConjugacyReport(h, depth, tuple(matched), residual)
+
+
+@lru_cache(maxsize=1)
+def _template(levels: int) -> PLHomeo:
+    """``build_ternary_map(levels)`` behind a one-entry memo: repeated
+    calls at one depth build it once, and only the last one used is kept."""
+    return build_ternary_map(levels)
 
 
 # ---------------------------------------------------------------------------

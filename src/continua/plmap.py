@@ -33,17 +33,19 @@ cuts the longer list into blocks of 16 pieces and samples both maps at
 the block ends; as both maps increase, the gap on a block [u, v] is at
 most max(a(v) − b(u), b(v) − a(u)), so its ``_sup_gap`` walks, by runs
 as ``compose`` does, only the blocks whose bound exceeds the largest gap
-found so far.  The fixed-set walk builds its intervals without the
-constructor's check, which its order guarantees.
+found so far; ``_composite_c0_distance`` runs it per piece of h to take
+the distance of h∘g from a map without building h∘g.  The fixed-set walk
+builds no Fraction, and its intervals skip the constructor's check,
+which its order guarantees.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
 modulus's trials, the model-orbit stepper, and the search's fold and
 check), its inverse (returned by ``invert``), and its fixed set and
 wandering intervals, found together in one walk over the breakpoints
-(copied out by ``fixed_set`` and ``wandering_intervals``; the walk also
-keeps the intervals' ends as integer pairs, from which ``cantor`` builds
-the map's chain table).  The kernel scales the breakpoints by d, the lcm
+(copied out by ``fixed_set``, which builds their Fractions, and
+``wandering_intervals``; ``cantor`` builds the map's chain table from the
+intervals' integer ends).  The kernel scales the breakpoints by d, the lcm
 of their denominators, to integer keys, and writes each piece as
 f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so one evaluation
 locates its piece by integer comparisons and builds one Fraction.
@@ -73,7 +75,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .rational import pair_to_json, rational_from_json, rational_to_json
+from .rational import pair_to_json, rational_from_json
 
 
 # An integer pass divides its carried integers by their gcd after a step
@@ -145,6 +147,11 @@ class OrientedInterval(_Frozen):
 
     R: the map exceeds the identity on (a, b), so forward orbits converge
     to b.  L: the map is below the identity, orbits converge to a.
+
+    It holds ``_ends``, a and b as reduced pairs (an, ad, bn, bd), which
+    the constructor fills from the a and b it checks and keeps.  The
+    fixed-set walk sets ``_ends`` alone, and a and b are built when first
+    read, as ``PLHomeo`` builds its tuples.
     """
 
     _fields = ("a", "b", "orientation")
@@ -152,13 +159,17 @@ class OrientedInterval(_Frozen):
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"empty interval ({self.a}, {self.b})")
+        a, b = Fraction(self.a), Fraction(self.b)
+        object.__setattr__(self, "_ends", (a.numerator, a.denominator, b.numerator, b.denominator))
+
+    # built from _ends when first read, then kept
+    a = cached_property(lambda self: Fraction(*self._ends[:2]))
+    b = cached_property(lambda self: Fraction(*self._ends[2:]))
 
     def to_json(self) -> dict:
-        return {
-            "a": rational_to_json(self.a),
-            "b": rational_to_json(self.b),
-            "orientation": self.orientation.value,
-        }
+        an, ad, bn, bd = self._ends
+        return {"a": pair_to_json(an, ad), "b": pair_to_json(bn, bd),
+                "orientation": self.orientation.value}
 
 
 class PLHomeo(_Frozen):
@@ -251,9 +262,7 @@ class PLHomeo(_Frozen):
         pieces = []
         for p, q, r, e, a, b in zip(xn, xd, yn, yd, sn, sd):
             # c = r/e − (a/b)·(p/q), in lowest terms
-            cn, cd = r * b * q - a * p * e, e * b * q
-            k = gcd(cn, cd)
-            cn, cd = cn // k, cd // k
+            cn, cd = _lowest(r * b * q - a * p * e, e * b * q)
             g = lcm(b, cd)
             pieces.append((a * (g // b), cn * (g // cd), g))
         return d, tuple(p * (d // q) for p, q in zip(xn, xd)), tuple(pieces)
@@ -298,16 +307,6 @@ class PLHomeo(_Frozen):
         if dom != [f.lo, f.hi]:
             raise ValueError("domain field disagrees with breakpoint endpoints")
         return f
-
-
-def _ordered_interval(a: Fraction, b: Fraction, orientation: Orientation) -> OrientedInterval:
-    """The interval (a, b) for a < b known by construction, built without
-    the constructor's check, as ``_trusted`` builds a map."""
-    iv = object.__new__(OrientedInterval)
-    object.__setattr__(iv, "a", a)
-    object.__setattr__(iv, "b", b)
-    object.__setattr__(iv, "orientation", orientation)
-    return iv
 
 
 def _parts(qs: list[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -511,10 +510,14 @@ class _Lowest(dict):
     composite's slopes take few distinct values."""
 
     def __missing__(self, pair: tuple[int, int]) -> tuple[int, int]:
-        n, d = pair
-        c = gcd(n, d)
-        s = self[pair] = (n // c, d // c)
+        s = self[pair] = _lowest(*pair)
         return s
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, with a positive denominator."""
+    c = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // c, d // c
 
 
 # compose steps this many points along a run before it gallops to the
@@ -645,8 +648,10 @@ def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int
     ``_gallop`` ends at the other's next point or, for a run of a, at the
     block end.  The piece's (α, β, γ) is built once per run, as in
     ``compose``, and each run point's stored value is compared with
-    (α·tn + β·td)/(γ·td).  As |a − b| is symmetric, a run of either list
-    goes through one body, with the lists swapped.
+    (α·tn + β·td)/(γ·td); a one-point run is interpolated on the piece
+    directly, which takes fewer products than building (α, β, γ).  As
+    |a − b| is symmetric, a run of either list goes through one body, with
+    the lists swapped.
     """
     axn, axd, ayn, ayd = a[:4]
     bxn, bxd, byn, byd = b[:4]
@@ -677,6 +682,15 @@ def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int
             run, piece, m0, k, j = b, a, j, i - 1, e
         xn, xd, yn, yd, sn, sd = piece
         p, q, r, s, g, h = xn[k], xd[k], yn[k], yd[k], sn[k], sd[k]
+        if e == m0 + 1:
+            # one point, interpolated directly
+            tn, td, pn, pd = run[0][m0], run[1][m0], run[2][m0], run[3][m0]
+            m = q * td * h
+            qd = s * m
+            n, d = abs(pn * qd - (r * m + s * g * (tn * q - p * td)) * pd), pd * qd
+            if n * top_d > top_n * d:
+                top_n, top_d = n, d
+            continue
         al, be, ga = g * s * q, r * q * h - p * g * s, s * q * h
         # the run's own abscissae and stored values
         xn, xd, yn, yd = run[:4]
@@ -688,13 +702,73 @@ def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int
                 top_n, top_d = n, d
 
 
-def _fixed_and_wandering(
-    f: PLHomeo,
-) -> tuple[tuple[tuple[Fraction, Fraction], ...], tuple[OrientedInterval, ...], tuple]:
+def _composite_c0_distance(h: PLHomeo, g: PLHomeo, f: PLHomeo) -> Fraction:
+    """``c0_distance(compose(h, g), f)`` for three maps on one domain,
+    without building h∘g.
+
+    On h's piece σ(u) = v0 + s·(u − u0), u in [u0, u1], let X = g⁻¹([u0,
+    u1]) and ψ = σ⁻¹∘f, with σ⁻¹ extended affinely.  Then h∘g − f = s·(g −
+    ψ) on X, and (h∘g)⁻¹ − f⁻¹ = g⁻¹ − ψ⁻¹ on [u0, u1].  So per piece one
+    ``_sup_gap`` takes g against ψ on X, with the running maximum passed
+    as top/s and scaled back, and one takes g⁻¹ against ψ⁻¹ on [u0, u1].
+    ``_clip`` cuts g⁻¹ on [u0, u1], f on X and f⁻¹ on [v0, v1] as slices of
+    the integer lists, and ``_pulled`` sends f's values through σ⁻¹: only
+    those and the cut ends take a gcd.  Besides copying g's slices and
+    walking its blocks, that is O(len(f) + len(h)·log len(g)) operations.
+    """
+    hxn, hxd, hyn, hyd, hsn, hsd = h._ints
+    g_inv, f_inv = _swapped(g._ints), _swapped(f._ints)
+    top_n, top_d = 0, 1
+    for k in range(len(hxn) - 1):
+        u0, u1, a, b = (hxn[k], hxd[k]), (hxn[k + 1], hxd[k + 1]), hsn[k], hsd[k]
+        # σ⁻¹(y) = (α·yn + β·yd)/(γ·yd) at y = yn/yd, with slope b/a
+        p, q, r, e = hyn[k], hyd[k], hxn[k], hxd[k]
+        sigma = b * e * q, r * q * a - p * e * b, a * e * q, a, b
+        g_k = _clip(g_inv, u0, u1)  # g⁻¹ on [u0, u1], so X is its value range
+        xn, xd = g_k[2:4]
+        psi = _pulled(_clip(f._ints, (xn[0], xd[0]), (xn[-1], xd[-1])), *sigma)  # ψ on X
+        top_n, top_d = _sup_gap(_swapped(g_k), psi, top_n * b, top_d * a)
+        top_n, top_d = _lowest(top_n * a, top_d * b)
+        # ψ on f⁻¹([v0, v1]), whose swap is ψ⁻¹ on [u0, u1]
+        psi = _pulled(_swapped(_clip(f_inv, (p, q), (hyn[k + 1], hyd[k + 1]))), *sigma)
+        top_n, top_d = _sup_gap(g_k, _swapped(psi), top_n, top_d)
+    return Fraction(top_n, top_d)
+
+
+def _clip(ints: tuple, lo: tuple[int, int], hi: tuple[int, int]) -> tuple:
+    """The map with integer form ``ints`` cut to [lo, hi], reduced pairs
+    within its abscissae: lo, its points strictly between as slices, and
+    hi, with the values at lo and hi interpolated and reduced."""
+    xn, xd, yn, yd, sn, sd = ints
+    last = len(xn) - 1
+    (ln, ld), (un, ud) = lo, hi
+    i = 0 if xn[0] * ld >= ln * xd[0] else _gallop(xn, xd, 0, ln, ld, last, 1)
+    if xn[i] * ld == ln * xd[i]:
+        i += 1
+    j = _gallop(xn, xd, i - 1, un, ud, last, 1)
+    ends = []
+    for k, tn, td in ((i - 1, ln, ld), (j - 1, un, ud)):
+        m = xd[k] * td * sd[k]
+        ends.append(_lowest(yn[k] * m + yd[k] * (tn * xd[k] - xn[k] * td) * sn[k], yd[k] * m))
+    (vn, vd), (wn, wd) = ends
+    return ([ln, *xn[i:j], un], [ld, *xd[i:j], ud], [vn, *yn[i:j], wn], [vd, *yd[i:j], wd],
+            sn[i - 1 : j], sd[i - 1 : j])
+
+
+def _pulled(ints: tuple, al: int, be: int, ga: int, a: int, b: int) -> tuple:
+    """The integer form ``ints`` with each value y = yn/yd sent through the
+    affine map (α·yn + β·yd)/(γ·yd) of slope b/a, reduced."""
+    xn, xd, yn, yd, sn, sd = ints
+    vn, vd = zip(*[_lowest(al * n + be * d, ga * d) for n, d in zip(yn, yd)])
+    return xn, xd, vn, vd, [n * b for n in sn], [d * a for d in sd]
+
+
+def _fixed_and_wandering(f: PLHomeo) -> tuple[tuple, tuple[OrientedInterval, ...], tuple]:
     """f's fixed set and wandering intervals, in one walk over its pieces,
-    with the intervals' ends as integers: lists an, ad, bn, bd of the
+    all on integers: the fixed components' ends as lists ln, ld, rn, rd,
+    the intervals, and their ends as lists an, ad, bn, bd of the
     numerators and denominators, in lowest terms, of each interval's ends
-    a and b, and the list of orientations, for ``cantor``'s chain table.
+    a and b, with the list of orientations, for ``cantor``'s chain table.
 
     On each affine piece the displacement d = f(x) - x is affine, so its
     zero set is empty, a point, or the whole piece.  The sign of d at a
@@ -704,24 +778,20 @@ def _fixed_and_wandering(
     strictly inside it where d changes sign, closes the wandering interval
     from the current component to the root and opens a new component
     there.  The inside root of a piece from (x0, y0) with slope s is
-    (x0·s − y0)/(s − 1), built as one Fraction whose parts are the
-    reduced pair.  d keeps one sign between consecutive roots, so the
-    piece's left end lies in that interval and its sign gives the
-    orientation.  The walk builds one Fraction per root and per right end
-    of a fixed component of positive length, and reads the domain's ends.
+    (x0·s − y0)/(s − 1), reduced by one gcd with its denominator made
+    positive.  d keeps one sign between consecutive roots, so the piece's
+    left end lies in that interval and its sign gives the orientation.
+    The walk builds no Fraction: each interval holds its integer ends and
+    builds a and b when they are first read.
     """
     xn, xd, yn, yd, sn, sd = f._ints
     last = len(xn) - 1
-
-    def point(i: int) -> Fraction:
-        return f.hi if i == last else Fraction(xn[i], xd[i])
-
-    fixed = []
+    new, put = object.__new__, object.__setattr__
     wandering: list[OrientedInterval] = []
     an, ad, bn, bd, tags = ends = ([], [], [], [], [])
-    # the current fixed component runs from left = ln/ld to breakpoint
-    # `right`, or is the point left when `right` is None
-    left, ln, ld, right = f.lo, xn[0], xd[0], None
+    # the current fixed component runs from ln/ld to breakpoint `right`,
+    # or is the point ln/ld when `right` is None
+    ln, ld, right = xn[0], xd[0], None
     d1 = 0  # lo is fixed
     for i in range(1, last + 1):
         d0, d1 = d1, yn[i] * xd[i] - xn[i] * yd[i]
@@ -729,39 +799,39 @@ def _fixed_and_wandering(
             if d0 == 0:
                 right = i
                 continue
-            root, rn, rd = point(i), xn[i], xd[i]
+            rn, rd = xn[i], xd[i]
         elif d0 != 0 and (d0 < 0) != (d1 < 0):
             k = i - 1
-            num = xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k]
-            den = xd[k] * yd[k] * (sn[k] - sd[k])
-            root = Fraction(num, den)
-            rn, rd = root.numerator, root.denominator
+            rn, rd = _lowest(xn[k] * yd[k] * sn[k] - yn[k] * xd[k] * sd[k],
+                             xd[k] * yd[k] * (sn[k] - sd[k]))
         else:
             continue
-        if right is None:
-            end, en, ed = left, ln, ld
-        else:
-            end, en, ed = point(right), xn[right], xd[right]
-        fixed.append((left, end))
+        en, ed = (ln, ld) if right is None else (xn[right], xd[right])
         tag = Orientation.R if d0 > 0 else Orientation.L
-        wandering.append(_ordered_interval(end, root, tag))
+        # an interval of a < b by the walk's order, built unchecked
+        iv = new(OrientedInterval)
+        put(iv, "_ends", (en, ed, rn, rd))
+        put(iv, "orientation", tag)
+        wandering.append(iv)
         an.append(en)
         ad.append(ed)
         bn.append(rn)
         bd.append(rd)
         tags.append(tag)
-        left, ln, ld, right = root, rn, rd, None
-    fixed.append((left, left if right is None else point(right)))
-    return tuple(fixed), tuple(wandering), ends
+        ln, ld, right = rn, rd, None
+    # the fixed components run from lo and each b to each a and hi
+    fixed = [xn[0], *bn], [xd[0], *bd], [*an, xn[-1]], [*ad, xd[-1]]
+    return fixed, tuple(wandering), ends
 
 
 def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
     """Maximal closed intervals (possibly degenerate) where f = id, sorted.
 
-    Always contains the two domain endpoints.  A fresh list, read from the
-    walk cached on f.
+    Always contains the two domain endpoints.  A fresh list of Fractions,
+    built from the integer ends of the walk cached on f.
     """
-    return list(f._structure[0])
+    ln, ld, rn, rd = f._structure[0]
+    return list(zip(map(Fraction, ln, ld), map(Fraction, rn, rd)))
 
 
 def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:

@@ -31,7 +31,9 @@ from continua.plmap import (
     Orientation,
     OrientedInterval,
     PLHomeo,
+    c0_distance,
     canonical_generator,
+    compose,
     evaluate,
     identity,
     invert,
@@ -775,6 +777,12 @@ def interpolated_densify(f: PLHomeo, epsilon: Fraction) -> PLHomeo:
             "cannot densify: isolated fixed points leave no room to restore alternation"
         )
     return result
+
+
+def composite_residual(h: PLHomeo, g: PLHomeo, t: PLHomeo) -> Fraction:
+    """The conjugacy residual as written before: h∘g and t∘h composed in
+    full, then their uniform distance."""
+    return c0_distance(compose(h, g), compose(t, h))
 
 
 def template_lookup_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:

@@ -40,6 +40,7 @@ from continua.plmap import (
 from conftest import (
     all_indices,
     appended_ternary_map,
+    composite_residual,
     fraction_suffix_best,
     interpolated_densify,
     interpolated_explosion,
@@ -437,6 +438,21 @@ class TestChainTableCache:
         assert witness.quality() == q
 
     @pytest.mark.parametrize("domain", DOMAINS)
+    def test_witness_reads_integer_ends(self, domain):
+        """The witness checks its order and takes its quality on its links'
+        integer ends, so no link builds a or b; the quality equals the
+        largest margin or gap taken on Fractions."""
+        f = rescale(ternary_conjugate(7), domain)
+        q = best_chain_quality(wandering_intervals(f), *domain)
+        witness = check_chain_property(f, q + q / 1000)
+        quality = witness.quality(*domain)
+        ivs = witness.intervals
+        assert all("a" not in vars(iv) and "b" not in vars(iv) for iv in ivs)
+        gaps = [ivs[0].a - domain[0], domain[1] - ivs[-1].b]
+        gaps += [nxt.a - prev.b for prev, nxt in zip(ivs, ivs[1:])]
+        assert quality == max(gaps) and q <= quality < q + q / 1000
+
+    @pytest.mark.parametrize("domain", DOMAINS)
     def test_cached_table_equals_a_fresh_one(self, domain):
         for f in (*canonical_maps(domain), rescale(ternary_conjugate(7), domain)):
             for eps in oracle_epsilons(f):
@@ -578,6 +594,87 @@ class TestBuildConjugacy:
                 assert got == outcome(template_lookup_conjugacy, g, depth)
                 kinds.add(type(got))
         assert kinds == {str, ConjugacyReport}
+
+
+class TestResidualWithoutComposite:
+    """build_conjugacy takes its residual piece by piece over h, from g's
+    lists and the short t∘h, and builds its template once per depth; the
+    residual must equal the distance of the composed maps."""
+
+    @pytest.mark.parametrize("levels", range(1, 10))
+    def test_ternary_conjugates(self, levels):
+        g = ternary_conjugate(levels)
+        for depth in range(1, min(levels + 1, 5) + 1):
+            report = build_conjugacy(g, depth)
+            # every matched end is a breakpoint of g fixed by it, so g's
+            # values fall on h's breakpoints
+            assert set(report.h.breakpoints) <= set(g.values)
+            t = build_ternary_map(depth - 1)
+            assert report.residual == composite_residual(report.h, g, t)
+
+    @pytest.mark.parametrize("levels, eps, depth", [(1, F(1, 40), 4), (2, F(1, 200), 4),
+                                                    (3, F(1, 40), 5)])
+    def test_densified_maps_with_many_pieces_of_h(self, levels, eps, depth):
+        """A shallow ternary map densified below its threshold offers every
+        gap both orientations, so h matches 2^depth − 1 intervals."""
+        g = densify_chain_property(build_ternary_map(levels), eps)
+        A = random_coordinate_change(random.Random(levels))
+        for g in (g, compose(A, compose(g, invert(A)))):
+            report = build_conjugacy(g, depth)
+            assert len(report.h.breakpoints) - 1 >= 16
+            t = build_ternary_map(depth - 1)
+            assert report.residual == composite_residual(report.h, g, t) > 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32), st.integers(1, 2))
+    def test_random_maps(self, seed, depth):
+        """Random maps rarely offer a third round, so depths 1 and 2."""
+        rng = random.Random(seed)
+        make = rng.choice([random_plhomeo, random_fat_map, random_touching_map])
+        g = make(rng, 12 if make is random_touching_map else 6)
+        if rng.random() < 0.5:
+            A = random_coordinate_change(rng)
+            g = compose(A, compose(g, invert(A)))
+        try:
+            report = build_conjugacy(g, depth)
+        except InsufficientIntervals:
+            return
+        assert report.residual == composite_residual(
+            report.h, g, build_ternary_map(depth - 1))
+
+    def test_no_composite_longer_than_its_inputs(self, monkeypatch):
+        """On a depth-9 conjugate, no composition inside build_conjugacy has
+        more breakpoints than h and t together."""
+        g = ternary_conjugate(9)
+        sizes = []
+
+        def counting(f, h):
+            out = compose_(f, h)
+            sizes.append(len(out._ints[0]))
+            return out
+
+        compose_ = cantor.compose
+        monkeypatch.setattr(cantor, "compose", counting)
+        report = build_conjugacy(g, 4)
+        monkeypatch.undo()
+        bound = len(report.h.breakpoints) + len(build_ternary_map(3).breakpoints)
+        assert sizes and max(sizes) <= bound < len(g.breakpoints)
+
+    def test_template_built_once_per_depth(self, monkeypatch):
+        g = ternary_conjugate(6)
+        first = build_conjugacy(g, 2)  # a different depth, so the memo holds another
+        built = []
+
+        def counting(levels):
+            built.append(levels)
+            return build(levels)
+
+        build = cantor.build_ternary_map
+        monkeypatch.setattr(cantor, "build_ternary_map", counting)
+        reports = [build_conjugacy(g, 4), build_conjugacy(g, 4)]
+        assert built == [3]
+        assert reports[0] == reports[1] == template_lookup_conjugacy(g, 4)
+        assert build_conjugacy(g, 2) == first and built == [3, 1]
 
 
 class TestExplosions:

@@ -37,6 +37,7 @@ from continua.cantor import (
 )
 from conftest import (
     canonical_l,
+    composite_residual,
     count_fractions,
     edge_enriched_map,
     fraction_prune_collinear,
@@ -1357,3 +1358,94 @@ class TestEvaluateKernel:
         build_conjugacy(g, 4)
         for h in (f9, A, invert(A), g, invert(g)):
             assert "_kernel" not in h.__dict__
+
+
+def check_composite_distance(h: PLHomeo, g: PLHomeo, f: PLHomeo) -> None:
+    """The distance of h∘g from f, and the residual against t = f, without
+    the composite, against the composed expressions."""
+    assert plmap._composite_c0_distance(h, g, f) == c0_distance(compose(h, g), f)
+    assert plmap._composite_c0_distance(h, g, compose(f, h)) == composite_residual(h, g, f)
+
+
+class TestCompositeDistance:
+    """_composite_c0_distance(h, g, f) takes c0_distance(h∘g, f) piece by
+    piece over h, from slices of g's lists; it must equal the distance of
+    the composed map whatever h's pieces cut from g and f."""
+
+    @walk_settings
+    @given(walk_maps(), walk_maps(), walk_maps())
+    def test_random_maps(self, h, g, f):
+        check_composite_distance(h, g, f)
+
+    @walk_settings
+    @given(st.sampled_from(BLOCK_SIZES), walk_maps(), walk_maps(), st.data())
+    def test_many_pieces_of_h(self, n, g, f, data):
+        """h with one to two blocks of pieces, so most pieces of h hold a
+        few points of g and f or none."""
+        check_composite_distance(data.draw(sized_maps(n)), g, f)
+
+    def test_deep_maps(self):
+        rng = random.Random(123)
+        f9 = build_ternary_map(9)
+        A = random_coordinate_change(rng)
+        g = compose(A, compose(f9, invert(A)))
+        for h in (A, invert(A), random_coordinate_change(rng), compose(A, A)):
+            for f in (build_ternary_map(3), f9, g):
+                check_composite_distance(h, g, f)
+                check_composite_distance(h, invert(g), f)
+
+    def test_values_of_g_on_breakpoints_of_h(self):
+        """h breaks at some of g's values and at a point that g skips."""
+        rng = random.Random(124)
+        tried = 0
+        for _ in range(40):
+            g = random_plhomeo(rng, 6)
+            inner = set(g.values[1:-1]) | {F(1, 2)}
+            if len(inner) < 2:
+                continue
+            xs = sorted(rng.sample(sorted(inner), 2))
+            ys = sorted(F(k, 64) for k in rng.sample(range(1, 64), 2))
+            h = PLHomeo((F(0), *xs, F(1)), (F(0), *ys, F(1)))
+            assert set(h.breakpoints[1:-1]) & set(g.values)
+            for f in (g, random_plhomeo(rng, 6), identity()):
+                check_composite_distance(h, g, f)
+            tried += 1
+        assert tried >= 20
+
+    def test_off_unit_domain(self):
+        maps = off_unit_maps()
+        for h in maps[:4]:
+            for g in maps[4:8]:
+                check_composite_distance(h, g, maps[-1])
+
+
+class TestWalkOnIntegerEnds:
+    """The fixed-set walk keeps every end as a reduced integer pair and
+    builds no Fraction; an interval builds a and b when they are read."""
+
+    def test_walk_builds_no_fraction(self):
+        f9 = build_ternary_map(9)
+        A = random_coordinate_change(random.Random(9))
+        g = compose(A, compose(f9, invert(A)))
+        ivs, made = count_fractions(wandering_intervals, g)
+        assert len(ivs) == 1023 and made == 0
+        assert all("a" not in vars(iv) and "b" not in vars(iv) for iv in ivs)
+        blocks, made = count_fractions(fixed_set, g)
+        assert made == 2 * len(blocks) == 2 * (len(ivs) + 1)
+
+    @pytest.mark.parametrize("levels", range(10))
+    def test_ternary_maps_equal_oracles(self, levels):
+        for f in ternary_conjugates(levels):
+            for g in (f, invert(f)):
+                assert fixed_set(g) == merged_fixed_set(g)
+                assert wandering_intervals(g) == midpoint_wandering_intervals(g)
+
+    @walk_settings
+    @given(walk_maps())
+    def test_json_and_ends_equal_checked_intervals(self, f):
+        for iv in wandering_intervals(invert(f)) + wandering_intervals(f):
+            json = iv.to_json()
+            ref = OrientedInterval(iv.a, iv.b, iv.orientation)
+            assert iv._ends == ref._ends and iv._ends[1] > 0 and iv._ends[3] > 0
+            assert json == ref.to_json()
+            assert json["a"] == rational_to_json(iv.a) and json["b"] == rational_to_json(iv.b)

@@ -1,6 +1,10 @@
-"""Time each stage of the benchmark's ``deep`` operation, in-process.
+"""Time each stage of the benchmark's ``deep`` operation, in-process, in
+this tree or against a second checkout.
 
-Run it from anywhere, with no arguments: ``python tools/deep_stages.py``.
+Usage, from anywhere::
+
+    python tools/deep_stages.py                 # this tree alone
+    python tools/deep_stages.py OTHER_CHECKOUT  # this tree against another
 
 The operation list is ``perfbench/run.py``'s ``op_specs("deep", seed, OPS)``
 for seeds 1 to SEEDS, imported and not edited.  For each operation the
@@ -22,31 +26,43 @@ over REPEAT runs, and the script prints the median over the operations of
 each stage and of their sum, in milliseconds, with each stage's share.
 Before timing, every operation's results are checked against one call of
 ``deep_op``.  Times are wall times of this process on whatever machine runs
-it; compare two trees by running the script in each, alternately.
-Standard library only.
+it.
+
+Given the path of a second checkout, the script loads that checkout's
+``src/continua`` under the package name ``continua_other`` (with
+``tools/compose_shapes.py``'s loader), checks that its operations write the
+same artifact bytes, and times the two trees in turn on each operation and
+repeat.  It then prints, per stage and for the sum, both medians and the
+median and range over the operations of this tree's best time divided by
+the other's.  One process is the point: on a shared machine the medians of
+one tree can move by 2× between processes.  Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
+from compose_shapes import load_other  # noqa: E402
 from continua import cantor, plmap  # noqa: E402
 from run import op_specs  # noqa: E402
-from worker import DEEP_LEVELS, deep_op  # noqa: E402
+from worker import DEEP_LEVELS, deep_facts, deep_op  # noqa: E402
 
 SEEDS, OPS, REPEAT = 5, 4, 3
 STAGES = ("conjugate", "round trip", "c0", "walk", "list table",
           "chain at q", "chain above q", "conjugacy")
 
 
-def timed_op(f9: plmap.PLHomeo, A: plmap.PLHomeo) -> tuple[list[float], tuple]:
-    """The stages of ``deep_op`` on fresh maps: (seconds per stage, results)."""
+def timed_op(plmap, cantor, f9, A) -> tuple[list[float], tuple]:
+    """The stages of ``deep_op`` on fresh maps, with this tree's or the
+    other's ``plmap`` and ``cantor``: (seconds per stage, results)."""
     marks = [time.perf_counter()]
     g = plmap.compose(A, plmap.compose(f9, plmap.invert(A)))
     marks.append(time.perf_counter())
@@ -70,23 +86,55 @@ def timed_op(f9: plmap.PLHomeo, A: plmap.PLHomeo) -> tuple[list[float], tuple]:
 
 
 def main() -> int:
-    f9 = cantor.build_ternary_map(DEEP_LEVELS)
-    maps = [plmap.PLHomeo.from_json(spec["A"])
-            for seed in range(1, SEEDS + 1) for spec in op_specs("deep", seed, OPS)]
-    for A in maps:
-        if timed_op(f9, A)[1] != deep_op(f9, A):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", nargs="?", type=Path,
+                        help="a second checkout, timed against this tree in this process")
+    args = parser.parse_args()
+    trees = [(plmap, cantor)]
+    if args.other is not None:
+        trees.append((load_other(args.other.resolve()),
+                      importlib.import_module("continua_other.cantor")))
+    specs = [spec["A"] for seed in range(1, SEEDS + 1) for spec in op_specs("deep", seed, OPS)]
+    # per tree: f₉ and the coordinate changes
+    inputs = [(cantor.build_ternary_map(DEEP_LEVELS), [plmap.PLHomeo.from_json(A) for A in specs])
+              for plmap, cantor in trees]
+    f9, maps = inputs[0]
+    for i, A in enumerate(maps):
+        expected = deep_op(f9, A)
+        if timed_op(plmap, cantor, f9, A)[1] != expected:
             sys.exit("the timed stages disagree with worker.deep_op")
+        if len(trees) > 1:
+            f9_other, maps_other = inputs[1]
+            got = timed_op(*trees[1], f9_other, maps_other[i])[1]
+            if deep_facts(got)[1] != deep_facts(expected)[1]:
+                sys.exit(f"the other tree writes other artifact bytes on op {i}")
 
-    best = []
-    for A in maps:
-        runs = [timed_op(f9, A)[0] for _ in range(REPEAT)]
-        best.append([min(column) for column in zip(*runs)])
-    medians = [statistics.median(column) for column in zip(*best)]
-    total = statistics.median(sum(op) for op in best)
+    # best[t][op]: the best seconds per stage of tree t on that operation
+    best: list[list[list[float]]] = [[] for _ in trees]
+    for i in range(len(maps)):
+        runs: list[list[list[float]]] = [[] for _ in trees]
+        for _ in range(REPEAT):
+            for t, (tree, (f9, maps)) in enumerate(zip(trees, inputs)):
+                runs[t].append(timed_op(*tree, f9, maps[i])[0])
+        for t in range(len(trees)):
+            best[t].append([min(column) for column in zip(*runs[t])])
     print(f"{len(maps)} ops, best of {REPEAT}, median ms per op")
-    for name, s in zip(STAGES, medians):
-        print(f"  {name:<14} {s * 1e3:8.2f}  {s / total:6.1%}")
-    print(f"  {'total':<14} {total * 1e3:8.2f}")
+    if len(trees) == 1:
+        medians = [statistics.median(column) for column in zip(*best[0])]
+        total = statistics.median(sum(op) for op in best[0])
+        for name, s in zip(STAGES, medians):
+            print(f"  {name:<14} {s * 1e3:8.2f}  {s / total:6.1%}")
+        print(f"  {'total':<14} {total * 1e3:8.2f}")
+        return 0
+    print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
+    print(f"  {'':<14} {'this':>8} {'other':>8}  this/other (range)")
+    ours, theirs = ([op + [sum(op)] for op in tree] for tree in best)
+    for k, name in enumerate((*STAGES, "total")):
+        mine, other = [op[k] for op in ours], [op[k] for op in theirs]
+        ratios = [a / b for a, b in zip(mine, other)]
+        print(f"  {name:<14} {statistics.median(mine) * 1e3:8.2f} "
+              f"{statistics.median(other) * 1e3:8.2f}  {statistics.median(ratios):.2f} "
+              f"({min(ratios):.2f}–{max(ratios):.2f})")
     return 0
 
 

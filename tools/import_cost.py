@@ -5,8 +5,11 @@ Usage, from anywhere::
     python tools/import_cost.py            # 25 rounds
     python tools/import_cost.py -n 50
 
-Each round starts one fresh interpreter for each of three programs, in an
-order that rotates from round to round:
+Before timing, it byte-compiles ``src/continua`` with ``python -m
+compileall`` under the timed interpreter, as ``perfbench/run.py`` does, so
+no fresh interpreter compiles the package from source, even with
+``PYTHONDONTWRITEBYTECODE`` set.  Each round starts one fresh interpreter
+for each of three programs, in an order that rotates from round to round:
 
 - ``pass``: interpreter start alone;
 - ``stdlib``: the standard-library modules the package imports at module
@@ -85,7 +88,8 @@ def main(argv: list[str] | None = None) -> int:
         "stdlib": "import " + ", ".join(stdlib_imports()),
         "continua.cli": "import continua.cli",
     }
-    for code in programs.values():  # warm the page cache and the bytecode
+    run(args.python, ["-m", "compileall", "-q", str(PACKAGE)])
+    for code in programs.values():  # warm the page cache
         run(args.python, ["-c", code])
     times: dict[str, list[float]] = defaultdict(list)
     selfs: dict[str, list[int]] = defaultdict(list)
