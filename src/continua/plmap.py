@@ -10,8 +10,8 @@ What every map holds is its integer form, ``_ints``: int tuples of the
 numerators and denominators, in lowest terms, of its breakpoints, values
 and per-piece slopes, with its domain.  Equality and hashing compare it.
 The Fraction tuples ``breakpoints`` and ``values`` are built from it when
-first read and then kept; the per-piece slopes (``max_slope`` reads them)
-likewise, with one Fraction per distinct slope shared by its pieces.
+first read and then kept; so are the per-piece slopes, one Fraction per
+distinct slope, and their maximum (``max_slope`` reads it).
 ``to_json`` writes the form, and builds neither tuple.
 
 The validating constructor ``PLHomeo(breakpoints, values)`` is the only
@@ -251,6 +251,10 @@ class PLHomeo(_Frozen):
         pairs = tuple(zip(*self._ints[4:]))
         made = {p: Fraction(*p) for p in set(pairs)}
         return tuple(made[p] for p in pairs)
+
+    @cached_property
+    def _max_slope(self) -> Fraction:
+        return max(self._slopes)
 
     @cached_property
     def _kernel(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
@@ -862,5 +866,5 @@ def canonical_r(a: Fraction, b: Fraction) -> PLHomeo:
 
 
 def max_slope(f: PLHomeo) -> Fraction:
-    """Largest segment slope: an exact Lipschitz constant for f."""
-    return max(f._slopes)
+    """Largest segment slope, kept on f: an exact Lipschitz constant for f."""
+    return f._max_slope

@@ -78,6 +78,9 @@ ORBIT_LENGTH = 24
 NOISE_GRID = 512
 GRID_LEVELS = 12
 DELTA_GRID_LEVELS = 24
+# A noise draw is _below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1), in -511..511, and
+# a scale factor above _REDUCE_ABOVE (more than _REDUCE_BITS bits) is followed by a gcd.
+_NOISE_WIDTH, _REDUCE_ABOVE = 2 * NOISE_GRID - 1, 2**_REDUCE_BITS - 1
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +116,18 @@ def _from_end(end: int, x: Fraction) -> Fraction:
     return 1 - x if end else x
 
 
-def _noise(rng: random.Random, bound: Fraction) -> Fraction:
-    return Fraction(rng.randrange(-(NOISE_GRID - 1), NOISE_GRID), NOISE_GRID) * bound
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw in [0, n), n >= 1, on ``bits``, a ``Random.getrandbits``: CPython's
+    ``_randbelow_with_getrandbits``, which ``randrange(a, b)`` runs as a +
+    _randbelow(b - a), so it reads the words and gives the values of ``randrange``,
+    which raises ValueError on an empty range too."""
+    if n < 1:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
@@ -137,7 +150,7 @@ def generate_pseudo_orbit(
     never increases a jump).  The forward run x1..xn draws its noise
     before the backward run x-1..x-m.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     delta = positive(delta, "delta")
     m, n = -window[0], window[1]
     if m < 0 or n < 0:
@@ -150,7 +163,8 @@ def generate_pseudo_orbit(
     def run(g: PLHomeo, steps: int, bound: Fraction) -> list[Fraction]:
         ys = [x0]
         for _ in range(steps):
-            ys.append(_clamp(evaluate(g, ys[-1]) + _noise(rng, bound), lo, hi))
+            noise = Fraction(_below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1), NOISE_GRID)
+            ys.append(_clamp(evaluate(g, ys[-1]) + noise * bound, lo, hi))
         return ys
 
     forward = run(f, n, delta / 2)
@@ -259,12 +273,18 @@ def estimate_shadowing_modulus(
     estimate is at least the smaller's (when that value is on both grids).
     Other ratios have no such order: depth-2 ternary map, 20 trials, seed 2
     gives 1/58 at epsilon 1/29 and 1/112 at epsilon 1/28.
+    When epsilon is at least hi - lo, every tube covers the domain, which f
+    fixes, so every trial at level 0 is shadowed: the scan returns epsilon
+    before it draws a start or builds a ``Random``.
     """
     epsilon = positive(epsilon, "epsilon")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if epsilon >= f.hi - f.lo:
+        return epsilon
     base = seed * 1_000_003
-    starts = [random.Random(base + 2 * t).randrange(0, NOISE_GRID + 1) for t in range(trials)]
+    draws = (random.Random(base + 2 * t).getrandbits for t in range(trials))
+    starts = [_below(bits, NOISE_GRID + 1) for bits in draws]
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
         if all(
@@ -284,11 +304,12 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
     the first empty step.  Every value is an integer over one scale D: the
     point X, the fold ends A and B, epsilon E, the noise unit U and the
     domain ends.  On f's kernel, a point P/D on piece (α, β, γ) maps to
-    (α·P + β·D)/(γ·D), so each step multiplies D by the lcm of the γ of
-    the at most three pieces it hits, and not at all when each γ is 1.
-    When that lcm has more than ``_REDUCE_BITS`` bits, every carried
-    integer is divided by their gcd, so that pieces with huge γ covering
-    most of the domain do not grow D by γ at every step.
+    (α·P + β·D)/(γ·D), so each step multiplies D by the lcm L of the γ of
+    the at most three pieces it hits, and not at all when L is 1.  When L
+    has more than ``_REDUCE_BITS`` bits, every carried integer is divided
+    by their gcd, so that pieces with huge γ covering most of the domain do
+    not grow D by γ at every step.  The noise is drawn with ``_below``, and
+    the clamps are comparisons, not ``max`` and ``min`` calls.
     """
     d, keys, pieces = f._kernel
     last = len(pieces)
@@ -300,7 +321,7 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
     U = delta.numerator * (D // unit)
     X = (LO * (NOISE_GRID - k) + HI * k) // NOISE_GRID
     A, B = max(LO, X - E), min(HI, X + E)
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     for _ in range(ORBIT_LENGTH):
         ax, bx, gx = pieces[bisect_right(keys, X * d // D, 0, last) - 1]
         aa, ba, ga = pieces[bisect_right(keys, A * d // D, 0, last) - 1]
@@ -310,12 +331,20 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
         A = (aa * A + ba * D) * (L // ga)
         B = (ab * B + bb * D) * (L // gb)
         if L > 1:
-            D, E, U, LO, HI = D * L, E * L, U * L, LO * L, HI * L
-            if L.bit_length() > _REDUCE_BITS:
+            D *= L
+            E *= L
+            U *= L
+            LO *= L
+            HI *= L
+            if L > _REDUCE_ABOVE:
                 r = gcd(X, A, B, D, E, U, LO, HI)
                 X, A, B, D, E, U, LO, HI = (v // r for v in (X, A, B, D, E, U, LO, HI))
-        X = min(max(X + rng.randrange(-(NOISE_GRID - 1), NOISE_GRID) * U, LO), HI)
-        A, B = max(A, X - E), min(B, X + E)
+        X += (_below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1)) * U
+        X = LO if X < LO else HI if X > HI else X
+        if X - E > A:
+            A = X - E
+        if X + E < B:
+            B = X + E
         if A > B:
             return False
     return True
@@ -411,12 +440,13 @@ def _orbit_stepper(
     step(x0, length, seed) gives the orbit's points as ``_ArcPoint``s.
 
     Each step maps T/D through the arc map's kernel, which multiplies D by
-    the piece's γ.  Per step, it draws randrange(4); on 0, the first arc
-    end whose depth is below delta/(4·stretch_hi), if any, gives the arcs
-    across it, and when there are any (a tooth tip has none), it draws one
-    and a depth of r units delta/(2048·stretch_hi) into it (clamped to the
+    the piece's γ.  Every draw is ``_below`` on the orbit's ``getrandbits``.
+    Per step, it draws a value below 4; on 0, the first arc end whose
+    depth is below delta/(4·stretch_hi), if any, gives the arcs across it,
+    and when there are any (a tooth tip has none), it draws one and a depth
+    of r units delta/(2048·stretch_hi) into it, r below 512 (clamped to the
     arc).  Otherwise it draws a jitter of r units delta/(1024·stretch_hi),
-    clamped to [0, 1].
+    r in -511..511, clamped to [0, 1].
     Each arc's unit is an integer K over C, and D stays a multiple C·S of
     C, so the unit over D is K·S; after a step whose γ has more than
     ``_REDUCE_BITS`` bits, T, D and S are divided by the gcd of T and S.
@@ -434,7 +464,7 @@ def _orbit_stepper(
     }
 
     def step(x0: YPoint, length: int, seed: int) -> list[_ArcPoint]:
-        rng = random.Random(seed)
+        bits = random.Random(seed).getrandbits
         aid, t = x0.arc, x0.t
         D = lcm(C, t.denominator)
         S, T = D // C, t.numerator * (D // t.denominator)
@@ -445,22 +475,22 @@ def _orbit_stepper(
             T = a * T + b * D
             if c > 1:
                 D, S = D * c, S * c
-                if c.bit_length() > _REDUCE_BITS:
+                if c > _REDUCE_ABOVE:
                     r = gcd(T, S)
                     T, D, S = T // r, D // r, S // r
             unit = K * S
             across: list[tuple[str, int]] = []
-            if rng.randrange(4) == 0:
+            if _below(bits, 4) == 0:
                 if T < NOISE_GRID * unit:
                     across = across0
                 elif D - T < NOISE_GRID * unit:
                     across = across1
             if across:
-                aid, oend = across[rng.randrange(len(across))]
-                depth = min(table[aid][1] * S * rng.randrange(0, NOISE_GRID), D)
+                aid, oend = across[_below(bits, len(across))]
+                depth = min(table[aid][1] * S * _below(bits, NOISE_GRID), D)
                 T = D - depth if oend else depth
             else:
-                jitter = rng.randrange(-(NOISE_GRID - 1), NOISE_GRID) * 2 * unit
+                jitter = (_below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1)) * 2 * unit
                 T = min(max(T + jitter, 0), D)
             points.append((aid, T, D))
         return points
@@ -882,11 +912,12 @@ def sample_certificate_soundness(
 
     def start(rng: random.Random) -> YPoint:
         # the arc itself half the time, and when the chosen end has no other arc
-        if rng.randrange(2) == 0 or not (neighbors := model.across(arc, rng.randrange(2))):
-            return YPoint(arc.id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
-        other, oend = neighbors[rng.randrange(len(neighbors))]
+        bits = rng.getrandbits
+        if _below(bits, 2) == 0 or not (neighbors := model.across(arc, _below(bits, 2))):
+            return YPoint(arc.id, Fraction(_below(bits, NOISE_GRID + 1), NOISE_GRID))
+        other, oend = neighbors[_below(bits, len(neighbors))]
         depth = min(cert.delta / other.stretch_hi, Fraction(1)) * Fraction(
-            rng.randrange(0, NOISE_GRID), NOISE_GRID
+            _below(bits, NOISE_GRID), NOISE_GRID
         )
         return YPoint(other.id, _from_end(oend, depth))
 
@@ -906,7 +937,7 @@ def sample_global_soundness(
     """Indices of arbitrary-start delta-pseudo-orbits with no verified witness."""
 
     def start(rng: random.Random) -> YPoint:
-        arc = model.arcs[rng.randrange(len(model.arcs))]
-        return YPoint(arc.id, Fraction(rng.randrange(0, NOISE_GRID + 1), NOISE_GRID))
+        arc = model.arcs[_below(rng.getrandbits, len(model.arcs))]
+        return YPoint(arc.id, Fraction(_below(rng.getrandbits, NOISE_GRID + 1), NOISE_GRID))
 
     return _sampled_failures(model, g, delta, epsilon, trials, seed * 9_999_991, start, model.arcs)

@@ -54,7 +54,6 @@ from continua.shadowing import (
     Stub,
     _clamp,
     _from_end,
-    _noise,
     generate_pseudo_orbit,
     shadowing_set,
 )
@@ -544,7 +543,8 @@ def fraction_pseudo_orbit_y(
 ) -> PseudoOrbit:
     """``generate_pseudo_orbit_y`` on ``Fraction``s: each step maps the point
     with ``apply_map``, then hops or jitters with the same draws in the same
-    order, so the integer stepper must give the same points."""
+    order, so the integer stepper must give the same points.  Every draw is
+    a ``randrange`` call, so the stepper's ``_below`` draws are checked too."""
     rng = random.Random(seed)
     bound = delta / 2
     pts = [x0]
@@ -567,7 +567,8 @@ def fraction_pseudo_orbit_y(
             depth = min(bound / 2 / other.stretch_hi * u, Fraction(1))
             pts.append(YPoint(other.id, _from_end(oend, depth)))
         else:
-            jitter = _noise(rng, bound / arc.stretch_hi)
+            u = Fraction(rng.randrange(-(NOISE_GRID - 1), NOISE_GRID), NOISE_GRID)
+            jitter = u * (bound / arc.stretch_hi)
             pts.append(YPoint(img.arc, _clamp(img.t + jitter, Fraction(0), Fraction(1))))
     return PseudoOrbit(tuple(pts), 0)
 

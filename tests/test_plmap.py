@@ -407,6 +407,13 @@ class TestCachedPathsAgainstOracles:
             assert max_slope(f) == max(slopes)
             assert max_slope(invert(f)) == max(1 / s for s in slopes)
 
+    def test_max_slope_kept_on_the_map(self):
+        # an arcwise model's arcs share one map, and each certificate reads it
+        f = build_ternary_map(3)
+        assert "_max_slope" not in f.__dict__
+        first = max_slope(f)
+        assert f.__dict__["_max_slope"] is first and max_slope(f) is first
+
     def test_wandering_intervals_equal_midpoint_oracle(self):
         for f in oracle_maps(115):
             assert wandering_intervals(f) == midpoint_wandering_intervals(f)

@@ -6,6 +6,7 @@ import io
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 from math import gcd, lcm
 from unittest import mock
 
@@ -43,6 +44,7 @@ from continua.shadowing import (
     NoInwardStub,
     PseudoOrbit,
     Stub,
+    _below,
     _forward_fold,
     _kernel_fold,
     _min_separation_sq,
@@ -104,6 +106,42 @@ def csv_round_trip(orbit: PseudoOrbit) -> PseudoOrbit:
 
 
 orbit_settings = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def noise_recording_random(draws: list) -> type:
+    """A ``Random`` whose ``getrandbits`` appends each word that
+    ``_below(bits, 2·NOISE_GRID − 1)`` accepts: one noise draw per step of
+    ``_shadowed_trial``."""
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            if r < 2 * NOISE_GRID - 1:
+                draws.append(r)
+            return r
+
+    return Recording
+
+
+class TestDrawRule:
+    def test_below_reads_the_words_of_randrange(self):
+        # the interpreter's randrange(n) is _randbelow(n) on getrandbits: the
+        # pinned digests and samples rest on this, so it is pinned here
+        sizes = [1, 2, 3, 4, 5, 512, 513, 1023, 1024, 1025]
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            order = sizes * 3
+            random.Random(-seed).shuffle(order)
+            for n in order:
+                assert _below(ours.getrandbits, n) == theirs.randrange(n), (seed, n)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_below_raises_on_an_empty_range_as_randrange_does(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                random.Random(0).randrange(n)
+            with pytest.raises(ValueError):
+                _below(random.Random(0).getrandbits, n)
 
 
 class TestPseudoOrbits:
@@ -272,6 +310,29 @@ class TestModulus:
     def test_zero_when_every_grid_delta_fails(self):
         assert estimate_shadowing_modulus(semi_stable_map(), F(1, 10), 10, 0) == 0
 
+    @pytest.mark.parametrize("domain", [(F(0), F(1)), (F(-3, 2), F(5, 7))])
+    def test_full_domain_tubes_decided_up_front(self, monkeypatch, domain):
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed=None):
+                made.append(seed)
+                super().__init__(seed)
+
+        rng = random.Random(34)
+        width = domain[1] - domain[0]
+        for f in (rescale(build_ternary_map(2), domain), rescale(random_plhomeo(rng), domain)):
+            for eps in (width, width + F(1, 7), 3 * width, width - F(1, 1000)):
+                made.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(random, "Random", CountingRandom)
+                    got = estimate_shadowing_modulus(f, eps, 5, 3)
+                assert got == materialized_modulus(f, eps, 5, 3), eps
+                if eps >= width:
+                    assert got == eps and made == []
+                else:
+                    assert len(made) >= 5 + 5  # the starts, then the orbits of a scan
+
     def test_each_start_drawn_once(self, monkeypatch):
         # every orbit builds its own generator, so the rest are start
         # generators: one per trial, however many grid levels the scan reads
@@ -379,18 +440,17 @@ class TestLazyModulus:
         assert min(scales) == 1 < max(scales)
 
     def test_trial_stops_at_the_first_empty_step(self, monkeypatch):
-        draws = []
-
-        class CountingRandom(random.Random):
-            def randrange(self, *a):
-                draws.append(a)
-                return super().randrange(*a)
-
-        eps, delta = F(1, 20), F(1, 20)
-        stops = set()
+        # counts the accepted noise draws, one per step taken; from the
+        # domain's ends, jumps of up to 2·epsilon clamp the orbit at lo or
+        # hi, and the tube around a clamped point can be the one that
+        # empties the set
+        draws, stops, at_ends = [], set(), set()
+        eps = F(1, 20)
+        cases = [(NOISE_GRID // 2, eps), *product((0, NOISE_GRID), (eps, 4 * eps))]
         for f in (identity(), build_ternary_map(3), semi_stable_map()):
-            for seed in range(20):
-                orbit = generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), F(1, 2), seed)
+            for (start, delta), seed in product(cases, range(20)):
+                x0 = F(start, NOISE_GRID)
+                orbit = generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), x0, seed)
                 # k: the first index whose prefix has an empty shadowing set
                 k = next(
                     (n for n in range(ORBIT_LENGTH + 1)
@@ -399,11 +459,14 @@ class TestLazyModulus:
                 )
                 draws.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(random, "Random", CountingRandom)
-                    shadowing._shadowed_trial(f, eps, delta, NOISE_GRID // 2, seed)
+                    m.setattr(random, "Random", noise_recording_random(draws))
+                    shadowing._shadowed_trial(f, eps, delta, start, seed)
                 assert len(draws) == k
                 stops.add(k)
+                if k < ORBIT_LENGTH:
+                    at_ends.add(orbit.points[k])
         assert min(stops) < ORBIT_LENGTH == max(stops)
+        assert {F(0), F(1)} <= at_ends
 
     def test_trials_make_no_fraction_per_step(self, monkeypatch):
         f = build_ternary_map(3)

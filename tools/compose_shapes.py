@@ -118,6 +118,46 @@ def load_other(checkout: Path):
     return importlib.import_module("continua_other.plmap")
 
 
+def best_stages(trees: int, ops: int, repeat: int, timed) -> list[list[list[float]]]:
+    """best[t][i]: the best seconds per stage of tree t on operation i over
+    ``repeat`` runs of ``timed(t, i)``, which gives the seconds per stage.
+    On each operation and repeat the trees take turns, the first alternating."""
+    best: list[list[list[float]]] = [[] for _ in range(trees)]
+    for i in range(ops):
+        runs: list[list[list[float]]] = [[] for _ in range(trees)]
+        for r in range(repeat):
+            for t in (range(trees) if r % 2 == 0 else reversed(range(trees))):
+                runs[t].append(timed(t, i))
+        for t in range(trees):
+            best[t].append([min(column) for column in zip(*runs[t])])
+    return best
+
+
+def report_stages(names: tuple[str, ...], best: list[list[list[float]]]) -> None:
+    """Print, for ``best`` as ``best_stages`` gives it, the median over the
+    operations of each stage and of their sum, in milliseconds.  For one
+    tree each stage's share follows; for two, the other tree's median and
+    the median and range over the operations of the first tree's time
+    divided by the other's (a stage that no operation reaches has none)."""
+    width = max(len(name) for name in (*names, "total")) + 2
+    if len(best) == 1:
+        total = statistics.median(sum(op) for op in best[0])
+        for k, name in enumerate(names):
+            s = statistics.median(op[k] for op in best[0])
+            print(f"  {name:<{width}} {s * 1e3:8.2f}  {s / total:6.1%}")
+        print(f"  {'total':<{width}} {total * 1e3:8.2f}")
+        return
+    print(f"  {'':<{width}} {'this':>8} {'other':>8}  this/other (range)")
+    ours, theirs = ([op + [sum(op)] for op in tree] for tree in best)
+    for k, name in enumerate((*names, "total")):
+        mine, others = [op[k] for op in ours], [op[k] for op in theirs]
+        ratios = [a / b for a, b in zip(mine, others) if b]
+        spread = (f"{statistics.median(ratios):.2f} ({min(ratios):.2f}–{max(ratios):.2f})"
+                  if ratios else "-")
+        print(f"  {name:<{width}} {statistics.median(mine) * 1e3:8.2f} "
+              f"{statistics.median(others) * 1e3:8.2f}  {spread}")
+
+
 def best_ms(*calls) -> list[float]:
     """The best of REPEAT times of each (fn, f, g) call ``fn(f, g)``, the
     calls taking turns."""

@@ -32,7 +32,7 @@ Given the path of a second checkout, the script loads that checkout's
 ``src/continua`` under the package name ``continua_other`` (with
 ``tools/compose_shapes.py``'s loader), checks that its operations write the
 same artifact bytes, and times the two trees in turn on each operation and
-repeat.  It then prints, per stage and for the sum, both medians and the
+repeat, the first tree alternating (``compose_shapes.best_stages``).  It then prints, per stage and for the sum, both medians and the
 median and range over the operations of this tree's best time divided by
 the other's.  One process is the point: on a shared machine the medians of
 one tree can move by 2× between processes.  Standard library only.
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -50,7 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
 
-from compose_shapes import load_other  # noqa: E402
+from compose_shapes import best_stages, load_other, report_stages  # noqa: E402
 from continua import cantor, plmap  # noqa: E402
 from run import op_specs  # noqa: E402
 from worker import DEEP_LEVELS, deep_facts, deep_op  # noqa: E402
@@ -109,32 +108,14 @@ def main() -> int:
             if deep_facts(got)[1] != deep_facts(expected)[1]:
                 sys.exit(f"the other tree writes other artifact bytes on op {i}")
 
-    # best[t][op]: the best seconds per stage of tree t on that operation
-    best: list[list[list[float]]] = [[] for _ in trees]
-    for i in range(len(maps)):
-        runs: list[list[list[float]]] = [[] for _ in trees]
-        for _ in range(REPEAT):
-            for t, (tree, (f9, maps)) in enumerate(zip(trees, inputs)):
-                runs[t].append(timed_op(*tree, f9, maps[i])[0])
-        for t in range(len(trees)):
-            best[t].append([min(column) for column in zip(*runs[t])])
+    def timed(t: int, i: int) -> list[float]:
+        f9, maps = inputs[t]
+        return timed_op(*trees[t], f9, maps[i])[0]
+
     print(f"{len(maps)} ops, best of {REPEAT}, median ms per op")
-    if len(trees) == 1:
-        medians = [statistics.median(column) for column in zip(*best[0])]
-        total = statistics.median(sum(op) for op in best[0])
-        for name, s in zip(STAGES, medians):
-            print(f"  {name:<14} {s * 1e3:8.2f}  {s / total:6.1%}")
-        print(f"  {'total':<14} {total * 1e3:8.2f}")
-        return 0
-    print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
-    print(f"  {'':<14} {'this':>8} {'other':>8}  this/other (range)")
-    ours, theirs = ([op + [sum(op)] for op in tree] for tree in best)
-    for k, name in enumerate((*STAGES, "total")):
-        mine, other = [op[k] for op in ours], [op[k] for op in theirs]
-        ratios = [a / b for a, b in zip(mine, other)]
-        print(f"  {name:<14} {statistics.median(mine) * 1e3:8.2f} "
-              f"{statistics.median(other) * 1e3:8.2f}  {statistics.median(ratios):.2f} "
-              f"({min(ratios):.2f}–{max(ratios):.2f})")
+    if len(trees) > 1:
+        print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
+    report_stages(STAGES, best_stages(len(trees), len(maps), REPEAT, timed))
     return 0
 
 
