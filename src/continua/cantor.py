@@ -85,9 +85,6 @@ class TernaryIndex(_Frozen):
         d = 3 ** (self.n + 1)
         return Fraction(3 * self.k + 1, d), Fraction(3 * self.k + 2, d)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k}
-
 
 def minimal_indices(max_level: int) -> list[TernaryIndex]:
     """The non-nested indices with n <= max_level: 2^n per level n.
@@ -183,12 +180,6 @@ class ChainWitness(_Frozen):
         froms = [(lo.numerator, lo.denominator), *((bn, bd) for _, _, bn, bd in ends)]
         tos = [*((an, ad) for an, ad, _, _ in ends), (hi.numerator, hi.denominator)]
         return max(Fraction(an * bd - bn * ad, bd * ad) for (bn, bd), (an, ad) in zip(froms, tos))
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": rational_to_json(self.epsilon),
-            "intervals": [iv.to_json() for iv in self.intervals],
-        }
 
 
 def _chain_table(

@@ -7,7 +7,8 @@ same seed and parameters give byte-identical output files.
 Each subcommand returns its artifact text and exit code, or raises; ``main``
 alone writes the text to --out or stdout and maps errors to exit codes.
 ``render`` is the only SVG writer.  A flag that the run cannot use (--depth
-with --homeo, a model flag with a map) is an input error.
+with --homeo, a model flag with a map) is an input error.  ``certify`` makes
+one library call, ``shadowing.certify_model``, which holds its seeds.
 
 Exit protocol: 0 satisfied, 1 unsatisfied (a well-formed run whose answer
 is negative), 2 input error, 3 certification failure.  A --depth,
@@ -40,11 +41,9 @@ from .plmap import Orientation, PLHomeo
 from .rational import parse_integer, parse_rational, rational_to_json
 from .shadowing import (
     CoverFailure,
+    certify_model,
     estimate_shadowing_modulus,
-    global_shadowing_delta,
     orbit_from_csv,
-    sample_certificate_soundness,
-    sample_global_soundness,
     shadow_on_arcs,
     shadowing_set,
 )
@@ -61,6 +60,9 @@ EXIT_CERT = 3
 MAX_DEPTH = 16
 MAX_SEGMENTS = 256
 MAX_TRIALS = 10_000
+
+# The arcwise map's depth when a model run gives neither --homeo nor --depth.
+DEFAULT_DEPTH = 3
 
 # The flags that name the model and its self-map; a map input takes none of them.
 _MODEL_FLAGS = ("--segments", "--homeo", "--depth")
@@ -112,12 +114,13 @@ def _load_map(path: str) -> PLHomeo:
 
 def _load_homeo(args, model: YModel) -> YHomeo:
     """The --homeo map, refusing --depth next to it, or else the arcwise
-    map of depth --depth (3 when absent); either way checked against the model."""
+    map of depth --depth (DEFAULT_DEPTH when absent); either way checked
+    against the model."""
     if args.homeo is not None:
         _refuse_flags(args, ("--depth",), "cannot be combined with --homeo")
         g = YHomeo.from_json(_load_json(args.homeo))
     else:
-        g = build_arcwise_map(model, 3 if args.depth is None else args.depth)
+        g = build_arcwise_map(model, DEFAULT_DEPTH if args.depth is None else args.depth)
     validate_homeo(model, g)
     return g
 
@@ -210,12 +213,14 @@ def cmd_certify(args) -> tuple[str, int]:
         "seed": args.seed,
         "trials": args.trials,
         "epsilon": rational_to_json(epsilon),
-        "depth": 3 if args.depth is None else args.depth,
+        "depth": DEFAULT_DEPTH if args.depth is None else args.depth,
         "segments": model.M,
     }
 
     try:
-        delta, certs = global_shadowing_delta(model, g, epsilon, args.trials, args.seed)
+        delta, certs, per_arc_failures, global_failures = certify_model(
+            model, g, epsilon, args.trials, args.seed
+        )
     except CoverFailure as exc:
         bundle = {
             "config": config,
@@ -224,15 +229,6 @@ def cmd_certify(args) -> tuple[str, int]:
             "uncovered": [p.to_json() for p in exc.uncovered],
         }
         return dump_json(bundle), EXIT_CERT
-
-    per_arc_failures = {}
-    for i, cert in enumerate(certs):
-        fails = sample_certificate_soundness(model, g, cert, args.trials, args.seed * 31 + i)
-        if fails:
-            per_arc_failures[cert.arc] = fails
-    global_failures = sample_global_soundness(
-        model, g, delta, epsilon, args.trials, args.seed * 17
-    )
 
     bundle = {
         "config": config,

@@ -168,9 +168,6 @@ class YPoint(_Frozen):
         if not 0 <= self.t <= 1:
             raise ValueError(f"parameter {self.t} outside [0, 1]")
 
-    def to_json(self) -> dict:
-        return {"arc": self.arc, "t": rational_to_json(self.t)}
-
 
 class YModel(_Frozen):
     """Arcs, labeled vertices, and adjacency of the truncated continuum."""
@@ -208,9 +205,6 @@ class YModel(_Frozen):
     def across(self, arc: Arc, end: int) -> list[tuple[Arc, int]]:
         """The other arcs at ``arc``'s given end, in ``arcs_at`` order."""
         return [(a, e) for a, e in self._incident[self.vertex_of(arc, end)] if a.id != arc.id]
-
-    def embed(self, p: YPoint) -> Point:
-        return self.arc(p.arc).embed(p.t)
 
     def to_json(self) -> dict:
         return {

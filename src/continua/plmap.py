@@ -62,9 +62,9 @@ affine rescaling, and an exact Lipschitz constant (``max_slope``).
 
 ``_Frozen`` is the base of the package's value classes: ``PLHomeo`` and
 ``OrientedInterval`` here, and the records of ``cantor``, ``continuum`` and
-``shadowing``.  Its one ``__init__`` stores their fields, and it gives the
-frozen dataclass's refusals, equality, hash and ``repr``, so no CLI
-process imports ``dataclasses``.
+``shadowing``.  Its one ``__init__`` stores their fields and its one
+``to_json`` writes them; it gives the frozen dataclass's refusals,
+equality, hash and ``repr``, so no CLI process imports ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .rational import pair_to_json, rational_from_json
+from .rational import pair_to_json, rational_from_json, rational_to_json
 
 
 # An integer pass divides its carried integers by their gcd after a step
-# whose growth factor has more bits than this.
-_REDUCE_BITS = 64
+# whose growth factor is above this, that is, has more than 64 bits.
+_REDUCE_ABOVE = 2**64 - 1
 
 
 class DomainError(ValueError):
@@ -105,7 +105,7 @@ class _Frozen:
     raises AttributeError.  Equality, hashing and ``repr`` read ``_fields``
     as a frozen dataclass's generated methods do: equal when the class is
     the same and the field tuples are equal, the hash of the field tuple,
-    and ``Name(field=value!r, ...)``.
+    and ``Name(field=value!r, ...)``.  So does ``to_json``, by ``_json``.
     """
 
     _fields: tuple[str, ...] = ()
@@ -140,6 +140,23 @@ class _Frozen:
     def __repr__(self):
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
+
+    def to_json(self) -> dict:
+        return {name: _json(getattr(self, name)) for name in self._fields}
+
+
+def _json(value):
+    """``_Frozen.to_json``'s rule: a Fraction by ``rational_to_json``, a value
+    class by its ``to_json``, a tuple as a list, a dict by value, else as is."""
+    if isinstance(value, Fraction):
+        return rational_to_json(value)
+    if isinstance(value, _Frozen):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    return value
 
 
 class OrientedInterval(_Frozen):
@@ -338,11 +355,11 @@ def _kernel_step(kernel: tuple, N: int, Q: int) -> tuple[int, int]:
     """The image of N/Q (Q > 0, N/Q in the domain) under a map with this
     ``PLHomeo._kernel``, as an integer pair: (α·N + β·Q, γ·Q) on the piece
     (α, β, γ) found by bisecting the keys for floor(N·d/Q) (hi on the last
-    piece), divided by its gcd when γ has more than ``_REDUCE_BITS`` bits."""
+    piece), divided by its gcd when γ is above ``_REDUCE_ABOVE``."""
     d, keys, pieces = kernel
     a, b, c = pieces[bisect_right(keys, N * d // Q, 0, len(pieces)) - 1]
     N, Q = a * N + b * Q, c * Q
-    if c.bit_length() > _REDUCE_BITS:
+    if c > _REDUCE_ABOVE:
         r = gcd(N, Q)
         N, Q = N // r, Q // r
     return N, Q

@@ -10,6 +10,7 @@ delta-chain for one invariant arc (empirical inner modulus, projection
 margin, inward neighborhood with strictly attracted stubs, exact
 separation of the neighborhood's image from its complement), the covering
 composition over all arcs, and a self-verifying shadowing-point search.
+``certify_model`` runs the whole ``certify``: the cover, then the samplers.
 
 Everything is deterministic for a fixed seed, and sampling runs
 sequentially.  Both soundness samplers run one trial loop: trial t draws
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
 from .geometry import _box, _box_gap_sq, _segment_dist2, _segment_record
 from .plmap import (
-    _REDUCE_BITS,
+    _REDUCE_ABOVE,
     Orientation,
     PLHomeo,
     _Frozen,
@@ -78,9 +79,8 @@ ORBIT_LENGTH = 24
 NOISE_GRID = 512
 GRID_LEVELS = 12
 DELTA_GRID_LEVELS = 24
-# A noise draw is _below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1), in -511..511, and
-# a scale factor above _REDUCE_ABOVE (more than _REDUCE_BITS bits) is followed by a gcd.
-_NOISE_WIDTH, _REDUCE_ABOVE = 2 * NOISE_GRID - 1, 2**_REDUCE_BITS - 1
+# A noise draw is _below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1), in -511..511.
+_NOISE_WIDTH = 2 * NOISE_GRID - 1
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +102,6 @@ class PseudoOrbit(_Frozen):
             raise ValueError("empty pseudo-orbit")
         if not 0 <= self.offset < len(self.points):
             raise ValueError("offset outside the point list")
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return (-self.offset, len(self.points) - 1 - self.offset)
 
     def point(self, i: int):
         return self.points[i + self.offset]
@@ -306,7 +302,7 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
     domain ends.  On f's kernel, a point P/D on piece (α, β, γ) maps to
     (α·P + β·D)/(γ·D), so each step multiplies D by the lcm L of the γ of
     the at most three pieces it hits, and not at all when L is 1.  When L
-    has more than ``_REDUCE_BITS`` bits, every carried integer is divided
+    is above ``plmap._REDUCE_ABOVE``, every carried integer is divided
     by their gcd, so that pieces with huge γ covering most of the domain do
     not grow D by γ at every step.  The noise is drawn with ``_below``, and
     the clamps are comparisons, not ``max`` and ``min`` calls.
@@ -448,8 +444,8 @@ def _orbit_stepper(
     arc).  Otherwise it draws a jitter of r units delta/(1024·stretch_hi),
     r in -511..511, clamped to [0, 1].
     Each arc's unit is an integer K over C, and D stays a multiple C·S of
-    C, so the unit over D is K·S; after a step whose γ has more than
-    ``_REDUCE_BITS`` bits, T, D and S are divided by the gcd of T and S.
+    C, so the unit over D is K·S; after a step whose γ is above
+    ``plmap._REDUCE_ABOVE``, T, D and S are divided by the gcd of T and S.
     """
     units = {a.id: delta / (4 * NOISE_GRID * a.stretch_hi) for a in model.arcs}
     C = lcm(*(u.denominator for u in units.values()))
@@ -513,9 +509,6 @@ class Stub(_Frozen):
 
     _fields = ("arc", "end", "cut")
 
-    def to_json(self) -> dict:
-        return {"arc": self.arc, "end": self.end, "cut": rational_to_json(self.cut)}
-
 
 class InwardNeighborhood(_Frozen):
     """An invariant arc together with strictly attracted boundary stubs."""
@@ -532,9 +525,6 @@ class InwardNeighborhood(_Frozen):
             out[s.arc] = (s.cut, hi) if s.end == 0 else (lo, s.cut)
         return out
 
-    def to_json(self) -> dict:
-        return {"arc": self.arc, "stubs": [s.to_json() for s in self.stubs]}
-
 
 class QuasiAttractorCertificate(_Frozen):
     """Constants realizing the one-arc shadowing-transfer chain.
@@ -548,17 +538,6 @@ class QuasiAttractorCertificate(_Frozen):
     """
 
     _fields = ("arc", "epsilon", "delta1", "alpha", "neighborhood", "delta", "separation_sq")
-
-    def to_json(self) -> dict:
-        return {
-            "arc": self.arc,
-            "epsilon": rational_to_json(self.epsilon),
-            "delta1": rational_to_json(self.delta1),
-            "alpha": rational_to_json(self.alpha),
-            "neighborhood": self.neighborhood.to_json(),
-            "delta": rational_to_json(self.delta),
-            "separation_sq": rational_to_json(self.separation_sq),
-        }
 
 
 # The orientation of a wandering interval that flows toward arc end 0 or 1.
@@ -867,7 +846,7 @@ def _search_arcs(
 
 
 # ---------------------------------------------------------------------------
-# Soundness sampling
+# Soundness sampling, and the whole certify run
 # ---------------------------------------------------------------------------
 
 
@@ -941,3 +920,24 @@ def sample_global_soundness(
         return YPoint(arc.id, Fraction(_below(rng.getrandbits, NOISE_GRID + 1), NOISE_GRID))
 
     return _sampled_failures(model, g, delta, epsilon, trials, seed * 9_999_991, start, model.arcs)
+
+
+def certify_model(
+    model: YModel, g: YHomeo, epsilon: Fraction, trials: int, seed: int
+) -> tuple[Fraction, list[QuasiAttractorCertificate], dict[str, list[int]], list[int]]:
+    """The whole ``certify`` run: (global delta, certificates in arc order,
+    the sampled failures of each arc that has any, the global failures).
+
+    ``global_shadowing_delta`` builds arc i's certificate with seed
+    ``seed * 1009 + i``, and raises CoverFailure as it does.  Then that
+    certificate is sampled with ``seed * 31 + i``, and the global delta
+    with ``seed * 17``.
+    """
+    delta, certs = global_shadowing_delta(model, g, epsilon, trials, seed)
+    per_arc_failures = {}
+    for i, cert in enumerate(certs):
+        fails = sample_certificate_soundness(model, g, cert, trials, seed * 31 + i)
+        if fails:
+            per_arc_failures[cert.arc] = fails
+    global_failures = sample_global_soundness(model, g, delta, epsilon, trials, seed * 17)
+    return delta, certs, per_arc_failures, global_failures

@@ -90,6 +90,16 @@ def apply_map(g: YHomeo, p: YPoint) -> YPoint:
     return YPoint(p.arc, evaluate(g.map_for(p.arc), p.t))
 
 
+def embed_point(model: YModel, p: YPoint) -> Point:
+    """The plane point of a model point."""
+    return model.arc(p.arc).embed(p.t)
+
+
+def orbit_window(orbit: PseudoOrbit) -> tuple[int, int]:
+    """The index window [-offset, len(points) - 1 - offset] of an orbit."""
+    return (-orbit.offset, len(orbit.points) - 1 - orbit.offset)
+
+
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
     """Exact max over consecutive pairs of |f(x_i) - x_{i+1}|."""
     pts = orbit.points
@@ -100,7 +110,10 @@ def verify_pseudo_orbit_y_sq(model: YModel, g: YHomeo, orbit: PseudoOrbit) -> Fr
     """Exact max squared ambient distance d(g(x_i), x_{i+1})^2."""
     pts = orbit.points
     return max(
-        (dist2_pp(model.embed(apply_map(g, a)), model.embed(b)) for a, b in zip(pts, pts[1:])),
+        (
+            dist2_pp(embed_point(model, apply_map(g, a)), embed_point(model, b))
+            for a, b in zip(pts, pts[1:])
+        ),
         default=Fraction(0),
     )
 
@@ -593,7 +606,7 @@ def fraction_shadow_on_arcs(
     ``Fraction`` and the fold and check stepped by ``evaluate``."""
     eps_sq = epsilon * epsilon
     points = orbit.points
-    target = functools.cache(lambda i: model.embed(points[i]))
+    target = functools.cache(lambda i: embed_point(model, points[i]))
 
     def project(arc: Arc, i: int) -> tuple[Fraction, Fraction]:
         p = points[i]
@@ -661,7 +674,7 @@ def pullback_shadowing_set(f: PLHomeo, orbit: PseudoOrbit, epsilon: Fraction) ->
     cur = fold()
     if cur is None:
         return ShadowingSet(None, epsilon)
-    n = orbit.window[1]
+    n = orbit_window(orbit)[1]
     return ShadowingSet((iterate(f, cur[0], -n), iterate(f, cur[1], -n)), epsilon)
 
 
@@ -672,7 +685,7 @@ def orbit_membership_oracle(
     if abs(y - orbit.point(0)) > epsilon:
         return False
     z = y
-    for i in range(1, orbit.window[1] + 1):
+    for i in range(1, orbit_window(orbit)[1] + 1):
         z = evaluate(f, z)
         if abs(z - orbit.point(i)) > epsilon:
             return False

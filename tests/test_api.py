@@ -73,18 +73,15 @@ def test_no_test_only_definition_in_src():
 
 
 def _attributes(tree) -> list[str]:
-    """Each name ``tree`` uses bare or reads as an attribute of anything."""
-    return [
-        n.attr if isinstance(n, ast.Attribute) else n.id
-        for n in ast.walk(tree)
-        if isinstance(n, (ast.Attribute, ast.Name))
-    ]
+    """Each name ``tree`` reads as an attribute of anything.  A bare name,
+    such as a parameter or a local, is not a use of a method."""
+    return [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
 
 
 def _methods_named_only_in_own_definition(code: list[Path]) -> list[str]:
     """``file:Class.method`` for each public method (or property) of a class
-    of the package that ``code`` names nowhere outside its own definition,
-    as ``obj.method`` off any object or bare."""
+    of the package that ``code`` names nowhere outside its own definition
+    as ``obj.method``, off any object."""
     uses = collections.Counter(name for p in code for name in _attributes(ast.parse(p.read_text())))
     return [
         f"{p.name}:{cls.name}.{node.name}"
@@ -101,7 +98,8 @@ def _methods_named_only_in_own_definition(code: list[Path]) -> list[str]:
 def test_no_test_only_method_in_src():
     # as for module-level definitions: a public method that only tests call
     # belongs in tests/conftest.py.  Methods are matched by name alone, so
-    # any attribute of that name outside tests/ keeps a method
+    # any attribute of that name outside tests/ keeps a method, and a bare
+    # name (a parameter named like a property) keeps none
     code = sorted(SRC.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
     code.append(TESTS / "test_acceptance.py")
     unused = _methods_named_only_in_own_definition(code)
@@ -116,10 +114,12 @@ def test_method_scan_sees_a_method_only_tests_call(tmp_path, monkeypatch):
         "    def helper(self):\n        return 1\n"
         "    def recursive(self):\n        return self.recursive()\n"
         "    def _private(self):\n        return 0\n"
+        "    @property\n    def window(self):\n        return 2\n"
+        "def pad(window):\n    return window\n"
         "A().read()\n"
     )
     monkeypatch.setitem(globals(), "SRC", tmp_path)
-    assert _methods_named_only_in_own_definition([mod]) == ["m.py:A.recursive"]
+    assert _methods_named_only_in_own_definition([mod]) == ["m.py:A.recursive", "m.py:A.window"]
 
 
 def test_cli_import_loads_every_module():
@@ -175,6 +175,39 @@ def test_value_classes_share_one_init():
     assert len(frozen) == 14 and "PLHomeo" in frozen
     assert own_init == [], f"value classes with their own __init__: {own_init}"
     assert execs == []
+
+
+# The value classes whose JSON is not their fields, so that they keep their
+# own to_json: OrientedInterval and PLHomeo write their integer forms and
+# build no Fraction, and the other four rename, sort or leave out fields.
+OWN_JSON = {"OrientedInterval", "PLHomeo", "ShadowingSet", "ConjugacyReport", "YModel", "YHomeo"}
+
+
+def test_value_classes_share_one_json_rule():
+    # _Frozen.to_json writes every other value class field by field
+    own = {
+        node.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and "_Frozen" in map(ast.unparse, node.bases)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "to_json" for n in node.body)
+    }
+    assert own == OWN_JSON, f"value classes with their own to_json: {sorted(own)}"
+
+
+def test_cli_leaves_the_certify_run_to_shadowing():
+    # certify is one call of shadowing.certify_model, which holds the cover,
+    # the samplers and their seeds; cmd_certify only builds and writes
+    tree = ast.parse((SRC / "cli.py").read_text())
+    run = {"global_shadowing_delta", "sample_certificate_soundness", "sample_global_soundness"}
+    assert run & set(_named(tree)) == set()
+    certify = next(n for n in tree.body if getattr(n, "name", None) == "cmd_certify")
+    seed_math = [
+        ast.unparse(n) for n in ast.walk(certify)
+        if isinstance(n, ast.BinOp) and "seed" in ast.unparse(n)
+    ]
+    assert seed_math == [], f"seed arithmetic in cmd_certify: {seed_math}"
 
 
 def _unread_parameters(path: Path) -> list[str]:

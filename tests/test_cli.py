@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import continua
-from continua import cli
+from continua import shadowing
 from continua.cantor import build_ternary_map, explode_fixed_point
 from continua.cli import MAX_DEPTH, MAX_SEGMENTS, MAX_TRIALS, build_parser, dump_json, main
 from continua.continuum import YHomeo, YPoint, build_arc_model, build_arcwise_map
@@ -468,10 +468,10 @@ class TestCertify:
     def test_sampled_failures_refute(self, tmp_path, monkeypatch):
         # no small pinned setup refutes, so the samplers report misses here
         monkeypatch.setattr(
-            cli, "sample_certificate_soundness",
+            shadowing, "sample_certificate_soundness",
             lambda model, g, cert, trials, seed: [0, 2] if cert.arc == "h2" else [],
         )
-        monkeypatch.setattr(cli, "sample_global_soundness", lambda *args: [1])
+        monkeypatch.setattr(shadowing, "sample_global_soundness", lambda *args: [1])
         out = tmp_path / "bundle.json"
         argv = ["certify", "--segments", 2, "--depth", 3, "--epsilon", "10", "--trials", 2]
         assert run([*argv, "--out", out]) == 1

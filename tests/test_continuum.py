@@ -27,6 +27,7 @@ from conftest import (
     apply_map,
     dist2_point_segment,
     dist2_pp,
+    embed_point,
     identity_homeo,
     polyline_point,
     scan_arcs_at,
@@ -83,15 +84,15 @@ class TestBuild:
 class TestEmbedding:
     def test_branch_point_exact(self):
         m = build_arc_model(3)
-        assert m.embed(YPoint("h3", F(0))) == (F(0), F(0))
+        assert embed_point(m, YPoint("h3", F(0))) == (F(0), F(0))
 
     def test_tooth_tip(self):
         m = build_arc_model(2)
-        assert m.embed(YPoint("v2", F(1))) == (F(0), F(1, 2))
+        assert embed_point(m, YPoint("v2", F(1))) == (F(0), F(1, 2))
 
     def test_circle_midpoint_near_bottom(self):
         m = build_arc_model(1)
-        p = m.embed(YPoint("circle", F(1, 2)))
+        p = embed_point(m, YPoint("circle", F(1, 2)))
         assert dist2_pp(p, (F(0), F(-1))) < F(1, 10**6)
 
     def test_circle_polyline_points_on_circle(self):
@@ -158,16 +159,18 @@ class TestDistances:
     def test_same_point_zero(self):
         m = build_arc_model(2)
         p = YPoint("h1", F(1, 3))
-        assert dist2_pp(m.embed(p), m.embed(p)) == 0
+        assert dist2_pp(embed_point(m, p), embed_point(m, p)) == 0
 
     def test_tooth_height(self):
         m = build_arc_model(2)
-        assert dist2_pp(m.embed(YPoint("v2", F(0))), m.embed(YPoint("v2", F(1)))) == F(1, 2**2)
+        d2 = dist2_pp(embed_point(m, YPoint("v2", F(0))), embed_point(m, YPoint("v2", F(1))))
+        assert d2 == F(1, 2**2)
 
     def test_tip_to_base_is_reciprocal(self):
         m = build_arc_model(8)
         for n in range(1, 9):
-            d2 = dist2_pp(m.embed(YPoint(f"v{n}", F(1))), m.embed(YPoint(f"v{n}", F(0))))
+            tip, base = YPoint(f"v{n}", F(1)), YPoint(f"v{n}", F(0))
+            d2 = dist2_pp(embed_point(m, tip), embed_point(m, base))
             assert d2 == F(1, n**2)
 
     def test_straight_arc_distance_is_euclidean(self):
@@ -177,7 +180,7 @@ class TestDistances:
         for _ in range(20):
             s = F(rng.randrange(0, 65), 64)
             t = F(rng.randrange(0, 65), 64)
-            d2 = dist2_pp(m.embed(YPoint("h2", s)), m.embed(YPoint("h2", t)))
+            d2 = dist2_pp(embed_point(m, YPoint("h2", s)), embed_point(m, YPoint("h2", t)))
             # a straight arc's stretch is its length
             assert d2 == (arc.stretch_lo * (t - s)) ** 2
 

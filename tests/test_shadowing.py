@@ -67,6 +67,7 @@ from continua.shadowing import (
 from conftest import (
     count_fractions,
     edge_enriched_map,
+    embed_point,
     exact_orbit,
     fraction_forward_fold,
     fraction_arc_check,
@@ -75,6 +76,7 @@ from conftest import (
     identity_homeo,
     materialized_modulus,
     orbit_membership_oracle,
+    orbit_window,
     polyline_point,
     pullback_shadowing_set,
     random_fat_map,
@@ -161,7 +163,7 @@ class TestPseudoOrbits:
             o = generate_pseudo_orbit(f, delta, (-5, 12), F(1, 2), seed=rng.randrange(10**6))
             assert verify_pseudo_orbit(f, o) < delta
             assert all(0 <= p <= 1 for p in o.points)
-            assert o.window == (-5, 12)
+            assert orbit_window(o) == (-5, 12)
 
     def test_deterministic_generation(self):
         f = build_ternary_map(2)
@@ -523,7 +525,7 @@ class TestForwardFold:
         assert (cur is None) == s.is_empty
         if cur is not None:
             # the fold's interval is the image of the set at the last index
-            (a, b), k = s.interval, orbit.window[1]
+            (a, b), k = s.interval, orbit_window(orbit)[1]
             assert cur == (iterate(f, a, k), iterate(f, b, k))
 
     def test_agrees_with_shadowing_set_on_random_orbits(self):
@@ -1198,7 +1200,7 @@ class TestOneCandidate:
         firsts_far = set()
         on_arc_before_stop = 0
         for orbit in orbits:
-            targets = [m.embed(p) for p in orbit.points]
+            targets = [embed_point(m, p) for p in orbit.points]
             for arc in m.arcs:
                 d2s = [nearest(arc, p)[1] for p in targets]
                 far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
@@ -1241,7 +1243,7 @@ class TestOneCandidate:
         assert shadow_on_arcs(m, g, orbit, F(1, 16), m.arcs) is None
         assert {aid for aid, _ in counts} == set(m.arc_ids())
         # the orbit visits the origin four times; each visit is one target
-        occurs = collections.Counter(m.embed(p) for p in orbit.points)
+        occurs = collections.Counter(embed_point(m, p) for p in orbit.points)
         assert [key for key, n in counts.items() if n > occurs[key[1]]] == []
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from continua.cantor import ChainWitness, ConjugacyReport, TernaryIndex
 from continua.continuum import Arc, YHomeo, YModel, YPoint, build_arc_model
-from continua.plmap import Orientation, OrientedInterval, PLHomeo, _Frozen, identity
+from continua.plmap import Orientation, OrientedInterval, PLHomeo, _Frozen, _json, identity
 from continua.shadowing import (
     InwardNeighborhood,
     PseudoOrbit,
@@ -190,3 +190,23 @@ def test_cached_properties():
     assert NB.kept is NB.kept
     with pytest.raises(AttributeError):
         NB.kept = {}
+
+
+def test_one_json_rule():
+    # _Frozen.to_json writes each field by name: a Fraction as its string
+    # pair, a value class by its own to_json, a tuple as a list, a dict by
+    # value, and anything else as it is
+    stub_v1 = {"arc": "v1", "end": 1, "cut": ["3", "4"]}
+    assert STUB.to_json() == {"arc": "h2", "end": 0, "cut": ["1", "4"]}
+    assert NB.to_json() == {"arc": "h1", "stubs": [STUB.to_json(), stub_v1]}
+    cert = QuasiAttractorCertificate(*CASES[QuasiAttractorCertificate][0][0])
+    assert cert.to_json() == {
+        "arc": "h1", "epsilon": ["1", "10"], "delta1": ["1", "20"], "alpha": ["1", "100"],
+        "neighborhood": NB.to_json(), "delta": ["1", "64"], "separation_sq": ["1", "400"],
+    }
+    assert TernaryIndex(1, 2).to_json() == {"n": 1, "k": 2}
+    assert ChainWitness((IV, IV_L), F(1, 2)).to_json() == {
+        "intervals": [IV.to_json(), IV_L.to_json()], "epsilon": ["1", "2"],
+    }
+    assert YPoint("h1", 1).to_json() == {"arc": "h1", "t": ["1", "1"]}
+    assert _json({"a": (F(-1, 2), None, 3)}) == {"a": [["-1", "2"], None, 3]}

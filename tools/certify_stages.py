@@ -22,12 +22,14 @@ outside:
 - rest: the rest of ``cli.main``, from parsing the flags to writing the
   bundle.
 
-``cli`` imports the samplers and the modulus by name, so its own
-references are wrapped too.  No stage calls another.  An operation's
-stage time is its best over REPEAT runs, and the script prints the median
-over the operations of each stage and of their sum, in milliseconds, with
-each stage's share.  Times are wall times of this process on whatever
-machine runs it.
+This tree's ``cli`` holds no sampler: ``cmd_certify`` makes one call,
+``shadowing.certify_model``, which reaches every stage through
+``shadowing``'s attributes.  An older checkout's ``cli`` imports the
+samplers by name, so a reference in ``cli`` to a stage function is wrapped
+too.  No stage calls another.  An operation's stage time is its best over
+REPEAT runs, and the script prints the median over the operations of each
+stage and of their sum, in milliseconds, with each stage's share.  Times
+are wall times of this process on whatever machine runs it.
 
 Given the path of a second checkout, the script loads that checkout's
 ``src/continua`` under the package name ``continua_other`` (with
