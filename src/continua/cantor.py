@@ -16,12 +16,11 @@ On top of that construction this module provides:
   subsequences, O(n log n) in the number n of wandering intervals (a
   right-to-left sweep with one monotone staircase per orientation, run on
   integer keys: every endpoint scaled by the lcm of the endpoint
-  denominators).  The table of a map is built once, from the integer
-  interval ends that the map's fixed-set walk keeps, and kept on the map
-  next to its cached wandering intervals, so repeated decisions on one
-  map only rescan it, and the threshold of a ternary map is read from it.
-  A list of intervals (``best_chain_quality``) goes through the same
-  sweep;
+  denominators).  One builder makes a table from a sequence of intervals
+  and the domain's ends, reading each end from the integer pair that its
+  interval holds: afresh for a list (``best_chain_quality``), and once for
+  a map's cached intervals, kept on the map, so repeated decisions on one
+  map only rescan it, and the threshold of a ternary map is read from it;
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual; it compares interval widths on the same table's keys,
   takes the residual without composing h∘g, and builds the template once
@@ -34,6 +33,7 @@ On top of that construction this module provides:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -45,6 +45,7 @@ from .plmap import (
     PLHomeo,
     _Frozen,
     _composite_c0_distance,
+    _gaps,
     _generator_points,
     compose,
     fixed_set,
@@ -175,44 +176,43 @@ class ChainWitness(_Frozen):
     def quality(self, lo: Fraction = Fraction(0), hi: Fraction = Fraction(1)) -> Fraction:
         """max of leading margin, gaps, trailing margin; witness iff < epsilon.
         Read from the intervals' integer ends, so no a or b is built."""
-        ends = [iv._ends for iv in self.intervals]
-        # each margin or gap runs from lo or a link's b to the next link's a or hi
-        froms = [(lo.numerator, lo.denominator), *((bn, bd) for _, _, bn, bd in ends)]
-        tos = [*((an, ad) for an, ad, _, _ in ends), (hi.numerator, hi.denominator)]
-        return max(Fraction(an * bd - bn * ad, bd * ad) for (bn, bd), (an, ad) in zip(froms, tos))
+        gaps = _gaps(self.intervals, lo.as_integer_ratio(), hi.as_integer_ratio())
+        return max(Fraction(an * bd - bn * ad, bd * ad) for (bn, bd), (an, ad) in gaps)
+
+
+# a chain table: (d, lo·d, hi·d, [a_i·d], [b_i·d], orientations, fwd)
+_Table = tuple[int, int, int, list[int], list[int], list[Orientation], list[int]]
 
 
 def _chain_table(
-    ivs: list[OrientedInterval], lo: Fraction, hi: Fraction
-) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
-    """``_chain_sweep`` over a list of wandering intervals on [lo, hi],
-    read from the reduced integer ends that each interval holds."""
-    ends = zip(*[iv._ends for iv in ivs]) if ivs else ((),) * 4
-    return _chain_sweep(*ends, [iv.orientation for iv in ivs],
-                        (lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    ivs: Sequence[OrientedInterval], lo: tuple[int, int], hi: tuple[int, int]
+) -> _Table:
+    """The chain table of sorted, pairwise disjoint wandering intervals on
+    [lo, hi], given as reduced (numerator, denominator) pairs: d is the lcm
+    of the denominators of lo, hi and every end, and fwd[i]·d is the least
+    max(later gaps, trailing margin) from i (``_chain_sweep``).  Each end
+    is read from its interval's reduced pair, so no ``Fraction`` is built
+    or read, and scaling by d keeps every comparison exact."""
+    ends = [iv._ends for iv in ivs]
+    an, ad, bn, bd = zip(*ends) if ends else ((),) * 4
+    dens = {*ad, *bd}
+    d = lcm(lo[1], hi[1], *dens)
+    scale = {q: d // q for q in dens}
+    a = [p * scale[q] for p, q in zip(an, ad)]
+    b = [p * scale[q] for p, q in zip(bn, bd)]
+    orient = [iv.orientation for iv in ivs]
+    top = hi[0] * (d // hi[1])
+    return d, lo[0] * (d // lo[1]), top, a, b, orient, _chain_sweep(a, b, orient, top)
 
 
-def _chain_sweep(
-    an: list[int],
-    ad: list[int],
-    bn: list[int],
-    bd: list[int],
-    orient: list[Orientation],
-    lo: tuple[int, int],
-    hi: tuple[int, int],
-) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
-    """The chain DP on integer keys: (d, lo·d, [a_i·d], [b_i·d],
-    orientations, fwd), where d is the lcm of the denominators of lo, hi
-    and every endpoint, and fwd[i]·d is the minimal achievable max(later
-    gaps, trailing margin) from i.  Interval i is (an[i]/ad[i],
-    bn[i]/bd[i]) with orientation orient[i], and lo and hi are
-    (numerator, denominator) pairs, each in lowest terms.
+def _chain_sweep(a: list[int], b: list[int], orient: list[Orientation], top: int) -> list[int]:
+    """fwd of the chain DP on integer keys: interval i is (a[i], b[i]) with
+    orientation orient[i], the domain ends at top, and fwd[i] is the
+    minimal achievable max(later gaps, trailing margin) from i.
 
     Minimax dynamic programming over all alternating continuations; with it
     the scan in ``check_chain_property`` is complete: it finds a witness
-    whenever any subsequence of the wandering intervals is one.  Scaling by
-    d keeps every difference and comparison exact, so the sweep makes no
-    ``Fraction``.
+    whenever any subsequence of the wandering intervals is one.
 
     The intervals must be sorted and pairwise disjoint, as
     ``wandering_intervals`` returns them; then every j >= i + 2 lies
@@ -227,52 +227,44 @@ def _chain_sweep(
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.
     """
-    dens = {*ad, *bd}
-    d = lcm(lo[1], hi[1], *dens)
-    scale = {q: d // q for q in dens}
-    a = [p * scale[q] for p, q in zip(an, ad)]
-    b = [p * scale[q] for p, q in zip(bn, bd)]
-    top = hi[0] * (d // hi[1])
     n = len(a)
     fwd = [0] * n
-    # per orientation: candidate indices, and fwd[j] - a_j, which increases
-    # along the list
-    stairs = {Orientation.R: ([], []), Orientation.L: ([], [])}
+    # per orientation (picked by identity: an Orientation hashes in Python):
+    # candidate indices, and fwd[j] - a_j, which increases along the list
+    R = Orientation.R
+    right, left = ([], []), ([], [])
     for i in range(n - 1, -1, -1):
         if i + 2 < n:
             j = i + 2
-            js, keys = stairs[orient[j]]
+            js, keys = right if orient[j] is R else left
             while js and fwd[js[-1]] >= fwd[j]:
                 js.pop()
                 keys.pop()
             js.append(j)
             keys.append(fwd[j] - a[j])
         bi = b[i]
-        want = orient[i].flipped()
+        mine = orient[i]
         best = top - bi
-        js, keys = stairs[want]
+        js, keys = left if mine is R else right  # the next link's orientation
         p = bisect_right(keys, -bi)
         if p > 0:
             best = min(best, a[js[p - 1]] - bi)
         if p < len(js):
             best = min(best, fwd[js[p]])
-        if i + 1 < n and orient[i + 1] is want and a[i + 1] > bi:
+        if i + 1 < n and orient[i + 1] is not mine and a[i + 1] > bi:
             best = min(best, max(a[i + 1] - bi, fwd[i + 1]))
         fwd[i] = best
-    return d, lo[0] * (d // lo[1]), a, b, orient, fwd
+    return fwd
 
 
-def _map_chain_table(
-    f: PLHomeo,
-) -> tuple[int, int, list[int], list[int], list[Orientation], list[int]]:
-    """``_chain_sweep`` over f's wandering intervals, built on first use
-    from the integer ends that f's fixed-set walk keeps, and kept on f next
-    to its cached fixed set and wandering intervals.  Its readers do not
-    change it."""
+def _map_chain_table(f: PLHomeo) -> _Table:
+    """``_chain_table`` of f's cached wandering intervals on f's domain,
+    whose ends are read from f's integer form; built on first use and kept
+    on f next to its intervals.  Its readers do not change it."""
     table = f.__dict__.get("_chain_table")
     if table is None:
         xn, xd = f._ints[:2]
-        table = _chain_sweep(*f._structure[2], (xn[0], xd[0]), (xn[-1], xd[-1]))
+        table = _chain_table(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
         object.__setattr__(f, "_chain_table", table)
     return table
 
@@ -287,19 +279,17 @@ def best_chain_quality(
     the integer table, built afresh for the list; only the result is a
     ``Fraction``.
     """
-    table = _chain_table(ivs, lo, hi)
-    a, b = table[2:4]
+    table = _chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
+    a, b = table[3:5]
     if any(bi > ai for bi, ai in zip(b, a[1:])):
         raise ValueError("wandering intervals must be sorted and pairwise disjoint")
     return _table_optimum(table)
 
 
-def _table_optimum(
-    table: tuple[int, int, list[int], list[int], list[Orientation], list[int]],
-) -> Fraction | None:
+def _table_optimum(table: _Table) -> Fraction | None:
     """The least quality of a chain, read from a chain table, or None when
     no R interval starts one."""
-    d, start, a, _, orient, fwd = table
+    d, start, _, a, _, orient, fwd = table
     best = min(
         (max(ai - start, rest) for ai, o, rest in zip(a, orient, fwd) if o is Orientation.R),
         default=None,
@@ -322,7 +312,7 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     """
     epsilon = positive(epsilon, "epsilon")
     ivs = wandering_intervals(f)
-    d, start, a, b, orient, fwd = _map_chain_table(f)
+    d, start, top, a, b, orient, fwd = _map_chain_table(f)
     q, bound = epsilon.denominator, epsilon.numerator * d
     links: list[int] = []
     end, want = start, Orientation.R
@@ -333,7 +323,6 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     if not links:
         return None
     witness = ChainWitness(tuple(ivs[k] for k in links), epsilon)
-    top = f.hi.numerator * (d // f.hi.denominator)
     margins = [a[links[0]] - start, top - b[links[-1]]]
     margins += [a[k] - b[j] for j, k in zip(links, links[1:])]
     assert max(margins) * q < bound
@@ -404,13 +393,13 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     # range of both endpoint key lists of the table kept on g; a width is
     # b − a over the table's scale d
     ivs = wandering_intervals(g)
-    d, start, a, b, orient, _ = _map_chain_table(g)
+    d, start, top, a, b, orient, _ = _map_chain_table(g)
 
     picks: list[tuple[int, TernaryIndex]] = []
     # (source gap as two keys, j) pairs, left to right: the template gap
     # matched to the source gap holds T(level, j), and the gaps on either
     # side of T(n, j) hold T(n + 1, 3j) and T(n + 1, 3j + 2)
-    gaps = [(start, d, 0)]
+    gaps = [(start, top, 0)]
     for rnd in range(1, depth + 1):
         level = rnd - 1
         want = Orientation.R if level % 2 == 0 else Orientation.L

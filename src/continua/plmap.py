@@ -41,12 +41,12 @@ which its order guarantees.
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
 modulus's trials, the model-orbit stepper, and the search's fold and
-check), its inverse (returned by ``invert``), and its fixed set and
-wandering intervals, found together in one walk over the breakpoints
-(copied out by ``fixed_set``, which builds their Fractions, and
-``wandering_intervals``; ``cantor`` builds the map's chain table from the
-intervals' integer ends).  The kernel scales the breakpoints by d, the lcm
-of their denominators, to integer keys, and writes each piece as
+check), its inverse (returned by ``invert``), and its wandering
+intervals, found in one walk over the breakpoints; their reduced integer
+ends are the one store of them (``wandering_intervals`` copies the tuple,
+``fixed_set`` builds its Fractions from the gaps around them, ``cantor``
+its chain table).  The kernel scales the breakpoints by d, the lcm of
+their denominators, to integer keys, and writes each piece as
 f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so one evaluation
 locates its piece by integer comparisons and builds one Fraction.
 ``_kernel_step`` is the one step of a single point on the kernel, as an
@@ -303,7 +303,7 @@ class PLHomeo(_Frozen):
         return inv
 
     @cached_property
-    def _structure(self) -> tuple[tuple, tuple[OrientedInterval, ...], tuple[list, ...]]:
+    def _structure(self) -> tuple[OrientedInterval, ...]:
         return _fixed_and_wandering(self)
 
     # -- serialization -----------------------------------------------------
@@ -784,12 +784,11 @@ def _pulled(ints: tuple, al: int, be: int, ga: int, a: int, b: int) -> tuple:
     return xn, xd, vn, vd, [n * b for n in sn], [d * a for d in sd]
 
 
-def _fixed_and_wandering(f: PLHomeo) -> tuple[tuple, tuple[OrientedInterval, ...], tuple]:
-    """f's fixed set and wandering intervals, in one walk over its pieces,
-    all on integers: the fixed components' ends as lists ln, ld, rn, rd,
-    the intervals, and their ends as lists an, ad, bn, bd of the
-    numerators and denominators, in lowest terms, of each interval's ends
-    a and b, with the list of orientations, for ``cantor``'s chain table.
+def _fixed_and_wandering(f: PLHomeo) -> tuple[OrientedInterval, ...]:
+    """f's wandering intervals, in one walk over its pieces, all on
+    integers.  Each interval holds its ends as reduced integer pairs, and
+    they are the only store of them: the fixed set and ``cantor``'s chain
+    table are read from them.
 
     On each affine piece the displacement d = f(x) - x is affine, so its
     zero set is empty, a point, or the whole piece.  The sign of d at a
@@ -802,14 +801,13 @@ def _fixed_and_wandering(f: PLHomeo) -> tuple[tuple, tuple[OrientedInterval, ...
     (x0·s − y0)/(s − 1), reduced by one gcd with its denominator made
     positive.  d keeps one sign between consecutive roots, so the piece's
     left end lies in that interval and its sign gives the orientation.
-    The walk builds no Fraction: each interval holds its integer ends and
-    builds a and b when they are first read.
+    The walk builds no Fraction: each interval builds a and b when they
+    are first read.
     """
     xn, xd, yn, yd, sn, sd = f._ints
     last = len(xn) - 1
     new, put = object.__new__, object.__setattr__
     wandering: list[OrientedInterval] = []
-    an, ad, bn, bd, tags = ends = ([], [], [], [], [])
     # the current fixed component runs from ln/ld to breakpoint `right`,
     # or is the point ln/ld when `right` is None
     ln, ld, right = xn[0], xd[0], None
@@ -828,39 +826,40 @@ def _fixed_and_wandering(f: PLHomeo) -> tuple[tuple, tuple[OrientedInterval, ...
         else:
             continue
         en, ed = (ln, ld) if right is None else (xn[right], xd[right])
-        tag = Orientation.R if d0 > 0 else Orientation.L
         # an interval of a < b by the walk's order, built unchecked
         iv = new(OrientedInterval)
         put(iv, "_ends", (en, ed, rn, rd))
-        put(iv, "orientation", tag)
+        put(iv, "orientation", Orientation.R if d0 > 0 else Orientation.L)
         wandering.append(iv)
-        an.append(en)
-        ad.append(ed)
-        bn.append(rn)
-        bd.append(rd)
-        tags.append(tag)
         ln, ld, right = rn, rd, None
-    # the fixed components run from lo and each b to each a and hi
-    fixed = [xn[0], *bn], [xd[0], *bd], [*an, xn[-1]], [*ad, xd[-1]]
-    return fixed, tuple(wandering), ends
+    return tuple(wandering)
+
+
+def _gaps(ivs: tuple[OrientedInterval, ...], lo: tuple[int, int], hi: tuple[int, int]) -> zip:
+    """The stretches around sorted, disjoint intervals on [lo, hi], as pairs
+    of reduced integer pairs read from the intervals' ends: each runs from
+    lo, or an interval's b, to the next interval's a, or hi."""
+    ends = [lo, *[half for iv in ivs for half in (iv._ends[:2], iv._ends[2:])], hi]
+    return zip(ends[::2], ends[1::2])
 
 
 def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
     """Maximal closed intervals (possibly degenerate) where f = id, sorted.
 
     Always contains the two domain endpoints.  A fresh list of Fractions,
-    built from the integer ends of the walk cached on f.
+    built from the gaps around the wandering intervals cached on f.
     """
-    ln, ld, rn, rd = f._structure[0]
-    return list(zip(map(Fraction, ln, ld), map(Fraction, rn, rd)))
+    xn, xd = f._ints[:2]
+    gaps = _gaps(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
+    return [(Fraction(*u), Fraction(*v)) for u, v in gaps]
 
 
 def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     """Complement components of the fixed set, tagged R (f > id) or L (f < id).
 
-    A fresh list, read from the walk cached on f.
+    A fresh list, copied from the walk's tuple cached on f.
     """
-    return list(f._structure[1])
+    return list(f._structure)
 
 
 def _generator_points(a: Fraction, b: Fraction, orientation: Orientation) -> tuple[tuple, tuple]:

@@ -31,7 +31,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
-from .geometry import _box, _box_gap_sq, _segment_dist2, _segment_record
+from .geometry import Point, _box, _box_gap_sq, _segment_dist2, _segment_record
 from .plmap import (
     _REDUCE_ABOVE,
     Orientation,

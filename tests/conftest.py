@@ -260,8 +260,9 @@ def literal_chain_quality(
 
 def fraction_suffix_best(ivs: list[OrientedInterval], hi: Fraction) -> list[Fraction]:
     """fwd[i] of the chain DP by the staircase sweep on ``Fraction``
-    endpoints: the same right-to-left sweep as ``cantor._chain_table``,
-    without the integer scaling.
+    endpoints: the same right-to-left sweep as ``cantor._chain_sweep``, on
+    the intervals' ``Fraction`` ends rather than ``cantor._chain_table``'s
+    integer keys.
 
     ``ivs`` must be sorted and pairwise disjoint.  Per orientation it keeps
     a staircase of candidates j, nearest last, with a_j increasing and

@@ -1,11 +1,12 @@
 """The package defines no public name or method used nowhere or only by
 tests and no uncalled private one, its functions read every parameter and
 have no default that every call site overrides, its core computes without
-floating point, no flag reads with int(), and the value classes share one
-``__init__``."""
+floating point, no flag reads with int(), every name it loads is bound in
+its module, and the value classes share one ``__init__``."""
 
 import argparse
 import ast
+import builtins
 import collections
 import os
 import subprocess
@@ -272,6 +273,64 @@ def test_float_scan_admits_only_integer_math(tmp_path):
     src = tmp_path / "m.py"
     src.write_text("import math\nfrom math import floor, lcm\nmath.sqrt(2)\nmath.isqrt(2)\n")
     assert _float_uses(src) == ["2: from math import floor", "3: math.sqrt"]
+
+
+def _annotations(tree) -> list[ast.expr]:
+    """Each string annotation in ``tree``, parsed, so that the names it
+    holds are scanned too."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            a = node.annotation
+        else:
+            continue
+        if isinstance(a, ast.Constant) and isinstance(a.value, str):
+            out.append(ast.increment_lineno(ast.parse(a.value, mode="eval"), a.lineno - 1))
+    return out
+
+
+def _unresolved(path: Path) -> list[str]:
+    """``line: name`` for each name that ``path`` loads and that is neither
+    a builtin nor bound anywhere in its module: by an import, a def or
+    class, an argument, an assignment target or an ``except ... as``."""
+    tree = ast.parse(path.read_text())
+    nodes = [n for t in (tree, *_annotations(tree)) for n in ast.walk(t)]
+    bound = set(dir(builtins)) | {"__file__"}
+    for n in nodes:
+        if isinstance(n, ast.alias):
+            bound.add(n.asname or n.name.split(".")[0])
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(n.name)
+        elif isinstance(n, ast.arg):
+            bound.add(n.arg)
+        elif isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            bound.add(n.id)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            bound.add(n.name)
+    return [f"{n.lineno}: {n.id}" for n in nodes
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in bound]
+
+
+def test_every_name_resolves():
+    # an annotation is never evaluated under ``from __future__ import
+    # annotations``, so an unimported name in one fails no run
+    found = [f"{p.name}:{use}" for p in sorted(SRC.glob("*.py")) for use in _unresolved(p)]
+    assert found == [], f"names bound nowhere in their module: {found}"
+
+
+def test_name_scan_reads_annotations(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from x import a as b\n"
+        "def f(c) -> 'Late':\n"
+        "    try:\n"
+        "        d: Point = [e for e in c]\n"
+        "    except ValueError as err:\n"
+        "        return b, d, err, g\n"
+    )
+    assert _unresolved(src) == ["4: Point", "6: g", "2: Late"]
 
 
 def _options(parser: argparse.ArgumentParser):

@@ -243,7 +243,7 @@ class TestChainProperty:
         for f in maps:
             lo, hi = f.domain
             ivs = wandering_intervals(f)
-            d, _, _, _, _, fwd = _chain_table(ivs, lo, hi)
+            d, *_, fwd = _chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
             table = [F(x, d) for x in fwd]
             assert table == fraction_suffix_best(ivs, hi)
             # the O(n^2) oracle stops at depth 8: 511 intervals
@@ -300,8 +300,8 @@ class TestChainProperty:
         # the final quality check alone: two margins and the gaps
         assert len(witness.intervals) == 682
         assert count <= len(witness.intervals) + 1
-        d, start, a, b, _, fwd = _chain_table(ivs, *f.domain)
-        assert all(type(x) is int for x in (d, start, *a, *b, *fwd))
+        d, start, top, a, b, _, fwd = _chain_table(ivs, *(x.as_integer_ratio() for x in f.domain))
+        assert all(type(x) is int for x in (d, start, top, *a, *b, *fwd))
 
     def test_monotone_in_epsilon(self):
         rng = random.Random(13)
@@ -457,11 +457,12 @@ class TestChainTableCache:
         for f in (*canonical_maps(domain), rescale(ternary_conjugate(7), domain)):
             for eps in oracle_epsilons(f):
                 assert check_chain_property(f, eps) == two_loop_chain_property(f, eps)
-            assert f.__dict__["_chain_table"] == _chain_table(wandering_intervals(f), *f.domain)
+            ends = [x.as_integer_ratio() for x in f.domain]
+            assert f.__dict__["_chain_table"] == _chain_table(wandering_intervals(f), *ends)
 
     def test_map_table_reads_no_fraction_parts(self, monkeypatch):
-        """A map's table is built from the integer interval ends that its
-        fixed-set walk keeps: it equals the table of its interval list,
+        """A map's table is built from the integer ends that its cached
+        wandering intervals hold: it equals the table of its interval list,
         and reads no numerator or denominator.  Generic maps cross the
         identity inside pieces, upward and downward, so their roots are
         reduced by the walk."""
@@ -481,10 +482,18 @@ class TestChainTableCache:
             table = cantor._map_chain_table(f)
             monkeypatch.undo()
             assert reads == []
-            assert table == _chain_table(ivs, *f.domain)
-            parts = [(iv.a.numerator, iv.a.denominator, iv.b.numerator, iv.b.denominator,
-                      iv.orientation) for iv in ivs]
-            assert list(zip(*f._structure[2])) == parts
+            assert table == _chain_table(ivs, *(x.as_integer_ratio() for x in f.domain))
+
+    def test_intervals_are_the_one_store_of_their_ends(self):
+        """A map keeps its wandering intervals as one tuple, and its fixed
+        set and chain table read their ends from it alone: given another
+        map's intervals on the same domain, both follow them."""
+        f, g = build_ternary_map(2), ternary_conjugate(3)
+        assert type(f._structure) is tuple and list(f._structure) == wandering_intervals(f)
+        object.__setattr__(f, "_structure", g._structure)
+        assert wandering_intervals(f) == wandering_intervals(g)
+        assert fixed_set(f) == fixed_set(g)
+        assert cantor._map_chain_table(f) == cantor._map_chain_table(g)
 
     def test_each_map_keeps_its_own_table(self):
         f, g = build_ternary_map(3), build_ternary_map(4)

@@ -128,6 +128,63 @@ class TestEmbedding:
                 assert d2 >= lo2 * dt * dt
                 assert d2 <= hi2 * dt * dt
 
+    def test_circle_stretch_bounds_proved(self):
+        """The circle's stretch_lo and stretch_hi, decided exactly.  With n
+        chords, P(t) runs along chord k at speed n·|chord k|.  Upper: every
+        chord has n·|chord| <= stretch_hi, so by the triangle inequality
+        along the polyline |P(s) − P(t)| <= stretch_hi·|s − t|.  Lower: on a
+        pair of chords i <= j, with s = (i + σ)/n and t = (j + τ)/n,
+        |P(t) − P(s)|² − stretch_lo²·(t − s)² is a quadratic on the unit box
+        of (σ, τ), and its least value, at a corner, an edge's critical
+        point or the interior one, is not negative."""
+        arc = build_arc_model(1).arc("circle")
+        n, pts = arc.segments, arc.polyline
+        lo2, hi2 = arc.stretch_lo**2, arc.stretch_hi**2
+        chords = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
+        assert all(dx * dx + dy * dy <= hi2 / n**2 for dx, dy in chords)
+        w = lo2 / n**2  # stretch_lo² per unit of σ or τ, squared
+        for i in range(n):
+            for j in range(i, n):
+                (di0, di1), (dj0, dj1) = chords[i], chords[j]
+                e0, e1 = pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]
+                m = j - i
+                # Q = a·σ² + b·τ² + c·στ + d·σ + e·τ + f
+                a = di0 * di0 + di1 * di1 - w
+                b = dj0 * dj0 + dj1 * dj1 - w
+                c = 2 * w - 2 * (di0 * dj0 + di1 * dj1)
+                d = 2 * m * w - 2 * (e0 * di0 + e1 * di1)
+                e = 2 * (e0 * dj0 + e1 * dj1) - 2 * m * w
+                f = e0 * e0 + e1 * e1 - m * m * w
+                points = [(F(x), F(y)) for x in (0, 1) for y in (0, 1)]
+                for fixed in (0, 1):
+                    if b:
+                        points.append((F(fixed), -(c * fixed + e) / (2 * b)))
+                    if a:
+                        points.append((-(c * fixed + d) / (2 * a), F(fixed)))
+                det = 4 * a * b - c * c
+                if det:
+                    points.append(((c * e - 2 * b * d) / det, (c * d - 2 * a * e) / det))
+                least = min(
+                    a * x * x + b * y * y + c * x * y + d * x + e * y + f
+                    for x, y in points if 0 <= x <= 1 and 0 <= y <= 1
+                )
+                assert least >= 0, (i, j)
+
+    def test_circle_sagitta_and_straight_stretches_proved(self):
+        # a chord c of the unit circle has sagitta 1 − sqrt(1 − c²/4), which
+        # is under 1/2048 exactly when c² < 4·(1 − (2047/2048)²)
+        arc = build_arc_model(1).arc("circle")
+        bound = 4 * (1 - F(2047, 2048) ** 2)
+        for a, b in zip(arc.polyline, arc.polyline[1:]):
+            assert a[0] ** 2 + a[1] ** 2 == 1
+            assert dist2_pp(a, b) < bound
+        # a straight arc is its one segment, run at the speed of its length
+        for M in range(1, 9):
+            for s in build_arc_model(M).arcs:
+                if s.kind == "segment":
+                    assert len(s.polyline) == 2 and s.stretch_lo == s.stretch_hi
+                    assert s.stretch_lo**2 == dist2_pp(*s.polyline)
+
     def test_straight_arcs_exact_lengths(self):
         m = build_arc_model(4)
         assert m.arc("v4").stretch_lo == F(1, 4)
