@@ -8,7 +8,9 @@ their own geometry and the circle arc is a fixed inscribed 64-segment
 polyline through rational points of the circle (tan-half-angle
 parameterization), giving a position error below 10^-3.  The polyline, not
 the true circle, is the model's geometry; all distances are ambient
-Euclidean, compared through exact squared values.
+Euclidean, compared through exact squared values.  ``build_arc_model`` is
+the only source of models; its arcs are simple and meet only at their
+labelled end vertices, which the tests prove for every M the CLI accepts.
 
 Self-maps of the model fix every arc setwise and every shared vertex, so
 they are given by one orientation-preserving PL homeomorphism of [0, 1]
@@ -23,7 +25,7 @@ from functools import cached_property
 from math import lcm
 
 from .cantor import build_ternary_map
-from .geometry import Point, _on_segment, _project_segment, _segment_record, segments_intersect
+from .geometry import Point, _project_segment, _segment_record
 from .plmap import PLHomeo, _Frozen
 from .rational import rational_to_json
 
@@ -198,12 +200,9 @@ class YModel(_Frozen):
             out.setdefault(a.q, []).append((a, 1))
         return out
 
-    def arcs_at(self, vertex_id: str) -> list[tuple[Arc, int]]:
-        """Arcs incident to a vertex, with the end (0 or 1) that touches it."""
-        return list(self._incident.get(vertex_id, ()))
-
     def across(self, arc: Arc, end: int) -> list[tuple[Arc, int]]:
-        """The other arcs at ``arc``'s given end, in ``arcs_at`` order."""
+        """The other arcs at ``arc``'s given end, each with the end (0 or 1)
+        that touches it, in the order of ``arcs`` (end 0 before end 1)."""
         return [(a, e) for a, e in self._incident[self.vertex_of(arc, end)] if a.id != arc.id]
 
     def to_json(self) -> dict:
@@ -314,93 +313,3 @@ def build_arcwise_map(model: YModel, levels: int) -> YHomeo:
     alternating ternary map in that arc's own parameter."""
     f = build_ternary_map(levels)
     return YHomeo({a.id: f for a in model.arcs})
-
-
-# ---------------------------------------------------------------------------
-# Structure report
-# ---------------------------------------------------------------------------
-
-
-def _arcs_share_only_vertices(model: YModel, a: Arc, b: Arc) -> bool:
-    shared = {model.vertices[v] for v in {a.p, a.q} & {b.p, b.q}}
-    for i in range(a.segments):
-        sa, sb = a.polyline[i], a.polyline[i + 1]
-        for j in range(b.segments):
-            ua, ub = b.polyline[j], b.polyline[j + 1]
-            if not segments_intersect(sa, sb, ua, ub):
-                continue
-            # Any contact must be an endpoint equal to a shared vertex.
-            touches = [p for p in (sa, sb) if p in (ua, ub) or _on_segment(ua, ub, p)]
-            touches += [p for p in (ua, ub) if _on_segment(sa, sb, p)]
-            if not touches:
-                return False  # proper crossing
-            if any(p not in shared for p in touches):
-                return False
-    return True
-
-
-def _cascade_order(model: YModel) -> list[str]:
-    """Vertex discovery order walking the arc graph from the anchor."""
-    order = [BASE_VERTEX]
-    seen = {BASE_VERTEX}
-    frontier = [BASE_VERTEX]
-    while frontier:
-        nxt: list[str] = []
-        for vid in frontier:
-            for arc, end in sorted(model.arcs_at(vid), key=lambda ae: ae[0].id):
-                other = arc.q if end == 0 else arc.p
-                if other not in seen:
-                    seen.add(other)
-                    order.append(other)
-                    nxt.append(other)
-        frontier = nxt
-    return order
-
-
-def check_arc_decomposition(model: YModel) -> dict:
-    """Verify the model's arc-decomposition conditions.
-
-    Checks, exactly on the embedded polylines: the arcs cover the vertex
-    structure and form a connected union; arc interiors meet nothing (every
-    pairwise contact happens at a shared labeled vertex); each arc's
-    polyline is simple.  Endpoint fixing under all model self-maps is a
-    property of the representation (per-arc maps of [0, 1] fixing 0 and 1)
-    and is reported as such rather than re-derived.
-    """
-    problems: list[str] = []
-
-    arc_vertices = set()
-    for a in model.arcs:
-        arc_vertices.update((a.p, a.q))
-        for v in (a.p, a.q):
-            if v not in model.vertices:
-                problems.append(f"arc {a.id!r} references unknown vertex {v!r}")
-    for vid in model.vertices:
-        if vid not in arc_vertices:
-            problems.append(f"vertex {vid!r} not on any arc")
-
-    # connectivity over the arc/vertex incidence graph
-    cascade = _cascade_order(model)
-    if set(cascade) != set(model.vertices):
-        problems.append("arc union is not connected")
-
-    for a in model.arcs:
-        for i in range(a.segments):
-            for j in range(i + 2, a.segments):
-                if segments_intersect(
-                    a.polyline[i], a.polyline[i + 1], a.polyline[j], a.polyline[j + 1]
-                ):
-                    problems.append(f"arc {a.id!r} polyline is not simple")
-    for i, a in enumerate(model.arcs):
-        for b in model.arcs[i + 1 :]:
-            if not _arcs_share_only_vertices(model, a, b):
-                problems.append(f"arcs {a.id!r} and {b.id!r} meet off shared vertices")
-
-    return {
-        "ok": not problems,
-        "problems": problems,
-        "arc_count": len(model.arcs),
-        "vertex_count": len(model.vertices),
-        "fixed_vertex_cascade": cascade,
-        "endpoint_fixing": "structural: every arc map fixes parameters 0 and 1",
-    }

@@ -75,13 +75,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(parse_integer(s))
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as "num/den" (or "num" when integral)."""
-    if x.denominator == 1:
-        return _decimal(x.numerator)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
-
-
 def rational_to_json(x: Fraction) -> list[str]:
     """JSON encoding: pair of decimal strings, arbitrary precision."""
     return pair_to_json(x.numerator, x.denominator)

@@ -45,7 +45,6 @@ from .plmap import (
     wandering_intervals,
 )
 from .rational import (
-    format_rational,
     parse_integer,
     parse_rational,
     positive,
@@ -349,22 +348,6 @@ def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed
 # ---------------------------------------------------------------------------
 # Orbit CSV interchange
 # ---------------------------------------------------------------------------
-
-
-def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
-    """CSV rows with exact "num/den" coordinates (interval or model points)."""
-    import csv
-
-    w = csv.writer(stream)
-    first = orbit.points[0]
-    if isinstance(first, YPoint):
-        w.writerow(["index", "arc", "t"])
-        for i, p in enumerate(orbit.points):
-            w.writerow([i - orbit.offset, p.arc, format_rational(p.t)])
-    else:
-        w.writerow(["index", "point"])
-        for i, p in enumerate(orbit.points):
-            w.writerow([i - orbit.offset, format_rational(p)])
 
 
 def orbit_from_csv(stream) -> PseudoOrbit:

@@ -40,7 +40,7 @@ from continua.plmap import (
     iterate,
     wandering_intervals,
 )
-from continua.rational import exact_sqrt, positive, sqrt_enclosure
+from continua.rational import _decimal, exact_sqrt, positive, sqrt_enclosure
 from continua.shadowing import (
     _INWARD,
     GRID_LEVELS,
@@ -98,6 +98,29 @@ def embed_point(model: YModel, p: YPoint) -> Point:
 def orbit_window(orbit: PseudoOrbit) -> tuple[int, int]:
     """The index window [-offset, len(points) - 1 - offset] of an orbit."""
     return (-orbit.offset, len(orbit.points) - 1 - orbit.offset)
+
+
+def format_rational(x: Fraction) -> str:
+    """Render as "num/den" (or "num" when integral)."""
+    if x.denominator == 1:
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def orbit_to_csv(orbit: PseudoOrbit, stream) -> None:
+    """CSV rows with exact "num/den" coordinates (interval or model points)."""
+    import csv
+
+    w = csv.writer(stream)
+    first = orbit.points[0]
+    if isinstance(first, YPoint):
+        w.writerow(["index", "arc", "t"])
+        for i, p in enumerate(orbit.points):
+            w.writerow([i - orbit.offset, p.arc, format_rational(p.t)])
+    else:
+        w.writerow(["index", "point"])
+        for i, p in enumerate(orbit.points):
+            w.writerow([i - orbit.offset, format_rational(p)])
 
 
 def verify_pseudo_orbit(f: PLHomeo, orbit: PseudoOrbit) -> Fraction:
@@ -974,7 +997,8 @@ def scan_sub_polyline(arc: Arc, t0: Fraction, t1: Fraction) -> tuple[Point, ...]
 
 
 def scan_arcs_at(model: YModel, vertex_id: str) -> list[tuple[Arc, int]]:
-    """YModel.arcs_at by a linear scan of the arcs (end 0 before end 1)."""
+    """The arcs at a vertex, each with the end (0 or 1) that touches it, by a
+    linear scan of the arcs (end 0 before end 1)."""
     out = []
     for a in model.arcs:
         if a.p == vertex_id:

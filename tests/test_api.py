@@ -2,7 +2,8 @@
 tests and no uncalled private one, its functions read every parameter and
 have no default that every call site overrides, its core computes without
 floating point, no flag reads with int(), every name it loads is bound in
-its module, and the value classes share one ``__init__``."""
+its module, the value classes share one ``__init__``, and every source
+file parses as Python 3.10."""
 
 import argparse
 import ast
@@ -59,18 +60,13 @@ def test_every_public_definition_is_used():
     assert unused == [], f"public definitions named nowhere in src/ or tests/: {unused}"
 
 
-# Public definitions kept in src/ though only tests call them: the paper's
-# arc-decomposition conditions, and the only writer of shadow's orbit format.
-TEST_ONLY_EXCEPTIONS = {"continuum.py:check_arc_decomposition", "shadowing.py:orbit_to_csv"}
-
-
 def test_no_test_only_definition_in_src():
     # src/ holds what a subcommand, the benchmark or an acceptance criterion
     # runs; a helper that only tests call belongs in tests/conftest.py
     code = sorted(SRC.glob("*.py")) + sorted((TESTS.parent / "perfbench").glob("*.py"))
     code.append(TESTS / "test_acceptance.py")
-    unused = set(_named_only_in_own_definition(code, public=True)) - TEST_ONLY_EXCEPTIONS
-    assert unused == set(), f"public definitions that only tests name: {sorted(unused)}"
+    unused = _named_only_in_own_definition(code, public=True)
+    assert unused == [], f"public definitions that only tests name: {unused}"
 
 
 def _attributes(tree) -> list[str]:
@@ -144,7 +140,7 @@ def test_cli_import_loads_every_module():
 def test_cli_import_loads_no_dataclasses_inspect_or_csv():
     # each CLI op runs in a fresh interpreter, so these imports would cost
     # every op: the value classes are plain classes, and only the orbit CSV
-    # reader and writer import csv
+    # reader imports csv
     heavy = ["dataclasses", "inspect", "csv"]
     probe = f"import sys, continua.cli; print([n for n in {heavy} if n in sys.modules])"
     proc = subprocess.run(
@@ -454,3 +450,20 @@ def test_every_private_function_is_called():
     # own definition; names inside f-strings are AST names and count
     unused = _named_only_in_own_definition(sorted(SRC.glob("*.py")), public=False)
     assert unused == [], f"private definitions named nowhere else in src/: {unused}"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares the floor; this checks the grammar only (no
+    # `except*`, no `def f[T](x)`), not which standard-library names a
+    # version has
+    root = TESTS.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text()
+    dirs = ("src", "tests", "perfbench", "tools")
+    paths = [p for d in dirs for p in sorted((root / d).rglob("*.py"))]
+    bad = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            bad.append(f"{path.relative_to(root)}:{exc.lineno}: {exc.msg}")
+    assert paths and bad == [], f"sources that Python 3.10 cannot parse: {bad}"

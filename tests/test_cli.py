@@ -24,9 +24,9 @@ from continua.plmap import (
     invert,
     wandering_intervals,
 )
-from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y, orbit_to_csv
+from continua.shadowing import generate_pseudo_orbit, generate_pseudo_orbit_y
 
-from conftest import edge_enriched_map, identity_homeo, semi_stable_map
+from conftest import edge_enriched_map, identity_homeo, orbit_to_csv, semi_stable_map
 
 
 def run(argv):

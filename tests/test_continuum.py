@@ -1,4 +1,4 @@
-"""Arc model geometry, embeddings, self-maps, structure report."""
+"""Arc model geometry and its arc decomposition, embeddings, self-maps."""
 
 import random
 from fractions import Fraction as F
@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import continua.continuum as continuum
 from continua.cantor import chain_property_threshold, check_chain_property
+from continua.cli import MAX_SEGMENTS
 from continua.continuum import (
+    BASE_VERTEX,
     Arc,
     CIRCLE_SEGMENTS,
     ModelError,
     YHomeo,
-    YModel,
     YPoint,
     build_arc_model,
     build_arcwise_map,
-    check_arc_decomposition,
     validate_homeo,
 )
 from continua.plmap import identity
@@ -63,7 +63,7 @@ class TestBuild:
 
     def test_branch_points_have_three_incident_arc_ends(self):
         m = build_arc_model(4)
-        degree = {vid: len(m.arcs_at(vid)) for vid in m.vertices}
+        degree = {vid: len(scan_arcs_at(m, vid)) for vid in m.vertices}
         for n in range(1, 5):
             assert degree[f"b{n}"] == 3
             assert degree[f"t{n}"] == 1
@@ -72,13 +72,10 @@ class TestBuild:
     @pytest.mark.parametrize("M", range(1, 9))
     def test_adjacency_index_equals_scan(self, M):
         m = build_arc_model(M)
-        for vid in m.vertices:
-            assert m.arcs_at(vid) == scan_arcs_at(m, vid)
         for arc in m.arcs:
             for end in (0, 1):
                 scan = scan_arcs_at(m, m.vertex_of(arc, end))
                 assert m.across(arc, end) == [(a, e) for a, e in scan if a.id != arc.id]
-        assert m.arcs_at("no such vertex") == []
 
 
 class TestEmbedding:
@@ -490,36 +487,65 @@ class TestSelfMaps:
             YHomeo.from_json({"arc_maps": {"circle": good, "h1": bad}})
 
 
-class TestStructureReport:
-    def test_standard_models_pass(self):
-        for M in (1, 2, 3, 5, 8, 16):
-            rep = check_arc_decomposition(build_arc_model(M))
-            assert rep["ok"], rep["problems"]
-            assert rep["arc_count"] == 2 * M + 1
+class TestArcDecomposition:
+    def test_every_model_is_an_arc_decomposition(self):
+        """For every M that the CLI accepts, the arcs of ``build_arc_model(M)``
+        are simple and meet only at shared labelled end vertices, and their
+        union is connected.  The assertions are properties, not coordinates;
+        these facts make them a proof:
 
-    def test_cascade_starts_at_anchor(self):
-        rep = check_arc_decomposition(build_arc_model(3))
-        cascade = rep["fixed_vertex_cascade"]
-        assert cascade[0] == "p~"
-        assert set(cascade) == {"p~", "b1", "b2", "b3", "t1", "t2", "t3"}
+        - every polyline is strictly x-monotone or one vertical segment, so
+          it is simple;
+        - the circle's interior lies strictly below y = 0 (its inner
+          vertices do, and its ends lie on y = 0), while every other arc
+          lies in y >= 0, so the circle meets the rest only at its ends,
+          the ends of the chain of horizontal arcs;
+        - the horizontal arcs tile [-1, 1] x {0} in order, so two of them
+          meet only at a shared end, and the interior of each avoids every
+          tooth's x, since the teeth stand at the chain's vertices;
+        - a tooth meets y = 0 only at its base, its branch vertex, and the
+          teeth stand at distinct x, so no two of them meet;
+        - the vertices are distinct points, so a contact at a vertex's
+          point is a contact at that vertex;
+        - the chain of horizontal arcs connects the anchor to every branch
+          vertex, the circle closes it, and each tip hangs from its
+          branch vertex, so the union is connected.
+        """
+        for M in range(1, MAX_SEGMENTS + 1):
+            m = build_arc_model(M)
+            arcs, vertices = m.arcs, m.vertices
+            assert len(arcs) == 2 * M + 1
+            assert len(set(vertices.values())) == len(vertices)
+            assert {v for a in arcs for v in (a.p, a.q)} == set(vertices)
+            for a in arcs:
+                assert a.polyline[0] == vertices[a.p] and a.polyline[-1] == vertices[a.q], a.id
 
-    def test_interior_crossing_detected(self):
-        # two straight arcs crossing at an unlabeled interior point
-        va = Arc("a", "p", "q", "segment", ((F(0), F(0)), (F(1), F(1))), F(1), F(2))
-        vb = Arc("b", "r", "s", "segment", ((F(0), F(1)), (F(1), F(0))), F(1), F(2))
-        model = YModel(
-            1,
-            {
-                "p": (F(0), F(0)),
-                "q": (F(1), F(1)),
-                "r": (F(0), F(1)),
-                "s": (F(1), F(0)),
-            },
-            (va, vb),
-        )
-        rep = check_arc_decomposition(model)
-        assert not rep["ok"]
-        assert any("meet off shared vertices" in p for p in rep["problems"])
+            hs = [m.arc(f"h{i}") for i in range(1, M + 1)]
+            chain = [hs[0].p] + [h.q for h in hs]
+            assert [h.p for h in hs] == chain[:-1]
+            assert set(chain) == {BASE_VERTEX} | {f"b{n}" for n in range(1, M + 1)}
+            for h in hs:
+                assert len(h.polyline) == 2 and h.polyline[0][1] == h.polyline[1][1] == 0, h.id
+            xs = [vertices[v][0] for v in chain]
+            assert xs[0] == -1 and xs[-1] == 1
+            assert all(x0 < x1 for x0, x1 in zip(xs, xs[1:]))
+
+            circle = m.arc("circle")
+            assert (circle.p, circle.q) == (chain[0], chain[-1])
+            pts = circle.polyline
+            assert all(a[0] < b[0] for a, b in zip(pts, pts[1:]))
+            assert len(pts) > 2 and all(y < 0 for _, y in pts[1:-1])
+            assert pts[0][1] == pts[-1][1] == 0
+
+            tooth_xs = set()
+            for n in range(1, M + 1):
+                v = m.arc(f"v{n}")
+                assert v.p == f"b{n}" and len(v.polyline) == 2, v.id
+                (bx, by), (tx, ty) = v.polyline
+                assert by == 0 and tx == bx and ty > 0, v.id
+                tooth_xs.add(bx)
+            assert len(tooth_xs) == M
+            assert tooth_xs <= set(xs)
 
 
 class TestRendering:

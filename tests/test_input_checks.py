@@ -1,5 +1,5 @@
 """Every input check of the library raises its own error with its own
-message, and the structure report names each kind of malformed model."""
+message."""
 
 import io
 import tempfile
@@ -14,11 +14,9 @@ from continua.continuum import (
     Arc,
     ModelError,
     YHomeo,
-    YModel,
     YPoint,
     build_arc_model,
     build_arcwise_map,
-    check_arc_decomposition,
 )
 from continua.plmap import Orientation, OrientedInterval, PLHomeo, canonical_r, identity
 from continua.rational import exact_sqrt
@@ -203,56 +201,3 @@ def test_input_check_raises(check):
     call, error, message = CHECKS[check]
     with pytest.raises(error, match=message):
         call()
-
-
-def _model(arcs, vertices):
-    return YModel(1, {v: (F(x), F(y)) for v, (x, y) in vertices.items()}, tuple(arcs))
-
-
-def _straight(arc_id, p, q, polyline):
-    pts = tuple((F(x), F(y)) for x, y in polyline)
-    return Arc(arc_id, p, q, "segment", pts, F(1), F(4))
-
-
-# (model, problem) for each kind of malformed arc decomposition
-DECOMPOSITION_PROBLEMS = {
-    "unknown vertex": (
-        lambda: _model([_straight("a", "p", "z", [(0, 0), (1, 0)])], {"p": (0, 0)}),
-        "arc 'a' references unknown vertex 'z'",
-    ),
-    "vertex on no arc": (
-        lambda: _model(
-            [_straight("a", "p", "q", [(0, 0), (1, 0)])],
-            {"p": (0, 0), "q": (1, 0), "r": (2, 0)},
-        ),
-        "vertex 'r' not on any arc",
-    ),
-    "polyline not simple": (
-        # a vertical zigzag whose first and third segments overlap
-        lambda: _model(
-            [_straight("a", "p", "q", [(0, 0), (0, 2), (0, 1), (0, 3)])],
-            {"p": (0, 0), "q": (0, 3)},
-        ),
-        "arc 'a' polyline is not simple",
-    ),
-    "T-junction": (
-        # b's end r lies inside a: the arcs touch without crossing
-        lambda: _model(
-            [
-                _straight("a", "p", "q", [(0, 0), (2, 0)]),
-                _straight("b", "r", "s", [(1, 0), (1, 1)]),
-            ],
-            {"p": (0, 0), "q": (2, 0), "r": (1, 0), "s": (1, 1)},
-        ),
-        "arcs 'a' and 'b' meet off shared vertices",
-    ),
-}
-
-
-@pytest.mark.parametrize("kind", list(DECOMPOSITION_PROBLEMS))
-def test_decomposition_problem_reported(kind):
-    model, problem = DECOMPOSITION_PROBLEMS[kind]
-    report = check_arc_decomposition(model())
-    assert not report["ok"]
-    assert problem in report["problems"]
-

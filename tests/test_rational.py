@@ -7,7 +7,6 @@ from fractions import Fraction as F
 import pytest
 
 from continua.rational import (
-    format_rational,
     parse_integer,
     parse_rational,
     positive,
@@ -15,7 +14,7 @@ from continua.rational import (
     rational_to_json,
     sqrt_enclosure,
 )
-from conftest import bisected_sqrt_enclosure
+from conftest import bisected_sqrt_enclosure, format_rational
 
 
 class TestJsonReader:

@@ -56,7 +56,6 @@ from continua.shadowing import (
     generate_pseudo_orbit_y,
     global_shadowing_delta,
     orbit_from_csv,
-    orbit_to_csv,
     quasi_attractor_certificate,
     sample_certificate_soundness,
     sample_global_soundness,
@@ -76,6 +75,7 @@ from conftest import (
     identity_homeo,
     materialized_modulus,
     orbit_membership_oracle,
+    orbit_to_csv,
     orbit_window,
     polyline_point,
     pullback_shadowing_set,
