@@ -18,9 +18,12 @@ On top of that construction this module provides:
   integer keys: every endpoint scaled by the lcm of the endpoint
   denominators).  One builder makes a table from a sequence of intervals
   and the domain's ends, reading each end from the integer pair that its
-  interval holds: afresh for a list (``best_chain_quality``), and once for
-  a map's cached intervals, kept on the map, so repeated decisions on one
-  map only rescan it, and the threshold of a ternary map is read from it;
+  interval holds, and one table serves each interval sequence: the list
+  entry (``best_chain_quality``) and the map entry (a map's cached
+  intervals) share a one-entry memo, so the list of a map's intervals and
+  the map's decisions build one table between them.  The map keeps its
+  table, so repeated decisions on one map only rescan it, and the
+  threshold of a ternary map is read from it;
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual; it compares interval widths on the same table's keys,
   takes the residual without composing h∘g, and builds the template once
@@ -37,6 +40,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import is_
 
 from .plmap import (
     DomainError,
@@ -192,7 +196,8 @@ def _chain_table(
     of the denominators of lo, hi and every end, and fwd[i]·d is the least
     max(later gaps, trailing margin) from i (``_chain_sweep``).  Each end
     is read from its interval's reduced pair, so no ``Fraction`` is built
-    or read, and scaling by d keeps every comparison exact."""
+    or read, and scaling by d keeps every comparison exact.  It builds a
+    new table on every call; ``_shared_chain_table`` is its memo."""
     ends = [iv._ends for iv in ivs]
     an, ad, bn, bd = zip(*ends) if ends else ((),) * 4
     dens = {*ad, *bd}
@@ -225,46 +230,91 @@ def _chain_sweep(a: list[int], b: list[int], orient: list[Orientation], top: int
     crossing and its two neighbours hold the minimum.  The staircase is queried while it
     holds only j >= i + 2; j = i + 1 is tested directly and pushed after
     fwd[i] is known, because a touching i + 1 must not evict a candidate
-    that is valid for i.
+    that is valid for i.  The loop takes its minima and maxima with plain
+    comparisons, not ``min``/``max`` calls.  It runs once per table, and
+    ``_shared_chain_table`` builds one table per interval sequence.
     """
     n = len(a)
     fwd = [0] * n
     # per orientation (picked by identity: an Orientation hashes in Python):
     # candidate indices, and fwd[j] - a_j, which increases along the list
     R = Orientation.R
-    right, left = ([], []), ([], [])
+    right, right_keys, left, left_keys = [], [], [], []
     for i in range(n - 1, -1, -1):
-        if i + 2 < n:
-            j = i + 2
-            js, keys = right if orient[j] is R else left
-            while js and fwd[js[-1]] >= fwd[j]:
+        j = i + 2
+        if j < n:
+            fj = fwd[j]
+            if orient[j] is R:
+                js, keys = right, right_keys
+            else:
+                js, keys = left, left_keys
+            while js and fwd[js[-1]] >= fj:
                 js.pop()
                 keys.pop()
             js.append(j)
-            keys.append(fwd[j] - a[j])
+            keys.append(fj - a[j])
         bi = b[i]
         mine = orient[i]
         best = top - bi
-        js, keys = left if mine is R else right  # the next link's orientation
+        if mine is R:  # the staircase of the next link's orientation
+            js, keys = left, left_keys
+        else:
+            js, keys = right, right_keys
         p = bisect_right(keys, -bi)
-        if p > 0:
-            best = min(best, a[js[p - 1]] - bi)
+        if p:
+            c = a[js[p - 1]] - bi
+            if c < best:
+                best = c
         if p < len(js):
-            best = min(best, fwd[js[p]])
-        if i + 1 < n and orient[i + 1] is not mine and a[i + 1] > bi:
-            best = min(best, max(a[i + 1] - bi, fwd[i + 1]))
+            c = fwd[js[p]]
+            if c < best:
+                best = c
+        if i + 1 < n and orient[i + 1] is not mine:
+            c = a[i + 1] - bi
+            if c > 0:
+                rest = fwd[i + 1]
+                if rest > c:
+                    c = rest
+                if c < best:
+                    best = c
         fwd[i] = best
     return fwd
 
 
+# the last chain table built: (its intervals, lo, hi, table)
+_last_table: tuple = ((), None, None, None)
+
+
+def _shared_chain_table(
+    ivs: Sequence[OrientedInterval], lo: tuple[int, int], hi: tuple[int, int]
+) -> _Table:
+    """``_chain_table`` behind a one-entry memo that both entries share,
+    the list's (``best_chain_quality``) and the map's
+    (``_map_chain_table``): the same interval objects, in the same order,
+    on equal domain ends get the last table built; anything else builds a
+    table and replaces the entry.  The entry keeps a tuple of the
+    intervals, so a caller may change its list afterwards, and keeps each
+    interval alive, so no other object takes its identity; an interval is
+    immutable, so the same objects have the same ends."""
+    global _last_table
+    seen, seen_lo, seen_hi, table = _last_table
+    if len(seen) == len(ivs) and seen_lo == lo and seen_hi == hi and all(map(is_, seen, ivs)):
+        return table
+    table = _chain_table(ivs, lo, hi)
+    _last_table = (tuple(ivs), lo, hi, table)
+    return table
+
+
 def _map_chain_table(f: PLHomeo) -> _Table:
-    """``_chain_table`` of f's cached wandering intervals on f's domain,
-    whose ends are read from f's integer form; built on first use and kept
-    on f next to its intervals.  Its readers do not change it."""
+    """The chain table of f's cached wandering intervals on f's domain,
+    whose ends are read from f's integer form; taken on first use from
+    ``_shared_chain_table``, so a table just built for the list of f's
+    intervals is not built again, and kept on f next to its intervals.
+    Its readers do not change it."""
     table = f.__dict__.get("_chain_table")
     if table is None:
         xn, xd = f._ints[:2]
-        table = _chain_table(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
+        table = _shared_chain_table(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
         object.__setattr__(f, "_chain_table", table)
     return table
 
@@ -276,10 +326,11 @@ def best_chain_quality(
 
     ``ivs`` must be sorted and pairwise disjoint (else ValueError).  None
     when there is no R interval to start a chain.  The minimum is taken over
-    the integer table, built afresh for the list; only the result is a
-    ``Fraction``.
+    the integer table of ``_shared_chain_table``, so the list of a map's
+    intervals (``wandering_intervals(f)``) builds the table that the map's
+    decisions then read; only the result is a ``Fraction``.
     """
-    table = _chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
+    table = _shared_chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
     a, b = table[3:5]
     if any(bi > ai for bi, ai in zip(b, a[1:])):
         raise ValueError("wandering intervals must be sorted and pairwise disjoint")

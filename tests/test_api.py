@@ -23,16 +23,15 @@ MODULES = {p.stem for p in SRC.glob("*.py")}
 
 
 def _named(tree) -> list[str]:
-    """Each name ``tree`` uses bare, imports, or reads as ``module.name``
-    off a module of the package."""
+    """Each name ``tree`` uses bare or reads as ``module.name`` off a module
+    of the package.  An import is not a use, so an import left behind by
+    the last caller hides nothing; ``_unused_imports`` flags the import."""
     out = []
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
             out.append(n.id)
         elif isinstance(n, ast.Attribute) and ast.unparse(n.value).split(".")[-1] in MODULES:
             out.append(n.attr)
-        elif isinstance(n, ast.alias):
-            out.append(n.name)
     return out
 
 
@@ -67,6 +66,47 @@ def test_no_test_only_definition_in_src():
     code.append(TESTS / "test_acceptance.py")
     unused = _named_only_in_own_definition(code, public=True)
     assert unused == [], f"public definitions that only tests name: {unused}"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``line: name`` for each name that an import in ``path`` binds and
+    that its module never loads, in code or in an annotation; ``from
+    __future__`` imports aside."""
+    tree = ast.parse(path.read_text())
+    loaded = {
+        n.id for t in (tree, *_annotations(tree)) for n in ast.walk(t)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            out += [f"{node.lineno}: {name}" for name in bound if name not in loaded]
+    return out
+
+
+def test_no_unused_import_in_src():
+    found = [f"{p.name}:{use}" for p in sorted(SRC.glob("*.py")) for use in _unused_imports(p)]
+    assert found == [], f"imports that their module never uses: {found}"
+
+
+def test_an_unused_import_hides_no_test_only_definition(tmp_path, monkeypatch):
+    # a public def whose last caller is gone, with an import of it left
+    # behind: the definition scan flags the def and the import scan the
+    # import.  A name read only in a string annotation is a use.
+    (tmp_path / "rational.py").write_text("def format_rational(x):\n    return str(x)\n")
+    user = tmp_path / "shadowing.py"
+    user.write_text(
+        "from fractions import Fraction as F\n"
+        "from .rational import format_rational\n"
+        "def half() -> 'F':\n    return 1\n"
+        "half()\n"
+    )
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _named_only_in_own_definition([user], public=True) == ["rational.py:format_rational"]
+    assert _unused_imports(user) == ["2: format_rational"]
 
 
 def _attributes(tree) -> list[str]:

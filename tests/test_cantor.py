@@ -1,5 +1,6 @@
 """Ternary combinatorics, chain property, conjugacies, explosions."""
 
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -416,26 +417,103 @@ class TestOneScanAgainstTwoLoops:
         assert_same_witnesses(ternary_conjugate(levels))
 
 
+def count_tables(monkeypatch) -> list[int]:
+    """Wrap ``cantor._chain_sweep``, which runs once per table built: the
+    returned list gains each built table's interval count."""
+    built = []
+    sweep = cantor._chain_sweep
+
+    def counting(an, *rest):
+        built.append(len(an))
+        return sweep(an, *rest)
+
+    monkeypatch.setattr(cantor, "_chain_sweep", counting)
+    return built
+
+
+def fresh_optimum(ivs, lo=F(0), hi=F(1)) -> F | None:
+    """The optimum of a table built afresh, past the memo."""
+    return cantor._table_optimum(_chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio()))
+
+
 class TestChainTableCache:
-    """check_chain_property builds a map's chain table once and keeps it
-    on the map."""
+    """One table per interval sequence: the list of a map's intervals and
+    the map's decisions share it through a one-entry memo, and the map
+    keeps it.  Each test that counts builds starts from maps it builds
+    itself, so no memo entry of another test can serve it."""
 
     def test_two_decisions_build_one_table(self, monkeypatch):
+        # the calls of one benchmark op: the list optimum, both decisions
+        # and the conjugacy read one table
         g = ternary_conjugate(7)
+        built = count_tables(monkeypatch)
         q = best_chain_quality(wandering_intervals(g))
-        built = []
-
-        def counting(an, *rest):
-            built.append(len(an))
-            return sweep(an, *rest)
-
-        sweep = cantor._chain_sweep
-        monkeypatch.setattr(cantor, "_chain_sweep", counting)
         assert check_chain_property(g, q) is None
         witness = check_chain_property(g, q + q / 1000)
+        build_conjugacy(g, 4)
         assert built == [len(wandering_intervals(g))]
         assert witness == two_loop_chain_property(g, q + q / 1000)
         assert witness.quality() == q
+
+    def test_equal_but_distinct_intervals_build_afresh(self, monkeypatch):
+        f, g = ternary_conjugate(2), ternary_conjugate(2)
+        fs, gs = wandering_intervals(f), wandering_intervals(g)
+        assert fs == gs and not any(map(operator.is_, fs, gs))
+        expected = [fresh_optimum(fs), _chain_table(gs, (0, 1), (1, 1))]
+        built = count_tables(monkeypatch)
+        assert best_chain_quality(fs) == expected[0] == literal_chain_quality(fs)
+        assert cantor._map_chain_table(g) == expected[1]
+        assert built == [len(fs), len(gs)]
+
+    def test_other_domain_ends_build_afresh(self, monkeypatch):
+        ivs = wandering_intervals(build_ternary_map(2))
+        domains = [(F(0), F(1)), (F(-1), F(1)), (F(-1), F(2)), (F(0), F(2))]
+        expected = [fresh_optimum(ivs, *dom) for dom in domains]
+        built = count_tables(monkeypatch)
+        got = [best_chain_quality(ivs, *dom) for dom in domains]
+        assert got == expected == [literal_chain_quality(ivs, *dom) for dom in domains]
+        assert built == [len(ivs)] * len(domains)
+
+    def test_changing_the_callers_list_builds_afresh(self, monkeypatch):
+        # R, L, R: the last interval closes the only fine chain
+        R, L = Orientation.R, Orientation.L
+        f = cantor._plant(identity(), [(F(1, 10), F(1, 5), R), (F(3, 10), F(2, 5), L),
+                                        (F(1, 2), F(19, 20), R)])
+        g = ternary_conjugate(2)
+        ivs = wandering_intervals(f)
+        assert best_chain_quality(ivs) == F(1, 10)
+        ivs.pop()
+        assert best_chain_quality(ivs) == fresh_optimum(ivs) == F(3, 5)
+        assert literal_chain_quality(ivs) == F(3, 5)
+        # same length, one object swapped for another map's
+        ivs[0] = wandering_intervals(g)[0]
+        expected = fresh_optimum(ivs)
+        built = count_tables(monkeypatch)
+        assert best_chain_quality(ivs) == expected == literal_chain_quality(ivs)
+        assert built == [len(ivs)]
+
+    def test_reversed_list_raises_after_a_hit(self, monkeypatch):
+        ivs = wandering_intervals(build_ternary_map(2))
+        built = count_tables(monkeypatch)
+        q = best_chain_quality(ivs)
+        assert best_chain_quality(ivs) == q == literal_chain_quality(ivs)
+        assert built == [len(ivs)]
+        with pytest.raises(ValueError, match="sorted and pairwise disjoint"):
+            best_chain_quality(ivs[::-1])
+        assert best_chain_quality(ivs) == q
+
+    def test_interleaved_maps_get_their_own_tables(self, monkeypatch):
+        f, g = ternary_conjugate(3), ternary_conjugate(4)
+        fs, gs = wandering_intervals(f), wandering_intervals(g)
+        ft, gt = (_chain_table(ivs, (0, 1), (1, 1)) for ivs in (fs, gs))
+        built = count_tables(monkeypatch)
+        for ivs, table in ((fs, ft), (gs, gt), (fs, ft)):
+            assert best_chain_quality(ivs) == cantor._table_optimum(table)
+        # the last list call was f's, so f's map table is the memo's
+        assert cantor._map_chain_table(f) == ft
+        assert cantor._map_chain_table(g) == gt
+        assert cantor._map_chain_table(f) == ft
+        assert built == [len(fs), len(gs), len(fs), len(gs)]
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_witness_reads_integer_ends(self, domain):

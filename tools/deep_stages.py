@@ -15,10 +15,15 @@ timed with ``time.perf_counter``:
 - round trip: g∘g⁻¹;
 - c0: ``c0_distance(g, f₉)``;
 - walk: ``wandering_intervals(g)``, whose first call runs g's fixed-set walk;
-- list table: ``best_chain_quality`` on that list;
-- chain at q and chain above q: the two ``check_chain_property`` calls; the
-  first builds the chain table kept on g;
+- list table: ``best_chain_quality`` on that list, which builds g's chain
+  table;
+- chain at q and chain above q: the two ``check_chain_property`` calls,
+  which only scan that table; the first keeps it on g;
 - conjugacy: ``build_conjugacy(g, 4)``, its residual distance included.
+
+While checking the operations, the script counts the chain tables that
+each operation builds, by wrapping ``cantor._chain_sweep``, which runs
+once per table, and prints the count per operation for each tree.
 
 Each repeat builds g afresh, so no cache on g carries over; f₉ is built
 once, as the worker builds it once.  An operation's stage time is its best
@@ -41,6 +46,7 @@ one tree can move by 2× between processes.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import sys
 import time
@@ -84,6 +90,19 @@ def timed_op(plmap, cantor, f9, A) -> tuple[list[float], tuple]:
     return seconds, (g, round_trip, distance, ivs, q, above, at_q, witness, report)
 
 
+@contextlib.contextmanager
+def counting_tables(cantor):
+    """A list that gains one item per chain table that this tree's or the
+    other's ``cantor`` builds: its ``_chain_sweep`` runs once per table."""
+    built = []
+    sweep = cantor._chain_sweep
+    cantor._chain_sweep = lambda a, *rest: built.append(len(a)) or sweep(a, *rest)
+    try:
+        yield built
+    finally:
+        cantor._chain_sweep = sweep
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", type=Path,
@@ -98,15 +117,18 @@ def main() -> int:
     inputs = [(cantor.build_ternary_map(DEEP_LEVELS), [plmap.PLHomeo.from_json(A) for A in specs])
               for plmap, cantor in trees]
     f9, maps = inputs[0]
+    tables: list[list[int]] = [[] for _ in trees]
     for i, A in enumerate(maps):
         expected = deep_op(f9, A)
-        if timed_op(plmap, cantor, f9, A)[1] != expected:
+        results = []
+        for t, tree in enumerate(trees):
+            with counting_tables(tree[1]) as built:
+                results.append(timed_op(*tree, inputs[t][0], inputs[t][1][i])[1])
+            tables[t].append(len(built))
+        if results[0] != expected:
             sys.exit("the timed stages disagree with worker.deep_op")
-        if len(trees) > 1:
-            f9_other, maps_other = inputs[1]
-            got = timed_op(*trees[1], f9_other, maps_other[i])[1]
-            if deep_facts(got)[1] != deep_facts(expected)[1]:
-                sys.exit(f"the other tree writes other artifact bytes on op {i}")
+        if len(trees) > 1 and deep_facts(results[1])[1] != deep_facts(expected)[1]:
+            sys.exit(f"the other tree writes other artifact bytes on op {i}")
 
     def timed(t: int, i: int) -> list[float]:
         f9, maps = inputs[t]
@@ -115,6 +137,9 @@ def main() -> int:
     print(f"{len(maps)} ops, best of {REPEAT}, median ms per op")
     if len(trees) > 1:
         print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
+    counts = [f"{min(n)}" if min(n) == max(n) else f"{min(n)}–{max(n)}" for n in tables]
+    print("chain tables built per op: " + ", ".join(
+        f"{name} {count}" for name, count in zip(("this tree", "other"), counts)))
     report_stages(STAGES, best_stages(len(trees), len(maps), REPEAT, timed))
     return 0
 
