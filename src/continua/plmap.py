@@ -40,8 +40,8 @@ which its order guarantees.
 
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
-modulus's trials, the model-orbit stepper, and the search's fold and
-check), its inverse (returned by ``invert``), and its wandering
+modulus's per-call one-scale table and its trials, the model-orbit
+stepper, and the search's fold and check), its inverse (returned by ``invert``), and its wandering
 intervals, found in one walk over the breakpoints; their reduced integer
 ends are the one store of them (``wandering_intervals`` copies the tuple,
 ``fixed_set`` builds its Fractions from the gaps around them, ``cantor``

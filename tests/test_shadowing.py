@@ -113,7 +113,7 @@ orbit_settings = settings(max_examples=200, derandomize=True, database=None, dea
 def noise_recording_random(draws: list) -> type:
     """A ``Random`` whose ``getrandbits`` appends each word that
     ``_below(bits, 2·NOISE_GRID − 1)`` accepts: one noise draw per step of
-    ``_shadowed_trial``."""
+    either modulus trial."""
 
     class Recording(random.Random):
         def getrandbits(self, k):
@@ -123,6 +123,35 @@ def noise_recording_random(draws: list) -> type:
             return r
 
     return Recording
+
+
+def growing_trial(f, eps, delta, k, seed):
+    """The modulus trial whose scale grows by the γ each step hits."""
+    return shadowing._shadowed_trial(f, eps, delta, k, seed)
+
+
+def one_scale_trial(f, eps, delta, k, seed):
+    """The modulus trial on its per-call table, built whatever the piece count."""
+    table = shadowing._one_scale_table(f, eps, len(f._kernel[2]))
+    assert table is not None
+    return shadowing._one_scale_trial(table, delta, k, seed)
+
+
+both_trials = pytest.mark.parametrize("trial", [growing_trial, one_scale_trial],
+                                      ids=["growing", "one_scale"])
+
+
+def zigzag_map(n: int):
+    """n pieces on [0, 1]: breakpoints i/n, each interior value moved by
+    1/(4n), up and down in turn, so no two adjacent slopes are equal."""
+    xs = [F(i, n) for i in range(n + 1)]
+    ys = [x + (F((-1) ** i, 4 * n) if 0 < i < n else 0) for i, x in enumerate(xs)]
+    return plmap.PLHomeo(tuple(xs), tuple(ys))
+
+
+def nudged_map(nudge):
+    """Two pieces on [0, 1] through (1/2, 1/2 + nudge)."""
+    return plmap.PLHomeo((F(0), F(1, 2), F(1)), (F(0), F(1, 2) + nudge, F(1)))
 
 
 class TestDrawRule:
@@ -336,31 +365,32 @@ class TestModulus:
                     assert len(made) >= 5 + 5  # the starts, then the orbits of a scan
 
     def test_each_start_drawn_once(self, monkeypatch):
-        # every orbit builds its own generator, so the rest are start
-        # generators: one per trial, however many grid levels the scan reads
-        made, deltas = [], []
+        # trial t seeds its start generator with base + 2t and its orbit
+        # generator with base + 2t + 1: each start seed is made once, however
+        # many grid levels the scan reads
+        made = collections.Counter()
 
         class CountingRandom(random.Random):
             def __init__(self, seed=None):
-                made.append(seed)
+                made[seed] += 1
                 super().__init__(seed)
 
-        trial = shadowing._shadowed_trial
         monkeypatch.setattr(random, "Random", CountingRandom)
-        monkeypatch.setattr(
-            shadowing, "_shadowed_trial", lambda *a: deltas.append(a[2]) or trial(*a)
-        )
         assert estimate_shadowing_modulus(build_ternary_map(3), F(1, 20), 10, 5) == F(1, 80)
-        assert sorted(set(deltas)) == [F(1, 80), F(1, 40), F(1, 20)]
-        assert len(deltas) == 12
-        assert len(made) - len(deltas) == 10
+        base = 5 * 1_000_003
+        assert [made.pop(base + 2 * t) for t in range(10)] == [1] * 10
+        # the rest are orbits: the scan read 1/20, 1/40 and 1/80, trial 0 at
+        # each level and all 10 trials at 1/80
+        assert set(made) <= {base + 2 * t + 1 for t in range(10)}
+        assert made[base + 1] == 3
+        assert sum(made.values()) == 12
 
 
 class TestLazyModulus:
     """The sampled modulus equals the one that builds every orbit with
-    ``generate_pseudo_orbit`` and decides it by its full shadowing set, and
-    neither the fold nor the integer trial reads a point past its first
-    empty step."""
+    ``generate_pseudo_orbit`` and decides it by its full shadowing set, on
+    either side of the bounds that pick its trial, and neither the fold nor
+    either integer trial reads a point past its first empty step."""
 
     def check(self, f, epsilons, trial_counts=(5,), seeds=(1, 4, 9)):
         for eps in epsilons:
@@ -414,7 +444,82 @@ class TestLazyModulus:
         assert modulus == materialized_modulus(f, F(1, 20), 10, 1)
         assert sizes and max(sizes) < 4 * 666
 
-    def test_trial_decides_the_shadowing_set_of_its_orbit(self, monkeypatch):
+    @pytest.mark.parametrize(
+        ("f", "trials", "one_scale"),
+        [
+            (zigzag_map(ORBIT_LENGTH), 1, True),
+            (zigzag_map(ORBIT_LENGTH + 1), 1, False),
+            (nudged_map(F(1, 2**33)), 2, True),
+            (nudged_map(F(1, 2**34)), 2, False),
+        ],
+        ids=["pieces-at-bound", "pieces-above", "M-at-bound", "M-above"],
+    )
+    def test_equals_materialized_modulus_on_each_side_of_the_bounds(
+        self, monkeypatch, f, trials, one_scale
+    ):
+        # the one-scale path needs at most trials·ORBIT_LENGTH pieces and
+        # M = lcm(γ) at most 2^32; the nudged maps have M = 2^32 and 2^33
+        pieces = f._kernel[2]
+        M = lcm(*[g for _, _, g in pieces])
+        assert len(pieces) in (ORBIT_LENGTH, ORBIT_LENGTH + 1) or M in (2**32, 2**33)
+        assert (len(pieces) <= trials * ORBIT_LENGTH and M <= 2**32) is one_scale
+        grown = []
+        trial = shadowing._shadowed_trial
+        monkeypatch.setattr(shadowing, "_shadowed_trial", lambda *a: grown.append(a) or trial(*a))
+        self.check(f, (F(1, 20), F(1, 29), F(3, 1000)), (trials,))
+        assert bool(grown) is not one_scale
+
+    def test_one_scale_holds_every_value_of_a_trial(self):
+        # after step i, every point, image and tube end of a grid-delta orbit
+        # has a denominator dividing D0·M^i, so up to the window's last
+        # point it is an integer over S
+        rng = random.Random(33)
+        for f in (build_ternary_map(2), build_ternary_map(3), semi_stable_map(),
+                  rescale(random_plhomeo(rng), (F(-3, 2), F(5, 7)))):
+            lo, hi = f.domain
+            for eps in (F(1, 20), F(3, 1000)):
+                S = shadowing._one_scale_table(f, eps, len(f._kernel[2]))[0]
+                for j, seed in product((0, 3, GRID_LEVELS - 1), range(8)):
+                    x0 = lo + (hi - lo) * F(rng.randrange(NOISE_GRID + 1), NOISE_GRID)
+                    orbit = generate_pseudo_orbit(f, eps / 2**j, (0, ORBIT_LENGTH), x0, seed)
+                    points = orbit.points
+                    values = [*points, *(evaluate(f, p) for p in points[:-1]),
+                              *(p - eps for p in points), *(p + eps for p in points)]
+                    assert all((v * S).denominator == 1 for v in values), (f, eps, j, seed)
+
+    def test_one_scale_takes_a_fixed_number_of_lcms(self, monkeypatch):
+        # the growing scale takes an lcm per trial and per step; the one
+        # scale takes two per call, for M and D0
+        f = build_ternary_map(3)  # 52 pieces
+        counts = []
+        for trials in (3, 10):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(shadowing, "lcm", lambda *a: calls.append(a) or lcm(*a))
+                estimate_shadowing_modulus(f, F(1, 20), trials, 5)
+            counts.append(len(calls))
+        assert counts == [2, 2]
+
+    def test_each_call_picks_its_trial_by_the_bounds(self, monkeypatch):
+        ran = collections.Counter()
+        for name in ("_shadowed_trial", "_one_scale_trial"):
+            trial = getattr(shadowing, name)
+            monkeypatch.setattr(
+                shadowing, name, lambda *a, n=name, t=trial: ran.update([n]) or t(*a)
+            )
+        explosion = explode_fixed_point(identity(), F(1, 2), F(1, 2) - F(1, 10**200),
+                                        Orientation.R)
+        for f, trials, path in (
+            (explosion, 10, "_shadowed_trial"),  # M of about 666 bits
+            (build_ternary_map(9), 5, "_shadowed_trial"),  # 3070 pieces > 5·24
+            (build_ternary_map(3), 10, "_one_scale_trial"),
+        ):
+            ran.clear()
+            estimate_shadowing_modulus(f, F(1, 20), trials, 1)
+            assert set(ran) == {path}
+
+    @both_trials
+    def test_trial_decides_the_shadowing_set_of_its_orbit(self, monkeypatch, trial):
         # deltas up to 16·epsilon make orbits that are empty from their
         # first step; starts 0 and 512 are clamped at lo and at hi
         scales = []
@@ -432,16 +537,23 @@ class TestLazyModulus:
                 x0 = lo + (hi - lo) * F(k, NOISE_GRID)
                 orbit = generate_pseudo_orbit(f, delta, (0, ORBIT_LENGTH), x0, seed)
                 shadowed = not shadowing_set(f, orbit, eps).is_empty
-                assert shadowing._shadowed_trial(f, eps, delta, k, seed) == shadowed
+                assert trial(f, eps, delta, k, seed) == shadowed
                 outcomes.add(shadowed)
                 clamped |= {p for p in orbit.points[1:] if p in (lo, hi)}
                 first_empty.add(shadowing_set(f, PseudoOrbit(orbit.points[:2], 0), eps).is_empty)
         assert outcomes == first_empty == {True, False}
         assert clamped == {F(0), F(1), F(-3, 2), F(5, 7)}
-        # some steps keep the scale, others grow it
-        assert min(scales) == 1 < max(scales)
+        if trial is growing_trial:
+            # some steps keep the scale, others grow it
+            assert min(scales) == 1 < max(scales)
+        else:
+            # two lcms per table, M then D0, and none per step; M is 1 on
+            # some maps and above 1 on others
+            assert len(scales) == 2 * 160
+            assert min(scales[::2]) == 1 < max(scales[::2])
 
-    def test_trial_stops_at_the_first_empty_step(self, monkeypatch):
+    @both_trials
+    def test_trial_stops_at_the_first_empty_step(self, monkeypatch, trial):
         # counts the accepted noise draws, one per step taken; from the
         # domain's ends, jumps of up to 2·epsilon clamp the orbit at lo or
         # hi, and the tube around a clamped point can be the one that
@@ -462,7 +574,7 @@ class TestLazyModulus:
                 draws.clear()
                 with monkeypatch.context() as m:
                     m.setattr(random, "Random", noise_recording_random(draws))
-                    shadowing._shadowed_trial(f, eps, delta, start, seed)
+                    trial(f, eps, delta, start, seed)
                 assert len(draws) == k
                 stops.add(k)
                 if k < ORBIT_LENGTH:
