@@ -41,14 +41,15 @@ which its order guarantees.
 Each map also caches, on first use, its integer evaluation kernel (read
 by ``evaluate`` and by the integer passes of ``shadowing``: the sampled
 modulus's per-call one-scale table and its trials, the model-orbit
-stepper, and the search's fold and check), its inverse (returned by ``invert``), and its wandering
-intervals, found in one walk over the breakpoints; their reduced integer
-ends are the one store of them (``wandering_intervals`` copies the tuple,
-``fixed_set`` builds its Fractions from the gaps around them, ``cantor``
-its chain table).  The kernel scales the breakpoints by d, the lcm of
-their denominators, to integer keys, and writes each piece as
-f(p/q) = (α·p + β·q)/(γ·q) with integers α, β, γ, so one evaluation
-locates its piece by integer comparisons and builds one Fraction.
+stepper, and the search's fold and check), its inverse (returned by
+``invert``), and its wandering intervals, found in one walk over the
+breakpoints; their reduced integer ends are the one store of them
+(``wandering_intervals`` copies the tuple, ``fixed_set`` builds its
+Fractions from the gaps around them, ``cantor`` its chain table).  The
+kernel scales the breakpoints by d, the lcm of their denominators, to
+integer keys, and writes each piece as f(p/q) = (α·p + β·q)/(γ·q) with
+integers α, β, γ, so one evaluation locates its piece by integer
+comparisons and builds one Fraction.
 ``_kernel_step`` is the one step of a single point on the kernel, as an
 integer pair: ``evaluate`` builds its Fraction, and ``shadowing``'s fold
 and check step on it without one.  The inverse holds no reference back

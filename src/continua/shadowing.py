@@ -301,10 +301,10 @@ def estimate_shadowing_modulus(
 
 
 # The one-scale path's bound on M, the lcm of the kernel's γ: its scale
-# has about 24·log2(M) bits.  Against the growing scale, on the depth-3
-# edge-enriched map (52 pieces), M of 24, 39, 49 and 69 bits timed 0.80,
-# 0.91, 1.01 and 1.18; on random 6-piece maps, 20, 52 and 110 bits timed
-# 0.76, 0.92 and 1.46.
+# has about 24·log2(M) bits.  Its modulus time over the growing scale's,
+# on the depth-3 edge-enriched map (52 pieces, 25 trials, epsilon 1/20 and
+# 1/40), was 0.82–0.85, 0.87–0.89, 0.92, 1.03 and 1.19–1.21 at M of 24,
+# 29, 39, 49 and 69 bits; the bound stays below the break-even near 45.
 _ONE_SCALE_MAX_GAMMA = 2**32
 
 
