@@ -39,14 +39,13 @@ class ModelError(ValueError):
 
 
 def _circle_polyline() -> tuple[Point, ...]:
-    # Rational points on x^2 + y^2 = 1, y <= 0, via u -> (2u, u^2-1)/(1+u^2),
-    # u uniform on [-1, 1]; 64 chords keep the sagitta under 1/2048.
-    pts: list[Point] = []
-    for k in range(CIRCLE_SEGMENTS + 1):
-        u = Fraction(-1) + Fraction(2 * k, CIRCLE_SEGMENTS)
-        den = 1 + u * u
-        pts.append((2 * u / den, (u * u - 1) / den))
-    return tuple(pts)
+    # Rational points (2mh, m^2 - h^2)/(m^2 + h^2) of x^2 + y^2 = 1, y <= 0, at
+    # u = m/h = -1..1 (tan half-angle); 64 chords keep the sagitta under 1/2048.
+    h = CIRCLE_SEGMENTS // 2
+    return tuple(
+        (Fraction(2 * m * h, m * m + h * h), Fraction(m * m - h * h, m * m + h * h))
+        for m in range(-h, h + 1)
+    )
 
 
 class Arc(_Frozen):
@@ -107,25 +106,22 @@ class Arc(_Frozen):
         x, y, w = self._at(t.numerator, t.denominator)
         return Fraction(x, w), Fraction(y, w)
 
-    def nearest(self, point: Point) -> tuple[Fraction, Fraction]:
-        """(parameter, squared distance) of an exact nearest polyline point.
+    def nearest(self, X: int, Y: int, P: int) -> tuple[int, int, int, int]:
+        """(tn, td, dn, dd), not reduced: parameter tn/td and squared distance
+        dn/dd of an exact nearest polyline point to (X/P, Y/P), P > 0.
 
         Among nearest points the one on the lowest-index segment wins.  The
         search starts at the segment spanning the point's x and walks out
         both ways; the squared x-gap to a segment bounds its distance from
         below and grows along each walk, so a side stops once its gap
         cannot beat the best (on the lower side: cannot tie it either).
-        The point is read as integers X/P, Y/P, and each segment is
-        projected on its integer data (``_project_segment``), so every
-        squared distance is a (numerator, denominator) pair, compared by
-        cross-multiplying; the two Fractions are built once, at the end.
+        Each segment is projected on its integer data
+        (``_project_segment``), and squared distances are compared by
+        cross-multiplying.
         """
         n, segs = self.segments, self._segment_ints
-        px, py = point
-        P = lcm(px.denominator, py.denominator)
-        X, Y = px.numerator * (P // px.denominator), py.numerator * (P // py.denominator)
-        # keys[start] <= L·px < keys[start + 1] unless px lies beyond an end,
-        # so the gaps below are nonnegative
+        # keys[start] <= L·X/P < keys[start + 1] unless the point lies beyond
+        # an end, so the gaps below are nonnegative
         L, keys = self._vertex_xs
         start = min(max(bisect_right(keys, X * L // P) - 1, 0), n - 1)
         best_k = start
@@ -146,12 +142,14 @@ class Arc(_Frozen):
             cand = _project_segment(segs[k], X, Y, P)
             if cand[2] * dd <= dn * cand[3]:
                 best_k, (tn, td, dn, dd) = k, cand
-        return Fraction(best_k * td + tn, n * td), Fraction(dn, dd)
+        return best_k * td + tn, n * td, dn, dd
 
     def sub_polyline(self, t0: Fraction, t1: Fraction) -> tuple[Point, ...]:
-        """Embedded polyline of the parameter range [t0, t1]."""
+        """Embedded polyline of [t0, t1]; [0, 1] gives the arc's ``polyline``."""
         if not 0 <= t0 <= t1 <= 1:
             raise ValueError("need 0 <= t0 <= t1 <= 1")
+        if t0 == 0 and t1 == 1:
+            return self.polyline
         # the inner vertices k/n with t0 < k/n < t1
         n = self.segments
         pts = [self.embed(t0), *self.polyline[int(t0 * n) + 1 : -(-t1 * n // 1)]]

@@ -31,7 +31,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .continuum import Arc, YHomeo, YModel, YPoint, validate_homeo
-from .geometry import Point, _box, _box_gap_sq, _segment_dist2, _segment_record
+from .geometry import _box, _box_gap_sq, _segment_dist2, _segment_record
 from .plmap import (
     _REDUCE_ABOVE,
     Orientation,
@@ -872,48 +872,44 @@ def _search_arcs(
     distance 0, so it keeps its parameter T/D and is never projected.  Each
     orbit point is placed at most once per search, as the integer triple
     ``Arc._at`` gives on its own arc, the first time an arc needs it, and
-    a point off the searched arc is made a Fraction point at most once per
-    search, for ``Arc.nearest``.  Each arc projects a point at most once:
-    the start's projection ranks the arcs and is index 0.  An arc stops at
-    the first point epsilon or more away.  Otherwise it checks the
-    midpoint of the exact shadowing set at the tolerance left after the
-    projection margin, else the projected start, exactly in ambient
-    distance.  Every point of a non-empty reduced set tracks when
-    ``stretch_hi`` bounds the arc's stretch, so the midpoint stands for it.
-    The set is folded on the kernel of the arc map's inverse
-    (``_kernel_fold``), and the candidate is checked on the map's kernel
-    against the triples (``_verified_arc_shadow``).
+    ``Arc.nearest`` projects that triple in integers.  Each arc projects a
+    point at most once: the start's projection ranks the arcs and is index
+    0.  Squared distances stay integer pairs, compared with epsilon squared
+    by cross-multiplying, so the Fractions an arc makes (its ranking key,
+    the worst distance's root and the candidate) do not grow with the
+    orbit.  An arc stops at the first point epsilon or more away.
+    Otherwise it checks the midpoint of the exact shadowing set at the
+    tolerance left after the projection margin, else the projected start,
+    exactly in ambient distance.  Every point of a non-empty reduced set
+    tracks when ``stretch_hi`` bounds the arc's stretch, so the midpoint
+    stands for it.  The set is folded on the kernel of the arc map's
+    inverse (``_kernel_fold``), and the candidate is checked on the map's
+    kernel against the triples (``_verified_arc_shadow``).
     """
-    eps_sq = epsilon * epsilon
+    en, ed = (epsilon * epsilon).as_integer_ratio()
     triple = cache(lambda i: model.arc(points[i][0])._at(*points[i][1:]))
 
-    @cache
-    def target(i: int) -> Point:
-        x, y, w = triple(i)
-        return Fraction(x, w), Fraction(y, w)
-
-    def project(arc: Arc, i: int) -> tuple[tuple[int, int], Fraction | int]:
+    def project(arc: Arc, i: int) -> tuple[int, int, int, int]:
         aid, T, D = points[i]
-        if aid == arc.id:
-            return (T, D), 0
-        t, d2 = arc.nearest(target(i))
-        return (t.numerator, t.denominator), d2
+        return (T, D, 0, 1) if aid == arc.id else arc.nearest(*triple(i))
 
-    ranked = sorted(((project(a, 0), a) for a in arcs), key=lambda r: (r[0][1], r[1].id))
+    ranked = sorted(
+        ((project(a, 0), a) for a in arcs), key=lambda r: (Fraction(*r[0][2:]), r[1].id)
+    )
     for first, arc in ranked:
         fa = g.map_for(arc.id)
         proj: list[tuple[int, int]] = []
-        worst_d2 = Fraction(0)
+        wn, wd = 0, 1  # the largest squared distance so far
         for i in range(len(points)):
-            t, d2 = project(arc, i) if i else first
-            if d2:
-                if d2 >= eps_sq:
-                    break
-                worst_d2 = max(worst_d2, d2)
-            proj.append(t)
+            tn, td, dn, dd = project(arc, i) if i else first
+            if dn * ed >= en * dd:
+                break
+            if dn * wd > wn * dd:
+                wn, wd = dn, dd
+            proj.append((tn, td))
         else:
             y = Fraction(*proj[0])
-            eps_rem = epsilon - sqrt_enclosure(worst_d2)[1]
+            eps_rem = epsilon - sqrt_enclosure(Fraction(wn, wd))[1]
             if eps_rem > 0:
                 s = _kernel_fold(invert(fa)._kernel, reversed(proj), eps_rem / arc.stretch_hi)
                 if s is not None:

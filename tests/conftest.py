@@ -634,7 +634,7 @@ def fraction_shadow_on_arcs(
 
     def project(arc: Arc, i: int) -> tuple[Fraction, Fraction]:
         p = points[i]
-        return (p.t, Fraction(0)) if p.arc == arc.id else arc.nearest(target(i))
+        return (p.t, Fraction(0)) if p.arc == arc.id else nearest_point(arc, target(i))
 
     def verified(arc: Arc, fa: PLHomeo, y: Fraction) -> bool:
         z = y
@@ -947,6 +947,32 @@ def count_fractions(fn, *args):
     finally:
         Fraction.__new__ = original
     return result, made[0]
+
+
+def triple_point(X: int, Y: int, P: int) -> Point:
+    """The plane point (X/P, Y/P) of an integer triple."""
+    return Fraction(X, P), Fraction(Y, P)
+
+
+def nearest_point(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
+    """``Arc.nearest`` on a Fraction point: the point as integers X/P, Y/P,
+    and the result as (parameter, squared distance)."""
+    x, y = point
+    P = math.lcm(x.denominator, y.denominator)
+    X, Y = x.numerator * (P // x.denominator), y.numerator * (P // y.denominator)
+    tn, td, dn, dd = arc.nearest(X, Y, P)
+    return Fraction(tn, td), Fraction(dn, dd)
+
+
+def tan_half_angle_circle(segments: int) -> tuple[Point, ...]:
+    """``continuum._circle_polyline`` in Fractions: the points
+    (2u, u² − 1)/(1 + u²) at u = −1 + 2k/segments, k = 0..segments."""
+    pts = []
+    for k in range(segments + 1):
+        u = Fraction(-1) + Fraction(2 * k, segments)
+        den = 1 + u * u
+        pts.append((2 * u / den, (u * u - 1) / den))
+    return tuple(pts)
 
 
 def scan_nearest(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:

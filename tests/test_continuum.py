@@ -29,10 +29,12 @@ from conftest import (
     dist2_pp,
     embed_point,
     identity_homeo,
+    nearest_point,
     polyline_point,
     scan_arcs_at,
     scan_nearest,
     scan_sub_polyline,
+    tan_half_angle_circle,
 )
 
 
@@ -98,6 +100,9 @@ class TestEmbedding:
         for x, y in arc.polyline:
             assert x * x + y * y == 1
             assert y <= 0
+
+    def test_circle_polyline_is_the_tan_half_angle_points(self):
+        assert continuum._circle_polyline() == tan_half_angle_circle(CIRCLE_SEGMENTS)
 
     def test_circle_position_error_within_tolerance(self):
         # every polyline point lies within 1e-3 of the true circle
@@ -208,6 +213,11 @@ class TestSubPolylineAgainstScan:
                         arc.id, t0, t1
                     )
 
+    @pytest.mark.parametrize("M", [1, 3, 8])
+    def test_whole_range_is_the_arcs_own_polyline(self, M):
+        for arc in build_arc_model(M).arcs:
+            assert arc.sub_polyline(F(0), F(1)) is arc.polyline, arc.id
+
 
 class TestDistances:
     def test_same_point_zero(self):
@@ -279,16 +289,16 @@ class TestNearestAgainstScan:
     def test_query_points(self, arc_id):
         arc = build_arc_model(3).arc(arc_id)
         for p in _query_points(arc, random.Random(arc_id)):
-            assert arc.nearest(p) == scan_nearest(arc, p), p
+            assert nearest_point(arc, p) == scan_nearest(arc, p), p
 
     def test_mirror_ties_go_to_the_lower_segment(self):
         # (0, 0) is equidistant from chords 31 and 32, the widest ones
         arc = build_arc_model(1).arc("circle")
-        t, d2 = arc.nearest((F(0), F(0)))
+        t, d2 = nearest_point(arc, (F(0), F(0)))
         assert F(31, 64) < t < F(1, 2)
         assert (t, d2) == scan_nearest(arc, (F(0), F(0)))
         # above the chord ends the two endpoints tie; t = 0 wins
-        assert arc.nearest((F(0), F(3))) == (F(0), F(10))
+        assert nearest_point(arc, (F(0), F(3))) == (F(0), F(10))
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -301,7 +311,7 @@ class TestNearestAgainstScan:
         arc = build_arc_model(2).arc(arc_id)
         x, y = arc.embed(t)
         p = (x + dx, y + dy)
-        assert arc.nearest(p) == scan_nearest(arc, p)
+        assert nearest_point(arc, p) == scan_nearest(arc, p)
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(
@@ -318,7 +328,7 @@ class TestNearestAgainstScan:
         poly = tuple((F(x), F(y)) for x, y in zip(xs, heights))
         arc = Arc("a", "p", "q", "segment", poly, F(1), F(1))
         p = (F(px), F(py))
-        assert arc.nearest(p) == scan_nearest(arc, p)
+        assert nearest_point(arc, p) == scan_nearest(arc, p)
 
     def test_projection_count_near_the_circle(self, monkeypatch):
         calls = []
@@ -336,7 +346,7 @@ class TestNearestAgainstScan:
             x, y = arc.embed(F(rng.randrange(0, 4097), 4096))
             dx, dy = _offsets(rng, F(1, 100))
             calls.clear()
-            arc.nearest((x + dx, y + dy))
+            nearest_point(arc, (x + dx, y + dy))
             worst = max(worst, len(calls))
         assert 1 <= worst <= 16
 
@@ -379,14 +389,14 @@ class TestOwnPoints:
     def test_point_is_its_own_nearest_at_vertices(self, M, arc_id):
         arc = MODELS[M].arc(arc_id)
         for t in _vertex_params(arc):
-            assert arc.nearest(arc.embed(t)) == (t, 0), t
+            assert nearest_point(arc, arc.embed(t)) == (t, 0), t
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.sampled_from(MODEL_ARCS), st.fractions(0, 1, max_denominator=10**6))
     def test_point_is_its_own_nearest(self, case, t):
         M, arc_id = case
         arc = MODELS[M].arc(arc_id)
-        assert arc.nearest(arc.embed(t)) == (t, 0)
+        assert nearest_point(arc, arc.embed(t)) == (t, 0)
 
     @pytest.mark.parametrize("M, arc_id", MODEL_ARCS)
     def test_dist2_at_vertices_and_midpoints(self, M, arc_id):

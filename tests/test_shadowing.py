@@ -74,6 +74,7 @@ from conftest import (
     fraction_shadow_on_arcs,
     identity_homeo,
     materialized_modulus,
+    nearest_point,
     orbit_membership_oracle,
     orbit_to_csv,
     orbit_window,
@@ -88,6 +89,7 @@ from conftest import (
     scan_min_separation_sq,
     semi_stable_map,
     steady_drift_orbit,
+    triple_point,
     verify_pseudo_orbit,
     verify_pseudo_orbit_y_sq,
 )
@@ -1209,7 +1211,7 @@ class TestReducedSetWitnesses:
     @given(arc_orbits())
     def test_every_point_verifies(self, case):
         arc, fa, targets, eps, u = case
-        nearest = [arc.nearest(p) for p in targets]
+        nearest = [nearest_point(arc, p) for p in targets]
         eps_rem = eps - sqrt_enclosure(max(d2 for _, d2 in nearest))[1]
         assert eps_rem > 0
         orbit = PseudoOrbit(tuple(t for t, _ in nearest), 0)
@@ -1298,7 +1300,9 @@ class TestOneCandidate:
         calls = []
         nearest, verify = Arc.nearest, shadowing._verified_arc_shadow
         monkeypatch.setattr(
-            Arc, "nearest", lambda arc, p: calls.append(("n", p)) or nearest(arc, p)
+            Arc,
+            "nearest",
+            lambda arc, *a: calls.append(("n", triple_point(*a))) or nearest(arc, *a),
         )
         monkeypatch.setattr(
             shadowing, "_verified_arc_shadow", lambda *a: calls.append(("v",)) or verify(*a)
@@ -1314,7 +1318,7 @@ class TestOneCandidate:
         for orbit in orbits:
             targets = [embed_point(m, p) for p in orbit.points]
             for arc in m.arcs:
-                d2s = [nearest(arc, p)[1] for p in targets]
+                d2s = [nearest_point(arc, p)[1] for p in targets]
                 far = next((i for i, d2 in enumerate(d2s) if d2 >= eps * eps), None)
                 firsts_far.add(far)
                 stop = len(targets) if far is None else far + 1
@@ -1338,7 +1342,7 @@ class TestOneCandidate:
         cert = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
         calls = []
         nearest = Arc.nearest
-        monkeypatch.setattr(Arc, "nearest", lambda arc, p: calls.append(p) or nearest(arc, p))
+        monkeypatch.setattr(Arc, "nearest", lambda arc, *a: calls.append(a) or nearest(arc, *a))
         assert sample_certificate_soundness(m, g, cert, trials=80, seed=5) == []
         assert len(calls) == 819
 
@@ -1350,13 +1354,35 @@ class TestOneCandidate:
         counts = collections.Counter()
         nearest = Arc.nearest
         monkeypatch.setattr(
-            Arc, "nearest", lambda arc, p: counts.update([(arc.id, p)]) or nearest(arc, p)
+            Arc,
+            "nearest",
+            lambda arc, *a: counts.update([(arc.id, triple_point(*a))]) or nearest(arc, *a),
         )
         assert shadow_on_arcs(m, g, orbit, F(1, 16), m.arcs) is None
         assert {aid for aid, _ in counts} == set(m.arc_ids())
         # the orbit visits the origin four times; each visit is one target
         occurs = collections.Counter(embed_point(m, p) for p in orbit.points)
         assert [key for key, n in counts.items() if n > occurs[key[1]]] == []
+
+
+class TestIntegerProjection:
+    """The arc search projects and compares each orbit point in integers:
+    the Fractions it makes do not grow with the orbit."""
+
+    def test_fractions_made_are_the_same_at_window_12_and_24(self):
+        # points on h2, v3 and h1 near their branch point b3; the witness arc
+        # h1 projects every point on h2 and v3
+        m = build_arc_model(3)
+        g = build_arcwise_map(m, 2)
+        cycle = [("h2", 0, 1), ("v3", 1, 64), ("h1", 63, 64), ("h2", 1, 128)]
+        runs = [
+            count_fractions(
+                shadowing._search_arcs, m, g, [cycle[i % 4] for i in range(L)], F(1, 16), m.arcs
+            )
+            for L in (12, 24)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == YPoint("h1", F(245, 256))
 
 
 @st.composite
