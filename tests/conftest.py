@@ -949,18 +949,22 @@ def count_fractions(fn, *args):
     return result, made[0]
 
 
+def point_triple(point: Point) -> tuple[int, int, int]:
+    """A plane point (x, y) as integers (X, Y, W) with x = X/W, y = Y/W."""
+    x, y = point
+    w = math.lcm(x.denominator, y.denominator)
+    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
+
+
 def triple_point(X: int, Y: int, P: int) -> Point:
     """The plane point (X/P, Y/P) of an integer triple."""
     return Fraction(X, P), Fraction(Y, P)
 
 
 def nearest_point(arc: Arc, point: Point) -> tuple[Fraction, Fraction]:
-    """``Arc.nearest`` on a Fraction point: the point as integers X/P, Y/P,
-    and the result as (parameter, squared distance)."""
-    x, y = point
-    P = math.lcm(x.denominator, y.denominator)
-    X, Y = x.numerator * (P // x.denominator), y.numerator * (P // y.denominator)
-    tn, td, dn, dd = arc.nearest(X, Y, P)
+    """``Arc.nearest`` on a Fraction point: the point as integers
+    (``point_triple``), and the result as (parameter, squared distance)."""
+    tn, td, dn, dd = arc.nearest(*point_triple(point))
     return Fraction(tn, td), Fraction(dn, dd)
 
 

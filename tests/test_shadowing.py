@@ -78,6 +78,7 @@ from conftest import (
     orbit_membership_oracle,
     orbit_to_csv,
     orbit_window,
+    point_triple,
     polyline_point,
     pullback_shadowing_set,
     random_fat_map,
@@ -1219,16 +1220,9 @@ class TestReducedSetWitnesses:
         if s.is_empty:
             return
         lo, hi = s.interval
-        triples = [_triple(p) for p in targets]
+        triples = [point_triple(p) for p in targets]
         for y in (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, lo + (hi - lo) * u):
             assert _verified_arc_shadow(arc, fa, y, triples, eps), (arc.id, y)
-
-
-def _triple(point) -> tuple[int, int, int]:
-    """A plane point (x, y) as integers (X, Y, W) with x = X/W, y = Y/W."""
-    x, y = point
-    w = lcm(x.denominator, y.denominator)
-    return x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w
 
 
 # rational unit vectors, which place a target exactly epsilon away
@@ -1283,7 +1277,7 @@ class TestOneCheck:
     @given(check_cases())
     def test_equals_fraction_check(self, case):
         arc, fa, y, targets, eps, exact = case
-        ok = _verified_arc_shadow(arc, fa, y, [_triple(p) for p in targets], eps)
+        ok = _verified_arc_shadow(arc, fa, y, [point_triple(p) for p in targets], eps)
         assert ok == fraction_arc_check(arc, fa, y, targets, eps)
         assert ok or not exact
 
