@@ -28,7 +28,9 @@ cross-multiplying pairs.  There is no common scale, so no integer the
 walks form grows with the number of distinct denominators.  ``compose``
 walks the two lists by runs: a run of one list inside one piece of the
 other copies its own coordinate and sends the other through that piece,
-and only a point where the lists meet can be pruned.  ``c0_distance``
+and only a point where the lists meet can be pruned.  Each walk has one
+run body, whatever the run's length: ``_gallop`` ends the run, and the
+piece's affine form is built once for it.  ``c0_distance``
 cuts the longer list into blocks of 16 pieces and samples both maps at
 the block ends; as both maps increase, the gap on a block [u, v] is at
 most max(a(v) − b(u), b(v) − a(u)), so its ``_sup_gap`` walks, by runs
@@ -415,9 +417,9 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
 
     Both lists are in lowest terms, so a point is coincident when its
     pairs are equal; other abscissae are ordered by cross-multiplying.  A
-    run's end is found by stepping ``_LINEAR`` points, then by
-    ``_gallop``; a one-point run is sent through its piece without
-    slicing.  The walk builds no Fraction and no inverse: the result holds
+    run's end is found by ``_gallop`` from the run's first point, and a
+    one-point run takes the same slice and loop as a longer one.  The
+    walk builds no Fraction and no inverse: the result holds
     only its integer form, and its Fraction tuples are built when first
     read.  O(output + runs · log run length) operations, a coincident
     point counting as a run.
@@ -453,70 +455,38 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
             j += 1
         elif un * td < tn * ud:
             # g's values i, ..., e − 1 lie inside f's piece k, before t
-            e = i + 1
-            stop = i + _LINEAR
-            while gun[e] * td < tn * gud[e]:
-                if e == stop:
-                    e = _gallop(gun, gud, e, tn, td, glast, _LINEAR)
-                    break
-                e += 1
+            e = _gallop(gun, gud, i, tn, td, glast, 1)
             k = j - 1
             p, q, r, s, a, b = fun[k], fud[k], fyn[k], fyd[k], fsn[k], fsd[k]
             al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
-            if e == i + 1:
-                n, d = al * un + be * ud, ga * ud
+            xn += gxn[i:e]
+            xd += gxd[i:e]
+            for m in range(i, e):
+                slopes.append(lowest[cn, cd])
+                cn, cd = a * gsn[m], b * gsd[m]
+                ud = gud[m]
+                n, d = al * gun[m] + be * ud, ga * ud
                 c = gcd(n, d)
-                xn.append(gxn[i])
-                xd.append(gxd[i])
                 yn.append(n // c)
                 yd.append(d // c)
-                slopes.append(lowest[cn, cd])
-                cn, cd = a * gsn[i], b * gsd[i]
-            else:
-                xn += gxn[i:e]
-                xd += gxd[i:e]
-                for m in range(i, e):
-                    slopes.append(lowest[cn, cd])
-                    cn, cd = a * gsn[m], b * gsd[m]
-                    ud = gud[m]
-                    n, d = al * gun[m] + be * ud, ga * ud
-                    c = gcd(n, d)
-                    yn.append(n // c)
-                    yd.append(d // c)
             i = e
         else:
             # f's breakpoints j, ..., e − 1 lie inside g's piece k, before u;
             # g⁻¹'s piece k has the slope b/a
-            e = j + 1
-            stop = j + _LINEAR
-            while fun[e] * ud < un * fud[e]:
-                if e == stop:
-                    e = _gallop(fun, fud, e, un, ud, flast, _LINEAR)
-                    break
-                e += 1
+            e = _gallop(fun, fud, j, un, ud, flast, 1)
             k = i - 1
             p, q, r, s, a, b = gun[k], gud[k], gxn[k], gxd[k], gsd[k], gsn[k]
             al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
-            if e == j + 1:
-                n, d = al * tn + be * td, ga * td
+            yn += fyn[j:e]
+            yd += fyd[j:e]
+            for m in range(j, e):
+                slopes.append(lowest[cn, cd])
+                cn, cd = fsn[m] * b, fsd[m] * a
+                td = fud[m]
+                n, d = al * fun[m] + be * td, ga * td
                 c = gcd(n, d)
                 xn.append(n // c)
                 xd.append(d // c)
-                yn.append(fyn[j])
-                yd.append(fyd[j])
-                slopes.append(lowest[cn, cd])
-                cn, cd = fsn[j] * b, fsd[j] * a
-            else:
-                yn += fyn[j:e]
-                yd += fyd[j:e]
-                for m in range(j, e):
-                    slopes.append(lowest[cn, cd])
-                    cn, cd = fsn[m] * b, fsd[m] * a
-                    td = fud[m]
-                    n, d = al * fun[m] + be * td, ga * td
-                    c = gcd(n, d)
-                    xn.append(n // c)
-                    xd.append(d // c)
             j = e
     xn.append(gxn[-1])
     xd.append(gxd[-1])
@@ -542,16 +512,12 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // c, d // c
 
 
-# compose steps this many points along a run before it gallops to the
-# run's end; on the inputs of tools/compose_shapes.py, 2 to 32 steps timed
-# alike within the machine's noise, and none was better than 8
-_LINEAR = 8
-
-
 def _gallop(vn, vd, lo: int, tn: int, td: int, last: int, step: int) -> int:
     """The least e > lo with v[e] >= t = tn/td, for a strictly increasing
     list v with v[lo] < t <= v[last]: steps that start at ``step`` and
-    double, then a bisection.  Abscissae are compared by cross-multiplying."""
+    double, then a bisection.  Abscissae are compared by cross-multiplying.
+    The run walks and ``_clip`` start at step 1, so a one-point run costs
+    one comparison; ``_sup_gap`` starts at its previous block end's stride."""
     hi = min(lo + step, last)
     while vn[hi] * td < tn * vd[hi]:
         lo, step = hi, 2 * step
@@ -668,12 +634,10 @@ def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int
     A coincident point compares the stored values.  Else the lower of a[i]
     and b[j] starts a run of its list inside one piece of the other, which
     ``_gallop`` ends at the other's next point or, for a run of a, at the
-    block end.  The piece's (α, β, γ) is built once per run, as in
-    ``compose``, and each run point's stored value is compared with
-    (α·tn + β·td)/(γ·td); a one-point run is interpolated on the piece
-    directly, which takes fewer products than building (α, β, γ).  As
-    |a − b| is symmetric, a run of either list goes through one body, with
-    the lists swapped.
+    block end.  The piece's (α, β, γ) is built once per run, a one-point
+    run included, as in ``compose``, and each run point's stored value is
+    compared with (α·tn + β·td)/(γ·td).  As |a − b| is symmetric, a run of
+    either list goes through one body, with the lists swapped.
     """
     axn, axd, ayn, ayd = a[:4]
     bxn, bxd, byn, byd = b[:4]
@@ -704,15 +668,6 @@ def _walk_block(a, b, i, j, end, jend, top_n: int, top_d: int) -> tuple[int, int
             run, piece, m0, k, j = b, a, j, i - 1, e
         xn, xd, yn, yd, sn, sd = piece
         p, q, r, s, g, h = xn[k], xd[k], yn[k], yd[k], sn[k], sd[k]
-        if e == m0 + 1:
-            # one point, interpolated directly
-            tn, td, pn, pd = run[0][m0], run[1][m0], run[2][m0], run[3][m0]
-            m = q * td * h
-            qd = s * m
-            n, d = abs(pn * qd - (r * m + s * g * (tn * q - p * td)) * pd), pd * qd
-            if n * top_d > top_n * d:
-                top_n, top_d = n, d
-            continue
         al, be, ga = g * s * q, r * q * h - p * g * s, s * q * h
         # the run's own abscissae and stored values
         xn, xd, yn, yd = run[:4]

@@ -1,9 +1,9 @@
 """The package defines no public name or method used nowhere or only by
-tests and no uncalled private one, its functions read every parameter and
-have no default that every call site overrides, its core computes without
-floating point, no flag reads with int(), every name it loads is bound in
-its module, the value classes share one ``__init__``, and every source
-file parses as Python 3.10."""
+tests, no uncalled private one and no module-level name it never reads,
+its functions read every parameter and have no default that every call
+site overrides, its core computes without floating point, no flag reads
+with int(), every name it loads is bound in its module, the value classes
+share one ``__init__``, and every source file parses as Python 3.10."""
 
 import argparse
 import ast
@@ -107,6 +107,49 @@ def test_an_unused_import_hides_no_test_only_definition(tmp_path, monkeypatch):
     monkeypatch.setitem(globals(), "SRC", tmp_path)
     assert _named_only_in_own_definition([user], public=True) == ["rational.py:format_rational"]
     assert _unused_imports(user) == ["2: format_rational"]
+
+
+def _unread_constants() -> list[str]:
+    """``file:name`` for each name that a module-level assignment in
+    ``SRC`` binds and that no module there loads, bare, as
+    ``module.name`` or in a string annotation."""
+    loaded = collections.Counter()
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        for n in (n for t in (tree, *_annotations(tree)) for n in ast.walk(t)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded[n.id] += 1
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                if ast.unparse(n.value).split(".")[-1] in MODULES:
+                    loaded[n.attr] += 1
+    return [
+        f"{p.name}:{target.id}"
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.parse(p.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not loaded[target.id]
+    ]
+
+
+def test_every_module_constant_is_read():
+    # the definition scans see defs, classes and imports; a constant that
+    # only a deleted branch read would pass them
+    unread = _unread_constants()
+    assert unread == [], f"module-level names that src/ never loads: {unread}"
+
+
+def test_constant_scan_sees_a_constant_no_module_reads(tmp_path, monkeypatch):
+    # names read bare, off a module of the package or in a string
+    # annotation are kept; one that no module loads is flagged, annotated
+    # or not
+    (tmp_path / "plmap.py").write_text(
+        "_STEP = 8\n_BLOCK = 16\nSIZE = 4\nPair = tuple[int, int]\n_TOP: int = 2\n"
+        "def walk(n) -> 'Pair':\n    return n * _BLOCK\n"
+    )
+    (tmp_path / "cantor.py").write_text("from . import plmap\nWIDTH = plmap.SIZE\n")
+    monkeypatch.setitem(globals(), "SRC", tmp_path)
+    assert _unread_constants() == ["cantor.py:WIDTH", "plmap.py:_STEP", "plmap.py:_TOP"]
 
 
 def _attributes(tree) -> list[str]:

@@ -769,7 +769,8 @@ def check_ints(*maps: PLHomeo) -> None:
             assert g._ints == fraction_ints(g)
 
 
-LINEAR = plmap._LINEAR
+# the run lengths of the walk tests are multiples and neighbours of this
+LINEAR = 8
 
 
 def check_compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
@@ -817,7 +818,8 @@ def lattice_map(rng: random.Random, n: int, den: int) -> PLHomeo:
                    tuple(F(y, den) for y in [0, *ys, den]))
 
 
-# around the linear step count, and past its first gallop step
+# across the gallop's first doublings: its probes end runs of 1, 3, 7 and
+# 15 points, and its bisections the lengths between
 RUN_SIZES = (1, 2, LINEAR - 1, LINEAR, LINEAR + 1, LINEAR + 2, 2 * LINEAR + 1, 5 * LINEAR)
 
 

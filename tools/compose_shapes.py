@@ -1,4 +1,4 @@
-"""Time ``plmap.compose`` and ``plmap.c0_distance`` on the shapes of the
+"""Time ``plmap.compose`` and the uniform distance on the shapes of the
 ``deep`` operation and on interleaved worst cases, in-process, in this tree
 or against a second checkout.
 
@@ -7,40 +7,48 @@ Usage, from anywhere::
     python tools/compose_shapes.py                 # this tree alone
     python tools/compose_shapes.py OTHER_CHECKOUT  # this tree against another
 
+Each row is marked ``deep`` or ``synthetic``.  A ``deep`` row times a call
+that ``perfbench/worker.py``'s ``deep_op`` makes, on its inputs; a
+``synthetic`` row times a shape that no workload and no subcommand
+produces, a worst case for the run walks.  Synthetic rows are reported,
+and a change is judged on the ``deep`` rows.
+
 The ``deep`` inputs are built from ``perfbench/run.py``'s
 ``op_specs("deep", seed, OPS)`` for seeds 1 to SEEDS, imported and not
 edited, with f₉ the depth-9 ternary map (3071 breakpoints).  Per coordinate
-change A (6 breakpoints) the script times the four compositions of
-``perfbench/worker.py``'s ``deep_op``:
+change A (6 breakpoints), with g = A∘f₉∘A⁻¹, h the coordinate change of
+``build_conjugacy(g, 4)`` and t the depth-3 ternary map, the ``deep`` rows
+are:
 
-- f₉∘A⁻¹: long runs of f₉'s breakpoints inside one piece of A⁻¹;
-- A∘inner, with inner = f₉∘A⁻¹: long runs of inner's values inside one
-  piece of A;
-- g∘g⁻¹, with g = A∘inner: every point coincident, and pruned;
-- h∘g, with h the coordinate change of ``build_conjugacy(g, 4)``.
+- ``compose`` f₉∘A⁻¹: long runs of f₉'s breakpoints inside one piece of A⁻¹;
+- ``compose`` A∘inner, with inner = f₉∘A⁻¹: long runs of inner's values
+  inside one piece of A;
+- ``compose`` g∘g⁻¹: every point coincident, and pruned;
+- ``compose`` t∘h: ``build_conjugacy``'s own composition;
+- ``c0_distance`` (g, f₉);
+- ``_composite_c0_distance`` (h, g, t∘h): ``build_conjugacy``'s residual,
+  the distance of h∘g from t∘h without building h∘g.
 
-The interleaved worst cases have one- and two-point runs:
+The synthetic rows have one- and two-point runs:
 
-- f₉∘f₉;
-- f₉∘g, for each g above;
-- two random maps of RANDOM_POINTS breakpoints with denominators
-  10⁶ + 3 and 2²⁰, seeded by RANDOM_SEED, composed both ways round.
+- ``compose`` f₉∘f₉, and f₉∘g for each g above;
+- ``c0_distance`` (f₉, f₉), where no block is skipped;
+- ``compose`` and ``c0_distance`` on pairs of random maps of RANDOM_POINTS
+  breakpoints with denominators 10⁶ + 3 and 2²⁰, one pair per seed 1 to
+  RANDOM_SEEDS, each taken both ways round.
 
-``c0_distance`` is timed on the ``deep`` operation's pair (g, f₉), on the
-residual pair (h∘g, t∘h) of ``build_conjugacy(g, 4)`` with t the depth-3
-ternary map, on (f₉, f₉), where no block is skipped, and on the random pair
-both ways round.
-
-Each input pair is timed REPEAT times and keeps its best; the script
-prints, per shape, the median over its pairs in milliseconds.  Given the
-path of a second checkout, it loads that checkout's ``src/continua`` under
-the package name ``continua_other``, hands it the same maps (rebuilt from
-their JSON), and times the two trees alternately on each pair.  It then
-prints both medians and, over the pairs, the median and range of this
-tree's best time divided by the other's.  One process is the point: on a
-shared machine the medians of one tree can move by 2× between processes,
-so a small ratio cannot be read from two separate runs.  Standard library
-only.
+Each input is timed REPEAT times and keeps its best; the script prints,
+per shape, the median over its inputs in milliseconds.  Given the path of a
+second checkout, it loads that checkout's ``src/continua`` under the
+package name ``continua_other``, hands it the same maps (rebuilt from
+their JSON), and times the two trees in turn on each input, the first
+alternating per repeat.  It then prints both medians and, over the
+inputs, the median and range of this tree's best time divided by the
+other's.  One process is the point: on a shared machine the medians of
+one tree can move by 2× between processes, so a small ratio cannot be
+read from two separate runs.  With 20 random inputs per shape, two trees
+holding the same ``plmap.py`` read the random rows at 1.00 ± 0.01.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ from run import op_specs  # noqa: E402
 from worker import DEEP_LEVELS  # noqa: E402
 
 SEEDS, OPS, REPEAT = 5, 4, 15
-RANDOM_POINTS, RANDOM_SEED = 3000, 1
+RANDOM_POINTS, RANDOM_SEEDS = 3000, 10
 
 
 def random_map(rng: random.Random, n: int, den: int) -> plmap.PLHomeo:
@@ -74,14 +82,16 @@ def random_map(rng: random.Random, n: int, den: int) -> plmap.PLHomeo:
                          tuple(Fraction(y, den) for y in [0, *ys, den]))
 
 
-def shapes() -> dict[tuple[str, str], list[tuple[plmap.PLHomeo, plmap.PLHomeo]]]:
-    """The (f, g) pairs of each (function, shape), for ``compose(f, g)`` or
-    ``c0_distance(f, g)``."""
+def shapes() -> dict[tuple[str, str, str], list[tuple[plmap.PLHomeo, ...]]]:
+    """The argument tuples of each (kind, function, shape), for
+    ``plmap.<function>(*args)``; kind is ``deep`` or ``synthetic``."""
     f9 = cantor.build_ternary_map(DEEP_LEVELS)
     t = cantor.build_ternary_map(3)
-    pairs: dict[tuple[str, str], list] = {("compose", name): [] for name in (
-        "f9∘A⁻¹", "A∘inner", "g∘g⁻¹", "h∘g", "f9∘f9", "f9∘g", "random")}
-    pairs.update({("c0_distance", name): [] for name in ("g, f9", "h∘g, t∘h", "f9, f9", "random")})
+    rows = [("deep", "compose", name) for name in ("f9∘A⁻¹", "A∘inner", "g∘g⁻¹", "t∘h")]
+    rows += [("deep", "c0_distance", "g, f9"), ("deep", "_composite_c0_distance", "h, g, t∘h")]
+    rows += [("synthetic", "compose", name) for name in ("f9∘f9", "f9∘g", "random")]
+    rows += [("synthetic", "c0_distance", name) for name in ("f9, f9", "random")]
+    args: dict[str, list] = {name: [] for _, _, name in rows}
     for seed in range(1, SEEDS + 1):
         for spec in op_specs("deep", seed, OPS):
             A = plmap.PLHomeo.from_json(spec["A"])
@@ -89,21 +99,21 @@ def shapes() -> dict[tuple[str, str], list[tuple[plmap.PLHomeo, plmap.PLHomeo]]]
             inner = plmap.compose(f9, A_inv)
             g = plmap.compose(A, inner)
             h = cantor.build_conjugacy(g, 4).h
-            pairs["compose", "f9∘A⁻¹"].append((f9, A_inv))
-            pairs["compose", "A∘inner"].append((A, inner))
-            pairs["compose", "g∘g⁻¹"].append((g, plmap.invert(g)))
-            pairs["compose", "h∘g"].append((h, g))
-            pairs["compose", "f9∘g"].append((f9, g))
-            pairs["c0_distance", "g, f9"].append((g, f9))
-            pairs["c0_distance", "h∘g, t∘h"].append((plmap.compose(h, g), plmap.compose(t, h)))
-    pairs["compose", "f9∘f9"].append((f9, f9))
-    pairs["c0_distance", "f9, f9"].append((f9, f9))
-    rng = random.Random(RANDOM_SEED)
-    a = random_map(rng, RANDOM_POINTS, 10**6 + 3)
-    b = random_map(rng, RANDOM_POINTS, 2**20)
-    pairs["compose", "random"] += [(a, b), (b, a)]
-    pairs["c0_distance", "random"] += [(a, b), (b, a)]
-    return pairs
+            args["f9∘A⁻¹"].append((f9, A_inv))
+            args["A∘inner"].append((A, inner))
+            args["g∘g⁻¹"].append((g, plmap.invert(g)))
+            args["t∘h"].append((t, h))
+            args["g, f9"].append((g, f9))
+            args["h, g, t∘h"].append((h, g, plmap.compose(t, h)))
+            args["f9∘g"].append((f9, g))
+    args["f9∘f9"].append((f9, f9))
+    args["f9, f9"].append((f9, f9))
+    for seed in range(1, RANDOM_SEEDS + 1):
+        rng = random.Random(seed)
+        a = random_map(rng, RANDOM_POINTS, 10**6 + 3)
+        b = random_map(rng, RANDOM_POINTS, 2**20)
+        args["random"] += [(a, b), (b, a)]
+    return {row: args[row[2]] for row in rows}
 
 
 def load_other(checkout: Path):
@@ -159,13 +169,14 @@ def report_stages(names: tuple[str, ...], best: list[list[list[float]]]) -> None
 
 
 def best_ms(*calls) -> list[float]:
-    """The best of REPEAT times of each (fn, f, g) call ``fn(f, g)``, the
-    calls taking turns."""
+    """The best of REPEAT times of each (fn, args) call ``fn(*args)``, the
+    calls taking turns, the first alternating."""
     runs: list[list[float]] = [[] for _ in calls]
-    for _ in range(REPEAT):
-        for (fn, f, g), times in zip(calls, runs):
+    turns = list(zip(calls, runs))
+    for r in range(REPEAT):
+        for (fn, args), times in (turns if r % 2 == 0 else reversed(turns)):
             start = time.perf_counter()
-            fn(f, g)
+            fn(*args)
             times.append(time.perf_counter() - start)
     return [min(times) * 1e3 for times in runs]
 
@@ -175,12 +186,13 @@ def main() -> int:
     parser.add_argument("other", nargs="?", type=Path,
                         help="a second checkout, timed against this tree in this process")
     args = parser.parse_args()
-    pairs = shapes()
-    print(f"best of {REPEAT} per pair, median ms over the pairs")
+    rows = shapes()
+    print(f"best of {REPEAT} per input, median ms over the inputs")
     if args.other is None:
-        for (fn, name), shape in pairs.items():
-            times = [best_ms((getattr(plmap, fn), f, g))[0] for f, g in shape]
-            print(f"  {fn:<11} {name:<9} {statistics.median(times):8.2f}  n = {len(shape)}")
+        for (kind, fn, name), inputs in rows.items():
+            times = [best_ms((getattr(plmap, fn), maps))[0] for maps in inputs]
+            print(f"  {kind:<9} {fn:<22} {name:<9} {statistics.median(times):8.2f}"
+                  f"  n = {len(inputs)}")
         return 0
     other = load_other(args.other.resolve())
     copies: dict[int, object] = {}
@@ -191,14 +203,15 @@ def main() -> int:
         return copies[id(f)]
 
     print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
-    print(f"  {'':<21} {'this':>8} {'other':>8}  this/other (range)")
-    for (fn, name), shape in pairs.items():
-        times = [best_ms((getattr(plmap, fn), f, g), (getattr(other, fn), copy(f), copy(g)))
-                 for f, g in shape]
+    print(f"  {'':<42} {'this':>8} {'other':>8}  this/other (range)")
+    for (kind, fn, name), inputs in rows.items():
+        times = [best_ms((getattr(plmap, fn), maps),
+                         (getattr(other, fn), tuple(map(copy, maps))))
+                 for maps in inputs]
         ratios = [ours / theirs for ours, theirs in times]
-        print(f"  {fn:<11} {name:<9} {statistics.median(t[0] for t in times):8.2f} "
+        print(f"  {kind:<9} {fn:<22} {name:<9} {statistics.median(t[0] for t in times):8.2f} "
               f"{statistics.median(t[1] for t in times):8.2f}  {statistics.median(ratios):.2f} "
-              f"({min(ratios):.2f}–{max(ratios):.2f})  n = {len(shape)}")
+              f"({min(ratios):.2f}–{max(ratios):.2f})  n = {len(inputs)}")
     return 0
 
 
