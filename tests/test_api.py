@@ -113,22 +113,22 @@ def _unread_constants() -> list[str]:
     """``file:name`` for each name that a module-level assignment in
     ``SRC`` binds and that no module there loads, bare, as
     ``module.name`` or in a string annotation."""
-    loaded = collections.Counter()
+    loaded = set()
     for p in sorted(SRC.glob("*.py")):
         tree = ast.parse(p.read_text())
         for n in (n for t in (tree, *_annotations(tree)) for n in ast.walk(t)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                loaded[n.id] += 1
+                loaded.add(n.id)
             elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 if ast.unparse(n.value).split(".")[-1] in MODULES:
-                    loaded[n.attr] += 1
+                    loaded.add(n.attr)
     return [
         f"{p.name}:{target.id}"
         for p in sorted(SRC.glob("*.py"))
         for node in ast.parse(p.read_text()).body
         if isinstance(node, (ast.Assign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(target, ast.Name) and not loaded[target.id]
+        if isinstance(target, ast.Name) and target.id not in loaded
     ]
 
 
