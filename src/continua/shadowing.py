@@ -258,9 +258,8 @@ def estimate_shadowing_modulus(
     Scans the grid epsilon / 2^j (``GRID_LEVELS`` levels) from the top
     down and returns 0 when even the smallest value fails.  Trial t draws
     its start once, from seed * 1_000_003 + 2t, and seeds its orbit one
-    higher at every level.  Each trial runs on f's integer kernel
-    (``_shadowed_trial``): the orbit it steps and folds is the one
-    ``generate_pseudo_orbit`` draws from the same start and seed over the
+    higher at every level.  A trial's orbit is the one
+    ``generate_pseudo_orbit`` draws from that start and seed over the
     window (0, ``ORBIT_LENGTH``), and the verdict is whether its
     ``shadowing_set`` is non-empty.  A lower-confidence empirical stand-in
     for the true modulus.  Orbits depend only on (map, delta, start, seed),
@@ -272,12 +271,14 @@ def estimate_shadowing_modulus(
     fixes, so every trial at level 0 is shadowed: the scan returns epsilon
     before it draws a start or builds a ``Random``.
 
-    Each call picks its path from its input: the trials run on one integer
-    scale fixed for the whole call (``_one_scale_table``, then
+    Each call picks how it decides a trial from its input: in integers on
+    one scale fixed for the whole call (``_one_scale_table``, then
     ``_one_scale_trial``) when the lcm M of the kernel's γ is at most
-    2^32 and f has at most trials·``ORBIT_LENGTH`` pieces, and on a scale
-    that grows step by step (``_shadowed_trial``) otherwise.  Both give
-    the same verdict on every trial, so the path changes no value.
+    2^32 and f has at most trials·``ORBIT_LENGTH`` pieces, and by the
+    definition otherwise: ``generate_pseudo_orbit``, then ``_forward_fold``
+    on f's kernel, whose image is empty exactly when the shadowing set is.
+    Both give the same verdict on every trial, so the choice changes no
+    value.
     """
     epsilon = positive(epsilon, "epsilon")
     if trials < 1:
@@ -288,29 +289,34 @@ def estimate_shadowing_modulus(
     draws = (random.Random(base + 2 * t).getrandbits for t in range(trials))
     starts = [_below(bits, NOISE_GRID + 1) for bits in draws]
     table = _one_scale_table(f, epsilon, trials)
+    lo, hi = f.domain
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j
         if all(
-            _shadowed_trial(f, epsilon, delta, k, base + 2 * t + 1)
-            if table is None
-            else _one_scale_trial(table, delta, k, base + 2 * t + 1)
+            _one_scale_trial(table, delta, k, base + 2 * t + 1)
+            if table is not None
+            else _forward_fold(f, generate_pseudo_orbit(
+                f, delta, (0, ORBIT_LENGTH), lo + (hi - lo) * Fraction(k, NOISE_GRID),
+                base + 2 * t + 1).points, epsilon) is not None
             for t, k in enumerate(starts)
         ):
             return delta
     return Fraction(0)
 
 
-# The one-scale path's bound on M, the lcm of the kernel's γ: its scale
-# has about 24·log2(M) bits.  Its modulus time over the growing scale's,
-# on the depth-3 edge-enriched map (52 pieces, 25 trials, epsilon 1/20 and
-# 1/40), was 0.82–0.85, 0.87–0.89, 0.92, 1.03 and 1.19–1.21 at M of 24,
-# 29, 39, 49 and 69 bits; the bound stays below the break-even near 45.
+# The one-scale path's bound on M, the lcm of the kernel's γ; its table is
+# O(pieces) and its scale has about 24·log2(M) bits.  Its modulus time over
+# the definition's (epsilon 1/20, 1/29 and 3/1000, seeds 1–10; x86-64,
+# Python 3.11) was 0.25–0.27 at 24 and 25 pieces and 1 trial, and 0.16–0.17
+# at M = 2^32 and 2^33.  Far past the bounds the definition is cheaper: 8
+# against 25 ms on a 200-digit explosion (M of 666 bits, 10 trials), 4
+# against 38 ms on the depth-14 map (98302 pieces, 10 trials).
 _ONE_SCALE_MAX_GAMMA = 2**32
 
 
 def _one_scale_table(f: PLHomeo, epsilon: Fraction, trials: int) -> tuple | None:
     """The per-call table of ``_one_scale_trial``: (S, cuts, pieces, LO, HI, E),
-    or None when the call keeps ``_shadowed_trial``.
+    or None when the call decides its trials by the definition.
 
     S = D0·M^ORBIT_LENGTH, with M the lcm of the kernel's γ and D0 the lcm
     of d and 1024·δ.den at the grid's smallest δ = epsilon/2^(GRID_LEVELS - 1);
@@ -323,9 +329,9 @@ def _one_scale_table(f: PLHomeo, epsilon: Fraction, trials: int) -> tuple | None
     one exact floor division.  ``cuts`` holds the interior keys times S/d,
     so the piece of X/S is ``bisect_right(cuts, X)``, and ``pieces`` holds
     (α, β·S, γ).  The table is O(pieces) and S has about 24·log2(M) bits,
-    so the call keeps the growing scale when f has more than
-    trials·``ORBIT_LENGTH`` pieces or M is above ``_ONE_SCALE_MAX_GAMMA``,
-    where that scale is the cheaper one.
+    so the call runs the definition when f has more than
+    trials·``ORBIT_LENGTH`` pieces or M is above ``_ONE_SCALE_MAX_GAMMA``:
+    far past those bounds the table costs more than the definition.
     """
     d, keys, pieces = f._kernel
     if len(pieces) > trials * ORBIT_LENGTH:
@@ -348,14 +354,18 @@ def _one_scale_table(f: PLHomeo, epsilon: Fraction, trials: int) -> tuple | None
 
 
 def _one_scale_trial(table: tuple, delta: Fraction, k: int, seed: int) -> bool:
-    """``_shadowed_trial`` on the per-call scale S of ``_one_scale_table``.
+    """Whether the seeded delta-pseudo-orbit from lo + (hi - lo)·k/NOISE_GRID
+    has a non-empty epsilon-shadowing set over (0, ``ORBIT_LENGTH``), on the
+    per-call scale S of ``_one_scale_table``.
 
-    The draws, the clamps, the fold and the first empty step are those of
-    ``_shadowed_trial``; every value is an integer over S, with the noise
-    unit U = delta.num·S/(1024·delta.den).  A step on piece (α, β·S, γ) is
-    X = (α·X + β·S) // γ, which is exact because the table's invariant
-    holds (denominators divide D0·M^i after step i), so no step takes an
-    lcm, rescales the tubes or the noise, or takes a gcd.
+    One pass steps the orbit as ``generate_pseudo_orbit`` does (one
+    ``_below`` noise draw per step, in units of delta/1024, clamped to the
+    domain) and folds the tubes as ``_forward_fold`` does, reading x0 first
+    and returning at the first empty step.  Every value is an integer over
+    S, with the noise unit U = delta.num·S/(1024·delta.den).  A step on
+    piece (α, β·S, γ) is X = (α·X + β·S) // γ, which is exact because the
+    table's invariant holds (denominators divide D0·M^i after step i), so
+    no step takes an lcm, rescales the tubes or the noise, or takes a gcd.
     """
     S, cuts, pieces, LO, HI, E = table
     U = delta.numerator * (S // (2 * NOISE_GRID * delta.denominator))
@@ -369,68 +379,6 @@ def _one_scale_trial(table: tuple, delta: Fraction, k: int, seed: int) -> bool:
         X = (ax * X + bx) // gx
         A = (aa * A + ba) // ga
         B = (ab * B + bb) // gb
-        X += (_below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1)) * U
-        X = LO if X < LO else HI if X > HI else X
-        if X - E > A:
-            A = X - E
-        if X + E < B:
-            B = X + E
-        if A > B:
-            return False
-    return True
-
-
-def _shadowed_trial(f: PLHomeo, epsilon: Fraction, delta: Fraction, k: int, seed: int) -> bool:
-    """Whether the seeded delta-pseudo-orbit from lo + (hi - lo)·k/NOISE_GRID
-    has a non-empty epsilon-shadowing set over (0, ``ORBIT_LENGTH``).
-
-    One pass steps the orbit as ``generate_pseudo_orbit`` does (one noise
-    draw per step, in units of delta/1024, clamped to the domain) and folds
-    the tubes as ``_forward_fold`` does, reading x0 first and returning at
-    the first empty step.  This is the growing-scale path of
-    ``estimate_shadowing_modulus``, for maps whose γ are too large or whose
-    pieces too many for ``_one_scale_table``: it builds no table, and its
-    scale grows only by the γ a step hits, with the gcd below keeping it
-    small when γ is huge.  Its values are the rationals that
-    ``_one_scale_trial`` carries over S, so the two give the same verdict.
-    Every value is an integer over one scale D: the
-    point X, the fold ends A and B, epsilon E, the noise unit U and the
-    domain ends.  On f's kernel, a point P/D on piece (α, β, γ) maps to
-    (α·P + β·D)/(γ·D), so each step multiplies D by the lcm L of the γ of
-    the at most three pieces it hits, and not at all when L is 1.  When L
-    is above ``plmap._REDUCE_ABOVE``, every carried integer is divided
-    by their gcd, so that pieces with huge γ covering most of the domain do
-    not grow D by γ at every step.  The noise is drawn with ``_below``, and
-    the clamps are comparisons, not ``max`` and ``min`` calls.
-    """
-    d, keys, pieces = f._kernel
-    last = len(pieces)
-    lo, hi = f.domain
-    unit = 2 * NOISE_GRID * delta.denominator
-    D = lcm(NOISE_GRID * lo.denominator, NOISE_GRID * hi.denominator, epsilon.denominator, unit)
-    LO, HI = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
-    E = epsilon.numerator * (D // epsilon.denominator)
-    U = delta.numerator * (D // unit)
-    X = (LO * (NOISE_GRID - k) + HI * k) // NOISE_GRID
-    A, B = max(LO, X - E), min(HI, X + E)
-    bits = random.Random(seed).getrandbits
-    for _ in range(ORBIT_LENGTH):
-        ax, bx, gx = pieces[bisect_right(keys, X * d // D, 0, last) - 1]
-        aa, ba, ga = pieces[bisect_right(keys, A * d // D, 0, last) - 1]
-        ab, bb, gb = pieces[bisect_right(keys, B * d // D, 0, last) - 1]
-        L = lcm(gx, ga, gb)
-        X = (ax * X + bx * D) * (L // gx)
-        A = (aa * A + ba * D) * (L // ga)
-        B = (ab * B + bb * D) * (L // gb)
-        if L > 1:
-            D *= L
-            E *= L
-            U *= L
-            LO *= L
-            HI *= L
-            if L > _REDUCE_ABOVE:
-                r = gcd(X, A, B, D, E, U, LO, HI)
-                X, A, B, D, E, U, LO, HI = (v // r for v in (X, A, B, D, E, U, LO, HI))
         X += (_below(bits, _NOISE_WIDTH) - (NOISE_GRID - 1)) * U
         X = LO if X < LO else HI if X > HI else X
         if X - E > A:

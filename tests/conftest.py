@@ -558,7 +558,7 @@ def materialized_modulus(f: PLHomeo, epsilon: Fraction, trials: int, seed: int) 
     """The sampled modulus on ``Fraction``s, with every orbit built in full
     by ``generate_pseudo_orbit`` before its shadowing set is decided: the
     same grid, starts and seeds as ``estimate_shadowing_modulus``, whose
-    integer trials it checks."""
+    integer trial and integer fold it checks."""
     lo, hi = f.domain
     for j in range(GRID_LEVELS):
         delta = epsilon / 2**j

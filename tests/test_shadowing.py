@@ -7,7 +7,7 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 from unittest import mock
 
 import pytest
@@ -116,7 +116,7 @@ orbit_settings = settings(max_examples=200, derandomize=True, database=None, dea
 def noise_recording_random(draws: list) -> type:
     """A ``Random`` whose ``getrandbits`` appends each word that
     ``_below(bits, 2·NOISE_GRID − 1)`` accepts: one noise draw per step of
-    either modulus trial."""
+    the integer modulus trial."""
 
     class Recording(random.Random):
         def getrandbits(self, k):
@@ -128,11 +128,6 @@ def noise_recording_random(draws: list) -> type:
     return Recording
 
 
-def growing_trial(f, eps, delta, k, seed):
-    """The modulus trial whose scale grows by the γ each step hits."""
-    return shadowing._shadowed_trial(f, eps, delta, k, seed)
-
-
 def one_scale_trial(f, eps, delta, k, seed):
     """The modulus trial on its per-call table, built whatever the piece count."""
     table = shadowing._one_scale_table(f, eps, len(f._kernel[2]))
@@ -140,8 +135,7 @@ def one_scale_trial(f, eps, delta, k, seed):
     return shadowing._one_scale_trial(table, delta, k, seed)
 
 
-both_trials = pytest.mark.parametrize("trial", [growing_trial, one_scale_trial],
-                                      ids=["growing", "one_scale"])
+one_scale = pytest.mark.parametrize("trial", [one_scale_trial], ids=["one_scale"])
 
 
 def zigzag_map(n: int):
@@ -392,8 +386,9 @@ class TestModulus:
 class TestLazyModulus:
     """The sampled modulus equals the one that builds every orbit with
     ``generate_pseudo_orbit`` and decides it by its full shadowing set, on
-    either side of the bounds that pick its trial, and neither the fold nor
-    either integer trial reads a point past its first empty step."""
+    either side of the bounds that pick the integer trial or the
+    definition, and neither the fold nor the integer trial reads a point
+    past its first empty step."""
 
     def check(self, f, epsilons, trial_counts=(5,), seeds=(1, 4, 9)):
         for eps in epsilons:
@@ -436,12 +431,18 @@ class TestLazyModulus:
 
     def test_scale_stays_small_on_a_200_digit_explosion(self, monkeypatch):
         # pieces whose γ has about 666 bits cover most of the domain: without
-        # the gcd, the scale would gain that many bits at each of 24 steps
+        # the gcd in _kernel_step, the fold's ends would gain that many bits
+        # at each of 24 steps
         f = explode_fixed_point(identity(), F(1, 2), F(1, 2) - F(1, 10**200), Orientation.R)
         sizes = []
-        monkeypatch.setattr(
-            shadowing, "gcd", lambda *a: sizes.append(max(v.bit_length() for v in a)) or gcd(*a)
-        )
+        step = shadowing._kernel_step
+
+        def recorded(kernel, N, Q):
+            out = step(kernel, N, Q)
+            sizes.append(max(v.bit_length() for v in (N, Q, *out)))
+            return out
+
+        monkeypatch.setattr(shadowing, "_kernel_step", recorded)
         modulus = estimate_shadowing_modulus(f, F(1, 20), 10, 1)
         monkeypatch.undo()
         assert modulus == materialized_modulus(f, F(1, 20), 10, 1)
@@ -466,11 +467,14 @@ class TestLazyModulus:
         M = lcm(*[g for _, _, g in pieces])
         assert len(pieces) in (ORBIT_LENGTH, ORBIT_LENGTH + 1) or M in (2**32, 2**33)
         assert (len(pieces) <= trials * ORBIT_LENGTH and M <= 2**32) is one_scale
-        grown = []
-        trial = shadowing._shadowed_trial
-        monkeypatch.setattr(shadowing, "_shadowed_trial", lambda *a: grown.append(a) or trial(*a))
+        # Past either bound, each trial builds its orbit by the definition
+        # (conftest's oracle holds its own reference, so it is not counted).
+        built = []
+        generate = shadowing.generate_pseudo_orbit
+        monkeypatch.setattr(shadowing, "generate_pseudo_orbit",
+                            lambda *a: built.append(a) or generate(*a))
         self.check(f, (F(1, 20), F(1, 29), F(3, 1000)), (trials,))
-        assert bool(grown) is not one_scale
+        assert bool(built) is not one_scale
 
     def test_one_scale_holds_every_value_of_a_trial(self):
         # after step i, every point, image and tube end of a grid-delta orbit
@@ -491,8 +495,8 @@ class TestLazyModulus:
                     assert all((v * S).denominator == 1 for v in values), (f, eps, j, seed)
 
     def test_one_scale_takes_a_fixed_number_of_lcms(self, monkeypatch):
-        # the growing scale takes an lcm per trial and per step; the one
-        # scale takes two per call, for M and D0
+        # the one scale takes two lcms per call, for M and D0, and none per
+        # trial or per step
         f = build_ternary_map(3)  # 52 pieces
         counts = []
         for trials in (3, 10):
@@ -504,8 +508,9 @@ class TestLazyModulus:
         assert counts == [2, 2]
 
     def test_each_call_picks_its_trial_by_the_bounds(self, monkeypatch):
+        # past either bound, a trial builds its orbit by the definition
         ran = collections.Counter()
-        for name in ("_shadowed_trial", "_one_scale_trial"):
+        for name in ("generate_pseudo_orbit", "_one_scale_trial"):
             trial = getattr(shadowing, name)
             monkeypatch.setattr(
                 shadowing, name, lambda *a, n=name, t=trial: ran.update([n]) or t(*a)
@@ -513,15 +518,15 @@ class TestLazyModulus:
         explosion = explode_fixed_point(identity(), F(1, 2), F(1, 2) - F(1, 10**200),
                                         Orientation.R)
         for f, trials, path in (
-            (explosion, 10, "_shadowed_trial"),  # M of about 666 bits
-            (build_ternary_map(9), 5, "_shadowed_trial"),  # 3070 pieces > 5·24
+            (explosion, 10, "generate_pseudo_orbit"),  # M of about 666 bits
+            (build_ternary_map(9), 5, "generate_pseudo_orbit"),  # 3070 pieces > 5·24
             (build_ternary_map(3), 10, "_one_scale_trial"),
         ):
             ran.clear()
             estimate_shadowing_modulus(f, F(1, 20), trials, 1)
             assert set(ran) == {path}
 
-    @both_trials
+    @one_scale
     def test_trial_decides_the_shadowing_set_of_its_orbit(self, monkeypatch, trial):
         # deltas up to 16·epsilon make orbits that are empty from their
         # first step; starts 0 and 512 are clamped at lo and at hi
@@ -546,16 +551,12 @@ class TestLazyModulus:
                 first_empty.add(shadowing_set(f, PseudoOrbit(orbit.points[:2], 0), eps).is_empty)
         assert outcomes == first_empty == {True, False}
         assert clamped == {F(0), F(1), F(-3, 2), F(5, 7)}
-        if trial is growing_trial:
-            # some steps keep the scale, others grow it
-            assert min(scales) == 1 < max(scales)
-        else:
-            # two lcms per table, M then D0, and none per step; M is 1 on
-            # some maps and above 1 on others
-            assert len(scales) == 2 * 160
-            assert min(scales[::2]) == 1 < max(scales[::2])
+        # two lcms per table, M then D0, and none per step; M is 1 on some
+        # maps and above 1 on others
+        assert len(scales) == 2 * 160
+        assert min(scales[::2]) == 1 < max(scales[::2])
 
-    @both_trials
+    @one_scale
     def test_trial_stops_at_the_first_empty_step(self, monkeypatch, trial):
         # counts the accepted noise draws, one per step taken; from the
         # domain's ends, jumps of up to 2·epsilon clamp the orbit at lo or

@@ -31,6 +31,13 @@ REPEAT runs, and the script prints the median over the operations of each
 stage and of their sum, in milliseconds, with each stage's share.  Times
 are wall times of this process on whatever machine runs it.
 
+Per workload, it also counts how this tree's modulus calls decide their
+trials, by wrapping ``shadowing._one_scale_table`` from outside: a call
+whose table is built runs the one-scale integer trial, and a call whose
+table is None runs the definition (``generate_pseudo_orbit``, then the
+fold).  A call whose epsilon covers the domain builds no table and is
+counted in neither.  The count is taken on one run of each operation.
+
 Given the path of a second checkout, the script loads that checkout's
 ``src/continua`` under the package name ``continua_other`` (with
 ``tools/compose_shapes.py``'s loader), checks that every operation writes
@@ -45,6 +52,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import sys
 import tempfile
@@ -104,12 +112,28 @@ class Tree:
         return seconds + [total - sum(seconds)], (code, bundle.read_bytes())
 
 
+def count_paths() -> collections.Counter:
+    """A counter of this tree's modulus calls, by how they decide their
+    trials, kept up to date by wrapping ``shadowing._one_scale_table``."""
+    paths = collections.Counter()
+    table = shadowing._one_scale_table
+
+    def counted(*args):
+        result = table(*args)
+        paths["definition" if result is None else "one-scale"] += 1
+        return result
+
+    shadowing._one_scale_table = counted
+    return paths
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", type=Path,
                         help="a second checkout, timed against this tree in this process")
     args = parser.parse_args()
     trees = [Tree(cli, shadowing)]
+    paths = count_paths()
     if args.other is not None:
         load_other(args.other.resolve())
         trees.append(Tree(importlib.import_module("continua_other.cli"),
@@ -121,11 +145,14 @@ def main() -> int:
             ops = [cli_args(workload, spec, run_dir, bundle)
                    for seed in range(1, SEEDS + 1)
                    for spec in op_specs(workload, seed, op_count(workload, SECONDS))]
+            paths.clear()
             for i, argv in enumerate(ops):
                 outputs = {tree.run(argv, bundle)[1] for tree in trees}
                 if len(outputs) > 1:
                     sys.exit(f"the other tree writes another bundle on {workload} op {i}")
-            print(f"{workload}: {len(ops)} ops, best of {REPEAT}, median ms per op")
+            print(f"{workload}: {len(ops)} ops; modulus calls: {paths['one-scale']} on the "
+                  f"one-scale table, {paths['definition']} by the definition")
+            print(f"{workload}: best of {REPEAT}, median ms per op")
             report_stages(NAMES, best_stages(
                 len(trees), len(ops), REPEAT, lambda t, i: trees[t].run(ops[i], bundle)[0]))
     return 0
