@@ -295,15 +295,9 @@ class PLHomeo(_Frozen):
     def _inverse(self) -> "PLHomeo":
         # Swapping the lists keeps them canonical: two adjacent slopes are
         # equal exactly where their reciprocals are.  The inverse shares
-        # self's integer tuples, and whichever Fraction tuples self has
-        # built, swapped, and does not point back at self.
-        xn, xd, yn, yd, sn, sd = self._ints
-        inv = _trusted((yn, yd, xn, xd, sd, sn), self.domain)
-        built = self.__dict__
-        for mine, theirs in (("breakpoints", "values"), ("values", "breakpoints")):
-            if mine in built:
-                object.__setattr__(inv, theirs, built[mine])
-        return inv
+        # self's integer tuples, swapped, builds its own Fraction tuples when
+        # first read, and does not point back at self.
+        return _trusted(_swapped(self._ints), self.domain)
 
     @cached_property
     def _structure(self) -> tuple[OrientedInterval, ...]:
@@ -402,8 +396,11 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     breakpoints, copied as a slice, and sends its values through that
     piece.  A run of f's breakpoints strictly inside one piece of g keeps
     f's values, copied, and sends its breakpoints through g⁻¹'s piece (g's
-    lists swapped, with the slope inverted).  On a piece from p/q with
-    value r/s and slope a/b, the image of t = tn/td is
+    lists swapped, with the slope inverted).  Both go through one run
+    body, as in ``_walk_block``: each side's roles, a run's lists and a
+    piece's lists with the output's slope factor (f's slope, or g's), are
+    tuples fixed once per call, and the branch only picks the side.  On a
+    piece from p/q with value r/s and slope a/b, the image of t = tn/td is
     (α·tn + β·td)/(γ·td) with α = a·s·q, β = r·q·b − p·a·s and γ = s·q·b,
     built once per run and reduced by one gcd per point.
 
@@ -419,16 +416,23 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
     pairs are equal; other abscissae are ordered by cross-multiplying.  A
     run's end is found by ``_gallop`` from the run's first point, and a
     one-point run takes the same slice and loop as a longer one.  The
-    walk builds no Fraction and no inverse: the result holds
-    only its integer form, and its Fraction tuples are built when first
-    read.  O(output + runs · log run length) operations, a coincident
-    point counting as a run.
+    walk builds no Fraction and no inverse: the result holds only its
+    integer form, and its Fraction tuples are built when first read.
+    O(output + runs · log run length) operations, a coincident point
+    counting as a run.
     """
     if f.domain != g.domain:
         raise DomainError(f"domain mismatch: [{f.lo}, {f.hi}] vs [{g.lo}, {g.hi}]")
     gxn, gxd, gun, gud, gsn, gsd = g._ints
     fun, fud, fyn, fyd, fsn, fsd = f._ints
     xn, xd, yn, yd = [gxn[0]], [gxd[0]], [fyn[0]], [fyd[0]]
+    # a run side: its abscissae, kept coordinates and slopes, the lists it
+    # keeps into and the lists its images go to
+    g_run = gun, gud, gxn, gxd, gsn, gsd, xn, xd, yn, yd
+    f_run = fun, fud, fyn, fyd, fsn, fsd, yn, yd, xn, xd
+    # a piece side: its (p, q, r, s, a, b) and the output product's slope factor
+    f_piece = fun, fud, fyn, fyd, fsn, fsd, fsn, fsd
+    g_inv_piece = gun, gud, gxn, gxd, gsd, gsn, gsn, gsd
     # the lowest terms of each output piece's slope
     slopes = []
     lowest = _Lowest()
@@ -451,43 +455,30 @@ def compose(f: PLHomeo, g: PLHomeo) -> PLHomeo:
                 yd.append(fyd[j])
                 slopes.append(lowest[cn, cd])
                 cn, cd = rn, rd
-            i += 1
-            j += 1
-        elif un * td < tn * ud:
-            # g's values i, ..., e − 1 lie inside f's piece k, before t
+            i, j = i + 1, j + 1
+            continue
+        if un * td < tn * ud:
+            # g's values i, ..., e − 1 lie inside f's piece j − 1, before t
             e = _gallop(gun, gud, i, tn, td, glast, 1)
-            k = j - 1
-            p, q, r, s, a, b = fun[k], fud[k], fyn[k], fyd[k], fsn[k], fsd[k]
-            al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
-            xn += gxn[i:e]
-            xd += gxd[i:e]
-            for m in range(i, e):
-                slopes.append(lowest[cn, cd])
-                cn, cd = a * gsn[m], b * gsd[m]
-                ud = gud[m]
-                n, d = al * gun[m] + be * ud, ga * ud
-                c = gcd(n, d)
-                yn.append(n // c)
-                yd.append(d // c)
-            i = e
+            run, piece, m0, k, i = g_run, f_piece, i, j - 1, e
         else:
-            # f's breakpoints j, ..., e − 1 lie inside g's piece k, before u;
-            # g⁻¹'s piece k has the slope b/a
+            # f's breakpoints j, ..., e − 1 lie inside g⁻¹'s piece i − 1, before u
             e = _gallop(fun, fud, j, un, ud, flast, 1)
-            k = i - 1
-            p, q, r, s, a, b = gun[k], gud[k], gxn[k], gxd[k], gsd[k], gsn[k]
-            al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
-            yn += fyn[j:e]
-            yd += fyd[j:e]
-            for m in range(j, e):
-                slopes.append(lowest[cn, cd])
-                cn, cd = fsn[m] * b, fsd[m] * a
-                td = fud[m]
-                n, d = al * fun[m] + be * td, ga * td
-                c = gcd(n, d)
-                xn.append(n // c)
-                xd.append(d // c)
-            j = e
+            run, piece, m0, k, j = f_run, g_inv_piece, j, i - 1, e
+        pxn, pxd, pyn, pyd, psn, psd, wn, wd = piece
+        p, q, r, s, a, b, w, v = pxn[k], pxd[k], pyn[k], pyd[k], psn[k], psd[k], wn[k], wd[k]
+        al, be, ga = a * s * q, r * q * b - p * a * s, s * q * b
+        vn, vd, kn, kd, rsn, rsd, into_n, into_d, out_n, out_d = run
+        into_n += kn[m0:e]
+        into_d += kd[m0:e]
+        for m in range(m0, e):
+            slopes.append(lowest[cn, cd])
+            cn, cd = w * rsn[m], v * rsd[m]
+            td = vd[m]
+            n, d = al * vn[m] + be * td, ga * td
+            c = gcd(n, d)
+            out_n.append(n // c)
+            out_d.append(d // c)
     xn.append(gxn[-1])
     xd.append(gxd[-1])
     yn.append(fyn[-1])

@@ -1088,17 +1088,6 @@ class TestLazyTuples:
         assert compose(f, g)._kernel == built._kernel == fraction_kernel(h)
         assert invert(compose(f, g))._kernel == invert(built)._kernel == fraction_kernel(invert(h))
 
-    def test_inverse_takes_the_built_tuples_swapped(self):
-        f = build_ternary_map(2)
-        inv = invert(f)
-        assert inv.breakpoints is f.values and inv.values is f.breakpoints
-        h = compose(f, f)
-        assert not {"breakpoints", "values"} & invert(h).__dict__.keys()
-        k = compose(h, f)
-        k.values
-        assert invert(k).breakpoints is k.values
-        assert "values" not in invert(k).__dict__
-
     def test_repr_reads_back(self):
         h = compose(canonical_r(0, 1), canonical_l(0, 1))
         assert eval(repr(h), {"PLHomeo": PLHomeo, "Fraction": F}) == h

@@ -40,14 +40,18 @@ The synthetic rows have one- and two-point runs:
 Each input is timed REPEAT times and keeps its best; the script prints,
 per shape, the median over its inputs in milliseconds.  Given the path of a
 second checkout, it loads that checkout's ``src/continua`` under the
-package name ``continua_other``, hands it the same maps (rebuilt from
-their JSON), and times the two trees in turn on each input, the first
-alternating per repeat.  It then prints both medians and, over the
+package name ``continua_other``.  It rebuilds every input map once from
+its JSON, hands both trees maps that wrap the same integer form (by each
+tree's ``_trusted``), and times the two trees in turn on each input, the
+first alternating per repeat.  It then prints both medians and, over the
 inputs, the median and range of this tree's best time divided by the
 other's.  One process is the point: on a shared machine the medians of
 one tree can move by 2× between processes, so a small ratio cannot be
-read from two separate runs.  With 20 random inputs per shape, two trees
-holding the same ``plmap.py`` read the random rows at 1.00 ± 0.01.
+read from two separate runs.  Two trees holding the same ``plmap.py``
+read every row at 1.00 ± 0.02.  Handing each tree its own copy of the
+integers is not neutral: the rows with f₉ as the outer map read
+1.02–1.04 with a JSON copy per tree, and 0.97–0.98 with the script's own
+maps against JSON copies, from the integers' layout in memory alone.
 Standard library only.
 """
 
@@ -195,18 +199,23 @@ def main() -> int:
                   f"  n = {len(inputs)}")
         return 0
     other = load_other(args.other.resolve())
-    copies: dict[int, object] = {}
+    copies: dict[int, tuple] = {}
 
-    def copy(f: plmap.PLHomeo):
-        if id(f) not in copies:
-            copies[id(f)] = other.PLHomeo.from_json(f.to_json())
-        return copies[id(f)]
+    def rebuilt(maps: tuple[plmap.PLHomeo, ...], tree: int) -> tuple:
+        # each map rebuilt once from its JSON, and both trees wrap the same
+        # integer form: neither times the objects that shapes() built, and
+        # neither reads integers laid out in memory differently
+        for f in maps:
+            if id(f) not in copies:
+                mine = plmap.PLHomeo.from_json(f.to_json())
+                copies[id(f)] = mine, other._trusted(mine._ints, mine.domain)
+        return tuple(copies[id(f)][tree] for f in maps)
 
     print(f"this tree: {ROOT}\nother:     {args.other.resolve()}")
     print(f"  {'':<42} {'this':>8} {'other':>8}  this/other (range)")
     for (kind, fn, name), inputs in rows.items():
-        times = [best_ms((getattr(plmap, fn), maps),
-                         (getattr(other, fn), tuple(map(copy, maps))))
+        times = [best_ms((getattr(plmap, fn), rebuilt(maps, 0)),
+                         (getattr(other, fn), rebuilt(maps, 1)))
                  for maps in inputs]
         ratios = [ours / theirs for ours, theirs in times]
         print(f"  {kind:<9} {fn:<22} {name:<9} {statistics.median(t[0] for t in times):8.2f} "

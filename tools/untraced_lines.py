@@ -10,7 +10,8 @@ The script runs ``pytest.main`` in its own interpreter under a line tracer
 that records only frames whose code lives in ``src/continua``.  It then
 prints ``file:line: statement`` for each statement of the package's
 syntax tree that never ran, and stays silent about the statements nested
-inside it.  Docstrings are not statements that run, so they are skipped.
+inside it.  Docstrings and ``global`` and ``nonlocal`` declarations emit
+no line event, so they are skipped.
 
 Tests that run the CLI in a fresh interpreter (``subprocess``) are not
 traced: a line that only they reach is listed.  Line tracing makes the
@@ -49,7 +50,7 @@ def _untraced(parent: ast.AST, ran: set[int]):
     """
     for field in ("body", "orelse", "finalbody", "handlers"):
         for node in getattr(parent, field, ()):
-            if _is_docstring(node, parent):
+            if _is_docstring(node, parent) or isinstance(node, (ast.Global, ast.Nonlocal)):
                 continue
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", ())])
             if ran.isdisjoint(range(first, node.end_lineno + 1)):
