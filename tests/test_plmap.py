@@ -1023,6 +1023,10 @@ class TestLazyTuples:
         xs = h.breakpoints
         assert "breakpoints" in h.__dict__ and "values" not in h.__dict__
         assert h.breakpoints is xs
+        # the inverse wraps the swapped integer form and builds its own tuples
+        inv = invert(h)
+        assert not {"breakpoints", "values"} & inv.__dict__.keys()
+        assert inv.values == xs
 
     @algebra_settings
     @given(walk_maps(), walk_maps())

@@ -48,7 +48,8 @@ inputs, the median and range of this tree's best time divided by the
 other's.  One process is the point: on a shared machine the medians of
 one tree can move by 2× between processes, so a small ratio cannot be
 read from two separate runs.  Two trees holding the same ``plmap.py``
-read every row at 1.00 ± 0.02.  Handing each tree its own copy of the
+read every row at 0.98–1.02, and the one-input (f₉, f₉) row at up to
+1.03.  Handing each tree its own copy of the
 integers is not neutral: the rows with f₉ as the outer map read
 1.02–1.04 with a JSON copy per tree, and 0.97–0.98 with the script's own
 maps against JSON copies, from the integers' layout in memory alone.
