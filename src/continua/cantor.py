@@ -18,12 +18,11 @@ On top of that construction this module provides:
   integer keys: every endpoint scaled by the lcm of the endpoint
   denominators).  One builder makes a table from a sequence of intervals
   and the domain's ends, reading each end from the integer pair that its
-  interval holds, and one table serves each interval sequence: the list
-  entry (``best_chain_quality``) and the map entry (a map's cached
-  intervals) share a one-entry memo, so the list of a map's intervals and
-  the map's decisions build one table between them.  The map keeps its
-  table, so repeated decisions on one map only rescan it, and the
-  threshold of a ternary map is read from it;
+  interval holds.  A map keeps the table of its own intervals, built on
+  first use, so repeated decisions on one map only rescan it, and the
+  threshold of a ternary map is read from it; the list
+  ``wandering_intervals(f)`` leads back to that table while it still holds
+  f's intervals;
 * greedy inductive conjugacy building against the ternary template, with
   an exact residual; it compares interval widths on the same table's keys,
   takes the residual without composing h∘g, and builds the template once
@@ -48,13 +47,13 @@ from .plmap import (
     OrientedInterval,
     PLHomeo,
     _Frozen,
+    _MapIntervals,
     _composite_c0_distance,
     _gaps,
     _generator_points,
     compose,
     fixed_set,
     identity,
-    wandering_intervals,
 )
 from .rational import positive, rational_to_json
 
@@ -197,7 +196,7 @@ def _chain_table(
     max(later gaps, trailing margin) from i (``_chain_sweep``).  Each end
     is read from its interval's reduced pair, so no ``Fraction`` is built
     or read, and scaling by d keeps every comparison exact.  It builds a
-    new table on every call; ``_shared_chain_table`` is its memo."""
+    new table on every call; a map keeps its own (``_map_chain_table``)."""
     ends = [iv._ends for iv in ivs]
     an, ad, bn, bd = zip(*ends) if ends else ((),) * 4
     dens = {*ad, *bd}
@@ -231,8 +230,7 @@ def _chain_sweep(a: list[int], b: list[int], orient: list[Orientation], top: int
     holds only j >= i + 2; j = i + 1 is tested directly and pushed after
     fwd[i] is known, because a touching i + 1 must not evict a candidate
     that is valid for i.  The loop takes its minima and maxima with plain
-    comparisons, not ``min``/``max`` calls.  It runs once per table, and
-    ``_shared_chain_table`` builds one table per interval sequence.
+    comparisons, not ``min``/``max`` calls.  It runs once per table.
     """
     n = len(a)
     fwd = [0] * n
@@ -281,40 +279,14 @@ def _chain_sweep(a: list[int], b: list[int], orient: list[Orientation], top: int
     return fwd
 
 
-# the last chain table built: (its intervals, lo, hi, table)
-_last_table: tuple = ((), None, None, None)
-
-
-def _shared_chain_table(
-    ivs: Sequence[OrientedInterval], lo: tuple[int, int], hi: tuple[int, int]
-) -> _Table:
-    """``_chain_table`` behind a one-entry memo that both entries share,
-    the list's (``best_chain_quality``) and the map's
-    (``_map_chain_table``): the same interval objects, in the same order,
-    on equal domain ends get the last table built; anything else builds a
-    table and replaces the entry.  The entry keeps a tuple of the
-    intervals, so a caller may change its list afterwards, and keeps each
-    interval alive, so no other object takes its identity; an interval is
-    immutable, so the same objects have the same ends."""
-    global _last_table
-    seen, seen_lo, seen_hi, table = _last_table
-    if len(seen) == len(ivs) and seen_lo == lo and seen_hi == hi and all(map(is_, seen, ivs)):
-        return table
-    table = _chain_table(ivs, lo, hi)
-    _last_table = (tuple(ivs), lo, hi, table)
-    return table
-
-
 def _map_chain_table(f: PLHomeo) -> _Table:
     """The chain table of f's cached wandering intervals on f's domain,
-    whose ends are read from f's integer form; taken on first use from
-    ``_shared_chain_table``, so a table just built for the list of f's
-    intervals is not built again, and kept on f next to its intervals.
-    Its readers do not change it."""
+    whose ends are read from f's integer form; built on first use and kept
+    on f next to its intervals.  Its readers do not change it."""
     table = f.__dict__.get("_chain_table")
     if table is None:
         xn, xd = f._ints[:2]
-        table = _shared_chain_table(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
+        table = _chain_table(f._structure, (xn[0], xd[0]), (xn[-1], xd[-1]))
         object.__setattr__(f, "_chain_table", table)
     return table
 
@@ -326,11 +298,21 @@ def best_chain_quality(
 
     ``ivs`` must be sorted and pairwise disjoint (else ValueError).  None
     when there is no R interval to start a chain.  The minimum is taken over
-    the integer table of ``_shared_chain_table``, so the list of a map's
-    intervals (``wandering_intervals(f)``) builds the table that the map's
-    decisions then read; only the result is a ``Fraction``.
+    an integer chain table; only the result is a ``Fraction``.  The list
+    ``wandering_intervals(f)`` reads f's kept table while it holds f's own
+    interval objects, in f's order, and ``lo`` and ``hi`` are f's domain
+    ends; any other list builds its own table.
     """
-    table = _shared_chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
+    f = ivs.map if isinstance(ivs, _MapIntervals) else None
+    if (
+        f is not None
+        and (lo, hi) == f.domain
+        and len(ivs) == len(f._structure)
+        and all(map(is_, ivs, f._structure))
+    ):
+        table = _map_chain_table(f)
+    else:
+        table = _chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio())
     a, b = table[3:5]
     if any(bi > ai for bi, ai in zip(b, a[1:])):
         raise ValueError("wandering intervals must be sorted and pairwise disjoint")
@@ -362,7 +344,7 @@ def check_chain_property(f: PLHomeo, epsilon: Fraction) -> ChainWitness | None:
     witness's quality from the table's keys of the chosen links.
     """
     epsilon = positive(epsilon, "epsilon")
-    ivs = wandering_intervals(f)
+    ivs = f._structure
     d, start, top, a, b, orient, fwd = _map_chain_table(f)
     q, bound = epsilon.denominator, epsilon.numerator * d
     links: list[int] = []
@@ -443,7 +425,7 @@ def build_conjugacy(g: PLHomeo, depth: int) -> ConjugacyReport:
     # sorted and disjoint, so the intervals inside a gap form one index
     # range of both endpoint key lists of the table kept on g; a width is
     # b − a over the table's scale d
-    ivs = wandering_intervals(g)
+    ivs = g._structure
     d, start, top, a, b, orient, _ = _map_chain_table(g)
 
     picks: list[tuple[int, TernaryIndex]] = []

@@ -801,12 +801,23 @@ def fixed_set(f: PLHomeo) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(*u), Fraction(*v)) for u, v in gaps]
 
 
+class _MapIntervals(list):
+    """The list ``wandering_intervals(f)`` returns: a plain list that also
+    remembers f as ``map``."""
+
+    __slots__ = ("map",)
+
+
 def wandering_intervals(f: PLHomeo) -> list[OrientedInterval]:
     """Complement components of the fixed set, tagged R (f > id) or L (f < id).
 
-    A fresh list, copied from the walk's tuple cached on f.
+    A fresh list, copied from the walk's tuple cached on f.  It remembers
+    f, so ``cantor.best_chain_quality`` reads the chain table kept on f
+    while the list still holds f's own intervals, in f's order.
     """
-    return list(f._structure)
+    ivs = _MapIntervals(f._structure)
+    ivs.map = f
+    return ivs
 
 
 def _generator_points(a: Fraction, b: Fraction, orientation: Orientation) -> tuple[tuple, tuple]:

@@ -825,7 +825,7 @@ def _search_arcs(
     0.  Squared distances stay integer pairs, compared with epsilon squared
     by cross-multiplying, so the Fractions an arc makes (its ranking key,
     the worst distance's root and the candidate) do not grow with the
-    orbit.  An arc stops at the first point epsilon or more away.
+    orbit.  An arc stops at the first point more than epsilon away.
     Otherwise it checks the midpoint of the exact shadowing set at the
     tolerance left after the projection margin, else the projected start,
     exactly in ambient distance.  Every point of a non-empty reduced set
@@ -850,7 +850,7 @@ def _search_arcs(
         wn, wd = 0, 1  # the largest squared distance so far
         for i in range(len(points)):
             tn, td, dn, dd = project(arc, i) if i else first
-            if dn * ed >= en * dd:
+            if dn * ed > en * dd:
                 break
             if dn * wd > wn * dd:
                 wn, wd = dn, dd

@@ -655,7 +655,7 @@ def fraction_shadow_on_arcs(
         worst_d2 = Fraction(0)
         for i in range(len(points)):
             t, d2 = project(arc, i) if i else first
-            if d2 >= eps_sq:
+            if d2 > eps_sq:
                 break
             proj.append(t)
             worst_d2 = max(worst_d2, d2)

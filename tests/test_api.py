@@ -1,6 +1,6 @@
 """The package defines no public name or method used nowhere or only by
 tests, no uncalled private one and no module-level name it never reads,
-its functions read every parameter and have no default that every call
+no function rebinds a module-level name, its functions read every parameter and have no default that every call
 site overrides, its core computes without floating point, no flag reads
 with int(), every name it loads is bound in its module, the value classes
 share one ``__init__``, and every source file parses as Python 3.10."""
@@ -137,6 +137,29 @@ def test_every_module_constant_is_read():
     # only a deleted branch read would pass them
     unread = _unread_constants()
     assert unread == [], f"module-level names that src/ never loads: {unread}"
+
+
+def _global_statements(paths: list[Path]) -> list[str]:
+    """``file:line: names`` for each ``global`` statement in ``paths``."""
+    return [
+        f"{p.name}:{node.lineno}: {', '.join(node.names)}"
+        for p in paths
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+
+
+def test_no_function_rebinds_a_module_name():
+    # a rebound module name is state that outlives the call that set it;
+    # what a call keeps for later lives on the object it is about
+    found = _global_statements(sorted(SRC.glob("*.py")))
+    assert found == [], f"global statements in src/: {found}"
+
+
+def test_global_scan_sees_a_rebinding_function(tmp_path):
+    path = tmp_path / "cantor.py"
+    path.write_text("_last = None\n\n\ndef remember(x):\n    global _last\n    _last = x\n")
+    assert _global_statements([path]) == ["cantor.py:5: _last"]
 
 
 def test_constant_scan_sees_a_constant_no_module_reads(tmp_path, monkeypatch):

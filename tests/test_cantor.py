@@ -432,15 +432,16 @@ def count_tables(monkeypatch) -> list[int]:
 
 
 def fresh_optimum(ivs, lo=F(0), hi=F(1)) -> F | None:
-    """The optimum of a table built afresh, past the memo."""
+    """The optimum of a table built afresh, past any map's kept table."""
     return cantor._table_optimum(_chain_table(ivs, lo.as_integer_ratio(), hi.as_integer_ratio()))
 
 
 class TestChainTableCache:
-    """One table per interval sequence: the list of a map's intervals and
-    the map's decisions share it through a one-entry memo, and the map
-    keeps it.  Each test that counts builds starts from maps it builds
-    itself, so no memo entry of another test can serve it."""
+    """One table per map: the map keeps it, and the list of a map's
+    intervals reads it while the list holds the map's own interval objects,
+    in order, on the map's domain ends.  Any other list builds its own
+    table.  Each test that counts builds starts from maps it builds itself,
+    so no table kept by another test's map can serve it."""
 
     def test_two_decisions_build_one_table(self, monkeypatch):
         # the calls of one benchmark op: the list optimum, both decisions
@@ -464,6 +465,11 @@ class TestChainTableCache:
         assert best_chain_quality(fs) == expected[0] == literal_chain_quality(fs)
         assert cantor._map_chain_table(g) == expected[1]
         assert built == [len(fs), len(gs)]
+        # f's list holding g's intervals is not f's list, though it is equal
+        mixed = wandering_intervals(f)
+        mixed[:] = gs
+        assert best_chain_quality(mixed) == expected[0]
+        assert built == [len(fs), len(gs), len(gs)]
 
     def test_other_domain_ends_build_afresh(self, monkeypatch):
         ivs = wandering_intervals(build_ternary_map(2))
@@ -509,11 +515,23 @@ class TestChainTableCache:
         built = count_tables(monkeypatch)
         for ivs, table in ((fs, ft), (gs, gt), (fs, ft)):
             assert best_chain_quality(ivs) == cantor._table_optimum(table)
-        # the last list call was f's, so f's map table is the memo's
+        # each list read its own map's kept table, built once
         assert cantor._map_chain_table(f) == ft
         assert cantor._map_chain_table(g) == gt
         assert cantor._map_chain_table(f) == ft
-        assert built == [len(fs), len(gs), len(fs), len(gs)]
+        assert built == [len(fs), len(gs)]
+
+    def test_a_slice_of_the_map_list_builds_its_own_table(self, monkeypatch):
+        f = ternary_conjugate(3)
+        ivs = wandering_intervals(f)
+        assert isinstance(ivs, list) and ivs == list(f._structure)
+        part = ivs[1:]
+        expected = fresh_optimum(part)
+        built = count_tables(monkeypatch)
+        assert best_chain_quality(part) == expected == literal_chain_quality(part)
+        assert "_chain_table" not in vars(f)
+        assert best_chain_quality(ivs) == cantor._table_optimum(cantor._map_chain_table(f))
+        assert built == [len(part), len(ivs)]
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_witness_reads_integer_ends(self, domain):

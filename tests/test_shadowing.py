@@ -958,6 +958,21 @@ class TestCertificates:
         ):
             quasi_attractor_certificate(m, g, "h2", F(1, 10), 10, 1)
 
+    @pytest.mark.parametrize(
+        "sep_sq, delta",
+        [(F(1, 480) ** 2, F(1, 960)), (F(1, 480) ** 2 + F(1, 10**12), F(1, 480))],
+        ids=["tie at delta1/6", "above delta1/6"],
+    )
+    def test_grid_delta_is_strictly_below_the_separation(self, monkeypatch, sep_sq, delta):
+        # the certificate of test_pinned_certificate_values (delta1 = 1/80)
+        # with its separation replaced: the grid's first level is
+        # delta1/6 = 1/480, and a tie with it must step down one level
+        m = build_arc_model(2)
+        g = YHomeo({a.id: edge_enriched_map(2, F(1, 32768)) for a in m.arcs})
+        monkeypatch.setattr(shadowing, "_min_separation_sq", lambda *a: sep_sq)
+        cert = quasi_attractor_certificate(m, g, "h2", F(1, 10), trials=40, seed=11)
+        assert (cert.delta1, cert.delta) == (F(1, 80), delta)
+
     def test_generous_epsilon_succeeds_on_truncated_map(self):
         m = build_arc_model(2)
         g = build_arcwise_map(m, 3)
@@ -1174,6 +1189,17 @@ class TestShadowSearch:
             0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 19, 20, 23, 24, 25, 26,
             28, 29,
         ]
+
+    def test_point_exactly_epsilon_away_keeps_the_arc(self):
+        # v1 at 1/16 lies exactly epsilon from h1's end; the check's
+        # tolerance is closed, so the search must not drop h1 there
+        m = build_arc_model(1)
+        g = YHomeo({a.id: identity() for a in m.arcs})
+        o = PseudoOrbit((YPoint("v1", F(1, 16)),), 0)
+        h1 = m.arc("h1")
+        assert h1.nearest(*m.arc("v1")._at(1, 16)) == (1, 1, 1, 256)
+        w = shadow_on_arcs(m, g, o, F(1, 16), [h1])
+        assert w == YPoint("h1", F(1)) == fraction_shadow_on_arcs(m, g, o, F(1, 16), [h1])
 
     def test_rejects_two_sided_orbit(self):
         m = build_arc_model(1)

@@ -16,9 +16,9 @@ timed with ``time.perf_counter``:
 - c0: ``c0_distance(g, f₉)``;
 - walk: ``wandering_intervals(g)``, whose first call runs g's fixed-set walk;
 - list table: ``best_chain_quality`` on that list, which builds g's chain
-  table;
+  table and keeps it on g;
 - chain at q and chain above q: the two ``check_chain_property`` calls,
-  which only scan that table; the first keeps it on g;
+  which only scan that table;
 - conjugacy: ``build_conjugacy(g, 4)``, its residual distance included.
 
 While checking the operations, the script counts the chain tables that
