@@ -1,9 +1,10 @@
 """The package defines no public name or method used nowhere or only by
 tests, no uncalled private one and no module-level name it never reads,
-no function rebinds a module-level name, its functions read every parameter and have no default that every call
-site overrides, its core computes without floating point, no flag reads
-with int(), every name it loads is bound in its module, the value classes
-share one ``__init__``, and every source file parses as Python 3.10."""
+no function rebinds a module-level name, its functions read every
+parameter and have no default that every call site overrides, its core
+computes without floating point, no flag reads with int(), every name it
+loads is bound in its module, the value classes share one ``__init__``,
+and every source file parses as Python 3.10."""
 
 import argparse
 import ast
